@@ -9,15 +9,22 @@ exponentiation makes this entirely self-contained.
 Nonces are derived deterministically from ``(sk, message)`` à la RFC 6979 so
 that signing is reproducible and never reuses a nonce across messages.
 
-The 1536-bit exponentiations dispatch through :func:`repro.crypto.field.fp_powmod`,
-so the optional ``gmpy2`` backend accelerates signing/verification without
-any change here; the reference backend keeps the scheme dependency-free.
+Cost model.  Secret keys, nonces and challenges are 64-byte hashes, so the
+only exponents longer than 512 bits are the response ``s`` (≈1024 bits from
+an honest signer) and whatever a hostile signature carries.  Every power of
+the generator — ``g**sk``, ``g**k``, ``g**s`` — is a walk over one lazily
+grown :class:`FixedBaseTable` (no squarings); the one variable-base power,
+``pk**-e`` in verification, has a 512-bit exponent and dispatches through
+:func:`repro.crypto.field.fp_powmod`, so the optional ``gmpy2`` backend
+accelerates it without any change here; the reference backend keeps the
+scheme dependency-free.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro import observability
 from repro.crypto.field import fp_powmod
@@ -67,16 +74,109 @@ GROUP_Q: int = (GROUP_P - 1) // 2
 #: Subgroup generator.
 GROUP_G: int = 2
 
+
+class FixedBaseTable:
+    """Window table for raising one fixed ``base`` to many exponents.
+
+    Row ``i`` holds ``base**(j << (5 * i)) mod modulus`` for every 5-bit
+    digit ``j``, so ``base**e`` is the product of one entry per non-zero
+    digit of ``e``: ``n / 5`` multiplications for an ``n``-bit exponent and
+    none of the ``n`` squarings a windowed ladder (``pow``) pays on top of
+    them.  Rows are built the first time an exponent reaches them (31
+    multiplications each) and kept for the life of the table, so its size
+    is bounded by the longest exponent ever raised: for the 1536-bit
+    Schnorr group, 205 rows (~1.5 MB) for honest signatures and at most 307
+    (~2.3 MB) for any scalar below the group order.
+
+    The rows are a deterministic function of ``(base, modulus)``: a table
+    is a memo, not state, and every process grows its own.  Like the verify
+    cache it assumes single-threaded use.
+    """
+
+    __slots__ = ("base", "modulus", "_rows")
+
+    #: Bits per digit.  5 balances the walk (one multiplication per digit)
+    #: against resident size (``2**5 - 1`` group elements per row).
+    _WINDOW = 5
+
+    def __init__(self, base: int, modulus: int) -> None:
+        self.base = base % modulus
+        self.modulus = modulus
+        self._rows: list[list[int]] = []
+
+    def __len__(self) -> int:
+        """Rows built so far."""
+        return len(self._rows)
+
+    def _grow(self, rows_needed: int) -> None:
+        rows = self._rows
+        modulus = self.modulus
+        while len(rows) < rows_needed:
+            # the next row's generator is the last row's base**32
+            step = rows[-1][-1] * rows[-1][1] % modulus if rows else self.base
+            row = [1, step]
+            for _ in range(2, 1 << self._WINDOW):
+                row.append(row[-1] * step % modulus)
+            rows.append(row)
+
+    def pow(self, exponent: int) -> int:
+        """``base**exponent mod modulus`` for a non-negative ``exponent``."""
+        if exponent < 0:
+            raise SignatureError("fixed-base exponent must be non-negative")
+        window = self._WINDOW
+        rows_needed = -(-exponent.bit_length() // window)
+        if rows_needed > len(self._rows):
+            self._grow(rows_needed)
+        modulus = self.modulus
+        mask = (1 << window) - 1
+        result = 1
+        for row in self._rows[:rows_needed]:
+            digit = exponent & mask
+            if digit:
+                result = result * row[digit] % modulus
+            exponent >>= window
+        return result
+
+
+#: Powers of the generator, shared by key derivation, signing and verifying.
+_G_POWERS = FixedBaseTable(GROUP_G, GROUP_P)
+
 _CHALLENGE_DOMAIN = b"zendoo/schnorr-e"
 _NONCE_DOMAIN = b"zendoo/schnorr-k"
 
+#: Digest size behind every hashed scalar (secret key, nonce, challenge).
+#: ``2**512 < q``, so the reduction in :func:`_hash_to_scalar` never fires
+#: and no honest challenge is longer than this many bytes.
+_SCALAR_HASH_BYTES = 64
+
 
 def _hash_to_scalar(*parts: bytes, domain: bytes) -> int:
-    h = hashlib.blake2b(digest_size=64, person=domain[:16].ljust(16, b"\x00"))
+    h = hashlib.blake2b(
+        digest_size=_SCALAR_HASH_BYTES, person=domain[:16].ljust(16, b"\x00")
+    )
     for part in parts:
         h.update(len(part).to_bytes(4, "little"))
         h.update(part)
     return int.from_bytes(h.digest(), "little") % GROUP_Q
+
+
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` for odd positive ``n``: 1, -1, or 0 when
+    ``gcd(a, n) > 1``.  For prime ``n`` it equals ``a**((n-1)/2) mod n``
+    (Euler's criterion) at a fortieth of the cost: binary reciprocity, no
+    exponentiation.
+    """
+    a %= n
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            sign = -sign
+        if a & n & 3 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def _int_bytes(value: int) -> bytes:
@@ -128,8 +228,16 @@ class PublicKey:
         function of ``(pk, message, signature)``, and the protocol verifies
         the same transaction signatures repeatedly (mempool admission, block
         connection, then once more inside every base-circuit synthesis), so
-        re-verification costs a dict lookup instead of two 1536-bit modular
-        exponentiations.
+        re-verification costs a dict lookup.
+
+        A first sighting recomputes the commitment as ``r = g**s * pk**-e``:
+        ``g**s`` from the fixed-base table, ``pk**-e`` as one inverse and
+        one 512-bit power.  The scheme's defining rule is
+        ``r = g**s * pk**(q - e)``, which differs exactly when ``pk`` lies
+        outside the order-``q`` subgroup: then ``pk**q == -1`` and the two
+        disagree by a sign.  The Jacobi symbol of ``pk`` *is* ``pk**q``, so
+        negating ``r`` on a non-residue key keeps the verdict that of the
+        defining rule on every input, well-formed or hostile.
         """
         _VERIFIES.inc()
         key = (
@@ -145,14 +253,19 @@ class PublicKey:
             return cached
         if not 0 < signature.e < GROUP_Q or not 0 < signature.s < GROUP_Q:
             valid = False
+        elif signature.e.bit_length() > 8 * _SCALAR_HASH_BYTES:
+            # longer than any challenge hash: cannot match, skip the modexps
+            valid = False
         elif not 1 < self.point < GROUP_P:
             valid = False
         else:
             # r = g**s * pk**(-e)  ==  g**(k + e*sk - e*sk)  ==  g**k
             r = (
-                fp_powmod(GROUP_G, signature.s, GROUP_P)
-                * fp_powmod(self.point, GROUP_Q - signature.e, GROUP_P)
+                _G_POWERS.pow(signature.s)
+                * fp_powmod(self.point, -signature.e, GROUP_P)
             ) % GROUP_P
+            if jacobi(self.point, GROUP_P) < 0:
+                r = GROUP_P - r
             expected_e = _hash_to_scalar(
                 _int_bytes(r), self.to_bytes(), message, domain=_CHALLENGE_DOMAIN
             )
@@ -177,9 +290,13 @@ class PrivateKey:
             scalar = 1
         return cls(scalar=scalar)
 
+    @cached_property
+    def _public(self) -> PublicKey:
+        return PublicKey(point=_G_POWERS.pow(self.scalar))
+
     def public_key(self) -> PublicKey:
-        """The corresponding public key ``g**sk``."""
-        return PublicKey(point=fp_powmod(GROUP_G, self.scalar, GROUP_P))
+        """The corresponding public key ``g**sk``, derived once per key."""
+        return self._public
 
     def sign(self, message: bytes) -> Signature:
         """Produce a deterministic Schnorr signature on ``message``."""
@@ -187,7 +304,7 @@ class PrivateKey:
         k = _hash_to_scalar(sk_bytes, message, domain=_NONCE_DOMAIN)
         if k == 0:
             k = 1
-        r = fp_powmod(GROUP_G, k, GROUP_P)
+        r = _G_POWERS.pow(k)
         pk = self.public_key()
         e = _hash_to_scalar(_int_bytes(r), pk.to_bytes(), message, domain=_CHALLENGE_DOMAIN)
         if e == 0:

@@ -53,6 +53,15 @@ class TestWorkflowStructure:
         suite = [cmd for cmd in commands if "python -m pytest" in cmd]
         assert suite and 'not slow' in suite[0]
 
+    def test_pipeline_quick_gates_every_push(self, workflow):
+        """The canonical pipeline benchmark runs on every push/PR at its
+        quick sizes: its output checks gate, its numbers do not (so no
+        artifact is uploaded)."""
+        job = workflow["jobs"]["pipeline-quick"]
+        assert "if" not in job, "the quick pipeline run must gate PRs"
+        assert "python -m benchmarks.pipeline --quick" in job_commands(job)
+        assert not any("upload-artifact" in s.get("uses", "") for s in job["steps"])
+
     def test_bench_smoke_uploads_reports(self, workflow):
         job = workflow["jobs"]["bench-smoke"]
         assert "python -m benchmarks.smoke" in job_commands(job)

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto import backend, mimc
+from repro.crypto import backend, mimc, signatures
 from repro.crypto.field import (
     MODULUS,
     add,
@@ -128,6 +128,19 @@ class TestScalarOps:
             exp = rng.randrange(1 << 128)
             mod = rng.randrange(3, 1 << 200)
             assert b.powmod(base, exp, mod) == pow(base, exp, mod)
+
+    @requires
+    def test_powmod_negative_exponent_inverts(self, backend_name):
+        """Schnorr verification raises the key to ``-e``: every backend must
+        read a negative exponent as a power of the modular inverse."""
+        rng = _rng()
+        b = backend._instance(backend_name)
+        for _ in range(5):
+            base = rng.randrange(2, signatures.GROUP_P)
+            exp = rng.getrandbits(512)
+            expected = pow(base, -exp, signatures.GROUP_P)
+            assert b.powmod(base, -exp, signatures.GROUP_P) == expected
+            assert expected * pow(base, exp, signatures.GROUP_P) % signatures.GROUP_P == 1
 
     @requires
     def test_fp_helpers_dispatch_to_active_backend(self, backend_name):

@@ -178,7 +178,7 @@ def _naive_parity(node: MainchainNode) -> dict:
 def run_scale_workload() -> dict:
     """The full workload: small vs large registry, plus the parity audit."""
     clear_leaf_cache()
-    _run_chain(8)  # warm global caches (templates, hash memos) for both runs
+    _run_chain(8)  # warm global caches (hash and signature memos) for both runs
     small = _run_chain(SMALL_N)
     large = _run_chain(LARGE_N)
     small_chain = small.pop("chain")

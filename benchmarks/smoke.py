@@ -25,15 +25,7 @@ network layers reported, the ``epoch/prove`` span exists, the JSON and
 Prometheus exporters agree on every series, and disabling the registry
 does not slow the Merkle hot path down.
 
-It then runs a template-cache workload (repeated same-family base
-proofs, eager synthesis vs the constraint-template fast path of
-``repro.snark.compile``) recorded to ``BENCH_pr4.json``, gating on
-byte-identical proofs and identical R1CS stats across the two paths, zero
-structural-guard fallbacks for the stock family, and a ≥2x steady-state
-speedup (the repetition count adapts to the machine so the timed loops are
-long enough to be stable).
-
-Finally it runs a chaos workload (a three-node deployment driven through a
+It then runs a chaos workload (a three-node deployment driven through a
 seeded :class:`~repro.network.FaultPlan` with drops, duplicates, reorders,
 a scheduled partition and one crash/restart — twice) recorded to
 ``BENCH_pr5.json``, gating on post-healing convergence, faults actually
@@ -43,13 +35,11 @@ byte-identical fault schedules and identical final (height, digest).
 It then runs a field-backend workload (warm epoch proving and bulk Merkle
 inserts under every available ``repro.crypto.backend`` implementation)
 recorded to ``BENCH_pr6.json``, gating on byte-identical proofs, public
-inputs and roots across backends, the batched-dispatch counters actually
-moving under the ``batched`` backend, and a ≥3x warm-epoch speedup of the
-batched backend over the ``python-int`` reference (timed best-of-two so
-the gate tolerates noisy machines; optional backends that fail to import,
-e.g. ``gmpy2``, are recorded as unavailable rather than failing — CI's
-backend-parity leg installs the ``[fast]`` extra so the gmpy2 row is
-measured there).
+inputs and roots across backends and the batched-dispatch counters actually
+moving under the ``batched`` backend (warm-epoch wall times are recorded,
+not gated; optional backends that fail to import, e.g. ``gmpy2``, are
+recorded as unavailable rather than failing — CI's backend-parity leg
+installs the ``[fast]`` extra so the gmpy2 row is measured there).
 
 Finally it runs the many-sidechains scale-out workload from
 ``bench_scale_sidechains.py`` (blocks touching a constant number of
@@ -77,8 +67,8 @@ that must fully converge in one shared submission window with every
 certificate verified through the batched ``ProverPool.map_verify`` path.
 
 Intended as a cheap CI gate for the MiMC/Merkle, prover performance,
-observability, template-cache, robustness, field-backend, scale-out and
-durable-storage layers (see docs/PERFORMANCE.md, docs/OBSERVABILITY.md,
+observability, robustness, field-backend, scale-out and durable-storage
+layers (see docs/PERFORMANCE.md, docs/OBSERVABILITY.md,
 docs/ROBUSTNESS.md and docs/STORAGE.md).
 """
 
@@ -110,7 +100,6 @@ EPOCH_STATE_DEPTH = 8
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr1.json"
 DEFAULT_OUT_PR2 = Path(__file__).resolve().parent.parent / "BENCH_pr2.json"
 DEFAULT_OUT_PR3 = Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
-DEFAULT_OUT_PR4 = Path(__file__).resolve().parent.parent / "BENCH_pr4.json"
 DEFAULT_OUT_PR5 = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
 DEFAULT_OUT_PR6 = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
 DEFAULT_OUT_PR7 = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
@@ -379,80 +368,6 @@ def run_telemetry_workload() -> dict:
     }
 
 
-def run_template_workload() -> dict:
-    """Repeated same-family base proofs: eager synthesis vs the template path.
-
-    Times ``reps`` proofs of one payment base statement with the template
-    cache off, then the same proofs with the cache on (the one-time compile
-    pass is timed separately), and cross-checks that both paths produce
-    byte-identical proofs and identical R1CS stats.  ``reps`` adapts to the
-    machine so each timed loop runs long enough to be stable.
-    """
-    from repro.latus.proofs import LatusTransitionSystem
-    from repro.snark import compile as snark_compile
-    from repro.snark import proving
-    from repro.snark.recursive import RecursiveComposer
-
-    system = LatusTransitionSystem()
-    composer = RecursiveComposer(system)
-    pk = composer._base_pk
-    state, txs = _payment_chain(1)
-    tx = txs[0]
-    next_state = system.apply(tx, state)
-    public = (system.digest(state), system.digest(next_state))
-    witness = (state, tx)
-
-    snark_compile.clear()
-    with snark_compile.use_templates(False):
-        # warmup: fills the signature-verify memo so both timed loops pay
-        # the same (cached) authorization cost, then size the loops
-        proving.prove_with_stats(pk, public, witness)
-        start = time.perf_counter()
-        baseline = proving.prove_with_stats(pk, public, witness)
-        single_wall = time.perf_counter() - start
-        reps = min(100, max(10, int(0.3 / max(single_wall, 1e-4))))
-
-        start = time.perf_counter()
-        slow = [proving.prove_with_stats(pk, public, witness) for _ in range(reps)]
-        slow_wall = time.perf_counter() - start
-
-    before = snark_compile.template_stats()
-    with snark_compile.use_templates(True):
-        start = time.perf_counter()
-        compiled = proving.prove_with_stats(pk, public, witness)
-        compile_wall = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fast = [proving.prove_with_stats(pk, public, witness) for _ in range(reps)]
-        fast_wall = time.perf_counter() - start
-    after = snark_compile.template_stats()
-
-    results = [baseline, compiled, *slow, *fast]
-    return {
-        "workload": (
-            f"{reps} repeated single-payment base proofs, eager synthesis vs "
-            "constraint-template replay"
-        ),
-        "reps": reps,
-        "eager": {"wall_s": slow_wall, "per_proof_s": slow_wall / reps},
-        "template": {
-            "wall_s": fast_wall,
-            "per_proof_s": fast_wall / reps,
-            "compile_pass_s": compile_wall,
-        },
-        "wall_speedup": slow_wall / fast_wall if fast_wall else float("inf"),
-        "proofs_identical": all(
-            r.proof.data == baseline.proof.data for r in results
-        ),
-        "stats_identical": all(r.stats == baseline.stats for r in results),
-        "all_fast_via_template": all(r.via_template for r in fast),
-        "template_counters": {
-            key: after[key] - before[key]
-            for key in ("compiles", "hits", "misses", "fallbacks")
-        },
-    }
-
-
 def _chaos_once():
     """One deterministic chaos run on a fresh three-node deployment."""
     from repro.latus.params import LatusParams
@@ -555,12 +470,10 @@ def run_field_backend_workload() -> dict:
     Every available backend must produce byte-identical proofs, public
     inputs and tree roots; only the wall time may differ.  The batched
     backend is additionally required to actually route MiMC permutations
-    through ``batch_permutations`` (counter-verified) and to beat the
-    ``python-int`` reference by >= 3x on the warm epoch (best-of-two
-    timing, so a single scheduler hiccup does not fail the gate).
+    through ``batch_permutations`` (counter-verified).  Warm-epoch wall
+    times (best of two) are recorded per backend but not gated.
     """
     from repro.crypto import backend as field_backend
-    from repro.snark import compile as snark_compile
 
     registry = observability.registry()
 
@@ -571,9 +484,6 @@ def run_field_backend_workload() -> dict:
             ),
             "batch_elements": int(
                 registry.counter("repro_field_batch_elements_total").value()
-            ),
-            "fused_hits": int(
-                registry.counter("repro_field_fused_permutation_hits_total").value()
             ),
         }
 
@@ -590,14 +500,13 @@ def run_field_backend_workload() -> dict:
             per_backend[name] = {"available": False}
             continue
         with field_backend.use_backend(name):
-            snark_compile.clear()
             mimc.clear_cache()
             before = _batch_counters()
             tree = FixedMerkleTree(MERKLE_DEPTH)
             tree.set_leaves(updates)
             roots[name] = tree.root
             prover = EpochProver()
-            prover.prove_epoch(state.copy(), txs)  # warm templates and memos
+            prover.prove_epoch(state.copy(), txs)  # warm the hash and signature memos
             walls = []
             for _ in range(2):
                 start = time.perf_counter()
@@ -635,15 +544,13 @@ def run_field_backend_workload() -> dict:
         "batched_dispatch_used": (
             batched_deltas is not None and batched_deltas["batch_calls"] > 0
         ),
-        "batched_speedup": speedups.get("batched", 0.0),
         "entry_backend": entry_backend,
         "exit_backend": field_backend.active().name,
     }
 
 
 def field_backend_checks(fb: dict) -> dict:
-    """The BENCH_pr6 gate: byte-identical outputs, real batched dispatch,
-    and the ROADMAP's >= 3x warm-epoch speedup for the batched backend."""
+    """The BENCH_pr6 gate: byte-identical outputs and real batched dispatch."""
     checks = {
         "field_backend_proofs_identical": fb["proofs_identical"],
         "field_backend_roots_identical": fb["roots_identical"],
@@ -661,10 +568,6 @@ def field_backend_checks(fb: dict) -> dict:
         checks["field_backend_gmpy2_measured"] = (
             fb["backends"]["gmpy2"].get("warm_epoch_wall_s", 0) > 0
         )
-    if fb["batched_available"]:
-        # acceptance target: batched witness evaluation >= 3x faster than
-        # the reference backend on the warm epoch
-        checks["field_backend_speedup_at_least_3x"] = fb["batched_speedup"] >= 3.0
     return checks
 
 
@@ -679,19 +582,6 @@ def chaos_checks(chaos: dict) -> dict:
         # the same final chain on both runs
         "chaos_schedule_reproducible": chaos["schedules_identical"],
         "chaos_outcome_reproducible": chaos["outcomes_identical"],
-    }
-
-
-def template_checks(tpl: dict) -> dict:
-    """The BENCH_pr4 gate: equivalence always, speedup on the steady state."""
-    return {
-        "template_proofs_identical": tpl["proofs_identical"],
-        "template_stats_identical": tpl["stats_identical"],
-        "template_path_taken": tpl["all_fast_via_template"],
-        "template_zero_fallbacks": tpl["template_counters"]["fallbacks"] == 0,
-        # acceptance target: the evaluation-only replay is >= 2x faster than
-        # re-running eager synthesis for every proof
-        "template_speedup_at_least_2x": tpl["wall_speedup"] >= 2.0,
     }
 
 
@@ -1318,12 +1208,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path for the observability workload",
     )
     parser.add_argument(
-        "--out-pr4",
-        type=Path,
-        default=DEFAULT_OUT_PR4,
-        help="output JSON path for the template-cache workload",
-    )
-    parser.add_argument(
         "--out-pr5",
         type=Path,
         default=DEFAULT_OUT_PR5,
@@ -1385,7 +1269,6 @@ def main(argv: list[str] | None = None) -> int:
         args.out,
         args.out_pr2,
         args.out_pr3,
-        args.out_pr4,
         args.out_pr5,
         args.out_pr6,
         args.out_pr7,
@@ -1454,16 +1337,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out_pr3.write_text(json.dumps(pr3_report, indent=2) + "\n")
 
-    tpl = run_template_workload()
-    pr4_checks = template_checks(tpl)
-    pr4_report = {
-        "suite": "constraint-template proving smoke (PR 4)",
-        "workloads": {"template_cache": tpl},
-        "checks": pr4_checks,
-        "ok": all(pr4_checks.values()),
-    }
-    args.out_pr4.write_text(json.dumps(pr4_report, indent=2) + "\n")
-
     chaos = run_chaos_workload()
     pr5_checks = chaos_checks(chaos)
     pr5_report = {
@@ -1477,7 +1350,7 @@ def main(argv: list[str] | None = None) -> int:
     fb = run_field_backend_workload()
     pr6_checks = field_backend_checks(fb)
     pr6_report = {
-        "suite": "field backend and batched evaluation smoke (PR 6)",
+        "suite": "field backend smoke (PR 6)",
         "workloads": {"field_backends": fb},
         "checks": pr6_checks,
         "ok": all(pr6_checks.values()),
@@ -1514,15 +1387,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     for name, passed in pr3_checks.items():
         print(f"  check {name}: {'ok' if passed else 'FAIL'}")
-    print(
-        f"template_cache: eager {tpl['eager']['per_proof_s'] * 1e3:.2f}ms/proof "
-        f"vs template {tpl['template']['per_proof_s'] * 1e3:.2f}ms/proof over "
-        f"{tpl['reps']} proofs (compile pass "
-        f"{tpl['template']['compile_pass_s'] * 1e3:.0f}ms) — "
-        f"{tpl['wall_speedup']:.2f}x wall"
-    )
-    for name, passed in pr4_checks.items():
-        print(f"  check {name}: {'ok' if passed else 'FAIL'}")
     first = chaos["first"]
     print(
         f"chaos: {first['sc_blocks_forged']} SC blocks under "
@@ -1553,9 +1417,8 @@ def main(argv: list[str] | None = None) -> int:
     pr8_report = _run_durability_suite(args.out_pr8)
     pr10_report = _run_adversarial_suite(args.out_pr10)
     print(
-        f"wrote {args.out}, {args.out_pr2}, {args.out_pr3}, {args.out_pr4}, "
-        f"{args.out_pr5}, {args.out_pr6}, {args.out_pr7}, {args.out_pr8} "
-        f"and {args.out_pr10}"
+        f"wrote {args.out}, {args.out_pr2}, {args.out_pr3}, {args.out_pr5}, "
+        f"{args.out_pr6}, {args.out_pr7}, {args.out_pr8} and {args.out_pr10}"
     )
     return 0 if all(
         r["ok"]
@@ -1563,7 +1426,6 @@ def main(argv: list[str] | None = None) -> int:
             report,
             pr2_report,
             pr3_report,
-            pr4_report,
             pr5_report,
             pr6_report,
             pr7_report,

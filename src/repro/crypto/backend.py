@@ -1,10 +1,10 @@
 """Swappable field-arithmetic backends for the proving hot path.
 
 Everything in this reproduction bottoms out in modular arithmetic over
-``p = 2**255 - 19`` (:mod:`repro.crypto.field`).  PRs 1, 2 and 4 removed the
-orchestration overhead *around* that arithmetic (memoized MiMC, process-pool
-proving, compile-once constraint templates); what remains is the raw cost of
-executing it one Python ``int`` at a time.  This module makes the arithmetic
+``p = 2**255 - 19`` (:mod:`repro.crypto.field`).  Memoized MiMC, process-pool
+proving and value-level witness checking removed the orchestration overhead
+*around* that arithmetic; what remains is the raw cost of executing it one
+Python ``int`` at a time.  This module makes the arithmetic
 layer pluggable:
 
 * ``python-int`` — the reference backend: plain CPython big-int arithmetic,
@@ -18,12 +18,9 @@ layer pluggable:
 * ``batched`` — identical scalar ops to ``python-int`` plus *array-program*
   execution of shape-identical work: an exec-compiled fused loop for batched
   MiMC permutations (round constants baked into the generated source, the
-  same technique as the unrolled permutation and the PR 4 template checker)
-  and, for large leaf batches, a NumPy limb-vectorized engine that executes
-  one round across the whole batch at once.  Selecting this backend also
-  switches :mod:`repro.snark.compile` onto its batched witness-evaluation
-  path (fused in-gadget MiMC with a permutation memo, and a checker that
-  verifies only *refutable* constraints — see ``docs/PERFORMANCE.md`` §6).
+  same technique as the unrolled permutation) and, for large leaf batches,
+  a NumPy limb-vectorized engine that executes one round across the whole
+  batch at once.
 
 Every backend computes the *same field*: roots, commitments, digests and
 proofs are byte-identical across backends (enforced by
@@ -74,17 +71,11 @@ class FieldBackend:
     """One implementation of the field-arithmetic layer.
 
     Scalar operations take and return canonical field ints; the batch
-    operation maps parallel input lists to an output list.  ``batched_eval``
-    marks backends whose selection also switches the SNARK compile layer
-    onto batched witness evaluation (fused MiMC gadget + refutable-only
-    constraint checking).
+    operation maps parallel input lists to an output list.
     """
 
     #: Registry name (also the ``REPRO_FIELD_BACKEND`` value selecting it).
     name: str = ""
-    #: Whether :mod:`repro.snark.compile` should use its batched
-    #: witness-evaluation path while this backend is active.
-    batched_eval: bool = False
 
     # -- scalar ops ----------------------------------------------------------
 
@@ -338,13 +329,10 @@ class BatchedBackend(PythonIntBackend):
     Scalar operations are inherited from the reference backend (CPython
     big-ints are already optimal one element at a time); batches dispatch to
     an exec-compiled fused loop, or to the NumPy limb engine above
-    :data:`NUMPY_MIN_BATCH` elements when NumPy is importable.  Activating
-    this backend also flips :mod:`repro.snark.compile` onto batched witness
-    evaluation (``batched_eval``).
+    :data:`NUMPY_MIN_BATCH` elements when NumPy is importable.
     """
 
     name = "batched"
-    batched_eval = True
 
     def __init__(self) -> None:
         self._batch = _compile_batch_permutation(ROUND_CONSTANTS, MODULUS)

@@ -86,7 +86,7 @@ def pow5(a: int) -> int:
 # callers doing one *large* operation per call (inverse, exponentiation) or
 # algorithm-level code that wants backend-aware arithmetic without managing
 # the backend itself.  Per-element hot loops (the compiled MiMC permutation,
-# the template checker) stay on baked-in plain-int arithmetic — see the
+# the witness checker) stay on baked-in plain-int arithmetic — see the
 # microbench note in docs/PERFORMANCE.md §6.
 
 

@@ -149,8 +149,9 @@ class FederatedWCertCircuit(Circuit):
             element_from_bytes(witness.h_epoch_last) == h_last,
             "federated: epoch-boundary block mismatch",
         )
+        # the witness's quality is a wire, not a matrix constant
         builder.enforce_equal(
-            quality_wire, builder.constant(witness.quality), "federated/quality"
+            quality_wire, builder.alloc(witness.quality), "federated/quality"
         )
 
         # the quorum check — the heart of this trust model
@@ -220,8 +221,9 @@ class FederatedCswCircuit(Circuit):
             == receiver_fe,
             "federated-csw: receiver mismatch",
         )
+        # the witness's amount is a wire, not a matrix constant
         builder.enforce_equal(
-            amount_wire, builder.constant(witness.amount), "federated-csw/amount"
+            amount_wire, builder.alloc(witness.amount), "federated-csw/amount"
         )
 
         message = exit_message(

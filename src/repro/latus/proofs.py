@@ -122,10 +122,13 @@ class LatusTransitionSystem:
                 builder.enforce_range(amount, AMOUNT_BITS, "ft-reject/range")
                 refunded.append(amount)
             total = builder.sum(minted + refunded)
-            expected = sum(o.amount for o in transition.outputs) + sum(
-                bt.amount for bt in transition.rejected
+            # a witness value is a wire, never a constant: a constant would
+            # put it into the constraint matrix, which is fixed at Setup
+            expected = builder.alloc(
+                sum(o.amount for o in transition.outputs)
+                + sum(bt.amount for bt in transition.rejected)
             )
-            builder.enforce_equal(total, builder.constant(expected), "ft/total")
+            builder.enforce_equal(total, expected, "ft/total")
         elif isinstance(transition, BackwardTransferRequestsTx):
             consumed = [_utxo_leaf_wire(builder, u) for u in transition.inputs]
             paid = []
@@ -150,10 +153,6 @@ class BatchedLatusSystem:
     """Transition system whose single step applies a full batch."""
 
     name = "latus-batched-v1"
-
-    #: The batched base circuit's shape tracks the whole epoch's transaction
-    #: mix, so templates would churn every epoch — keep it on full synthesis.
-    template_stable = False
 
     def __init__(self) -> None:
         self._inner = LatusTransitionSystem()

@@ -104,9 +104,10 @@ class LatusWCertCircuit(Circuit):
             witness.last_block.state_digest == witness.final_state.digest(),
             "wcert: last block does not commit to the final state",
         )
+        # the height is a witness value: a wire, not a matrix constant
         builder.enforce_equal(
             quality_wire,
-            builder.constant(witness.last_block.height),
+            builder.alloc(witness.last_block.height),
             "wcert/quality-is-height",
         )
 

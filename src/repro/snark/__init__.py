@@ -5,13 +5,6 @@ see :mod:`repro.snark.proving` and DESIGN.md §4 for the substitution notice.
 """
 
 from repro.snark.circuit import Circuit, CircuitBuilder, Wire
-from repro.snark.compile import (
-    ConstraintTemplate,
-    EvaluationBuilder,
-    synthesize_for_proof,
-    template_stats,
-    use_templates,
-)
 from repro.snark.pool import PoolStats, ProverPool
 from repro.snark.proving import (
     PROOF_SIZE,
@@ -32,14 +25,13 @@ from repro.snark.recursive import (
     TransitionProof,
     TransitionSystem,
 )
+from repro.snark.witness import WitnessChecker, check_witness
 
 __all__ = [
     "Circuit",
     "CircuitBuilder",
     "CompositionStats",
     "ConstraintSystem",
-    "ConstraintTemplate",
-    "EvaluationBuilder",
     "LinearCombination",
     "PROOF_SIZE",
     "PoolStats",
@@ -53,12 +45,11 @@ __all__ = [
     "TransitionSystem",
     "VerifyingKey",
     "Wire",
+    "WitnessChecker",
+    "check_witness",
     "expect_valid",
     "prove",
     "prove_with_stats",
     "setup",
-    "synthesize_for_proof",
-    "template_stats",
-    "use_templates",
     "verify",
 ]

@@ -98,14 +98,9 @@ class CircuitBuilder:
     # -- multiplicative ops (one constraint each) ------------------------------
 
     def mul(self, a: Wire, b: Wire, annotation: str = "mul") -> Wire:
-        """Allocate ``a * b`` and enforce the product constraint.
-
-        The constraint is flagged ``computed``: its C side is the freshly
-        allocated product variable, assigned exactly ``a.value * b.value``,
-        so it holds by construction (see :class:`repro.snark.r1cs.Constraint`).
-        """
+        """Allocate ``a * b`` and enforce the product constraint."""
         product = self.alloc(a.value * b.value % MODULUS)
-        self.cs.enforce(a.lc, b.lc, product.lc, annotation, computed=True)
+        self.cs.enforce(a.lc, b.lc, product.lc, annotation)
         return product
 
     def square(self, a: Wire, annotation: str = "square") -> Wire:
@@ -209,12 +204,6 @@ class Circuit(abc.ABC):
     #: Stable identifier of the constraint-system family.
     circuit_id: str = ""
 
-    #: Whether :mod:`repro.snark.compile` may cache this family's constraint
-    #: structure and replay later proofs through the evaluation-only builder.
-    #: Set False on circuits whose shape varies per witness beyond a small
-    #: set of recurring forms (e.g. the batched-epoch ablation circuit).
-    template_stable: bool = True
-
     def parameters_digest(self) -> bytes:
         """Digest of circuit parameters that alter the constraint structure.
 
@@ -239,12 +228,12 @@ class Circuit(abc.ABC):
         """Synthesize outside the proving flow; returns stats or raises."""
         builder = CircuitBuilder()
         self.synthesize(builder, public_input, witness)
-        _validate_publics(builder, public_input)
+        _validate_publics(builder.cs.public_values(), public_input)
         return builder.stats()
 
 
-def _validate_publics(builder: CircuitBuilder, public_input: Sequence[int]) -> None:
-    declared = builder.cs.public_values()
+def _validate_publics(declared: tuple[int, ...], public_input: Sequence[int]) -> None:
+    """Raise unless the public wires a synthesis allocated are ``public_input``."""
     expected = tuple(v % MODULUS for v in public_input)
     if declared != expected:
         raise SynthesisError(

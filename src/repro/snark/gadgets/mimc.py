@@ -25,19 +25,15 @@ from repro.snark.circuit import CircuitBuilder, Wire
 def mimc_permutation_gadget(builder: CircuitBuilder, x: Wire, k: Wire) -> Wire:
     """Enforce the keyed MiMC permutation; returns the output wire.
 
-    On the template evaluation path (:class:`repro.snark.compile.EvaluationBuilder`)
-    the whole permutation may evaluate *fused* — one memoized straight-line
-    call producing the identical 330 witness values — when the active field
-    backend advertises batched evaluation.  The eager builder (and the
-    evaluation builder under the default backend) takes the op-for-op loop
-    below, which is the constraint-level specification the fused path must
-    stay byte-identical to.
+    A builder that offers ``mimc_permutation`` (the value-level
+    :class:`repro.snark.witness.WitnessChecker`) takes the whole permutation
+    in one call.  The symbolic builder takes the op-for-op loop below, which
+    is the constraint-level specification that call must agree with in
+    output value and in the 330 variables and constraints it counts.
     """
-    fused = getattr(builder, "mimc_permutation_fused", None)
-    if fused is not None:
-        out = fused(x, k)
-        if out is not None:
-            return out
+    whole = getattr(builder, "mimc_permutation", None)
+    if whole is not None:
+        return whole(x, k)
     r = x
     for constant in ROUND_CONSTANTS:
         t = builder.add(builder.add(r, k), builder.constant(constant))

@@ -37,7 +37,6 @@ from typing import Any, Sequence
 from repro import observability
 from repro.crypto import backend as field_backend
 from repro.errors import SnarkError, UnsatisfiedConstraint
-from repro.snark import compile as snark_compile
 from repro.snark import proving
 from repro.snark.proving import ProveResult, ProvingKey
 
@@ -103,19 +102,16 @@ _WORKER_PKS: dict[str, ProvingKey] = {}
 
 
 def _init_worker(pk_blob: bytes) -> None:
-    """Executor initializer: unpickle keys, templates and the backend once.
+    """Executor initializer: unpickle the keys and select the backend once.
 
-    The blob carries the parent's registered proving keys, its compiled
-    constraint-template state (:func:`repro.snark.compile.export_state`) and
-    the name of its active field backend, so workers start with every
-    template the parent already compiled and prove under the same backend —
+    The blob carries the parent's registered proving keys and the name of
+    its active field backend, so workers prove under the same backend —
     with the usual graceful fallback if the backend's optional dependency
     is missing in the worker (it never is: workers are forks of the parent,
     but the selection is name-based and must not hard-fail regardless).
     """
-    pks, template_state, backend_name = pickle.loads(pk_blob)
+    pks, backend_name = pickle.loads(pk_blob)
     _WORKER_PKS.update(pks)
-    snark_compile.import_state(template_state)
     field_backend.set_backend(backend_name, strict=False)
 
 
@@ -135,8 +131,7 @@ def _prove_chunk(circuit_id: str, job_blob: bytes) -> list[ProveResult]:
     """Prove a chunk of ``(public_input, witness)`` jobs in one IPC round.
 
     Routed through :func:`repro.snark.proving.prove_many`, so the whole
-    chunk runs under one ``snark/batched_eval`` span and shares the
-    fused-permutation memo across its witnesses.
+    chunk runs under one ``snark/prove_many`` span.
     """
     inline_pk, jobs = pickle.loads(job_blob)
     pk = _worker_pk(circuit_id, inline_pk)
@@ -180,8 +175,6 @@ class PoolStats:
     serialization_seconds: float = 0.0
     #: Worker-side time spent inside ``prove_with_stats``.
     synthesis_seconds: float = 0.0
-    #: Jobs whose synthesis ran through a cached constraint template.
-    template_hits: int = 0
     #: Proof verifications routed through :meth:`ProverPool.map_verify`.
     verifications: int = 0
     #: Dispatches retried after a worker/dispatch failure.
@@ -212,7 +205,6 @@ class PoolStats:
             "chunks": self.chunks,
             "serialization_seconds": self.serialization_seconds,
             "synthesis_seconds": self.synthesis_seconds,
-            "template_hits": self.template_hits,
             "verifications": self.verifications,
             "retries": self.retries,
             "injected_failures": self.injected_failures,
@@ -286,11 +278,7 @@ class ProverPool:
             try:
                 started = time.perf_counter()
                 blob = pickle.dumps(
-                    (
-                        self._pks,
-                        snark_compile.export_state(),
-                        field_backend.active().name,
-                    ),
+                    (self._pks, field_backend.active().name),
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
                 self.stats.serialization_seconds += time.perf_counter() - started
@@ -377,7 +365,6 @@ class ProverPool:
             self.stats.tasks += 1
             _POOL_TASKS.inc()
             self.stats.synthesis_seconds += result.prove_seconds
-            self.stats.template_hits += result.via_template
             results.append(result)
         return results
 
@@ -420,7 +407,6 @@ class ProverPool:
                 continue
             for result in chunk_results:
                 self.stats.synthesis_seconds += result.prove_seconds
-                self.stats.template_hits += result.via_template
             results.extend(chunk_results)
         return results
 
@@ -458,7 +444,6 @@ class ProverPool:
         for public, witness in jobs:
             result = proving.prove_with_stats(pk, public, witness)
             self.stats.synthesis_seconds += result.prove_seconds
-            self.stats.template_hits += result.via_template
             results.append(result)
         return results
 
@@ -589,5 +574,4 @@ class ProverPool:
             return self.collect(retry)
         if not getattr(future, "_repro_serial", False):
             self.stats.synthesis_seconds += result.prove_seconds
-            self.stats.template_hits += result.via_template
         return result

@@ -5,11 +5,15 @@ proving stack, and the paper itself defers the concrete SNARK construction
 to a separate publication.  This module therefore implements a **simulated
 proving layer over a real arithmetization**:
 
-* The arithmetization is real.  ``Prove`` synthesizes the full R1CS for the
-  statement and evaluates *every* constraint against the witness; any
-  unsatisfied constraint aborts proving with
-  :class:`~repro.errors.UnsatisfiedConstraint`.  Constraint counts reported
-  in proving statistics are genuine.
+* The arithmetization is real.  ``Prove`` runs the circuit's synthesis
+  through the value-level :class:`~repro.snark.witness.WitnessChecker`,
+  which evaluates *every* constraint of the statement on the wire values
+  the witness induces; any unsatisfied constraint aborts proving with
+  :class:`~repro.errors.UnsatisfiedConstraint`.  The sparse ``A``/``B``/``C``
+  matrices themselves are materialised only by the reference
+  :class:`~repro.snark.circuit.CircuitBuilder` (``Circuit.check``, the
+  structural tests); the checker is pinned to it op-for-op, so the
+  constraint counts reported in proving statistics are genuine either way.
 * The proof object is simulated.  Instead of a pairing-based argument, the
   proof is a constant-size keyed binding tag over
   ``(verification key id, circuit digest, public input)``.  ``Verify``
@@ -42,9 +46,9 @@ from typing import Any, Sequence
 from repro import observability
 from repro.crypto.field import MODULUS
 from repro.errors import SnarkError, VerificationFailure
-from repro.snark import compile as snark_compile
 from repro.snark.circuit import Circuit
 from repro.snark.r1cs import R1CSStats
+from repro.snark.witness import check_witness
 
 _TRACER = observability.tracer()
 _REGISTRY = observability.registry()
@@ -138,19 +142,11 @@ class Proof:
 
 @dataclass(frozen=True)
 class ProveResult:
-    """A proof together with the statistics of the synthesis that produced it.
-
-    ``via_template`` records whether the synthesis ran through a cached
-    constraint template (:mod:`repro.snark.compile`) rather than the full
-    eager builder; it travels with the result across process boundaries, so
-    pool-dispatched proofs are attributable even though the template-cache
-    counters live per worker process.
-    """
+    """A proof together with the statistics of the synthesis that produced it."""
 
     proof: Proof
     stats: R1CSStats
     prove_seconds: float
-    via_template: bool = False
 
 
 def setup(circuit: Circuit) -> tuple[ProvingKey, VerifyingKey]:
@@ -197,36 +193,30 @@ def prove_with_stats(
 ) -> ProveResult:
     """Like :func:`prove` but also returns synthesis statistics and timing."""
     started = time.perf_counter()
-    stats, via_template = snark_compile.synthesize_for_proof(
-        pk.circuit, public_input, witness
-    )
+    stats = check_witness(pk.circuit, public_input, witness)
     tag = _binding_tag(pk.verifying_key, _digest_public_input(public_input))
     proof = Proof(data=pk.verifying_key.key_id + tag)
     return ProveResult(
         proof=proof,
         stats=stats,
         prove_seconds=time.perf_counter() - started,
-        via_template=via_template,
     )
 
 
 def prove_many(
     pk: ProvingKey, jobs: Sequence[tuple[Sequence[int], Any]]
 ) -> list[ProveResult]:
-    """Prove a batch of same-key statements under one ``snark/batched_eval`` span.
+    """Prove a batch of same-key statements under one ``snark/prove_many`` span.
 
     ``jobs`` is a sequence of ``(public_input, witness)`` pairs.  Results are
     positionally identical to a loop of :func:`prove_with_stats` calls — this
     is the chunk entry point :class:`~repro.snark.pool.ProverPool` workers
-    use, and the batching benefit is *cross-witness*: consecutive witnesses
-    of one chunk share template checkers and (under the batched field
-    backend) the fused-permutation memo, so the second and later proofs of a
-    chunk skip most of the MiMC work the first one paid for.
+    use, so one IPC round and one span cover the whole chunk.
     """
     if not jobs:
         return []
     with _TRACER.span(
-        "snark/batched_eval", circuit=pk.circuit.circuit_id, jobs=len(jobs)
+        "snark/prove_many", circuit=pk.circuit.circuit_id, jobs=len(jobs)
     ):
         return [prove_with_stats(pk, public_input, witness) for public_input, witness in jobs]
 

@@ -7,11 +7,14 @@ is the full assignment vector (with ``z[0] == 1``) and A, B, C are sparse
 linear combinations.
 
 This module is the *real* part of the SNARK substrate: constraints are
-genuinely generated and evaluated against the assignment.  Constraint counts
-reported by the proving layer come straight from here, which is what makes
-proving-cost benchmarks meaningful.  Constraints are checked eagerly as they
-are enforced (the assignment is always complete at enforcement time in our
-builder), and can optionally be retained for structural inspection.
+genuinely generated and evaluated against the assignment.  It is the
+reference arithmetization — what :meth:`Circuit.check` and the structural
+tests run; the proving layer decides the same constraints on wire values
+(:mod:`repro.snark.witness`) and is pinned to report exactly the counts
+produced here, which is what makes proving-cost benchmarks meaningful.
+Constraints are checked eagerly as they are enforced (the assignment is
+always complete at enforcement time in our builder), and can optionally be
+retained for structural inspection.
 """
 
 from __future__ import annotations
@@ -94,23 +97,12 @@ class LinearCombination:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One rank-1 constraint ``a * b = c`` with an annotation for debugging.
-
-    ``computed`` records *provenance*, not syntax: True means the builder
-    created ``c`` as a fresh variable assigned exactly ``<A,z> * <B,z>``
-    (a product definition from :meth:`CircuitBuilder.mul`/``square``), so the
-    constraint is satisfied by construction and can never be the first one to
-    fail.  Genuinely refutable constraints (booleanity, nonzero, selects,
-    equality against pre-existing wires) leave it False.  The batched
-    witness-evaluation path in :mod:`repro.snark.compile` uses this to check
-    only refutable rows; the eager path ignores it entirely.
-    """
+    """One rank-1 constraint ``a * b = c`` with an annotation for debugging."""
 
     a: LinearCombination
     b: LinearCombination
     c: LinearCombination
     annotation: str = ""
-    computed: bool = False
 
 
 @dataclass
@@ -143,7 +135,7 @@ class ConstraintSystem:
     satisfying assignment).
 
     Set ``keep_constraints=True`` to retain the symbolic constraint list for
-    structural tests; production paths keep only counters.
+    structural tests; otherwise only counters are kept.
     """
 
     def __init__(self, keep_constraints: bool = False) -> None:
@@ -180,14 +172,8 @@ class ConstraintSystem:
         b: LinearCombination,
         c: LinearCombination,
         annotation: str = "",
-        computed: bool = False,
     ) -> None:
-        """Add the constraint ``a * b = c`` and check it immediately.
-
-        ``computed`` flags product-definition constraints (see
-        :class:`Constraint`); it does not change eager evaluation — every
-        constraint is still checked here regardless.
-        """
+        """Add the constraint ``a * b = c`` and check it immediately."""
         left = a.evaluate(self.assignment) * b.evaluate(self.assignment) % MODULUS
         right = c.evaluate(self.assignment)
         if left != right:
@@ -197,7 +183,7 @@ class ConstraintSystem:
             )
         self.num_constraints += 1
         if self.keep_constraints:
-            self.constraints.append(Constraint(a, b, c, annotation, computed))
+            self.constraints.append(Constraint(a, b, c, annotation))
 
     def assert_native(self, condition: bool, message: str) -> None:
         """Record a non-arithmetized predicate check.

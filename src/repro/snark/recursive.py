@@ -122,13 +122,6 @@ class CompositionStats:
     #: Sequential proving stages on the longest path: one base + the merges
     #: above it — the lower bound on parallel latency, in proof stages.
     critical_path_depth: int = 0
-    #: Proofs whose synthesis ran through a cached constraint template.
-    template_hits: int = 0
-    #: Synthesis seconds attributable to template-path (evaluation-only)
-    #: proofs; ``synthesis_seconds - template_eval_seconds`` is the full
-    #: eager-builder share, so the compile-once vs. steady-state split is
-    #: visible directly on the stats object.
-    template_eval_seconds: float = 0.0
 
     def record(self, stats: R1CSStats) -> None:
         self.constraints += stats.num_constraints
@@ -138,9 +131,6 @@ class CompositionStats:
         """Fold in one proof's R1CS counters and synthesis timing."""
         self.record(result.stats)
         self.synthesis_seconds += result.prove_seconds
-        if result.via_template:
-            self.template_hits += 1
-            self.template_eval_seconds += result.prove_seconds
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot using the shared telemetry field names.
@@ -165,8 +155,6 @@ class CompositionStats:
             "pool_chunks": self.pool_chunks,
             "pool_occupancy": self.pool_occupancy,
             "critical_path_depth": self.critical_path_depth,
-            "template_hits": self.template_hits,
-            "template_eval_seconds": self.template_eval_seconds,
         }
 
 
@@ -176,10 +164,6 @@ class _BaseCircuit(Circuit, Generic[State, Transition]):
     def __init__(self, system: TransitionSystem[State, Transition]) -> None:
         self.system = system
         self.circuit_id = f"stp/base/{system.name}"
-        # systems whose constraint shape varies per witness beyond a small
-        # recurring set (e.g. the batched-epoch ablation) opt out of the
-        # template cache here
-        self.template_stable = bool(getattr(system, "template_stable", True))
 
     def synthesize(
         self,

@@ -20,7 +20,6 @@ import random
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -49,9 +48,9 @@ from repro.latus.proofs import LatusTransitionSystem
 from repro.latus.state import LatusState
 from repro.latus.transactions import sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
-from repro.snark import compile as snark_compile
 from repro.snark import proving
 from repro.snark.recursive import RecursiveComposer
+from tests.test_witness_checker import base_job, payment_job, tampered_leaf
 
 ALL_BACKENDS = backend.backend_names()
 AVAILABLE = [name for name in ALL_BACKENDS if backend.is_available(name)]
@@ -74,10 +73,8 @@ requires = pytest.mark.parametrize(
 def _isolated_caches():
     """Backend comparisons must not leak cache state between tests."""
     mimc.clear_cache()
-    snark_compile.clear()
     yield
     mimc.clear_cache()
-    snark_compile.clear()
     backend.set_backend("python-int")
 
 
@@ -296,7 +293,6 @@ def _epoch_proof(backend_name: str):
     keypair = KeyPair.from_seed("backend-parity")
     with backend.use_backend(backend_name):
         mimc.clear_cache()
-        snark_compile.clear()
         system = LatusTransitionSystem()
         composer = RecursiveComposer(system)
         state = LatusState(8)
@@ -340,69 +336,24 @@ class TestByteIdenticalStructures:
 
 
 # ---------------------------------------------------------------------------
-# Rejection parity under batched evaluation
+# Rejection parity under the batched backend
 # ---------------------------------------------------------------------------
 
 
 class TestBatchedRejectionParity:
-    def _payment_fixture(self):
-        keypair = KeyPair.from_seed("reject-parity")
-        system = LatusTransitionSystem()
-        composer = RecursiveComposer(system)
-        state = LatusState(8)
-        u = Utxo(
-            addr=address_to_field(keypair.address),
-            amount=100,
-            nonce=derive_nonce(b"reject-mint", (0).to_bytes(8, "little")),
-        )
-        state.mst.add(u)
-        tx = sign_payment(
-            [(u, keypair)],
-            [
-                Utxo(
-                    addr=address_to_field(keypair.address),
-                    amount=90,
-                    nonce=derive_nonce(b"reject-out", (0).to_bytes(8, "little")),
-                )
-            ],
-        )
-        next_state = system.apply(tx, state)
-        public = (system.digest(state), system.digest(next_state))
-        return composer._base_pk, public, state, tx
-
     def test_corrupted_leaf_rejected_identically(self):
-        """The refutable-only checker must still catch an R1CS violation —
-        a tampered cached leaf value — with the exact eager-path error."""
-        pk, public, state, tx = self._payment_fixture()
-        evil = Utxo(
-            addr=tx.inputs[0].utxo.addr,
-            amount=tx.inputs[0].utxo.amount,
-            nonce=tx.inputs[0].utxo.nonce,
-        )
-        object.__setattr__(evil, "leaf_value", 12345)
-        poisoned = replace(tx, inputs=(replace(tx.inputs[0], utxo=evil),))
-
-        with pytest.raises(UnsatisfiedConstraint) as eager:
-            with snark_compile.use_templates(False):
-                proving.prove_with_stats(pk, public, (state, poisoned))
-
-        snark_compile.clear()
+        """Proving under the batched backend still catches an R1CS violation
+        — an output whose cached leaf value was tampered with — with the
+        reference builder's exact error (the oracle of
+        ``tests/test_witness_checker.py``, run under the default backend)."""
+        state, tx = payment_job()
+        pk, public, witness = base_job(state, tampered_leaf(tx, "outputs"))
+        with pytest.raises(UnsatisfiedConstraint, match="utxo/leaf") as reference:
+            pk.circuit.check(public, witness)
         with backend.use_backend("batched"):
-            proving.prove_with_stats(pk, public, (state, tx))  # warm the template
             with pytest.raises(UnsatisfiedConstraint) as batched:
-                proving.prove_with_stats(pk, public, (state, poisoned))
-            assert str(batched.value) == str(eager.value)
-            assert not snark_compile.is_fallen_back(pk.circuit)
-            # the family still serves valid witnesses afterwards
-            again = proving.prove_with_stats(pk, public, (state, tx))
-            assert again.via_template
-
-    def test_fused_memo_bounded(self):
-        pk, public, state, tx = self._payment_fixture()
-        with backend.use_backend("batched"):
-            proving.prove_with_stats(pk, public, (state, tx))
-            proving.prove_with_stats(pk, public, (state, tx))
-        assert 0 < snark_compile.fused_memo_size() <= snark_compile.FUSED_MEMO_MAX_ENTRIES
+                proving.prove_with_stats(pk, public, witness)
+        assert str(batched.value) == str(reference.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,478 +1,127 @@
-"""Property tests for the constraint-template fast path (repro.snark.compile).
+"""Per-family differential cases for the Latus circuits.
 
-Every registered circuit family must behave *identically* with and without
-the template cache: byte-identical proofs, identical :class:`R1CSStats`,
-and identical rejection (same exception type and annotation) of corrupted
-witnesses.  The families covered here are the base circuit with each of the
-four Latus transaction types, the merge circuit, the withdrawal-certificate
-circuit, and the BTR/CSW withdrawal circuits — plus a deliberately
-shape-shifting circuit that must trip the structural guard and fall back
-permanently.
+Every Latus circuit family — the Base circuit with each of the four
+transaction kinds, Merge, the withdrawal certificate, BTR and CSW — is proved
+through the production path with a good witness and with corrupted ones, and
+held to the reference builder by ``tests/test_witness_checker.py``'s oracle
+(identical :class:`R1CSStats`, verdict, exception type and message).  The
+builders and helpers live there; this module keeps the name it had when the
+same cases pinned the constraint-template cache, so their test IDs are stable.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.core.transfers import (
-    BackwardTransfer,
-    BackwardTransferRequest,
-    ForwardTransfer,
-    WithdrawalCertificate,
-    derive_ledger_id,
-)
 from repro.crypto.keys import KeyPair
-from repro.errors import UnsatisfiedConstraint
-from repro.latus.proofs import EpochProver, LatusTransitionSystem
-from repro.latus.state import LatusState
-from repro.latus.transactions import (
-    build_btr_tx,
-    build_forward_transfers_tx,
-    pack_receiver_metadata,
-    sign_backward_transfer,
-    sign_payment,
-)
-from repro.latus.utxo import Utxo, address_to_field, derive_nonce
-from repro.latus.wcert import LatusWCertCircuit, latus_proofdata
+from repro.latus.proofs import LatusTransitionSystem
 from repro.latus.withdrawal_circuits import LatusBtrCircuit, LatusCswCircuit
-from repro.scenarios import ZendooHarness
-from repro.snark import proving
-from repro.snark import compile as snark_compile
-from repro.snark.circuit import Circuit
 from repro.snark.recursive import RecursiveComposer
-
-DEPTH = 8
-LEDGER = derive_ledger_id("template-test")
-
-ALICE = KeyPair.from_seed("alice")
-BOB = KeyPair.from_seed("bob")
-DEST = KeyPair.from_seed("mc-dest")
-
-
-def mint(state, keypair, amount, tag):
-    u = Utxo(
-        addr=address_to_field(keypair.address),
-        amount=amount,
-        nonce=derive_nonce(b"tplmint", tag.to_bytes(8, "little")),
-    )
-    state.mst.add(u)
-    return u
-
-
-def out(keypair, amount, tag):
-    return Utxo(
-        addr=address_to_field(keypair.address),
-        amount=amount,
-        nonce=derive_nonce(b"tplout", tag.to_bytes(8, "little")),
-    )
-
-
-@pytest.fixture(autouse=True)
-def _isolated_template_cache():
-    """Each test starts from an empty template cache and leaves none behind."""
-    snark_compile.clear()
-    yield
-    snark_compile.clear()
+from tests.test_witness_checker import (
+    BASE_JOBS,
+    assert_order_independent,
+    assert_parity,
+    assert_rejection_parity,
+    base_job,
+    latus_scenario,
+    merge_job,
+    tampered_leaf,
+    wcert_job,
+    withdrawal_job,
+)
 
 
 @pytest.fixture(scope="module")
 def harness_scenario():
-    """One funded two-epoch harness run shared by the WCert/BTR/CSW tests."""
-    harness = ZendooHarness()
-    harness.mine(2)
-    sc = harness.create_sidechain("template-test", epoch_len=4, submit_len=2)
-    harness.forward_transfer(sc, ALICE, 777_000)
-    harness.run_epochs(sc, 1)
-    harness.wallet(sc, ALICE).pay(BOB.address, 1000)
-    harness.run_epochs(sc, 1)
-    return harness, sc
-
-
-# ---------------------------------------------------------------------------
-# Parity helpers
-# ---------------------------------------------------------------------------
-
-
-def assert_proof_parity(pk, public, witness):
-    """Full path, compile pass and template hit must agree byte-for-byte."""
-    with snark_compile.use_templates(False):
-        full = proving.prove_with_stats(pk, public, witness)
-    assert not full.via_template
-    snark_compile.clear()
-    with snark_compile.use_templates(True):
-        compiled = proving.prove_with_stats(pk, public, witness)
-        hit = proving.prove_with_stats(pk, public, witness)
-    assert not compiled.via_template  # first sight compiles via full synthesis
-    assert hit.via_template  # second proof replays the template
-    assert compiled.proof.data == full.proof.data
-    assert hit.proof.data == full.proof.data
-    assert compiled.stats == full.stats
-    assert hit.stats == full.stats
-    return full
-
-
-def assert_rejection_parity(pk, good_public, good_witness, bad_public, bad_witness):
-    """Corrupted witnesses must raise the same error on both paths, and a
-    rejected proof attempt must not poison the family's template."""
-    with snark_compile.use_templates(False):
-        with pytest.raises(UnsatisfiedConstraint) as slow:
-            proving.prove_with_stats(pk, bad_public, bad_witness)
-    snark_compile.clear()
-    with snark_compile.use_templates(True):
-        proving.prove_with_stats(pk, good_public, good_witness)  # warm the template
-        with pytest.raises(UnsatisfiedConstraint) as fast:
-            proving.prove_with_stats(pk, bad_public, bad_witness)
-        assert str(fast.value) == str(slow.value)
-        assert not snark_compile.is_fallen_back(pk.circuit)
-        # the family still serves valid witnesses through the template
-        again = proving.prove_with_stats(pk, good_public, good_witness)
-        assert again.via_template
-
-
-# ---------------------------------------------------------------------------
-# Base circuit: one family, four transaction shapes
-# ---------------------------------------------------------------------------
-
-
-def _payment_job():
-    state = LatusState(DEPTH)
-    u = mint(state, ALICE, 100, 1)
-    tx = sign_payment([(u, ALICE)], [out(BOB, 90, 2)])
-    return state, tx
-
-
-def _backward_transfer_job():
-    state = LatusState(DEPTH)
-    u = mint(state, ALICE, 50, 1)
-    bt = BackwardTransfer(receiver_addr=ALICE.address, amount=50)
-    tx = sign_backward_transfer([(u, ALICE)], [bt])
-    return state, tx
-
-
-def _forward_transfers_job():
-    state = LatusState(DEPTH)
-    ft = ForwardTransfer(
-        ledger_id=LEDGER,
-        receiver_metadata=pack_receiver_metadata(ALICE.address, ALICE.address),
-        amount=50,
-    )
-    tx = build_forward_transfers_tx(b"\x01" * 32, (ft,), state.mst)
-    return state, tx
-
-
-def _btr_job():
-    state = LatusState(DEPTH)
-    u = mint(state, ALICE, 40, 1)
-    request = BackwardTransferRequest(
-        ledger_id=LEDGER,
-        receiver=b"\x01" * 32,
-        amount=u.amount,
-        nullifier=u.nullifier,
-        proofdata=u.as_field_elements(),
-        proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
-    )
-    tx = build_btr_tx(b"\x02" * 32, (request,), state.mst)
-    return state, tx
-
-
-BASE_JOBS = {
-    "payment": _payment_job,
-    "backward_transfer": _backward_transfer_job,
-    "forward_transfers": _forward_transfers_job,
-    "btr_sync": _btr_job,
-}
-
-
-def _base_job(kind):
-    system = LatusTransitionSystem()
-    composer = RecursiveComposer(system)
-    state, tx = BASE_JOBS[kind]()
-    next_state = system.apply(tx, state)
-    public = (system.digest(state), system.digest(next_state))
-    return composer, public, (state, tx)
+    return latus_scenario()
 
 
 class TestBaseCircuitFamilies:
     @pytest.mark.parametrize("kind", sorted(BASE_JOBS))
     def test_proof_parity(self, kind):
-        composer, public, witness = _base_job(kind)
-        assert_proof_parity(composer._base_pk, public, witness)
+        assert assert_parity(*base_job(*BASE_JOBS[kind]()))[0] == "ok"
 
     @pytest.mark.parametrize("kind", sorted(BASE_JOBS))
     def test_rejection_parity(self, kind):
-        composer, public, witness = _base_job(kind)
-        # wrong d_from: the statement's first native check fails
-        bad_public = (public[0] + 1, public[1])
-        assert_rejection_parity(
-            composer._base_pk, public, witness, bad_public, witness
-        )
+        """Wrong ``d_from``: the statement's first native check fails."""
+        pk, public, witness = base_job(*BASE_JOBS[kind]())
+        assert_rejection_parity(pk, (public[0] + 1, public[1]), witness)
+
+    @pytest.mark.parametrize("kind", sorted(BASE_JOBS))
+    def test_wrong_d_to_rejection_parity(self, kind):
+        pk, public, witness = base_job(*BASE_JOBS[kind]())
+        assert_rejection_parity(pk, (public[0], public[1] + 1), witness)
 
     def test_corrupted_leaf_rejection_parity(self):
-        """An arithmetic (R1CS) violation, not just a native check: a UTXO
-        whose cached MiMC leaf was tampered with fails the leaf gadget."""
-        system = LatusTransitionSystem()
-        composer = RecursiveComposer(system)
-        state, tx = _payment_job()
-        next_state = system.apply(tx, state)
-        public = (system.digest(state), system.digest(next_state))
-        evil = Utxo(
-            addr=tx.inputs[0].utxo.addr,
-            amount=tx.inputs[0].utxo.amount,
-            nonce=tx.inputs[0].utxo.nonce,
-        )
-        object.__setattr__(evil, "leaf_value", 12345)
-        poisoned = replace(tx, inputs=(replace(tx.inputs[0], utxo=evil),))
-        assert_rejection_parity(
-            composer._base_pk, public, (state, tx), public, (state, poisoned)
-        )
+        """An arithmetic (R1CS) violation, not just a native check: an output
+        whose cached MiMC leaf was tampered with enters the successor state,
+        so the digests agree and it is the leaf gadget that refuses it."""
+        state, tx = BASE_JOBS["payment"]()
+        verdict = assert_parity(*base_job(state, tampered_leaf(tx, "outputs")))
+        assert verdict[0] == "raised" and "utxo/leaf" in verdict[2]
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("payment", "inputs"),
+            ("backward_transfer", "inputs"),
+            ("btr_sync", "inputs"),
+            ("forward_transfers", "outputs"),
+        ],
+    )
+    def test_tampered_leaf_rejection_parity(self, kind, field):
+        """Proved against the honest statement: a tampered input is not in
+        the state (``update`` returns ⊥), a tampered output moves ``d_to``."""
+        state, tx = BASE_JOBS[kind]()
+        pk, public, _ = base_job(state, tx)
+        assert_rejection_parity(pk, public, (state, tampered_leaf(tx, field)))
 
     def test_four_shapes_share_one_family(self):
-        """All four transaction kinds live under one circuit_id as separate
-        templates — none evicts another, none trips the guard."""
+        """All four transaction kinds prove under one ``circuit_id`` and one
+        key, in either order, with no proof affecting another."""
         composer = RecursiveComposer(LatusTransitionSystem())
-        system = composer.system
-        for kind in sorted(BASE_JOBS):
-            state, tx = BASE_JOBS[kind]()
-            next_state = system.apply(tx, state)
-            public = (system.digest(state), system.digest(next_state))
-            proving.prove_with_stats(composer._base_pk, public, (state, tx))
-        circuit = composer._base_pk.circuit
-        assert not snark_compile.is_fallen_back(circuit)
-        assert len(snark_compile.family_templates(circuit)) == len(BASE_JOBS)
-        # each shape replays from its own template now
-        for kind in sorted(BASE_JOBS):
-            state, tx = BASE_JOBS[kind]()
-            next_state = system.apply(tx, state)
-            public = (system.digest(state), system.digest(next_state))
-            result = proving.prove_with_stats(composer._base_pk, public, (state, tx))
-            assert result.via_template
-
-
-# ---------------------------------------------------------------------------
-# Merge circuit
-# ---------------------------------------------------------------------------
+        jobs = [base_job(*BASE_JOBS[kind](), composer) for kind in sorted(BASE_JOBS)]
+        snapshots = assert_order_independent(jobs)
+        assert len({stats.num_constraints for stats, _ in snapshots}) == len(BASE_JOBS)
 
 
 class TestMergeCircuitFamily:
-    def _merge_job(self):
-        system = LatusTransitionSystem()
-        composer = RecursiveComposer(system)
-        state = LatusState(DEPTH)
-        u = mint(state, ALICE, 1000, 1)
-        mid = out(ALICE, 1000, 2)
-        tx1 = sign_payment([(u, ALICE)], [mid])
-        tx2 = sign_payment([(mid, ALICE)], [out(BOB, 1000, 3)])
-        left, state_after = composer.prove_base(state, tx1)
-        right, _ = composer.prove_base(state_after, tx2)
-        public = (left.from_digest, right.to_digest)
-        return composer, public, (left, right)
-
     def test_proof_parity(self):
-        composer, public, witness = self._merge_job()
-        assert_proof_parity(composer._merge_pk, public, witness)
+        assert assert_parity(*merge_job())[0] == "ok"
 
     def test_rejection_parity(self):
-        composer, public, witness = self._merge_job()
-        left, right = witness
-        # non-adjacent children: the adjacency native check fails
+        """Non-adjacent children: the adjacency native check fails."""
+        pk, public, (left, right) = merge_job()
         forged = replace(left, to_digest=left.to_digest + 1)
-        assert_rejection_parity(
-            composer._merge_pk, public, witness, public, (forged, right)
-        )
+        assert_rejection_parity(pk, public, (forged, right))
 
-
-# ---------------------------------------------------------------------------
-# Withdrawal-certificate circuit
-# ---------------------------------------------------------------------------
+    def test_wrong_public_rejection_parity(self):
+        pk, public, witness = merge_job()
+        assert_rejection_parity(pk, (public[0], public[1] + 1), witness)
 
 
 class TestWCertFamily:
-    def _wcert_job(self, harness_scenario):
-        _, sc = harness_scenario
-        node = sc.node
-        witness = node.last_wcert_witness
-        epoch_id = len(node.certificates) - 1
-        proofdata = latus_proofdata(
-            witness.last_block.hash,
-            witness.final_state.mst_root,
-            witness.mst_delta,
-        )
-        draft = WithdrawalCertificate(
-            ledger_id=sc.ledger_id,
-            epoch_id=epoch_id,
-            quality=witness.last_block.height,
-            bt_list=witness.bt_list,
-            proofdata=proofdata,
-            proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
-        )
-        public = draft.public_input(
-            node._epoch_boundary_hash(epoch_id - 1),
-            node._epoch_boundary_hash(epoch_id),
-        )
-        pk, _ = proving.setup(LatusWCertCircuit(node.cert_builder.prover))
-        return pk, public, witness
-
     def test_proof_parity(self, harness_scenario):
-        pk, public, witness = self._wcert_job(harness_scenario)
-        assert_proof_parity(pk, public, witness)
+        assert assert_parity(*wcert_job(harness_scenario))[0] == "ok"
 
     def test_rejection_parity(self, harness_scenario):
-        pk, public, witness = self._wcert_job(harness_scenario)
+        pk, public, witness = wcert_job(harness_scenario)
         bad = replace(witness, start_state_digest=witness.start_state_digest + 1)
-        assert_rejection_parity(pk, public, witness, public, bad)
-
-
-# ---------------------------------------------------------------------------
-# BTR / CSW withdrawal circuits
-# ---------------------------------------------------------------------------
+        assert_rejection_parity(pk, public, bad)
 
 
 class TestWithdrawalFamilies:
-    def _withdrawal_job(self, harness_scenario, circuit):
-        harness, sc = harness_scenario
-        utxo = harness.wallet(sc, ALICE).utxos()[0]
-        witness, anchor_hash = harness._withdrawal_witness(
-            sc, utxo, ALICE, DEST.address
-        )
-        draft = BackwardTransferRequest(
-            ledger_id=sc.ledger_id,
-            receiver=DEST.address,
-            amount=utxo.amount,
-            nullifier=utxo.nullifier,
-            proofdata=utxo.as_field_elements(),
-            proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
-        )
-        public = draft.public_input(anchor_hash)
-        pk, _ = proving.setup(circuit)
-        return pk, public, witness
-
     @pytest.mark.parametrize("circuit_cls", [LatusBtrCircuit, LatusCswCircuit])
     def test_proof_parity(self, harness_scenario, circuit_cls):
-        pk, public, witness = self._withdrawal_job(harness_scenario, circuit_cls())
-        assert_proof_parity(pk, public, witness)
+        assert assert_parity(*withdrawal_job(harness_scenario, circuit_cls()))[0] == "ok"
+
+    def _stolen_key(self, harness_scenario, circuit):
+        pk, public, witness = withdrawal_job(harness_scenario, circuit)
+        mallory = KeyPair.from_seed("mallory")
+        assert_rejection_parity(pk, public, replace(witness, owner_pubkey=mallory.public))
 
     def test_rejection_parity(self, harness_scenario):
-        pk, public, witness = self._withdrawal_job(harness_scenario, LatusBtrCircuit())
-        mallory = KeyPair.from_seed("mallory")
-        stolen = replace(witness, owner_pubkey=mallory.public)
-        assert_rejection_parity(pk, public, witness, public, stolen)
+        self._stolen_key(harness_scenario, LatusBtrCircuit())
 
-
-# ---------------------------------------------------------------------------
-# Structural guard: shape-shifting circuits retire themselves
-# ---------------------------------------------------------------------------
-
-
-class _ShapeShifter(Circuit):
-    """Allocation count tracks the witness length: every proof is a new shape."""
-
-    circuit_id = "test/shape-shifter-v1"
-
-    def synthesize(self, builder, public_input, witness):
-        wires = [builder.alloc(v) for v in witness]
-        total = builder.sum(wires) if wires else builder.constant(0)
-        expected = builder.alloc_public(public_input[0])
-        builder.enforce_equal(total, expected, "shifter/sum")
-
-
-class TestStructuralGuard:
-    def _prove_length(self, pk, n):
-        witness = list(range(1, n + 1))
-        return proving.prove_with_stats(pk, (sum(witness),), witness)
-
-    def test_shape_shifter_trips_fallback(self):
-        circuit = _ShapeShifter()
-        pk, vk = proving.setup(circuit)
-        before = snark_compile.template_stats()
-        # the first MAX_TEMPLATES_PER_FAMILY distinct shapes all compile
-        for n in range(1, snark_compile.MAX_TEMPLATES_PER_FAMILY + 1):
-            result = self._prove_length(pk, n)
-            assert proving.verify(vk, (n * (n + 1) // 2,), result.proof)
-        assert not snark_compile.is_fallen_back(circuit)
-        assert len(snark_compile.family_templates(circuit)) == (
-            snark_compile.MAX_TEMPLATES_PER_FAMILY
-        )
-        # one shape past the cap retires the family permanently
-        overflow = snark_compile.MAX_TEMPLATES_PER_FAMILY + 1
-        result = self._prove_length(pk, overflow)
-        assert proving.verify(vk, (overflow * (overflow + 1) // 2,), result.proof)
-        assert snark_compile.is_fallen_back(circuit)
-        assert snark_compile.family_templates(circuit) == []
-        after = snark_compile.template_stats()
-        assert after["fallbacks"] == before["fallbacks"] + 1
-        # further proofs (even of previously-templated shapes) stay correct
-        # on the permanent full path
-        repeat = self._prove_length(pk, 1)
-        assert not repeat.via_template
-        assert proving.verify(vk, (1,), repeat.proof)
-
-    def test_repeating_shapes_below_cap_stay_templated(self):
-        circuit = _ShapeShifter()
-        pk, _ = proving.setup(circuit)
-        for _ in range(3):
-            for n in (1, 2):
-                self._prove_length(pk, n)
-        assert not snark_compile.is_fallen_back(circuit)
-        assert len(snark_compile.family_templates(circuit)) == 2
-        assert self._prove_length(pk, 1).via_template
-
-    def test_template_unstable_circuit_never_caches(self):
-        prover = EpochProver("batched")
-        state = LatusState(DEPTH)
-        u = mint(state, ALICE, 1000, 1)
-        nxt = out(ALICE, 1000, 2)
-        txs = [sign_payment([(u, ALICE)], [nxt])]
-        first = prover.prove_epoch(state, txs)
-        second = prover.prove_epoch(state, txs)
-        assert first.stats.template_hits == 0
-        assert second.stats.template_hits == 0
-        assert snark_compile.template_count() == 0
-
-
-# ---------------------------------------------------------------------------
-# End-to-end wiring: epoch prover and worker-state shipping
-# ---------------------------------------------------------------------------
-
-
-class TestEndToEndWiring:
-    def test_epoch_prover_reports_template_hits(self):
-        prover = EpochProver("per_transaction")
-        state = LatusState(DEPTH)
-        u = mint(state, ALICE, 1000, 1)
-        txs = []
-        working = state.copy()
-        current = u
-        for i in range(4):
-            nxt = out(ALICE, 1000, 100 + i)
-            tx = sign_payment([(current, ALICE)], [nxt])
-            working.apply(tx)
-            txs.append(tx)
-            current = nxt
-        first = prover.prove_epoch(state, txs)
-        # 4 same-shape bases (1 compile, 3 hits) + 3 merges (1 compile, 2 hits)
-        assert first.stats.template_hits == 5
-        assert 0 < first.stats.template_eval_seconds <= first.stats.synthesis_seconds
-        second = prover.prove_epoch(state, txs)
-        assert second.stats.template_hits == 7  # everything replays now
-
-    def test_export_import_round_trip(self):
-        composer, public, witness = _base_job("payment")
-        proving.prove_with_stats(composer._base_pk, public, witness)
-        exported = snark_compile.export_state()
-        snark_compile.clear()
-        snark_compile.import_state(exported)
-        # the imported template serves immediately: no fresh compile pass
-        before = snark_compile.template_stats()
-        result = proving.prove_with_stats(composer._base_pk, public, witness)
-        after = snark_compile.template_stats()
-        assert result.via_template
-        assert after["compiles"] == before["compiles"]
-        assert after["misses"] == before["misses"]
-
-    def test_disabled_flag_forces_full_path(self):
-        composer, public, witness = _base_job("payment")
-        with snark_compile.use_templates(False):
-            first = proving.prove_with_stats(composer._base_pk, public, witness)
-            second = proving.prove_with_stats(composer._base_pk, public, witness)
-        assert not first.via_template and not second.via_template
-        assert snark_compile.template_count() == 0
+    def test_csw_rejection_parity(self, harness_scenario):
+        self._stolen_key(harness_scenario, LatusCswCircuit())

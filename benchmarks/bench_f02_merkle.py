@@ -10,6 +10,7 @@ import pytest
 from repro.crypto import mimc
 from repro.crypto.fixed_merkle import FixedMerkleTree
 from repro.crypto.merkle import MerkleTree, leaf_hash
+from benchmarks.conftest import mimc_counters, mimc_delta
 
 
 def leaves(n: int):
@@ -84,10 +85,10 @@ class TestFieldTreeBulkInsert:
                 tree.set_leaf(position, value)
             return tree
 
-        mimc.reset_stats()
+        before = mimc_counters()
         tree = benchmark.pedantic(run, iterations=1, rounds=3)
         assert tree.occupied_count == self.N
-        benchmark.extra_info["mimc"] = mimc.stats()
+        benchmark.extra_info["mimc"] = mimc_delta(before)
 
     def test_bench_batched_set_leaves(self, benchmark):
         updates = self._updates()
@@ -98,10 +99,10 @@ class TestFieldTreeBulkInsert:
             tree.set_leaves(updates)
             return tree
 
-        mimc.reset_stats()
+        before = mimc_counters()
         tree = benchmark.pedantic(run, iterations=1, rounds=3)
         assert tree.occupied_count == self.N
-        benchmark.extra_info["mimc"] = mimc.stats()
+        benchmark.extra_info["mimc"] = mimc_delta(before)
 
     def test_batched_root_matches_sequential(self):
         sequential = FixedMerkleTree(self.DEPTH)

@@ -10,6 +10,7 @@ import pytest
 from repro.crypto import mimc
 from repro.latus.mst import MerkleStateTree
 from repro.latus.utxo import Utxo
+from benchmarks.conftest import mimc_counters, mimc_delta
 
 
 def utxo_at_position(depth: int, position: int, tag: int = 0) -> Utxo:
@@ -107,10 +108,10 @@ class TestMstBulkInsert:
                 mst.add(u)
             return mst
 
-        mimc.reset_stats()
+        before = mimc_counters()
         mst = benchmark.pedantic(run, iterations=1, rounds=3)
         assert mst.occupied_count == self.N
-        benchmark.extra_info["mimc"] = mimc.stats()
+        benchmark.extra_info["mimc"] = mimc_delta(before)
 
     def test_bench_batched_apply(self, benchmark):
         utxos = _distinct_slot_utxos(self.DEPTH, self.N)
@@ -121,10 +122,10 @@ class TestMstBulkInsert:
             mst.apply_batch(add=utxos)
             return mst
 
-        mimc.reset_stats()
+        before = mimc_counters()
         mst = benchmark.pedantic(run, iterations=1, rounds=3)
         assert mst.occupied_count == self.N
-        benchmark.extra_info["mimc"] = mimc.stats()
+        benchmark.extra_info["mimc"] = mimc_delta(before)
 
     def test_batched_root_matches_sequential(self):
         utxos = _distinct_slot_utxos(self.DEPTH, 64)

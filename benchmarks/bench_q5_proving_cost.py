@@ -160,25 +160,6 @@ class TestQ5ProvingCost:
         benchmark.extra_info["speedup_vs_reference"] = speedups
         print(f"\nQ5 warm-epoch backend speedups vs python-int: {speedups}")
 
-    @pytest.mark.parametrize("pool_size", [1, 2, 4])
-    def test_bench_distributed_dispatch(self, benchmark, pool_size):
-        """§5.4.1's proposed mitigation, measured: the dispatching scheme's
-        modeled parallel wall-clock shrinks with the worker pool while the
-        resulting proof is byte-identical to single-prover output."""
-        from repro.latus.proof_market import ProofDispatcher, ProofWorker
-
-        state, txs = payment_chain(8)
-        dispatcher = ProofDispatcher(
-            [ProofWorker(name=f"w{i}") for i in range(pool_size)]
-        )
-        result = benchmark.pedantic(
-            lambda: dispatcher.prove_epoch(state, txs), iterations=1, rounds=1
-        )
-        assert dispatcher.composer.verify(result.proof)
-        benchmark.extra_info["pool_size"] = pool_size
-        benchmark.extra_info["modeled_speedup"] = round(result.speedup, 2)
-        benchmark.extra_info["rewards"] = result.statement.rewards
-
     @pytest.mark.parametrize("in_out", [(1, 1), (2, 2), (4, 4)])
     def test_bench_payment_proving_vs_arity(self, benchmark, in_out):
         """Base-proof cost grows with transaction arity (one MiMC leaf

@@ -10,7 +10,7 @@ sidechains exist.  The gate is relative (machine-adaptive): the large
 registry may cost at most ``MAX_RATIO``x the small one per block.
 
 Correctness rides along: every block header's commitment on the large chain
-is recomputed with the incremental leaf cache disabled (naive full rebuild)
+is recomputed from an emptied leaf cache (the from-scratch rebuild)
 and must match byte-for-byte, and the chain digest over all block hashes is
 recomputed from those naive roots.
 
@@ -29,7 +29,6 @@ from repro.core.bootstrap import SidechainConfig
 from repro.core.commitment import (
     clear_leaf_cache,
     leaf_cache_size,
-    use_incremental,
 )
 from repro.core.transfers import derive_ledger_id
 from repro.crypto.keys import KeyPair
@@ -158,10 +157,9 @@ def _naive_parity(node: MainchainNode) -> dict:
     incremental_digest = hashlib.sha256()
     naive_digest = hashlib.sha256()
     for block in blocks:
-        with use_incremental(False):
-            clear_leaf_cache()
-            validation._COMMITMENT_CACHE.clear()
-            naive = compute_sc_txs_commitment(block.transactions)
+        clear_leaf_cache()
+        validation._COMMITMENT_CACHE.clear()
+        naive = compute_sc_txs_commitment(block.transactions)
         if naive != block.header.sc_txs_commitment:
             mismatches += 1
         incremental_digest.update(block.header.sc_txs_commitment)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import observability
 from repro.crypto import backend as field_backend
 from repro.crypto.keys import KeyPair
+from repro.observability import export
 from repro.scenarios import ZendooHarness, make_accounts
 
 
@@ -46,6 +48,17 @@ def field_backend_name(request) -> str:
         pytest.skip(f"field backend '{name}' unavailable")
     with field_backend.use_backend(name):
         yield name
+
+
+def mimc_counters() -> dict[str, int]:
+    """The registry's ``repro_mimc_*`` counters (subtract two reads for a delta)."""
+    flat = export.flatten(observability.registry())
+    return {k: int(v) for k, v in flat.items() if k.startswith("repro_mimc_")}
+
+
+def mimc_delta(before: dict[str, int]) -> dict[str, int]:
+    """Counter movement since ``before = mimc_counters()``."""
+    return {k: v - before[k] for k, v in mimc_counters().items()}
 
 
 @pytest.fixture(scope="session")

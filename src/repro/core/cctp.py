@@ -108,11 +108,6 @@ class SidechainEntry:
     #: token may mutate this entry in place.
     owner: object | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def last_certified_epoch(self) -> int | None:
-        """Highest epoch with an adopted certificate, if any."""
-        return max(self.certificates) if self.certificates else None
-
     def copy(self) -> "SidechainEntry":
         """Snapshot sharing the nullifier layers copy-on-write.
 

@@ -18,8 +18,6 @@ would fall between (§5.5.1's ``proofOfNoData``).
 from __future__ import annotations
 
 import hashlib
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,31 +50,6 @@ _LEAF_CACHE_EVENTS = _REGISTRY.counter(
 #: and re-mined templates all hit it).  FIFO-bounded.
 _LEAF_CACHE: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 _LEAF_CACHE_MAX: int = 8192
-
-_INCREMENTAL_ENABLED: bool = os.environ.get(
-    "REPRO_INCREMENTAL_COMMITMENT", "1"
-).lower() not in ("0", "false", "off")
-
-
-def incremental_enabled() -> bool:
-    """Whether per-sidechain subtree caching is active."""
-    return _INCREMENTAL_ENABLED
-
-
-@contextmanager
-def use_incremental(enabled: bool):
-    """Scoped toggle for the per-sidechain subtree cache.
-
-    The disabled path recomputes every subtree from scratch — the parity
-    reference the benchmarks gate the incremental path against.
-    """
-    global _INCREMENTAL_ENABLED
-    previous = _INCREMENTAL_ENABLED
-    _INCREMENTAL_ENABLED = enabled
-    try:
-        yield
-    finally:
-        _INCREMENTAL_ENABLED = previous
 
 
 def clear_leaf_cache() -> None:
@@ -187,11 +160,8 @@ class SidechainCommitment:
     def _seed_from_cache(self) -> "SidechainCommitment":
         """Populate subtree hashes from the module cache (or fill it).
 
-        Returns ``self`` for chaining.  With the incremental path disabled
-        this is a no-op and every hash recomputes lazily.
+        Returns ``self`` for chaining.
         """
-        if not _INCREMENTAL_ENABLED:
-            return self
         key = self.content_key
         cached = _LEAF_CACHE.get(key)
         if cached is not None:

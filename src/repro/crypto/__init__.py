@@ -30,8 +30,6 @@ from repro.crypto.mimc import (
     mimc_hash,
     mimc_hash_bytes,
     mimc_permutation,
-    reset_stats as reset_mimc_stats,
-    stats as mimc_stats,
 )
 from repro.crypto.signatures import PrivateKey, PublicKey, Signature
 
@@ -63,8 +61,6 @@ __all__ = [
     "mimc_hash",
     "mimc_hash_bytes",
     "mimc_permutation",
-    "mimc_stats",
-    "reset_mimc_stats",
     "set_backend",
     "use_backend",
 ]

@@ -37,11 +37,6 @@ ELEMENT_BYTES: int = 32
 ELEMENT_BITS: int = 255
 
 
-def reduce_int(value: int) -> int:
-    """Reduce an arbitrary integer into the canonical range ``[0, MODULUS)``."""
-    return value % MODULUS
-
-
 def add(a: int, b: int) -> int:
     """Field addition on canonical ints."""
     s = a + b

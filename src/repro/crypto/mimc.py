@@ -30,14 +30,12 @@ Performance layer (see docs/PERFORMANCE.md):
 * every call is counted — on the process-wide metrics registry
   (:mod:`repro.observability`) as the ``repro_mimc_*_total`` counter
   family, which is where benchmarks and the ``repro.cli metrics`` command
-  read hash-op totals from.  The legacy :func:`stats` / :func:`reset_stats`
-  module API survives as a deprecated shim over those counters.
+  read hash-op totals from.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Callable, Sequence
 
 from repro import observability
@@ -102,7 +100,7 @@ def _compile_permutation(
 
 
 #: The unrolled permutation used by every hot-path call.  Takes canonical
-#: field ints; bypasses the stats counters (callers count).
+#: field ints; bypasses the ``repro_mimc_*`` counters (callers count).
 _permutation_compiled: Callable[[int, int], int] = _compile_permutation(
     ROUND_CONSTANTS, MODULUS
 )
@@ -133,52 +131,6 @@ _CACHE_MISSES = _REGISTRY.counter(
     "repro_mimc_cache_misses_total",
     "compress-cache misses",
 ).labels()
-
-
-def stats() -> dict[str, int]:
-    """Deprecated: snapshot of the hash-op counters.
-
-    .. deprecated::
-        Hash-op accounting lives on the process-wide metrics registry now;
-        read ``repro_mimc_compressions_total`` / ``repro_mimc_permutations_total``
-        / ``repro_mimc_cache_hits_total`` / ``repro_mimc_cache_misses_total``
-        via ``repro.observability.registry()`` (see docs/OBSERVABILITY.md).
-        This shim returns the same dict shape as before and will be removed.
-
-    ``compressions`` counts :func:`mimc_compress` *calls* (cached or not);
-    ``permutations`` counts actual permutation executions — the real work.
-    ``cache_hits``/``cache_misses`` break down the compress-cache behaviour.
-    """
-    warnings.warn(
-        "repro.crypto.mimc.stats() is deprecated; read the repro_mimc_* "
-        "counters from repro.observability.registry() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return {
-        "compressions": int(_COMPRESSIONS.value),
-        "permutations": int(_PERMUTATIONS.value),
-        "cache_hits": int(_CACHE_HITS.value),
-        "cache_misses": int(_CACHE_MISSES.value),
-    }
-
-
-def reset_stats() -> None:
-    """Deprecated: zero the hash-op counters.
-
-    .. deprecated::
-        Use ``repro.observability.reset()`` (whole registry) or reset the
-        individual ``repro_mimc_*`` series.  This shim only zeroes the MiMC
-        counters, preserving the old behaviour.
-    """
-    warnings.warn(
-        "repro.crypto.mimc.reset_stats() is deprecated; use "
-        "repro.observability.reset() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    for series in (_COMPRESSIONS, _PERMUTATIONS, _CACHE_HITS, _CACHE_MISSES):
-        series.reset()
 
 
 # ---------------------------------------------------------------------------

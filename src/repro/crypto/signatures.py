@@ -53,10 +53,6 @@ def clear_verify_cache() -> None:
     _verify_cache.clear()
 
 
-def verify_cache_size() -> int:
-    """Number of currently memoized verification verdicts."""
-    return len(_verify_cache)
-
 #: RFC 3526 group 5 modulus (1536-bit safe prime).
 GROUP_P: int = int(
     "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"

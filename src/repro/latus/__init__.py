@@ -12,12 +12,6 @@ from repro.latus.mst import MerkleStateTree
 from repro.latus.mst_delta import MstDelta, untouched_since, verify_unspent_across_epochs
 from repro.latus.node import CertificateAnchor, EpochLedger, LatusNode
 from repro.latus.params import TEST_LATUS_PARAMS, LatusParams
-from repro.latus.proof_market import (
-    DispatchResult,
-    ProofDispatcher,
-    ProofWorker,
-    RewardStatement,
-)
 from repro.latus.proofs import EpochProofResult, EpochProver, LatusTransitionSystem
 from repro.latus.state import LatusState
 from repro.latus.transactions import (
@@ -57,7 +51,6 @@ __all__ = [
     "BackwardTransferRequestsTx",
     "BackwardTransferTx",
     "CertificateAnchor",
-    "DispatchResult",
     "EpochLedger",
     "EpochProofResult",
     "EpochProver",
@@ -75,9 +68,6 @@ __all__ = [
     "MerkleStateTree",
     "MstDelta",
     "PaymentTx",
-    "ProofDispatcher",
-    "ProofWorker",
-    "RewardStatement",
     "SidechainAuditor",
     "SidechainBlock",
     "SignedInput",

@@ -1,8 +1,7 @@
 """The Latus proof market (arXiv:2103.13754, "Latus Incentive Scheme").
 
-The paper's §5.4.1 sketch ("random assignment + a reward per valid
-submission") lives on in :mod:`repro.latus.proof_market`; this package is
-the follow-up paper's full mechanism:
+The paper's §5.4.1 sketch is "random assignment + a reward per valid
+submission"; this package is the follow-up paper's full mechanism for it:
 
 * :mod:`~repro.latus.market.rewards` — fee-funded pools, forger/prover
   split, position-weighted per-node payouts, exact integer conservation;

@@ -15,9 +15,7 @@ incentive-compatible carry over directly:
   it, so there is nothing to gain by trading assignments;
 * **Offender-excluding reassignment** — a prover that failed a task is
   excluded from that task's retries (``excluded``), so rejecting work can
-  never recapture the same reward later.  (This is exactly the bug class
-  the legacy :mod:`repro.latus.proof_market` dispatcher had: a retry could
-  hash back onto the worker that had just failed the task.)
+  never recapture the same reward later.
 
 Draws walk the eligible provers in sorted-name order with cumulative stake
 ranges — the same construction as

@@ -172,19 +172,12 @@ class MerkleStateTree:
         """The tree's backing node store (inspection/persistence)."""
         return self._tree.node_store
 
-    def describe_store(self) -> dict:
-        """The node store's ``describe()`` dict (cache occupancy etc.)."""
-        return self._tree.node_store.describe()
-
     # -- write-ahead journal --------------------------------------------------------
 
     def attach_journal(self, journal) -> None:
         """Install a write-ahead hook: ``journal(updates)`` runs with the
         validated ``{position: leaf}`` dict before each batched mutation."""
         self._journal = journal
-
-    def detach_journal(self) -> None:
-        self._journal = None
 
     # -- delta tracking ------------------------------------------------------------
 

@@ -26,7 +26,6 @@ deterministic, which is also what makes reorg recovery a pure replay.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro import observability, wire
@@ -42,7 +41,7 @@ from repro.errors import (
     UnknownBlock,
     ZendooError,
 )
-from repro.lifecycle import NodeLifecycle, resolve_store_kwarg
+from repro.lifecycle import NodeLifecycle
 from repro.latus.block import SidechainBlock, forge_block
 from repro.latus.consensus.ouroboros import (
     LeaderSchedule,
@@ -175,7 +174,6 @@ class LatusNode(NodeLifecycle):
         store: StateStore | None = None,
         data_dir=None,
         fsync: str = "block",
-        storage: StateStore | None = None,
         paged_mst: bool = False,
         mst_page_size: int = DEFAULT_PAGE_SIZE,
         mst_cache_pages: int = DEFAULT_CACHE_PAGES,
@@ -204,7 +202,6 @@ class LatusNode(NodeLifecycle):
         #: diagnostics, tests and benchmarks; never sent to the MC).
         self.last_wcert_witness: WCertWitness | None = None
 
-        store = resolve_store_kwarg(store, storage, "LatusNode")
         if data_dir is not None:
             if store is not None:
                 raise StorageError("pass data_dir= or store=, not both")
@@ -221,17 +218,7 @@ class LatusNode(NodeLifecycle):
         self._page_backing = None
 
         self._reset_chain_state()
-        if self._store is not None:
-            try:
-                if not self._store.is_empty():
-                    self._recover_from_store()
-            except StorageError as exc:
-                warnings.warn(
-                    f"disk recovery failed ({exc}); starting from an empty chain",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._reset_chain_state()
+        self._recover_or_start_empty()
 
     # -- chain state (rebuilt wholesale on MC reorgs) ---------------------------------
 
@@ -532,10 +519,7 @@ class LatusNode(NodeLifecycle):
             tx.txid for block in blocks for tx in block.transactions
         }
         # merge the durable wallet mempool with anything already in memory
-        known = {tx.txid for tx in self.submitted_txs}
-        self.submitted_txs.extend(
-            tx for tx in restored_txs if tx.txid not in known
-        )
+        self._merge_submitted(restored_txs)
         # MC heights synced but not yet referenced were queued in memory at
         # crash time; dropping them lets the next sync() re-process them
         self.synced_mc = [(h, hsh) for h, hsh in synced if h <= last_ref]
@@ -547,24 +531,28 @@ class LatusNode(NodeLifecycle):
             self._capture_snapshot()
         self._attach_store_hooks()
 
+    def _merge_submitted(self, txs: list[LatusTransaction]) -> None:
+        """Append recovered wallet transactions not already in memory."""
+        known = {tx.txid for tx in self.submitted_txs}
+        for tx in txs:
+            if tx.txid not in known:
+                known.add(tx.txid)
+                self.submitted_txs.append(tx)
+
     def _replay_wal(self, records: list[tuple[int, bytes]]) -> None:
-        staged_batches: list[dict[int, int]] = []
+        wallet_txs: list[LatusTransaction] = []
+        staged: dict[int, int] = {}
         index = 0
         while index < len(records):
             kind, payload = records[index]
             if kind == SC_TX:
-                tx = wire.decode_latus_transaction(payload)
-                if tx.txid not in {t.txid for t in self.submitted_txs}:
-                    self.submitted_txs.append(tx)
+                wallet_txs.append(wire.decode_latus_transaction(payload))
             elif kind == SC_LEAF_BATCH:
-                staged_batches.append(decode_leaf_batch(payload))
+                staged.update(decode_leaf_batch(payload))
             elif kind == SC_BLOCK:
                 block = wire.decode_sidechain_block(payload)
-                merged: dict[int, int] = {}
-                for batch in staged_batches:
-                    merged.update(batch)
-                staged_batches = []
-                self._replay_block(block, merged if merged else None)
+                self._replay_block(block, staged)
+                staged = {}
                 boundary = (
                     block.mc_refs
                     and block.mc_refs[-1].mc_height
@@ -595,23 +583,24 @@ class LatusNode(NodeLifecycle):
                     f"unexpected mainchain record (kind {kind}) in a Latus store"
                 )
             index += 1
+        self._merge_submitted(wallet_txs)
         # Leaf batches after the last block record belong to a block whose
         # commit marker never hit the disk — the WAL tail the recovery
         # contract allows to drop (the tree never applied them pre-crash
         # only if the process died mid-group; either way the deterministic
         # resync covers the difference).  Silently ignored.
 
-    def _replay_block(
-        self, block: SidechainBlock, updates: dict[int, int] | None
-    ) -> None:
-        """Apply one previously-validated block from the WAL (trusted path)."""
+    def _replay_block(self, block: SidechainBlock, updates: dict[int, int]) -> None:
+        """Apply one previously-validated block from the WAL (trusted path).
+
+        ``updates`` are the leaf batches journaled in the block's commit
+        group (possibly none); the digest check refuses anything else.
+        """
         if block.parent_hash != self.tip_hash:
             raise StorageError("WAL block does not extend the stored chain")
         if block.height != self.height + 1:
             raise StorageError("WAL block height does not match the stored chain")
         self._ensure_consensus_epoch(block.slot // self.params.slots_per_epoch)
-        if updates is None:
-            updates = _derive_leaf_updates(block, self.params.mst_depth)
         self.state.mst.apply_leaf_batch(updates)
         for tx in block.ordered_transitions():
             self._index_transition(tx)
@@ -620,19 +609,12 @@ class LatusNode(NodeLifecycle):
             raise StorageError(
                 f"replayed state digest mismatch at height {block.height}"
             )
-        self.blocks.append(block)
-        self.included_txids.update(tx.txid for tx in block.transactions)
-        if block.mc_refs:
-            self.last_referenced_mc_height = block.mc_refs[-1].mc_height
-            top = self.synced_mc[-1][0] if self.synced_mc else -1
-            for ref in block.mc_refs:
-                if ref.mc_height > top:
-                    self.synced_mc.append((ref.mc_height, ref.mc_block_hash))
-                    top = ref.mc_height
-        self.epoch.transitions.extend(block.ordered_transitions())
-        self.epoch.referenced_mc_hashes.extend(
-            ref.mc_block_hash for ref in block.mc_refs
-        )
+        self._append_block(block)
+        top = self.synced_mc[-1][0] if self.synced_mc else -1
+        for ref in block.mc_refs:
+            if ref.mc_height > top:
+                self.synced_mc.append((ref.mc_height, ref.mc_block_hash))
+                top = ref.mc_height
 
     def _restore_certificate(self, certificate: WithdrawalCertificate) -> None:
         """Adopt a logged certificate at an epoch boundary without re-proving."""
@@ -911,16 +893,23 @@ class LatusNode(NodeLifecycle):
             transactions=tuple(included),
             state_digest=working.digest(),
         )
-        self.blocks.append(block)
+        self._append_block(block)
         _BLOCKS_FORGED.inc()
-        self.included_txids.update(tx.txid for tx in included)
-        self.last_referenced_mc_height = mc_batch[-1].height
+        return block
+
+    def _append_block(self, block: SidechainBlock) -> None:
+        """Chain bookkeeping for a block whose transitions were just applied."""
+        self.blocks.append(block)
+        self.included_txids.update(tx.txid for tx in block.transactions)
+        if block.mc_refs:
+            self.last_referenced_mc_height = block.mc_refs[-1].mc_height
         self.epoch.transitions.extend(block.ordered_transitions())
-        self.epoch.referenced_mc_hashes.extend(b.hash for b in mc_batch)
+        self.epoch.referenced_mc_hashes.extend(
+            ref.mc_block_hash for ref in block.mc_refs
+        )
         # the block record is the commit marker for the leaf batches the
         # journal staged while the transitions applied: one sync per block
         self._persist_block(block)
-        return block
 
     def _index_transition(self, tx: LatusTransaction) -> None:
         """Maintain the full-UTXO index across one applied transition."""
@@ -1074,19 +1063,12 @@ class LatusNode(NodeLifecycle):
                 self._store.discard_staged()
             raise
 
-        self.blocks.append(block)
+        self._append_block(block)
         _BLOCKS_RECEIVED.inc()
-        self.included_txids.update(tx.txid for tx in block.transactions)
         if block.mc_refs:
-            self.last_referenced_mc_height = block.mc_refs[-1].mc_height
             # these MC blocks no longer await a local reference
             covered = {ref.mc_height for ref in block.mc_refs}
             self.mc_queue = [b for b in self.mc_queue if b.height not in covered]
-        self.epoch.transitions.extend(block.ordered_transitions())
-        self.epoch.referenced_mc_hashes.extend(
-            ref.mc_block_hash for ref in block.mc_refs
-        )
-        self._persist_block(block)
         if (
             block.mc_refs
             and block.mc_refs[-1].mc_height
@@ -1114,28 +1096,3 @@ def _transition_bts(tx: LatusTransaction) -> list:
     if isinstance(tx, BackwardTransferRequestsTx):
         return list(tx.backward_transfers)
     return []
-
-
-def _derive_leaf_updates(block: SidechainBlock, depth: int) -> dict[int, int]:
-    """The ``{position: leaf}`` MST updates a validated block's transitions
-    produce — the fallback when a WAL block has no preceding leaf-batch
-    records (e.g. a store written before write-ahead journaling attached)."""
-    from repro.crypto.fixed_merkle import EMPTY_LEAF
-
-    updates: dict[int, int] = {}
-    for tx in block.ordered_transitions():
-        if isinstance(tx, PaymentTx):
-            for signed in tx.inputs:
-                updates[signed.utxo.position(depth)] = EMPTY_LEAF
-            for utxo in tx.outputs:
-                updates[utxo.position(depth)] = utxo.leaf_value
-        elif isinstance(tx, BackwardTransferTx):
-            for signed in tx.inputs:
-                updates[signed.utxo.position(depth)] = EMPTY_LEAF
-        elif isinstance(tx, ForwardTransfersTx):
-            for utxo in tx.outputs:
-                updates[utxo.position(depth)] = utxo.leaf_value
-        elif isinstance(tx, BackwardTransferRequestsTx):
-            for utxo in tx.inputs:
-                updates[utxo.position(depth)] = EMPTY_LEAF
-    return updates

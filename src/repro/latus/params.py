@@ -25,11 +25,6 @@ class LatusParams:
     #: Nominal slot duration in seconds (bookkeeping only in the simulation).
     slot_duration_seconds: int = 20
 
-    @property
-    def mst_capacity(self) -> int:
-        """Maximum number of simultaneously unspent outputs."""
-        return 1 << self.mst_depth
-
 
 #: Small trees and short epochs for unit tests.
 TEST_LATUS_PARAMS = LatusParams(mst_depth=8, slots_per_epoch=8)

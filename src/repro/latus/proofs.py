@@ -207,14 +207,12 @@ class EpochProver:
         self,
         strategy: str = "per_transaction",
         parallel_workers: int | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         if strategy not in ("per_transaction", "batched"):
             raise ValueError(f"unknown proving strategy {strategy!r}")
         self.strategy = strategy
         #: Default worker count for :meth:`prove_epoch`; None = serial.
         self.parallel_workers = parallel_workers
-        self.chunk_size = chunk_size
         self.composer = RecursiveComposer(LatusTransitionSystem())
         self._batched_composer = RecursiveComposer(BatchedLatusSystem())
         self._pool: ProverPool | None = None
@@ -238,7 +236,7 @@ class EpochProver:
             pool.close()
             pool = None
         if pool is None:
-            pool = ProverPool(max_workers=workers, chunk_size=self.chunk_size)
+            pool = ProverPool(max_workers=workers)
             self.composer.register_keys(pool)
             self._pool = pool
         return pool

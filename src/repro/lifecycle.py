@@ -46,28 +46,6 @@ NODE_RESYNCS = _REGISTRY.counter(
     "successful peer resyncs (sync_from adoptions)",
 ).labels()
 
-#: Constructor kwargs renamed to the unified ``store=`` spelling; each old
-#: name warns once per owner class, then keeps working.
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def resolve_store_kwarg(store, storage, owner: str):
-    """Accept the deprecated ``storage=`` kwarg alias for ``store=``.
-
-    Warns once per ``owner`` (class name) with a :class:`DeprecationWarning`
-    and returns the effective store.
-    """
-    if storage is None:
-        return store
-    if owner not in _DEPRECATION_WARNED:
-        _DEPRECATION_WARNED.add(owner)
-        warnings.warn(
-            f"{owner}(storage=...) is deprecated; pass store=... instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return store if store is not None else storage
-
 
 class NodeLifecycle:
     """Crash/restart/resync mixin shared by Latus and mainchain nodes."""
@@ -116,6 +94,26 @@ class NodeLifecycle:
         if self.crashed:
             raise NodeCrashed("node has crashed; call restart() first")
 
+    def _recover_or_start_empty(self, empty: str = "an empty chain") -> bool:
+        """Replay a non-empty attached store; True when a chain was recovered.
+
+        The one place the recovery-failure policy lives: a store that fails
+        to replay is abandoned with a warning naming ``empty`` and the node
+        starts over from :meth:`_reset_for_restart`.
+        """
+        if self._store is None:
+            return False
+        try:
+            return not self._store.is_empty() and self._recover_from_store()
+        except StorageError as exc:
+            warnings.warn(
+                f"disk recovery failed ({exc}); starting from {empty}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self._reset_for_restart()
+            return False
+
     def crash(self) -> None:
         """Simulate an abrupt process death.
 
@@ -159,17 +157,7 @@ class NodeLifecycle:
                 old.close()
             self._store = store
         self._reset_for_restart()
-        if self._store is not None:
-            try:
-                if not self._store.is_empty() and self._recover_from_store():
-                    return
-            except StorageError as exc:
-                warnings.warn(
-                    f"disk recovery failed ({exc}); starting from an empty chain",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self._reset_for_restart()
+        self._recover_or_start_empty()
 
     def sync_from(self, peer, max_retries: int = 5, base_backoff: float = 0.05) -> int:
         """Adopt a peer's chain after a restart; returns blocks adopted.

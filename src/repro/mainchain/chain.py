@@ -25,7 +25,6 @@ from repro.errors import (
     UnknownBlock,
     ValidationError,
 )
-from repro.lifecycle import resolve_store_kwarg
 from repro.mainchain.block import Block, BlockHeader
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.pow import block_work
@@ -394,11 +393,10 @@ class _BlockRecord:
 class Blockchain:
     """Block store with per-block validated states and work-based fork choice.
 
-    Attach a :class:`~repro.storage.StateStore` (``store=`` or the
-    deprecated ``storage=`` alias) to make the chain durable: every
-    accepted block is appended to the WAL and a full snapshot (active
-    chain + tip state) is written whenever the tip advances onto a
-    ``snapshot_interval`` boundary.  Constructing a :class:`Blockchain`
+    Attach a :class:`~repro.storage.StateStore` (``store=``) to make the
+    chain durable: every accepted block is appended to the WAL and a full
+    snapshot (active chain + tip state) is written whenever the tip advances
+    onto a ``snapshot_interval`` boundary.  Constructing a :class:`Blockchain`
     over a non-empty store recovers the chain from disk: snapshot blocks
     are restored without re-validation (historical states are pruned —
     only the tip keeps one) and the WAL tail is replayed through the full
@@ -411,13 +409,12 @@ class Blockchain:
         verify_pool=None,
         store=None,
         snapshot_interval: int = 16,
-        storage=None,
     ) -> None:
         self.params = params or MainchainParams()
         #: Optional :class:`repro.snark.pool.ProverPool` used to batch-verify
         #: certificate proofs while connecting blocks.
         self.verify_pool = verify_pool
-        self._store = resolve_store_kwarg(store, storage, "Blockchain")
+        self._store = store
         self.snapshot_interval = snapshot_interval
         self._recovering = False
         genesis = _make_genesis(self.params)
@@ -462,10 +459,6 @@ class Blockchain:
             return self._records[block_hash].block
         except KeyError:
             raise UnknownBlock(f"unknown block {block_hash.hex()[:16]}")
-
-    def has_block(self, block_hash: bytes) -> bool:
-        """True when the block is stored (on any branch)."""
-        return block_hash in self._records
 
     def block_at_height(self, height: int) -> Block:
         """The active-chain block at ``height``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro import observability
 from repro.errors import StorageError, ValidationError, ZendooError
-from repro.lifecycle import NodeLifecycle, resolve_store_kwarg
+from repro.lifecycle import NodeLifecycle
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
 from repro.mainchain.chain import Blockchain, MainchainState
 from repro.mainchain.mempool import Mempool
@@ -49,14 +49,12 @@ class MainchainNode(NodeLifecycle):
         data_dir=None,
         fsync: str = "block",
         snapshot_interval: int = 16,
-        storage=None,
     ) -> None:
         self.params = params or MainchainParams()
         #: Optional :class:`repro.snark.pool.ProverPool` for batched
         #: certificate verification while connecting blocks.
         self.verify_pool = verify_pool
         self.snapshot_interval = snapshot_interval
-        store = resolve_store_kwarg(store, storage, "MainchainNode")
         if data_dir is not None:
             if store is not None:
                 raise StorageError("pass data_dir= or store=, not both")
@@ -64,22 +62,10 @@ class MainchainNode(NodeLifecycle):
 
             store = FileStore(data_dir, fsync=fsync)
         self._init_lifecycle(store)
-        try:
-            self.chain = Blockchain(
-                self.params,
-                verify_pool=verify_pool,
-                store=store,
-                snapshot_interval=snapshot_interval,
-            )
-        except StorageError as exc:
-            import warnings
-
-            warnings.warn(
-                f"disk recovery failed ({exc}); starting from genesis",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if store is not None:
+        self._reset_for_restart()
+        if store is not None and not self._recover_or_start_empty("genesis"):
+            # nothing replayable on disk: open a fresh durable chain on it
+            if not store.is_empty():
                 store.reset()
             self.chain = Blockchain(
                 self.params,
@@ -87,8 +73,6 @@ class MainchainNode(NodeLifecycle):
                 store=store,
                 snapshot_interval=snapshot_interval,
             )
-        self.mempool = Mempool()
-        self._clock = 0
 
     # -- lifecycle hooks ------------------------------------------------------------
 
@@ -104,8 +88,7 @@ class MainchainNode(NodeLifecycle):
 
     def _recover_from_store(self) -> bool:
         # the Blockchain constructor performs the actual snapshot + WAL
-        # replay; StorageError propagates to NodeLifecycle.restart, which
-        # falls back to the empty chain
+        # replay; StorageError propagates to _recover_or_start_empty
         chain = Blockchain(
             self.params,
             verify_pool=self.verify_pool,

@@ -244,10 +244,6 @@ class NetworkSimulator:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._queue, _Event(time, next(self._sequence), action))
 
-    def schedule_after(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule an action ``delay`` after the current clock."""
-        self.schedule_at(self.clock + delay, action)
-
     def step(self) -> bool:
         """Deliver the next event; returns False when the queue is empty."""
         if not self._queue:

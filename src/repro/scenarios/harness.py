@@ -385,8 +385,7 @@ class ZendooHarness:
         (mainchain height/mempool, each sidechain's height, certificate
         count and the shared-schema ``last_epoch_stats``).  This is the
         single stats API the CLI ``metrics`` command and the benchmarks
-        read; the legacy surfaces (``mimc.stats()``, ``CompositionStats``)
-        all feed the same registry underneath.
+        read; ``CompositionStats`` feeds the same registry underneath.
         """
         registry = observability.registry()
         tracer = observability.tracer()

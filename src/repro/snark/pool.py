@@ -244,7 +244,6 @@ class ProverPool:
         self._dispatch_index = 0
         self.stats = PoolStats(workers=self.workers, requested_workers=requested)
         self._pks: dict[str, ProvingKey] = {}
-        self._late_pks: dict[str, ProvingKey] = {}
         self._executor: ProcessPoolExecutor | None = None
         self._serial = self.workers <= 1
         if self._serial:
@@ -265,11 +264,8 @@ class ProverPool:
         Keys registered before the first job ship once per worker via the
         executor initializer; later registrations ship inline per chunk.
         """
-        cid = pk.circuit.circuit_id
         if self._executor is None and not self._serial:
-            self._pks.setdefault(cid, pk)
-        elif cid not in self._pks:
-            self._late_pks.setdefault(cid, pk)
+            self._pks.setdefault(pk.circuit.circuit_id, pk)
 
     def _ensure_executor(self) -> ProcessPoolExecutor | None:
         if self._serial:

@@ -160,10 +160,6 @@ class ConstraintSystem:
         """Allocate a public-input variable."""
         return self.alloc(value, public=True)
 
-    def value_of(self, lc: LinearCombination) -> int:
-        """Evaluate an LC against the current assignment."""
-        return lc.evaluate(self.assignment)
-
     # -- enforcement -----------------------------------------------------------
 
     def enforce(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro import observability
 from repro.errors import StorageError
-from repro.storage.records import frame_record, read_wal
+from repro.storage.records import frame_record
 
 _REGISTRY = observability.registry()
 _WAL_RECORDS = _REGISTRY.counter(
@@ -165,8 +165,3 @@ class MemoryStore(StateStore):
             "wal_records": len(self._wal),
             "snapshot_epoch": self._snapshot[0] if self._snapshot else None,
         }
-
-
-def parse_wal_bytes(data: bytes) -> tuple[list[tuple[int, bytes]], int]:
-    """Re-export of :func:`repro.storage.records.read_wal` for backends."""
-    return read_wal(data)

@@ -325,7 +325,6 @@ def decode_utxo(data: bytes) -> Utxo:
 # ---------------------------------------------------------------------------
 
 from repro.core.commitment import AbsenceProof, PresenceProof, _NeighborLeaf
-from repro.crypto.fixed_merkle import FieldMerkleProof
 from repro.crypto.merkle import MerkleProof
 from repro.encoding import Encoder
 from repro.latus.block import SidechainBlock
@@ -350,20 +349,6 @@ def read_merkle_proof(dec: Decoder) -> MerkleProof:
     return MerkleProof(
         leaf=leaf, index=index, siblings=tuple(siblings), path_bits=tuple(path_bits)
     )
-
-
-def write_field_merkle_proof(enc: Encoder, proof: FieldMerkleProof) -> None:
-    """Serialize a field-tree Merkle proof."""
-    enc.field_element(proof.leaf).u64(proof.position)
-    enc.sequence(proof.siblings, lambda e, s: e.field_element(s))
-
-
-def read_field_merkle_proof(dec: Decoder) -> FieldMerkleProof:
-    """Deserialize a field-tree Merkle proof."""
-    leaf = dec.field_element()
-    position = dec.u64()
-    siblings = dec.sequence(lambda d: d.field_element())
-    return FieldMerkleProof(leaf=leaf, position=position, siblings=tuple(siblings))
 
 
 def _write_neighbor(enc: Encoder, leaf: _NeighborLeaf) -> None:

@@ -15,7 +15,6 @@ from repro.core.commitment import (
     build_commitment,
     clear_leaf_cache,
     leaf_cache_size,
-    use_incremental,
 )
 from repro.core.transfers import ForwardTransfer, derive_ledger_id
 from repro.crypto.keys import KeyPair
@@ -113,10 +112,12 @@ class TestIncrementalParity:
         cold = build_commitment(fts, [], []).root
         assert leaf_cache_size() == 257
         warm = build_commitment(fts, [], []).root  # every leaf cache-hits
-        with use_incremental(False):
-            clear_leaf_cache()
-            naive = build_commitment(fts, [], []).root
-            assert leaf_cache_size() == 0
+        misses = commitment_mod._LEAF_CACHE_EVENTS.labels(result="miss")
+        before = misses.value
+        clear_leaf_cache()
+        naive = build_commitment(fts, [], []).root  # from-scratch oracle
+        assert misses.value - before == 257
+        assert leaf_cache_size() == 257
         assert cold == warm == naive
 
     def test_touched_sidechain_changes_root_and_stays_in_parity(self):
@@ -125,9 +126,8 @@ class TestIncrementalParity:
         fts[3] = _ft(fts[3].ledger_id, amount=999)
         changed = build_commitment(fts, [], []).root
         assert changed != base
-        with use_incremental(False):
-            clear_leaf_cache()
-            assert build_commitment(fts, [], []).root == changed
+        clear_leaf_cache()
+        assert build_commitment(fts, [], []).root == changed
 
     def test_proofs_from_cached_build_verify(self):
         fts = [_ft(derive_ledger_id(f"proof-{i}")) for i in range(33)]
@@ -146,13 +146,12 @@ class TestChainLevelParity:
     across the full block lifecycle: register, certify, cease, reorg."""
 
     def _assert_headers_match_naive_rebuild(self, mc):
-        for block in mc.chain.active_chain():
-            with use_incremental(False):
-                clear_leaf_cache()
-                from repro.mainchain import validation
+        from repro.mainchain import validation
 
-                validation._COMMITMENT_CACHE.clear()
-                naive = compute_sc_txs_commitment(block.transactions)
+        for block in mc.chain.active_chain():
+            clear_leaf_cache()
+            validation._COMMITMENT_CACHE.clear()
+            naive = compute_sc_txs_commitment(block.transactions)
             assert naive == block.header.sc_txs_commitment
 
     def test_parity_across_register_certify_cease_and_reorg(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import observability
 from repro.crypto import mimc
 from repro.crypto.field import MODULUS
 from repro.snark.circuit import CircuitBuilder
@@ -125,30 +126,38 @@ class TestCompiledPermutation:
         assert recompiled(3, 4) == mimc._permutation_compiled(3, 4)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def mimc_counters() -> dict[str, int]:
+    """The ``repro_mimc_*`` series of the process-wide registry."""
+    registry = observability.registry()
+    return {
+        name: registry.get(f"repro_mimc_{name}_total").value()
+        for name in ("compressions", "permutations", "cache_hits", "cache_misses")
+    }
+
+
 class TestStatsAccounting:
-    """The deprecated stats() shim must keep its exact legacy behaviour."""
+    """Hash-op accounting on the ``repro_mimc_*`` registry counters."""
 
     def test_compress_counts_calls_and_cache(self):
         mimc.clear_cache()
-        mimc.reset_stats()
+        before = mimc_counters()
         mimc.mimc_compress(123456, 654321)
         mimc.mimc_compress(123456, 654321)  # cache hit
-        s = mimc.stats()
+        s = {name: value - before[name] for name, value in mimc_counters().items()}
         assert s["compressions"] == 2
         assert s["cache_misses"] == 1
         assert s["cache_hits"] == 1
         assert s["permutations"] == 1  # only the miss ran the permutation
 
     def test_permutation_counted(self):
-        mimc.reset_stats()
+        before = mimc_counters()["permutations"]
         mimc.mimc_permutation(1, 2)
-        assert mimc.stats()["permutations"] == 1
+        assert mimc_counters()["permutations"] == before + 1
 
     def test_reset_stats(self):
         mimc.mimc_compress(9, 9)
-        mimc.reset_stats()
-        assert mimc.stats() == {
+        observability.reset()
+        assert mimc_counters() == {
             "compressions": 0,
             "permutations": 0,
             "cache_hits": 0,

@@ -2,8 +2,8 @@
 
 Covers the registry (labels, get-or-create, clash detection), the tracer
 (nesting, metric deltas, root retention), the disabled-mode zero-overhead
-contract, exporter round-trips, the deprecation shims over the old stats
-surfaces, and the end-to-end wiring through a harness epoch.
+contract, exporter round-trips, and the end-to-end wiring through a
+harness epoch.
 """
 
 from __future__ import annotations
@@ -284,44 +284,6 @@ class TestGlobalLayer:
     def test_snapshot_shape(self):
         snapshot = observability.snapshot()
         assert set(snapshot) == {"metrics", "spans"}
-
-
-class TestDeprecationShims:
-    def test_mimc_stats_warns_and_matches_registry(self):
-        from repro.crypto import mimc
-
-        mimc.mimc_compress(11, 22)
-        with pytest.deprecated_call():
-            stats = mimc.stats()
-        registry = observability.registry()
-        assert stats == {
-            "compressions": registry.get("repro_mimc_compressions_total").value(),
-            "permutations": registry.get("repro_mimc_permutations_total").value(),
-            "cache_hits": registry.get("repro_mimc_cache_hits_total").value(),
-            "cache_misses": registry.get("repro_mimc_cache_misses_total").value(),
-        }
-        assert all(isinstance(v, int) for v in stats.values())
-
-    def test_mimc_reset_stats_warns_and_zeroes(self):
-        from repro.crypto import mimc
-
-        mimc.mimc_compress(33, 44)
-        with pytest.deprecated_call():
-            mimc.reset_stats()
-        registry = observability.registry()
-        assert registry.get("repro_mimc_compressions_total").value() == 0
-
-    def test_stats_dict_shape_is_unchanged(self):
-        from repro.crypto import mimc
-
-        with pytest.deprecated_call():
-            stats = mimc.stats()
-        assert set(stats) == {
-            "compressions",
-            "permutations",
-            "cache_hits",
-            "cache_misses",
-        }
 
 
 class TestSharedStatsSchema:

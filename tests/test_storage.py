@@ -16,7 +16,6 @@ from repro.crypto.keys import KeyPair
 from repro.errors import NodeCrashed, StorageError
 from repro.latus.node import LatusNode
 from repro.latus.params import LatusParams
-from repro.mainchain.chain import Blockchain
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import SidechainDeclarationTx
@@ -25,6 +24,7 @@ from repro.scenarios import ZendooHarness
 from repro.scenarios.harness import latus_sidechain_config
 from repro.scenarios.multi_node import MultiNodeDeployment
 from repro.storage import (
+    MC_BLOCK,
     SC_BLOCK,
     SC_TX,
     FileStore,
@@ -341,6 +341,21 @@ class TestLatusDiskRecovery:
         assert sc.node.pending_transactions()
         sc.node.close()
 
+    def test_wal_wallet_transactions_replay_once_in_order(self, tmp_path):
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        wallet = harness.wallet(sc, ALICE)
+        first = wallet.pay(BOB.address, 10)
+        second = wallet.pay(BOB.address, 20)
+        durable = [tx.txid for tx in sc.node.submitted_txs]
+        assert durable[-2:] == [first.txid, second.txid]
+        sc.node.close()
+        # the same SC_TX record twice in the tail must not duplicate it
+        wal = tmp_path / "sc" / "wal.log"
+        wal.write_bytes(wal.read_bytes() + frame_record(SC_TX, first.encode()))
+        recovered = _recover_latus(harness, sc, tmp_path / "sc")
+        assert [tx.txid for tx in recovered.submitted_txs] == durable
+        recovered.close()
+
     def test_unreplayable_store_falls_back_to_empty_chain(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
         sc.node.close()
@@ -390,10 +405,28 @@ class TestMainchainDiskRecovery:
 
         recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
         assert (recovered.height, recovered.chain.tip.hash) == (height, tip)
-        # and it keeps mining on the recovered tip
-        recovered.mine_block(MINER.address)
+        # and it keeps mining on the recovered tip, its clock running on
+        stamp = recovered.chain.tip.header.timestamp
+        mined = recovered.mine_block(MINER.address)
         assert recovered.height == height + 1
+        assert mined.header.timestamp == stamp + 1
         recovered.close()
+
+    def test_unreplayable_store_falls_back_to_genesis(self, tmp_path):
+        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        node.mine_blocks(MINER.address, 3)
+        node.close()
+        wal = tmp_path / "mc" / "wal.log"
+        wal.write_bytes(wal.read_bytes() + frame_record(MC_BLOCK, b"garbage"))
+        with pytest.warns(RuntimeWarning, match="starting from genesis"):
+            recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        assert recovered.height == 0
+        # the abandoned store was wiped and is durable again
+        recovered.mine_blocks(MINER.address, 2)
+        recovered.close()
+        again = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        assert again.height == 2
+        again.close()
 
     def test_sidechain_registry_survives_restart(self, tmp_path):
         node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
@@ -447,7 +480,7 @@ class TestMainchainDiskRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle parity + deprecated kwargs
+# Lifecycle parity
 # ---------------------------------------------------------------------------
 
 
@@ -471,19 +504,6 @@ class TestLifecycleParity:
         assert lifecycle.NODE_RESTARTS.value == restarts + 2
         mc.close()
         sc.node.close()
-
-    def test_storage_kwarg_deprecated_but_works(self):
-        lifecycle._DEPRECATION_WARNED.discard("Blockchain")
-        store = MemoryStore()
-        with pytest.warns(DeprecationWarning, match="storage=.*deprecated"):
-            chain = Blockchain(_mc_params(), storage=store)
-        assert chain.store is store
-        # warned once per owner, not on every construction
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            Blockchain(_mc_params(), storage=MemoryStore())
 
     def test_store_and_data_dir_are_exclusive(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):

@@ -11,10 +11,9 @@ layer pluggable:
   always available, byte-for-byte the library's historical behaviour.  The
   default.
 * ``gmpy2`` — the same scalar operations on ``gmpy2.mpz``; a genuine win for
-  the large modular exponentiations (field inverses, the 1536-bit Schnorr
-  group in :mod:`repro.crypto.signatures`).  Optional: when the wheel is not
-  installed, selecting it falls back to ``python-int`` with a warning and a
-  ``repro_field_backend_fallbacks_total`` tick instead of failing.
+  the large modular exponentiations (field inverses).  Optional: when the
+  wheel is not installed, selecting it falls back to ``python-int`` with a
+  warning and a ``repro_field_backend_fallbacks_total`` tick, never failing.
 * ``batched`` — identical scalar ops to ``python-int`` plus *array-program*
   execution of shape-identical work: an exec-compiled fused loop for batched
   MiMC permutations (round constants baked into the generated source, the
@@ -44,7 +43,7 @@ from typing import Iterator, Sequence
 from repro import observability
 from repro.crypto import field
 from repro.crypto.field import MODULUS
-from repro.crypto.mimc import ROUND_CONSTANTS, _permutation_compiled
+from repro.crypto.mimc import ROUND_CONSTANTS, _permutation_compiled, _round_lines
 from repro.errors import FieldError
 
 _REGISTRY = observability.registry()
@@ -98,7 +97,7 @@ class FieldBackend:
         return field.pow5(a)
 
     def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        """General modular exponentiation (any modulus, e.g. the Schnorr group)."""
+        """General modular exponentiation under an arbitrary modulus."""
         return pow(base, exponent, modulus)
 
     # -- batch ops -----------------------------------------------------------
@@ -125,9 +124,7 @@ class Gmpy2Backend(FieldBackend):
     The compiled MiMC round body is re-generated over ``mpz`` values with the
     round constants pre-converted, so the permutation pays one int->mpz
     conversion per call instead of one per round.  The big wins are
-    :meth:`inv` and :meth:`powmod` — GMP's modular exponentiation is an
-    order of magnitude faster than CPython's on the 1536-bit signature
-    group.
+    :meth:`inv` and :meth:`powmod`.
     """
 
     name = "gmpy2"
@@ -199,9 +196,9 @@ def _compile_batch_permutation(constants: Sequence[int], modulus: int):
     """Exec-compile the fused batch loop: outer loop over elements, inner
     rounds fully unrolled with the constants baked in as literals.
 
-    Identical round body to ``mimc._compile_permutation``; batching here
-    removes the per-element Python function call and result-list append
-    bookkeeping from the caller.
+    The round body is ``mimc._round_lines``, the scalar permutation's;
+    batching here removes the per-element Python function call and
+    result-list append bookkeeping from the caller.
     """
     lines = [
         f"def _batch(xs, ks, _M={modulus}):",
@@ -209,13 +206,7 @@ def _compile_batch_permutation(constants: Sequence[int], modulus: int):
         "    a = out.append",
         "    for r, k in zip(xs, ks):",
     ]
-    for c in constants:
-        if c:
-            lines.append(f"        t = (r + k + {c}) % _M")
-        else:
-            lines.append("        t = (r + k) % _M")
-        lines.append("        t2 = t * t % _M")
-        lines.append("        r = t2 * t2 * t % _M")
+    lines += _round_lines(constants, modulus, "        ")
     lines.append("        a((r + k) % _M)")
     lines.append("    return out")
     namespace: dict = {}

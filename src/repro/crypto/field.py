@@ -9,12 +9,9 @@ over F (exponent 3 would *not* be, since ``3 | p - 1``).
 Field elements are exposed both as a thin immutable wrapper (:class:`Fp`)
 convenient for algorithm code, and as plain-int helper functions used in hot
 paths (the MiMC permutation, R1CS evaluation).  The module-level functions
-(:func:`add` … :func:`pow5`) are the *reference* implementation — plain
-CPython big-int arithmetic; the ``fp_*`` variants dispatch through the
-active pluggable backend (:mod:`repro.crypto.backend`), which may route
-them to ``gmpy2``.  Every backend is required to produce identical results
-(see ``tests/test_field_backends.py``), so the two families are
-interchangeable; hot loops that want backend acceleration call ``fp_*``.
+(:func:`add` … :func:`pow5`) are the *reference* implementation, plain
+CPython big-int arithmetic, which every backend of :mod:`repro.crypto.backend`
+must reproduce exactly (``tests/test_field_backends.py``).
 """
 
 from __future__ import annotations
@@ -71,71 +68,6 @@ def pow5(a: int) -> int:
     a2 = a * a % MODULUS
     a4 = a2 * a2 % MODULUS
     return a4 * a % MODULUS
-
-
-# -- backend-dispatched helpers ---------------------------------------------
-#
-# Thin wrappers over the active field backend (repro.crypto.backend).  The
-# import is function-level because backend.py imports this module; the
-# attribute chase costs a few tens of nanoseconds, which only matters for
-# callers doing one *large* operation per call (inverse, exponentiation) or
-# algorithm-level code that wants backend-aware arithmetic without managing
-# the backend itself.  Per-element hot loops (the compiled MiMC permutation,
-# the witness checker) stay on baked-in plain-int arithmetic — see the
-# microbench note in docs/PERFORMANCE.md §6.
-
-
-def fp_add(a: int, b: int) -> int:
-    """Backend-dispatched field addition on canonical ints."""
-    from repro.crypto import backend
-
-    return backend.active().add(a, b)
-
-
-def fp_sub(a: int, b: int) -> int:
-    """Backend-dispatched field subtraction on canonical ints."""
-    from repro.crypto import backend
-
-    return backend.active().sub(a, b)
-
-
-def fp_mul(a: int, b: int) -> int:
-    """Backend-dispatched field multiplication on canonical ints."""
-    from repro.crypto import backend
-
-    return backend.active().mul(a, b)
-
-
-def fp_neg(a: int) -> int:
-    """Backend-dispatched field negation on canonical ints."""
-    from repro.crypto import backend
-
-    return backend.active().neg(a)
-
-
-def fp_inv(a: int) -> int:
-    """Backend-dispatched field inverse (gmpy2's biggest single-op win)."""
-    from repro.crypto import backend
-
-    return backend.active().inv(a)
-
-
-def fp_pow5(a: int) -> int:
-    """Backend-dispatched MiMC round exponent ``a**5 mod p``."""
-    from repro.crypto import backend
-
-    return backend.active().pow5(a)
-
-
-def fp_powmod(base: int, exponent: int, modulus: int) -> int:
-    """Backend-dispatched modular exponentiation under an *arbitrary* modulus.
-
-    Used by the Schnorr signature scheme (1536-bit group), where GMP modexp
-    is an order of magnitude faster than CPython's.
-    """
-    from repro.crypto import backend
-
-    return backend.active().powmod(base, exponent, modulus)
 
 
 def element_to_bytes(a: int) -> bytes:

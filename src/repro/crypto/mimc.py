@@ -22,7 +22,7 @@ Performance layer (see docs/PERFORMANCE.md):
 * the permutation executed at runtime is *compiled*: a fully unrolled
   function with the round constants baked into its source is generated and
   ``exec``-ed at import, eliminating per-round loop and constant-lookup
-  overhead;
+  overhead, and its rounds fold at bit 255 instead of dividing;
 * :func:`mimc_compress` memoizes results in a bounded FIFO cache keyed on
   the canonical ``(left, right)`` pair, so repeated compressions (shared
   ancestors across epochs, snapshot copies, re-verification of the same
@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 from repro import observability
 from repro.crypto import field
 from repro.crypto.field import MODULUS
+from repro.errors import FieldError
 
 #: Number of rounds of the permutation.  For exponent-5 MiMC the security
 #: analysis requires ceil(log5(p)) ≈ 110 rounds; we use 110.
@@ -70,24 +71,44 @@ ROUND_CONSTANTS: tuple[int, ...] = _derive_round_constants()
 # ---------------------------------------------------------------------------
 
 
+def _round_lines(constants: Sequence[int], modulus: int, indent: str) -> list[str]:
+    """Source of the unrolled rounds over ``r`` and ``k``, shared with the
+    ``batched`` backend's fused loop.
+
+    No product is followed by a division: ``2**255 ≡ 19 (mod p)``, so ``x``
+    and ``(x & (2**255 - 1)) + 19 * (x >> 255)`` are congruent.  One fold
+    after ``t * t`` and ``t2 * t2`` and two after ``t4 * t`` keep every
+    folded value under ``2**290`` and ``r`` within ``2**38`` of canonical
+    (replayed in ``tests/test_mimc.py``); the caller reduces ``r`` once.
+    """
+    if modulus != (1 << 255) - 19:
+        raise FieldError("the MiMC rounds fold by 2**255 - 19, not by another modulus")
+    fold = f"(x & {(1 << 255) - 1}) + 19 * (x >> 255)"
+    lines = []
+    for c in constants:
+        lines += [
+            f"t = r + k + {c}" if c else "t = r + k",
+            "x = t * t",
+            f"t2 = {fold}",
+            "x = t2 * t2",
+            f"t4 = {fold}",
+            "x = t4 * t",
+            f"x = {fold}",
+            f"r = {fold}",
+        ]
+    return [indent + line for line in lines]
+
+
 def _compile_permutation(
     constants: Sequence[int], modulus: int
 ) -> Callable[[int, int], int]:
     """Code-generate the fully unrolled permutation with baked-in constants.
 
-    Emits one straight-line function body with every round constant inlined
-    as a literal and the exponent-5 map fused into two reductions per round
-    (``t2 = t*t % p`` then ``t2*t2*t % p``), then compiles it.  Arguments
-    must already be canonical field ints.
+    Emits one straight-line function body (:func:`_round_lines`) and
+    compiles it.  Arguments must already be canonical field ints.
     """
     lines = [f"def _mimc_permutation_compiled(r, k, _M={modulus}):"]
-    for c in constants:
-        if c:
-            lines.append(f"    t = (r + k + {c}) % _M")
-        else:
-            lines.append("    t = (r + k) % _M")
-        lines.append("    t2 = t * t % _M")
-        lines.append("    r = t2 * t2 * t % _M")
+    lines += _round_lines(constants, modulus, "    ")
     lines.append("    return (r + k) % _M")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<mimc-compiled>", "exec"), namespace)

@@ -1,12 +1,16 @@
 """Unit tests for the MiMC permutation and hash (repro.crypto.mimc)."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import observability
-from repro.crypto import mimc
+from repro.crypto import backend, mimc
 from repro.crypto.field import MODULUS
+from repro.errors import FieldError
 from repro.snark.circuit import CircuitBuilder
 from repro.snark.gadgets.mimc import (
     mimc_compress_gadget,
@@ -105,25 +109,105 @@ class TestHash:
         assert mimc.mimc_hash_bytes(b"a") != mimc.mimc_hash_bytes(b"b")
 
 
+def spec_permutation(x: int, k: int) -> int:
+    """The permutation as the module docstring defines it, one ``pow`` a round."""
+    r = x
+    for c in mimc.ROUND_CONSTANTS:
+        r = pow(r + k + c, 5, MODULUS)
+    return (r + k) % MODULUS
+
+
 class TestCompiledPermutation:
     """The exec-compiled unrolled permutation must match the specification."""
 
     def test_matches_reference_loop(self):
-        # re-derive the (pre-compilation) reference implementation
-        def reference(x: int, k: int) -> int:
-            r, k = x % MODULUS, k % MODULUS
-            for c in mimc.ROUND_CONSTANTS:
-                r = pow((r + k + c) % MODULUS, 5, MODULUS)
-            return (r + k) % MODULUS
-
         rng = random.Random(0x5EED)
         for _ in range(10):
             x, k = rng.randrange(MODULUS), rng.randrange(MODULUS)
-            assert mimc.mimc_permutation(x, k) == reference(x, k)
+            assert mimc.mimc_permutation(x, k) == spec_permutation(x, k)
 
     def test_compile_is_deterministic(self):
         recompiled = mimc._compile_permutation(mimc.ROUND_CONSTANTS, MODULUS)
         assert recompiled(3, 4) == mimc._permutation_compiled(3, 4)
+
+
+def fold(x: int) -> int:
+    """``2**255 ≡ 19 (mod p)``: the division-free reduction step."""
+    return (x & ((1 << 255) - 1)) + 19 * (x >> 255)
+
+
+EDGE_ELEMENTS = (0, 1, MODULUS - 1)
+field_elements = st.integers(min_value=0, max_value=MODULUS - 1)
+
+
+class TestDivisionFreeRounds:
+    """The compiled rounds fold at bit 255 instead of dividing; outputs are
+    those of the specification on every input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=field_elements, k=field_elements)
+    def test_matches_specification(self, x, k):
+        expected = spec_permutation(x, k)
+        assert mimc._permutation_compiled(x, k) == expected
+        assert backend._instance("batched").mimc_permutations([x], [k]) == [expected]
+
+    def test_edge_inputs(self):
+        pairs = list(itertools.product(EDGE_ELEMENTS, repeat=2))
+        expected = [spec_permutation(x, k) for x, k in pairs]
+        assert [mimc._permutation_compiled(x, k) for x, k in pairs] == expected
+        xs, ks = zip(*pairs)
+        assert backend._instance("batched").mimc_permutations(xs, ks) == expected
+
+    def test_generated_round_is_the_fold_written_out(self):
+        c = mimc.ROUND_CONSTANTS[1]
+        reduce = f"(x & {(1 << 255) - 1}) + 19 * (x >> 255)"
+        assert mimc._round_lines((0, c), MODULUS, "  ") == [
+            "  t = r + k",
+            "  x = t * t",
+            f"  t2 = {reduce}",
+            "  x = t2 * t2",
+            f"  t4 = {reduce}",
+            "  x = t4 * t",
+            f"  x = {reduce}",
+            f"  r = {reduce}",
+            f"  t = r + k + {c}",
+            "  x = t * t",
+            f"  t2 = {reduce}",
+            "  x = t2 * t2",
+            f"  t4 = {reduce}",
+            "  x = t4 * t",
+            f"  x = {reduce}",
+            f"  r = {reduce}",
+        ]
+
+    @staticmethod
+    def replay_round(r: int, k: int, c: int) -> int:
+        """One round as generated, every stated bound asserted on the way."""
+        t = r + k + c
+        t2 = fold(t * t)
+        t4 = fold(t2 * t2)
+        x = fold(t4 * t)
+        out = fold(x)
+        assert max(t2, t4, x).bit_length() <= 290
+        assert out < (1 << 255) + (1 << 38)
+        assert out % MODULUS == pow(t, 5, MODULUS)
+        return out
+
+    def test_intermediates_stay_within_the_stated_bounds(self):
+        for x, k in itertools.product(EDGE_ELEMENTS, repeat=2):
+            r = x
+            for c in mimc.ROUND_CONSTANTS:
+                r = self.replay_round(r, k, c)
+            assert (r + k) % MODULUS == mimc._permutation_compiled(x, k)
+        # the inductive step at its extreme: the largest ``r`` the bound
+        # admits, the largest key, the largest constant (and past it)
+        loosest_r = (1 << 255) + (1 << 38) - 1
+        for c in (max(mimc.ROUND_CONSTANTS), MODULUS - 1):
+            self.replay_round(loosest_r, MODULUS - 1, c)
+
+    def test_another_modulus_is_refused(self):
+        with pytest.raises(FieldError):
+            mimc._round_lines(mimc.ROUND_CONSTANTS, (1 << 255) - 31, "")
 
 
 def mimc_counters() -> dict[str, int]:

@@ -5,7 +5,8 @@ scheme's defining rule — ``r = g**s * pk**(q - e)``, two full modular
 exponentiations, kept here as :func:`oracle_verify` and nowhere in ``src/`` —
 on honest, tampered, out-of-range and adversarially crafted inputs, and pin
 signature / public-key / address bytes to vectors recorded before
-verification moved to the fixed-base table.
+verification moved to the fixed-base table.  ``TestKeyComb`` pins the per-key
+comb to ``pow(pk, -e, p)`` and its memo to its bound.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from repro.crypto.signatures import (
     GROUP_P,
     GROUP_Q,
     FixedBaseTable,
+    KeyComb,
     PrivateKey,
     PublicKey,
     Signature,
@@ -76,14 +78,19 @@ class TestSigning:
     def test_out_of_range_scalars_rejected(self, keys):
         alice = keys["alice"]
         sig = alice.sign(b"m")
+        clear_verify_cache()
         assert not alice.verify(b"m", Signature(e=0, s=sig.s))
         assert not alice.verify(b"m", Signature(e=sig.e, s=0))
         assert not alice.verify(b"m", Signature(e=GROUP_Q, s=sig.s))
+        assert not alice.verify(b"m", Signature(e=sig.e, s=GROUP_Q))
+        assert not signatures._key_combs  # a rejection builds nothing
 
     def test_degenerate_pubkey_rejected(self, keys):
         sig = keys["alice"].sign(b"m")
-        assert not PublicKey(point=1).verify(b"m", sig)
-        assert not PublicKey(point=GROUP_P).verify(b"m", sig)
+        clear_verify_cache()
+        for point in (0, 1, GROUP_P, GROUP_P + 2):
+            assert not PublicKey(point=point).verify(b"m", sig)
+        assert not signatures._key_combs
 
     def test_tampered_signature_rejected(self, keys):
         alice = keys["alice"]
@@ -216,9 +223,13 @@ def oracle_verify(pk_point: int, message: bytes, sig: Signature) -> bool:
     return challenge(r, pk_point, message) == sig.e
 
 
-def verdict(pk_point: int, message: bytes, sig: Signature) -> bool:
-    """``PublicKey.verify`` on a cold cache, asserted equal to the oracle."""
-    clear_verify_cache()
+def verdict(pk_point: int, message: bytes, sig: Signature, keep_combs: bool = False) -> bool:
+    """``PublicKey.verify`` on a cold cache (cold verdicts only when
+    ``keep_combs``), asserted equal to the oracle."""
+    if keep_combs:
+        signatures._verify_cache.clear()
+    else:
+        clear_verify_cache()
     got = PublicKey(point=pk_point).verify(message, sig)
     assert got is oracle_verify(pk_point, message, sig)
     return got
@@ -334,9 +345,11 @@ class TestDifferentialAgainstOracle:
         monkeypatch.setattr(signatures, "_G_POWERS", table)
         for e in (1 << 512, sig.e | 1 << 512, GROUP_Q - 1):
             assert not verdict(alice.public.point, b"m", Signature(e=e, s=sig.s))
+            assert not signatures._key_combs
         assert len(table) == 0
         assert not verdict(alice.public.point, b"m", Signature(e=(1 << 512) - 1, s=sig.s))
         assert len(table) > 0
+        assert list(signatures._key_combs) == [alice.public.point]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.binary(min_size=1, max_size=16), message=st.binary(max_size=80))
@@ -347,6 +360,115 @@ class TestDifferentialAgainstOracle:
         assert verdict(kp.public.point, message, sig)
         assert not verdict(kp.public.point, message + b"\x00", sig)
         assert not verdict(kp.public.point, message, Signature(e=sig.e, s=sig.s + 1))
+
+
+# ---------------------------------------------------------------------------
+# The per-key comb against pow(pk, -e, p), and its memo
+# ---------------------------------------------------------------------------
+
+COMB_BITS = KeyComb._BLOCKS * KeyComb._BLOCK_BITS
+
+
+def assert_comb_is_pow(point: int, exponents) -> None:
+    comb = KeyComb(point)
+    assert comb.negate is (pow(point, GROUP_Q, GROUP_P) == GROUP_P - 1)
+    for e in exponents:
+        assert comb.pow_neg(e) == pow(point, -e, GROUP_P)
+
+
+class TestKeyComb:
+    def test_geometry_covers_every_admissible_challenge(self):
+        assert COMB_BITS >= 8 * signatures._SCALAR_HASH_BYTES
+
+    def test_edge_exponents(self, keys):
+        """0 and 1, the longest challenge and the comb's own capacity, single
+        bits on both sides of every block boundary, and exponents whose
+        columns are all zero but the first / the last."""
+        stride = KeyComb._BLOCK_BITS
+        single_bits = [1 << b for b in (1, stride - 1, stride, 2 * stride - 1, 511, 515)]
+        last_column_only = sum(1 << stride * i for i in range(KeyComb._BLOCKS))
+        first_column_only = last_column_only << stride - 1
+        assert_comb_is_pow(
+            keys["alice"].public.point,
+            [0, 1, (1 << 512) - 1, (1 << COMB_BITS) - 1, *single_bits]
+            + [last_column_only, first_column_only, first_column_only >> stride],
+        )
+
+    def test_edge_keys(self, keys):
+        rng = random.Random(22)
+        exponents = [1, (1 << 512) - 1, rng.getrandbits(512)]
+        for point in (
+            2,
+            GROUP_P - 1,
+            GROUP_P - 2,
+            non_residue(rng),
+            non_residue(rng),
+            GROUP_P - keys["mallory"].public.point,
+        ):
+            assert_comb_is_pow(point, exponents)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        point=st.integers(min_value=2, max_value=GROUP_P - 1),
+        exponents=st.lists(st.integers(min_value=0, max_value=(1 << 512) - 1), max_size=3),
+    )
+    def test_random_keys_and_exponents(self, point, exponents):
+        assert_comb_is_pow(point, exponents)
+
+    def test_rejects_exponents_it_cannot_hold(self, keys):
+        comb = KeyComb(keys["alice"].public.point)
+        for exponent in (-1, 1 << COMB_BITS):
+            with pytest.raises(SignatureError):
+                comb.pow_neg(exponent)
+
+    def test_memo_is_bounded_fifo_and_eviction_keeps_verdicts(self, keys, monkeypatch):
+        monkeypatch.setattr(signatures, "KEY_COMB_MAX_ENTRIES", 3)
+        clear_verify_cache()
+        signers = [keys[n] for n in ("alice", "bob", "carol", "miner", "mallory")]
+        sigs = [kp.sign(b"memo") for kp in signers]
+        points = [kp.public.point for kp in signers]
+        for count, (kp, sig) in enumerate(zip(signers, sigs), start=1):
+            assert kp.verify(b"memo", sig)
+            assert list(signatures._key_combs) == points[max(0, count - 3) : count]
+        resident = signatures._key_combs[points[4]]
+        # an evicted key: cold verdicts, a rebuilt comb, the same answers
+        signatures._verify_cache.clear()
+        assert signers[0].verify(b"memo", sigs[0])
+        assert not signers[0].verify(b"memo!", sigs[0])
+        assert list(signatures._key_combs) == [points[3], points[4], points[0]]
+        # a resident key is served by the table it already has
+        signatures._verify_cache.clear()
+        assert signers[4].verify(b"memo", sigs[4])
+        assert list(signatures._key_combs) == [points[3], points[4], points[0]]
+        assert signatures._key_combs[points[4]] is resident
+        clear_verify_cache()
+        assert not signatures._key_combs and not signatures._verify_cache
+
+    def test_one_comb_per_key_not_per_signature(self, keys, monkeypatch):
+        built = []
+
+        class CountingComb(KeyComb):
+            __slots__ = ()
+
+            def __init__(self, point):
+                built.append(point)
+                super().__init__(point)
+
+        monkeypatch.setattr(signatures, "KeyComb", CountingComb)
+        clear_verify_cache()
+        alice = keys["alice"]
+        for message in (b"a", b"b", b"c"):
+            assert verdict(alice.public.point, message, alice.sign(message), keep_combs=True)
+        assert built == [alice.public.point]
+        # the non-residue sign is the key's, remembered with its table
+        sk = keys["mallory"].private.scalar
+        hostile = GROUP_P - keys["mallory"].public.point
+        for k in range(1 << 300, (1 << 300) + 4):
+            for negate_r in (False, True):
+                sig = sign_with_nonce(sk, hostile, b"crafted", k, negate_r)
+                fits = (sig.e % 2 == 0) is negate_r
+                assert verdict(hostile, b"crafted", sig, keep_combs=True) is fits
+        assert built == [alice.public.point, hostile]
 
 
 class TestJacobi:
@@ -444,11 +566,11 @@ class TestOtherProcesses:
         grows the table it needs and returns the right verdicts."""
         script = (
             "from repro.crypto import signatures as S\n"
-            "assert len(S._G_POWERS) == 0\n"
+            "assert len(S._G_POWERS) == 0 and not S._key_combs\n"
             f"pk = S.PublicKey.from_bytes(bytes.fromhex({ALICE_PUBLIC_HEX!r}))\n"
             f"sig = S.Signature.from_bytes(bytes.fromhex({ALICE_SIG_BYTES.hex()!r}))\n"
             "assert pk.verify(b'zendoo', sig)\n"
-            "assert len(S._G_POWERS) > 0\n"
+            "assert len(S._G_POWERS) > 0 and list(S._key_combs) == [pk.point]\n"
             "assert not pk.verify(b'zendoo!', sig)\n"
             "assert not pk.verify(b'zendoo', S.Signature(e=sig.e, s=S.GROUP_Q - 1))\n"
             "print('ok')\n"
@@ -478,7 +600,7 @@ class TestOtherProcesses:
             current = nxt
         composer = RecursiveComposer(LatusTransitionSystem())
         serial, final_serial, _ = composer.prove_sequence(state.copy(), txs)
-        clear_verify_cache()  # forked workers would inherit the verdicts
+        clear_verify_cache()  # forked workers would inherit verdicts and combs
         with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
             pooled, final_pooled, stats = composer.prove_sequence(
                 state.copy(), txs, pool=pool

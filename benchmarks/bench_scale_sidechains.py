@@ -32,7 +32,6 @@ from repro.core.commitment import (
 )
 from repro.core.transfers import derive_ledger_id
 from repro.crypto.keys import KeyPair
-from repro.mainchain import validation
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import (
@@ -158,7 +157,6 @@ def _naive_parity(node: MainchainNode) -> dict:
     naive_digest = hashlib.sha256()
     for block in blocks:
         clear_leaf_cache()
-        validation._COMMITMENT_CACHE.clear()
         naive = compute_sc_txs_commitment(block.transactions)
         if naive != block.header.sc_txs_commitment:
             mismatches += 1

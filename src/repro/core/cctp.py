@@ -22,8 +22,8 @@ the new active chain (see :mod:`repro.mainchain.chain`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Container, Iterator, Sequence
 
 from repro.core.bootstrap import SidechainConfig
 from repro.core.cow import CowDict, CowSet
@@ -43,6 +43,8 @@ from repro.errors import (
     SidechainAlreadyExists,
     SidechainCeased,
     UnknownSidechain,
+    VerificationFailure,
+    ZendooError,
 )
 from repro.snark import proving
 from repro import observability
@@ -50,8 +52,7 @@ from repro import observability
 _REGISTRY = observability.registry()
 _WCERT_VERIFICATIONS = _REGISTRY.counter(
     "repro_cctp_wcert_total",
-    "withdrawal-certificate verifications, by result (includes template "
-    "pre-connection trials)",
+    "withdrawal-certificate verifications, by result",
     labelnames=("result",),
 )
 _BTR_VERIFICATIONS = _REGISTRY.counter(
@@ -79,11 +80,12 @@ class SidechainStatus(enum.Enum):
 
 @dataclass
 class CertificateRecord:
-    """The adopted certificate for one (sidechain, epoch)."""
+    """The adopted certificate for one (sidechain, epoch); ``included_in_block``
+    stays None until :meth:`CctpState.seal_block` names the block."""
 
     certificate: WithdrawalCertificate
     included_at_height: int
-    included_in_block: bytes
+    included_in_block: bytes | None
 
 
 @dataclass
@@ -195,9 +197,11 @@ class ShardedRegistry:
 class CctpState:
     """All CCTP state of one mainchain node (registry + safeguard + records).
 
-    The host chain calls the ``process_*`` methods while connecting a block
-    and :meth:`advance_to_height` once per new block height so ceasing
-    deadlines fire deterministically.
+    The host chain calls :meth:`advance_to_height` once per new block height
+    so ceasing deadlines fire deterministically, the ``process_*`` methods
+    while connecting the block's transactions, and :meth:`seal_block` once
+    the block's hash exists.  Each ``process_*`` call either applies in full
+    or raises with the state untouched.
     """
 
     def __init__(self) -> None:
@@ -213,6 +217,9 @@ class CctpState:
         self._deadlines: CowDict = CowDict()
         #: Highest height whose deadline slots have been processed.
         self._advanced_to: int = -1
+        #: ledger id -> epochs whose certificates were adopted since the
+        #: last :meth:`seal_block` (their block has no hash yet).
+        self._unsealed: dict[bytes, set[int]] = {}
 
     def copy(self) -> "CctpState":
         """Copy-on-write snapshot for fork-branch validation.
@@ -229,6 +236,7 @@ class CctpState:
         clone.safeguard = self.safeguard.copy()
         clone._deadlines = self._deadlines.copy()
         clone._advanced_to = self._advanced_to
+        clone._unsealed = {lid: set(epochs) for lid, epochs in self._unsealed.items()}
         # Invalidate our own ownership too: entries are now shared with the
         # clone, so in-place writes from either side must re-clone.
         self._token = object()
@@ -282,24 +290,27 @@ class CctpState:
 
     # -- forward transfers --------------------------------------------------------
 
-    def process_forward_transfer(self, ft: ForwardTransfer, height: int) -> None:
-        """Credit a forward transfer to an active sidechain (§4.1.1).
+    def process_forward_transfer(self, *fts: ForwardTransfer, height: int) -> None:
+        """Credit forward transfers to active sidechains (§4.1.1), all or none.
 
         Def. 4.1 requires "a previously created and active sidechain": a
         transfer before the sidechain's ``start_block`` is rejected — the
         sidechain has no schedule yet and could never observe the deposit.
+        Every transfer is checked before the first is credited.
         """
-        entry = self.entry(ft.ledger_id)
-        if entry.status is SidechainStatus.CEASED:
-            raise SidechainCeased("forward transfer to a ceased sidechain")
-        if not entry.config.schedule.is_active_at(height):
-            raise CctpError(
-                f"forward transfer at height {height} precedes sidechain "
-                f"activation at {entry.config.start_block}"
-            )
-        if ft.amount <= 0:
-            raise CctpError("forward transfer amount must be positive")
-        self.safeguard.deposit(ft.ledger_id, ft.amount)
+        for ft in fts:
+            entry = self.entry(ft.ledger_id)
+            if entry.status is SidechainStatus.CEASED:
+                raise SidechainCeased("forward transfer to a ceased sidechain")
+            if not entry.config.schedule.is_active_at(height):
+                raise CctpError(
+                    f"forward transfer at height {height} precedes sidechain "
+                    f"activation at {entry.config.start_block}"
+                )
+            if ft.amount <= 0:
+                raise CctpError("forward transfer amount must be positive")
+        for ft in fts:
+            self.safeguard.deposit(ft.ledger_id, ft.amount)
 
     # -- withdrawal certificates -----------------------------------------------------
 
@@ -327,13 +338,10 @@ class CctpState:
     ) -> "tuple[proving.VerifyingKey, Sequence[int]] | None":
         """``(vk, public_input)`` for batched proof verification, or None.
 
-        Returns None when the certificate cannot be pre-verified out of band
-        — unknown sidechain, ceased, or outside its submission window — in
-        which case the caller must fall back to inline verification (where
-        the certificate will be rejected with the precise rule error).  The
-        public input is computed by the same code path as
-        :meth:`process_certificate`, so a batched verdict is byte-equivalent
-        to the inline one.
+        None for an unknown, ceased or out-of-window certificate, which the
+        inline path rejects with the precise rule error.  The public input
+        is built by :meth:`process_certificate`'s code, so a batched verdict
+        equals the inline one.
         """
         entry = self.sidechains.get(wcert.ledger_id)
         if entry is None or entry.status is SidechainStatus.CEASED:
@@ -347,7 +355,6 @@ class CctpState:
         self,
         wcert: WithdrawalCertificate,
         height: int,
-        included_in_block: bytes,
         block_hash_at: Callable[[int], bytes],
         proof_valid: bool | None = None,
     ) -> WithdrawalCertificate | None:
@@ -356,7 +363,8 @@ class CctpState:
         ``block_hash_at(height)`` must return the active-chain block hash —
         used to build ``wcert_sysdata``.  Returns the superseded certificate
         of the same epoch when the new one replaces it (the host chain then
-        cancels the superseded payouts), else None.
+        cancels the superseded payouts), else None.  The record names its
+        block once the host chain calls :meth:`seal_block`.
 
         ``proof_valid`` carries a pre-computed SNARK verdict from a batched
         verification pass (see :meth:`certificate_verification_job`): True
@@ -370,7 +378,7 @@ class CctpState:
         """
         try:
             superseded = self._process_certificate(
-                wcert, height, included_in_block, block_hash_at, proof_valid
+                wcert, height, block_hash_at, proof_valid
             )
         except SafeguardViolation:
             _SAFEGUARD_REJECTIONS.inc()
@@ -386,7 +394,6 @@ class CctpState:
         self,
         wcert: WithdrawalCertificate,
         height: int,
-        included_in_block: bytes,
         block_hash_at: Callable[[int], bytes],
         proof_valid: bool | None = None,
     ) -> WithdrawalCertificate | None:
@@ -433,7 +440,7 @@ class CctpState:
             self.safeguard.refund(wcert.ledger_id, superseded.withdrawn_amount)
         try:
             self.safeguard.withdraw(wcert.ledger_id, wcert.withdrawn_amount)
-        except Exception:
+        except CctpError:
             if superseded is not None:
                 self.safeguard.withdraw(
                     wcert.ledger_id, superseded.withdrawn_amount
@@ -442,14 +449,28 @@ class CctpState:
 
         entry = self._writable(wcert.ledger_id)
         entry.certificates[wcert.epoch_id] = CertificateRecord(
-            certificate=wcert,
-            included_at_height=height,
-            included_in_block=included_in_block,
+            certificate=wcert, included_at_height=height, included_in_block=None
         )
-        entry.last_cert_block_hash = included_in_block
+        self._unsealed.setdefault(wcert.ledger_id, set()).add(wcert.epoch_id)
         # Adoption may have pushed the ceasing deadline; index the new slot.
         self._index_deadline(wcert.ledger_id, entry)
         return superseded
+
+    def seal_block(self, block_hash: bytes) -> None:
+        """Name the block holding the certificates adopted since the last seal.
+
+        A block's hash exists only once its body is final, so the host chain
+        calls this after the last transaction; ``last_cert_block_hash`` (the
+        ``H(Bw)`` of later BTR/CSW proofs) moves here too.
+        """
+        for ledger_id, epochs in self._unsealed.items():
+            entry = self._writable(ledger_id)
+            for epoch in epochs:
+                entry.certificates[epoch] = replace(
+                    entry.certificates[epoch], included_in_block=block_hash
+                )
+            entry.last_cert_block_hash = block_hash
+        self._unsealed = {}
 
     # -- ceasing -------------------------------------------------------------------
 
@@ -506,36 +527,33 @@ class CctpState:
 
     # -- mainchain-managed withdrawals ---------------------------------------------
 
-    def process_btr(self, btr: BackwardTransferRequest, height: int) -> None:
-        """Pre-validate a BTR (§4.1.2.1); no coins move on the mainchain.
+    def process_btr(self, *btrs: BackwardTransferRequest, height: int) -> None:
+        """Pre-validate BTRs (§4.1.2.1), all or none; no coins move on the MC.
 
-        Verifications are counted on ``repro_cctp_btr_total{result}``.
+        Every request, proof included, is checked before the first nullifier
+        is consumed.  Verifications are counted on
+        ``repro_cctp_btr_total{result}``.
         """
-        try:
-            self._process_btr(btr, height)
-        except Exception:
-            _BTR_VERIFICATIONS.labels(result="rejected").inc()
-            raise
-        _BTR_VERIFICATIONS.labels(result="accepted").inc()
-
-    def _process_btr(self, btr: BackwardTransferRequest, height: int) -> None:
-        entry = self.entry(btr.ledger_id)
-        if entry.status is SidechainStatus.CEASED:
-            raise SidechainCeased("BTR for a ceased sidechain")
-        if entry.config.btr_vk is None:
-            raise CctpError("sidechain did not register a BTR verification key")
-        if not entry.config.btr_proofdata.matches(btr.proofdata):
-            raise CctpError("BTR proofdata does not match declared schema")
-        if btr.amount <= 0:
-            raise CctpError("BTR amount must be positive")
-        entry = self._writable(btr.ledger_id)
-        self._consume_nullifier(entry, btr.nullifier)
-        public_input = btr.public_input(entry.last_cert_block_hash)
-        try:
-            proving.expect_valid(entry.config.btr_vk, public_input, btr.proof)
-        except Exception:
-            entry.nullifiers.discard(btr.nullifier)
-            raise
+        claimed: set[tuple[bytes, bytes]] = set()
+        for btr in btrs:
+            try:
+                entry = self.entry(btr.ledger_id)
+                if entry.status is SidechainStatus.CEASED:
+                    raise SidechainCeased("BTR for a ceased sidechain")
+                if entry.config.btr_vk is None:
+                    raise CctpError("sidechain did not register a BTR verification key")
+                if not entry.config.btr_proofdata.matches(btr.proofdata):
+                    raise CctpError("BTR proofdata does not match declared schema")
+                if btr.amount <= 0:
+                    raise CctpError("BTR amount must be positive")
+                self._check_nullified_proof(entry, btr, entry.config.btr_vk, claimed)
+            except ZendooError:
+                _BTR_VERIFICATIONS.labels(result="rejected").inc()
+                raise
+            _BTR_VERIFICATIONS.labels(result="accepted").inc()
+            claimed.add((btr.ledger_id, btr.nullifier))
+        for btr in btrs:
+            self._writable(btr.ledger_id).nullifiers.add(btr.nullifier)
 
     def process_csw(
         self, csw: CeasedSidechainWithdrawal, height: int
@@ -552,7 +570,7 @@ class CctpState:
             _SAFEGUARD_REJECTIONS.inc()
             _CSW_VERIFICATIONS.labels(result="rejected").inc()
             raise
-        except Exception:
+        except ZendooError:
             _CSW_VERIFICATIONS.labels(result="rejected").inc()
             raise
         _CSW_VERIFICATIONS.labels(result="accepted").inc()
@@ -570,23 +588,33 @@ class CctpState:
             raise CctpError("CSW proofdata does not match declared schema")
         if csw.amount <= 0:
             raise CctpError("CSW amount must be positive")
-        entry = self._writable(csw.ledger_id)
-        self._consume_nullifier(entry, csw.nullifier)
-        public_input = csw.public_input(entry.last_cert_block_hash)
-        try:
-            proving.expect_valid(entry.config.csw_vk, public_input, csw.proof)
-            self.safeguard.withdraw(csw.ledger_id, csw.amount)
-        except Exception:
-            entry.nullifiers.discard(csw.nullifier)
-            raise
+        self._check_nullified_proof(entry, csw, entry.config.csw_vk)
+        self.safeguard.withdraw(csw.ledger_id, csw.amount)
+        self._writable(csw.ledger_id).nullifiers.add(csw.nullifier)
         return csw.receiver, csw.amount
 
-    def _consume_nullifier(self, entry: SidechainEntry, nullifier: bytes) -> None:
-        if nullifier in entry.nullifiers:
+    def _check_nullified_proof(
+        self,
+        entry: SidechainEntry,
+        request: BackwardTransferRequest | CeasedSidechainWithdrawal,
+        vk: proving.VerifyingKey,
+        claimed: Container[tuple[bytes, bytes]] = (),
+    ) -> None:
+        """Fresh nullifier (``claimed``: pairs taken earlier in the same
+        transaction), no certificate earlier in the open block, valid proof."""
+        key = (request.ledger_id, request.nullifier)
+        if request.nullifier in entry.nullifiers or key in claimed:
             raise NullifierReused(
-                f"nullifier {nullifier.hex()[:16]} already consumed"
+                f"nullifier {request.nullifier.hex()[:16]} already consumed"
             )
-        entry.nullifiers.add(nullifier)
+        if request.ledger_id in self._unsealed:
+            raise VerificationFailure(
+                "sidechain was certified earlier in this block: the proof "
+                "would have to commit to the hash of the block that contains it"
+            )
+        proving.expect_valid(
+            vk, request.public_input(entry.last_cert_block_hash), request.proof
+        )
 
     # -- introspection -----------------------------------------------------------
 

@@ -46,8 +46,8 @@ _LEAF_CACHE_EVENTS = _REGISTRY.counter(
 #: hashes of its commitment leaf.  This is what makes repeated commitment
 #: builds incremental: a block's tree only recomputes the sidechains whose
 #: content digest is new, reusing cached ``sc_hash`` leaves for the rest
-#: (mine-then-validate, every peer revalidating the block, reorg replays,
-#: and re-mined templates all hit it).  FIFO-bounded.
+#: (every peer revalidating the block, reorg replays and re-mined
+#: templates hit it).  FIFO-bounded.
 _LEAF_CACHE: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 _LEAF_CACHE_MAX: int = 8192
 

@@ -11,7 +11,7 @@ the active chain, which is exactly the reorg behaviour the Latus binding
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.cctp import CctpState
 from repro.core.cow import CowDict
@@ -39,7 +39,10 @@ from repro.mainchain.transaction import (
     verify_input_signatures,
 )
 from repro.mainchain.utxo import Coin, Outpoint, TxOutput, UTXOSet
-from repro.mainchain.validation import validate_block_structure
+from repro.mainchain.validation import (
+    validate_block_structure,
+    validate_transaction_structure,
+)
 from repro.snark import proving
 from repro import observability
 
@@ -55,18 +58,13 @@ _TXS_CONNECTED = _REGISTRY.counter(
 )
 
 
-def _tx_type_label(tx) -> str:
-    if isinstance(tx, CoinTransaction):
-        return "coin"
-    if isinstance(tx, SidechainDeclarationTx):
-        return "sc_declaration"
-    if isinstance(tx, CertificateTx):
-        return "certificate"
-    if isinstance(tx, BtrTx):
-        return "btr"
-    if isinstance(tx, CswTx):
-        return "csw"
-    return "other"
+_TX_TYPE_LABELS = {
+    CoinTransaction: "coin",
+    SidechainDeclarationTx: "sc_declaration",
+    CertificateTx: "certificate",
+    BtrTx: "btr",
+    CswTx: "csw",
+}
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,8 @@ class BlockHashChain:
     Linear history is the common case: every connected block appends exactly
     one hash, so all states along one branch share a single backing list and
     each snapshot just remembers its own length.  When an append would land
-    on a slot a discarded sibling (e.g. a mined-and-abandoned template trial)
-    already claimed, the hash goes to a small private overlay tail instead of
+    on a slot a discarded sibling (e.g. a competing fork's block) already
+    claimed, the hash goes to a small private overlay tail instead of
     cloning the whole prefix; the tail is folded back into a fresh shared
     list once it reaches :data:`_HASH_TAIL_FOLD` entries.  Snapshots
     therefore cost O(tail) ≤ 64 hashes instead of O(chain height).
@@ -194,54 +192,63 @@ class MainchainState:
     def connect_block(self, block: Block, verify_pool=None) -> None:
         """Validate ``block`` statefully and apply it; raises on any rule break.
 
-        The caller guarantees context-free validity and correct parent
-        linkage; on exception the state must be discarded (connection is not
-        atomic).  When ``verify_pool`` (a :class:`repro.snark.pool.ProverPool`)
-        is given, the block's certificate SNARK proofs are verified as one
-        chunked batch through the pool before transactions are applied;
-        otherwise they are batch-verified serially.  Either way the verdicts
-        feed the exact per-certificate rule position, so acceptance and
-        rejection are indistinguishable from inline verification.
+        Runs the steps the miner runs too: :meth:`begin_block`, one
+        :meth:`connect_transaction` per transaction, :meth:`finish_block`.
+        The caller guarantees context-free validity and parent linkage; on
+        exception the state must be discarded (a block is not atomic, its
+        transactions are).  Certificate proofs are verified as one batch,
+        through ``verify_pool`` (a :class:`repro.snark.pool.ProverPool`)
+        when given, and each verdict feeds its certificate's rule position.
         """
-        if block.height != self.height + 1:
-            raise ValidationError(
-                f"block height {block.height} does not extend state height {self.height}"
-            )
         if self.block_hashes and block.header.prev_hash != self.block_hashes[-1]:
             raise ValidationError("block does not extend the state tip")
+        self.begin_block(block.height)
+        body = block.transactions[1:]
+        verdicts = self.certificate_verdicts(body, block.height, verify_pool)
+        fees = 0
+        for index, tx in enumerate(body):
+            fees += self.connect_transaction(tx, block.height, verdicts.get(index))
+        self.finish_block(block, fees)
 
-        height = block.height
-        # Ceasing deadlines fire before any transaction of this block — a
-        # certificate arriving at the deadline height is already late.
+    def begin_block(self, height: int) -> None:
+        """Open the block at ``height``: fire ceasing deadlines, mature payouts.
+
+        Deadlines fire before any transaction of the block — a certificate
+        arriving at the deadline height is already late.
+        """
+        if height != self.height + 1:
+            raise ValidationError(
+                f"block height {height} does not extend state height {self.height}"
+            )
         self.cctp.advance_to_height(height)
         self._mature_payouts(height)
-        verdicts = self._batched_cert_verdicts(block, verify_pool)
 
-        fees = 0
-        coinbase = block.transactions[0]
-        for index, tx in enumerate(block.transactions[1:], start=1):
-            fees += self._connect_transaction(tx, block, verdicts.get(index))
-            _TXS_CONNECTED.labels(type=_tx_type_label(tx)).inc()
-        self._connect_coinbase(coinbase, fees, height)
-
-        self.height = height
+    def finish_block(self, block: Block, fees: int) -> None:
+        """Close the open block: connect its coinbase and seal its hash in."""
+        self._connect_coinbase(block.transactions[0], fees, block.height)
+        self.height = block.height
         self.block_hashes.append(block.hash)
+        self.cctp.seal_block(block.hash)
         _BLOCKS_CONNECTED.inc()
 
-    def _batched_cert_verdicts(self, block: Block, verify_pool) -> dict[int, bool]:
-        """Pre-verify the block's certificate proofs as one batch.
+    def certificate_verdicts(
+        self, txs: "Sequence[Transaction]", height: int, verify_pool=None
+    ) -> dict[int, bool]:
+        """Pre-verify the certificate proofs among ``txs`` as one batch.
 
-        Returns ``{transaction index: proof verdict}`` for every certificate
-        whose public input is already determined (known, active sidechain,
-        in-window epoch).  Certificates outside that set are left to the
-        inline path, where they fail with the precise rule error.  Ceasing
-        deadlines must have fired for this height before the call.
+        Returns ``{position in txs: proof verdict}`` for the first
+        certificate of each sidechain whose public input is already
+        determined (known, active sidechain, in-window epoch).  Certificates
+        outside that set are left to the inline path, where they fail with
+        the precise rule error.  Call after :meth:`begin_block`.
         """
         jobs: list[tuple[int, tuple]] = []
-        for index, tx in enumerate(block.transactions):
-            if isinstance(tx, CertificateTx):
+        ledgers: set[bytes] = set()
+        for index, tx in enumerate(txs):
+            if isinstance(tx, CertificateTx) and tx.wcert.ledger_id not in ledgers:
+                ledgers.add(tx.wcert.ledger_id)
                 job = self.cctp.certificate_verification_job(
-                    tx.wcert, block.height, self.block_hash_at
+                    tx.wcert, height, self.block_hash_at
                 )
                 if job is not None:
                     vk, public_input = job
@@ -254,6 +261,34 @@ class MainchainState:
         else:
             results = proving.verify_many(triples)
         return {index: ok for (index, _), ok in zip(jobs, results)}
+
+    def connect_transaction(
+        self, tx: Transaction, height: int, proof_valid: bool | None = None
+    ) -> int:
+        """Apply one non-coinbase transaction of the open block; returns its fee.
+
+        A refused transaction raises and leaves the state exactly as it was.
+        ``proof_valid`` is a certificate's verdict from
+        :meth:`certificate_verdicts` (None verifies inline).
+        """
+        validate_transaction_structure(tx)
+        fee = 0
+        if isinstance(tx, CoinTransaction):
+            if tx.is_coinbase:
+                raise ValidationError("only one coinbase per block")
+            fee = self._connect_coin_tx(tx, height)
+        elif isinstance(tx, SidechainDeclarationTx):
+            self.cctp.register_sidechain(tx.config, height)
+        elif isinstance(tx, CertificateTx):
+            self._connect_certificate(tx.wcert, height, proof_valid)
+        elif isinstance(tx, BtrTx):
+            self.cctp.process_btr(*tx.requests, height=height)
+        else:  # a CswTx: the structure check refused every other type
+            receiver, amount = self.cctp.process_csw(tx.csw, height)
+            payout = Coin(output=TxOutput(receiver, amount), created_height=height)
+            self.utxos.add(Outpoint(txid=tx.txid, index=0), payout)
+        _TXS_CONNECTED.labels(type=_TX_TYPE_LABELS[type(tx)]).inc()
+        return fee
 
     def _mature_payouts(self, height: int) -> None:
         """Credit payouts maturing exactly at ``height``.
@@ -290,35 +325,6 @@ class MainchainState:
             raise ValidationError("coinbase cannot carry forward transfers")
         self._create_outputs(tx, height, maturity=height + self.params.coinbase_maturity)
 
-    def _connect_transaction(
-        self, tx: Transaction, block: Block, proof_valid: bool | None = None
-    ) -> int:
-        """Apply one non-coinbase transaction; returns the fee it pays."""
-        height = block.height
-        if isinstance(tx, CoinTransaction):
-            return self._connect_coin_tx(tx, height)
-        if isinstance(tx, SidechainDeclarationTx):
-            self.cctp.register_sidechain(tx.config, height)
-            return 0
-        if isinstance(tx, CertificateTx):
-            self._connect_certificate(tx.wcert, height, block.hash, proof_valid)
-            return 0
-        if isinstance(tx, BtrTx):
-            for request in tx.requests:
-                self.cctp.process_btr(request, height)
-            return 0
-        if isinstance(tx, CswTx):
-            receiver, amount = self.cctp.process_csw(tx.csw, height)
-            self.utxos.add(
-                Outpoint(txid=tx.txid, index=0),
-                Coin(
-                    output=TxOutput(addr=receiver, amount=amount),
-                    created_height=height,
-                ),
-            )
-            return 0
-        raise ValidationError(f"unknown transaction type {type(tx).__name__}")
-
     def _connect_coin_tx(self, tx: CoinTransaction, height: int) -> int:
         if not verify_input_signatures(tx):
             raise ValidationError("bad input signature")
@@ -339,8 +345,8 @@ class MainchainState:
                 f"inputs {total_in} < outputs {tx.output_total}"
             )
         # Forward transfers are validated by the CCTP (active target, amount).
-        for ft in tx.forward_transfers:
-            self.cctp.process_forward_transfer(ft, height)
+        if tx.forward_transfers:
+            self.cctp.process_forward_transfer(*tx.forward_transfers, height=height)
         for outpoint in spent_coins:
             self.utxos.spend(outpoint)
         self._create_outputs(tx, height, maturity=0)
@@ -357,11 +363,10 @@ class MainchainState:
         self,
         wcert: WithdrawalCertificate,
         height: int,
-        block_hash: bytes,
         proof_valid: bool | None = None,
     ) -> None:
         superseded = self.cctp.process_certificate(
-            wcert, height, block_hash, self.block_hash_at, proof_valid
+            wcert, height, self.block_hash_at, proof_valid
         )
         if superseded is not None:
             self.pending_payouts.pop(superseded.id, None)
@@ -536,7 +541,21 @@ class Blockchain:
         state = parent.state.copy()
         # raises on stateful invalidity
         state.connect_block(block, verify_pool=self.verify_pool)
+        return self._record(block, parent, state)
 
+    def add_mined_block(self, block: Block, state: MainchainState) -> bool:
+        """Store a block this node assembled on ``state``; True if now the tip.
+
+        ``state`` is the parent's state with the block connected through
+        ``begin_block`` / ``connect_transaction`` / ``finish_block``, so the
+        block is recorded as it is, not connected a second time.
+        """
+        if state.block_hashes[-1] != block.hash:
+            raise ValidationError("state was not connected with this block")
+        return self._record(block, self._records[block.header.prev_hash], state)
+
+    def _record(self, block: Block, parent: _BlockRecord, state: MainchainState) -> bool:
+        """Fork choice, WAL append and snapshot for a connected block."""
         work = parent.cumulative_work + block_work(block.header.target_bits)
         self._records[block.hash] = _BlockRecord(
             block=block, cumulative_work=work, state=state

@@ -16,6 +16,7 @@ pass over the confirmed transactions.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from repro import observability
@@ -99,12 +100,7 @@ class Mempool:
 
     def take(self, limit: int) -> list[Transaction]:
         """The first ``limit`` pending transactions (not removed)."""
-        result = []
-        for tx in self._txs.values():
-            if len(result) >= limit:
-                break
-            result.append(tx)
-        return result
+        return list(islice(self._txs.values(), limit))
 
     def pending_for(self, ledger_id: bytes) -> list[Transaction]:
         """Pending transactions touching one sidechain, submission order.

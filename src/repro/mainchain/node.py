@@ -1,11 +1,12 @@
 """A mainchain full node: chain + mempool + block template miner.
 
 This is the top-level mainchain API used by examples and by the Latus
-sidechain nodes observing the mainchain.  Mining assembles a candidate
-block from the mempool, *pre-connects* it against a state copy so an
-invalid mempool transaction can be dropped rather than poisoning the block,
-computes the sidechain-transactions commitment, and grinds the proof of
-work.
+sidechain nodes observing the mainchain.  Mining connects the mempool's
+candidates one by one onto a copy of the tip state, with the same
+per-transaction code peers run, dropping each one that raises rather than
+letting it poison the block; it then computes the sidechain-transactions
+commitment, grinds the proof of work and records the block with the state
+it was assembled on, so nothing is connected twice.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from repro.mainchain.validation import compute_sc_txs_commitment
 
 _TEMPLATE_DROPS = observability.registry().counter(
     "repro_mainchain_template_drops_total",
-    "mempool transactions dropped during block-template pre-connection",
-).labels()
+    "mempool transactions dropped from a block template, by error class",
+    labelnames=("reason",),
+)
 
 
 class MainchainNode(NodeLifecycle):
@@ -141,20 +143,20 @@ class MainchainNode(NodeLifecycle):
     # -- mining -----------------------------------------------------------------------
 
     def mine_block(self, miner_addr: bytes, timestamp: int | None = None) -> Block:
-        """Assemble, mine and connect the next block; returns it.
+        """Assemble, mine and record the next block; returns it.
 
-        Mempool transactions that fail stateful validation are silently
-        dropped from the template (and from the mempool).  ``timestamp``
-        overrides the node's internal clock (used by retargeting tests to
-        simulate fast/slow hash rates).
+        Mempool transactions that fail validation are dropped from the
+        template (and from the mempool), counted by error class.
+        ``timestamp`` overrides the node's internal clock (used by
+        retargeting tests to simulate fast/slow hash rates).
         """
         self._require_running()
         parent = self.chain.tip
         height = parent.height + 1
-        selected, fees = self._select_transactions(height)
-        coinbase = make_coinbase(
-            miner_addr, self.params.block_reward + fees, height
-        )
+        state = self.chain.state.copy()
+        state.begin_block(height)
+        selected, fees = self._connect_candidates(state, height)
+        coinbase = make_coinbase(miner_addr, self.params.block_reward + fees, height)
         transactions = (coinbase, *selected)
         self._clock = timestamp if timestamp is not None else self._clock + 1
         header = BlockHeader(
@@ -166,7 +168,8 @@ class MainchainNode(NodeLifecycle):
             target_bits=self.chain.next_target_bits(parent.hash),
         )
         block = Block(header=mine_header(header), transactions=transactions)
-        self.chain.add_block(block)
+        state.finish_block(block, fees)
+        self.chain.add_mined_block(block, state)
         self.mempool.remove_confirmed(transactions)
         return block
 
@@ -174,18 +177,16 @@ class MainchainNode(NodeLifecycle):
         """Mine ``count`` consecutive blocks."""
         return [self.mine_block(miner_addr) for _ in range(count)]
 
-    def _select_transactions(self, height: int) -> tuple[list[Transaction], int]:
-        """Greedy template building with pre-connection against a state copy."""
+    def _connect_candidates(
+        self, state: MainchainState, height: int
+    ) -> tuple[list[Transaction], int]:
+        """Connect mempool candidates onto the open block; (selected, fees)."""
         candidates = self.mempool.take(self.params.max_block_transactions - 1)
-        if not candidates:
-            return [], 0
-        trial = self.chain.state.copy()
-        trial.cctp.advance_to_height(height)
-        trial._mature_payouts(height)
+        verdicts = state.certificate_verdicts(candidates, height, self.verify_pool)
         selected: list[Transaction] = []
         cert_ledgers: set[bytes] = set()
         fees = 0
-        for tx in candidates:
+        for index, tx in enumerate(candidates):
             if isinstance(tx, CertificateTx):
                 # The commitment tree admits one certificate per sidechain
                 # per block; later same-sidechain certificates stay queued
@@ -193,19 +194,14 @@ class MainchainNode(NodeLifecycle):
                 if tx.wcert.ledger_id in cert_ledgers:
                     continue
             try:
-                # _connect_transaction mutates `trial` only on success for the
-                # failure modes we drop here (validation precedes mutation in
-                # the coin path); a partially-applied CCTP failure only skews
-                # the trial state, never the real chain.
-                fees += trial._connect_transaction(
-                    tx, _TemplateBlockView(height, self.chain.tip.hash)
-                )
-                selected.append(tx)
-                if isinstance(tx, CertificateTx):
-                    cert_ledgers.add(tx.wcert.ledger_id)
-            except ZendooError:
+                fees += state.connect_transaction(tx, height, verdicts.get(index))
+            except ZendooError as exc:
                 self.mempool.remove(tx.txid)
-                _TEMPLATE_DROPS.inc()
+                _TEMPLATE_DROPS.labels(reason=type(exc).__name__).inc()
+                continue
+            selected.append(tx)
+            if isinstance(tx, CertificateTx):
+                cert_ledgers.add(tx.wcert.ledger_id)
         return selected, fees
 
     # -- receiving blocks from peers ---------------------------------------------------
@@ -217,11 +213,3 @@ class MainchainNode(NodeLifecycle):
         if accepted:
             self.mempool.remove_confirmed(block.transactions)
         return accepted
-
-
-class _TemplateBlockView:
-    """Just enough of a Block for template pre-connection."""
-
-    def __init__(self, height: int, block_hash: bytes) -> None:
-        self.height = height
-        self.hash = block_hash

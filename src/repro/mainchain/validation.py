@@ -8,8 +8,6 @@ live in :mod:`repro.mainchain.chain`.
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.core.commitment import build_commitment
 from repro.errors import ValidationError
 from repro.mainchain.block import Block, transactions_merkle_root
@@ -25,34 +23,8 @@ from repro.mainchain.transaction import (
 )
 
 
-#: Memo for :func:`compute_sc_txs_commitment`, keyed by a digest of the
-#: transaction tuple.  FIFO-bounded; sized for the mine-then-validate flow
-#: (a node validating its own freshly-mined block hits the entry it just
-#: wrote) plus reorg replays of recent blocks.
-_COMMITMENT_CACHE: dict[bytes, bytes] = {}
-_COMMITMENT_CACHE_MAX: int = 256
-
-
-def _transactions_digest(transactions: tuple[Transaction, ...]) -> bytes:
-    """Order-sensitive digest of the txids; txids commit to the FT/BTR/wcert
-    payloads the commitment is built from."""
-    h = hashlib.blake2b(digest_size=32, person=b"zendoo/sctxs-mm")
-    for tx in transactions:
-        h.update(tx.txid)
-    return h.digest()
-
-
 def compute_sc_txs_commitment(transactions: tuple[Transaction, ...]) -> bytes:
-    """Recompute the header's ``SCTxsCommitment`` from the block body.
-
-    Memoized on a digest of the transaction tuple, so the common
-    mine-then-validate sequence builds the MiMC commitment tree once per
-    block instead of twice.
-    """
-    key = _transactions_digest(transactions)
-    cached = _COMMITMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Recompute the header's ``SCTxsCommitment`` from the block body."""
     fts, btrs, wcerts = [], [], []
     for tx in transactions:
         if isinstance(tx, CoinTransaction):
@@ -61,11 +33,7 @@ def compute_sc_txs_commitment(transactions: tuple[Transaction, ...]) -> bytes:
             btrs.extend(tx.requests)
         elif isinstance(tx, CertificateTx):
             wcerts.append(tx.wcert)
-    root = build_commitment(fts, btrs, wcerts).root
-    if len(_COMMITMENT_CACHE) >= _COMMITMENT_CACHE_MAX:
-        _COMMITMENT_CACHE.pop(next(iter(_COMMITMENT_CACHE)))
-    _COMMITMENT_CACHE[key] = root
-    return root
+    return build_commitment(fts, btrs, wcerts).root
 
 
 def validate_block_structure(block: Block, params: MainchainParams) -> None:

@@ -31,20 +31,16 @@ def scenario():
 
 
 def try_connect(harness, tx) -> Exception | None:
-    """Submit a tx and attempt to include it; returns the rejection, if any."""
+    """Connect a tx into the next block on a copy of the tip state, exactly
+    as the miner and peers do; returns the rejection, if any."""
+    height = harness.mc.height + 1
     state = harness.mc.chain.state.copy()
-    state.cctp.advance_to_height(harness.mc.height + 1)
+    state.begin_block(height)
     try:
-        state._connect_transaction(tx, _View(harness.mc.height + 1, b"\x11" * 32))
+        state.connect_transaction(tx, height)
     except ZendooError as exc:
         return exc
     return None
-
-
-class _View:
-    def __init__(self, height, block_hash):
-        self.height = height
-        self.hash = block_hash
 
 
 class TestCertificateForgery:

@@ -158,11 +158,7 @@ class TestChainParity:
         def attempt(proof_valid):
             with pytest.raises(CertificateRejected) as err:
                 fresh_state().process_certificate(
-                    forged,
-                    height,
-                    fake_block_hash(height),
-                    fake_block_hash,
-                    proof_valid,
+                    forged, height, fake_block_hash, proof_valid
                 )
             return str(err.value)
 

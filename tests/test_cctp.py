@@ -21,6 +21,7 @@ from repro.errors import (
     SidechainAlreadyExists,
     SidechainCeased,
     UnknownSidechain,
+    VerificationFailure,
 )
 from repro.snark import proving
 from repro.snark.circuit import Circuit
@@ -91,9 +92,9 @@ def state() -> CctpState:
 
 
 def submit_cert(cctp, cert, height):
-    return cctp.process_certificate(
-        cert, height, fake_block_hash(height), fake_block_hash
-    )
+    superseded = cctp.process_certificate(cert, height, fake_block_hash)
+    cctp.seal_block(fake_block_hash(height))
+    return superseded
 
 
 class TestRegistration:
@@ -213,6 +214,16 @@ class TestCertificates:
         assert state.balance(LEDGER) == 10
         assert state.adopted_certificate(LEDGER, 0).quality == 1
 
+    def test_record_names_its_block_once_sealed(self, state):
+        state.process_certificate(make_cert(epoch=0), 9, fake_block_hash)
+        record = state.entry(LEDGER).certificates[0]
+        assert record.included_in_block is None
+        assert state.entry(LEDGER).last_cert_block_hash == b"\x00" * 32
+        state.seal_block(fake_block_hash(9))
+        entry = state.entry(LEDGER)
+        assert entry.certificates[0].included_in_block == fake_block_hash(9)
+        assert entry.last_cert_block_hash == fake_block_hash(9)
+
     def test_proofdata_schema_enforced(self):
         cctp = CctpState()
         from repro.core.bootstrap import ProofdataSchema
@@ -289,6 +300,15 @@ class TestBtr:
         cctp.register_sidechain(make_config(btr_vk=None), height=2)
         with pytest.raises(CctpError):
             cctp.process_btr(self._btr(), height=6)
+
+    def test_btr_after_certificate_in_the_same_block_refused(self, state):
+        """Its proof would have to commit to the hash of the block holding
+        the certificate: refused before verification, nullifier untouched."""
+        state.process_certificate(make_cert(epoch=0), 9, fake_block_hash)
+        btr = self._btr()
+        with pytest.raises(VerificationFailure, match="certified earlier in this block"):
+            state.process_btr(btr, height=9)
+        assert btr.nullifier not in state.entry(LEDGER).nullifiers
 
     def test_bad_proof_frees_nullifier(self, state):
         btr = self._btr()

@@ -146,11 +146,8 @@ class TestChainLevelParity:
     across the full block lifecycle: register, certify, cease, reorg."""
 
     def _assert_headers_match_naive_rebuild(self, mc):
-        from repro.mainchain import validation
-
         for block in mc.chain.active_chain():
             clear_leaf_cache()
-            validation._COMMITMENT_CACHE.clear()
             naive = compute_sc_txs_commitment(block.transactions)
             assert naive == block.header.sc_txs_commitment
 

@@ -182,7 +182,7 @@ class TestCctpSnapshotIsolation:
         snapshot = cctp.copy()
 
         cert = make_cert(epoch=0, quality=1, config=config)
-        cctp.process_certificate(cert, 9, fake_block_hash(9), fake_block_hash)
+        cctp.process_certificate(cert, 9, fake_block_hash)
         assert cctp.adopted_certificate(config.ledger_id, 0) is not None
         assert snapshot.adopted_certificate(config.ledger_id, 0) is None
 
@@ -195,7 +195,7 @@ class TestCctpSnapshotIsolation:
         # parent mutates AFTER the copy: the clone must not see it
         cert = make_cert(epoch=0, quality=1, config=config)
         clone_entry_before = clone.sidechains[config.ledger_id]
-        cctp.process_certificate(cert, 9, fake_block_hash(9), fake_block_hash)
+        cctp.process_certificate(cert, 9, fake_block_hash)
         assert clone.sidechains[config.ledger_id] is clone_entry_before
         assert clone.adopted_certificate(config.ledger_id, 0) is None
 
@@ -244,9 +244,8 @@ class TestIndexedCeasing:
         window_start = config.schedule.first_height(1)
         cctp.advance_to_height(window_start)
         cert = make_cert(epoch=0, quality=1, config=config)
-        cctp.process_certificate(
-            cert, window_start, fake_block_hash(window_start), fake_block_hash
-        )
+        cctp.process_certificate(cert, window_start, fake_block_hash)
+        cctp.seal_block(fake_block_hash(window_start))
         # the original epoch-0 deadline slot is now stale: nothing ceases
         assert cctp.advance_to_height(config.schedule.ceasing_height(0)) == []
         assert (

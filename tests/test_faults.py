@@ -668,7 +668,6 @@ class TestWithheldDeltaAttack:
             trial.cctp.process_certificate(
                 forged,
                 harness.mc.height + 1,
-                b"\x00" * 32,
                 lambda h: harness.mc.chain.block_at_height(h).hash,
             )
 

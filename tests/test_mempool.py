@@ -230,3 +230,52 @@ class TestSameSidechainCertificateTemplates:
         assert high.txid not in node.mempool
         adopted = node.state.cctp.adopted_certificate(config.ledger_id, 0)
         assert adopted is not None and adopted.quality == 2
+
+    def test_superseding_certificate_then_btr_on_the_parent_hash(self):
+        """A quality-2 certificate for the epoch whose quality-1 certificate
+        sits in the parent block, then a BTR proved against the parent's hash:
+        the certificate is adopted, the BTR dropped (its proof would have to
+        commit to the hash of the block that carries the certificate), and
+        every mined block is one a peer accepts."""
+        from tests.test_mining_parity import LA, MINER, TIP, btr, certificate, replay
+        from repro.mainchain.transaction import BtrTx
+
+        miner, peer = replay(), replay()
+        parent_hash = miner.chain.tip.hash
+        superseding = certificate(miner.state, LA, 0, 2, bts=(50,))
+        request = BtrTx(requests=(btr(LA, b"\x0a" * 32, parent_hash),))
+        miner.submit_transaction(superseding)
+        miner.submit_transaction(request)
+
+        blocks = [miner.mine_block(MINER.address) for _ in range(3)]  # must not raise
+        for block in blocks:
+            assert peer.receive_block(block)
+        carried = [tx.txid for block in blocks for tx in block.transactions]
+        assert [tx.txid for tx in blocks[0].transactions[1:]] == [superseding.txid]
+        assert request.txid not in carried and request.txid not in miner.mempool
+        assert miner.state.cctp.adopted_certificate(LA, 0).quality == 2
+        record = miner.state.cctp.entry(LA).certificates[0]
+        assert record.included_in_block == blocks[0].hash == miner.chain.block_at_height(TIP + 1).hash
+
+    def test_refused_forward_transfer_leaves_no_deposit_behind(self):
+        """A coin transaction carrying FT(D, 500) then FT(ceased B, 500),
+        followed by a certificate of D withdrawing 1,300 against a balance of
+        1,000: both are dropped — the refused coin transaction credits
+        nothing, so the certificate overdraws the safeguard."""
+        from tests.test_mining_parity import (
+            LB, LD, MINER, certificate, coinbase_outpoint, payment, replay,
+        )
+
+        miner, peer = replay(), replay()
+        coin = payment(coinbase_outpoint(miner.state, 2), fts=((LD, 500), (LB, 500)))
+        overdraw = certificate(miner.state, LD, 0, 1, bts=(1_300,))
+        miner.submit_transaction(coin)
+        miner.submit_transaction(overdraw)
+
+        blocks = [miner.mine_block(MINER.address) for _ in range(2)]  # must not raise
+        for block in blocks:
+            assert peer.receive_block(block)
+            assert len(block.transactions) == 1  # the coinbase alone
+        assert len(miner.mempool) == 0
+        assert miner.state.cctp.balance(LD) == 1_000
+        assert miner.state.cctp.adopted_certificate(LD, 0) is None

@@ -21,12 +21,14 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after ISSUE 23 (19,799 before:
-#: the comb and the fold are paid for by the ``fp_*`` wrappers they orphaned).
-MAX_SRC_LINES = 19_798
+#: ``find src -name '*.py' | xargs wc -l`` after the single-connect miner
+#: (19,798 before: the per-transaction connect and the seal step are paid for
+#: by the template trial and the mine-then-validate commitment memo).
+MAX_SRC_LINES = 19_797
 #: REPRO_OBSERVABILITY and REPRO_FIELD_BACKEND.
 MAX_ENVIRON_READS = 2
-MAX_BROAD_EXCEPTS = 15
+#: 15 before ``cctp.py``'s five were typed (``CctpError`` / ``ZendooError``).
+MAX_BROAD_EXCEPTS = 10
 
 #: Substrate layers and the construction layers they must not know about.
 SUBSTRATE = ("repro.core", "repro.mainchain")

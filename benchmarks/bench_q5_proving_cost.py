@@ -4,13 +4,8 @@ The paper flags SNARK proof generation as the system's dominant cost and
 sketches parallel dispatch as mitigation.  This bench quantifies the cost
 model on the real arithmetization: constraints per transaction type,
 prove-time per circuit family, the per-transaction-recursion versus
-whole-epoch-batch ablation (DESIGN.md §7), and — since PR 6 — the field
-backend axis: the ``field_backend_name`` fixture sweeps epoch proving over
-every available backend (restrict with ``--backend NAME``), asserting
-byte-identical proofs while recording the per-backend wall time.
+whole-epoch-batch ablation (DESIGN.md §7).
 """
-
-import time
 
 import pytest
 
@@ -102,63 +97,6 @@ class TestQ5ProvingCost:
         assert shape[4] == 3 and shape[16] == 5
         benchmark.extra_info["critical_path"] = shape
         print(f"\nQ5 parallel critical path (txs -> sequential proof steps): {shape}")
-
-    def test_bench_epoch_proving_per_backend(self, benchmark, field_backend_name):
-        """The PR 6 headline axis: warm end-to-end epoch proving under each
-        field backend.  The proof must be byte-identical to the reference
-        backend's (recomputed here each run); only the wall time may move."""
-        from repro.crypto import backend as field_backend
-        from repro.crypto import mimc
-
-        state, txs = payment_chain(8)
-        prover = EpochProver("per_transaction")
-
-        with field_backend.use_backend("python-int"):
-            mimc.clear_cache()
-            prover.prove_epoch(state, txs)
-            reference = prover.prove_epoch(state, txs)
-
-        mimc.clear_cache()
-        prover.prove_epoch(state, txs)  # warm the hash and signature memos per backend
-        result = benchmark.pedantic(
-            lambda: prover.prove_epoch(state, txs), iterations=1, rounds=2
-        )
-        assert result.proof.proof.data == reference.proof.proof.data
-        assert result.proof.public_input == reference.proof.public_input
-        benchmark.extra_info["backend"] = field_backend_name
-
-    def test_backend_speedup_summary(self, benchmark):
-        """One-shot comparison table: warm epoch wall time per available
-        backend, plus the ratio to the reference backend (recorded, not
-        gated: backends trade speed only on the bulk Merkle paths)."""
-        from repro.crypto import backend as field_backend
-        from repro.crypto import mimc
-
-        state, txs = payment_chain(8)
-        prover = EpochProver("per_transaction")
-        walls = {}
-
-        def measure():
-            for name, ok in field_backend.available_backends().items():
-                if not ok:
-                    continue
-                with field_backend.use_backend(name):
-                    mimc.clear_cache()
-                    prover.prove_epoch(state, txs)
-                    start = time.perf_counter()
-                    prover.prove_epoch(state, txs)
-                    walls[name] = time.perf_counter() - start
-            return walls
-
-        benchmark.pedantic(measure, iterations=1, rounds=1)
-        speedups = {
-            name: round(walls["python-int"] / wall, 2) for name, wall in walls.items()
-        }
-        benchmark.extra_info["wall_seconds"] = {
-            name: round(wall, 4) for name, wall in walls.items()
-        }
-        benchmark.extra_info["speedup_vs_reference"] = speedups
-        print(f"\nQ5 warm-epoch backend speedups vs python-int: {speedups}")
 
     @pytest.mark.parametrize("in_out", [(1, 1), (2, 2), (4, 4)])
     def test_bench_payment_proving_vs_arity(self, benchmark, in_out):

@@ -5,21 +5,13 @@ design choice worth quantifying: every Merkle level costs ``3 * rounds``
 R1CS constraints, so the hash's security margin prices every MST proof and
 every recursive transition.  This bench sweeps the round count (rebuilding
 the permutation locally — the library constant stays at the secure 110)
-and measures both native cost and in-circuit constraint counts.
-
-Since PR 6 the native side also carries the field-backend axis: batched
-permutation throughput per backend across batch sizes (the
-``mimc_compress_many`` path :meth:`FixedMerkleTree.set_leaves` drives),
-including the NumPy limb-engine crossover above
-:data:`repro.crypto.backend.NUMPY_MIN_BATCH`.  Restrict with
-``--backend NAME``.
+and measures both native cost and in-circuit constraint counts, plus the
+batched ``mimc_compress_many`` path :meth:`FixedMerkleTree.set_leaves`
+drives.
 """
-
-import time
 
 import pytest
 
-from repro.crypto import backend as field_backend
 from repro.crypto import mimc
 from repro.crypto.field import MODULUS
 from repro.crypto.mimc import ROUNDS, _derive_round_constants
@@ -84,35 +76,7 @@ class TestQ8MimcAblation:
         benchmark.extra_info["rounds"] = rounds
         benchmark.extra_info["constraints"] = constraints
 
-    @pytest.mark.parametrize("batch", [16, 128, 2048])
-    def test_bench_batched_permutations_per_backend(
-        self, benchmark, field_backend_name, batch
-    ):
-        """Batched-permutation throughput: backend x batch size.
-
-        Small batches exercise the exec-compiled fused loop; the 2048 batch
-        crosses NUMPY_MIN_BATCH and (when NumPy is importable) exercises the
-        limb-vectorized engine.  Results are asserted against the scalar
-        compiled permutation, so the sweep doubles as a parity check.
-        """
-        xs = [(i * 7919 + 13) % MODULUS for i in range(batch)]
-        ks = [(i * 104729 + 31) % MODULUS for i in range(batch)]
-        active = field_backend.active()
-
-        out = benchmark(lambda: active.mimc_permutations(xs, ks))
-        assert out[:4] == [
-            mimc._permutation_compiled(x, k) for x, k in zip(xs[:4], ks[:4])
-        ]
-        # one manual timing for per-element cost so the number survives
-        # --benchmark-disable runs (benchmark.stats is None there)
-        start = time.perf_counter()
-        active.mimc_permutations(xs, ks)
-        elapsed = time.perf_counter() - start
-        benchmark.extra_info["backend"] = field_backend_name
-        benchmark.extra_info["batch"] = batch
-        benchmark.extra_info["per_element_us"] = round(elapsed / batch * 1e6, 2)
-
-    def test_bench_compress_many_vs_loop(self, benchmark, field_backend_name):
+    def test_bench_compress_many_vs_loop(self, benchmark):
         """``mimc_compress_many`` against the equivalent serial-compress
         loop on a cold cache — the set_leaves interior-node recompute path."""
         pairs = [((i * 31 + 7) % MODULUS, (i * 17 + 3) % MODULUS) for i in range(256)]
@@ -124,7 +88,6 @@ class TestQ8MimcAblation:
         out = benchmark(batched)
         mimc.clear_cache()
         assert out == [mimc.mimc_compress(left, right) for left, right in pairs]
-        benchmark.extra_info["backend"] = field_backend_name
         benchmark.extra_info["pairs"] = len(pairs)
 
     def test_merkle_proof_pricing(self, benchmark):

@@ -10,7 +10,7 @@ sidechains exist.  The gate is relative (machine-adaptive): the large
 registry may cost at most ``MAX_RATIO``x the small one per block.
 
 Correctness rides along: every block header's commitment on the large chain
-is recomputed from an emptied leaf cache (the from-scratch rebuild)
+is recomputed from the block's transactions (the from-scratch rebuild)
 and must match byte-for-byte, and the chain digest over all block hashes is
 recomputed from those naive roots.
 
@@ -26,10 +26,6 @@ import statistics
 import time
 
 from repro.core.bootstrap import SidechainConfig
-from repro.core.commitment import (
-    clear_leaf_cache,
-    leaf_cache_size,
-)
 from repro.core.transfers import derive_ledger_id
 from repro.crypto.keys import KeyPair
 from repro.mainchain.node import MainchainNode
@@ -148,15 +144,14 @@ def _run_chain(n: int) -> dict:
 
 
 def _naive_parity(node: MainchainNode) -> dict:
-    """Recompute every header commitment without the leaf cache and digest
-    the chain both ways.  Covers ALL blocks (registration bursts included),
+    """Recompute every header commitment from the block's transactions and
+    digest the chain both ways.  Covers ALL blocks (registration bursts included),
     not a sample."""
     blocks = node.chain.active_chain()
     mismatches = 0
     incremental_digest = hashlib.sha256()
     naive_digest = hashlib.sha256()
     for block in blocks:
-        clear_leaf_cache()
         naive = compute_sc_txs_commitment(block.transactions)
         if naive != block.header.sc_txs_commitment:
             mismatches += 1
@@ -173,13 +168,11 @@ def _naive_parity(node: MainchainNode) -> dict:
 
 def run_scale_workload() -> dict:
     """The full workload: small vs large registry, plus the parity audit."""
-    clear_leaf_cache()
     _run_chain(8)  # warm global caches (hash and signature memos) for both runs
     small = _run_chain(SMALL_N)
     large = _run_chain(LARGE_N)
     small_chain = small.pop("chain")
     large_chain = large.pop("chain")
-    cache_entries = leaf_cache_size()  # before the parity pass clears it
     parity = _naive_parity(large_chain.node)
     parity_small = _naive_parity(small_chain.node)
     ratio = (
@@ -196,7 +189,6 @@ def run_scale_workload() -> dict:
         "large": large,
         "per_block_ratio": ratio,
         "max_ratio": MAX_RATIO,
-        "leaf_cache_entries": cache_entries,
         "parity_large": parity,
         "parity_small": parity_small,
     }

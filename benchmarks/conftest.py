@@ -10,44 +10,9 @@ from __future__ import annotations
 import pytest
 
 from repro import observability
-from repro.crypto import backend as field_backend
 from repro.crypto.keys import KeyPair
 from repro.observability import export
 from repro.scenarios import ZendooHarness, make_accounts
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        action="store",
-        default=None,
-        choices=list(field_backend.backend_names()),
-        help=(
-            "restrict backend-parameterized benchmarks to one field backend "
-            "(default: sweep every available backend)"
-        ),
-    )
-
-
-@pytest.fixture(
-    params=list(field_backend.backend_names()),
-    ids=lambda name: f"backend={name}",
-)
-def field_backend_name(request) -> str:
-    """The ``--backend`` axis: yields each backend with it activated.
-
-    Without ``--backend`` the fixture sweeps all registered backends,
-    skipping the ones whose optional dependency is missing; with it, only
-    the chosen backend runs (still skip-not-fail when unavailable).
-    """
-    name = request.param
-    chosen = request.config.getoption("--backend")
-    if chosen is not None and name != chosen:
-        pytest.skip(f"--backend={chosen} deselects '{name}'")
-    if not field_backend.is_available(name):
-        pytest.skip(f"field backend '{name}' unavailable")
-    with field_backend.use_backend(name):
-        yield name
 
 
 def mimc_counters() -> dict[str, int]:

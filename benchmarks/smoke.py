@@ -32,15 +32,6 @@ a scheduled partition and one crash/restart — twice) recorded to
 firing, the crashed node recovering, and the two runs producing
 byte-identical fault schedules and identical final (height, digest).
 
-It then runs a field-backend workload (warm epoch proving and bulk Merkle
-inserts under every available ``repro.crypto.backend`` implementation)
-recorded to ``BENCH_pr6.json``, gating on byte-identical proofs, public
-inputs and roots across backends and the batched-dispatch counters actually
-moving under the ``batched`` backend (warm-epoch wall times are recorded,
-not gated; optional backends that fail to import, e.g. ``gmpy2``, are
-recorded as unavailable rather than failing — CI's backend-parity leg
-installs the ``[fast]`` extra so the gmpy2 row is measured there).
-
 Finally it runs the many-sidechains scale-out workload from
 ``bench_scale_sidechains.py`` (blocks touching a constant number of
 sidechains against registries of 100 vs 1000) recorded to
@@ -67,7 +58,7 @@ that must fully converge in one shared submission window with every
 certificate verified through the batched ``ProverPool.map_verify`` path.
 
 Intended as a cheap CI gate for the MiMC/Merkle, prover performance,
-observability, robustness, field-backend, scale-out and durable-storage
+observability, robustness, scale-out and durable-storage
 layers (see docs/PERFORMANCE.md, docs/OBSERVABILITY.md,
 docs/ROBUSTNESS.md and docs/STORAGE.md).
 """
@@ -101,7 +92,6 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_pr1.json"
 DEFAULT_OUT_PR2 = Path(__file__).resolve().parent.parent / "BENCH_pr2.json"
 DEFAULT_OUT_PR3 = Path(__file__).resolve().parent.parent / "BENCH_pr3.json"
 DEFAULT_OUT_PR5 = Path(__file__).resolve().parent.parent / "BENCH_pr5.json"
-DEFAULT_OUT_PR6 = Path(__file__).resolve().parent.parent / "BENCH_pr6.json"
 DEFAULT_OUT_PR7 = Path(__file__).resolve().parent.parent / "BENCH_pr7.json"
 DEFAULT_OUT_PR8 = Path(__file__).resolve().parent.parent / "BENCH_pr8.json"
 DEFAULT_OUT_PR9 = Path(__file__).resolve().parent.parent / "BENCH_pr9.json"
@@ -464,113 +454,6 @@ def run_chaos_workload() -> dict:
     }
 
 
-def run_field_backend_workload() -> dict:
-    """Warm epoch proving and bulk Merkle inserts per field backend (PR 6).
-
-    Every available backend must produce byte-identical proofs, public
-    inputs and tree roots; only the wall time may differ.  The batched
-    backend is additionally required to actually route MiMC permutations
-    through ``batch_permutations`` (counter-verified).  Warm-epoch wall
-    times (best of two) are recorded per backend but not gated.
-    """
-    from repro.crypto import backend as field_backend
-
-    registry = observability.registry()
-
-    def _batch_counters() -> dict:
-        return {
-            "batch_calls": int(
-                registry.counter("repro_field_batch_calls_total").value()
-            ),
-            "batch_elements": int(
-                registry.counter("repro_field_batch_elements_total").value()
-            ),
-        }
-
-    updates = [(i, i + 17) for i in range(MERKLE_LEAVES)]
-    state, txs = _payment_chain(16)
-    entry_backend = field_backend.active().name
-    per_backend = {}
-    proofs = {}
-    roots = {}
-    batched_deltas = None
-
-    for name, ok in field_backend.available_backends().items():
-        if not ok:
-            per_backend[name] = {"available": False}
-            continue
-        with field_backend.use_backend(name):
-            mimc.clear_cache()
-            before = _batch_counters()
-            tree = FixedMerkleTree(MERKLE_DEPTH)
-            tree.set_leaves(updates)
-            roots[name] = tree.root
-            prover = EpochProver()
-            prover.prove_epoch(state.copy(), txs)  # warm the hash and signature memos
-            walls = []
-            for _ in range(2):
-                start = time.perf_counter()
-                result = prover.prove_epoch(state.copy(), txs)
-                walls.append(time.perf_counter() - start)
-            after = _batch_counters()
-            deltas = {key: after[key] - before[key] for key in before}
-            if name == "batched":
-                batched_deltas = deltas
-            proofs[name] = (result.proof.proof.data, result.proof.public_input)
-            per_backend[name] = {
-                "available": True,
-                "merkle_root": hex(tree.root),
-                "warm_epoch_wall_s": min(walls),
-                "counters": deltas,
-            }
-
-    reference_proof = proofs["python-int"]
-    reference_wall = per_backend["python-int"]["warm_epoch_wall_s"]
-    speedups = {
-        name: reference_wall / per_backend[name]["warm_epoch_wall_s"]
-        for name in proofs
-        if per_backend[name]["warm_epoch_wall_s"]
-    }
-    return {
-        "workload": (
-            f"warm 16-tx epoch + {MERKLE_LEAVES}-leaf bulk insert per field "
-            "backend"
-        ),
-        "backends": per_backend,
-        "speedup_vs_reference": {k: round(v, 2) for k, v in speedups.items()},
-        "proofs_identical": all(p == reference_proof for p in proofs.values()),
-        "roots_identical": len(set(roots.values())) == 1,
-        "batched_available": per_backend.get("batched", {}).get("available", False),
-        "batched_dispatch_used": (
-            batched_deltas is not None and batched_deltas["batch_calls"] > 0
-        ),
-        "entry_backend": entry_backend,
-        "exit_backend": field_backend.active().name,
-    }
-
-
-def field_backend_checks(fb: dict) -> dict:
-    """The BENCH_pr6 gate: byte-identical outputs and real batched dispatch."""
-    checks = {
-        "field_backend_proofs_identical": fb["proofs_identical"],
-        "field_backend_roots_identical": fb["roots_identical"],
-        "field_backend_batched_available": fb["batched_available"],
-        "field_backend_batched_dispatch_used": fb["batched_dispatch_used"],
-        "field_backend_selection_restored": fb["exit_backend"] == fb["entry_backend"],
-        # the gmpy2 row must always be *recorded* (measured when the [fast]
-        # extra is installed, marked unavailable otherwise — skip, not fail)
-        "field_backend_gmpy2_recorded": "gmpy2" in fb["backends"],
-    }
-    if fb["backends"].get("gmpy2", {}).get("available"):
-        # when CI installs the [fast] extra the gmpy2 leg must also have
-        # produced byte-identical outputs (folded into proofs_identical) and
-        # a measured warm-epoch wall time
-        checks["field_backend_gmpy2_measured"] = (
-            fb["backends"]["gmpy2"].get("warm_epoch_wall_s", 0) > 0
-        )
-    return checks
-
-
 def chaos_checks(chaos: dict) -> dict:
     """The BENCH_pr5 gate: survive the faults, reproduce them exactly."""
     return {
@@ -878,7 +761,6 @@ def _soak_child(store: str, data_dir: str | None = None) -> dict:
 
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
-    env["REPRO_FIELD_BACKEND"] = "batched"
     env["PYTHONPATH"] = str(repo_root / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -1214,12 +1096,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path for the chaos/fault-injection workload",
     )
     parser.add_argument(
-        "--out-pr6",
-        type=Path,
-        default=DEFAULT_OUT_PR6,
-        help="output JSON path for the field-backend workload",
-    )
-    parser.add_argument(
         "--out-pr7",
         type=Path,
         default=DEFAULT_OUT_PR7,
@@ -1270,7 +1146,6 @@ def main(argv: list[str] | None = None) -> int:
         args.out_pr2,
         args.out_pr3,
         args.out_pr5,
-        args.out_pr6,
         args.out_pr7,
         args.out_pr8,
         args.out_pr9,
@@ -1347,16 +1222,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out_pr5.write_text(json.dumps(pr5_report, indent=2) + "\n")
 
-    fb = run_field_backend_workload()
-    pr6_checks = field_backend_checks(fb)
-    pr6_report = {
-        "suite": "field backend smoke (PR 6)",
-        "workloads": {"field_backends": fb},
-        "checks": pr6_checks,
-        "ok": all(pr6_checks.values()),
-    }
-    args.out_pr6.write_text(json.dumps(pr6_report, indent=2) + "\n")
-
     for name, result in report["workloads"].items():
         print(
             f"{name}: sequential {result['sequential']['wall_s']:.3f}s "
@@ -1398,27 +1263,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     for name, passed in pr5_checks.items():
         print(f"  check {name}: {'ok' if passed else 'FAIL'}")
-    available = {
-        name: info
-        for name, info in fb["backends"].items()
-        if info.get("available")
-    }
-    walls = ", ".join(
-        f"{name} {info['warm_epoch_wall_s'] * 1e3:.1f}ms"
-        for name, info in available.items()
-    )
-    print(
-        f"field_backends: warm 16-tx epoch — {walls}; speedups vs reference "
-        f"{fb['speedup_vs_reference']}"
-    )
-    for name, passed in pr6_checks.items():
-        print(f"  check {name}: {'ok' if passed else 'FAIL'}")
     pr7_report = _run_scale_suite(args.out_pr7)
     pr8_report = _run_durability_suite(args.out_pr8)
     pr10_report = _run_adversarial_suite(args.out_pr10)
     print(
         f"wrote {args.out}, {args.out_pr2}, {args.out_pr3}, {args.out_pr5}, "
-        f"{args.out_pr6}, {args.out_pr7}, {args.out_pr8} and {args.out_pr10}"
+        f"{args.out_pr7}, {args.out_pr8} and {args.out_pr10}"
     )
     return 0 if all(
         r["ok"]
@@ -1427,7 +1277,6 @@ def main(argv: list[str] | None = None) -> int:
             pr2_report,
             pr3_report,
             pr5_report,
-            pr6_report,
             pr7_report,
             pr8_report,
             pr10_report,

@@ -12,13 +12,9 @@ to stdout::
 *process-lifetime* high-water mark, which is exactly why this lives in a
 child process: the parent (``benchmarks.smoke --soak-only``) runs the
 dict-backed and page-backed soaks in separate interpreters so one store's
-peak cannot mask the other's.  ``--store baseline`` imports everything,
-touches the numpy backend, and exits — it measures the interpreter +
-toolchain floor the RSS budget is expressed against.
-
-Run with ``REPRO_FIELD_BACKEND=batched`` (the parent sets it): a million
-leaves means ~2M MiMC compressions, which only the vectorized backend
-finishes in benchmark-friendly time.
+peak cannot mask the other's.  ``--store baseline`` imports everything
+and exits — it measures the interpreter + toolchain floor the RSS budget
+is expressed against.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ def run_soak(
     data_dir: str | None,
 ) -> dict:
     """Build the tree under ``store`` and report wall time, peak RSS, root."""
-    from repro.crypto import backend as field_backend
     from repro.crypto.fixed_merkle import FixedMerkleTree
     from repro.storage.pages import (
         DictNodeStore,
@@ -61,16 +56,11 @@ def run_soak(
         PagedNodeStore,
     )
 
-    # touch the vectorized backend before the baseline snapshot so numpy's
-    # buffers are part of the floor for every store kind
-    field_backend.active()
-
     report = {
         "store": store,
         "leaves": leaves,
         "depth": depth,
         "chunk": chunk,
-        "backend": field_backend.active().name,
         "baseline_rss_kb": _peak_rss_kb(),
     }
     if store == "baseline":

@@ -17,7 +17,6 @@ would fall between (§5.5.1's ``proofOfNoData``).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,38 +28,9 @@ from repro.core.transfers import (
 from repro.crypto.hashing import NULL_DIGEST, hash_concat
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import MerkleError
-from repro import observability
 
 _SC_LEAF_DOMAIN = b"zendoo/sc-leaf"
 _TXS_DOMAIN = b"zendoo/sc-txs"
-
-_REGISTRY = observability.registry()
-_LEAF_CACHE_EVENTS = _REGISTRY.counter(
-    "repro_commitment_leaf_cache_total",
-    "per-sidechain commitment-subtree computations, by cache result",
-    labelnames=("result",),
-)
-
-#: Per-sidechain subtree cache: a digest of one sidechain's block content
-#: (ledger id + FT ids + BTR ids + certificate id) maps to the three subtree
-#: hashes of its commitment leaf.  This is what makes repeated commitment
-#: builds incremental: a block's tree only recomputes the sidechains whose
-#: content digest is new, reusing cached ``sc_hash`` leaves for the rest
-#: (every peer revalidating the block, reorg replays and re-mined
-#: templates hit it).  FIFO-bounded.
-_LEAF_CACHE: dict[bytes, tuple[bytes, bytes, bytes]] = {}
-_LEAF_CACHE_MAX: int = 8192
-
-
-def clear_leaf_cache() -> None:
-    """Drop all cached per-sidechain subtree hashes."""
-    _LEAF_CACHE.clear()
-
-
-def leaf_cache_size() -> int:
-    """Number of cached per-sidechain subtree entries."""
-    return len(_LEAF_CACHE)
-
 
 def _ft_root(fts: tuple[ForwardTransfer, ...]) -> bytes:
     return MerkleTree([ft.id for ft in fts]).root
@@ -97,10 +67,8 @@ def composite_root(merkle_root: bytes, leaf_count: int) -> bytes:
 class SidechainCommitment:
     """The per-sidechain subtree of one block's commitment (Fig. 12).
 
-    The subtree hashes are cached on the instance (first access computes),
-    and :func:`build_commitment` additionally seeds them from the module's
-    per-sidechain subtree cache so re-building a commitment over unchanged
-    sidechain content never re-hashes the FT/BTR trees.
+    The subtree hashes are cached on the instance: the first access
+    computes them, and every later one reads the stored value.
     """
 
     ledger_id: bytes
@@ -133,49 +101,10 @@ class SidechainCommitment:
         """``SCXHash``: the top-tree leaf for this sidechain."""
         return _sc_hash(self.ledger_id, self.txs_hash, self.wcert_hash)
 
-    @cached_property
-    def content_key(self) -> bytes:
-        """Injective digest of this sidechain's block content.
-
-        Keys the per-sidechain subtree cache: FT/BTR/certificate ids commit
-        to their full payloads, and the length prefixes keep the encoding
-        unambiguous across the three sections.
-        """
-        h = hashlib.blake2b(digest_size=32, person=b"zendoo/sc-leaf-k")
-        h.update(self.ledger_id)
-        h.update(len(self.forward_transfers).to_bytes(4, "little"))
-        for ft in self.forward_transfers:
-            h.update(ft.id)
-        h.update(len(self.btrs).to_bytes(4, "little"))
-        for btr in self.btrs:
-            h.update(btr.id)
-        h.update(self.wcert.id if self.wcert is not None else NULL_DIGEST)
-        return h.digest()
-
     @property
     def is_empty(self) -> bool:
         """True when the block contains nothing for this sidechain."""
         return not self.forward_transfers and not self.btrs and self.wcert is None
-
-    def _seed_from_cache(self) -> "SidechainCommitment":
-        """Populate subtree hashes from the module cache (or fill it).
-
-        Returns ``self`` for chaining.
-        """
-        key = self.content_key
-        cached = _LEAF_CACHE.get(key)
-        if cached is not None:
-            txs_hash, wcert_hash, sc_hash = cached
-            self.__dict__["txs_hash"] = txs_hash
-            self.__dict__["wcert_hash"] = wcert_hash
-            self.__dict__["sc_hash"] = sc_hash
-            _LEAF_CACHE_EVENTS.labels(result="hit").inc()
-            return self
-        _LEAF_CACHE_EVENTS.labels(result="miss").inc()
-        if len(_LEAF_CACHE) >= _LEAF_CACHE_MAX:
-            _LEAF_CACHE.pop(next(iter(_LEAF_CACHE)))
-        _LEAF_CACHE[key] = (self.txs_hash, self.wcert_hash, self.sc_hash)
-        return self
 
 
 @dataclass(frozen=True)
@@ -378,7 +307,7 @@ def build_commitment(
             forward_transfers=tuple(entry["ft"]),
             btrs=tuple(entry["btr"]),
             wcert=entry["wcert"][0] if entry["wcert"] else None,
-        )._seed_from_cache()
+        )
         for ledger_id, entry in by_ledger.items()
     ]
     return SidechainTxCommitmentTree(commitments)

@@ -2,9 +2,8 @@
 
 Public surface:
 
-* :mod:`repro.crypto.field` — the SNARK field (2**255 - 19).
-* :mod:`repro.crypto.backend` — pluggable field-arithmetic backends
-  (``python-int`` / ``gmpy2`` / ``batched``; see docs/PERFORMANCE.md §6).
+* :mod:`repro.crypto.field` — the SNARK field (2**255 - 19), plain CPython
+  integers on every path.
 * :mod:`repro.crypto.mimc` — circuit-friendly MiMC permutation/hash.
 * :mod:`repro.crypto.hashing` — byte-level blake2b helpers.
 * :mod:`repro.crypto.merkle` — variable-size Merkle hash trees (Def. 2.2).
@@ -12,12 +11,6 @@ Public surface:
 * :mod:`repro.crypto.signatures` / :mod:`repro.crypto.keys` — Schnorr keys.
 """
 
-from repro.crypto.backend import (
-    available_backends,
-    active as active_backend,
-    set_backend,
-    use_backend,
-)
 from repro.crypto.field import Fp, MODULUS
 from repro.crypto.fixed_merkle import EMPTY_LEAF, FieldMerkleProof, FixedMerkleTree, empty_root
 from repro.crypto.hashing import NULL_DIGEST, hash_bytes, hash_concat, hash_pair
@@ -46,9 +39,7 @@ __all__ = [
     "PrivateKey",
     "PublicKey",
     "Signature",
-    "active_backend",
     "address_of",
-    "available_backends",
     "clear_mimc_cache",
     "empty_root",
     "hash_bytes",
@@ -61,6 +52,4 @@ __all__ = [
     "mimc_hash",
     "mimc_hash_bytes",
     "mimc_permutation",
-    "set_backend",
-    "use_backend",
 ]

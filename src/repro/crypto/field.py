@@ -9,9 +9,8 @@ over F (exponent 3 would *not* be, since ``3 | p - 1``).
 Field elements are exposed both as a thin immutable wrapper (:class:`Fp`)
 convenient for algorithm code, and as plain-int helper functions used in hot
 paths (the MiMC permutation, R1CS evaluation).  The module-level functions
-(:func:`add` … :func:`pow5`) are the *reference* implementation, plain
-CPython big-int arithmetic, which every backend of :mod:`repro.crypto.backend`
-must reproduce exactly (``tests/test_field_backends.py``).
+(:func:`add` … :func:`pow5`) are plain CPython big-int arithmetic, the only
+implementation of the field: there is no alternative backend to select.
 """
 
 from __future__ import annotations

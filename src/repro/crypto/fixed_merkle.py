@@ -236,10 +236,8 @@ class FixedMerkleTree:
             prefetch(below, [i << 1 for i in parents])
             prefetch(level, parents)
             # One batched compression per level: the whole frontier of dirty
-            # parents goes to mimc_compress_many, which dedupes cache misses
-            # and hands them to the active field backend as a single array
-            # program (repro.crypto.backend).  Sorted order keeps the batch
-            # deterministic across runs and backends.
+            # parents goes to mimc_compress_many, which dedupes cache
+            # misses.  Sorted order keeps the batch deterministic.
             nodes = mimc_compress_many(
                 [(node(below, i << 1), node(below, (i << 1) | 1)) for i in parents]
             )

@@ -72,8 +72,7 @@ ROUND_CONSTANTS: tuple[int, ...] = _derive_round_constants()
 
 
 def _round_lines(constants: Sequence[int], modulus: int, indent: str) -> list[str]:
-    """Source of the unrolled rounds over ``r`` and ``k``, shared with the
-    ``batched`` backend's fused loop.
+    """Source of the unrolled rounds over ``r`` and ``k``.
 
     No product is followed by a division: ``2**255 ≡ 19 (mod p)``, so ``x``
     and ``(x & (2**255 - 1)) + 19 * (x >> 255)`` are congruent.  One fold
@@ -152,6 +151,14 @@ _CACHE_MISSES = _REGISTRY.counter(
     "repro_mimc_cache_misses_total",
     "compress-cache misses",
 ).labels()
+_BATCH_CALLS = _REGISTRY.counter(
+    "repro_field_batch_calls_total",
+    "mimc_compress_many calls that permuted at least one pair",
+).labels()
+_BATCH_ELEMENTS = _REGISTRY.counter(
+    "repro_field_batch_elements_total",
+    "pairs permuted by mimc_compress_many",
+).labels()
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +229,12 @@ def mimc_compress_many(pairs: Sequence[tuple[int, int]]) -> list[int]:
 
     Semantically ``[mimc_compress(l, r) for l, r in pairs]`` — same memo
     cache, same counters, byte-identical outputs — but the pairs that miss
-    the cache are deduplicated and dispatched as *one* batch to the active
-    field backend (:mod:`repro.crypto.backend`), which may evaluate them as
-    a fused array program instead of one permutation call per pair.  This is
-    the entry point :meth:`FixedMerkleTree.set_leaves` uses to recompute a
-    whole tree level at once.
+    the cache are deduplicated first, so a pair repeated within one batch
+    costs one permutation.  The ``repro_field_batch_*`` counters record how
+    many batches permuted anything and how many pairs they permuted.  This
+    is the entry point :meth:`FixedMerkleTree.set_leaves` uses to recompute
+    a whole tree level at once.
     """
-    from repro.crypto import backend  # function-level: backend imports us
-
     n = len(pairs)
     if n == 0:
         return []
@@ -262,12 +267,12 @@ def mimc_compress_many(pairs: Sequence[tuple[int, int]]) -> list[int]:
         positions.append(slot)
     if miss_keys:
         _PERMUTATIONS.inc(len(miss_keys))
-        permuted = backend.batch_permutations(
-            [k[0] for k in miss_keys], [k[1] for k in miss_keys]
-        )
+        _BATCH_CALLS.inc()
+        _BATCH_ELEMENTS.inc(len(miss_keys))
+        permutation = _permutation_compiled
         digests = [
-            (p + left + right) % MODULUS
-            for p, (left, right) in zip(permuted, miss_keys)
+            (permutation(left, right) + left + right) % MODULUS
+            for left, right in miss_keys
         ]
         for key, digest in zip(miss_keys, digests):
             if len(cache) >= CACHE_MAX_ENTRIES:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro import observability
-from repro.crypto import backend as field_backend
 from repro.errors import SnarkError, UnsatisfiedConstraint
 from repro.snark import proving
 from repro.snark.proving import ProveResult, ProvingKey
@@ -102,17 +101,8 @@ _WORKER_PKS: dict[str, ProvingKey] = {}
 
 
 def _init_worker(pk_blob: bytes) -> None:
-    """Executor initializer: unpickle the keys and select the backend once.
-
-    The blob carries the parent's registered proving keys and the name of
-    its active field backend, so workers prove under the same backend —
-    with the usual graceful fallback if the backend's optional dependency
-    is missing in the worker (it never is: workers are forks of the parent,
-    but the selection is name-based and must not hard-fail regardless).
-    """
-    pks, backend_name = pickle.loads(pk_blob)
-    _WORKER_PKS.update(pks)
-    field_backend.set_backend(backend_name, strict=False)
+    """Executor initializer: unpickle the parent's registered proving keys."""
+    _WORKER_PKS.update(pickle.loads(pk_blob))
 
 
 def _worker_pk(circuit_id: str, inline_pk: ProvingKey | None) -> ProvingKey:
@@ -273,10 +263,7 @@ class ProverPool:
         if self._executor is None:
             try:
                 started = time.perf_counter()
-                blob = pickle.dumps(
-                    (self._pks, field_backend.active().name),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                blob = pickle.dumps(self._pks, protocol=pickle.HIGHEST_PROTOCOL)
                 self.stats.serialization_seconds += time.perf_counter() - started
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,

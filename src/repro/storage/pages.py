@@ -42,7 +42,7 @@ from typing import Iterable, Iterator
 from repro import observability
 from repro.core.cow import CowDict
 from repro.encoding import Decoder, Encoder
-from repro.errors import StorageError
+from repro.errors import DecodeError, StorageError
 
 #: Magic first bytes of a page segment file.
 PAGE_SEGMENT_MAGIC = b"ZENPAGE1"
@@ -303,7 +303,7 @@ class FilePageBacking:
                 level = dec.u8()
                 page_no = dec.u64()
                 payload = dec.var_bytes()
-            except Exception:
+            except DecodeError:
                 return
             yield level, page_no, len(payload)
             pos += 1 + 8 + 4 + len(payload)

@@ -112,23 +112,14 @@ class TestWorkflowStructure:
         assert uploads[0]["if"] == "always()"
         assert uploads[0]["with"]["if-no-files-found"] == "error"
 
-    def test_backend_parity_matrix(self, workflow):
-        """The PR 6 leg: one job per field backend, never fail-fast, with
-        the optional accelerator installs marked best-effort so missing
-        wheels degrade to skips instead of red CI."""
-        job = workflow["jobs"]["backend-parity"]
-        matrix = job["strategy"]["matrix"]["backend"]
-        assert {"python-int", "batched", "gmpy2"} <= set(matrix)
-        assert job["strategy"]["fail-fast"] is False
-        assert job["env"]["REPRO_FIELD_BACKEND"] == "${{ matrix.backend }}"
-        commands = job_commands(job)
-        assert any("tests/test_field_backends.py" in cmd for cmd in commands)
-        assert "python -m benchmarks.smoke" in commands
-        optional = [
-            step for step in job["steps"]
-            if "gmpy2" in step.get("run", "")
-        ]
-        assert optional and optional[0].get("continue-on-error") is True
+    def test_no_job_selects_a_field_backend(self, workflow):
+        """The field has one implementation: no job picks another one or
+        installs the accelerator wheels the deleted backends used."""
+        for name, job in workflow["jobs"].items():
+            assert not [key for key in job.get("env", {}) if "FIELD" in key], name
+            for command in job_commands(job):
+                assert "gmpy2" not in command and "numpy" not in command, name
+        assert "backend-parity" not in workflow["jobs"]
 
     def test_full_suite_gated_to_schedule_and_dispatch(self, workflow):
         job = workflow["jobs"]["full-suite"]

@@ -3,20 +3,17 @@
 Satellite coverage for the many-sidechains scale-out: presence/absence
 proofs on a large, non-power-of-two tree (N=1000 leaves, including absence
 between adjacent leaves and at both edges), and byte-identical parity of
-the incremental (leaf-cached) commitment path against the naive
-full-rebuild reference — including across register/cease/reorg at the
-chain level.
+``build_commitment`` against the Fig. 12 formulas written out by hand —
+including across register/cease/reorg at the chain level.
 """
 
 import pytest
 
 from repro.core import commitment as commitment_mod
-from repro.core.commitment import (
-    build_commitment,
-    clear_leaf_cache,
-    leaf_cache_size,
-)
+from repro.core.commitment import build_commitment
 from repro.core.transfers import ForwardTransfer, derive_ledger_id
+from repro.crypto.hashing import NULL_DIGEST, hash_concat
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.keys import KeyPair
 from repro.mainchain.validation import compute_sc_txs_commitment
 from repro.scenarios import ZendooHarness
@@ -103,22 +100,33 @@ class TestLargeTreeProofs:
         assert not transplanted.verify(root)
 
 
-class TestIncrementalParity:
-    def setup_method(self):
-        clear_leaf_cache()
+def _naive_root(fts: list[ForwardTransfer]) -> bytes:
+    """Fig. 12 for a block of one FT per sidechain and nothing else."""
+    empty = MerkleTree([]).root
+    leaves = [
+        hash_concat(
+            [
+                hash_concat([MerkleTree([ft.id]).root, empty], b"zendoo/sc-txs"),
+                NULL_DIGEST,
+                ft.ledger_id,
+            ],
+            b"zendoo/sc-leaf",
+        )
+        for ft in sorted(fts, key=lambda ft: ft.ledger_id)
+    ]
+    return hash_concat(
+        [MerkleTree(leaves).root, len(leaves).to_bytes(4, "little")],
+        b"zendoo/sc-commit",
+    )
 
+
+class TestIncrementalParity:
     def test_roots_identical_cold_warm_and_disabled(self):
+        """A rebuild over the same block content equals the naive root."""
         fts = [_ft(derive_ledger_id(f"parity-{i}")) for i in range(257)]
-        cold = build_commitment(fts, [], []).root
-        assert leaf_cache_size() == 257
-        warm = build_commitment(fts, [], []).root  # every leaf cache-hits
-        misses = commitment_mod._LEAF_CACHE_EVENTS.labels(result="miss")
-        before = misses.value
-        clear_leaf_cache()
-        naive = build_commitment(fts, [], []).root  # from-scratch oracle
-        assert misses.value - before == 257
-        assert leaf_cache_size() == 257
-        assert cold == warm == naive
+        first = build_commitment(fts, [], []).root
+        rebuilt = build_commitment(fts, [], []).root
+        assert first == rebuilt == _naive_root(fts)
 
     def test_touched_sidechain_changes_root_and_stays_in_parity(self):
         fts = [_ft(derive_ledger_id(f"touch-{i}")) for i in range(64)]
@@ -126,13 +134,11 @@ class TestIncrementalParity:
         fts[3] = _ft(fts[3].ledger_id, amount=999)
         changed = build_commitment(fts, [], []).root
         assert changed != base
-        clear_leaf_cache()
-        assert build_commitment(fts, [], []).root == changed
+        assert changed == _naive_root(fts)
 
     def test_proofs_from_cached_build_verify(self):
         fts = [_ft(derive_ledger_id(f"proof-{i}")) for i in range(33)]
-        build_commitment(fts, [], [])  # warm the cache
-        tree = build_commitment(fts, [], [])  # built from cached leaves
+        tree = build_commitment(fts, [], [])
         root = tree.root
         assert tree.prove_presence(fts[5].ledger_id).verify(root)
         absent = (
@@ -142,12 +148,12 @@ class TestIncrementalParity:
 
 
 class TestChainLevelParity:
-    """Incremental commitments must be byte-identical to the naive rebuild
-    across the full block lifecycle: register, certify, cease, reorg."""
+    """Header commitments must equal a rebuild from the block's
+    transactions across the full block lifecycle: register, certify, cease,
+    reorg."""
 
     def _assert_headers_match_naive_rebuild(self, mc):
         for block in mc.chain.active_chain():
-            clear_leaf_cache()
             naive = compute_sc_txs_commitment(block.transactions)
             assert naive == block.header.sc_txs_commitment
 

@@ -21,14 +21,13 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the single-connect miner
-#: (19,798 before: the per-transaction connect and the seal step are paid for
-#: by the template trial and the mine-then-validate commitment memo).
-MAX_SRC_LINES = 19_797
-#: REPRO_OBSERVABILITY and REPRO_FIELD_BACKEND.
-MAX_ENVIRON_READS = 2
-#: 15 before ``cctp.py``'s five were typed (``CctpError`` / ``ZendooError``).
-MAX_BROAD_EXCEPTS = 10
+#: ``find src -name '*.py' | xargs wc -l`` after the field-backend selection
+#: and the commitment leaf cache were deleted (19,797 before).
+MAX_SRC_LINES = 19_243
+#: REPRO_OBSERVABILITY only.
+MAX_ENVIRON_READS = 1
+#: 10 before ``FilePageBacking.scan`` caught ``DecodeError`` instead.
+MAX_BROAD_EXCEPTS = 9
 
 #: Substrate layers and the construction layers they must not know about.
 SUBSTRATE = ("repro.core", "repro.mainchain")
@@ -128,5 +127,13 @@ class TestInventoryRatchet:
         ]
         assert not mentions, mentions
 
-    def test_superseded_modules_stay_deleted(self):
+    def test_superseded_modules_stay_deleted(self, trees):
         assert not [p for p in FILES if p.stem == "proof_market"]
+        # the field has one implementation, plain CPython integers
+        accelerators = [
+            f"{path.relative_to(SRC)}:{lineno} imports {target}"
+            for path, tree in trees.items()
+            for lineno, target in imported_modules(path, tree)
+            if target.split(".")[0] in ("numpy", "gmpy2")
+        ]
+        assert not accelerators, accelerators

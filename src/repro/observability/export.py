@@ -2,9 +2,8 @@
 
 All three render the same registry walk, and :func:`flatten` /
 :func:`parse_prometheus` produce the identical ``name{labels}`` -> value
-mapping from either side, which is what lets the test-suite (and the smoke
-gate) assert the exporters agree on every series instead of eyeballing two
-formats.
+mapping from either side, which is what lets the test-suite assert the
+exporters agree on every series instead of eyeballing two formats.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
 def parse_prometheus(text: str) -> dict[str, float]:
     """Parse exposition text back into the :func:`flatten` sample map.
 
-    Used by tests and the smoke gate to verify exporter round-trips; only
+    Used by the tests to verify exporter round-trips; only
     the subset of the format :func:`to_prometheus` emits is supported.
     """
     samples: dict[str, float] = {}

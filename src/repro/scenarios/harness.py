@@ -11,8 +11,7 @@ a :class:`~repro.network.simulator.NetworkSimulator` (deterministic,
 seed-driven), so a single harness run also exercises — and therefore
 measures — the network layer; :meth:`ZendooHarness.telemetry` returns the
 unified observability snapshot (registry metrics, tracer spans, per-chain
-summaries) that the CLI ``metrics`` command and ``benchmarks/smoke.py``
-consume.
+summaries) that the CLI ``metrics`` command prints.
 """
 
 from __future__ import annotations

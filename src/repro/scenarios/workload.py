@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from repro.core.bootstrap import SidechainConfig
-from repro.core.transfers import WithdrawalCertificate, derive_ledger_id
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
 from repro.scenarios.harness import SidechainHandle, ZendooHarness
-from repro.snark import proving
-from repro.snark.circuit import Circuit
 
 
 @dataclass(frozen=True)
@@ -79,192 +74,3 @@ class PaymentWorkload:
             wallet.pay(receiver.keypair.address, amount)
             submitted += 1
         return submitted
-
-
-class _FloodCircuit(Circuit):
-    """Shared trivially-satisfiable circuit behind every flood certificate."""
-
-    circuit_id = "workload/wcert-flood"
-
-    def synthesize(self, b, public, witness):
-        b.alloc_publics(public)
-
-
-@functools.lru_cache(maxsize=1)
-def _flood_keys():
-    return proving.setup(_FloodCircuit())
-
-
-class CertificateFloodWorkload:
-    """The per-epoch WCert flood: N sidechains, one submission window.
-
-    The ROADMAP item-2 leftover as a synthetic-certificate factory: register
-    ``count`` sidechains on one mainchain, all sharing the *same* epoch
-    schedule, run epoch 0 out, then have every sidechain submit a real
-    (SNARK-proved, distinct-quality) withdrawal certificate inside the one
-    shared submission window.  Mining through the window pushes every
-    block's certificates through the PR 7 batched verification path
-    (``Blockchain.connect_block`` → ``ProverPool.map_verify``), so the
-    pool's ``stats.verifications`` must end ≥ ``count``.
-
-    Deterministic end to end: fixed seeds, fixed schedule, quality ``i + 1``
-    for sidechain ``i``.
-    """
-
-    def __init__(
-        self,
-        count: int = 1000,
-        epoch_len: int = 10,
-        submit_len: int = 8,
-        verify_pool=None,
-        decls_per_block: int = 200,
-        certs_per_block: int = 150,
-        seed: str = "wcert-flood",
-    ) -> None:
-        from repro.mainchain.node import MainchainNode
-        from repro.mainchain.params import MainchainParams
-
-        if count > submit_len * certs_per_block:
-            raise ValueError(
-                f"{count} certificates cannot fit a {submit_len}-block window "
-                f"at {certs_per_block} per block"
-            )
-        self.count = count
-        self.epoch_len = epoch_len
-        self.submit_len = submit_len
-        self.seed = seed
-        self.decls_per_block = decls_per_block
-        self.certs_per_block = certs_per_block
-        self.verify_pool = verify_pool
-        capacity = max(decls_per_block, certs_per_block) + 2
-        self.node = MainchainNode(
-            MainchainParams(
-                pow_zero_bits=0,
-                coinbase_maturity=1,
-                max_block_transactions=capacity,
-            ),
-            verify_pool=verify_pool,
-        )
-        self.miner = KeyPair.from_seed(f"{seed}/miner")
-        self.ledger_ids: list[bytes] = []
-        self.start_block: int | None = None
-
-    # -- phases -------------------------------------------------------------------
-
-    def register(self) -> list[bytes]:
-        """Declare every sidechain, all on one shared epoch schedule."""
-        from repro.mainchain.transaction import SidechainDeclarationTx
-
-        _, vk = _flood_keys()
-        decl_blocks = -(-self.count // self.decls_per_block)
-        # one start_block for the whole fleet, past the last declaration
-        # block, so every submission window opens at the same height
-        self.start_block = self.node.height + decl_blocks + 2
-        declared = 0
-        while declared < self.count:
-            batch = min(self.decls_per_block, self.count - declared)
-            for i in range(declared, declared + batch):
-                config = SidechainConfig(
-                    ledger_id=derive_ledger_id(f"{self.seed}/{i}"),
-                    start_block=self.start_block,
-                    epoch_len=self.epoch_len,
-                    submit_len=self.submit_len,
-                    wcert_vk=vk,
-                )
-                self.node.submit_transaction(SidechainDeclarationTx(config=config))
-                self.ledger_ids.append(config.ledger_id)
-            self.node.mine_block(self.miner.address)
-            declared += batch
-        return self.ledger_ids
-
-    @property
-    def schedule(self):
-        """The shared :class:`~repro.core.epochs.EpochSchedule`."""
-        from repro.core.epochs import EpochSchedule
-
-        if self.start_block is None:
-            raise RuntimeError("call register() first")
-        return EpochSchedule(self.start_block, self.epoch_len, self.submit_len)
-
-    def run_epoch(self) -> None:
-        """Mine to the last block of withdrawal epoch 0."""
-        target = self.schedule.last_height(0)
-        while self.node.height < target:
-            self.node.mine_block(self.miner.address)
-
-    def build_certificates(self) -> list[WithdrawalCertificate]:
-        """One proved epoch-0 certificate per sidechain, distinct qualities."""
-        pk, vk = _flood_keys()
-        h_prev = b"\x00" * 32  # epoch 0 has no previous epoch-last block
-        h_last = self.node.state.block_hash_at(self.schedule.last_height(0))
-        placeholder = proving.Proof(b"\x00" * proving.PROOF_SIZE)
-        certificates = []
-        for i, ledger_id in enumerate(self.ledger_ids):
-            wcert = WithdrawalCertificate(
-                ledger_id=ledger_id,
-                epoch_id=0,
-                quality=i + 1,
-                bt_list=(),
-                proofdata=(),
-                proof=placeholder,
-            )
-            public_input = wcert.public_input(h_prev, h_last)
-            proof = proving.prove(pk, public_input, witness=())
-            certificates.append(
-                WithdrawalCertificate(
-                    ledger_id=ledger_id,
-                    epoch_id=0,
-                    quality=i + 1,
-                    bt_list=(),
-                    proofdata=(),
-                    proof=proof,
-                )
-            )
-        return certificates
-
-    def flood(self, certificates: list[WithdrawalCertificate]) -> int:
-        """Submit every certificate and mine through the submission window.
-
-        Returns the number of blocks mined inside the window.
-        """
-        from repro.mainchain.transaction import CertificateTx
-
-        for wcert in certificates:
-            self.node.submit_transaction(CertificateTx(wcert=wcert))
-        window = self.schedule.submission_window(0)
-        blocks = 0
-        while self.node.height < window[-1]:
-            self.node.mine_block(self.miner.address)
-            blocks += 1
-        return blocks
-
-    # -- verdicts -----------------------------------------------------------------
-
-    def adoption_report(self) -> dict:
-        """Per-fleet convergence: who got an epoch-0 certificate adopted, where."""
-        window = self.schedule.submission_window(0)
-        adopted = 0
-        in_window = 0
-        heights: list[int] = []
-        for ledger_id in self.ledger_ids:
-            record = self.node.state.cctp.entry(ledger_id).certificates.get(0)
-            if record is None:
-                continue
-            adopted += 1
-            heights.append(record.included_at_height)
-            if record.included_at_height in window:
-                in_window += 1
-        stats = self.verify_pool.stats if self.verify_pool is not None else None
-        return {
-            "sidechains": self.count,
-            "adopted": adopted,
-            "adopted_in_window": in_window,
-            "window": [window[0], window[-1]],
-            "first_adoption_height": min(heights) if heights else None,
-            "last_adoption_height": max(heights) if heights else None,
-            "pool_verifications": stats.verifications if stats else 0,
-        }
-
-    def close(self) -> None:
-        if self.verify_pool is not None:
-            self.verify_pool.close()

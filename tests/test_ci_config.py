@@ -3,21 +3,24 @@
 actionlint is not part of the toolchain here, so these tests do the next
 best thing: parse ``.github/workflows/ci.yml`` with PyYAML and assert the
 structural contract the repo relies on — the three gating jobs exist, run
-the documented commands, and the nightly full-suite job stays off the
-push/PR critical path.  The commands themselves are exercised for real by
-the suite (everything ``tests`` runs is this suite; ``bench-smoke`` is
-covered by ``benchmarks/smoke.py``'s own gates).
+the documented commands, and the nightly jobs stay off the push/PR critical
+path.  The commands themselves are exercised for real elsewhere (everything
+``tests`` runs is this suite; ``pipeline-quick`` and the soak fail on their
+own output checks).  There is one benchmark generation: the pipeline, whose
+record is the only artifact a job uploads.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 
 import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = pathlib.Path(__file__).resolve().parent.parent / ".github/workflows/ci.yml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github/workflows/ci.yml"
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,14 @@ def job_commands(job) -> list[str]:
     return [step["run"] for step in job["steps"] if "run" in step]
 
 
+def uploads(job) -> list[dict]:
+    return [step for step in job["steps"] if "upload-artifact" in step.get("uses", "")]
+
+
+def nightly(job) -> bool:
+    return "schedule" in job["if"] and "workflow_dispatch" in job["if"]
+
+
 class TestWorkflowStructure:
     def test_parses_and_names(self, workflow):
         assert workflow["name"] == "ci"
@@ -38,7 +49,9 @@ class TestWorkflowStructure:
         assert "schedule" in triggers and "workflow_dispatch" in triggers
 
     def test_the_three_gating_jobs_exist(self, workflow):
-        assert {"lint", "tests", "bench-smoke"} <= set(workflow["jobs"])
+        gating = ("lint", "tests", "pipeline-quick")
+        assert set(gating) <= set(workflow["jobs"])
+        assert not [name for name in gating if "if" in workflow["jobs"][name]]
 
     def test_pythonpath_matches_local_invocation(self, workflow):
         assert workflow["env"]["PYTHONPATH"] == "src"
@@ -60,57 +73,33 @@ class TestWorkflowStructure:
         job = workflow["jobs"]["pipeline-quick"]
         assert "if" not in job, "the quick pipeline run must gate PRs"
         assert "python -m benchmarks.pipeline --quick" in job_commands(job)
-        assert not any("upload-artifact" in s.get("uses", "") for s in job["steps"])
+        assert not uploads(job)
 
-    def test_bench_smoke_uploads_reports(self, workflow):
-        job = workflow["jobs"]["bench-smoke"]
-        assert "python -m benchmarks.smoke" in job_commands(job)
-        uploads = [
-            step for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        ]
-        assert uploads and uploads[0]["with"]["path"] == "BENCH_pr*.json"
+    def test_pipeline_nightly_uploads_the_record(self, workflow):
+        """The full-size traced pipeline runs nightly and keeps its record."""
+        job = workflow["jobs"]["pipeline-nightly"]
+        assert nightly(job)
+        assert "python -m benchmarks.pipeline --traced" in job_commands(job)
+        (upload,) = uploads(job)
+        assert upload["with"]["path"] == "benchmarks/pipeline/out/pipeline-*.json"
 
-    def test_bench_scale_leg_uploads_pr7_report(self, workflow):
-        """The PR 7 leg: the scale-out gate runs in isolation via
-        ``--scale-only`` and always uploads BENCH_pr7.json."""
-        job = workflow["jobs"]["bench-scale"]
-        assert "python -m benchmarks.smoke --scale-only" in job_commands(job)
-        uploads = [
-            step for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        ]
-        assert uploads and uploads[0]["with"]["path"] == "BENCH_pr7.json"
-        assert uploads[0]["if"] == "always()"
-        assert uploads[0]["with"]["if-no-files-found"] == "error"
-
-    def test_bench_durability_leg_uploads_pr8_report(self, workflow):
-        """The PR 8 leg: the storage-engine gate runs in isolation via
-        ``--durability-only`` and always uploads BENCH_pr8.json."""
-        job = workflow["jobs"]["bench-durability"]
-        assert "python -m benchmarks.smoke --durability-only" in job_commands(job)
-        uploads = [
-            step for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        ]
-        assert uploads and uploads[0]["with"]["path"] == "BENCH_pr8.json"
-        assert uploads[0]["if"] == "always()"
-        assert uploads[0]["with"]["if-no-files-found"] == "error"
-
-    def test_bench_soak_leg_uploads_pr9_report(self, workflow):
-        """The PR 9 leg: the paged-MST soak is nightly/dispatch-only (it
-        builds a million-UTXO tree twice), runs via ``--soak-only`` and
-        always uploads BENCH_pr9.json."""
+    def test_bench_soak_leg_asserts_its_gates_nightly(self, workflow):
+        """The paged-MST soak is nightly/dispatch-only (it builds a
+        million-UTXO tree twice); ``benchmarks.soak_mst`` asserts its gates
+        and exits non-zero, so there is no report to upload."""
         job = workflow["jobs"]["bench-soak"]
-        assert "schedule" in job["if"] and "workflow_dispatch" in job["if"]
-        assert "python -m benchmarks.smoke --soak-only" in job_commands(job)
-        uploads = [
-            step for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        ]
-        assert uploads and uploads[0]["with"]["path"] == "BENCH_pr9.json"
-        assert uploads[0]["if"] == "always()"
-        assert uploads[0]["with"]["if-no-files-found"] == "error"
+        assert nightly(job)
+        assert "python -m benchmarks.soak_mst" in job_commands(job)
+        assert not uploads(job)
+
+    def test_one_benchmark_generation(self, workflow):
+        """No job runs the deleted smoke harness or uploads a per-PR report,
+        and no such report is committed."""
+        for name, job in workflow["jobs"].items():
+            assert not [c for c in job_commands(job) if "benchmarks.smoke" in c], name
+            assert not [u for u in uploads(job) if "BENCH_pr" in u["with"]["path"]], name
+        assert not (ROOT / "benchmarks" / "smoke.py").exists()
+        assert not sorted(ROOT.glob("BENCH_pr*.json"))
 
     def test_no_job_selects_a_field_backend(self, workflow):
         """The field has one implementation: no job picks another one or
@@ -123,32 +112,23 @@ class TestWorkflowStructure:
 
     def test_full_suite_gated_to_schedule_and_dispatch(self, workflow):
         job = workflow["jobs"]["full-suite"]
-        assert "schedule" in job["if"] and "workflow_dispatch" in job["if"]
+        assert nightly(job)
         suite = [cmd for cmd in job_commands(job) if "python -m pytest" in cmd]
         assert suite and "not slow" not in suite[0]
 
-    def test_scenario_adversarial_leg_uploads_pr10_report(self, workflow):
-        """The PR 10 leg: the proof-market red-team suite runs on every
-        push/PR via ``--adversarial-only`` and always uploads
-        BENCH_pr10.json."""
-        job = workflow["jobs"]["scenario-adversarial"]
-        assert "if" not in job, "the quick attack suite must gate PRs"
-        assert "python -m benchmarks.smoke --adversarial-only" in job_commands(job)
-        uploads = [
-            step for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        ]
-        assert uploads and uploads[0]["with"]["path"] == "BENCH_pr10.json"
-        assert uploads[0]["if"] == "always()"
-        assert uploads[0]["with"]["if-no-files-found"] == "error"
-
     def test_scenario_adversarial_full_sweep_is_nightly_gated(self, workflow):
-        """REPRO_ADVERSARIAL_FULL flips to 1 only for schedule/dispatch
-        events — PRs run the quick shape, the nightly the full red-team."""
-        env = workflow["jobs"]["scenario-adversarial"]["env"]
-        gate = env["REPRO_ADVERSARIAL_FULL"]
-        assert "schedule" in gate and "workflow_dispatch" in gate
-        assert "'1'" in gate and "'0'" in gate
+        """PRs run the quick red-team shape inside ``tests``; the full-epoch
+        sweep is slow-marked, so only the nightly/dispatch full suite runs
+        it."""
+        source = (ROOT / "tests" / "test_adversarial_market.py").read_text()
+        (sweep,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == "test_full_sweep_passes"
+        ]
+        assert "pytest.mark.slow" in [ast.unparse(d) for d in sweep.decorator_list]
+        assert "not slow" in " ".join(job_commands(workflow["jobs"]["tests"]))
+        assert nightly(workflow["jobs"]["full-suite"])
 
     def test_concurrency_cancels_superseded_runs(self, workflow):
         """A new push cancels the superseded run of the same ref; nightly
@@ -169,9 +149,7 @@ class TestWorkflowStructure:
         bench produced nothing (a silent empty artifact hides a broken
         gate)."""
         for name, job in workflow["jobs"].items():
-            for step in job["steps"]:
-                if "upload-artifact" not in step.get("uses", ""):
-                    continue
+            for step in uploads(job):
                 assert step["with"]["if-no-files-found"] == "error", (
                     f"upload in job {name!r} tolerates missing files"
                 )
@@ -188,5 +166,5 @@ class TestWorkflowStructure:
     def test_slow_marker_is_registered(self):
         # the tests job's `-m "not slow"` selection silently matches nothing
         # if the marker ever drops out of pyproject
-        pyproject = (WORKFLOW.parent.parent.parent / "pyproject.toml").read_text()
+        pyproject = (ROOT / "pyproject.toml").read_text()
         assert 'slow:' in pyproject

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro import observability
+from repro.crypto import mimc
 from repro.crypto.fixed_merkle import (
     EMPTY_LEAF,
     MAX_DEPTH,
@@ -238,3 +240,26 @@ class TestSetLeaves:
         tree.set_leaves({i * 17 % 256: i + 1 for i in range(40)})
         for position in (0, 17, 34):
             assert tree.prove(position).verify(tree.root)
+
+    def test_batch_hashes_each_dirty_ancestor_at_most_once(self):
+        """A cold bulk insert of 128 contiguous leaves at depth 16 computes
+        no more compressions than there are distinct interior nodes on
+        their paths; one ``set_leaf`` per leaf rehashes every path."""
+        depth, positions = 16, range(128)
+        ancestors, frontier = 0, set(positions)
+        for _ in range(depth):
+            frontier = {p >> 1 for p in frontier}
+            ancestors += len(frontier)
+        compressions = observability.registry().counter("repro_mimc_compressions_total")
+
+        def cold_compressions(build) -> int:
+            mimc.clear_cache()
+            before = compressions.value()
+            build()
+            return compressions.value() - before
+
+        batched, sequential = FixedMerkleTree(depth), FixedMerkleTree(depth)
+        batch = cold_compressions(lambda: batched.set_leaves([(p, p + 1) for p in positions]))
+        single = cold_compressions(lambda: [sequential.set_leaf(p, p + 1) for p in positions])
+        assert batched.root == sequential.root
+        assert 0 < batch <= ancestors < single

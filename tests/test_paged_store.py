@@ -11,8 +11,10 @@ import pytest
 
 from repro import observability
 from repro.crypto.fixed_merkle import FixedMerkleTree
+from repro.crypto.keys import KeyPair
 from repro.latus.mst import MerkleStateTree
 from repro.latus.utxo import Utxo
+from repro.scenarios import ZendooHarness
 from repro.storage.pages import (
     DictNodeStore,
     FilePageBacking,
@@ -136,6 +138,32 @@ class TestParityFuzz:
         for p in positions:
             assert tree.prove(p) == reference.prove(p)
         assert _page_counter("loads") > loads_before
+
+    def test_certified_epochs_identical_across_stores(self):
+        """Two certified harness epochs per store: the chain digest and the
+        epoch certificate bytes the MC adopts do not depend on the store."""
+        stores = [
+            {},
+            {"paged_mst": True, "mst_page_size": 1024, "mst_cache_pages": 256},
+            {"paged_mst": True, "mst_page_size": 8, "mst_cache_pages": 1},
+        ]
+        views = []
+        for kwargs in stores:
+            harness = ZendooHarness(use_network=False)
+            harness.mine(2)
+            sc = harness.create_sidechain("paged-parity", epoch_len=4, submit_len=2, **kwargs)
+            harness.forward_transfer(sc, KeyPair.from_seed("paged-parity/user"), 75_000)
+            harness.run_epochs(sc, 2)
+            views.append(
+                (
+                    sc.node.tip_hash,
+                    sc.node.state.digest(),
+                    [c.encode() for c in sc.node.certificates],
+                )
+            )
+            sc.node.close()
+        assert views[0][2], "no epoch was certified"
+        assert views[1] == views[0] and views[2] == views[0]
 
 
 class TestCopyOnWrite:

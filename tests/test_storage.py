@@ -263,6 +263,34 @@ class TestLatusDiskRecovery:
         ) == expected
         recovered.close()
 
+    def test_restart_trusts_its_journal_where_a_resync_reverifies(self, tmp_path):
+        """Why restarting from disk beats a peer resync: the digest-checked
+        replay verifies no signature, while a fresh node syncing the same
+        chain verifies every one it adopts."""
+        from repro.crypto import signatures
+
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        verifies = observability.registry().counter("repro_signature_verifies_total")
+
+        def verifications(run):
+            signatures.clear_verify_cache()
+            before = verifies.value()
+            node = run()
+            assert node.tip_hash == sc.node.tip_hash
+            node.close()
+            return verifies.value() - before
+
+        restart = verifications(lambda: _recover_latus(harness, sc, tmp_path / "sc"))
+
+        def resync():
+            fresh = _recover_latus(harness, sc, tmp_path / "fresh")
+            fresh.sync_from(sc.node)
+            return fresh
+
+        assert restart == 0
+        assert verifications(resync) >= len(sc.node.blocks)
+        sc.node.close()
+
     def test_recovery_counts_on_disk_recovery_metric(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
         sc.node.close()

@@ -63,7 +63,6 @@ from repro.latus.transactions import (
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.latus.wcert import LatusWCertCircuit, latus_proofdata
 from repro.scenarios import ZendooHarness
-from repro.scenarios.workload import _flood_keys
 from repro.snark import proving
 from repro.snark.circuit import Circuit, CircuitBuilder
 from repro.snark.gadgets.mimc import mimc_hash_gadget
@@ -121,6 +120,21 @@ def assert_rejection_parity(pk, public, witness):
 # ---------------------------------------------------------------------------
 # Job builders: (proving key, public input, witness) per circuit family
 # ---------------------------------------------------------------------------
+
+
+class _PublicsOnlyCertificate(Circuit):
+    """The stand-in certificate statement the ``mc_fleet`` benchmark proves:
+    every public input allocated, nothing else."""
+
+    circuit_id = "test/publics-only-wcert"
+
+    def synthesize(self, b, public, witness):
+        b.alloc_publics(public)
+
+
+@functools.lru_cache(maxsize=1)
+def _flood_keys():
+    return proving.setup(_PublicsOnlyCertificate())
 
 
 def mint(state, keypair, amount, tag):
@@ -374,8 +388,8 @@ class TestFederatedFamilies:
 
 class TestStandInAndBatchedCircuits:
     def test_flood_certificate_circuit(self):
-        """``scenarios.workload``'s public-inputs-only circuit (the same
-        statement the ``mc_fleet`` benchmark workload proves)."""
+        """A public-inputs-only certificate circuit (the statement the
+        ``mc_fleet`` benchmark workload proves)."""
         pk, _ = _flood_keys()
         assert assert_parity(pk, (1, 2, 3, 4, 5), None)[0] == "ok"
         assert assert_parity(pk, (), None)[0] == "ok"

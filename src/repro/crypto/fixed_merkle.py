@@ -12,8 +12,8 @@ of UTXOs costs O(occupied * D) memory, and single-leaf updates cost O(D).
 *Where* those nodes live is a pluggable policy (``repro.storage.pages``):
 the default :class:`~repro.storage.pages.DictNodeStore` keeps them in plain
 dicts, while :class:`~repro.storage.pages.PagedNodeStore` bounds resident
-memory with an LRU page cache spilling to an append-only segment — the
-store every node read/write, the occupied-leaf scan, and ``copy()`` route
+memory with subtree pages spilling to an append-only segment — the store
+every node read/write, the occupied-leaf scan, and ``copy()`` route
 through.
 
 Bulk workloads should use :meth:`FixedMerkleTree.set_leaves`, which writes
@@ -277,7 +277,7 @@ class FixedMerkleTree:
         """An independent snapshot of the tree.
 
         Cost is the node store's ``copy`` policy: O(occupied nodes) for the
-        dict store, O(resident pages) for the paged store (dirty pages are
+        dict store, O(dirty pages) for the paged store (dirty pages are
         flushed once and the page table is shared copy-on-write).
         """
         clone = FixedMerkleTree(self.depth, node_store=self._nodes.copy())

@@ -210,7 +210,7 @@ class LatusNode(NodeLifecycle):
         #: True while replaying the store; suppresses all durable writes.
         self._recovering = False
         #: MST storage policy: paged_mst=True bounds resident memory with a
-        #: PagedNodeStore (LRU page cache spilling to pages.seg next to the
+        #: PagedNodeStore (subtree tiles spilling to pages.seg next to the
         #: WAL when a FileStore is attached, to memory otherwise).
         self._paged_mst = paged_mst
         self._mst_page_size = mst_page_size
@@ -226,17 +226,11 @@ class LatusNode(NodeLifecycle):
         """The page backing for the *current* store (re-derived on restart)."""
         if not self._paged_mst:
             return None
-        if isinstance(self._store, FileStore):
-            path = self._store.data_dir / PAGE_SEGMENT_NAME
-            if (
-                not isinstance(self._page_backing, FilePageBacking)
-                or self._page_backing.path != path
-            ):
-                if self._page_backing is not None:
-                    self._page_backing.close()
-                self._page_backing = FilePageBacking(path)
-        elif self._page_backing is None:
-            self._page_backing = MemoryPageBacking()
+        if self._page_backing is None:
+            if isinstance(self._store, FileStore):
+                self._page_backing = FilePageBacking(self._store.data_dir / PAGE_SEGMENT_NAME)
+            else:
+                self._page_backing = MemoryPageBacking()
         return self._page_backing
 
     def _make_node_store(self):
@@ -306,6 +300,10 @@ class LatusNode(NodeLifecycle):
             self._store.discard_staged()
 
     def _reset_for_restart(self) -> None:
+        # a restarted process starts with a cold decoded-page cache
+        if self._page_backing is not None:
+            self._page_backing.close()
+            self._page_backing = None
         self._reset_chain_state()
 
     def _adopt_peer_chain(self, peer: "LatusNode") -> None:
@@ -446,11 +444,7 @@ class LatusNode(NodeLifecycle):
                     raise StorageError(
                         "paged state snapshot requires a file store to resolve pages"
                     )
-                backing = FilePageBacking(self._store.data_dir / PAGE_SEGMENT_NAME)
-                if self._paged_mst:
-                    self._page_backing = backing
-                else:
-                    temp_backing = backing
+                backing = temp_backing = FilePageBacking(self._store.data_dir / PAGE_SEGMENT_NAME)
             state = storage_codec.decode_latus_state_pages(
                 sections["latus/state_pages"], backing,
                 cache_pages=self._mst_cache_pages,

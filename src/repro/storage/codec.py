@@ -91,7 +91,7 @@ def encode_latus_state_pages(state) -> bytes:
 
     The paged counterpart of :func:`encode_latus_state` for a state whose
     MST sits on a :class:`~repro.storage.pages.PagedNodeStore` over a file
-    backing.  Only the page *table* is serialized — ``(level, page_no) →
+    backing.  Only the page *table* is serialized — ``(band, tile) →
     (offset, length)`` into the append-only ``pages.seg`` segment — so a
     snapshot writes the dirty pages flushed since the last epoch plus a few
     bytes per live page, never the whole leaf set.  The caller must flush
@@ -105,8 +105,8 @@ def encode_latus_state_pages(state) -> bytes:
     enc.u32(store.page_size)
 
     def _write_entry(e: Encoder, item) -> None:
-        (level, page_no), (offset, length) = item
-        e.u8(level).u64(page_no).u64(offset).u32(length)
+        (band, tile), (offset, length) = item
+        e.u8(band).u64(tile).u64(offset).u32(length)
 
     enc.sequence(store.table_items(), _write_entry)
     enc.sequence(sorted(state.mst.touched_positions), lambda e, p: e.u64(p))
@@ -116,6 +116,18 @@ def encode_latus_state_pages(state) -> bytes:
     return enc.done()
 
 
+def _read_latus_state_pages(dec: Decoder) -> tuple:
+    """``(depth, occupied, page_size, table, touched, bts)`` of a paged section."""
+    return (
+        dec.u32(),
+        dec.u64(),
+        dec.u32(),
+        dec.sequence(lambda d: ((d.u8(), d.u64()), (d.u64(), d.u32()))),
+        dec.sequence(lambda d: d.u64()),
+        dec.sequence(lambda d: wire._nested(d, wire.read_backward_transfer)),
+    )
+
+
 def summarize_latus_state_pages(data: bytes) -> dict:
     """Light header read of a paged state section (CLI explorer).
 
@@ -123,26 +135,17 @@ def summarize_latus_state_pages(data: bytes) -> dict:
     on-disk bytes those live pages reference — without touching the page
     segment itself.
     """
-
-    def _read(dec: Decoder):
-        depth = dec.u32()
-        occupied = dec.u64()
-        page_size = dec.u32()
-        table = dec.sequence(lambda d: ((d.u8(), d.u64()), (d.u64(), d.u32())))
-        dec.sequence(lambda d: d.u64())
-        dec.sequence(lambda d: d.var_bytes())
-        return {
-            "depth": depth,
-            "occupied_leaves": occupied,
-            "page_size": page_size,
-            "live_pages": len(table),
-            "live_bytes": sum(length for _, (_, length) in table),
-        }
-
-    return _strict(_read, data)
+    depth, occupied, page_size, table, _, _ = _strict(_read_latus_state_pages, data)
+    return {
+        "depth": depth,
+        "occupied_leaves": occupied,
+        "page_size": page_size,
+        "live_pages": len(table),
+        "live_bytes": sum(length for _, (_, length) in table),
+    }
 
 
-def decode_latus_state_pages(data: bytes, backing, cache_pages: int | None = None):
+def decode_latus_state_pages(data: bytes, backing, cache_pages: int):
     """Strict inverse of :func:`encode_latus_state_pages`.
 
     ``backing`` is the reopened page backing the persisted refs point into.
@@ -152,29 +155,15 @@ def decode_latus_state_pages(data: bytes, backing, cache_pages: int | None = Non
     from repro.crypto.fixed_merkle import FixedMerkleTree
     from repro.latus.mst import MerkleStateTree
     from repro.latus.state import LatusState
-    from repro.storage.pages import DEFAULT_CACHE_PAGES, PagedNodeStore
+    from repro.storage.pages import PagedNodeStore
 
-    def _read(dec: Decoder):
-        depth = dec.u32()
-        occupied = dec.u64()
-        page_size = dec.u32()
-        table = dec.sequence(lambda d: ((d.u8(), d.u64()), (d.u64(), d.u32())))
-        touched = dec.sequence(lambda d: d.u64())
-        bts = dec.sequence(lambda d: wire._nested(d, wire.read_backward_transfer))
-        store = PagedNodeStore.from_table(
-            table,
-            backing,
-            page_size=page_size,
-            cache_pages=DEFAULT_CACHE_PAGES if cache_pages is None else cache_pages,
-        )
-        tree = FixedMerkleTree.from_node_store(depth, store, occupied)
-        state = LatusState.__new__(LatusState)
-        state.mst = MerkleStateTree.adopt(tree)
-        state.mst._touched = set(touched)
-        state.backward_transfers = list(bts)
-        return state
-
-    return _strict(_read, data)
+    depth, occupied, page_size, table, touched, bts = _strict(_read_latus_state_pages, data)
+    store = PagedNodeStore.from_table(table, backing, page_size, cache_pages)
+    state = LatusState.__new__(LatusState)
+    state.mst = MerkleStateTree.adopt(FixedMerkleTree.from_node_store(depth, store, occupied))
+    state.mst._touched = set(touched)
+    state.backward_transfers = list(bts)
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ point at a live node's data directory.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro import wire
 from repro.storage import codec
 from repro.storage.records import KIND_NAMES, MC_BLOCK, SC_BLOCK, SC_CERT, SC_TX
@@ -106,10 +108,9 @@ def _inspect_mainchain(snapshot, records, info: dict) -> dict:
 def _inspect_pages(store: StateStore, snapshot) -> dict | None:
     """Summarize the MST page segment next to a file store, if one exists.
 
-    Reports the append-only segment (every page version ever written) and
-    the *live* page table from the latest snapshot.  Resident/dirty counts
-    are zero by construction for an at-rest store: dirty pages are flushed
-    before every snapshot and nothing is cached offline.
+    Reports the append-only segment (every page version ever written, and
+    its ``(band, tile)`` keys) and the *live* page table from the latest
+    snapshot.
     """
     data_dir = getattr(store, "data_dir", None)
     if data_dir is None:
@@ -124,13 +125,13 @@ def _inspect_pages(store: StateStore, snapshot) -> dict | None:
         page_records = list(backing.scan())
     finally:
         backing.close()
+    tiles = Counter(band for band, _ in {(band, tile) for band, tile, _ in page_records})
     pages: dict = {
         "segment": str(path),
         "bytes": path.stat().st_size,
         "page_records": len(page_records),
-        "distinct_pages": len({(lv, pn) for lv, pn, _ in page_records}),
-        "resident_pages": 0,
-        "dirty_pages": 0,
+        "distinct_pages": sum(tiles.values()),
+        "tiles_per_band": dict(sorted(tiles.items())),
     }
     if snapshot is not None:
         section = snapshot[1].get("latus/state_pages")
@@ -201,7 +202,8 @@ def format_inspection(info: dict) -> str:
         lines.append(
             f"page segment: {pages['bytes']} bytes on disk, "
             f"{pages['page_records']} page records "
-            f"({pages['distinct_pages']} distinct pages)"
+            f"({pages['distinct_pages']} distinct (band, tile) pages, "
+            f"tiles per band {pages['tiles_per_band']})"
         )
         if pages.get("live_pages") is not None:
             lines.append(
@@ -209,8 +211,4 @@ def format_inspection(info: dict) -> str:
                 f"({pages['live_bytes']} bytes), page_size={pages['page_size']}, "
                 f"occupied leaves={pages['occupied_leaves']}"
             )
-        lines.append(
-            f"resident pages: {pages['resident_pages']}, "
-            f"dirty pages: {pages['dirty_pages']}"
-        )
     return "\n".join(lines)

@@ -9,21 +9,19 @@ snapshot.  This module makes the node storage a swappable policy:
 * :class:`DictNodeStore` — the reference store.  A dict-of-dicts keyed by
   level, byte-identical behavior to the historical flat dict, with leaf
   enumeration in O(occupied leaves) instead of O(total nodes).
-* :class:`PagedNodeStore` — fixed-size per-level node *pages* (1024 nodes
-  per page by default, packed with the PR 8 wire codecs), a bounded LRU
-  page cache with dirty-page tracking, batched prefetch of the distinct
-  ancestor pages a ``set_leaves`` batch will touch, and spill/load through
-  an append-only page segment.  ``copy()`` flushes dirty pages and shares
-  the page table copy-on-write (:class:`repro.core.cow.CowDict`), so a
-  snapshot costs O(resident pages), not O(occupied nodes).
+* :class:`PagedNodeStore` — k-level subtree pages (Certificate
+  Transparency's tiles), so a path touches ``ceil((depth + 1) / k)`` pages,
+  over an append-only backing whose one decoded-page LRU every ``copy()``
+  shares: a snapshot costs O(dirty pages) and starts as warm as its parent.
 
 Page payloads are canonical :class:`repro.encoding.Encoder` bytes — a
 sorted sequence of ``(u32 offset, field_element value)`` pairs — so a page
 round-trips bit-exactly through memory or disk.  The file backing
 (:class:`FilePageBacking`) appends self-describing records
-(``u8 level | u64 page_no | var_bytes payload``) to a ``pages.seg`` segment
-next to the PR 8 ``wal.log``; because the segment is append-only, page refs
-stay valid forever and copy-on-write sharing across tree snapshots is safe.
+(``u8 band | u64 tile | var_bytes payload``) to a ``pages.seg`` segment
+next to the WAL; because the segment is append-only, page refs stay valid
+forever, which makes both the copy-on-write table and the ref-keyed cache
+safe.
 
 Every store implements the same five-method contract consumed by
 ``FixedMerkleTree``: ``get`` / ``set`` / ``delete`` / ``leaf_items`` /
@@ -35,36 +33,38 @@ all-empty hash, so "absent" always means "empty subtree of that level".
 from __future__ import annotations
 
 import os
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro import observability
 from repro.core.cow import CowDict
+from repro.crypto.fixed_merkle import MAX_DEPTH
 from repro.encoding import Decoder, Encoder
 from repro.errors import DecodeError, StorageError
 
-#: Magic first bytes of a page segment file.
-PAGE_SEGMENT_MAGIC = b"ZENPAGE1"
+#: Magic first bytes of a page segment file (subtree-tile records).
+PAGE_SEGMENT_MAGIC = b"ZENPAGE2"
 
 #: Name of the page segment inside a node's data directory.
 PAGE_SEGMENT_NAME = "pages.seg"
 
-#: Default nodes per page; must be a power of two.
+#: Default page size 2**k: a tile of k = 10 levels, 1,023 nodes.
 DEFAULT_PAGE_SIZE = 1024
 
-#: Default page-cache bound (pages, not nodes).
+#: Default bound on decoded pages, clean and dirty together.
 DEFAULT_CACHE_PAGES = 256
 
 _REGISTRY = observability.registry()
 _PAGE_HITS = _REGISTRY.counter(
-    "repro_mst_page_hits_total", "MST node lookups served from the page cache"
+    "repro_mst_page_hits_total", "MST node lookups served from a decoded page"
 ).labels()
 _PAGE_MISSES = _REGISTRY.counter(
     "repro_mst_page_misses_total", "MST node lookups that required a page load"
 ).labels()
 _PAGE_EVICTIONS = _REGISTRY.counter(
-    "repro_mst_page_evictions_total", "pages evicted from the MST page cache"
+    "repro_mst_page_evictions_total", "clean pages evicted from a backing's page cache"
 ).labels()
 _PAGE_FLUSHES = _REGISTRY.counter(
     "repro_mst_page_flushes_total", "dirty MST pages written to the backing"
@@ -73,8 +73,14 @@ _PAGE_LOADS = _REGISTRY.counter(
     "repro_mst_page_loads_total", "MST pages decoded from the backing"
 ).labels()
 _RESIDENT_PAGES = _REGISTRY.gauge(
-    "repro_mst_resident_pages", "MST pages currently resident in page caches"
+    "repro_mst_resident_pages", "decoded MST pages cached by the live page backings"
 ).labels()
+
+
+def _drop_decoded(decoded: OrderedDict) -> None:
+    """Finalizer of a backing's LRU: closed or collected, it leaves the gauge."""
+    _RESIDENT_PAGES.dec(len(decoded))
+    decoded.clear()
 
 
 def encode_page(entries: dict[int, int]) -> bytes:
@@ -201,13 +207,64 @@ class DictNodeStore(NodeStore):
         }
 
 
-class MemoryPageBacking:
+class _PageBacking:
+    """Append-only page storage plus the one decoded-page LRU over it.
+
+    A ref is never reused and the page behind it never changes, so a page
+    decoded once is an immutable value every store over this backing may
+    share.  Stores bound the LRU by passing ``room``: their ``cache_pages``
+    minus the dirty pages they own.
+    """
+
+    def __init__(self) -> None:
+        #: ref -> decoded page, least recently used first
+        self.decoded: OrderedDict = OrderedDict()
+        self._release = weakref.finalize(self, _drop_decoded, self.decoded)
+
+    def page(self, ref, room: int) -> dict[int, int]:
+        """The read-only decoded page at ``ref``, loaded on a miss."""
+        page = self.decoded.get(ref)
+        if page is not None:
+            self.decoded.move_to_end(ref)
+            _PAGE_HITS.inc()
+            return page
+        _PAGE_MISSES.inc()
+        page = self.peek(ref)
+        self.keep(ref, page, room)
+        return page
+
+    def peek(self, ref) -> dict[int, int]:
+        """The decoded page at ``ref`` without admitting it (full scans)."""
+        page = self.decoded.get(ref)
+        if page is None:
+            _PAGE_LOADS.inc()
+            page = decode_page(self.load(ref))
+        return page
+
+    def keep(self, ref, page: dict[int, int], room: int) -> None:
+        """Admit a page that is clean from now on, then trim to ``room``."""
+        self.decoded[ref] = page
+        _RESIDENT_PAGES.inc()
+        self.trim(room)
+
+    def trim(self, room: int) -> None:
+        while len(self.decoded) > max(room, 0):
+            self.decoded.popitem(last=False)
+            _PAGE_EVICTIONS.inc()
+            _RESIDENT_PAGES.dec()
+
+    def close(self) -> None:
+        self._release()
+
+
+class MemoryPageBacking(_PageBacking):
     """Append-only page backing in process memory (tests, MemoryStore runs)."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._pages: list[bytes] = []
 
-    def store(self, level: int, page_no: int, payload: bytes):
+    def store(self, band: int, tile: int, payload: bytes):
         self._pages.append(payload)
         return len(self._pages) - 1
 
@@ -224,33 +281,31 @@ class MemoryPageBacking:
             "bytes": sum(len(p) for p in self._pages),
         }
 
-    def close(self) -> None:
-        self._pages = []
 
+class FilePageBacking(_PageBacking):
+    """Append-only ``pages.seg`` segment next to the WAL.
 
-class FilePageBacking:
-    """Append-only ``pages.seg`` segment next to the PR 8 WAL.
-
-    Records are self-describing (``u8 level | u64 page_no | var_bytes
-    payload``) so the segment can be inspected offline without the page
-    table; live refs are ``(offset, length)`` of the payload record.  The
-    file is never rewritten or truncated: superseded page versions become
-    garbage (bounded by workload, reported by ``describe``/the CLI
-    explorer), and in exchange refs shared copy-on-write across tree
-    snapshots — and refs persisted in an epoch snapshot — stay valid
-    without any reference counting.
+    Records are self-describing (``u8 band | u64 tile | var_bytes
+    payload``), so the segment can be inspected offline; refs are the
+    record's ``(offset, length)``.  The file is never rewritten: superseded
+    page versions become garbage (reported by the CLI explorer), and in
+    exchange every ref ever handed out — shared by tree snapshots, cached,
+    persisted in an epoch snapshot — stays valid without reference counts.
     """
 
     def __init__(self, path: str | os.PathLike, read_only: bool = False) -> None:
+        super().__init__()
         self.path = Path(path)
         self.read_only = read_only
         if self.path.exists():
-            mode = "rb" if read_only else "r+b"
-            self._fh = open(self.path, mode)
+            self._fh = open(self.path, "rb" if read_only else "r+b")
             magic = self._fh.read(len(PAGE_SEGMENT_MAGIC))
             if magic != PAGE_SEGMENT_MAGIC:
                 self._fh.close()
-                raise StorageError(f"{self.path} is not a page segment")
+                raise StorageError(
+                    f"{self.path} is not a {PAGE_SEGMENT_MAGIC.decode()} page "
+                    f"segment (starts with {magic!r})"
+                )
         elif read_only:
             raise StorageError(f"page segment {self.path} does not exist")
         else:
@@ -259,10 +314,10 @@ class FilePageBacking:
             self._fh.write(PAGE_SEGMENT_MAGIC)
             self._fh.flush()
 
-    def store(self, level: int, page_no: int, payload: bytes):
+    def store(self, band: int, tile: int, payload: bytes):
         if self.read_only:
             raise StorageError("page segment opened read-only")
-        record = Encoder().u8(level).u64(page_no).var_bytes(payload).done()
+        record = Encoder().u8(band).u64(tile).var_bytes(payload).done()
         self._fh.seek(0, os.SEEK_END)
         offset = self._fh.tell()
         self._fh.write(record)
@@ -289,7 +344,7 @@ class FilePageBacking:
             os.fsync(self._fh.fileno())
 
     def scan(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(level, page_no, payload_len)`` for every record on disk.
+        """Yield ``(band, tile, payload_len)`` for every record on disk.
 
         Offline inspection helper; tolerates a torn tail (stops at it).
         """
@@ -300,12 +355,12 @@ class FilePageBacking:
         while pos < len(data):
             try:
                 dec = Decoder(data[pos:])
-                level = dec.u8()
-                page_no = dec.u64()
+                band = dec.u8()
+                tile = dec.u64()
                 payload = dec.var_bytes()
             except DecodeError:
                 return
-            yield level, page_no, len(payload)
+            yield band, tile, len(payload)
             pos += 1 + 8 + 4 + len(payload)
 
     def describe(self) -> dict:
@@ -317,26 +372,25 @@ class FilePageBacking:
         }
 
     def close(self) -> None:
+        super().close()
         self._fh.close()
 
 
 class PagedNodeStore(NodeStore):
-    """Bounded-memory node store: LRU page cache over an append-only backing.
+    """Bounded-memory node store: subtree tiles over an append-only backing.
 
-    Node ``(level, index)`` lives at offset ``index % page_size`` of page
-    ``(level, index // page_size)``.  Pages are plain ``{offset: value}``
-    dicts while resident; a bounded :class:`collections.OrderedDict` LRU
-    keeps at most ``cache_pages`` of them in memory.  Evicting a dirty page
-    encodes it and appends it to the backing; the *page table* (a
-    :class:`CowDict`) maps each spilled page to its latest backing ref.
+    With ``page_size = 2**k``, band ``b`` holds levels ``b*k .. b*k + k - 1``
+    and its tile ``t`` is the k-level subtree under node ``t`` of level
+    ``b*k + k - 1``, in heap order: with ``s = k - 1 - level % k``, node
+    ``(level, index)`` is tile ``(level // k, index >> s)``, offset
+    ``2**s + index % 2**s`` (tile root at 1, leaves from ``2**(k-1)``).
 
-    Invariant: every clean resident page has a table ref (pages are born
-    dirty and only become clean by being flushed or loaded), so clean
-    evictions are free drops.
-
-    ``copy()`` flushes dirty pages once, then shares the page table
-    copy-on-write and the (append-only) backing — O(dirty + resident), not
-    O(occupied nodes).
+    The *page table* (a :class:`CowDict`) maps each flushed tile to its
+    latest backing ref.  Clean pages are read from the backing's shared
+    decoded-page LRU and never mutated; the first write to a tile copies it
+    into this store's dirty pages.  ``cache_pages`` bounds this store's
+    dirty pages plus the backing's clean ones: over the bound, the oldest
+    dirty page is written back (turning clean) and the clean LRU trimmed.
     """
 
     def __init__(
@@ -345,153 +399,116 @@ class PagedNodeStore(NodeStore):
         cache_pages: int = DEFAULT_CACHE_PAGES,
         backing=None,
     ) -> None:
-        if page_size < 1 or page_size & (page_size - 1):
-            raise StorageError("page_size must be a power of two >= 1")
+        if page_size < 2 or page_size & (page_size - 1):
+            raise StorageError("page_size must be a power of two >= 2 (a tile of k >= 1 levels)")
         if cache_pages < 1:
             raise StorageError("cache_pages must be >= 1")
         self.page_size = page_size
         self.cache_pages = cache_pages
         self.backing = backing if backing is not None else MemoryPageBacking()
-        self._shift = page_size.bit_length() - 1
-        self._mask = page_size - 1
-        # (level, page_no) -> backing ref for every spilled page
+        k = page_size.bit_length() - 1
+        #: level -> (band, s)
+        self._tiles = tuple((level // k, k - 1 - level % k) for level in range(MAX_DEPTH + 1))
+        # (band, tile) -> backing ref for every flushed page
         self._table: CowDict = CowDict()
-        # (level, page_no) -> {offset: value}, LRU order (oldest first)
-        self._cache: OrderedDict[tuple[int, int], dict[int, int]] = OrderedDict()
-        self._dirty: set[tuple[int, int]] = set()
+        # (band, tile) -> {offset: value} this store owns, oldest first
+        self._dirty: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- page plumbing ------------------------------------------------------
 
-    def _resident(self, key: tuple[int, int]) -> dict[int, int] | None:
-        page = self._cache.get(key)
-        if page is not None:
-            self._cache.move_to_end(key)
-            _PAGE_HITS.inc()
-        return page
+    def _locate(self, level: int, index: int) -> tuple[tuple[int, int], int]:
+        band, s = self._tiles[level]
+        return (band, index >> s), (1 << s) | (index & ((1 << s) - 1))
 
-    def _load(self, key: tuple[int, int]) -> dict[int, int] | None:
-        """Bring a spilled page into the cache; None when never spilled."""
+    def _read(self, key: tuple[int, int]) -> dict[int, int] | None:
+        page = self._dirty.get(key)
+        if page is not None:
+            _PAGE_HITS.inc()
+            return page
         ref = self._table.get(key)
         if ref is None:
             return None
-        _PAGE_MISSES.inc()
-        _PAGE_LOADS.inc()
-        page = decode_page(self.backing.load(ref))
-        self._admit(key, page)
+        if len(self._dirty) >= self.cache_pages and ref not in self.backing.decoded:
+            self._spill(next(iter(self._dirty)))  # dirty pages must not starve the clean ones
+        return self.backing.page(ref, self.cache_pages - len(self._dirty))
+
+    def _writable(self, key: tuple[int, int]) -> dict[int, int]:
+        page = self._dirty.get(key)
+        if page is None:
+            if len(self._dirty) >= self.cache_pages:
+                self._spill(next(iter(self._dirty)))
+            ref = self._table.get(key)
+            room = self.cache_pages - len(self._dirty)
+            page = {} if ref is None else dict(self.backing.page(ref, room))
+            self._dirty[key] = page
+            self.backing.trim(room - 1)
         return page
 
-    def _admit(self, key: tuple[int, int], page: dict[int, int]) -> None:
-        self._cache[key] = page
-        self._cache.move_to_end(key)
-        _RESIDENT_PAGES.inc()
-        while len(self._cache) > self.cache_pages:
-            old_key, old_page = self._cache.popitem(last=False)
-            _PAGE_EVICTIONS.inc()
-            _RESIDENT_PAGES.dec()
-            if old_key in self._dirty:
-                self._dirty.discard(old_key)
-                self._spill(old_key, old_page)
-
-    def _spill(self, key: tuple[int, int], page: dict[int, int]) -> None:
-        if page:
-            self._table[key] = self.backing.store(key[0], key[1], encode_page(page))
-        else:
-            self._table.discard(key)
+    def _spill(self, key: tuple[int, int]) -> None:
+        page = self._dirty.pop(key)
         _PAGE_FLUSHES.inc()
-
-    def _page_for_write(self, key: tuple[int, int]) -> dict[int, int]:
-        page = self._resident(key)
-        if page is None:
-            page = self._load(key)
-        if page is None:
-            page = {}
-            self._admit(key, page)
-        return page
+        if not page:
+            self._table.discard(key)
+            return
+        ref = self.backing.store(key[0], key[1], encode_page(page))
+        self._table[key] = ref
+        self.backing.keep(ref, page, self.cache_pages - len(self._dirty))
 
     # -- NodeStore contract -------------------------------------------------
 
     def get(self, level: int, index: int) -> int | None:
-        key = (level, index >> self._shift)
-        page = self._resident(key)
-        if page is None:
-            page = self._load(key)
-            if page is None:
-                return None
-        return page.get(index & self._mask)
+        key, offset = self._locate(level, index)
+        page = self._read(key)
+        return None if page is None else page.get(offset)
 
     def set(self, level: int, index: int, value: int) -> bool:
-        key = (level, index >> self._shift)
-        page = self._page_for_write(key)
-        offset = index & self._mask
+        key, offset = self._locate(level, index)
+        page = self._writable(key)
         was_present = offset in page
         page[offset] = value
-        self._dirty.add(key)
         return was_present
 
     def delete(self, level: int, index: int) -> bool:
-        key = (level, index >> self._shift)
-        page = self._resident(key)
-        if page is None:
-            if key not in self._table:
-                return False
-            page = self._load(key)
-        if page.pop(index & self._mask, None) is None:
+        key, offset = self._locate(level, index)
+        page = self._read(key)
+        if page is None or offset not in page:
             return False
-        self._dirty.add(key)
+        del self._writable(key)[offset]
         return True
 
     def leaf_items(self) -> Iterator[tuple[int, int]]:
-        shift = self._shift
-        seen: set[int] = set()
-        for (level, page_no), page in list(self._cache.items()):
-            if level != 0:
-                continue
-            seen.add(page_no)
+        s = self._tiles[0][1]
+        first_leaf = 1 << s
+        dirty = {tile: page for (band, tile), page in self._dirty.items() if band == 0}
+        flushed = {tile: ref for (band, tile), ref in self._table.items() if band == 0}
+        for tile in sorted(dirty.keys() | flushed.keys()):
+            # flushed tiles are peeked, not admitted: a full-state scan
+            # (snapshot encode, leaf enumeration) must not evict the working set
+            page = dirty[tile] if tile in dirty else self.backing.peek(flushed[tile])
             for offset, value in page.items():
-                yield (page_no << shift) | offset, value
-        # Spilled leaf pages are decoded straight from the backing without
-        # entering the cache: a full-state scan (snapshot encode, occupied
-        # enumeration) must not evict the working set.
-        for key in list(self._table.keys()):
-            level, page_no = key
-            if level != 0 or page_no in seen:
-                continue
-            _PAGE_LOADS.inc()
-            for offset, value in decode_page(self.backing.load(self._table[key])).items():
-                yield (page_no << shift) | offset, value
+                if offset >= first_leaf:
+                    yield (tile << s) | (offset - first_leaf), value
 
     def prefetch(self, level: int, indices: Iterable[int]) -> None:
-        wanted = {index >> self._shift for index in indices}
-        # Never prefetch more than the cache holds — with a pathologically
-        # tiny cache the extra loads would evict each other for nothing
-        # (on-demand loads in get/set keep everything correct regardless).
-        budget = self.cache_pages
-        for page_no in sorted(wanted):
-            if budget <= 0:
-                return
-            key = (level, page_no)
-            if key in self._cache:
-                self._cache.move_to_end(key)
-            else:
-                self._load(key)
-            budget -= 1
+        band, s = self._tiles[level]
+        # Never prefetch more than the cache holds: with a tiny cache the
+        # extra loads would evict each other (get/set load on demand anyway).
+        room = max(self.cache_pages - len(self._dirty), 0)
+        for tile in sorted({index >> s for index in indices})[:room]:
+            ref = None if (band, tile) in self._dirty else self._table.get((band, tile))
+            if ref is not None:
+                self.backing.page(ref, room)
 
     def flush(self) -> None:
         for key in sorted(self._dirty):
-            self._spill(key, self._cache[key])
-        self._dirty.clear()
+            self._spill(key)
 
     def copy(self) -> "PagedNodeStore":
         self.flush()
         clone = PagedNodeStore.__new__(PagedNodeStore)
-        clone.page_size = self.page_size
-        clone.cache_pages = self.cache_pages
-        clone.backing = self.backing
-        clone._shift = self._shift
-        clone._mask = self._mask
+        clone.__dict__.update(self.__dict__)
         clone._table = self._table.copy()
-        clone._cache = OrderedDict()
-        clone._dirty = set()
+        clone._dirty = {}
         return clone
 
     # -- persistence --------------------------------------------------------
@@ -510,22 +527,18 @@ class PagedNodeStore(NodeStore):
     ) -> "PagedNodeStore":
         """Rebuild a store around persisted refs; pages load back lazily."""
         store = cls(page_size=page_size, cache_pages=cache_pages, backing=backing)
-        for key, ref in table:
-            store._table[key] = ref
+        store._table = CowDict(dict(table))
         return store
 
     def describe(self) -> dict:
+        clean, dirty = len(self.backing.decoded), len(self._dirty)
         return {
             "kind": "paged",
             "page_size": self.page_size,
             "cache_pages": self.cache_pages,
-            "resident_pages": len(self._cache),
-            "dirty_pages": len(self._dirty),
+            "resident_pages": clean + dirty,
+            "clean_pages": clean,
+            "dirty_pages": dirty,
             "spilled_pages": len(self._table),
             "backing": self.backing.describe(),
         }
-
-    def close(self) -> None:
-        _RESIDENT_PAGES.dec(len(self._cache))
-        self._cache.clear()
-        self._dirty.clear()

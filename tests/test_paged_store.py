@@ -7,11 +7,14 @@ spill/load machinery may only ever change *where* a node lives, never what
 any read returns.
 """
 
+import gc
+
 import pytest
 
 from repro import observability
 from repro.crypto.fixed_merkle import FixedMerkleTree
 from repro.crypto.keys import KeyPair
+from repro.errors import StorageError
 from repro.latus.mst import MerkleStateTree
 from repro.latus.utxo import Utxo
 from repro.scenarios import ZendooHarness
@@ -59,6 +62,36 @@ class TestPageCodec:
         a = {3: 30, 1: 10, 2: 20}
         b = {1: 10, 2: 20, 3: 30}
         assert encode_page(a) == encode_page(b)
+
+
+def _resident_gauge() -> int:
+    return int(observability.registry().gauge("repro_mst_resident_pages").value())
+
+
+class TestTileGeometry:
+    def test_one_path_is_three_tiles_at_depth_20(self):
+        # 10-level tiles: levels 0-9, 10-19 and the root each take one page
+        backing = MemoryPageBacking()
+        store = PagedNodeStore(page_size=1024, cache_pages=64, backing=backing)
+        tree = FixedMerkleTree(20, node_store=store)
+        position = 0xB5A5A
+        tree.set_leaf(position, 99)
+        store.flush()
+        assert backing.describe()["page_records"] == 3
+        assert [key for key, _ in store.table_items()] == [
+            (0, position >> 9),
+            (1, position >> 19),
+            (2, 0),
+        ]
+        reference = FixedMerkleTree(20, node_store=DictNodeStore())
+        reference.set_leaf(position, 99)
+        assert tree.root == reference.root
+        assert tree.prove(position) == reference.prove(position)
+
+    def test_page_size_one_is_refused(self):
+        # a tile of k levels needs page_size = 2**k with k >= 1
+        with pytest.raises(StorageError):
+            PagedNodeStore(page_size=1)
 
 
 class TestParityFuzz:
@@ -187,14 +220,22 @@ class TestCopyOnWrite:
         store = PagedNodeStore(page_size=8, cache_pages=4)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         tree.set_leaves([(p, p + 1) for p in _positions(80)])
+        target = _positions(80)[0]
+        tree.set_leaf(target, 7)
         clone_store = tree.copy().node_store
-        # copy() flushes, so the clone starts with zero resident pages and
-        # a table layered over the original's — not a deep rebuild
-        assert clone_store.describe()["resident_pages"] == 0
+        # copy() flushes into the backing's shared page cache: the clone
+        # owns no pages of its own, its table is layered over the
+        # original's, and the path the parent just wrote (4 tiles of 3
+        # levels at depth 10) is read without a single load
+        assert clone_store.describe()["dirty_pages"] == 0
         assert (
             clone_store.describe()["spilled_pages"]
             == store.describe()["spilled_pages"]
         )
+        loads_before = _page_counter("loads")
+        for level in range(DEPTH + 1):
+            assert clone_store.get(level, target >> level) == store.get(level, target >> level)
+        assert _page_counter("loads") == loads_before
 
 
 class TestFileBacking:
@@ -234,6 +275,28 @@ class TestFileBacking:
         assert len(list(reopened.scan())) == 2
         reopened.close()
 
+    def test_previous_segment_format_is_refused(self, tmp_path):
+        path = tmp_path / "pages.seg"
+        path.write_bytes(b"ZENPAGE1" + bytes(21))
+        for read_only in (False, True):
+            with pytest.raises(StorageError, match="ZENPAGE1"):
+                FilePageBacking(path, read_only=read_only)
+
+    def test_scan_reports_band_and_tile(self, tmp_path):
+        backing = FilePageBacking(tmp_path / "pages.seg")
+        store = PagedNodeStore(page_size=8, cache_pages=4, backing=backing)
+        tree = FixedMerkleTree(DEPTH, node_store=store)
+        tree.set_leaf(0b1011011101, 5)
+        store.flush()
+        # depth 10 in 3-level tiles: bands 0..3, tile = index >> (2 - level % 3)
+        assert sorted((band, tile) for band, tile, _ in backing.scan()) == [
+            (0, 0b10110111),
+            (1, 0b10110),
+            (2, 0b10),
+            (3, 0),
+        ]
+        backing.close()
+
     def test_leaf_items_does_not_evict_working_set(self, tmp_path):
         # scanning every leaf page must not admit spilled pages into the
         # cache (a full scan would otherwise wipe the resident working set)
@@ -262,6 +325,26 @@ class TestObservability:
         store.flush()
         assert _page_counter("flushes") == flushes_mark
 
+    def test_dropped_copies_leave_resident_gauge_alone(self):
+        gc.collect()
+        start = _resident_gauge()
+        backing = MemoryPageBacking()
+        store = PagedNodeStore(page_size=8, cache_pages=6, backing=backing)
+        tree = FixedMerkleTree(DEPTH, node_store=store)
+        positions = _positions(40)
+        tree.set_leaves([(p, p + 1) for p in positions])
+        store.flush()
+        warm = _resident_gauge()
+        assert 0 < warm - start == store.describe()["clean_pages"] <= 6
+        copies = [tree.copy() for _ in range(100)]
+        for copy, p in zip(copies, positions * 3):
+            assert copy.get_leaf(p) == p + 1
+        del copies, copy
+        gc.collect()
+        assert _resident_gauge() == warm
+        backing.close()
+        assert _resident_gauge() == start
+
     def test_describe_reports_cache_shape(self):
         store = PagedNodeStore(page_size=8, cache_pages=1)
         tree = FixedMerkleTree(DEPTH, node_store=store)
@@ -270,5 +353,5 @@ class TestObservability:
         assert info["kind"] == "paged"
         assert info["page_size"] == 8
         assert info["cache_pages"] == 1
-        assert info["resident_pages"] <= 1
+        assert info["clean_pages"] + info["dirty_pages"] <= 1
         assert info["spilled_pages"] > 0

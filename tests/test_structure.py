@@ -21,9 +21,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the synthetic WCert flood
-#: generator left ``repro.scenarios`` with the smoke harness (19,243 before).
-MAX_SRC_LINES = 19_047
+#: ``find src -name '*.py' | xargs wc -l`` after the MST pages became subtree
+#: tiles over one decoded-page cache per backing (19,047 before).
+MAX_SRC_LINES = 19_041
 #: REPRO_OBSERVABILITY only.
 MAX_ENVIRON_READS = 1
 #: 10 before ``FilePageBacking.scan`` caught ``DecodeError`` instead.

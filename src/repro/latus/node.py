@@ -34,7 +34,6 @@ from repro.core.transfers import WithdrawalCertificate
 from repro.crypto.keys import KeyPair, address_of
 from repro.errors import (
     ConsensusError,
-    DecodeError,
     ForgingError,
     StateTransitionError,
     StorageError,
@@ -74,7 +73,6 @@ from repro.storage import (
     SC_TX,
     FileStore,
     StateStore,
-    count_disk_recovery,
     decode_leaf_batch,
     encode_leaf_batch,
 )
@@ -202,13 +200,7 @@ class LatusNode(NodeLifecycle):
         #: diagnostics, tests and benchmarks; never sent to the MC).
         self.last_wcert_witness: WCertWitness | None = None
 
-        if data_dir is not None:
-            if store is not None:
-                raise StorageError("pass data_dir= or store=, not both")
-            store = FileStore(data_dir, fsync=fsync)
-        self._init_lifecycle(store)
-        #: True while replaying the store; suppresses all durable writes.
-        self._recovering = False
+        self._init_lifecycle(store, data_dir, fsync)
         #: MST storage policy: paged_mst=True bounds resident memory with a
         #: PagedNodeStore (subtree tiles spilling to pages.seg next to the
         #: WAL when a FileStore is attached, to memory otherwise).
@@ -216,8 +208,6 @@ class LatusNode(NodeLifecycle):
         self._mst_page_size = mst_page_size
         self._mst_cache_pages = mst_cache_pages
         self._page_backing = None
-
-        self._reset_chain_state()
         self._recover_or_start_empty()
 
     # -- chain state (rebuilt wholesale on MC reorgs) ---------------------------------
@@ -284,8 +274,7 @@ class LatusNode(NodeLifecycle):
     def close(self) -> None:
         """Release prover-side resources and the attached store, if any."""
         self.prover.close()
-        if self._store is not None:
-            self._store.close()
+        super().close()
         if self._page_backing is not None:
             self._page_backing.close()
             self._page_backing = None
@@ -293,11 +282,8 @@ class LatusNode(NodeLifecycle):
     # -- lifecycle hooks (crash/restart/sync_from live in NodeLifecycle) ----------------
 
     def _drop_inflight(self) -> None:
-        # the un-forged MC reference queue and staged-but-uncommitted WAL
-        # records are exactly what a real crash loses
+        # the un-forged MC reference queue is what a real crash loses
         self.mc_queue = []
-        if self._store is not None and not self._store.read_only:
-            self._store.discard_staged()
 
     def _reset_for_restart(self) -> None:
         # a restarted process starts with a cold decoded-page cache
@@ -308,8 +294,6 @@ class LatusNode(NodeLifecycle):
 
     def _adopt_peer_chain(self, peer: "LatusNode") -> None:
         self._reset_chain_state()
-        if self._store is not None:
-            self._store.reset()
         self.bootstrap_from(list(peer.blocks))
 
     def _chain_length(self) -> int:
@@ -319,12 +303,12 @@ class LatusNode(NodeLifecycle):
 
     def _journal_leaf_batch(self, updates: dict[int, int]) -> None:
         """MST write-ahead hook: stage the leaf batch before the tree mutates."""
-        if self._store is not None and not self._recovering:
+        if self._journaling:
             self._store.stage(SC_LEAF_BATCH, encode_leaf_batch(updates))
 
     def _persist_block(self, block: SidechainBlock) -> None:
         """Commit a block record plus its staged leaf batches with one sync."""
-        if self._store is not None and not self._recovering:
+        if self._journaling:
             self._store.stage(SC_BLOCK, wire.encode_sidechain_block(block))
             self._store.commit()
 
@@ -350,9 +334,9 @@ class LatusNode(NodeLifecycle):
             )
         return ("latus/state", storage_codec.encode_latus_state(self.state))
 
-    def _snapshot_sections(self) -> dict[str, bytes]:
+    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
         state_key, state_payload = self._state_section()
-        return {
+        return self.epoch.epoch_id, {
             "latus/meta": storage_codec.encode_latus_meta(
                 self.epoch.epoch_id,
                 self.last_referenced_mc_height,
@@ -377,55 +361,14 @@ class LatusNode(NodeLifecycle):
             ),
         }
 
-    def _persist_snapshot(self) -> None:
-        """Write a full snapshot (compacting the WAL into it)."""
-        if self._store is not None and not self._recovering:
-            self._store.write_snapshot(
-                self.epoch.epoch_id, self._snapshot_sections()
-            )
-
     def _reset_durable_state(self) -> None:
         """Wipe and re-seed the store after a reorg invalidated its history."""
-        if self._store is not None and not self._recovering:
-            self._store.reset()
+        if self._journaling:
+            self._wipe_store()
             if self.blocks:
-                self._persist_snapshot()
+                self._write_snapshot()
 
     # -- disk recovery ------------------------------------------------------------------
-
-    def _recover_from_store(self) -> bool:
-        """Replay ``snapshot + WAL`` back to the pre-crash chain.
-
-        Returns True when a chain was recovered.  Replay is *trusted*:
-        blocks came from this node's own validated history, so signature,
-        leadership and derivation checks are skipped and epochs whose
-        certificate made it to the log are not re-proven — which is what
-        makes disk recovery strictly faster than a full peer resync.  Every
-        replayed block's state digest is still checked, so corruption
-        cannot slip through; any mismatch raises
-        :class:`~repro.errors.StorageError` and the caller falls back to an
-        empty chain.
-        """
-        store = self._store
-        snapshot = store.latest_snapshot()
-        records = store.records()
-        if snapshot is None and not records:
-            return False
-        self._recovering = True
-        try:
-            if snapshot is not None:
-                self._restore_snapshot(snapshot[1])
-            self._replay_wal(records)
-        except DecodeError as exc:
-            raise StorageError(f"undecodable store record: {exc}") from exc
-        finally:
-            self._recovering = False
-        # one fresh snapshot folds the replayed WAL back in: recovery is
-        # idempotent and the node is immediately durable again
-        self._persist_snapshot()
-        self._resubmit_reverted_certificates()
-        count_disk_recovery()
-        return True
 
     def _restore_state_section(self, sections: dict[str, bytes]):
         """Decode whichever state section the snapshot carries.
@@ -533,7 +476,17 @@ class LatusNode(NodeLifecycle):
                 known.add(tx.txid)
                 self.submitted_txs.append(tx)
 
-    def _replay_wal(self, records: list[tuple[int, bytes]]) -> None:
+    def _replay(self, records: list[tuple[int, bytes]]) -> None:
+        """Apply the WAL tail as *trusted* replay.
+
+        The blocks came from this node's own validated history, so
+        signature, leadership and derivation checks are skipped and epochs
+        whose certificate made it to the log are not re-proven — which is
+        what makes disk recovery strictly faster than a full peer resync.
+        Every replayed block's state digest is still checked, so corruption
+        cannot slip through; any mismatch raises
+        :class:`~repro.errors.StorageError`.
+        """
         wallet_txs: list[LatusTransaction] = []
         staged: dict[int, int] = {}
         index = 0
@@ -583,6 +536,7 @@ class LatusNode(NodeLifecycle):
         # contract allows to drop (the tree never applied them pre-crash
         # only if the process died mid-group; either way the deterministic
         # resync covers the difference).  Silently ignored.
+        self._resubmit_reverted_certificates()
 
     def _replay_block(self, block: SidechainBlock, updates: dict[int, int]) -> None:
         """Apply one previously-validated block from the WAL (trusted path).
@@ -645,7 +599,7 @@ class LatusNode(NodeLifecycle):
                 "FTTx/BTRTx are MC-defined; they cannot be submitted directly"
             )
         self.submitted_txs.append(tx)
-        if self._store is not None and not self._recovering:
+        if self._journaling:
             self._store.append(SC_TX, tx.encode())
 
     def pending_transactions(self) -> list[LatusTransaction]:
@@ -968,7 +922,7 @@ class LatusNode(NodeLifecycle):
             except ZendooError:
                 pass  # duplicate after a rebuild: already queued/confirmed
 
-        if self._store is not None and not self._recovering:
+        if self._journaling:
             # the certificate record lets recovery skip re-proving; if the
             # crash lands before it, replay re-proves the epoch instead
             self._store.append(SC_CERT, certificate.encode())
@@ -979,7 +933,7 @@ class LatusNode(NodeLifecycle):
             epoch_id=epoch_id + 1, start_state=self.state.copy()
         )
         # epoch boundaries are the periodic snapshot points: fold the log in
-        self._persist_snapshot()
+        self._write_snapshot()
 
     def _epoch_boundary_hash(self, epoch_id: int) -> bytes:
         """Active-chain hash of a withdrawal epoch's last MC block."""
@@ -1053,8 +1007,7 @@ class LatusNode(NodeLifecycle):
         except (ConsensusError, StateTransitionError):
             # journaled leaf batches from the rejected block must not ride
             # the next block's commit
-            if self._store is not None and not self._store.read_only:
-                self._store.discard_staged()
+            self._discard_staged()
             raise
 
         self._append_block(block)

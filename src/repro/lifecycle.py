@@ -1,24 +1,28 @@
-"""Shared node lifecycle: crash / restart / resync, with disk recovery.
+"""Shared node lifecycle: crash / restart / resync, and the node's store.
 
 :class:`LatusNode` and :class:`MainchainNode` expose the same lifecycle
-surface — ``crash()``, ``restart()``, ``sync_from(peer)`` — and count it on
-the same metrics (``repro_node_crashes_total`` and friends).  This module
-holds that shared machinery as a mixin; each node supplies a handful of
-hooks:
+surface — ``crash()``, ``restart()``, ``sync_from(peer)``, ``close()`` —
+and count it on the same metrics (``repro_node_crashes_total`` and
+friends).  This mixin is also the only code that opens, guards, recovers,
+snapshots, resets and closes a node's :class:`~repro.storage.StateStore`.
+Each node supplies a handful of hooks:
 
 * ``_drop_inflight()`` — discard state a real crash would lose;
 * ``_reset_for_restart()`` — rebuild the empty-chain state;
-* ``_recover_from_store()`` — replay snapshot + WAL from :attr:`_store`,
-  returning True when a chain was recovered;
+* ``_restore_snapshot(sections)`` — load the latest snapshot's sections;
+* ``_replay(records)`` — apply the WAL records written since it;
+* ``_snapshot_sections()`` — ``(epoch, sections)`` of the current chain;
 * ``_adopt_peer_chain(peer)`` — one full re-validated adoption attempt;
 * ``_chain_length()`` — blocks adopted (the ``sync_from`` return value);
 * ``_SYNC_RETRYABLE`` / ``_SYNC_ERROR`` — what to retry and what to raise
   when retries are exhausted.
 
-``restart(data_dir=...)`` is the recover-from-disk entry point: it opens a
-:class:`~repro.storage.FileStore` over the directory and replays it, so a
-kill -9'd node comes back to a byte-identical chain digest without a full
-peer resync (only the WAL tail past the last fsync ever needs a peer).
+Recovery is one template, :meth:`NodeLifecycle._recover_from_store`: read
+the snapshot and the WAL once, restore and replay them with durable writes
+suppressed, fold them into one fresh snapshot.  ``restart(data_dir=...)``
+is the recover-from-disk entry point, so a kill -9'd node comes back to a
+byte-identical chain digest without a full peer resync (only the WAL tail
+past the last fsync ever needs a peer).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import warnings
 
 from repro import observability
-from repro.errors import NodeCrashed, StorageError
+from repro.errors import DecodeError, NodeCrashed, StorageError
 
 _REGISTRY = observability.registry()
 NODE_CRASHES = _REGISTRY.counter(
@@ -47,15 +51,26 @@ NODE_RESYNCS = _REGISTRY.counter(
 ).labels()
 
 
+def _open_store(store, data_dir, fsync: str):
+    """``store``, or a :class:`~repro.storage.FileStore` over ``data_dir``."""
+    if data_dir is None:
+        return store
+    if store is not None:
+        raise StorageError("pass data_dir= or store=, not both")
+    from repro.storage import FileStore  # deferred: its codecs import the node packages
+
+    return FileStore(data_dir, fsync=fsync)
+
+
 class NodeLifecycle:
-    """Crash/restart/resync mixin shared by Latus and mainchain nodes."""
+    """Crash/restart/resync and store ownership shared by both node types."""
 
     #: Exceptions ``sync_from`` treats as recoverable and retries.
     _SYNC_RETRYABLE: tuple[type[BaseException], ...] = ()
     #: Raised (with the standard message) when every retry failed.
     _SYNC_ERROR: type[Exception] = RuntimeError
 
-    def _init_lifecycle(self, store=None) -> None:
+    def _init_lifecycle(self, store=None, data_dir=None, fsync: str = "block") -> None:
         #: True between :meth:`crash` and :meth:`restart`; chain-mutating
         #: APIs refuse to run while set.
         self.crashed = False
@@ -63,7 +78,9 @@ class NodeLifecycle:
         self.restarts = 0
         #: Simulated seconds spent backing off inside :meth:`sync_from`.
         self.backoff_seconds = 0.0
-        self._store = store
+        self._store = _open_store(store, data_dir, fsync)
+        #: True while the store is being replayed: the node writes nothing.
+        self._replaying = False
 
     # -- hooks ------------------------------------------------------------------
 
@@ -73,9 +90,14 @@ class NodeLifecycle:
     def _reset_for_restart(self) -> None:
         raise NotImplementedError
 
-    def _recover_from_store(self) -> bool:
-        """Replay :attr:`_store`; True when a chain was recovered."""
-        return False
+    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
+        raise NotImplementedError
+
+    def _replay(self, records: list[tuple[int, bytes]]) -> None:
+        raise NotImplementedError
+
+    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+        raise NotImplementedError
 
     def _adopt_peer_chain(self, peer) -> None:
         raise NotImplementedError
@@ -83,28 +105,74 @@ class NodeLifecycle:
     def _chain_length(self) -> int:
         raise NotImplementedError
 
-    # -- shared surface -----------------------------------------------------------
+    # -- the store ------------------------------------------------------------------
 
     @property
     def store(self):
         """The attached :class:`~repro.storage.StateStore` (or None)."""
         return self._store
 
-    def _require_running(self) -> None:
-        if self.crashed:
-            raise NodeCrashed("node has crashed; call restart() first")
+    @property
+    def _journaling(self) -> bool:
+        """True when durable writes go to the store (attached, not replaying)."""
+        return self._store is not None and not self._replaying
+
+    def _write_snapshot(self) -> None:
+        """Fold the WAL into a fresh snapshot of the current chain."""
+        if self._journaling:
+            self._store.write_snapshot(*self._snapshot_sections())
+
+    def _discard_staged(self) -> None:
+        """Drop staged-but-uncommitted records (a failed or lost block)."""
+        if self._store is not None and not self._store.read_only:
+            self._store.discard_staged()
+
+    def _wipe_store(self) -> None:
+        """Drop the store's history before the node writes a different one."""
+        if self._store is not None and not self._store.read_only:
+            self._store.reset()
+
+    def _recover_from_store(self) -> bool:
+        """Replay ``snapshot + WAL``; True when a chain was recovered.
+
+        The store is read once.  Nothing is written while it replays; the
+        replayed tail is then folded into one fresh snapshot, so recovery
+        is idempotent and the node is immediately durable again.  Any
+        failure raises :class:`~repro.errors.StorageError`.
+        """
+        snapshot = self._store.latest_snapshot()
+        records = self._store.records()
+        if snapshot is None and not records:
+            return False
+        self._replaying = True
+        try:
+            if snapshot is not None:
+                self._restore_snapshot(snapshot[1])
+            self._replay(records)
+        except DecodeError as exc:
+            raise StorageError(f"undecodable store record: {exc}") from exc
+        finally:
+            self._replaying = False
+        self._write_snapshot()
+        from repro.storage import count_disk_recovery
+
+        count_disk_recovery()
+        return True
 
     def _recover_or_start_empty(self, empty: str = "an empty chain") -> bool:
-        """Replay a non-empty attached store; True when a chain was recovered.
+        """Start from the empty chain and replay the attached store onto it.
 
-        The one place the recovery-failure policy lives: a store that fails
-        to replay is abandoned with a warning naming ``empty`` and the node
-        starts over from :meth:`_reset_for_restart`.
+        Returns True when a chain was recovered.  The one place the
+        recovery-failure policy lives: a store that fails to replay is
+        abandoned with a warning naming ``empty``, the node starts over
+        from :meth:`_reset_for_restart`, and the store is wiped before the
+        node writes a new history to it.
         """
+        self._reset_for_restart()
         if self._store is None:
             return False
         try:
-            return not self._store.is_empty() and self._recover_from_store()
+            return self._recover_from_store()
         except StorageError as exc:
             warnings.warn(
                 f"disk recovery failed ({exc}); starting from {empty}",
@@ -112,7 +180,19 @@ class NodeLifecycle:
                 stacklevel=3,
             )
             self._reset_for_restart()
+            self._wipe_store()
             return False
+
+    def close(self) -> None:
+        """Release the attached store, if any."""
+        if self._store is not None:
+            self._store.close()
+
+    # -- shared surface -----------------------------------------------------------
+
+    def _require_running(self) -> None:
+        if self.crashed:
+            raise NodeCrashed("node has crashed; call restart() first")
 
     def crash(self) -> None:
         """Simulate an abrupt process death.
@@ -127,6 +207,7 @@ class NodeLifecycle:
             return
         self.crashed = True
         self._drop_inflight()
+        self._discard_staged()
         NODE_CRASHES.inc()
 
     def restart(self, data_dir=None, store=None, fsync: str = "block") -> None:
@@ -139,34 +220,29 @@ class NodeLifecycle:
         ``restart(store=...)`` attaches any store; either way, a non-empty
         store is replayed back to the exact pre-crash chain (minus any WAL
         tail past the last fsync).  A store that fails to replay (corrupt,
-        or from a different chain) is abandoned with a warning and the node
-        falls back to the empty chain.
+        or from a different chain) is abandoned with a warning and wiped,
+        and the node falls back to the empty chain.
         """
-        if data_dir is not None and store is not None:
-            raise StorageError("pass data_dir= or store=, not both")
+        store = _open_store(store, data_dir, fsync)
         self.crashed = False
         self.restarts += 1
         NODE_RESTARTS.inc()
-        if data_dir is not None:
-            from repro.storage import FileStore
-
-            store = FileStore(data_dir, fsync=fsync)
         if store is not None:
             old = self._store
             if old is not None and old is not store:
                 old.close()
             self._store = store
-        self._reset_for_restart()
         self._recover_or_start_empty()
 
     def sync_from(self, peer, max_retries: int = 5, base_backoff: float = 0.05) -> int:
         """Adopt a peer's chain after a restart; returns blocks adopted.
 
         Every peer block passes full validation, so a malicious peer cannot
-        smuggle an invalid history in.  Recoverable failures are retried up
-        to ``max_retries`` times with exponential backoff (simulated
-        seconds accumulated on :attr:`backoff_seconds` and counted on
-        ``repro_node_sync_retries_total``).
+        smuggle an invalid history in.  Each attempt first wipes the store,
+        whose history the adopted chain replaces.  Recoverable failures are
+        retried up to ``max_retries`` times with exponential backoff
+        (simulated seconds accumulated on :attr:`backoff_seconds` and
+        counted on ``repro_node_sync_retries_total``).
         """
         self._require_running()
         delay = base_backoff
@@ -176,6 +252,7 @@ class NodeLifecycle:
                 NODE_SYNC_RETRIES.inc()
                 self.backoff_seconds += delay
                 delay *= 2
+            self._wipe_store()
             try:
                 self._adopt_peer_chain(peer)
             except self._SYNC_RETRYABLE as exc:
@@ -184,9 +261,8 @@ class NodeLifecycle:
             NODE_RESYNCS.inc()
             return self._chain_length()
         self._reset_for_restart()
-        if self._store is not None and not self._store.read_only:
-            # a failed adoption attempt may have left partial records behind
-            self._store.reset()
+        # a failed adoption attempt may have left partial records behind
+        self._wipe_store()
         raise self._SYNC_ERROR(
             f"sync_from failed after {max_retries} retries: {last_error}"
         )

@@ -21,7 +21,6 @@ from repro.errors import (
     DoubleSpend,
     InsufficientFunds,
     OrphanBlock,
-    StorageError,
     UnknownBlock,
     ValidationError,
 )
@@ -398,30 +397,15 @@ class _BlockRecord:
 class Blockchain:
     """Block store with per-block validated states and work-based fork choice.
 
-    Attach a :class:`~repro.storage.StateStore` (``store=``) to make the
-    chain durable: every accepted block is appended to the WAL and a full
-    snapshot (active chain + tip state) is written whenever the tip advances
-    onto a ``snapshot_interval`` boundary.  Constructing a :class:`Blockchain`
-    over a non-empty store recovers the chain from disk: snapshot blocks
-    are restored without re-validation (historical states are pruned —
-    only the tip keeps one) and the WAL tail is replayed through the full
-    :meth:`add_block` validation.
+    Durability is the owning :class:`~repro.mainchain.node.MainchainNode`'s
+    job; a chain it recovers from disk is put back with :meth:`restore`.
     """
 
-    def __init__(
-        self,
-        params: MainchainParams | None = None,
-        verify_pool=None,
-        store=None,
-        snapshot_interval: int = 16,
-    ) -> None:
+    def __init__(self, params: MainchainParams | None = None, verify_pool=None) -> None:
         self.params = params or MainchainParams()
         #: Optional :class:`repro.snark.pool.ProverPool` used to batch-verify
         #: certificate proofs while connecting blocks.
         self.verify_pool = verify_pool
-        self._store = store
-        self.snapshot_interval = snapshot_interval
-        self._recovering = False
         genesis = _make_genesis(self.params)
         genesis_state = MainchainState(self.params)
         genesis_state.height = 0
@@ -433,15 +417,12 @@ class Blockchain:
         }
         self.genesis = genesis
         self._active_tip = genesis.hash
-        if self._store is not None and not self._store.is_empty():
-            self._recover_from_store()
-
-    @property
-    def store(self):
-        """The attached :class:`~repro.storage.StateStore` (or None)."""
-        return self._store
 
     # -- queries ------------------------------------------------------------------
+
+    def __contains__(self, block_hash: bytes) -> bool:
+        """True when the block is stored (on any branch)."""
+        return block_hash in self._records
 
     @property
     def tip(self) -> Block:
@@ -517,9 +498,10 @@ class Blockchain:
     def add_block(self, block: Block) -> bool:
         """Validate and store ``block``; returns True when it becomes the tip.
 
-        Raises :class:`OrphanBlock` when the parent is unknown and
-        :class:`ValidationError` (or a CCTP error) when invalid.  Fork choice
-        is by cumulative work with first-seen tie breaking.
+        Raises :class:`OrphanBlock` when the parent is unknown or its state
+        was pruned by :meth:`restore`, and :class:`ValidationError` (or a
+        CCTP error) when invalid.  Fork choice is by cumulative work with
+        first-seen tie breaking.
         """
         if block.hash in self._records:
             return block.hash == self._active_tip
@@ -527,6 +509,10 @@ class Blockchain:
         if parent is None:
             raise OrphanBlock(
                 f"parent {block.header.prev_hash.hex()[:16]} is unknown"
+            )
+        if parent.state is None:
+            raise OrphanBlock(
+                f"state for parent {block.header.prev_hash.hex()[:16]} was pruned"
             )
         if block.height != parent.block.height + 1:
             raise ValidationError("block height does not follow its parent")
@@ -555,7 +541,7 @@ class Blockchain:
         return self._record(block, self._records[block.header.prev_hash], state)
 
     def _record(self, block: Block, parent: _BlockRecord, state: MainchainState) -> bool:
-        """Fork choice, WAL append and snapshot for a connected block."""
+        """Store a connected block and run fork choice."""
         work = parent.cumulative_work + block_work(block.header.target_bits)
         self._records[block.hash] = _BlockRecord(
             block=block, cumulative_work=work, state=state
@@ -563,25 +549,15 @@ class Blockchain:
         became_tip = work > self._records[self._active_tip].cumulative_work
         if became_tip:
             self._active_tip = block.hash
-        if self._store is not None and not self._recovering:
-            from repro.storage import MC_BLOCK
-
-            self._store.append(MC_BLOCK, block.encode())
-            if (
-                became_tip
-                and self.snapshot_interval
-                and block.height % self.snapshot_interval == 0
-            ):
-                self._write_snapshot()
         return became_tip
 
     def state_at(self, block_hash: bytes) -> MainchainState:
         """The validated state after ``block_hash`` (any branch).
 
         Returns a defensive copy: callers may mutate the result freely
-        without corrupting the branch's recorded state.  Blocks restored
-        from a snapshot keep no historical state (pruning horizon) — only
-        the recovered tip and blocks connected since have one.
+        without corrupting the branch's recorded state.  Blocks put back by
+        :meth:`restore` keep no historical state (pruning horizon) — only
+        the restored tip and blocks connected since have one.
         """
         try:
             record = self._records[block_hash]
@@ -593,97 +569,16 @@ class Blockchain:
             )
         return record.state.copy()
 
-    # -- durability ----------------------------------------------------------------
+    def restore(self, blocks: Sequence[Block], tip_state: MainchainState) -> None:
+        """Replace the chain with a trusted active chain, genesis first.
 
-    def _write_snapshot(self) -> None:
-        """Write a full snapshot (active chain + tip state), compacting the WAL."""
-        if self._store is None or self._recovering:
-            return
-        from repro.storage import codec as storage_codec
-
-        sections = {
-            "mc/blocks": storage_codec.encode_blob_sequence(
-                [b.encode() for b in self.active_chain()]
-            ),
-            "mc/state": storage_codec.encode_mainchain_state(self.state),
-        }
-        self._store.write_snapshot(self.height, sections)
-
-    def _recover_from_store(self) -> None:
-        """Restore ``snapshot + WAL tail`` from the attached store.
-
-        Snapshot blocks are trusted (they were fully validated before being
-        written by this node) and restored without re-validation; the WAL
-        tail goes through the regular :meth:`add_block` path.  Raises
-        :class:`~repro.errors.StorageError` when the stored chain does not
-        match this chain's parameters (different genesis) or is internally
-        inconsistent.
+        The blocks were validated before they were stored (a node's own
+        snapshot) and are not connected again; only the tip keeps a state,
+        ``tip_state``.  The caller checks that they are hash-linked.
         """
-        from repro import wire
-        from repro.storage import MC_BLOCK, count_disk_recovery
-
-        snapshot = self._store.latest_snapshot()
-        records = self._store.records()
-        self._recovering = True
-        try:
-            if snapshot is not None:
-                self._restore_snapshot(snapshot[1])
-            for kind, payload in records:
-                if kind != MC_BLOCK:
-                    raise StorageError(
-                        f"unexpected sidechain record (kind {kind}) in a "
-                        "mainchain store"
-                    )
-                try:
-                    block = wire.decode_block(payload)
-                except Exception as exc:
-                    raise StorageError(f"corrupt WAL block: {exc}")
-                if block.hash in self._records:
-                    continue
-                parent = self._records.get(block.header.prev_hash)
-                if parent is None or parent.state is None:
-                    # a fork tail hanging off a pruned (stateless) ancestor
-                    # cannot be reconnected; the active chain never needs it
-                    continue
-                try:
-                    self.add_block(block)
-                except (ValidationError, OrphanBlock) as exc:
-                    raise StorageError(f"WAL block failed re-validation: {exc}")
-        finally:
-            self._recovering = False
-        # fold the replayed WAL into a fresh snapshot: recovery is idempotent
-        self._write_snapshot()
-        count_disk_recovery()
-
-    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
-        from repro import wire
-        from repro.storage import codec as storage_codec
-
-        try:
-            raw_blocks = storage_codec.decode_blob_sequence(sections["mc/blocks"])
-            state = storage_codec.decode_mainchain_state(
-                sections["mc/state"], self.params
-            )
-        except KeyError as exc:
-            raise StorageError(f"snapshot is missing section {exc}")
-        try:
-            blocks = [wire.decode_block(raw) for raw in raw_blocks]
-        except Exception as exc:
-            raise StorageError(f"corrupt snapshot block: {exc}")
-        if not blocks:
-            raise StorageError("snapshot holds no blocks")
-        if blocks[0].hash != self.genesis.hash:
-            raise StorageError(
-                "stored chain has a different genesis (wrong network?)"
-            )
-        for prev, block in zip(blocks, blocks[1:]):
-            if block.header.prev_hash != prev.hash:
-                raise StorageError("stored chain is not hash-linked")
-            if block.height != prev.height + 1:
-                raise StorageError("stored chain heights are not contiguous")
         tip = blocks[-1]
-        state.height = tip.height
-        state.block_hashes = BlockHashChain([b.hash for b in blocks])
+        tip_state.height = tip.height
+        tip_state.block_hashes = BlockHashChain([b.hash for b in blocks])
         self._records = {}
         work = 0
         for block in blocks:
@@ -692,9 +587,7 @@ class Blockchain:
             self._records[block.hash] = _BlockRecord(
                 block=block, cumulative_work=work, state=None
             )
-        self._records[tip.hash] = _BlockRecord(
-            block=tip, cumulative_work=work, state=state
-        )
+        self._records[tip.hash].state = tip_state
         self._active_tip = tip.hash
 
 

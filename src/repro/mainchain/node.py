@@ -7,12 +7,16 @@ per-transaction code peers run, dropping each one that raises rather than
 letting it poison the block; it then computes the sidechain-transactions
 commitment, grinds the proof of work and records the block with the state
 it was assembled on, so nothing is connected twice.
+
+With a store attached the node journals one ``MC_BLOCK`` record per newly
+recorded block, on any branch, and snapshots the active chain and the tip
+state whenever the tip lands on a multiple of :data:`SNAPSHOT_INTERVAL`.
 """
 
 from __future__ import annotations
 
 from repro import observability
-from repro.errors import StorageError, ValidationError, ZendooError
+from repro.errors import OrphanBlock, StorageError, ValidationError, ZendooError
 from repro.lifecycle import NodeLifecycle
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
 from repro.mainchain.chain import Blockchain, MainchainState
@@ -28,6 +32,10 @@ _TEMPLATE_DROPS = observability.registry().counter(
     labelnames=("reason",),
 )
 
+#: A durable node snapshots (compacting its WAL) whenever its tip reaches a
+#: multiple of this height.
+SNAPSHOT_INTERVAL = 16
+
 
 class MainchainNode(NodeLifecycle):
     """A self-contained mainchain node.
@@ -35,9 +43,10 @@ class MainchainNode(NodeLifecycle):
     Shares the crash/restart/resync lifecycle with
     :class:`~repro.latus.node.LatusNode` (same method names, same
     ``repro_node_*`` counters).  ``store=`` / ``data_dir=`` attach a durable
-    :class:`~repro.storage.StateStore` to the underlying
-    :class:`Blockchain`, and ``restart(data_dir=...)`` recovers the chain
-    from disk.
+    :class:`~repro.storage.StateStore`, and ``restart(data_dir=...)``
+    recovers the chain from disk: snapshot blocks are restored without
+    re-validation (historical states are pruned — only the tip keeps one)
+    and the WAL tail is replayed through the full ``add_block`` validation.
     """
 
     _SYNC_RETRYABLE = (ValidationError, ZendooError)
@@ -50,58 +59,89 @@ class MainchainNode(NodeLifecycle):
         store=None,
         data_dir=None,
         fsync: str = "block",
-        snapshot_interval: int = 16,
     ) -> None:
         self.params = params or MainchainParams()
         #: Optional :class:`repro.snark.pool.ProverPool` for batched
         #: certificate verification while connecting blocks.
         self.verify_pool = verify_pool
-        self.snapshot_interval = snapshot_interval
-        if data_dir is not None:
-            if store is not None:
-                raise StorageError("pass data_dir= or store=, not both")
-            from repro.storage import FileStore
-
-            store = FileStore(data_dir, fsync=fsync)
-        self._init_lifecycle(store)
-        self._reset_for_restart()
-        if store is not None and not self._recover_or_start_empty("genesis"):
-            # nothing replayable on disk: open a fresh durable chain on it
-            if not store.is_empty():
-                store.reset()
-            self.chain = Blockchain(
-                self.params,
-                verify_pool=verify_pool,
-                store=store,
-                snapshot_interval=snapshot_interval,
-            )
+        self._init_lifecycle(store, data_dir, fsync)
+        self._recover_or_start_empty("genesis")
 
     # -- lifecycle hooks ------------------------------------------------------------
 
     def _drop_inflight(self) -> None:
         self.mempool.clear()
-        if self._store is not None and not self._store.read_only:
-            self._store.discard_staged()
 
     def _reset_for_restart(self) -> None:
         self.chain = Blockchain(self.params, verify_pool=self.verify_pool)
         self.mempool = Mempool()
         self._clock = 0
 
-    def _recover_from_store(self) -> bool:
-        # the Blockchain constructor performs the actual snapshot + WAL
-        # replay; StorageError propagates to _recover_or_start_empty
-        chain = Blockchain(
-            self.params,
-            verify_pool=self.verify_pool,
-            store=self._store,
-            snapshot_interval=self.snapshot_interval,
-        )
-        if chain.height == 0 and self._store.is_empty():
-            return False
-        self.chain = chain
-        self._clock = max(self._clock, chain.tip.header.timestamp)
-        return True
+    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
+        from repro import wire
+        from repro.storage import codec as storage_codec
+
+        try:
+            raw_blocks = storage_codec.decode_blob_sequence(sections["mc/blocks"])
+            state = storage_codec.decode_mainchain_state(
+                sections["mc/state"], self.params
+            )
+        except KeyError as exc:
+            raise StorageError(f"snapshot is missing section {exc}")
+        blocks = [wire.decode_block(raw) for raw in raw_blocks]
+        if not blocks:
+            raise StorageError("snapshot holds no blocks")
+        if blocks[0].hash != self.chain.genesis.hash:
+            raise StorageError(
+                "stored chain has a different genesis (wrong network?)"
+            )
+        for prev, block in zip(blocks, blocks[1:]):
+            if block.header.prev_hash != prev.hash:
+                raise StorageError("stored chain is not hash-linked")
+            if block.height != prev.height + 1:
+                raise StorageError("stored chain heights are not contiguous")
+        self.chain.restore(blocks, state)
+
+    def _replay(self, records: list[tuple[int, bytes]]) -> None:
+        """Re-validate the WAL tail through :meth:`Blockchain.add_block`."""
+        from repro import wire
+        from repro.storage import MC_BLOCK
+
+        for kind, payload in records:
+            if kind != MC_BLOCK:
+                raise StorageError(
+                    f"unexpected sidechain record (kind {kind}) in a "
+                    "mainchain store"
+                )
+            try:
+                self.chain.add_block(wire.decode_block(payload))
+            except OrphanBlock:
+                # a fork tail hanging off a block the snapshot did not keep
+                # (or kept without state); the active chain never needs it
+                continue
+            except ValidationError as exc:
+                raise StorageError(f"WAL block failed re-validation: {exc}")
+        self._clock = max(self._clock, self.chain.tip.header.timestamp)
+
+    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+        from repro.storage import codec as storage_codec
+
+        return self.chain.height, {
+            "mc/blocks": storage_codec.encode_blob_sequence(
+                [b.encode() for b in self.chain.active_chain()]
+            ),
+            "mc/state": storage_codec.encode_mainchain_state(self.chain.state),
+        }
+
+    def _journal_block(self, block: Block) -> None:
+        """WAL-append a newly recorded block; snapshot on an interval tip."""
+        if not self._journaling:
+            return
+        from repro.storage import MC_BLOCK
+
+        self._store.append(MC_BLOCK, block.encode())
+        if self.chain.tip.hash == block.hash and block.height % SNAPSHOT_INTERVAL == 0:
+            self._write_snapshot()
 
     def _adopt_peer_chain(self, peer: "MainchainNode") -> None:
         chain = Blockchain(self.params, verify_pool=self.verify_pool)
@@ -109,19 +149,11 @@ class MainchainNode(NodeLifecycle):
             chain.add_block(block)
         self.chain = chain
         self._clock = max(self._clock, chain.tip.header.timestamp)
-        if self._store is not None:
-            # re-seed the store with the adopted chain
-            self._store.reset()
-            chain._store = self._store
-            chain._write_snapshot()
+        # re-seed the (wiped) store with the adopted chain
+        self._write_snapshot()
 
     def _chain_length(self) -> int:
         return self.chain.height + 1
-
-    def close(self) -> None:
-        """Release the attached store, if any."""
-        if self._store is not None:
-            self._store.close()
 
     # -- convenience accessors ------------------------------------------------------
 
@@ -170,6 +202,7 @@ class MainchainNode(NodeLifecycle):
         block = Block(header=mine_header(header), transactions=transactions)
         state.finish_block(block, fees)
         self.chain.add_mined_block(block, state)
+        self._journal_block(block)
         self.mempool.remove_confirmed(transactions)
         return block
 
@@ -209,7 +242,10 @@ class MainchainNode(NodeLifecycle):
     def receive_block(self, block: Block) -> bool:
         """Validate and store a block from the network; True when tip moved."""
         self._require_running()
+        known = block.hash in self.chain
         accepted = self.chain.add_block(block)
+        if not known:
+            self._journal_block(block)
         if accepted:
             self.mempool.remove_confirmed(block.transactions)
         return accepted

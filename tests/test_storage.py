@@ -8,12 +8,13 @@ needs a peer.
 """
 
 import os
+import warnings
 
 import pytest
 
 from repro import lifecycle, observability
 from repro.crypto.keys import KeyPair
-from repro.errors import NodeCrashed, StorageError
+from repro.errors import NodeCrashed, OrphanBlock, StorageError
 from repro.latus.node import LatusNode
 from repro.latus.params import LatusParams
 from repro.mainchain.node import MainchainNode
@@ -34,6 +35,7 @@ from repro.storage import (
     inspect_store,
     read_wal,
 )
+from repro.storage import codec as storage_codec
 
 ALICE = KeyPair.from_seed("store/alice")
 BOB = KeyPair.from_seed("store/bob")
@@ -397,6 +399,25 @@ class TestLatusDiskRecovery:
         assert node.height == -1  # empty chain, ready for sync_from
         node.close()
 
+    def test_fallback_wipes_the_abandoned_store(self, tmp_path):
+        # after the fallback the node writes a new history; it must not land
+        # behind the corrupt record, or the next restart fails on it again
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        sc.node.close()
+        data_dir = tmp_path / "sc"
+        wal = data_dir / "wal.log"
+        wal.write_bytes(wal.read_bytes() + frame_record(SC_BLOCK, b"garbage"))
+        with pytest.warns(RuntimeWarning, match="disk recovery failed"):
+            node = _recover_latus(harness, sc, data_dir)
+        node.bootstrap_from(sc.node.blocks[:2])
+        node.close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = _recover_latus(harness, sc, data_dir)
+        assert again.height == 1
+        assert again.tip_hash == sc.node.blocks[1].hash
+        again.close()
+
     def test_corrupt_snapshot_falls_back_with_warning(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
         sc.node.close()
@@ -441,20 +462,63 @@ class TestMainchainDiskRecovery:
         recovered.close()
 
     def test_unreplayable_store_falls_back_to_genesis(self, tmp_path):
+        def garbage_wal_block(data_dir):
+            wal = data_dir / "wal.log"
+            wal.write_bytes(wal.read_bytes() + frame_record(MC_BLOCK, b"garbage"))
+
+        def garbage_snapshot_blocks(data_dir):
+            store = FileStore(data_dir)
+            epoch, sections = store.latest_snapshot()
+            sections["mc/blocks"] = storage_codec.encode_blob_sequence([b"garbage"])
+            store.write_snapshot(epoch, sections)
+            store.close()
+
+        # 3 blocks stay in the WAL; 16 land in the snapshot
+        for mined, corrupt in ((3, garbage_wal_block), (16, garbage_snapshot_blocks)):
+            data_dir = tmp_path / corrupt.__name__
+            node = MainchainNode(_mc_params(), data_dir=data_dir)
+            node.mine_blocks(MINER.address, mined)
+            node.close()
+            corrupt(data_dir)
+            with pytest.warns(RuntimeWarning, match="starting from genesis"):
+                recovered = MainchainNode(_mc_params(), data_dir=data_dir)
+            assert recovered.height == 0
+            # the abandoned store was wiped and is durable again
+            recovered.mine_blocks(MINER.address, 2)
+            recovered.close()
+            again = MainchainNode(_mc_params(), data_dir=data_dir)
+            assert again.height == 2
+            again.close()
+
+    def test_a_fork_off_a_pruned_block_is_an_orphan(self, tmp_path):
         node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        node.mine_blocks(MINER.address, 3)
+        node.mine_blocks(MINER.address, 17)  # snapshot at 16, block 17 in the WAL
+        rival = MainchainNode(_mc_params())
+        for block in node.chain.active_chain()[1:6]:
+            rival.receive_block(block)
+        side = rival.mine_block(MINER.address, timestamp=100)  # forks off block 5
+        node.receive_block(side)  # a side branch, journaled after the snapshot
+        tip = node.chain.tip.hash
         node.close()
-        wal = tmp_path / "mc" / "wal.log"
-        wal.write_bytes(wal.read_bytes() + frame_record(MC_BLOCK, b"garbage"))
-        with pytest.warns(RuntimeWarning, match="starting from genesis"):
-            recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        assert recovered.height == 0
-        # the abandoned store was wiped and is durable again
-        recovered.mine_blocks(MINER.address, 2)
+
+        recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        # block 5 came back without a state: replay skips the side branch
+        assert recovered.chain.tip.hash == tip
+        assert side.hash not in recovered.chain
+        with pytest.raises(OrphanBlock, match="pruned"):
+            recovered.receive_block(side)
         recovered.close()
-        again = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        assert again.height == 2
-        again.close()
+
+    def test_restart_onto_an_empty_data_dir_is_durable(self, tmp_path):
+        node = MainchainNode(_mc_params())
+        node.mine_blocks(MINER.address, 1)
+        node.crash()
+        node.restart(data_dir=tmp_path / "mc")
+        node.mine_blocks(MINER.address, 2)
+        node.close()
+        reopened = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        assert reopened.height == 2
+        reopened.close()
 
     def test_sidechain_registry_survives_restart(self, tmp_path):
         node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
@@ -536,6 +600,24 @@ class TestLifecycleParity:
     def test_store_and_data_dir_are_exclusive(self, tmp_path):
         with pytest.raises(StorageError, match="not both"):
             MainchainNode(_mc_params(), store=MemoryStore(), data_dir=tmp_path / "x")
+
+    def test_recovery_reads_the_store_once(self, tmp_path, monkeypatch):
+        mc = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        mc.mine_blocks(MINER.address, 20)  # snapshot at 16 + WAL tail
+        mc.close()
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        sc.node.close()
+        reads = []
+        latest_snapshot = FileStore.latest_snapshot
+
+        def counted(store):
+            reads.append(store.data_dir.name)
+            return latest_snapshot(store)
+
+        monkeypatch.setattr(FileStore, "latest_snapshot", counted)
+        MainchainNode(_mc_params(), data_dir=tmp_path / "mc").close()
+        _recover_latus(harness, sc, tmp_path / "sc").close()
+        assert reads == ["mc", "sc"]
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,7 @@ from repro.latus.consensus.stake import StakeDistribution
 from repro.latus.mc_ref import verify_mc_ref
 from repro.latus.params import LatusParams
 from repro.latus.state import LatusState
-from repro.latus.transactions import (
-    BackwardTransferRequestsTx,
-    BackwardTransferTx,
-    ForwardTransfersTx,
-    PaymentTx,
-)
+from repro.latus.transactions import index_transition
 from repro.latus.utxo import Utxo, address_to_field
 from repro.mainchain.node import MainchainNode
 
@@ -129,8 +124,10 @@ class SidechainAuditor:
                     )
                     reference_failure = True
                     break
-                mc_hash = self.mc.state.block_hash_at(ref.mc_height)
-                if ref.mc_block_hash != mc_hash:
+                if (
+                    ref.mc_height > self.mc.height
+                    or ref.mc_block_hash != self.mc.state.block_hash_at(ref.mc_height)
+                ):
                     report.violations.append(
                         f"block {block.height}: reference to a non-active MC block"
                     )
@@ -160,7 +157,7 @@ class SidechainAuditor:
                     )
                     execution_failure = True
                     break
-                self._index(tx, utxo_index)
+                index_transition(utxo_index, tx)
                 report.transitions_applied += 1
             if execution_failure:
                 break
@@ -209,20 +206,3 @@ class SidechainAuditor:
                 f"epoch {epoch_id}: adopted quality {cert.quality} != "
                 f"recomputed height {last_block.height}"
             )
-
-    @staticmethod
-    def _index(tx, utxo_index: dict[int, Utxo]) -> None:
-        if isinstance(tx, PaymentTx):
-            for signed in tx.inputs:
-                utxo_index.pop(signed.utxo.nonce, None)
-            for utxo in tx.outputs:
-                utxo_index[utxo.nonce] = utxo
-        elif isinstance(tx, BackwardTransferTx):
-            for signed in tx.inputs:
-                utxo_index.pop(signed.utxo.nonce, None)
-        elif isinstance(tx, ForwardTransfersTx):
-            for utxo in tx.outputs:
-                utxo_index[utxo.nonce] = utxo
-        elif isinstance(tx, BackwardTransferRequestsTx):
-            for utxo in tx.inputs:
-                utxo_index.pop(utxo.nonce, None)

@@ -58,7 +58,7 @@ from repro.latus.transactions import (
     BackwardTransferTx,
     ForwardTransfersTx,
     LatusTransaction,
-    PaymentTx,
+    index_transition,
 )
 from repro.latus.utxo import Utxo, address_to_field
 from repro.latus.wcert import WCertWitness, WithdrawalCertificateBuilder
@@ -112,34 +112,6 @@ class EpochLedger:
     transitions: list[LatusTransaction] = field(default_factory=list)
     referenced_mc_hashes: list[bytes] = field(default_factory=list)
 
-    def copy(self) -> "EpochLedger":
-        return EpochLedger(
-            epoch_id=self.epoch_id,
-            start_state=self.start_state.copy(),
-            transitions=list(self.transitions),
-            referenced_mc_hashes=list(self.referenced_mc_hashes),
-        )
-
-
-@dataclass
-class _NodeSnapshot:
-    """Rollback point captured after each applied sidechain block.
-
-    Enables §5.1's fork resolution: on an MC reorg only the SC blocks
-    referencing orphaned MC blocks are reverted — everything below the fork
-    point is restored from the snapshot, preserving history (and therefore
-    agreement with certificates the MC already adopted).
-    """
-
-    state: LatusState
-    utxo_index: dict[int, "Utxo"]
-    epoch: EpochLedger
-    last_referenced_mc_height: int
-    included_txids: set[bytes]
-    certificates_len: int
-    epoch_seeds: dict[int, bytes]
-    epoch_stakes: dict[int, object]
-
 
 @dataclass(frozen=True)
 class CertificateAnchor:
@@ -156,7 +128,7 @@ class CertificateAnchor:
 class LatusNode(NodeLifecycle):
     """A Latus sidechain full node bound to one mainchain node."""
 
-    _SYNC_RETRYABLE = (ConsensusError, UnknownBlock)
+    _SYNC_FAILURES = (ConsensusError, UnknownBlock)
     _SYNC_ERROR = ConsensusError
 
     def __init__(
@@ -239,7 +211,6 @@ class LatusNode(NodeLifecycle):
         )
         self.utxo_index: dict[int, Utxo] = {}
         self.blocks: list[SidechainBlock] = []
-        self.block_snapshots: list[_NodeSnapshot] = []
         self.synced_mc: list[tuple[int, bytes]] = []
         self.mc_queue: list[MainchainBlock] = []
         self.last_referenced_mc_height = self.config.start_block - 1
@@ -461,11 +432,6 @@ class LatusNode(NodeLifecycle):
         # crash time; dropping them lets the next sync() re-process them
         self.synced_mc = [(h, hsh) for h, hsh in synced if h <= last_ref]
         self.mc_queue = []
-        # rollback points below the tip cannot be reconstructed from a
-        # snapshot; a reorg that deep falls back to a full rebuild
-        self.block_snapshots = [None] * (len(blocks) - 1) if blocks else []
-        if blocks:
-            self._capture_snapshot()
         self._attach_store_hooks()
 
     def _merge_submitted(self, txs: list[LatusTransaction]) -> None:
@@ -500,12 +466,7 @@ class LatusNode(NodeLifecycle):
                 block = wire.decode_sidechain_block(payload)
                 self._replay_block(block, staged)
                 staged = {}
-                boundary = (
-                    block.mc_refs
-                    and block.mc_refs[-1].mc_height
-                    == self.config.schedule.last_height(self.epoch.epoch_id)
-                )
-                if boundary:
+                if self._closes_epoch(block, self.epoch.epoch_id):
                     if (
                         index + 1 < len(records)
                         and records[index + 1][0] == SC_CERT
@@ -519,7 +480,6 @@ class LatusNode(NodeLifecycle):
                         # the crash hit between the block commit and the
                         # certificate record: re-prove the epoch
                         self._close_withdrawal_epoch(block)
-                self._capture_snapshot()
             elif kind == SC_CERT:
                 # certificate whose boundary block is in the snapshot
                 certificate = wire.decode_withdrawal_certificate(payload)
@@ -548,15 +508,26 @@ class LatusNode(NodeLifecycle):
             raise StorageError("WAL block does not extend the stored chain")
         if block.height != self.height + 1:
             raise StorageError("WAL block height does not match the stored chain")
-        self._ensure_consensus_epoch(block.slot // self.params.slots_per_epoch)
         self.state.mst.apply_leaf_batch(updates)
         for tx in block.ordered_transitions():
-            self._index_transition(tx)
             self.state.backward_transfers.extend(_transition_bts(tx))
         if self.state.digest() != block.state_digest:
             raise StorageError(
                 f"replayed state digest mismatch at height {block.height}"
             )
+        self._readopt_block(block)
+
+    def _readopt_block(self, block: SidechainBlock) -> None:
+        """Bookkeeping for one of this node's own blocks, state already applied.
+
+        The consensus epoch, the UTXO index, the chain itself and the MC
+        heights the block references: everything but the state and the
+        certificates, which WAL replay and rollback each take from where
+        they keep them.
+        """
+        self._ensure_consensus_epoch(block.slot // self.params.slots_per_epoch)
+        for tx in block.ordered_transitions():
+            index_transition(self.utxo_index, tx)
         self._append_block(block)
         top = self.synced_mc[-1][0] if self.synced_mc else -1
         for ref in block.mc_refs:
@@ -612,7 +583,7 @@ class LatusNode(NodeLifecycle):
         Detects MC reorgs by comparing synced hashes to the current MC
         active chain; on divergence, only the sidechain blocks referencing
         orphaned MC blocks are reverted (§5.1's fork resolution) — history
-        below the fork point is restored from snapshots so it keeps
+        below the fork point is re-derived from the kept blocks so it keeps
         matching certificates the MC already adopted.
         """
         self._require_running()
@@ -666,41 +637,45 @@ class LatusNode(NodeLifecycle):
         return None
 
     def _rollback_before(self, divergence: int) -> None:
-        """Revert every SC block referencing MC heights >= ``divergence``."""
-        keep = 0
-        for i, block in enumerate(self.blocks):
+        """Revert every SC block referencing MC heights >= ``divergence``.
+
+        The kept chain is re-derived from the node's own blocks, as WAL
+        replay derives it.  A withdrawal epoch whose closing block is kept
+        replays only its bookkeeping and takes its final state from the
+        epoch's certificate anchor; the kept blocks of the open epoch are
+        re-executed and checked against their state digests.  Nothing is
+        re-proven, and the store is re-seeded once, at the end.
+        """
+        kept = []
+        for block in self.blocks:
             if block.mc_refs and block.mc_refs[-1].mc_height >= divergence:
                 break
-            keep = i + 1
-        if keep == 0:
-            # the entire sidechain history referenced the orphaned branch
-            self._reset_chain_state()
-            self._reset_durable_state()
-            return
-        snapshot = self.block_snapshots[keep - 1]
-        if snapshot is None:
-            # a disk-recovered node only has the tip rollback point; a reorg
-            # reaching below the recovered snapshot falls back to a rebuild
-            self._reset_chain_state()
-            self._reset_durable_state()
-            return
-        self.blocks = self.blocks[:keep]
-        self.block_snapshots = self.block_snapshots[:keep]
-        self.state = snapshot.state.copy()
-        self.utxo_index = dict(snapshot.utxo_index)
-        self.epoch = snapshot.epoch.copy()
-        self.last_referenced_mc_height = snapshot.last_referenced_mc_height
-        self.included_txids = set(snapshot.included_txids)
-        self.certificates = self.certificates[: snapshot.certificates_len]
-        self.anchors = {
-            e: a for e, a in self.anchors.items() if e < self.epoch.epoch_id
-        }
-        self._epoch_seeds = dict(snapshot.epoch_seeds)
-        self._epoch_stakes = dict(snapshot.epoch_stakes)
-        self.synced_mc = [
-            (h, block_hash) for h, block_hash in self.synced_mc if h < divergence
-        ]
-        self.mc_queue = []
+            kept.append(block)
+        closed = 0  # withdrawal epochs whose closing block is kept
+        for block in kept:
+            if self._closes_epoch(block, closed):
+                closed += 1
+        anchors, skipped = self.anchors, self.skipped_slots
+        self._reset_chain_state()
+        self.skipped_slots = skipped
+        self._replaying = True
+        try:
+            for block in kept:
+                epoch_id = self.epoch.epoch_id
+                if epoch_id >= closed:
+                    for tx in block.ordered_transitions():
+                        self.state.apply(tx)
+                    if self.state.digest() != block.state_digest:
+                        raise ConsensusError(
+                            f"rebuilt state digest mismatch at height {block.height}"
+                        )
+                self._readopt_block(block)
+                if self._closes_epoch(block, epoch_id):
+                    anchor = anchors[epoch_id]
+                    self.state = self._rehouse_state(anchor.state_snapshot.copy())
+                    self._restore_certificate(anchor.certificate)
+        finally:
+            self._replaying = False
         self._attach_store_hooks()
         # the store's history now diverges from the chain: re-seed it with a
         # fresh snapshot of the post-rollback state
@@ -778,26 +753,9 @@ class LatusNode(NodeLifecycle):
             batch = self._take_reference_batch()
             block = self._forge_block(forger, slot, batch)
             forged.append(block)
-            last_height = batch[-1].height
-            if last_height == self.config.schedule.last_height(self.epoch.epoch_id):
+            if self._closes_epoch(block, self.epoch.epoch_id):
                 self._close_withdrawal_epoch(block)
-            self._capture_snapshot()
         return forged
-
-    def _capture_snapshot(self) -> None:
-        """Record the rollback point for the block just applied."""
-        self.block_snapshots.append(
-            _NodeSnapshot(
-                state=self.state.copy(),
-                utxo_index=dict(self.utxo_index),
-                epoch=self.epoch.copy(),
-                last_referenced_mc_height=self.last_referenced_mc_height,
-                included_txids=set(self.included_txids),
-                certificates_len=len(self.certificates),
-                epoch_seeds=dict(self._epoch_seeds),
-                epoch_stakes=dict(self._epoch_stakes),
-            )
-        )
 
     def _take_reference_batch(self) -> list[MainchainBlock]:
         """Queued MC blocks up to (and including) the epoch-last block."""
@@ -821,7 +779,7 @@ class LatusNode(NodeLifecycle):
             refs.append(ref)
             for tx in _ref_transitions(ref):
                 working.apply(tx)
-                self._index_transition(tx)
+                index_transition(self.utxo_index, tx)
 
         included: list[LatusTransaction] = []
         for tx in self.pending_transactions():
@@ -829,7 +787,7 @@ class LatusNode(NodeLifecycle):
                 working.apply(tx)
             except StateTransitionError:
                 continue
-            self._index_transition(tx)
+            index_transition(self.utxo_index, tx)
             included.append(tx)
 
         block = forge_block(
@@ -859,22 +817,11 @@ class LatusNode(NodeLifecycle):
         # journal staged while the transitions applied: one sync per block
         self._persist_block(block)
 
-    def _index_transition(self, tx: LatusTransaction) -> None:
-        """Maintain the full-UTXO index across one applied transition."""
-        if isinstance(tx, PaymentTx):
-            for signed in tx.inputs:
-                self.utxo_index.pop(signed.utxo.nonce, None)
-            for utxo in tx.outputs:
-                self.utxo_index[utxo.nonce] = utxo
-        elif isinstance(tx, BackwardTransferTx):
-            for signed in tx.inputs:
-                self.utxo_index.pop(signed.utxo.nonce, None)
-        elif isinstance(tx, ForwardTransfersTx):
-            for utxo in tx.outputs:
-                self.utxo_index[utxo.nonce] = utxo
-        elif isinstance(tx, BackwardTransferRequestsTx):
-            for utxo in tx.inputs:
-                self.utxo_index.pop(utxo.nonce, None)
+    def _closes_epoch(self, block: SidechainBlock, epoch_id: int) -> bool:
+        """True when ``block`` references withdrawal epoch ``epoch_id``'s last MC block."""
+        return bool(block.mc_refs) and block.mc_refs[-1].mc_height == (
+            self.config.schedule.last_height(epoch_id)
+        )
 
     # -- withdrawal certificates -----------------------------------------------------------
 
@@ -994,6 +941,10 @@ class LatusNode(NodeLifecycle):
         for ref in block.mc_refs:
             if ref.mc_height != expected_height:
                 raise ConsensusError("MC references are not contiguous")
+            if ref.mc_height > self.mc.height:
+                raise ConsensusError("reference to an MC block above the local tip")
+            if ref.mc_block_hash != self.mc.state.block_hash_at(ref.mc_height):
+                raise ConsensusError("reference to a non-active MC block")
             verify_mc_ref(ref, self.ledger_id)
             expected_height += 1
 
@@ -1001,7 +952,7 @@ class LatusNode(NodeLifecycle):
         try:
             for tx in block.ordered_transitions():
                 working.apply(tx)  # raises StateTransitionError on invalidity
-                self._index_transition(tx)
+                index_transition(self.utxo_index, tx)
             if working.digest() != block.state_digest:
                 raise ConsensusError("state digest mismatch")
         except (ConsensusError, StateTransitionError):
@@ -1016,13 +967,8 @@ class LatusNode(NodeLifecycle):
             # these MC blocks no longer await a local reference
             covered = {ref.mc_height for ref in block.mc_refs}
             self.mc_queue = [b for b in self.mc_queue if b.height not in covered]
-        if (
-            block.mc_refs
-            and block.mc_refs[-1].mc_height
-            == self.config.schedule.last_height(self.epoch.epoch_id)
-        ):
+        if self._closes_epoch(block, self.epoch.epoch_id):
             self._close_withdrawal_epoch(block)
-        self._capture_snapshot()
 
 
 def _ref_transitions(ref: MCBlockReference) -> list[LatusTransaction]:

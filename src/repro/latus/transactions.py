@@ -229,6 +229,24 @@ LatusTransaction = (
 )
 
 
+def index_transition(utxo_index: dict[int, Utxo], tx: LatusTransaction) -> None:
+    """Maintain a full-UTXO index (nonce → output) across one applied transition."""
+    if isinstance(tx, PaymentTx):
+        for signed in tx.inputs:
+            utxo_index.pop(signed.utxo.nonce, None)
+        for utxo in tx.outputs:
+            utxo_index[utxo.nonce] = utxo
+    elif isinstance(tx, BackwardTransferTx):
+        for signed in tx.inputs:
+            utxo_index.pop(signed.utxo.nonce, None)
+    elif isinstance(tx, ForwardTransfersTx):
+        for utxo in tx.outputs:
+            utxo_index[utxo.nonce] = utxo
+    elif isinstance(tx, BackwardTransferRequestsTx):
+        for utxo in tx.inputs:
+            utxo_index.pop(utxo.nonce, None)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic builders for the MC-defined transactions
 # ---------------------------------------------------------------------------

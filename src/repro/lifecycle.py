@@ -14,8 +14,8 @@ Each node supplies a handful of hooks:
 * ``_snapshot_sections()`` — ``(epoch, sections)`` of the current chain;
 * ``_adopt_peer_chain(peer)`` — one full re-validated adoption attempt;
 * ``_chain_length()`` — blocks adopted (the ``sync_from`` return value);
-* ``_SYNC_RETRYABLE`` / ``_SYNC_ERROR`` — what to retry and what to raise
-  when retries are exhausted.
+* ``_SYNC_FAILURES`` / ``_SYNC_ERROR`` — what an adoption that refuses
+  the peer's chain raises, and what ``sync_from`` raises in its place.
 
 Recovery is one template, :meth:`NodeLifecycle._recover_from_store`: read
 the snapshot and the WAL once, restore and replay them with durable writes
@@ -41,10 +41,6 @@ NODE_RESTARTS = _REGISTRY.counter(
     "repro_node_restarts_total",
     "node restarts (from disk when a store is attached, else from genesis)",
 ).labels()
-NODE_SYNC_RETRIES = _REGISTRY.counter(
-    "repro_node_sync_retries_total",
-    "sync_from attempts retried after a recoverable failure",
-).labels()
 NODE_RESYNCS = _REGISTRY.counter(
     "repro_node_resyncs_total",
     "successful peer resyncs (sync_from adoptions)",
@@ -65,9 +61,9 @@ def _open_store(store, data_dir, fsync: str):
 class NodeLifecycle:
     """Crash/restart/resync and store ownership shared by both node types."""
 
-    #: Exceptions ``sync_from`` treats as recoverable and retries.
-    _SYNC_RETRYABLE: tuple[type[BaseException], ...] = ()
-    #: Raised (with the standard message) when every retry failed.
+    #: Exceptions by which an adoption refuses the peer's chain.
+    _SYNC_FAILURES: tuple[type[BaseException], ...] = ()
+    #: Raised (with the standard message) when the adoption failed.
     _SYNC_ERROR: type[Exception] = RuntimeError
 
     def _init_lifecycle(self, store=None, data_dir=None, fsync: str = "block") -> None:
@@ -76,8 +72,6 @@ class NodeLifecycle:
         self.crashed = False
         #: Lifetime restart count (diagnostics; survives restarts).
         self.restarts = 0
-        #: Simulated seconds spent backing off inside :meth:`sync_from`.
-        self.backoff_seconds = 0.0
         self._store = _open_store(store, data_dir, fsync)
         #: True while the store is being replayed: the node writes nothing.
         self._replaying = False
@@ -234,35 +228,23 @@ class NodeLifecycle:
             self._store = store
         self._recover_or_start_empty()
 
-    def sync_from(self, peer, max_retries: int = 5, base_backoff: float = 0.05) -> int:
+    def sync_from(self, peer) -> int:
         """Adopt a peer's chain after a restart; returns blocks adopted.
 
         Every peer block passes full validation, so a malicious peer cannot
-        smuggle an invalid history in.  Each attempt first wipes the store,
-        whose history the adopted chain replaces.  Recoverable failures are
-        retried up to ``max_retries`` times with exponential backoff
-        (simulated seconds accumulated on :attr:`backoff_seconds` and
-        counted on ``repro_node_sync_retries_total``).
+        smuggle an invalid history in.  The adoption first wipes the store,
+        whose history the adopted chain replaces.  It is a deterministic
+        function of the peer's blocks and the local mainchain view, so it
+        is attempted once: a refused chain resets the node to the empty
+        chain, wipes the partial records and raises ``_SYNC_ERROR``.
         """
         self._require_running()
-        delay = base_backoff
-        last_error: Exception | None = None
-        for attempt in range(max_retries + 1):
-            if attempt:
-                NODE_SYNC_RETRIES.inc()
-                self.backoff_seconds += delay
-                delay *= 2
-            self._wipe_store()
-            try:
-                self._adopt_peer_chain(peer)
-            except self._SYNC_RETRYABLE as exc:
-                last_error = exc
-                continue
-            NODE_RESYNCS.inc()
-            return self._chain_length()
-        self._reset_for_restart()
-        # a failed adoption attempt may have left partial records behind
         self._wipe_store()
-        raise self._SYNC_ERROR(
-            f"sync_from failed after {max_retries} retries: {last_error}"
-        )
+        try:
+            self._adopt_peer_chain(peer)
+        except self._SYNC_FAILURES as exc:
+            self._reset_for_restart()
+            self._wipe_store()
+            raise self._SYNC_ERROR(f"sync_from failed: {exc}") from exc
+        NODE_RESYNCS.inc()
+        return self._chain_length()

@@ -49,7 +49,7 @@ class MainchainNode(NodeLifecycle):
     and the WAL tail is replayed through the full ``add_block`` validation.
     """
 
-    _SYNC_RETRYABLE = (ValidationError, ZendooError)
+    _SYNC_FAILURES = (ValidationError, ZendooError)
     _SYNC_ERROR = ValidationError
 
     def __init__(

@@ -1,8 +1,12 @@
 """Tests for the independent sidechain auditor and node bootstrapping."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.keys import KeyPair
+from repro import errors
+from repro.latus import block as latus_block
 from repro.latus.audit import SidechainAuditor
 from repro.latus.node import LatusNode
 from repro.scenarios import ZendooHarness
@@ -140,3 +144,107 @@ class TestBootstrap:
         blocks[0], blocks[1] = blocks[1], blocks[0]
         with pytest.raises(ZendooError):
             fresh.bootstrap_from(blocks)
+
+
+def _resign(sc, block, **changes):
+    """``block`` with ``changes``, re-signed by its own forger."""
+    fields = dict(
+        parent_hash=block.parent_hash,
+        height=block.height,
+        slot=block.slot,
+        forger=sc.node.forgers[block.forger_addr],
+        mc_refs=block.mc_refs,
+        transactions=block.transactions,
+        state_digest=block.state_digest,
+    )
+    fields.update(changes)
+    return latus_block.forge_block(**fields)
+
+
+def _swap(blocks, i):
+    blocks = list(blocks)
+    blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+    return blocks
+
+
+def _non_active_reference(harness, sc):
+    """A no-data reference carrying the real header with another timestamp:
+    its commitment evidence still verifies, but no active MC block has that
+    hash."""
+    blocks = list(sc.node.blocks)
+    index, ref_index = next(
+        (i, j)
+        for i, block in enumerate(blocks)
+        for j, ref in enumerate(block.mc_refs)
+        if not ref.has_data
+    )
+    refs = list(blocks[index].mc_refs)
+    header = refs[ref_index].header
+    refs[ref_index] = replace(
+        refs[ref_index], header=replace(header, timestamp=header.timestamp + 12345)
+    )
+    blocks[index] = _resign(sc, blocks[index], mc_refs=tuple(refs))
+    return blocks[: index + 1]
+
+
+def _reference_above_tip(harness, sc):
+    """A block referencing the MC height after the local tip."""
+    blocks = list(sc.node.blocks)
+    tip = blocks[-1]
+    header = harness.mc.chain.tip.header
+    ref = replace(tip.mc_refs[-1], header=replace(header, height=header.height + 1))
+    assert not ref.has_data
+    slot = tip.slot + 1
+    while True:
+        schedule = sc.node.leader_schedule(slot // sc.node.params.slots_per_epoch)
+        leader = schedule.leader_of(slot % sc.node.params.slots_per_epoch)
+        if leader in sc.node.forgers:
+            break
+        slot += 1
+    return blocks + [
+        latus_block.forge_block(
+            parent_hash=tip.hash,
+            height=tip.height + 1,
+            slot=slot,
+            forger=sc.node.forgers[leader],
+            mc_refs=(ref,),
+            transactions=(),
+            state_digest=tip.state_digest,
+        )
+    ]
+
+
+TAMPERED_HISTORIES = {
+    "broken_parent_link": lambda harness, sc: _swap(sc.node.blocks, 1),
+    "swapped_first_blocks": lambda harness, sc: _swap(sc.node.blocks, 0),
+    "tampered_state_digest": lambda harness, sc: [
+        _resign(sc, sc.node.blocks[0], state_digest=sc.node.blocks[0].state_digest + 1)
+    ]
+    + list(sc.node.blocks[1:]),
+    "foreign_forger": lambda harness, sc: [
+        _resign(sc, sc.node.blocks[0], forger=KeyPair.from_seed("mallory"))
+    ],
+    "non_active_reference": _non_active_reference,
+    "reference_above_tip": _reference_above_tip,
+}
+
+
+class TestAuditorAndNodeAgree:
+    """The auditor and a bootstrapping node refuse the same block."""
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERED_HISTORIES))
+    def test_both_refuse_the_same_block(self, history, tamper):
+        harness, sc = history
+        blocks = TAMPERED_HISTORIES[tamper](harness, sc)
+        report = make_auditor(harness, sc).audit(blocks)
+        assert report.violations, tamper
+        fresh = LatusNode(
+            config=sc.config,
+            params=sc.node.params,
+            mc_node=harness.mc,
+            creator=sc.node.creator,
+            auto_submit_certificates=False,
+        )
+        with pytest.raises(errors.ConsensusError):
+            fresh.bootstrap_from(blocks)
+        assert fresh.height + 1 == report.blocks_verified, report.violations

@@ -7,11 +7,15 @@ The paper's rule (§5.1) is surgical: only SC blocks referencing orphaned
 MC blocks revert.  These tests pin that behaviour down.
 """
 
+import shutil
+
 import pytest
 
 from repro.crypto.keys import KeyPair
 from repro.latus.audit import SidechainAuditor
+from repro.latus.node import LatusNode
 from repro.scenarios import ZendooHarness
+from repro.storage.pages import PagedNodeStore
 from tests.test_mainchain_chain import make_block
 
 ALICE = KeyPair.from_seed("alice")
@@ -120,3 +124,210 @@ class TestPartialRollback:
         )
         report = auditor.audit(sc.node.blocks)
         assert report.clean, (report.violations, report.certificate_mismatches)
+
+
+# ---------------------------------------------------------------------------
+# One rollback path: the kept chain is re-derived from the node's own blocks
+# and certificate anchors, the same way before and after a restart.
+# ---------------------------------------------------------------------------
+
+
+def count_proofs(node) -> list[int]:
+    """Epoch ids ``node`` proves from now on (wraps its prover in place)."""
+    proved: list[int] = []
+    prove = node.prover.prove_epoch
+
+    def counting(start_state, transitions):
+        proved.append(node.epoch.epoch_id)
+        return prove(start_state, transitions)
+
+    node.prover.prove_epoch = counting
+    return proved
+
+
+def restart_twice(*nodes) -> None:
+    for _ in range(2):
+        for node in nodes:
+            node.crash()
+            node.restart()
+
+
+@pytest.fixture
+def durable(tmp_path):
+    """A forger and a ``forger_keys=[]`` validator, both on disk, 10 blocks.
+
+    Epochs span 4 MC blocks from height 4, so the chain references MC
+    heights 4..13 and epochs 0 and 1 are certified; a depth-2 reorg
+    orphans heights 12 and 13, i.e. the last two blocks.
+    """
+    harness = ZendooHarness()
+    harness.mine(2)
+    sc = harness.create_sidechain(
+        "rollback", epoch_len=4, submit_len=3, data_dir=tmp_path / "forger"
+    )
+    validator = LatusNode(
+        config=sc.config,
+        params=sc.node.params,
+        mc_node=harness.mc,
+        creator=sc.node.creator,
+        forger_keys=[],
+        auto_submit_certificates=False,
+        data_dir=tmp_path / "validator",
+    )
+    harness.forward_transfer(sc, ALICE, 60_000)
+    while sc.node.height < 9:
+        harness.mine(1)
+        validator.sync()
+        for block in sc.node.blocks[validator.height + 1 :]:
+            validator.receive_block(block)
+    assert [b.mc_refs[-1].mc_height for b in sc.node.blocks] == list(range(4, 14))
+    yield harness, sc, validator
+    validator.close()
+    sc.node.close()
+
+
+class TestRollbackAfterRestart:
+    def test_restarted_forger_keeps_history_below_the_fork(self, durable):
+        harness, sc, _ = durable
+        # a payment still pending at the reorg: a rebuild from the empty
+        # chain would forge it into the first block after Alice's funding
+        harness.wallet(sc, ALICE).pay(BOB.address, 1_000)
+        before = list(sc.node.blocks)
+        certificates = [c.id for c in sc.node.certificates]
+        restart_twice(sc.node)
+        proved = count_proofs(sc.node)
+        reorg(harness, depth=2)
+        sc.node.sync()
+        assert [b.hash for b in sc.node.blocks[:8]] == [b.hash for b in before[:8]]
+        assert [c.id for c in sc.node.certificates[:2]] == certificates
+        assert proved == [2]  # only the epoch the new branch closes
+
+    def test_restarted_validator_keeps_history_below_the_fork(self, durable):
+        harness, sc, validator = durable
+        before = [b.hash for b in validator.blocks]
+        restart_twice(validator)
+        reorg(harness, depth=2)
+        validator.sync()
+        assert validator.height == 7
+        assert [b.hash for b in validator.blocks] == before[:8]
+        assert len(validator.certificates) == 2
+
+    def test_paged_node_stays_paged_after_restart_and_reorg(self, tmp_path):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain(
+            "rollback", epoch_len=4, submit_len=3, data_dir=tmp_path / "sc",
+            paged_mst=True,
+        )
+        harness.forward_transfer(sc, ALICE, 60_000)
+        harness.run_epochs(sc, 2)
+        sc.node.crash()
+        sc.node.restart()
+        reorg(harness, depth=2)
+        sc.node.sync()
+        assert isinstance(sc.node.state.mst.node_store, PagedNodeStore)
+        assert isinstance(sc.node.epoch.start_state.mst.node_store, PagedNodeStore)
+        auditor = SidechainAuditor(
+            config=sc.config,
+            params=sc.node.params,
+            mc_node=harness.mc,
+            creator_address=sc.node.creator.address,
+        )
+        assert auditor.audit(sc.node.blocks).clean
+        sc.node.close()
+
+
+def node_fingerprint(node) -> dict:
+    """Every field a rollback must restore (not the MC-following queue)."""
+    return {
+        "height": node.height,
+        "tip": node.tip_hash,
+        "digest": node.state.digest(),
+        "touched": node.state.mst.touched_positions,
+        "bts": list(node.state.backward_transfers),
+        "utxos": dict(node.utxo_index),
+        "last_ref": node.last_referenced_mc_height,
+        "epoch": (
+            node.epoch.epoch_id,
+            node.epoch.start_state.digest(),
+            [tx.txid for tx in node.epoch.transitions],
+            list(node.epoch.referenced_mc_hashes),
+        ),
+        "included": set(node.included_txids),
+        "certificates": [c.id for c in node.certificates],
+        "anchors": {
+            e: (a.certificate.id, a.mst_root, a.state_snapshot.digest(), a.mst_delta)
+            for e, a in node.anchors.items()
+        },
+        "seeds": dict(node._epoch_seeds),
+        "stakes": dict(node._epoch_stakes),
+    }
+
+
+class TestForwardHistoryOracle:
+    """A rollback lands exactly where the forward run stood after its last
+    kept block, for every divergence height the chain references."""
+
+    @pytest.fixture(scope="class")
+    def forward(self, tmp_path_factory):
+        harness = ZendooHarness()
+        harness.mine(2)
+        data_dir = tmp_path_factory.mktemp("oracle") / "sc"
+        sc = harness.create_sidechain(
+            "oracle", epoch_len=4, submit_len=3, data_dir=data_dir
+        )
+        recorded = [node_fingerprint(sc.node)]
+        harness.forward_transfer(sc, ALICE, 60_000)
+        wallet = harness.wallet(sc, ALICE)
+        while sc.node.height < 12:
+            if sc.node.height in (5, 10, 11):
+                wallet.pay(BOB.address, 1_000 + sc.node.height)
+            harness.mine(1)
+            # one block per MC block: every kept prefix has a record
+            assert sc.node.height == len(recorded) - 1
+            recorded.append(node_fingerprint(sc.node))
+        assert len(sc.node.certificates) == 3
+        assert sc.node.epoch.transitions, "the open epoch must carry payments"
+        sc.node.close()
+        return harness, sc, data_dir, recorded
+
+    def test_live_node_rolls_back_to_each_recorded_prefix(self, forward):
+        harness, sc, data_dir, recorded = forward
+        node = LatusNode(
+            config=sc.config,
+            params=sc.node.params,
+            mc_node=harness.mc,
+            creator=sc.node.creator,
+            auto_submit_certificates=False,
+        )
+        node.bootstrap_from(list(sc.node.blocks))
+        proved = count_proofs(node)
+        heights = [b.mc_refs[-1].mc_height for b in sc.node.blocks]
+        for keep in reversed(range(len(heights))):
+            node._rollback_before(heights[keep])
+            assert node_fingerprint(node) == recorded[keep], keep
+        assert proved == []
+        node.close()
+
+    def test_restarted_node_rolls_back_to_each_recorded_prefix(
+        self, forward, tmp_path
+    ):
+        harness, sc, data_dir, recorded = forward
+        heights = [b.mc_refs[-1].mc_height for b in sc.node.blocks]
+        for keep, divergence in enumerate(heights):
+            copy = tmp_path / f"keep-{keep}"
+            shutil.copytree(data_dir, copy)
+            node = LatusNode(
+                config=sc.config,
+                params=sc.node.params,
+                mc_node=harness.mc,
+                creator=sc.node.creator,
+                auto_submit_certificates=False,
+                data_dir=copy,
+            )
+            assert node_fingerprint(node) == recorded[-1]
+            proved = count_proofs(node)
+            node._rollback_before(divergence)
+            assert node_fingerprint(node) == recorded[keep], keep
+            assert proved == []
+            node.close()

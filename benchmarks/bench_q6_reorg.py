@@ -5,6 +5,8 @@ referencing orphaned MC blocks are reverted and the SC deterministically
 rebuilds onto the new branch.  Measures recovery cost versus reorg depth.
 """
 
+import time
+
 import pytest
 
 from repro.crypto.keys import KeyPair
@@ -85,3 +87,76 @@ class TestQ6ReorgPropagation:
         benchmark.pedantic(recover, iterations=1, rounds=1)
         assert sc.node.synced_mc_height == harness.mc.height
         benchmark.extra_info["reorg_depth"] = depth
+
+
+def loaded_chain(shape: str, **node_kwargs):
+    """A chain shaped to make the rollback re-derive as much as it can.
+
+    ``open_epoch``: 32 funded accounts, 8-block withdrawal epochs, about 29
+    payments in each of the open epoch's first seven MC blocks (~200
+    transitions, above the ~140 of the ``epoch_large`` pipeline shape).
+    ``history``: 30 certified epochs and a light open epoch.
+    """
+    harness = ZendooHarness(miner_seed=f"q6d-{shape}/miner")
+    harness.mine(2)
+    loaded = shape == "open_epoch"
+    sc = harness.create_sidechain(
+        f"q6d-{shape}", epoch_len=8 if loaded else 4, submit_len=2, **node_kwargs
+    )
+    keys = [KeyPair.from_seed(f"q6d-{shape}/{i}") for i in range(32 if loaded else 4)]
+    for key in keys:
+        harness.forward_transfer(sc, key, 1_000_000)
+    wallets = [harness.wallet(sc, key) for key in keys]
+    while len(sc.node.certificates) < (3 if loaded else 30):
+        harness.mine(1)
+    harness.mine_until(sc.config.schedule.first_height(sc.node.epoch.epoch_id) - 1)
+    funded = [(i, w) for i, w in enumerate(wallets) if w.balance()]
+    for _ in range(7 if loaded else 3):
+        for i, wallet in funded:
+            wallet.pay(keys[(i + 1) % len(keys)].address, 10 + i)
+        harness.mine(1)
+    return harness, sc
+
+
+class TestQ6RollbackCost:
+    @pytest.mark.parametrize("shape, restarted", [
+        ("open_epoch", False), ("history", False), ("history", True),
+    ])
+    def test_bench_rollback_keeping_all_but_the_tip(
+        self, benchmark, tmp_path, shape, restarted
+    ):
+        """A depth-1 reorg that reverts only the tip block: the rollback
+        re-derives every other block (certified epochs by bookkeeping, the
+        open epoch by re-execution); the resync is timed apart.  The
+        restarted case is a ``paged_mst=True`` node with a data directory,
+        restarted before the reorg."""
+        node_kwargs = dict(paged_mst=True, data_dir=tmp_path / "sc") if restarted else {}
+        harness, sc = loaded_chain(shape, **node_kwargs)
+        node = sc.node
+        if restarted:
+            node.crash()
+            node.restart()
+        divergence = node.blocks[-1].mc_refs[0].mc_height
+        force_reorg(harness, depth=harness.mc.height - divergence + 1)
+        blocks = len(node.blocks)
+        timings = []
+
+        def rollback():
+            start = time.perf_counter()
+            node._rollback_before(divergence)
+            timings.append(time.perf_counter() - start)
+
+        benchmark.pedantic(rollback, iterations=1, rounds=1)
+        assert len(node.blocks) == blocks - 1
+        kept_transitions = len(node.epoch.transitions)
+        start = time.perf_counter()
+        node.sync()
+        resync = time.perf_counter() - start
+        assert node.synced_mc_height == harness.mc.height
+        print(
+            f"\nQ6 rollback ({shape}{', restarted paged' if restarted else ''}): "
+            f"{blocks - 1} blocks kept, {len(node.certificates)} certified epochs, "
+            f"{kept_transitions} open-epoch transitions kept; rollback "
+            f"{timings[0] * 1e3:.1f} ms, resync {resync * 1e3:.1f} ms"
+        )
+        node.close()

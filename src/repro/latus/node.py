@@ -639,43 +639,43 @@ class LatusNode(NodeLifecycle):
     def _rollback_before(self, divergence: int) -> None:
         """Revert every SC block referencing MC heights >= ``divergence``.
 
-        The kept chain is re-derived from the node's own blocks, as WAL
-        replay derives it.  A withdrawal epoch whose closing block is kept
-        replays only its bookkeeping and takes its final state from the
-        epoch's certificate anchor; the kept blocks of the open epoch are
-        re-executed and checked against their state digests.  Nothing is
-        re-proven, and the store is re-seeded once, at the end.
+        The kept chain is re-derived from the node's own blocks, as WAL replay
+        derives it: certified epochs replay only their bookkeeping and the
+        state comes once from the last kept certificate anchor; the open
+        epoch's kept blocks are re-executed against their state digests.
+        Nothing is re-proven; the store is re-seeded once, at the end.
         """
         kept = []
         for block in self.blocks:
             if block.mc_refs and block.mc_refs[-1].mc_height >= divergence:
                 break
             kept.append(block)
-        closed = 0  # withdrawal epochs whose closing block is kept
-        for block in kept:
+        closed = certified = 0  # kept closing blocks; kept blocks up to the last
+        for count, block in enumerate(kept, 1):
             if self._closes_epoch(block, closed):
-                closed += 1
+                closed, certified = closed + 1, count
         anchors, skipped = self.anchors, self.skipped_slots
         self._reset_chain_state()
-        self.skipped_slots = skipped
         self._replaying = True
         try:
-            for block in kept:
-                epoch_id = self.epoch.epoch_id
-                if epoch_id >= closed:
-                    for tx in block.ordered_transitions():
-                        self.state.apply(tx)
-                    if self.state.digest() != block.state_digest:
-                        raise ConsensusError(
-                            f"rebuilt state digest mismatch at height {block.height}"
-                        )
+            for block in kept[:certified]:
                 self._readopt_block(block)
-                if self._closes_epoch(block, epoch_id):
-                    anchor = anchors[epoch_id]
-                    self.state = self._rehouse_state(anchor.state_snapshot.copy())
-                    self._restore_certificate(anchor.certificate)
+            if closed:
+                self.anchors = {e: anchors[e] for e in range(closed)}
+                self.certificates = [self.anchors[e].certificate for e in range(closed)]
+                self.state = self._rehouse_state(anchors[closed - 1].state_snapshot.copy())
+                self.state.start_new_epoch()
+                self.epoch = EpochLedger(epoch_id=closed, start_state=self.state.copy())
+            for block in kept[certified:]:
+                for tx in block.ordered_transitions():
+                    self.state.apply(tx)
+                if self.state.digest() != block.state_digest:
+                    raise ConsensusError(f"rebuilt state digest mismatch at height {block.height}")
+                self._readopt_block(block)
         finally:
             self._replaying = False
+        top = self.synced_mc_height - self.config.start_block
+        self.skipped_slots = [slot for slot in skipped if slot <= top]  # later ones re-sync
         self._attach_store_hooks()
         # the store's history now diverges from the chain: re-seed it with a
         # fresh snapshot of the post-rollback state

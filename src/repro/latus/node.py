@@ -118,11 +118,19 @@ class CertificateAnchor:
     """Where a submitted certificate landed — the BTR/CSW anchor data."""
 
     certificate: WithdrawalCertificate
-    #: MST root committed by the certificate.
-    mst_root: int
     #: Snapshot of the committed state's tree (for membership proofs).
     state_snapshot: LatusState
-    mst_delta: MstDelta
+
+    @property
+    def mst_root(self) -> int:
+        """MST root committed by the certificate."""
+        return self.state_snapshot.mst_root
+
+    @property
+    def mst_delta(self) -> MstDelta:
+        """The epoch's touched-slot bit vector, from the committed state."""
+        mst = self.state_snapshot.mst
+        return MstDelta.from_positions(mst.depth, mst.touched_positions)
 
 
 class LatusNode(NodeLifecycle):
@@ -306,25 +314,13 @@ class LatusNode(NodeLifecycle):
         return ("latus/state", storage_codec.encode_latus_state(self.state))
 
     def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+        # only what the blocks cannot give: the walk re-derives the rest
         state_key, state_payload = self._state_section()
         return self.epoch.epoch_id, {
-            "latus/meta": storage_codec.encode_latus_meta(
-                self.epoch.epoch_id,
-                self.last_referenced_mc_height,
-                self.skipped_slots,
-            ),
+            "latus/meta": storage_codec.encode_latus_meta(self.skipped_slots),
             state_key: state_payload,
-            "latus/epoch": storage_codec.encode_epoch_ledger(self.epoch),
             "latus/blocks": storage_codec.encode_blob_sequence(
                 [wire.encode_sidechain_block(b) for b in self.blocks]
-            ),
-            "latus/utxos": storage_codec.encode_utxo_index(self.utxo_index),
-            "latus/synced_mc": storage_codec.encode_synced_mc(self.synced_mc),
-            "latus/consensus": storage_codec.encode_consensus(
-                self._epoch_seeds, self._epoch_stakes
-            ),
-            "latus/certs": storage_codec.encode_blob_sequence(
-                [c.encode() for c in self.certificates]
             ),
             "latus/anchors": storage_codec.encode_anchors(self.anchors),
             "latus/submitted": storage_codec.encode_blob_sequence(
@@ -384,32 +380,25 @@ class LatusNode(NodeLifecycle):
         return fresh
 
     def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
+        """Install a snapshot: the live state as stored, the rest re-derived.
+
+        The blocks and certificate anchors go through the rollback's walk;
+        the open epoch's blocks only re-adopt their bookkeeping, since the
+        decoded live state already holds their transitions.  Synced MC
+        heights come from the blocks' references, so heights queued at crash
+        time are processed again by the next sync.  A live state that does
+        not match the chain refuses the snapshot.
+        """
         try:
-            self.state = self._restore_state_section(sections)
-            _, last_ref, skipped = storage_codec.decode_latus_meta(
-                sections["latus/meta"]
-            )
-            self.epoch = storage_codec.decode_epoch_ledger(sections["latus/epoch"])
+            live = self._restore_state_section(sections)
+            skipped = storage_codec.decode_latus_meta(sections["latus/meta"])
             blocks = [
                 wire.decode_sidechain_block(raw)
                 for raw in storage_codec.decode_blob_sequence(
                     sections["latus/blocks"]
                 )
             ]
-            self.utxo_index = storage_codec.decode_utxo_index(
-                sections["latus/utxos"]
-            )
-            synced = storage_codec.decode_synced_mc(sections["latus/synced_mc"])
-            seeds, stakes = storage_codec.decode_consensus(
-                sections["latus/consensus"]
-            )
-            self.certificates = [
-                wire.decode_withdrawal_certificate(raw)
-                for raw in storage_codec.decode_blob_sequence(
-                    sections["latus/certs"]
-                )
-            ]
-            self.anchors = storage_codec.decode_anchors(sections["latus/anchors"])
+            anchors = storage_codec.decode_anchors(sections["latus/anchors"])
             restored_txs = [
                 wire.decode_latus_transaction(raw)
                 for raw in storage_codec.decode_blob_sequence(
@@ -418,20 +407,20 @@ class LatusNode(NodeLifecycle):
             ]
         except KeyError as exc:
             raise StorageError(f"snapshot is missing section {exc}")
-        self.blocks = blocks
-        self.last_referenced_mc_height = last_ref
+        open_blocks = self._rederive_chain(blocks, anchors, rehouse=False)
+        for block in open_blocks:
+            self._readopt_block(block)
+        expected = (
+            open_blocks[-1].state_digest
+            if open_blocks
+            else self.epoch.start_state.digest()
+        )
+        if live.digest() != expected:
+            raise StorageError("snapshot state does not match its chain")
+        self.state = live
         self.skipped_slots = list(skipped)
-        self._epoch_seeds = seeds
-        self._epoch_stakes = stakes
-        self.included_txids = {
-            tx.txid for block in blocks for tx in block.transactions
-        }
         # merge the durable wallet mempool with anything already in memory
         self._merge_submitted(restored_txs)
-        # MC heights synced but not yet referenced were queued in memory at
-        # crash time; dropping them lets the next sync() re-process them
-        self.synced_mc = [(h, hsh) for h, hsh in synced if h <= last_ref]
-        self.mc_queue = []
         self._attach_store_hooks()
 
     def _merge_submitted(self, txs: list[LatusTransaction]) -> None:
@@ -481,10 +470,7 @@ class LatusNode(NodeLifecycle):
                         # certificate record: re-prove the epoch
                         self._close_withdrawal_epoch(block)
             elif kind == SC_CERT:
-                # certificate whose boundary block is in the snapshot
-                certificate = wire.decode_withdrawal_certificate(payload)
-                if not any(c.id == certificate.id for c in self.certificates):
-                    self._restore_certificate(certificate)
+                pass  # its boundary block is in the snapshot, which anchors it
             else:
                 raise StorageError(
                     f"unexpected mainchain record (kind {kind}) in a Latus store"
@@ -522,8 +508,8 @@ class LatusNode(NodeLifecycle):
 
         The consensus epoch, the UTXO index, the chain itself and the MC
         heights the block references: everything but the state and the
-        certificates, which WAL replay and rollback each take from where
-        they keep them.
+        certificates, which WAL replay and :meth:`_rederive_chain` each take
+        from where they keep them.
         """
         self._ensure_consensus_epoch(block.slot // self.params.slots_per_epoch)
         for tx in block.ordered_transitions():
@@ -538,20 +524,20 @@ class LatusNode(NodeLifecycle):
     def _restore_certificate(self, certificate: WithdrawalCertificate) -> None:
         """Adopt a logged certificate at an epoch boundary without re-proving."""
         epoch_id = self.epoch.epoch_id
-        final_state = self.state.copy()
         self.certificates.append(certificate)
         self.anchors[epoch_id] = CertificateAnchor(
-            certificate=certificate,
-            mst_root=final_state.mst_root,
-            state_snapshot=final_state,
-            mst_delta=MstDelta.from_positions(
-                self.params.mst_depth, final_state.mst.touched_positions
-            ),
+            certificate=certificate, state_snapshot=self.state.copy()
         )
+        self._open_next_epoch(epoch_id)
+
+    def _open_next_epoch(self, epoch_id: int) -> None:
+        """Start withdrawal epoch ``epoch_id + 1`` from the live state.
+
+        §5.2.1: the BT list (and the touched set behind ``mst_delta``) is
+        transient, so both are cleared before the start state is taken.
+        """
         self.state.start_new_epoch()
-        self.epoch = EpochLedger(
-            epoch_id=epoch_id + 1, start_state=self.state.copy()
-        )
+        self.epoch = EpochLedger(epoch_id=epoch_id + 1, start_state=self.state.copy())
 
     def add_forger(self, keypair: KeyPair) -> None:
         """Register a stakeholder key this node may forge with.
@@ -639,34 +625,21 @@ class LatusNode(NodeLifecycle):
     def _rollback_before(self, divergence: int) -> None:
         """Revert every SC block referencing MC heights >= ``divergence``.
 
-        The kept chain is re-derived from the node's own blocks, as WAL replay
-        derives it: certified epochs replay only their bookkeeping and the
-        state comes once from the last kept certificate anchor; the open
-        epoch's kept blocks are re-executed against their state digests.
-        Nothing is re-proven; the store is re-seeded once, at the end.
+        The kept chain is re-derived from the node's own blocks by
+        :meth:`_rederive_chain`, the walk a restore takes too; the open
+        epoch's kept blocks are then re-executed against their state
+        digests.  Nothing is re-proven; the store is re-seeded once, at the
+        end.
         """
         kept = []
         for block in self.blocks:
             if block.mc_refs and block.mc_refs[-1].mc_height >= divergence:
                 break
             kept.append(block)
-        closed = certified = 0  # kept closing blocks; kept blocks up to the last
-        for count, block in enumerate(kept, 1):
-            if self._closes_epoch(block, closed):
-                closed, certified = closed + 1, count
-        anchors, skipped = self.anchors, self.skipped_slots
-        self._reset_chain_state()
+        skipped = self.skipped_slots
         self._replaying = True
         try:
-            for block in kept[:certified]:
-                self._readopt_block(block)
-            if closed:
-                self.anchors = {e: anchors[e] for e in range(closed)}
-                self.certificates = [self.anchors[e].certificate for e in range(closed)]
-                self.state = self._rehouse_state(anchors[closed - 1].state_snapshot.copy())
-                self.state.start_new_epoch()
-                self.epoch = EpochLedger(epoch_id=closed, start_state=self.state.copy())
-            for block in kept[certified:]:
+            for block in self._rederive_chain(kept, self.anchors, rehouse=True):
                 for tx in block.ordered_transitions():
                     self.state.apply(tx)
                 if self.state.digest() != block.state_digest:
@@ -681,6 +654,35 @@ class LatusNode(NodeLifecycle):
         # fresh snapshot of the post-rollback state
         self._reset_durable_state()
         self._resubmit_reverted_certificates()
+
+    def _rederive_chain(
+        self, blocks: list[SidechainBlock], anchors: dict, rehouse: bool
+    ) -> list[SidechainBlock]:
+        """Reset to the empty chain and re-adopt ``blocks`` up to the open epoch.
+
+        Certified epochs (closing block among ``blocks``) replay only their
+        bookkeeping and adopt their anchors and certificates; the open
+        epoch starts from the last anchor's state, re-housed onto this
+        node's store when ``rehouse`` (the rollback executes on it).  The
+        open epoch's blocks are handed back for the caller to apply.
+        """
+        closed = certified = 0  # closing blocks; blocks up to the last
+        for count, block in enumerate(blocks, 1):
+            if self._closes_epoch(block, closed):
+                closed, certified = closed + 1, count
+        self._reset_chain_state()
+        for block in blocks[:certified]:
+            self._readopt_block(block)
+        for epoch_id in range(closed):
+            if epoch_id not in anchors:
+                raise StorageError(f"no certificate anchor for closed epoch {epoch_id}")
+            self.anchors[epoch_id] = anchors[epoch_id]
+            self.certificates.append(anchors[epoch_id].certificate)
+        if closed:
+            state = anchors[closed - 1].state_snapshot.copy()
+            self.state = self._rehouse_state(state) if rehouse else state
+            self._open_next_epoch(closed - 1)
+        return blocks[certified:]
 
     def _resubmit_reverted_certificates(self) -> None:
         """Re-queue certificates whose MC adoption was reverted by a reorg.
@@ -858,10 +860,7 @@ class LatusNode(NodeLifecycle):
         _CERTIFICATES_BUILT.inc()
         self.last_wcert_witness = witness
         self.anchors[epoch_id] = CertificateAnchor(
-            certificate=certificate,
-            mst_root=final_state.mst_root,
-            state_snapshot=final_state,
-            mst_delta=delta,
+            certificate=certificate, state_snapshot=final_state
         )
         if self.auto_submit_certificates:
             try:
@@ -874,11 +873,7 @@ class LatusNode(NodeLifecycle):
             # crash lands before it, replay re-proves the epoch instead
             self._store.append(SC_CERT, certificate.encode())
 
-        # Start the next withdrawal epoch (§5.2.1: BT list is transient).
-        self.state.start_new_epoch()
-        self.epoch = EpochLedger(
-            epoch_id=epoch_id + 1, start_state=self.state.copy()
-        )
+        self._open_next_epoch(epoch_id)
         # epoch boundaries are the periodic snapshot points: fold the log in
         self._write_snapshot()
 

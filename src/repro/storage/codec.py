@@ -7,20 +7,17 @@ and the store (no pickle anywhere).  A snapshot is a flat ``{section name:
 bytes}`` mapping; this module defines the per-section formats and their
 strict inverses.
 
-Latus sections (assembled by :class:`~repro.latus.node.LatusNode`)::
+Latus sections (assembled by :class:`~repro.latus.node.LatusNode`) hold
+only what the blocks cannot give; the UTXO index, synced MC heights,
+consensus seeds and stakes, the epoch ledger and the certificate list are
+re-derived from the blocks and anchors on restore::
 
-    latus/meta       epoch id about to start, last referenced MC height,
-                     skipped slots
-    latus/state      the live LatusState (MST leaves + touched + BT list)
-    latus/epoch      the in-progress EpochLedger (start state, transitions,
-                     referenced MC hashes)
-    latus/blocks     the full sidechain block history
-    latus/utxos      the full-UTXO index
-    latus/synced_mc  (height, hash) pairs of processed MC blocks
-    latus/consensus  per-consensus-epoch seeds and stake snapshots
-    latus/certs      every certificate built so far
-    latus/anchors    per-epoch certificate anchors (cert + state snapshot)
-    latus/submitted  the durable wallet mempool
+    latus/meta         skipped slots
+    latus/state        the live LatusState (MST leaves + touched + BT list),
+    latus/state_pages  or its page-table refs on a file-backed paged node
+    latus/blocks       the full sidechain block history
+    latus/anchors      per-epoch certificate anchors (cert + state snapshot)
+    latus/submitted    the durable wallet mempool
 
 Mainchain sections (assembled by :class:`~repro.mainchain.chain.Blockchain`)::
 
@@ -167,44 +164,8 @@ def decode_latus_state_pages(data: bytes, backing, cache_pages: int):
 
 
 # ---------------------------------------------------------------------------
-# Latus consensus bookkeeping
+# Latus chain bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def encode_consensus(seeds: dict[int, bytes], stakes: dict) -> bytes:
-    """Per-consensus-epoch seeds and stake distributions."""
-    enc = Encoder()
-    enc.sequence(
-        sorted(seeds.items()), lambda e, item: e.u64(item[0]).var_bytes(item[1])
-    )
-
-    def _write_stake(e: Encoder, item) -> None:
-        epoch, dist = item
-        e.u64(epoch)
-        e.sequence(
-            dist.stakes, lambda ee, pair: ee.field_element(pair[0]).u64(pair[1])
-        )
-
-    enc.sequence(sorted(stakes.items()), _write_stake)
-    return enc.done()
-
-
-def decode_consensus(data: bytes) -> tuple[dict[int, bytes], dict]:
-    from repro.latus.consensus.stake import StakeDistribution
-
-    def _read(dec: Decoder):
-        seeds = dict(dec.sequence(lambda d: (d.u64(), d.var_bytes())))
-        stakes = {}
-        for epoch, pairs in dec.sequence(
-            lambda d: (
-                d.u64(),
-                d.sequence(lambda dd: (dd.field_element(), dd.u64())),
-            )
-        ):
-            stakes[epoch] = StakeDistribution(stakes=tuple(pairs))
-        return seeds, stakes
-
-    return _strict(_read, data)
 
 
 def encode_anchors(anchors: dict) -> bytes:
@@ -224,84 +185,33 @@ def encode_anchors(anchors: dict) -> bytes:
     return enc.done()
 
 
+def _read_anchor_items(dec: Decoder) -> list:
+    return dec.sequence(lambda d: (d.u64(), d.var_bytes(), d.var_bytes()))
+
+
 def decode_anchors(data: bytes) -> dict:
-    from repro.latus.mst_delta import MstDelta
     from repro.latus.node import CertificateAnchor
 
-    def _read(dec: Decoder):
-        anchors = {}
-        for epoch, cert_bytes, state_bytes in dec.sequence(
-            lambda d: (d.u64(), d.var_bytes(), d.var_bytes())
-        ):
-            certificate = wire.decode_withdrawal_certificate(cert_bytes)
-            state = decode_latus_state(state_bytes)
-            anchors[epoch] = CertificateAnchor(
-                certificate=certificate,
-                mst_root=state.mst_root,
-                state_snapshot=state,
-                mst_delta=MstDelta.from_positions(
-                    state.mst.depth, state.mst.touched_positions
-                ),
-            )
-        return anchors
-
-    return _strict(_read, data)
-
-
-def encode_epoch_ledger(epoch) -> bytes:
-    """The in-progress :class:`~repro.latus.node.EpochLedger`."""
-    enc = Encoder().u64(epoch.epoch_id)
-    enc.var_bytes(encode_latus_state(epoch.start_state))
-    enc.sequence(epoch.transitions, lambda e, tx: e.var_bytes(tx.encode()))
-    enc.sequence(epoch.referenced_mc_hashes, lambda e, h: e.raw(h))
-    return enc.done()
-
-
-def decode_epoch_ledger(data: bytes):
-    from repro.latus.node import EpochLedger
-
-    def _read(dec: Decoder):
-        epoch_id = dec.u64()
-        start_state = decode_latus_state(dec.var_bytes())
-        transitions = [
-            wire.decode_latus_transaction(raw)
-            for raw in dec.sequence(lambda d: d.var_bytes())
-        ]
-        hashes = dec.sequence(lambda d: d.raw(32))
-        return EpochLedger(
-            epoch_id=epoch_id,
-            start_state=start_state,
-            transitions=transitions,
-            referenced_mc_hashes=hashes,
+    return {
+        epoch: CertificateAnchor(
+            certificate=wire.decode_withdrawal_certificate(cert_bytes),
+            state_snapshot=decode_latus_state(state_bytes),
         )
-
-    return _strict(_read, data)
-
-
-def encode_latus_meta(
-    epoch_id: int, last_referenced_mc_height: int, skipped_slots: list[int]
-) -> bytes:
-    enc = Encoder().u64(epoch_id).i64(last_referenced_mc_height)
-    enc.sequence(skipped_slots, lambda e, s: e.u64(s))
-    return enc.done()
+        for epoch, cert_bytes, state_bytes in _strict(_read_anchor_items, data)
+    }
 
 
-def decode_latus_meta(data: bytes) -> tuple[int, int, list[int]]:
-    return _strict(
-        lambda d: (d.u64(), d.i64(), d.sequence(lambda dd: dd.u64())), data
-    )
+def count_anchors(data: bytes) -> int:
+    """Number of anchors in a section, without decoding them (CLI explorer)."""
+    return len(_strict(_read_anchor_items, data))
 
 
-def encode_synced_mc(synced: list[tuple[int, bytes]]) -> bytes:
-    enc = Encoder()
-    enc.sequence(synced, lambda e, item: e.u64(item[0]).raw(item[1]))
-    return enc.done()
+def encode_latus_meta(skipped_slots: list[int]) -> bytes:
+    return Encoder().sequence(skipped_slots, lambda e, s: e.u64(s)).done()
 
 
-def decode_synced_mc(data: bytes) -> list[tuple[int, bytes]]:
-    return _strict(
-        lambda d: d.sequence(lambda dd: (dd.u64(), dd.raw(32))), data
-    )
+def decode_latus_meta(data: bytes) -> list[int]:
+    return _strict(lambda d: d.sequence(lambda dd: dd.u64()), data)
 
 
 def encode_blob_sequence(blobs: list[bytes]) -> bytes:
@@ -313,22 +223,6 @@ def encode_blob_sequence(blobs: list[bytes]) -> bytes:
 
 def decode_blob_sequence(data: bytes) -> list[bytes]:
     return _strict(lambda d: d.sequence(lambda dd: dd.var_bytes()), data)
-
-
-def encode_utxo_index(utxo_index: dict) -> bytes:
-    enc = Encoder()
-    enc.sequence(
-        sorted(utxo_index.items()),
-        lambda e, item: e.var_bytes(item[1].encode()),
-    )
-    return enc.done()
-
-
-def decode_utxo_index(data: bytes) -> dict:
-    utxos = [
-        wire.decode_utxo(raw) for raw in decode_blob_sequence(data)
-    ]
-    return {u.nonce: u for u in utxos}
 
 
 # ---------------------------------------------------------------------------

@@ -28,18 +28,15 @@ def _record_histogram(records: list[tuple[int, bytes]]) -> dict[str, int]:
 
 def _inspect_latus(snapshot, records, info: dict) -> dict:
     blocks = []
+    certificates = sum(1 for kind, _ in records if kind == SC_CERT)
     if snapshot is not None:
         _, sections = snapshot
         blocks = [
             wire.decode_sidechain_block(raw)
             for raw in codec.decode_blob_sequence(sections.get("latus/blocks", b"\0\0\0\0"))
         ]
-    certificates = sum(1 for kind, _ in records if kind == SC_CERT)
-    if snapshot is not None:
-        _, sections = snapshot
-        certificates += len(
-            codec.decode_blob_sequence(sections.get("latus/certs", b"\0\0\0\0"))
-        )
+        # one anchor per certified epoch
+        certificates += codec.count_anchors(sections.get("latus/anchors", b"\0\0\0\0"))
     for kind, payload in records:
         if kind == SC_BLOCK:
             blocks.append(wire.decode_sidechain_block(payload))

@@ -36,6 +36,7 @@ from repro.storage import (
     read_wal,
 )
 from repro.storage import codec as storage_codec
+from tests.test_reorg_rollback import node_fingerprint
 
 ALICE = KeyPair.from_seed("store/alice")
 BOB = KeyPair.from_seed("store/bob")
@@ -306,33 +307,37 @@ class TestLatusDiskRecovery:
     def test_wal_replay_is_idempotent(self, tmp_path):
         # recovering rewrites a fresh snapshot; recovering again from that
         # must land on the same chain — replay twice, compare everything
-        harness, sc = _build_latus_history(tmp_path / "sc")
-        sc.node.close()
-        first = _recover_latus(harness, sc, tmp_path / "sc")
-        view = (first.height, first.tip_hash, first.state.digest())
-        first.close()
-        second = _recover_latus(harness, sc, tmp_path / "sc")
-        assert (second.height, second.tip_hash, second.state.digest()) == view
-        second.close()
+        for name, kwargs in (("flat", {}), ("paged", PAGED_KWARGS)):
+            harness, sc = _build_latus_history(tmp_path / name, **kwargs)
+            sc.node.close()
+            first = _recover_latus(harness, sc, tmp_path / name, **kwargs)
+            view = node_fingerprint(first)
+            first.close()
+            second = _recover_latus(harness, sc, tmp_path / name, **kwargs)
+            assert node_fingerprint(second) == view, name
+            second.close()
 
     def test_snapshot_plus_tail_equals_compacted(self, tmp_path):
         # the store holds snapshot + tail WAL right after the kill; after a
-        # recovery it holds one compacted snapshot.  Both read back the same.
-        harness, sc = _build_latus_history(tmp_path / "sc")
-        sc.node.close()
-        probe = FileStore(tmp_path / "sc", read_only=True)
-        assert probe.records(), "scenario must leave a WAL tail to be meaningful"
-        probe.close()
+        # recovery it holds one compacted snapshot, folded mid-epoch.  Both
+        # read back the same node.
+        for name, kwargs in (("flat", {}), ("paged", PAGED_KWARGS)):
+            data_dir = tmp_path / name
+            harness, sc = _build_latus_history(data_dir, **kwargs)
+            sc.node.close()
+            probe = FileStore(data_dir, read_only=True)
+            assert probe.records(), "scenario must leave a WAL tail to be meaningful"
+            probe.close()
 
-        first = _recover_latus(harness, sc, tmp_path / "sc")
-        view = (first.height, first.tip_hash, first.state.digest())
-        first.close()
-        probe = FileStore(tmp_path / "sc", read_only=True)
-        assert probe.records() == []  # compacted into the snapshot
-        probe.close()
-        second = _recover_latus(harness, sc, tmp_path / "sc")
-        assert (second.height, second.tip_hash, second.state.digest()) == view
-        second.close()
+            first = _recover_latus(harness, sc, data_dir, **kwargs)
+            view = node_fingerprint(first)
+            first.close()
+            probe = FileStore(data_dir, read_only=True)
+            assert probe.records() == []  # compacted into the snapshot
+            probe.close()
+            second = _recover_latus(harness, sc, data_dir, **kwargs)
+            assert node_fingerprint(second) == view, name
+            second.close()
 
     def test_recovered_node_keeps_following_the_mc(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
@@ -432,6 +437,65 @@ class TestLatusDiskRecovery:
         probe.close()
         with pytest.warns(RuntimeWarning, match="disk recovery failed"):
             node = _recover_latus(harness, sc, data_dir)
+        assert node.height == -1
+        node.close()
+
+
+class TestInconsistentSnapshot:
+    """A snapshot stores the live state next to the blocks and anchors the
+    rest is re-derived from; restore refuses one whose parts disagree."""
+
+    @pytest.fixture
+    def snapshots(self):
+        store = MemoryStore()
+        harness = ZendooHarness(use_network=False)
+        harness.mine(2)
+        sc = harness.create_sidechain(
+            "spliced", epoch_len=4, submit_len=2, store=store
+        )
+        harness.run_epochs(sc, 1)
+        older = store.latest_snapshot()
+        harness.forward_transfer(sc, ALICE, 9_000)
+        harness.run_epochs(sc, 1)
+        newer = store.latest_snapshot()
+        sc.node.close()
+        return harness, sc, older, newer
+
+    def _restore(self, harness, sc, epoch, sections) -> LatusNode:
+        store = MemoryStore()
+        store.write_snapshot(epoch, sections)  # no WAL tail
+        return LatusNode(
+            config=sc.config,
+            params=sc.node.params,
+            mc_node=harness.mc,
+            creator=CREATOR_DURABLE,
+            store=store,
+        )
+
+    def test_an_older_state_section_is_refused(self, snapshots):
+        harness, sc, (_, older), (epoch, sections) = snapshots
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            node = self._restore(harness, sc, epoch, dict(sections))
+        blocks = storage_codec.decode_blob_sequence(sections["latus/blocks"])
+        assert (node.height, len(node.certificates)) == (len(blocks) - 1, 2)
+        node.close()
+        assert older["latus/state"] != sections["latus/state"]
+        spliced = dict(sections, **{"latus/state": older["latus/state"]})
+        with pytest.warns(RuntimeWarning, match="does not match its chain"):
+            node = self._restore(harness, sc, epoch, spliced)
+        assert node.height == -1
+        node.close()
+
+    def test_a_missing_anchor_is_refused(self, snapshots):
+        harness, sc, _, (epoch, sections) = snapshots
+        anchors = storage_codec.decode_anchors(sections["latus/anchors"])
+        del anchors[0]
+        spliced = dict(
+            sections, **{"latus/anchors": storage_codec.encode_anchors(anchors)}
+        )
+        with pytest.warns(RuntimeWarning, match="no certificate anchor"):
+            node = self._restore(harness, sc, epoch, spliced)
         assert node.height == -1
         node.close()
 

@@ -6,7 +6,8 @@ Two things a green functional suite does not notice:
   transfer protocol (CCTP) know nothing about any sidechain construction
   (SCP), which docs/PROTOCOL.md asserts in prose;
 * the inventory ROADMAP tracks by hand (lines, import-time environment
-  switches, broad ``except`` sites, deprecated shims, superseded modules).
+  switches, broad ``except`` sites, deprecated shims, superseded modules,
+  the Latus snapshot's section names).
   Each number is a ceiling: a PR may lower it and then lowers the constant
   here, a PR that raises it has to say why in the same diff.
 """
@@ -15,21 +16,33 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the MC-reorg rollback
-#: stopped keeping per-block state and ``sync_from`` its retry loop (18,999
-#: before).
-MAX_SRC_LINES = 18_925
+#: ``find src -name '*.py' | xargs wc -l`` after the Latus snapshot dropped
+#: the bookkeeping its blocks re-derive (18,925 before).
+MAX_SRC_LINES = 18_811
 #: REPRO_OBSERVABILITY only.
 MAX_ENVIRON_READS = 1
 #: 9 before the mainchain recovery's two went with ``Blockchain``'s copy of
 #: it (10 before ``FilePageBacking.scan`` caught ``DecodeError`` instead).
 MAX_BROAD_EXCEPTS = 7
+
+#: Every Latus snapshot section: what the blocks cannot give.  The UTXO
+#: index, synced MC heights, consensus seeds and stakes, the epoch ledger and
+#: the certificate list are re-derived from blocks and anchors on restore.
+LATUS_SECTIONS = {
+    "latus/meta",
+    "latus/state",
+    "latus/state_pages",
+    "latus/blocks",
+    "latus/anchors",
+    "latus/submitted",
+}
 
 #: Substrate layers and the construction layers they must not know about.
 SUBSTRATE = ("repro.core", "repro.mainchain")
@@ -139,3 +152,14 @@ class TestInventoryRatchet:
             if target.split(".")[0] in ("numpy", "gmpy2")
         ]
         assert not accelerators, accelerators
+
+    def test_latus_snapshot_sections(self, trees):
+        names = {
+            node.value
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"latus/\w+", node.value)
+        }
+        assert names == LATUS_SECTIONS

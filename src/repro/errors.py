@@ -194,6 +194,14 @@ class ConsensusError(LatusError):
     """A sidechain block violated the consensus rules (slot leader, binding)."""
 
 
+class CertificateMismatch(ConsensusError):
+    """A mainchain certificate differs from the epoch a node derived, in ``reason``."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(f"certificate {reason} differs from the derived epoch")
+        self.reason = reason
+
+
 class NodeCrashed(LatusError):
     """The operation needs a running node but this one has crashed.
 

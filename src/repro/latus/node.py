@@ -11,9 +11,9 @@ Its responsibilities:
 * **Forge** — one slot per observed MC block; when a controlled key wins
   the slot lottery, forge a block embedding the pending MC references
   (contiguous, cut at withdrawal-epoch boundaries) and pending transactions;
-* **Certify** — when the block referencing a withdrawal epoch's last MC
-  block is forged, build the recursive epoch proof, produce the withdrawal
-  certificate and submit it to the MC mempool;
+* **Certify** — at the block referencing a withdrawal epoch's last MC
+  block, anchor the epoch on the local MC's certificate if it checks against
+  the re-executed epoch, else prove the epoch and submit its certificate;
 * **Track** — maintain the UTXO index (full outputs, not just MST leaves),
   per-consensus-epoch stake snapshots and the certificate history that
   anchors BTR/CSW proofs.
@@ -33,6 +33,7 @@ from repro.core.bootstrap import SidechainConfig
 from repro.core.transfers import WithdrawalCertificate
 from repro.crypto.keys import KeyPair, address_of
 from repro.errors import (
+    CertificateMismatch,
     ConsensusError,
     ForgingError,
     StateTransitionError,
@@ -61,7 +62,12 @@ from repro.latus.transactions import (
     index_transition,
 )
 from repro.latus.utxo import Utxo, address_to_field
-from repro.latus.wcert import WCertWitness, WithdrawalCertificateBuilder
+from repro.latus.wcert import (
+    WCertWitness,
+    WithdrawalCertificateBuilder,
+    check_certificate,
+    draft_certificate,
+)
 from repro.snark.recursive import CompositionStats
 from repro.mainchain.block import Block as MainchainBlock
 from repro.mainchain.node import MainchainNode
@@ -99,6 +105,15 @@ _CERTIFICATES_BUILT = _REGISTRY.counter(
     "repro_latus_certificates_built_total",
     "withdrawal certificates built at epoch close",
 ).labels()
+_CERTIFICATES_CHECKED = _REGISTRY.counter(
+    "repro_latus_certificates_checked_total",
+    "mainchain certificates that checked against the closed epoch and anchor it",
+).labels()
+_CERTIFICATES_REFUSED = _REGISTRY.counter(
+    "repro_latus_certificates_refused_total",
+    "mainchain certificates refused at epoch close, by the first differing field",
+    labelnames=("reason",),
+)
 # Node lifecycle counters (repro_node_crashes_total and friends) live in
 # repro.lifecycle and are shared with MainchainNode.
 
@@ -436,7 +451,7 @@ class LatusNode(NodeLifecycle):
 
         The blocks came from this node's own validated history, so
         signature, leadership and derivation checks are skipped and epochs
-        whose certificate made it to the log are not re-proven — which is
+        whose certificate made it to the log are not closed again — which is
         what makes disk recovery strictly faster than a full peer resync.
         Every replayed block's state digest is still checked, so corruption
         cannot slip through; any mismatch raises
@@ -456,18 +471,13 @@ class LatusNode(NodeLifecycle):
                 self._replay_block(block, staged)
                 staged = {}
                 if self._closes_epoch(block, self.epoch.epoch_id):
-                    if (
-                        index + 1 < len(records)
-                        and records[index + 1][0] == SC_CERT
-                    ):
-                        certificate = wire.decode_withdrawal_certificate(
-                            records[index + 1][1]
-                        )
-                        self._restore_certificate(certificate)
+                    if index + 1 < len(records) and records[index + 1][0] == SC_CERT:
                         index += 1
+                        logged = wire.decode_withdrawal_certificate(records[index][1])
+                        self._restore_certificate(logged)
                     else:
                         # the crash hit between the block commit and the
-                        # certificate record: re-prove the epoch
+                        # certificate record: close the epoch again
                         self._close_withdrawal_epoch(block)
             elif kind == SC_CERT:
                 pass  # its boundary block is in the snapshot, which anchors it
@@ -637,6 +647,16 @@ class LatusNode(NodeLifecycle):
                 break
             kept.append(block)
         skipped = self.skipped_slots
+        self._rewalk(kept)
+        top = self.synced_mc_height - self.config.start_block
+        self.skipped_slots = [slot for slot in skipped if slot <= top]  # later ones re-sync
+        # the store's history now diverges from the chain: re-seed it with a
+        # fresh snapshot of the post-rollback state
+        self._reset_durable_state()
+        self._resubmit_reverted_certificates()
+
+    def _rewalk(self, kept: list[SidechainBlock]) -> None:
+        """Re-derive the chain ``kept`` and re-execute its open epoch's blocks."""
         self._replaying = True
         try:
             for block in self._rederive_chain(kept, self.anchors, rehouse=True):
@@ -647,13 +667,7 @@ class LatusNode(NodeLifecycle):
                 self._readopt_block(block)
         finally:
             self._replaying = False
-        top = self.synced_mc_height - self.config.start_block
-        self.skipped_slots = [slot for slot in skipped if slot <= top]  # later ones re-sync
         self._attach_store_hooks()
-        # the store's history now diverges from the chain: re-seed it with a
-        # fresh snapshot of the post-rollback state
-        self._reset_durable_state()
-        self._resubmit_reverted_certificates()
 
     def _rederive_chain(
         self, blocks: list[SidechainBlock], anchors: dict, rehouse: bool
@@ -694,11 +708,7 @@ class LatusNode(NodeLifecycle):
         if not self.auto_submit_certificates:
             return
         entry = self.mc.state.cctp.sidechains.get(self.ledger_id)
-        adopted = (
-            {record.certificate.id for record in entry.certificates.values()}
-            if entry is not None
-            else set()
-        )
+        adopted = {r.certificate.id for r in entry.certificates.values()} if entry else set()
         for certificate in self.certificates:
             if certificate.id in adopted:
                 continue
@@ -708,13 +718,10 @@ class LatusNode(NodeLifecycle):
                 pass  # already queued
 
     def _process_mc_height(self, height: int) -> list[SidechainBlock]:
-        if height < self.config.start_block:
-            # Before activation there are no slots; nothing to record.
-            mc_block = self.mc.chain.block_at_height(height)
-            self.synced_mc.append((height, mc_block.hash))
-            return []
         mc_block = self.mc.chain.block_at_height(height)
         self.synced_mc.append((height, mc_block.hash))
+        if height < self.config.start_block:
+            return []  # before activation there are no slots
         self.mc_queue.append(mc_block)
 
         slot = height - self.config.start_block
@@ -828,54 +835,76 @@ class LatusNode(NodeLifecycle):
     # -- withdrawal certificates -----------------------------------------------------------
 
     def _close_withdrawal_epoch(self, last_block: SidechainBlock) -> None:
-        """Prove the epoch, emit the certificate and reset transient state."""
+        """Anchor the epoch on a certificate and reset transient state.
+
+        The anchor is the first certificate on the local MC, adopted before
+        pending, that checks against the epoch this node derived; only when
+        none does the node prove the epoch, and submit that certificate.
+        """
         epoch_id = self.epoch.epoch_id
-        proof_result = self.prover.prove_epoch(
-            self.epoch.start_state, self.epoch.transitions
-        )
         final_state = self.state.copy()
-        delta = MstDelta.from_positions(
-            self.params.mst_depth, self.state.mst.touched_positions
+        touched = self.state.mst.touched_positions
+        delta = MstDelta.from_positions(self.params.mst_depth, touched)
+        h_prev, h_last = (self._epoch_boundary_hash(e) for e in (epoch_id - 1, epoch_id))
+        bt_list = tuple(self.state.backward_transfers)
+        draft = draft_certificate(
+            self.ledger_id, epoch_id, last_block, bt_list, final_state.mst_root, delta
         )
-        self.last_epoch_stats = proof_result.stats
-        witness = WCertWitness(
-            epoch_proof=proof_result.proof,
-            start_state_digest=self.epoch.start_state.digest(),
-            final_state=final_state,
-            bt_list=tuple(self.state.backward_transfers),
-            last_block=last_block,
-            prev_epoch_last_block_hash=self._epoch_boundary_hash(epoch_id - 1),
-            referenced_mc_hashes=tuple(self.epoch.referenced_mc_hashes),
-            mst_delta=delta,
-            touched_positions=self.state.mst.touched_positions,
-            epoch_stats=proof_result.stats,
-        )
-        certificate = self.cert_builder.build(
-            epoch_id=epoch_id,
-            witness=witness,
-            h_prev_epoch_last=self._epoch_boundary_hash(epoch_id - 1),
-            h_epoch_last=self._epoch_boundary_hash(epoch_id),
-        )
+        certificate = self._checked_certificate(draft, h_prev, h_last)
+        if certificate is None:
+            proof_result = self.prover.prove_epoch(self.epoch.start_state, self.epoch.transitions)
+            self.last_epoch_stats = proof_result.stats
+            witness = WCertWitness(
+                epoch_proof=proof_result.proof,
+                start_state_digest=self.epoch.start_state.digest(),
+                final_state=final_state,
+                bt_list=bt_list,
+                last_block=last_block,
+                prev_epoch_last_block_hash=h_prev,
+                referenced_mc_hashes=tuple(self.epoch.referenced_mc_hashes),
+                mst_delta=delta,
+                touched_positions=touched,
+                epoch_stats=proof_result.stats,
+            )
+            certificate = self.cert_builder.build(epoch_id, witness, h_prev, h_last)
+            _CERTIFICATES_BUILT.inc()
+            self.last_wcert_witness = witness
+            if self.auto_submit_certificates:
+                try:
+                    self.mc.submit_transaction(CertificateTx(wcert=certificate))
+                except ZendooError:
+                    pass  # the MC refused it (already queued, or not running)
         self.certificates.append(certificate)
-        _CERTIFICATES_BUILT.inc()
-        self.last_wcert_witness = witness
         self.anchors[epoch_id] = CertificateAnchor(
             certificate=certificate, state_snapshot=final_state
         )
-        if self.auto_submit_certificates:
-            try:
-                self.mc.submit_transaction(CertificateTx(wcert=certificate))
-            except ZendooError:
-                pass  # duplicate after a rebuild: already queued/confirmed
-
         if self._journaling:
-            # the certificate record lets recovery skip re-proving; if the
-            # crash lands before it, replay re-proves the epoch instead
+            # the certificate record lets recovery skip the close; if the
+            # crash lands before it, replay closes the epoch again
             self._store.append(SC_CERT, certificate.encode())
 
         self._open_next_epoch(epoch_id)
         # epoch boundaries are the periodic snapshot points: fold the log in
         self._write_snapshot()
+
+    def _checked_certificate(
+        self, draft: WithdrawalCertificate, h_prev: bytes, h_last: bytes
+    ) -> WithdrawalCertificate | None:
+        """The first certificate on the local MC for the epoch that checks."""
+        entry = self.mc.state.cctp.sidechains.get(self.ledger_id)
+        record = entry.certificates.get(draft.epoch_id) if entry is not None else None
+        pending = [tx.wcert for tx in self.mc.mempool.certificates_for(self.ledger_id)]
+        for candidate in ([record.certificate] if record else []) + pending:
+            if candidate.epoch_id != draft.epoch_id:
+                continue
+            try:
+                check_certificate(candidate, draft, self.config, h_prev, h_last)
+            except CertificateMismatch as exc:
+                _CERTIFICATES_REFUSED.labels(reason=exc.reason).inc()
+                continue
+            _CERTIFICATES_CHECKED.inc()
+            return candidate
+        return None
 
     def _epoch_boundary_hash(self, epoch_id: int) -> bytes:
         """Active-chain hash of a withdrawal epoch's last MC block."""
@@ -890,7 +919,8 @@ class LatusNode(NodeLifecycle):
         """Bootstrap a fresh node from a peer's block history.
 
         Every block passes the full :meth:`receive_block` validation
-        (leader lottery, reference commitment proofs, state re-execution),
+        (leader lottery, reference commitment proofs, state re-execution,
+        the epoch-close certificate check),
         so a node that bootstraps successfully ends byte-identical to the
         serving peer — the paper's determinism property, exercised across a
         whole chain.  The node must be freshly constructed (no local blocks)
@@ -910,60 +940,68 @@ class LatusNode(NodeLifecycle):
     def receive_block(self, block: SidechainBlock) -> None:
         """Validate and apply a block forged by another node.
 
-        Raises :class:`ConsensusError` on any rule violation.  The block must
-        directly extend this node's tip (the harness delivers blocks in
-        order; full SC fork choice is in
+        Raises :class:`ConsensusError` on any rule violation, leaving the
+        node as it was.  The block must directly extend this node's tip (the
+        harness delivers blocks in order; full SC fork choice is in
         :mod:`repro.latus.consensus.fork_choice`).
         """
         self._require_running()
-        if block.parent_hash != self.tip_hash:
-            raise ConsensusError("block does not extend the local tip")
-        if block.height != self.height + 1:
-            raise ConsensusError("wrong block height")
-        if not block.verify_signature():
-            raise ConsensusError("bad forger signature")
-
-        slot = block.slot
-        consensus_epoch = slot // self.params.slots_per_epoch
-        self._ensure_consensus_epoch(consensus_epoch)
-        schedule = self.leader_schedule(consensus_epoch)
-        if not schedule.is_leader(
-            block.forger_addr, slot % self.params.slots_per_epoch
-        ):
-            raise ConsensusError("forger is not the slot leader")
-
-        expected_height = self.last_referenced_mc_height + 1
-        for ref in block.mc_refs:
-            if ref.mc_height != expected_height:
-                raise ConsensusError("MC references are not contiguous")
-            if ref.mc_height > self.mc.height:
-                raise ConsensusError("reference to an MC block above the local tip")
-            if ref.mc_block_hash != self.mc.state.block_hash_at(ref.mc_height):
-                raise ConsensusError("reference to a non-active MC block")
-            verify_mc_ref(ref, self.ledger_id)
-            expected_height += 1
-
-        working = self.state
+        known_epoch = max(self._epoch_seeds)
+        applied = False
         try:
+            if block.parent_hash != self.tip_hash:
+                raise ConsensusError("broken parent link: block does not extend the local tip")
+            if block.height != self.height + 1:
+                raise ConsensusError("wrong block height")
+            if not block.verify_signature():
+                raise ConsensusError("bad forger signature")
+
+            consensus_epoch, slot = divmod(block.slot, self.params.slots_per_epoch)
+            self._ensure_consensus_epoch(consensus_epoch)
+            if not self.leader_schedule(consensus_epoch).is_leader(block.forger_addr, slot):
+                raise ConsensusError("forger is not the slot leader")
+
+            expected_height = self.last_referenced_mc_height + 1
+            for ref in block.mc_refs:
+                if ref.mc_height != expected_height:
+                    raise ConsensusError("MC references are not contiguous")
+                if ref.mc_height > self.mc.height:
+                    raise ConsensusError("reference to an MC block above the local tip")
+                if ref.mc_block_hash != self.mc.state.block_hash_at(ref.mc_height):
+                    raise ConsensusError("reference to a non-active MC block")
+                verify_mc_ref(ref, self.ledger_id)
+                expected_height += 1
+
+            applied = True
             for tx in block.ordered_transitions():
-                working.apply(tx)  # raises StateTransitionError on invalidity
+                self.state.apply(tx)  # raises StateTransitionError on invalidity
                 index_transition(self.utxo_index, tx)
-            if working.digest() != block.state_digest:
+            if self.state.digest() != block.state_digest:
                 raise ConsensusError("state digest mismatch")
-        except (ConsensusError, StateTransitionError):
-            # journaled leaf batches from the rejected block must not ride
-            # the next block's commit
-            self._discard_staged()
+        except ZendooError:
+            self._refuse(applied, known_epoch)
             raise
 
         self._append_block(block)
         _BLOCKS_RECEIVED.inc()
         if block.mc_refs:
-            # these MC blocks no longer await a local reference
-            covered = {ref.mc_height for ref in block.mc_refs}
-            self.mc_queue = [b for b in self.mc_queue if b.height not in covered]
+            # the queue is in height order: its referenced prefix is done
+            while self.mc_queue and self.mc_queue[0].height <= block.mc_refs[-1].mc_height:
+                del self.mc_queue[0]
         if self._closes_epoch(block, self.epoch.epoch_id):
             self._close_withdrawal_epoch(block)
+
+    def _refuse(self, applied: bool, known_epoch: int) -> None:
+        """Undo a refused block: re-derive the chain it would have extended
+        if its transitions ran, and forget the consensus epochs it opened."""
+        self._discard_staged()  # its leaf batches must not ride the next commit
+        following = self.synced_mc, self.mc_queue, self.skipped_slots
+        seeds, stakes = self._epoch_seeds, self._epoch_stakes
+        if applied:
+            self._rewalk(list(self.blocks))
+        self.synced_mc, self.mc_queue, self.skipped_slots = following
+        self._epoch_seeds = {e: s for e, s in seeds.items() if e <= known_epoch}
+        self._epoch_stakes = {e: s for e, s in stakes.items() if e <= known_epoch}
 
 
 def _ref_transitions(ref: MCBlockReference) -> list[LatusTransaction]:

@@ -24,15 +24,17 @@ real MiMC R1CS gadget inside the circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
+from repro.core.bootstrap import SidechainConfig
 from repro.core.transfers import (
     BackwardTransfer,
     WithdrawalCertificate,
     bt_list_root,
 )
 from repro.crypto.field import element_from_bytes
+from repro.errors import CertificateMismatch
 from repro.latus.block import SidechainBlock
 from repro.latus.mst_delta import MstDelta
 from repro.latus.proofs import EpochProver
@@ -40,7 +42,6 @@ from repro.latus.state import LatusState
 from repro.snark import proving
 from repro.snark.circuit import Circuit, CircuitBuilder
 from repro.snark.gadgets.mimc import mimc_hash_gadget
-from repro.snark.proving import ProvingKey
 from repro.snark.recursive import CompositionStats, TransitionProof
 
 
@@ -171,14 +172,55 @@ def latus_proofdata(
     return (element_from_bytes(last_block_hash), mst_root, delta.digest_field())
 
 
+def draft_certificate(
+    ledger_id: bytes,
+    epoch_id: int,
+    last_block: SidechainBlock,
+    bt_list: tuple[BackwardTransfer, ...],
+    mst_root: int,
+    delta: MstDelta,
+) -> WithdrawalCertificate:
+    """The certificate a closed epoch's values fix, with an all-zero proof."""
+    return WithdrawalCertificate(
+        ledger_id=ledger_id,
+        epoch_id=epoch_id,
+        quality=last_block.height,
+        bt_list=bt_list,
+        proofdata=latus_proofdata(last_block.hash, mst_root, delta),
+        proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
+    )
+
+
+def check_certificate(
+    candidate: WithdrawalCertificate,
+    draft: WithdrawalCertificate,
+    config: SidechainConfig,
+    h_prev_epoch_last: bytes,
+    h_epoch_last: bytes,
+) -> None:
+    """Raise :class:`~repro.errors.CertificateMismatch` naming the first field
+    where ``candidate`` departs from ``draft``, or ``proof`` when its proof
+    fails the mainchain's own check (Def. 2.3) under the registered key."""
+    names = ("ledger_id", "epoch_id", "quality", "bt_list", *config.wcert_proofdata.fields)
+    got, expected = (
+        (c.ledger_id, c.epoch_id, c.quality, c.bt_list, *c.proofdata)
+        for c in (candidate, draft)
+    )
+    for name, value, derived in zip(names, got, expected):
+        if value != derived:
+            raise CertificateMismatch(name)
+    public_input = candidate.public_input(h_prev_epoch_last, h_epoch_last)
+    if not proving.verify(config.wcert_vk, public_input, candidate.proof):
+        raise CertificateMismatch("proof")
+
+
 class WithdrawalCertificateBuilder:
     """Assembles, proves and packages certificates for the mainchain."""
 
     def __init__(self, ledger_id: bytes, prover: EpochProver) -> None:
         self.ledger_id = ledger_id
         self.prover = prover
-        self._pk: ProvingKey
-        self._pk, self.verifying_key = proving.setup(LatusWCertCircuit(prover))
+        self._pk, _ = proving.setup(LatusWCertCircuit(prover))
 
     def build(
         self,
@@ -192,26 +234,13 @@ class WithdrawalCertificateBuilder:
         ``h_prev_epoch_last``/``h_epoch_last`` are the epoch-boundary MC
         block hashes the mainchain will enforce in ``wcert_sysdata``.
         """
-        proofdata = latus_proofdata(
-            witness.last_block.hash,
+        draft = draft_certificate(
+            self.ledger_id,
+            epoch_id,
+            witness.last_block,
+            witness.bt_list,
             witness.final_state.mst_root,
             witness.mst_delta,
         )
-        draft = WithdrawalCertificate(
-            ledger_id=self.ledger_id,
-            epoch_id=epoch_id,
-            quality=witness.last_block.height,
-            bt_list=witness.bt_list,
-            proofdata=proofdata,
-            proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
-        )
         public_input = draft.public_input(h_prev_epoch_last, h_epoch_last)
-        proof = proving.prove(self._pk, public_input, witness)
-        return WithdrawalCertificate(
-            ledger_id=self.ledger_id,
-            epoch_id=epoch_id,
-            quality=draft.quality,
-            bt_list=draft.bt_list,
-            proofdata=proofdata,
-            proof=proof,
-        )
+        return replace(draft, proof=proving.prove(self._pk, public_input, witness))

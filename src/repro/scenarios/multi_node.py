@@ -5,7 +5,8 @@ holding only their own forging key.  All nodes observe the same mainchain
 (the paper's parent-child topology); when a node wins a slot it forges and
 broadcasts, and every peer validates the block through the full
 ``receive_block`` path — leader check, reference commitment proofs, state
-re-execution, digest comparison.
+re-execution, digest comparison — and at an epoch close checks the
+forger's certificate on the mainchain instead of proving the epoch again.
 
 The deployment asserts convergence after every round: all nodes must agree
 on the sidechain tip and state digest, which exercises the determinism the
@@ -15,6 +16,7 @@ the MC block and the state, §5.3).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro import observability
@@ -98,9 +100,6 @@ class MultiNodeDeployment:
                 proving_strategy=proving_strategy,
                 proving_workers=proving_workers,
                 store=stores.get(name),
-                # every node builds certificates (so anchors exist locally);
-                # duplicates are deduplicated by the MC mempool
-                auto_submit_certificates=True,
             )
             self.nodes[name] = node
 
@@ -273,22 +272,14 @@ class MultiNodeDeployment:
         """
         entry = self.mc.state.cctp.sidechains.get(self.config.ledger_id)
         adopted = set(entry.certificates) if entry is not None else set()
-        best: tuple[int, int, str] | None = None
-        best_name = ""
-        for name, node in self.nodes.items():
-            if node.crashed or node is exclude:
-                continue
-            covers = int(adopted <= {c.epoch_id for c in node.certificates})
-            score = (covers, node.height, name)
-            # max score wins; min name breaks ties, so invert via comparison
-            if best is None or (score[0], score[1]) > (best[0], best[1]) or (
-                (score[0], score[1]) == (best[0], best[1]) and name < best_name
-            ):
-                best = (score[0], score[1], name)
-                best_name = name
-        if best is None:
+        running = [
+            (not adopted <= {c.epoch_id for c in node.certificates}, -node.height, name)
+            for name, node in self.nodes.items()
+            if not node.crashed and node is not exclude
+        ]
+        if not running:
             raise ConsensusError("no running node available as chaos reference")
-        return best_name
+        return min(running)[2]
 
     # -- assertions ------------------------------------------------------------------
 
@@ -318,8 +309,8 @@ class MultiNodeDeployment:
         """The unified observability snapshot for this deployment.
 
         Same shape as :meth:`repro.scenarios.harness.ZendooHarness.telemetry`
-        with one entry per named node (all convergent, but their provers and
-        certificate builders do independent work worth attributing).
+        with one entry per named node (all convergent; only a node that
+        proved an epoch has ``last_epoch_stats``).
         """
         registry = observability.registry()
         tracer = observability.tracer()
@@ -347,13 +338,5 @@ class MultiNodeDeployment:
 
     def forger_distribution(self) -> dict[str, int]:
         """How many blocks each node forged (by forger address match)."""
-        node = self.any_node()
-        by_addr: dict[int, str] = {}
-        for name, n in self.nodes.items():
-            for addr in n.forgers:
-                by_addr[addr] = name
-        counts: dict[str, int] = {}
-        for block in node.blocks:
-            owner = by_addr.get(block.forger_addr, "unknown")
-            counts[owner] = counts.get(owner, 0) + 1
-        return counts
+        by_addr = {addr: name for name, node in self.nodes.items() for addr in node.forgers}
+        return dict(Counter(by_addr.get(b.forger_addr, "unknown") for b in self.any_node().blocks))

@@ -25,9 +25,9 @@ from repro.errors import StorageError
 SC_BLOCK = 1
 #: A wallet-submitted Latus transaction (payload: ``tx.encode()``).
 SC_TX = 2
-#: A withdrawal certificate built at an epoch close (payload:
-#: ``wcert.encode()``); lets recovery restore the certificate without
-#: re-proving the epoch.
+#: The withdrawal certificate an epoch close built or checked (payload:
+#: ``wcert.encode()``); lets recovery restore the anchor without closing
+#: the epoch again.
 SC_CERT = 3
 #: A write-ahead MST leaf batch: the exact ``{position: leaf}`` updates an
 #: ``apply_batch`` is about to write (payload: :func:`encode_leaf_batch`).

@@ -1,0 +1,197 @@
+"""One prover per epoch: a node checks the certificate on its mainchain.
+
+At every epoch close a node takes the first certificate on its local
+mainchain (adopted, then pending) that matches the epoch it derived and
+verifies under the registered key; only when none does it prove the epoch
+itself.  These tests pin the three consequences: a tampered certificate is
+refused and counted by field, only the forger proves and submits, and a
+refused block leaves the node exactly where it stood.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro import observability
+from repro.core.transfers import BackwardTransfer
+from repro.crypto.keys import KeyPair
+from repro.errors import ConsensusError
+from repro.latus.block import forge_block
+from repro.latus.node import LatusNode
+from repro.mainchain.transaction import CertificateTx
+from repro.observability import export
+from repro.scenarios import ZendooHarness
+from repro.snark import proving
+from tests.test_reorg_rollback import count_proofs, node_fingerprint
+
+ALICE = KeyPair.from_seed("alice")
+BOB = KeyPair.from_seed("bob")
+
+
+def refused(reason: str) -> float:
+    flat = export.flatten(observability.registry())
+    return flat.get(f'repro_latus_certificates_refused_total{{reason="{reason}"}}', 0)
+
+
+def validator_of(harness, sc, **kwargs) -> LatusNode:
+    return LatusNode(
+        config=sc.config,
+        params=sc.node.params,
+        mc_node=harness.mc,
+        creator=sc.node.creator,
+        forger_keys=[],
+        **kwargs,
+    )
+
+
+def resign(sc, block, forger=None, **changes):
+    """``block`` with ``changes``, signed by ``forger`` (its own by default)."""
+    fields = dict(
+        parent_hash=block.parent_hash,
+        height=block.height,
+        slot=block.slot,
+        forger=forger or sc.node.forgers[block.forger_addr],
+        mc_refs=block.mc_refs,
+        transactions=block.transactions,
+        state_digest=block.state_digest,
+    )
+    fields.update(changes)
+    return forge_block(**fields)
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+TAMPERS = {
+    "quality": lambda c: replace(c, quality=c.quality + 1),
+    "bt_list": lambda c: replace(
+        c, bt_list=c.bt_list + (BackwardTransfer(receiver_addr=BOB.address, amount=1),)
+    ),
+    "h_sb_last": lambda c: replace(c, proofdata=(c.proofdata[0] + 1, *c.proofdata[1:])),
+    "mst_root": lambda c: replace(
+        c, proofdata=(c.proofdata[0], c.proofdata[1] + 1, c.proofdata[2])
+    ),
+    "mst_delta": lambda c: replace(c, proofdata=(*c.proofdata[:2], c.proofdata[2] + 1)),
+    "proof": lambda c: replace(
+        c, proof=proving.Proof(data=_flip_last_byte(c.proof.to_bytes()))
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def withheld():
+    """A forger that proved epoch 0 and withheld its certificate."""
+    harness = ZendooHarness()
+    harness.mine(2)
+    sc = harness.create_sidechain(
+        "check", epoch_len=4, submit_len=2, auto_submit_certificates=False
+    )
+    harness.forward_transfer(sc, ALICE, 50_000)
+    while not sc.node.certificates:
+        harness.mine(1)
+    assert not harness.mc.mempool.certificates_for(sc.ledger_id)
+    yield harness, sc, sc.node.certificates[0]
+    sc.node.close()
+
+
+class TestTamperedCertificate:
+    @pytest.mark.parametrize("field", sorted(TAMPERS))
+    def test_validator_refuses_and_proves_the_honest_one(self, withheld, field):
+        harness, sc, honest = withheld
+        planted = CertificateTx(wcert=TAMPERS[field](honest))
+        harness.mc.submit_transaction(planted)
+        validator = validator_of(harness, sc, auto_submit_certificates=False)
+        proved = count_proofs(validator)
+        before = refused(field)
+        try:
+            validator.bootstrap_from(list(sc.node.blocks))
+        finally:
+            harness.mc.mempool.remove(planted.txid)
+            validator.close()
+        assert refused(field) == before + 1
+        assert proved == [0]
+        assert validator.anchors[0].certificate.encode() == honest.encode()
+
+    def test_the_honest_certificate_is_taken_without_proving(self, withheld):
+        harness, sc, honest = withheld
+        planted = CertificateTx(wcert=honest)
+        harness.mc.submit_transaction(planted)
+        validator = validator_of(harness, sc, auto_submit_certificates=False)
+        proved = count_proofs(validator)
+        try:
+            validator.bootstrap_from(list(sc.node.blocks))
+        finally:
+            harness.mc.mempool.remove(planted.txid)
+            validator.close()
+        assert proved == []
+        assert validator.anchors[0].certificate is honest
+
+
+class TestOneProverOneSubmitter:
+    def test_validators_check_and_only_the_forger_submits(self):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("one-prover", epoch_len=4, submit_len=3)
+        validators = [validator_of(harness, sc) for _ in range(2)]
+        proofs = {node: count_proofs(node) for node in (sc.node, *validators)}
+        submitted = []
+        submit = harness.mc.submit_transaction
+
+        def recording(tx):
+            if isinstance(tx, CertificateTx):
+                submitted.append(tx.wcert.epoch_id)
+            submit(tx)
+
+        harness.mc.submit_transaction = recording
+        harness.forward_transfer(sc, ALICE, 60_000)
+        while len(sc.node.certificates) < 2:
+            harness.mine(1)
+            for validator in validators:
+                validator.sync()
+                for block in sc.node.blocks[validator.height + 1 :]:
+                    validator.receive_block(block)
+        assert proofs[sc.node] == [0, 1]
+        assert [proofs[v] for v in validators] == [[], []]
+        assert submitted == [0, 1]
+        for validator in validators:
+            assert validator.certificates == sc.node.certificates
+            validator.close()
+        sc.node.close()
+
+
+class TestRefusedBlockLeavesNoTrace:
+    """A refused block leaves every field a rollback restores untouched,
+    so the honest block that follows is accepted."""
+
+    def test_each_refusal_restores_the_node(self, tmp_path):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("refusal", epoch_len=4, submit_len=3)
+        harness.forward_transfer(sc, ALICE, 60_000)
+        while sc.node.height < 3:
+            harness.mine(1)
+        harness.wallet(sc, ALICE).pay(BOB.address, 1_000)
+        while sc.node.height < 11:
+            harness.mine(1)
+        assert any(block.transactions for block in sc.node.blocks)
+        validator = validator_of(harness, sc, data_dir=tmp_path / "validator")
+        mallory = KeyPair.from_seed("mallory")
+        for block in sc.node.blocks:
+            for tampered in (
+                resign(sc, block, state_digest=block.state_digest + 1),
+                resign(sc, block, forger=mallory),
+            ):
+                before = node_fingerprint(validator)
+                with pytest.raises(ConsensusError):
+                    validator.receive_block(tampered)
+                assert node_fingerprint(validator) == before, block.height
+            validator.receive_block(block)
+        assert validator.tip_hash == sc.node.tip_hash
+        assert validator.state.digest() == sc.node.state.digest()
+        committed = node_fingerprint(validator)
+        validator.crash()
+        validator.restart()
+        assert node_fingerprint(validator) == committed
+        validator.close()
+        sc.node.close()

@@ -23,9 +23,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the Latus snapshot dropped
-#: the bookkeeping its blocks re-derive (18,925 before).
-MAX_SRC_LINES = 18_811
+#: ``find src -name '*.py' | xargs wc -l`` after the auditor became a checking
+#: node and validators stopped re-proving epochs (18,811 before).
+MAX_SRC_LINES = 18_760
 #: REPRO_OBSERVABILITY only.
 MAX_ENVIRON_READS = 1
 #: 9 before the mainchain recovery's two went with ``Blockchain``'s copy of
@@ -42,6 +42,16 @@ LATUS_SECTIONS = {
     "latus/blocks",
     "latus/anchors",
     "latus/submitted",
+}
+
+#: Block rules live in ``LatusNode.receive_block`` only: the auditor feeds
+#: blocks to a checking node and must not import what a second copy needs.
+AUDIT_FORBIDDEN = {
+    "LatusState",
+    "LeaderSchedule",
+    "StakeDistribution",
+    "verify_mc_ref",
+    "index_transition",
 }
 
 #: Substrate layers and the construction layers they must not know about.
@@ -163,3 +173,13 @@ class TestInventoryRatchet:
             and re.fullmatch(r"latus/\w+", node.value)
         }
         assert names == LATUS_SECTIONS
+
+    def test_auditor_keeps_no_copy_of_the_block_rules(self, trees):
+        tree = trees[SRC / "repro" / "latus" / "audit.py"]
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not imported & AUDIT_FORBIDDEN, imported & AUDIT_FORBIDDEN

@@ -27,10 +27,12 @@ Performance layer (see docs/PERFORMANCE.md):
   the canonical ``(left, right)`` pair, so repeated compressions (shared
   ancestors across epochs, snapshot copies, re-verification of the same
   Merkle proofs) cost a dict lookup instead of 110 rounds;
-* every call is counted — on the process-wide metrics registry
-  (:mod:`repro.observability`) as the ``repro_mimc_*_total`` counter
-  family, which is where benchmarks and the ``repro.cli metrics`` command
-  read hash-op totals from.
+* the prover takes each permutation native hashing already ran from that
+  memo (:func:`memo_permutation`).  Sound: only the compiled permutation
+  fills the memo, so a wrong entry would already have corrupted the native
+  roots a proof attests to.  The read writes and counts nothing, so the
+  ``repro_mimc_*_total`` counters (benchmarks, ``repro.cli metrics``) count
+  native hashing alone.
 """
 
 from __future__ import annotations
@@ -222,6 +224,16 @@ def mimc_compress(left: int, right: int) -> int:
         del cache[next(iter(cache))]
     cache[key] = out
     return out
+
+
+def memo_permutation(x: int, k: int) -> int:
+    """``E_k(x)`` of canonical ``x, k``: ``H - x - k`` when the memo holds
+    ``H = mimc_compress(x, k)``, else the compiled permutation.  Writes no
+    entry and moves no counter."""
+    digest = _compress_cache.get((x, k))
+    if digest is None:
+        return _permutation_compiled(x, k)
+    return (digest - x - k) % MODULUS
 
 
 def mimc_compress_many(pairs: Sequence[tuple[int, int]]) -> list[int]:

@@ -18,6 +18,9 @@ process-level substrate for that claim:
   created, or a payload that cannot be pickled) degrades to in-process
   proving with identical results — the pool is an accelerator, never a
   correctness dependency.
+* **No memo transfer.**  A worker reads its own MiMC memo: a fork copies the
+  parent's as it stood when the executor started, and every permutation
+  hashed natively after that is recomputed in the worker.
 
 Serialization seconds are measured on the submitting side (the pickling of
 job payloads), synthesis seconds on the worker side (the actual
@@ -31,7 +34,7 @@ import os
 import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from repro import observability
@@ -188,18 +191,7 @@ class PoolStats:
         :meth:`~repro.snark.recursive.CompositionStats.to_dict`, so pool and
         composition accounting line up column-for-column in telemetry.
         """
-        return {
-            "workers": self.workers,
-            "requested_workers": self.requested_workers,
-            "tasks": self.tasks,
-            "chunks": self.chunks,
-            "serialization_seconds": self.serialization_seconds,
-            "synthesis_seconds": self.synthesis_seconds,
-            "verifications": self.verifications,
-            "retries": self.retries,
-            "injected_failures": self.injected_failures,
-            "fallback_reason": self.fallback_reason,
-        }
+        return asdict(self)
 
 
 class ProverPool:

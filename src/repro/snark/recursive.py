@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Generic, Protocol, Sequence, TypeVar
 
 from repro import observability
@@ -141,21 +141,7 @@ class CompositionStats:
         ``LatusNode.last_epoch_stats``, so every telemetry surface reports
         time under one schema.
         """
-        return {
-            "base_proofs": self.base_proofs,
-            "merge_proofs": self.merge_proofs,
-            "tree_depth": self.tree_depth,
-            "constraints": self.constraints,
-            "native_checks": self.native_checks,
-            "synthesis_seconds": self.synthesis_seconds,
-            "serialization_seconds": self.serialization_seconds,
-            "wall_seconds": self.wall_seconds,
-            "pool_workers": self.pool_workers,
-            "pool_tasks": self.pool_tasks,
-            "pool_chunks": self.pool_chunks,
-            "pool_occupancy": self.pool_occupancy,
-            "critical_path_depth": self.critical_path_depth,
-        }
+        return asdict(self)
 
 
 class _BaseCircuit(Circuit, Generic[State, Transition]):

@@ -19,17 +19,19 @@ method surface, its wires carry only field values, and it
 
 * counts allocations, constraints and native checks op-for-op like the
   symbolic builder, so :class:`~repro.snark.r1cs.R1CSStats` are identical;
-* computes each product definition (``mul``, ``square``, and a MiMC
-  permutation's 330 per-round products in one straight-line call) once — the
-  product variable is assigned that very value, so the row holds by
-  construction and the count just advances;
+* computes each product definition once — the product variable is assigned
+  that very value, so the row holds by construction and the count advances.
+  A MiMC permutation's 330 products are one value, which
+  :func:`~repro.crypto.mimc.memo_permutation` reads off the native hash memo
+  (a pure cache only the compiled permutation fills) without writing or
+  counting anything;
 * evaluates every *refutable* constraint on the spot — equality, zero,
   booleanity, the non-zero inverse, bit recomposition, select — and raises
   the symbolic builder's :class:`~repro.errors.UnsatisfiedConstraint`
   message verbatim, in the same order relative to native checks.
 
-There is no structure to cache, so there is no shape key, no cold or warm
-proof and nothing to ship to pool workers.  ``tests/test_witness_checker.py``
+There is no structure to cache, so there is no shape key and nothing to
+ship to pool workers.  ``tests/test_witness_checker.py``
 pins the checker against the symbolic builder (stats, verdict, exception
 type and message) for every circuit family, for random op programs over the
 whole surface, and for the method signatures themselves.
@@ -40,7 +42,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.crypto.field import MODULUS, inv
-from repro.crypto.mimc import ROUNDS, _permutation_compiled
+from repro.crypto.mimc import ROUNDS, memo_permutation
 from repro.errors import UnsatisfiedConstraint
 from repro.snark.circuit import Circuit, _validate_publics
 from repro.snark.r1cs import R1CSStats
@@ -222,18 +224,11 @@ class WitnessChecker:
             raise UnsatisfiedConstraint(f"native check failed: {message}")
 
     def mimc_permutation(self, x: WitnessWire, k: WitnessWire) -> WitnessWire:
-        """A whole keyed MiMC permutation: 330 product definitions, one call.
-
-        What :func:`~repro.snark.gadgets.mimc.mimc_permutation_gadget` hands
-        over instead of 110 rounds of ``square``/``square``/``mul``.  The
-        unrolled native permutation computes the same three products per
-        round; it is called directly, not through ``mimc_compress``, so a
-        proof neither reads nor fills the hash memo and the
-        ``repro_mimc_*`` counters keep meaning native hashing.
-        """
+        """A whole keyed MiMC permutation: 330 product definitions, one call
+        (:func:`~repro.snark.gadgets.mimc.mimc_permutation_gadget`'s hook)."""
         self.num_variables += 3 * ROUNDS
         self.num_constraints += 3 * ROUNDS
-        return WitnessWire(_permutation_compiled(x.value, k.value))
+        return WitnessWire(memo_permutation(x.value, k.value))
 
     # -- results -----------------------------------------------------------------
 

@@ -23,9 +23,10 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the auditor became a checking
-#: node and validators stopped re-proving epochs (18,811 before).
-MAX_SRC_LINES = 18_760
+#: ``find src -name '*.py' | xargs wc -l`` after the prover began reading
+#: permutations off the MiMC memo and the stats dataclasses dumped themselves
+#: with ``asdict`` (18,760 before).
+MAX_SRC_LINES = 18_745
 #: REPRO_OBSERVABILITY only.
 MAX_ENVIRON_READS = 1
 #: 9 before the mainchain recovery's two went with ``Blockchain``'s copy of

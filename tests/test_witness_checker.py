@@ -17,6 +17,7 @@ per-family cases of the Latus circuits live in
 
 import functools
 import inspect
+import random
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -634,6 +635,89 @@ def test_gadget_hashing_leaves_native_hash_accounting_alone():
     assert checker.stats().num_constraints == 4 * 3 * mimc.ROUNDS
     assert mimc.cache_size() == 0
     assert permutations.value() == before
+
+
+def _refuse_permutation(x, k):
+    raise AssertionError(f"permutation E_{k}({x}) recomputed")
+
+
+def _mimc_series():
+    registry = observability.registry()
+    return tuple(
+        registry.counter(f"repro_mimc_{name}_total").value()
+        for name in ("compressions", "permutations", "cache_hits", "cache_misses")
+    )
+
+
+class TestProofReadsTheHashMemo:
+    """A proof takes each permutation native hashing already computed from
+    the ``mimc_compress`` memo, writes nothing there and counts nothing."""
+
+    def test_warm_proofs_compute_no_permutation(self, monkeypatch):
+        composer = RecursiveComposer(LatusTransitionSystem())
+        jobs = [base_job(*BASE_JOBS[kind](), composer) for kind in sorted(BASE_JOBS)]
+        monkeypatch.setattr(mimc, "_permutation_compiled", _refuse_permutation)
+        for job in jobs:
+            proving.prove_with_stats(*job)
+        # the control: a cold lookup does reach the compiled permutation
+        mimc.clear_cache()
+        checker = WitnessChecker()
+        with pytest.raises(AssertionError, match="recomputed"):
+            mimc_hash_gadget(checker, [checker.alloc(7)])
+
+    def test_warm_and_cold_proofs_are_identical(self):
+        composer = RecursiveComposer(LatusTransitionSystem())
+        jobs = [base_job(*BASE_JOBS[kind](), composer) for kind in sorted(BASE_JOBS)]
+
+        def snapshot(job):
+            result = proving.prove_with_stats(*job)
+            return result.stats, result.proof.data
+
+        warm = [snapshot(job) for job in jobs]
+        cold = []
+        for job in jobs:
+            mimc.clear_cache()  # the gadget now recomputes every leaf hash
+            cold.append(snapshot(job))
+        assert cold == warm
+
+    def test_warm_gadget_hashing_moves_no_memo_entry_or_counter(self):
+        values = [[7, MODULUS - 3, 1 << 200], [0], [MODULUS - 1, 1]]
+        expected = [mimc.mimc_hash(v) for v in values]
+        size, series = mimc.cache_size(), _mimc_series()
+        checker = WitnessChecker()
+        digests = [
+            mimc_hash_gadget(checker, [checker.alloc(x) for x in v]).value
+            for v in values
+        ]
+        assert digests == expected
+        assert (mimc.cache_size(), _mimc_series()) == (size, series)
+
+    def test_reader_equals_the_permutation_where_the_digest_wraps(self, monkeypatch):
+        rng = random.Random(37)
+        edges = (0, 1, MODULUS - 1)
+        pairs = [(x, k) for x in edges for k in edges]
+        pairs += [(rng.randrange(MODULUS), rng.randrange(MODULUS)) for _ in range(24)]
+        mimc.clear_cache()
+        digests = [mimc.mimc_compress(x, k) for x, k in pairs]
+        # H - x - k leaves [0, p) on every pair with p - 1 and on random ones
+        assert sum(h < x + k for h, (x, k) in zip(digests, pairs)) >= 5
+        size = mimc.cache_size()
+
+        def reader_agrees():
+            for x, k in pairs:
+                assert mimc.memo_permutation(x, k) == mimc._permutation_compiled(x, k)
+            assert mimc.cache_size() == size
+
+        reader_agrees()  # every pair memoized
+        # at the bound, each fresh pair evicts the oldest: all of ``pairs``
+        monkeypatch.setattr(mimc, "CACHE_MAX_ENTRIES", size)
+        for x in range(len(pairs)):
+            mimc.mimc_compress(x, 2)
+        reader_agrees()  # every pair recomputed
+        misses = observability.registry().counter("repro_mimc_cache_misses_total")
+        before = misses.value()
+        mimc.mimc_compress(*pairs[-1])
+        assert misses.value() == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ Two proving strategies are provided:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -211,41 +210,21 @@ class EpochProver:
         if strategy not in ("per_transaction", "batched"):
             raise ValueError(f"unknown proving strategy {strategy!r}")
         self.strategy = strategy
-        #: Default worker count for :meth:`prove_epoch`; None = serial.
+        #: Worker processes :meth:`prove_epoch` proves with; None = serial.
         self.parallel_workers = parallel_workers
         self.composer = RecursiveComposer(LatusTransitionSystem())
         self._batched_composer = RecursiveComposer(BatchedLatusSystem())
         self._pool: ProverPool | None = None
+        if parallel_workers:
+            self._pool = ProverPool(max_workers=parallel_workers)
+            self.composer.register_keys(self._pool)
 
     # -- pool lifecycle -----------------------------------------------------------
 
-    def _resolve_workers(self, parallel: bool | int | None) -> int | None:
-        """Map a ``prove_epoch(parallel=...)`` argument to a worker count."""
-        if parallel is None:
-            return self.parallel_workers
-        if parallel is False:
-            return None
-        if parallel is True:
-            return os.cpu_count() or 1
-        return int(parallel)
-
-    def _ensure_pool(self, workers: int) -> ProverPool:
-        """The persistent pool, rebuilt only when the worker count changes."""
-        pool = self._pool
-        if pool is not None and pool.stats.requested_workers != max(1, workers):
-            pool.close()
-            pool = None
-        if pool is None:
-            pool = ProverPool(max_workers=workers)
-            self.composer.register_keys(pool)
-            self._pool = pool
-        return pool
-
     def close(self) -> None:
-        """Shut down the worker pool, if one was ever started (idempotent)."""
+        """Shut down the worker processes, if any were started (idempotent)."""
         if self._pool is not None:
             self._pool.close()
-            self._pool = None
 
     def __enter__(self) -> "EpochProver":
         return self
@@ -259,18 +238,15 @@ class EpochProver:
         self,
         start_state: LatusState,
         transitions: Sequence[LatusTransaction],
-        parallel: bool | int | None = None,
     ) -> EpochProofResult:
         """Prove the whole epoch's transition (Fig. 11's final merge).
 
-        ``parallel`` selects the proving pipeline: ``None`` uses the
-        prover's configured ``parallel_workers`` (serial when unset),
-        ``False`` forces the serial path, ``True`` uses one worker per CPU,
-        and an integer requests that many workers.  Parallel and serial
-        paths produce identical root proofs, public inputs and proof counts;
-        only the wall-clock shape (and the pool fields on
-        :class:`CompositionStats`) differ.  The batched strategy is a single
-        base proof, so it always proves serially.
+        With ``parallel_workers`` set, the per-transaction strategy proves
+        through a process pool; parallel and serial paths produce identical
+        root proofs, public inputs and proof counts, and only the wall-clock
+        shape (and the pool fields on :class:`CompositionStats`) differ.
+        The batched strategy is a single base proof, so it always proves
+        serially.
 
         An epoch with no transitions (a pure heartbeat) delegates to
         :meth:`prove_empty_epoch`, which proves the identity transition.
@@ -281,10 +257,8 @@ class EpochProver:
             "epoch/prove", strategy=self.strategy, transitions=len(transitions)
         ):
             if self.strategy == "per_transaction":
-                workers = self._resolve_workers(parallel)
-                pool = self._ensure_pool(workers) if workers else None
                 proof, final_state, stats = self.composer.prove_sequence(
-                    start_state, list(transitions), pool=pool
+                    start_state, list(transitions), pool=self._pool
                 )
             else:
                 stats = CompositionStats()

@@ -139,7 +139,8 @@ class MainchainNode(NodeLifecycle):
             return
         from repro.storage import MC_BLOCK
 
-        self._store.append(MC_BLOCK, block.encode())
+        self._store.stage(MC_BLOCK, block.encode())
+        self._store.commit()  # one sync per recorded block under fsync="block"
         if self.chain.tip.hash == block.hash and block.height % SNAPSHOT_INTERVAL == 0:
             self._write_snapshot()
 

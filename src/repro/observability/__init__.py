@@ -21,16 +21,12 @@ Observability is **on by default** and can be switched off globally::
     observability.enable()
     observability.reset()        # zero all series, drop retained spans
 
-or at import time with ``REPRO_OBSERVABILITY=0`` in the environment (what
-the disabled-overhead benchmarks use).  The global registry object is
-created once per process and never replaced, so modules may safely bind
-series at import; construct private :class:`MetricsRegistry` /
-:class:`Tracer` instances for isolated tests.
+The global registry object is created once per process and never
+replaced, so modules may safely bind series at import; construct private
+:class:`MetricsRegistry` / :class:`Tracer` instances for isolated tests.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.observability.registry import (
     Counter,
@@ -45,10 +41,8 @@ from repro.observability.registry import (
 from repro.observability.tracing import NOOP_SPAN, Span, Tracer
 from repro.observability import export
 
-_ENABLED_AT_IMPORT = os.environ.get("REPRO_OBSERVABILITY", "1") not in ("0", "false", "off")
-
 #: The one process-wide registry.  Never rebound — bind series freely.
-_REGISTRY = MetricsRegistry(enabled=_ENABLED_AT_IMPORT)
+_REGISTRY = MetricsRegistry()
 
 #: The one process-wide tracer, recording into :data:`_REGISTRY`.
 _TRACER = Tracer(_REGISTRY)

@@ -10,14 +10,18 @@ process-level substrate for that claim:
   executor initializer; workers cache them by ``circuit_id`` so repeated
   chunks never re-transfer keys.  Keys registered after startup are shipped
   inline with each chunk (the worker still caches them on first sight).
-* **Chunked submission.**  :meth:`map_prove` groups independent jobs into
-  chunks sized to the worker count, amortizing one IPC round over many
-  syntheses; :meth:`submit_prove` dispatches a single job for the
-  merge-tree scheduler, which needs per-proof completion granularity.
-* **Serial fallback.**  ``max_workers <= 1`` (or an executor that cannot be
-  created, or a payload that cannot be pickled) degrades to in-process
-  proving with identical results — the pool is an accelerator, never a
-  correctness dependency.
+* **One dispatch path.**  A round is a chunk of Base proofs
+  (:meth:`~ProverPool.map_prove`), a single Merge
+  (:meth:`~ProverPool.submit_prove`, for the merge-tree scheduler) or a
+  chunk of verifications (:meth:`~ProverPool.map_verify`).  Every round is
+  sent by ``_dispatch`` and resolved by ``_resolve``; chunks hold about
+  ``jobs / (workers * 4)`` jobs, so one IPC round amortizes over several.
+* **Retry, then degrade.**  A round that fails in transport (an injected
+  fault, a payload that does not pickle, a worker that dies) is sent again
+  up to ``_RETRIES`` times; then the pool degrades to serial for good and
+  runs the round in-process.  A pool resolved to one worker, or whose
+  executor cannot start, is serial from the outset.  Results are identical
+  either way: the pool is an accelerator, never a correctness dependency.
 * **No memo transfer.**  A worker reads its own MiMC memo: a fork copies the
   parent's as it stood when the executor started, and every permutation
   hashed natively after that is recomputed in the worker.
@@ -35,7 +39,9 @@ import pickle
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
+from weakref import WeakKeyDictionary
 
 from repro import observability
 from repro.errors import SnarkError, UnsatisfiedConstraint
@@ -120,32 +126,27 @@ def _worker_pk(circuit_id: str, inline_pk: ProvingKey | None) -> ProvingKey:
     return pk
 
 
-def _prove_chunk(circuit_id: str, job_blob: bytes) -> list[ProveResult]:
+def _prove_chunk(job_blob: bytes) -> list[ProveResult]:
     """Prove a chunk of ``(public_input, witness)`` jobs in one IPC round.
 
     Routed through :func:`repro.snark.proving.prove_many`, so the whole
     chunk runs under one ``snark/prove_many`` span.
     """
-    inline_pk, jobs = pickle.loads(job_blob)
-    pk = _worker_pk(circuit_id, inline_pk)
-    return proving.prove_many(pk, jobs)
+    circuit_id, inline_pk, jobs = pickle.loads(job_blob)
+    return proving.prove_many(_worker_pk(circuit_id, inline_pk), jobs)
 
 
-def _prove_one(circuit_id: str, job_blob: bytes) -> ProveResult:
-    """Prove a single job (merge-tree scheduling granularity)."""
-    inline_pk, public, witness = pickle.loads(job_blob)
-    pk = _worker_pk(circuit_id, inline_pk)
-    return proving.prove_with_stats(pk, public, witness)
+def _verify_chunk(job_blob: bytes) -> list[bool]:
+    """Verify a chunk of ``(vk, public_input, proof)`` triples in one round."""
+    return _verify_all(pickle.loads(job_blob))
 
 
-def _verify_chunk(_circuit_id: str, job_blob: bytes) -> list[bool]:
-    """Verify a chunk of ``(vk, public_input, proof)`` triples in one round.
+def _verify_all(jobs: Sequence[tuple]) -> list[bool]:
+    """Raw :func:`repro.snark.proving.verify` calls.
 
-    Raw :func:`repro.snark.proving.verify` calls — verdict counters live in
-    the parent process (worker-side registries are invisible to it), so the
-    parent counts the gathered results instead.
+    Verdict counters live in the parent process (worker-side registries are
+    invisible to it), so the parent counts the gathered results instead.
     """
-    jobs = pickle.loads(job_blob)
     return [proving.verify(vk, public, proof) for vk, public, proof in jobs]
 
 
@@ -194,6 +195,11 @@ class PoolStats:
         return asdict(self)
 
 
+#: Times one round is sent again after a transport failure before the pool
+#: degrades to serial proving for good.
+_RETRIES = 2
+
+
 class ProverPool:
     """A process pool that proves independent statements concurrently.
 
@@ -209,24 +215,21 @@ class ProverPool:
     def __init__(
         self,
         max_workers: int | None = None,
-        chunk_size: int | None = None,
         clamp_to_cpus: bool = True,
-        max_dispatch_retries: int = 2,
         fault_injector: WorkerFaultInjector | None = None,
     ) -> None:
         cpus = os.cpu_count() or 1
         requested = cpus if max_workers is None else max(1, int(max_workers))
         self.workers = min(requested, cpus) if clamp_to_cpus else requested
-        self.chunk_size = chunk_size
-        #: How many times one dispatch is retried before the pool degrades
-        #: to serial proving for good.
-        self.max_dispatch_retries = max(0, int(max_dispatch_retries))
         #: Optional deterministic failure injection (chaos testing).
         self.fault_injector = fault_injector
         self._dispatch_index = 0
         self.stats = PoolStats(workers=self.workers, requested_workers=requested)
         self._pks: dict[str, ProvingKey] = {}
         self._executor: ProcessPoolExecutor | None = None
+        #: Entry point, payload and in-process runner of each unresolved round;
+        #: weak, so a round abandoned by a proof failure frees its witness.
+        self._rounds: WeakKeyDictionary[Future, tuple] = WeakKeyDictionary()
         self._serial = self.workers <= 1
         if self._serial:
             self.stats.workers = 0
@@ -250,9 +253,7 @@ class ProverPool:
             self._pks.setdefault(pk.circuit.circuit_id, pk)
 
     def _ensure_executor(self) -> ProcessPoolExecutor | None:
-        if self._serial:
-            return None
-        if self._executor is None:
+        if self._executor is None and not self._serial:
             try:
                 started = time.perf_counter()
                 blob = pickle.dumps(self._pks, protocol=pickle.HIGHEST_PROTOCOL)
@@ -262,7 +263,10 @@ class ProverPool:
                     initializer=_init_worker,
                     initargs=(blob,),
                 )
-            except Exception as exc:  # unpicklable keys, fork failure, ...
+            # The registered keys cross the process boundary here: a key
+            # that does not pickle raises PicklingError, AttributeError or
+            # TypeError, and a host that cannot start workers an OSError.
+            except Exception as exc:
                 self._degrade(f"executor start failed: {exc}")
         return self._executor
 
@@ -291,135 +295,100 @@ class ProverPool:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _inline_pk(self, pk: ProvingKey) -> ProvingKey | None:
-        """The key to ship with a payload (None when workers already hold it)."""
-        return None if pk.circuit.circuit_id in self._pks else pk
+    def _dispatch(
+        self, fn: Callable[[bytes], Any], payload: Any, local: Callable[[], Any]
+    ) -> Future:
+        """Send one round to the workers; a serial pool runs ``local`` now.
 
-    @staticmethod
-    def _failed_future(exc: Exception) -> Future:
+        A transport failure comes back as a failed future for
+        :meth:`_resolve`; only the in-process run of a serial pool raises.
+        """
+        executor = self._ensure_executor()
         future: Future = Future()
-        future.set_exception(exc)
-        return future
-
-    def _inject_failure(self) -> Exception | None:
-        """Consult the fault injector for the next dispatch ordinal."""
+        if executor is None:
+            future.set_result(local())
+            return future
         index = self._dispatch_index
         self._dispatch_index += 1
-        if self.fault_injector is not None and self.fault_injector.should_fail(index):
-            self.stats.injected_failures += 1
-            _POOL_INJECTED.inc()
-            return SnarkError(f"injected worker failure (dispatch {index})")
-        return None
-
-    def _dispatch(
-        self, executor: ProcessPoolExecutor, fn, cid: str, payload: tuple
-    ) -> Future:
-        """One IPC round; never raises — failures come back as failed futures."""
-        injected = self._inject_failure()
-        if injected is not None:
-            return self._failed_future(injected)
         try:
+            if self.fault_injector is not None and self.fault_injector.should_fail(index):
+                self.stats.injected_failures += 1
+                _POOL_INJECTED.inc()
+                raise SnarkError(f"injected worker failure (dispatch {index})")
             started = time.perf_counter()
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             self.stats.serialization_seconds += time.perf_counter() - started
-            future = executor.submit(fn, cid, blob)
-        except Exception as exc:  # unpicklable payload, broken executor, ...
-            return self._failed_future(exc)
-        self.stats.chunks += 1
-        _POOL_CHUNKS.inc()
+            future = executor.submit(fn, blob)
+        # The payload crosses the process boundary here: one that does not
+        # pickle raises PicklingError, AttributeError or TypeError, a submit
+        # to an executor whose worker died raises BrokenProcessPool, and an
+        # injected fault is a SnarkError.
+        except Exception as exc:
+            future.set_exception(exc)
+        else:
+            self.stats.chunks += 1
+            _POOL_CHUNKS.inc()
+        self._rounds[future] = (fn, payload, local)
         return future
 
-    def _count_retry(self) -> None:
-        self.stats.retries += 1
-        _POOL_RETRIES.inc()
+    def _resolve(self, future: Future) -> Any:
+        """The result of a round from :meth:`_dispatch`.
 
-    def _prove_serial(self, pk: ProvingKey, jobs: Sequence[tuple]) -> list[ProveResult]:
-        results = []
-        for public, witness in jobs:
-            result = proving.prove_with_stats(pk, public, witness)
-            self.stats.tasks += 1
-            _POOL_TASKS.inc()
-            self.stats.synthesis_seconds += result.prove_seconds
-            results.append(result)
-        return results
+        A transport failure sends the round again, up to ``_RETRIES`` times;
+        then the pool degrades to serial and the round runs in-process, as
+        does a round still in flight when another one degraded the pool.
+        ``UnsatisfiedConstraint`` is a proof failure and always propagates.
+        """
+        round_ = self._rounds.pop(future, None)
+        if round_ is None:  # a serial pool ran it at dispatch
+            return future.result()
+        fn, payload, local = round_
+        for attempt in range(_RETRIES + 1):
+            if self._serial:
+                break
+            try:
+                return future.result()
+            except UnsatisfiedConstraint:
+                raise
+            # The result crosses the process boundary here: a dispatch
+            # failure from above, BrokenProcessPool when a worker died
+            # mid-round, or the worker's own error, unpickling included.
+            except Exception as exc:
+                if attempt == _RETRIES:
+                    self._degrade(f"round failed after {attempt} retries: {exc}")
+                    break
+                self.stats.retries += 1
+                _POOL_RETRIES.inc()
+                future = self._dispatch(fn, payload, local)
+                self._rounds.pop(future, None)
+        return local()
+
+    def _chunks(self, jobs: Sequence) -> list[list]:
+        size = max(1, -(-len(jobs) // (self.workers * 4)))
+        return [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
+
+    def _prove_round(self, pk: ProvingKey, jobs: list) -> Future:
+        self.register(pk)
+        self.stats.tasks += len(jobs)
+        _POOL_TASKS.inc(len(jobs))
+        payload = (pk.circuit.circuit_id, self._inline_pk(pk), jobs)
+        return self._dispatch(_prove_chunk, payload, partial(proving.prove_many, pk, jobs))
+
+    def _inline_pk(self, pk: ProvingKey) -> ProvingKey | None:
+        """The key to ship with a payload (None when workers already hold it)."""
+        return None if pk.circuit.circuit_id in self._pks else pk
 
     def map_prove(
         self, pk: ProvingKey, jobs: Sequence[tuple[Sequence[int], Any]]
     ) -> list[ProveResult]:
         """Prove independent ``(public_input, witness)`` jobs, order-preserving.
 
-        Jobs are chunked so each IPC round amortizes over several syntheses.
-        Failed chunks — a dying worker, an unpicklable payload, an injected
-        fault — are retried up to ``max_dispatch_retries`` times (counted on
-        ``repro_pool_retries_total``); a chunk that exhausts its retries
-        degrades the pool to serial proving, which finishes it (and every
-        later chunk) in-process with identical results.
-        ``UnsatisfiedConstraint`` is a *proof* failure, never a transport
-        failure, and is always re-raised.
+        Every chunk is one round (see :meth:`_resolve` for the retry and
+        degrade policy).
         """
-        if not jobs:
-            return []
-        self.register(pk)
-        executor = self._ensure_executor()
-        if executor is None:
-            return self._prove_serial(pk, jobs)
-
-        size = self.chunk_size or max(1, -(-len(jobs) // (self.workers * 4)))
-        chunks = [list(jobs[i : i + size]) for i in range(0, len(jobs), size)]
-        cid = pk.circuit.circuit_id
-        inline = self._inline_pk(pk)
-        futures = []
-        for chunk in chunks:
-            futures.append(self._dispatch(executor, _prove_chunk, cid, (inline, chunk)))
-            self.stats.tasks += len(chunk)
-            _POOL_TASKS.inc(len(chunk))
-
-        results: list[ProveResult] = []
-        for chunk, future in zip(chunks, futures):
-            chunk_results = self._await_chunk(executor, cid, inline, chunk, future)
-            if chunk_results is None:  # retries exhausted; pool degraded
-                results.extend(self._prove_serial_results(pk, chunk))
-                continue
-            for result in chunk_results:
-                self.stats.synthesis_seconds += result.prove_seconds
-            results.extend(chunk_results)
-        return results
-
-    def _await_chunk(
-        self,
-        executor: ProcessPoolExecutor,
-        cid: str,
-        inline: ProvingKey | None,
-        chunk: list,
-        future: Future,
-    ) -> list[ProveResult] | None:
-        """Resolve one chunk, retrying on transport failure; None = give up."""
-        if self._serial:
-            return None
-        for attempt in range(self.max_dispatch_retries + 1):
-            try:
-                return future.result()
-            except UnsatisfiedConstraint:
-                raise
-            except Exception as exc:
-                if attempt == self.max_dispatch_retries:
-                    self._degrade(
-                        f"chunk failed after {attempt} retries: {exc}"
-                    )
-                    return None
-                self._count_retry()
-                future = self._dispatch(executor, _prove_chunk, cid, (inline, chunk))
-        return None
-
-    def _prove_serial_results(
-        self, pk: ProvingKey, jobs: Sequence[tuple]
-    ) -> list[ProveResult]:
-        """Serial proving for jobs already counted as dispatched tasks."""
-        results = []
-        for public, witness in jobs:
-            result = proving.prove_with_stats(pk, public, witness)
-            self.stats.synthesis_seconds += result.prove_seconds
-            results.append(result)
+        futures = [self._prove_round(pk, chunk) for chunk in self._chunks(jobs)]
+        results = [result for future in futures for result in self._resolve(future)]
+        self.stats.synthesis_seconds += sum(r.prove_seconds for r in results)
         return results
 
     def map_verify(
@@ -428,125 +397,38 @@ class ProverPool:
         """Verify independent ``(vk, public_input, proof)`` triples, in order.
 
         The batched-WCert entry point: a block's certificate proofs go out
-        as chunks sized to the worker count, and the verdict list lines up
-        positionally with ``jobs``.  A chunk that keeps failing after
-        ``max_dispatch_retries`` retries degrades the pool to serial
-        verification (identical results); a pool already in serial fallback
-        verifies in-process via :func:`repro.snark.proving.verify_many`.
-        Verdicts are counted on ``repro_snark_batch_verify_total{result}``
-        in the parent process either way, and jobs on
-        ``repro_pool_tasks_total`` / ``PoolStats.verifications``.
+        as chunks, one round each, and the verdict list lines up
+        positionally with ``jobs``.  Verdicts are counted on
+        ``repro_snark_batch_verify_total{result}`` in the parent process,
+        and jobs on ``repro_pool_tasks_total`` / ``PoolStats.verifications``.
         """
-        if not jobs:
-            return []
         self.stats.verifications += len(jobs)
-        executor = self._ensure_executor()
-        if executor is None:
-            return proving.verify_many(jobs)
-
-        size = self.chunk_size or max(1, -(-len(jobs) // (self.workers * 4)))
-        chunks = [tuple(jobs[i : i + size]) for i in range(0, len(jobs), size)]
         futures = []
-        for chunk in chunks:
-            futures.append(self._dispatch(executor, _verify_chunk, "", chunk))
+        for chunk in self._chunks(jobs):
             self.stats.tasks += len(chunk)
             _POOL_TASKS.inc(len(chunk))
-
-        results: list[bool] = []
-        for chunk, future in zip(chunks, futures):
-            verdicts = self._await_verify_chunk(executor, chunk, future)
-            if verdicts is None:  # retries exhausted; pool degraded
-                verdicts = [
-                    proving.verify(vk, public, proof)
-                    for vk, public, proof in chunk
-                ]
-            results.extend(verdicts)
+            futures.append(self._dispatch(_verify_chunk, chunk, partial(_verify_all, chunk)))
+        results = [ok for future in futures for ok in self._resolve(future)]
         proving.count_batch_verdicts(results)
         return results
-
-    def _await_verify_chunk(
-        self, executor: ProcessPoolExecutor, chunk: tuple, future: Future
-    ) -> list[bool] | None:
-        """Resolve one verify chunk, retrying on failure; None = give up."""
-        if self._serial:
-            return None
-        for attempt in range(self.max_dispatch_retries + 1):
-            try:
-                return future.result()
-            except Exception as exc:
-                if attempt == self.max_dispatch_retries:
-                    self._degrade(
-                        f"verify chunk failed after {attempt} retries: {exc}"
-                    )
-                    return None
-                self._count_retry()
-                future = self._dispatch(executor, _verify_chunk, "", chunk)
-        return None
 
     def submit_prove(
         self, pk: ProvingKey, public_input: Sequence[int], witness: Any
     ) -> Future:
-        """Dispatch one job; returns a Future resolving to a ProveResult.
+        """Dispatch one job as its own round; :meth:`collect` resolves it.
 
-        In serial fallback the job is proven immediately and the returned
-        future is already resolved (so schedulers built on
-        ``concurrent.futures.wait`` work unchanged).  A dispatch that fails
-        (including an injected fault) is retried up to
-        ``max_dispatch_retries`` times before the pool degrades to serial.
+        A serial pool proves it at once and returns a resolved future, so
+        schedulers built on ``concurrent.futures.wait`` work unchanged.
         """
-        self.register(pk)
-        executor = self._ensure_executor()
-        if executor is not None:
-            cid = pk.circuit.circuit_id
-            payload = (self._inline_pk(pk), tuple(public_input), witness)
-            for attempt in range(self.max_dispatch_retries + 1):
-                future = self._dispatch(executor, _prove_one, cid, payload)
-                exc = future.exception() if future.done() else None
-                if exc is None:
-                    self.stats.tasks += 1
-                    _POOL_TASKS.inc()
-                    # remember the job so collect() can re-dispatch if the
-                    # worker dies after submission
-                    future._repro_job = (pk, tuple(public_input), witness)
-                    return future
-                if attempt == self.max_dispatch_retries:
-                    self._degrade(f"single-job dispatch failed: {exc}")
-                    break
-                self._count_retry()
-        future = Future()
-        future._repro_serial = True  # accounted at proving time, not collect
-        try:
-            [result] = self._prove_serial(pk, [(public_input, witness)])
-            future.set_result(result)
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+        return self._prove_round(pk, [(tuple(public_input), witness)])
 
     def collect(self, future: Future) -> ProveResult:
-        """Resolve a future from :meth:`submit_prove`, updating accounting.
+        """The result of a :meth:`submit_prove` round.
 
-        A worker that died *after* accepting the job surfaces here; the job
-        is re-dispatched through :meth:`submit_prove` (whose own retry and
-        degrade policy bounds the recovery), so the merge-tree scheduler
-        never sees a transport failure — only proof failures propagate.
+        A worker that died after accepting the job surfaces here and the
+        round is sent again (see :meth:`_resolve`), so the merge-tree
+        scheduler never sees a transport failure, only proof failures.
         """
-        try:
-            result = future.result()
-        except UnsatisfiedConstraint:
-            raise
-        except Exception as exc:
-            job = getattr(future, "_repro_job", None)
-            if job is None:
-                raise
-            depth = getattr(future, "_repro_redispatches", 0)
-            if depth >= self.max_dispatch_retries:
-                self._degrade(f"job failed after {depth} re-dispatches: {exc}")
-            else:
-                self._count_retry()
-            pk, public_input, witness = job
-            retry = self.submit_prove(pk, public_input, witness)
-            retry._repro_redispatches = depth + 1
-            return self.collect(retry)
-        if not getattr(future, "_repro_serial", False):
-            self.stats.synthesis_seconds += result.prove_seconds
+        [result] = self._resolve(future)
+        self.stats.synthesis_seconds += result.prove_seconds
         return result

@@ -240,10 +240,9 @@ def verify_many(
 
     ``jobs`` is a sequence of ``(vk, public_input, proof)`` triples; the
     result is positionally identical to a loop of :func:`verify` calls.
-    This is the serial fallback of
-    :meth:`repro.snark.pool.ProverPool.map_verify` and the chunk body its
-    workers run.  Every verdict is counted on
-    ``repro_snark_batch_verify_total{result}``.
+    This is a block's certificate check when no
+    :class:`~repro.snark.pool.ProverPool` is attached.  Every verdict is
+    counted on ``repro_snark_batch_verify_total{result}``.
     """
     if not jobs:
         return []

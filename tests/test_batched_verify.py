@@ -69,19 +69,17 @@ class TestPoolMapVerify:
             assert pool.map_verify(jobs) == proving.verify_many(jobs)
 
     def test_order_preserved_across_chunks(self):
-        jobs = _jobs(10, tamper={1, 4, 9})
-        with ProverPool(max_workers=2, clamp_to_cpus=False, chunk_size=3) as pool:
+        jobs = _jobs(24, tamper={1, 4, 9, 23})
+        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
             verdicts = pool.map_verify(jobs)
-        assert verdicts == [i not in {1, 4, 9} for i in range(10)]
+            assert pool.stats.chunks >= 3
+        assert verdicts == [i not in {1, 4, 9, 23} for i in range(24)]
 
     def test_fault_injection_degrades_to_identical_results(self):
         jobs = _jobs(8, tamper={2})
         injector = WorkerFaultInjector(failure_rate=1.0)
         with ProverPool(
-            max_workers=2,
-            clamp_to_cpus=False,
-            max_dispatch_retries=1,
-            fault_injector=injector,
+            max_workers=2, clamp_to_cpus=False, fault_injector=injector
         ) as pool:
             verdicts = pool.map_verify(jobs)
             assert pool.serial  # retries exhausted -> degraded

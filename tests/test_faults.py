@@ -19,6 +19,8 @@ and the three paper-critical stories:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from dataclasses import replace
 from types import SimpleNamespace
@@ -420,6 +422,29 @@ class FaultCounterSystem:
         builder.enforce_equal(builder.add(s, t), n, "counter/step")
 
 
+class StaysHome(int):
+    """A transition that refuses to pickle: it can never reach a worker."""
+
+    def __reduce__(self):
+        raise TypeError("this transition stays in the parent process")
+
+
+class KillsWorker(int):
+    """A transition whose unpickling ends the worker process that reads it."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+class UnshippableCounterSystem(FaultCounterSystem):
+    """A system that refuses to pickle, and with it its Base proving key."""
+
+    name = "faults-test-unshippable"
+
+    def __reduce__(self):
+        raise TypeError("this system stays in the parent process")
+
+
 class TestWorkerFaultInjector:
     def test_rate_validated(self):
         from repro.errors import SnarkError
@@ -448,7 +473,6 @@ class TestPoolFaultRecovery:
         with ProverPool(
             max_workers=2,
             clamp_to_cpus=False,
-            max_dispatch_retries=1,
             fault_injector=WorkerFaultInjector(1.0, seed=b"allfail"),
         ) as pool:
             root_p, final_p, _ = composer.prove_sequence(0, [1, 2, 3], pool=pool)
@@ -467,7 +491,6 @@ class TestPoolFaultRecovery:
         with ProverPool(
             max_workers=2,
             clamp_to_cpus=False,
-            max_dispatch_retries=3,
             fault_injector=WorkerFaultInjector(0.4, seed=b"flaky"),
         ) as pool:
             root_p, final_p, _ = composer.prove_sequence(0, [5, 7, 11, 13], pool=pool)
@@ -484,13 +507,41 @@ class TestPoolFaultRecovery:
         with ProverPool(
             max_workers=2,
             clamp_to_cpus=False,
-            max_dispatch_retries=2,
             fault_injector=WorkerFaultInjector(0.5, seed=b"mapfail"),
         ) as pool:
             root_p, final_p, _ = composer.prove_sequence(0, [2, 4, 6, 8], pool=pool)
         root_s, final_s, _ = composer.prove_sequence(0, [2, 4, 6, 8])
         assert final_p == final_s
         assert root_p.proof.data == root_s.proof.data
+
+    @staticmethod
+    def prove_both_ways(composer, transitions):
+        """(serial root, pooled root, pool) for the same transitions."""
+        root_s, _, _ = composer.prove_sequence(0, transitions)
+        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
+            root_p, _, _ = composer.prove_sequence(0, transitions, pool=pool)
+        return root_s, root_p, pool
+
+    def test_unpicklable_payload_degrades_at_dispatch(self):
+        composer = RecursiveComposer(FaultCounterSystem())
+        root_s, root_p, pool = self.prove_both_ways(composer, [1, StaysHome(2), 3])
+        assert root_p.proof.data == root_s.proof.data
+        assert pool.serial and pool.stats.retries > 0
+        assert "stays in the parent process" in pool.stats.fallback_reason
+
+    def test_worker_dying_mid_round_degrades(self):
+        composer = RecursiveComposer(FaultCounterSystem())
+        root_s, root_p, pool = self.prove_both_ways(composer, [1, KillsWorker(2), 3])
+        assert root_p.proof.data == root_s.proof.data
+        assert pool.serial and pool.stats.retries > 0
+        assert "terminated abruptly" in pool.stats.fallback_reason
+
+    def test_unpicklable_key_degrades_at_executor_start(self):
+        composer = RecursiveComposer(UnshippableCounterSystem())
+        root_s, root_p, pool = self.prove_both_ways(composer, [1, 2, 3])
+        assert root_p.proof.data == root_s.proof.data
+        assert pool.serial and pool.stats.chunks == 0
+        assert pool.stats.fallback_reason.startswith("executor start failed")
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,8 @@ class TestEpochProverParallel:
     def test_epoch_equivalence(self, keys):
         state, txs = chain_of_payments(keys, 5)
         serial = EpochProver().prove_epoch(state.copy(), txs)
-        with EpochProver() as prover:
-            par = prover.prove_epoch(state.copy(), txs, parallel=2)
+        with EpochProver(parallel_workers=2) as prover:
+            par = prover.prove_epoch(state.copy(), txs)
         assert par.proof.public_input == serial.proof.public_input
         assert par.proof.proof.data == serial.proof.proof.data
         assert par.stats.base_proofs == serial.stats.base_proofs == 5
@@ -174,17 +174,10 @@ class TestEpochProverParallel:
         assert prover.verify_epoch_proof(serial.proof)
         assert par.final_state.digest() == serial.final_state.digest()
 
-    def test_parallel_false_overrides_configured_workers(self, keys):
-        state, txs = chain_of_payments(keys, 2)
-        with EpochProver(parallel_workers=2) as prover:
-            result = prover.prove_epoch(state, txs, parallel=False)
-        assert result.stats.pool_workers == 0
-        assert result.stats.pool_tasks == 0
-
     def test_batched_strategy_ignores_parallel(self, keys):
         state, txs = chain_of_payments(keys, 3)
-        with EpochProver("batched") as prover:
-            result = prover.prove_epoch(state, txs, parallel=2)
+        with EpochProver("batched", parallel_workers=2) as prover:
+            result = prover.prove_epoch(state, txs)
         assert result.stats.base_proofs == 1
         assert result.stats.pool_tasks == 0
 

@@ -12,11 +12,12 @@ import warnings
 
 import pytest
 
-from repro import lifecycle, observability
+from repro import lifecycle, observability, wire
 from repro.crypto.keys import KeyPair
 from repro.errors import NodeCrashed, OrphanBlock, StorageError
 from repro.latus.node import LatusNode
 from repro.latus.params import LatusParams
+from repro.latus.transactions import PaymentTx
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import SidechainDeclarationTx
@@ -273,6 +274,20 @@ class TestLatusDiskRecovery:
         from repro.crypto import signatures
 
         harness, sc = _build_latus_history(tmp_path / "sc")
+        # a signed payment in the WAL tail: cross the next epoch snapshot
+        # first, then pay
+        harness.mine(1)
+        harness.wallet(sc, BOB).pay(ALICE.address, 500)
+        harness.mine(1)
+        journal = FileStore(tmp_path / "sc", read_only=True)
+        tail = [
+            tx
+            for kind, payload in journal.records()
+            if kind == SC_BLOCK
+            for tx in wire.decode_sidechain_block(payload).ordered_transitions()
+        ]
+        journal.close()
+        assert any(isinstance(tx, PaymentTx) for tx in tail)
         verifies = observability.registry().counter("repro_signature_verifies_total")
 
         def verifications(run):
@@ -524,6 +539,19 @@ class TestMainchainDiskRecovery:
         assert recovered.height == height + 1
         assert mined.header.timestamp == stamp + 1
         recovered.close()
+
+    @pytest.mark.parametrize("policy", ["block", "never"])
+    def test_each_recorded_block_is_synced(self, tmp_path, monkeypatch, policy):
+        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc", fsync=policy)
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        node.mine_blocks(MINER.address, 5)  # below the 16-block snapshot
+        if policy == "block":
+            assert len(synced) >= 5  # at least one sync per mined block
+        else:
+            assert synced == []
+        node.close()
 
     def test_unreplayable_store_falls_back_to_genesis(self, tmp_path):
         def garbage_wal_block(data_dir):

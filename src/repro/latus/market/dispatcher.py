@@ -17,6 +17,10 @@ adversarial scenario gates on:
   raises :class:`~repro.errors.MarketError` (and counts in
   ``repro_market_conservation_checks_total{result="violated"}``).
 
+The tasks are the nodes of :func:`~repro.snark.recursive.merge_plan`'s
+tree — the bases, then each Merge step in level order — and the root is
+the proof a single honest prover builds from the same plan.
+
 Misbehaviour is modelled as a pluggable :class:`ProverBehaviour` deciding
 per task whether to prove honestly, silently refuse, or submit garbage.
 All randomness is seeded hashing (assignment draws, garbage bytes), so a
@@ -26,7 +30,7 @@ determinism unit ``MarketEpochReport.schedule`` captures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from repro import observability
 from repro.crypto.hashing import hash_bytes
@@ -41,7 +45,7 @@ from repro.latus.transactions import LatusTransaction
 from repro.network.faults import FaultPlan
 from repro.snark.pool import WorkerFaultInjector
 from repro.snark.proving import PROOF_SIZE, Proof
-from repro.snark.recursive import RecursiveComposer, TransitionProof
+from repro.snark.recursive import RecursiveComposer, TransitionProof, merge_plan
 
 _REGISTRY = observability.registry()
 _EPOCHS = _REGISTRY.counter(
@@ -100,7 +104,7 @@ _OUTCOMES = {
 
 
 @dataclass(frozen=True)
-class MarketTask:
+class MarketTask(TreeTask):
     """One recursion-tree node as presented to a prover's behaviour.
 
     Extends the reward-side :class:`TreeTask` coordinates with what a
@@ -110,16 +114,8 @@ class MarketTask:
     :class:`~repro.snark.pool.WorkerFaultInjector` draws on).
     """
 
-    kind: str
-    level: int
-    index: int
-    span: int
     txid: bytes
     ordinal: int
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.level, self.index)
 
 
 class ProverBehaviour:
@@ -287,14 +283,7 @@ class MarketDispatcher:
             hash_bytes(material + bytes([i]), b"market/garbage")
             for i in range(PROOF_SIZE // 32)
         )
-        return TransitionProof(
-            from_digest=template.from_digest,
-            to_digest=template.to_digest,
-            proof=Proof(data=junk),
-            is_merge=template.is_merge,
-            span=template.span,
-            depth=template.depth,
-        )
+        return replace(template, proof=Proof(data=junk))
 
     def _delivered(self, prover_name: str) -> bool:
         """Whether the network delivers this prover's next submission."""
@@ -321,6 +310,7 @@ class MarketDispatcher:
         carried = self.ledger.take_pot()
         pool = RewardPool(fees + carried, self.forger_share_bp)
         tasks = tree_tasks(len(transitions))
+        plan = merge_plan(len(transitions))
         task_rewards, dust = pool.allocate(tasks)
         _FEES.inc(fees)
 
@@ -330,18 +320,14 @@ class MarketDispatcher:
         for tx in transitions:
             states.append(self.composer.system.apply(tx, states[-1]))
 
-        market_tasks = [
-            MarketTask(
-                kind=t.kind,
-                level=t.level,
-                index=t.index,
-                span=t.span,
+        by_key = {
+            t.key: MarketTask(
+                **asdict(t),
                 txid=transitions[t.index].txid if t.kind == "base" else b"",
                 ordinal=ordinal,
             )
             for ordinal, t in enumerate(tasks)
-        ]
-        by_key = {t.key: t for t in market_tasks}
+        }
 
         epoch_rewards: dict[str, int] = {}
         epoch_slashed: dict[str, int] = {}
@@ -436,32 +422,20 @@ class MarketDispatcher:
             return honest
 
         # --- level 0: base proofs, mirroring EpochProver's serial chain
-        proofs: list[TransitionProof] = []
-        for index, tx in enumerate(transitions):
-            task = by_key[(0, index)]
-            proofs.append(
-                run_task(
-                    task,
-                    lambda i=index: self.composer.prove_base(states[i], transitions[i])[0],
-                )
+        proofs: dict[tuple[int, int], TransitionProof] = {}
+        for index in range(len(transitions)):
+            proofs[(0, index)] = run_task(
+                by_key[(0, index)],
+                lambda i=index: self.composer.prove_base(states[i], transitions[i])[0],
             )
 
-        # --- merge levels, pairwise with odd-tail carry (merge_all pairing)
-        merge_count = 0
-        level = 1
-        while len(proofs) > 1:
-            next_proofs = []
-            for i in range(0, len(proofs) - 1, 2):
-                task = by_key[(level, i // 2)]
-                left, right = proofs[i], proofs[i + 1]
-                next_proofs.append(
-                    run_task(task, lambda l=left, r=right: self.composer.merge(l, r))
-                )
-                merge_count += 1
-            if len(proofs) % 2 == 1:
-                next_proofs.append(proofs[-1])
-            proofs = next_proofs
-            level += 1
+        # --- merge steps, in the plan's level order
+        for step in plan:
+            left, right = proofs.pop(step.left_key), proofs.pop(step.right_key)
+            proofs[step.key] = run_task(
+                by_key[step.key], lambda l=left, r=right: self.composer.merge(l, r)
+            )
+        (root,) = proofs.values()
 
         # --- payout statement + exact conservation gate
         fallback_reward = sum(task_rewards[key] for key in fallbacks)
@@ -488,11 +462,11 @@ class MarketDispatcher:
             sorted(lvl for lvl, who in merge_refusers.items() if len(who) >= 2)
         )
         report = MarketEpochReport(
-            proof=proofs[0],
+            proof=root,
             final_state=states[-1],
             statement=statement,
             base_tasks=len(transitions),
-            merge_tasks=merge_count,
+            merge_tasks=len(plan),
             assignments=counters["assignments"],
             reassignments=counters["reassignments"],
             fallback_tasks=tuple(fallbacks),

@@ -7,7 +7,8 @@ and paying the certificate submission, and the remainder is divided among
 the provers of the recursion tree's nodes **position-weighted** — a node's
 payout is proportional to the number of base transitions beneath it
 (``span``), so a Merge proof near the root, which vouches for the whole
-epoch, pays more than a leaf Base proof.
+epoch, pays more than a leaf Base proof.  The tree is the one the provers
+build: :func:`~repro.snark.recursive.merge_plan` lays out both.
 
 Everything here is exact integer arithmetic.  The division dust of the
 position-weighted split goes to the forger, so the conservation identity
@@ -25,6 +26,7 @@ from typing import Iterator, Sequence
 
 from repro.encoding import Encoder
 from repro.errors import MarketError
+from repro.snark.recursive import merge_plan
 
 #: Basis-point denominator of the forger's share.
 BP_DENOM = 10_000
@@ -49,40 +51,23 @@ class TreeTask:
     def key(self) -> tuple[int, int]:
         return (self.level, self.index)
 
-    def encode(self) -> bytes:
-        return (
-            Encoder()
-            .u8(0 if self.kind == "base" else 1)
-            .u32(self.level)
-            .u32(self.index)
-            .u32(self.span)
-            .done()
-        )
-
 
 def tree_tasks(base_count: int) -> list[TreeTask]:
     """Enumerate the recursion tree for ``base_count`` transitions.
 
-    Mirrors :meth:`repro.snark.recursive.RecursiveComposer.merge_all`
-    exactly: adjacent pairs merge at every level and an odd tail carries
-    upward *without* producing a task (nobody re-proves a carried proof, so
-    nobody is paid twice for it).
+    The bases, then one merge task per :func:`merge_plan` step: an odd tail
+    carries upward *without* producing a task (nobody re-proves a carried
+    proof, so nobody is paid twice for it).
     """
     if base_count <= 0:
         raise MarketError("an epoch needs at least one transition to prove")
     tasks = [TreeTask(kind="base", level=0, index=i, span=1) for i in range(base_count)]
-    spans = [1] * base_count
-    level = 1
-    while len(spans) > 1:
-        next_spans = []
-        for i in range(0, len(spans) - 1, 2):
-            span = spans[i] + spans[i + 1]
-            tasks.append(TreeTask(kind="merge", level=level, index=i // 2, span=span))
-            next_spans.append(span)
-        if len(spans) % 2 == 1:
-            next_spans.append(spans[-1])
-        spans = next_spans
-        level += 1
+    spans = {task.key: 1 for task in tasks}
+    for step in merge_plan(base_count):
+        spans[step.key] = spans[step.left_key] + spans[step.right_key]
+        tasks.append(
+            TreeTask(kind="merge", level=step.level, index=step.index, span=spans[step.key])
+        )
     return tasks
 
 

@@ -261,9 +261,8 @@ class EpochProver:
                     start_state, list(transitions), pool=self._pool
                 )
             else:
-                stats = CompositionStats()
-                proof, final_state = self._batched_composer.prove_base(
-                    start_state, _BatchedTransition(tuple(transitions)), stats
+                proof, final_state, stats = self._batched_composer.prove_sequence(
+                    start_state, [_BatchedTransition(tuple(transitions))]
                 )
         _EPOCHS_PROVED.labels(strategy=self.strategy).inc()
         return EpochProofResult(proof=proof, final_state=final_state, stats=stats)
@@ -276,10 +275,9 @@ class EpochProver:
         pair ``(d, d)`` via the batched composer's base circuit with an empty
         marker transaction.
         """
-        stats = CompositionStats()
         with _TRACER.span("epoch/prove", strategy="heartbeat", transitions=0):
-            proof, final_state = self._batched_composer.prove_base(
-                start_state, _BatchedTransition(()), stats
+            proof, final_state, stats = self._batched_composer.prove_sequence(
+                start_state, [_BatchedTransition(())]
             )
         _EPOCHS_PROVED.labels(strategy="heartbeat").inc()
         return EpochProofResult(proof=proof, final_state=final_state, stats=stats)

@@ -178,12 +178,6 @@ class PoolStats:
     #: Why the pool (if ever) degraded to serial proving.
     fallback_reason: str = ""
 
-    def occupancy(self, wall_seconds: float) -> float:
-        """Fraction of worker capacity kept busy over ``wall_seconds``."""
-        if self.workers <= 0 or wall_seconds <= 0:
-            return 0.0
-        return min(1.0, self.synthesis_seconds / (wall_seconds * self.workers))
-
     def to_dict(self) -> dict:
         """JSON-serializable snapshot using the shared telemetry field names.
 

@@ -11,6 +11,8 @@ The :class:`RecursiveComposer` owns the bootstrapped keys and offers
 ``prove_base`` / ``merge`` / ``prove_sequence``; the latter reproduces the
 balanced merge trees of the paper's Figures 10 and 11 and reports tree
 statistics (base count, merge count, depth) used by the recursion benches.
+The tree's shape is :func:`merge_plan`'s alone: serial and pooled proving,
+the proof market and its reward split all walk the steps it lists.
 
 In a production recursive SNARK the Merge circuit arithmetizes the verifier
 of its children; here child verification is a native check inside the Merge
@@ -23,7 +25,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import asdict, dataclass
-from typing import Any, Generic, Protocol, Sequence, TypeVar
+from itertools import groupby
+from typing import Any, Generic, NamedTuple, Protocol, Sequence, TypeVar
 
 from repro import observability
 from repro.errors import SnarkError, StateTransitionError
@@ -88,6 +91,67 @@ class TransitionProof:
     def public_input(self) -> tuple[int, int]:
         """The public input this proof verifies against: ``(d_from, d_to)``."""
         return (self.from_digest, self.to_digest)
+
+    @staticmethod
+    def merge_input(left: TransitionProof, right: TransitionProof) -> tuple[int, int]:
+        """The public input of the Merge over ``left`` then ``right``."""
+        if left.to_digest != right.from_digest:
+            raise SnarkError("cannot merge proofs over non-adjacent ranges")
+        return (left.from_digest, right.to_digest)
+
+    @classmethod
+    def merged(
+        cls, left: TransitionProof, right: TransitionProof, proof: Proof
+    ) -> TransitionProof:
+        """The node a Merge proof over ``left`` then ``right`` stands for."""
+        return cls(
+            from_digest=left.from_digest,
+            to_digest=right.to_digest,
+            proof=proof,
+            is_merge=True,
+            span=left.span + right.span,
+            depth=max(left.depth, right.depth) + 1,
+        )
+
+
+class MergeStep(NamedTuple):
+    """One Merge proof of the tree: node ``(level, index)`` from two children.
+
+    A child key names a leaf ``(0, i)`` or an earlier step's node.
+    """
+
+    level: int
+    index: int
+    left_key: tuple[int, int]
+    right_key: tuple[int, int]
+
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.level, self.index)
+
+
+def merge_plan(leaves: int) -> list[MergeStep]:
+    """The balanced merge tree over ``leaves`` base proofs (Figs. 10/11).
+
+    Adjacent pairs merge at every level and an odd tail carries upward
+    unchanged: a carried node is never a step, so nobody proves (or is paid
+    for) it twice.  Steps are listed in level order, so both children of a
+    step come before it and the last step is the root.
+    """
+    if leaves < 1:
+        raise SnarkError("cannot merge an empty proof list")
+    plan: list[MergeStep] = []
+    nodes = [(0, i) for i in range(leaves)]
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        steps = [
+            MergeStep(level, i // 2, nodes[i], nodes[i + 1])
+            for i in range(0, len(nodes) - 1, 2)
+        ]
+        plan.extend(steps)
+        nodes = [step.key for step in steps] + nodes[2 * len(steps) :]
+    return plan
 
 
 @dataclass
@@ -280,14 +344,7 @@ class RecursiveComposer(Generic[State, Transition]):
         if stats is not None:
             stats.base_proofs += 1
             stats.record_result(result)
-        proof = TransitionProof(
-            from_digest=d_from,
-            to_digest=d_to,
-            proof=result.proof,
-            is_merge=False,
-            span=1,
-            depth=0,
-        )
+        proof = TransitionProof(d_from, d_to, result.proof, is_merge=False, span=1, depth=0)
         return proof, next_state
 
     def merge(
@@ -297,21 +354,13 @@ class RecursiveComposer(Generic[State, Transition]):
         stats: CompositionStats | None = None,
     ) -> TransitionProof:
         """Merge two adjacent proofs into one (raises if not adjacent)."""
-        if left.to_digest != right.from_digest:
-            raise SnarkError("cannot merge proofs over non-adjacent ranges")
-        public = (left.from_digest, right.to_digest)
-        result = proving.prove_with_stats(self._merge_pk, public, (left, right))
+        result = proving.prove_with_stats(
+            self._merge_pk, TransitionProof.merge_input(left, right), (left, right)
+        )
         if stats is not None:
             stats.merge_proofs += 1
             stats.record_result(result)
-        return TransitionProof(
-            from_digest=left.from_digest,
-            to_digest=right.to_digest,
-            proof=result.proof,
-            is_merge=True,
-            span=left.span + right.span,
-            depth=max(left.depth, right.depth) + 1,
-        )
+        return TransitionProof.merged(left, right, result.proof)
 
     def merge_all(
         self,
@@ -321,26 +370,22 @@ class RecursiveComposer(Generic[State, Transition]):
         """Merge a chain of adjacent proofs into one via a balanced tree.
 
         This reproduces the merge trees of the paper's Fig. 10 (within a
-        block) and Fig. 11 (across a withdrawal epoch).
+        block) and Fig. 11 (across a withdrawal epoch), walking
+        :func:`merge_plan` one level at a time.
         """
-        if not proofs:
-            raise SnarkError("cannot merge an empty proof list")
-        level = list(proofs)
-        level_number = 0
-        while len(level) > 1:
-            level_number += 1
-            with _TRACER.span(
-                "prove/merge_level", level=level_number, merges=len(level) // 2
-            ):
-                next_level = []
-                for i in range(0, len(level) - 1, 2):
-                    next_level.append(self.merge(level[i], level[i + 1], stats))
-                if len(level) % 2 == 1:
-                    next_level.append(level[-1])
-                level = next_level
+        plan = merge_plan(len(proofs))
+        nodes = {(0, i): proof for i, proof in enumerate(proofs)}
+        for level, steps in groupby(plan, key=lambda step: step.level):
+            level_steps = list(steps)
+            with _TRACER.span("prove/merge_level", level=level, merges=len(level_steps)):
+                for step in level_steps:
+                    nodes[step.key] = self.merge(
+                        nodes.pop(step.left_key), nodes.pop(step.right_key), stats
+                    )
+        (root,) = nodes.values()
         if stats is not None:
-            stats.tree_depth = max(stats.tree_depth, level[0].depth)
-        return level[0]
+            stats.tree_depth = max(stats.tree_depth, root.depth)
+        return root
 
     # -- parallel proving ---------------------------------------------------------
 
@@ -358,30 +403,21 @@ class RecursiveComposer(Generic[State, Transition]):
         expensive circuit syntheses then dispatch as independent jobs.
         """
         jobs: list[tuple[tuple[int, int], Any]] = []
-        digest_pairs: list[tuple[int, int]] = []
         current = state
         d_current = self.system.digest(current)
         for transition in transitions:
             next_state = self.system.apply(transition, current)
             d_next = self.system.digest(next_state)
             jobs.append(((d_current, d_next), (current, transition)))
-            digest_pairs.append((d_current, d_next))
             current, d_current = next_state, d_next
         results = pool.map_prove(self._base_pk, jobs)
         proofs = []
-        for (d_from, d_to), result in zip(digest_pairs, results):
+        for ((d_from, d_to), _), result in zip(jobs, results):
             if stats is not None:
                 stats.base_proofs += 1
                 stats.record_result(result)
             proofs.append(
-                TransitionProof(
-                    from_digest=d_from,
-                    to_digest=d_to,
-                    proof=result.proof,
-                    is_merge=False,
-                    span=1,
-                    depth=0,
-                )
+                TransitionProof(d_from, d_to, result.proof, is_merge=False, span=1, depth=0)
             )
         return proofs, current
 
@@ -391,76 +427,45 @@ class RecursiveComposer(Generic[State, Transition]):
         pool: ProverPool,
         stats: CompositionStats | None = None,
     ) -> TransitionProof:
-        """Level-scheduled parallel version of :meth:`merge_all`.
+        """Parallel version of :meth:`merge_all` over the same :func:`merge_plan`.
 
-        Builds the *same* balanced tree as the serial path — identical
-        pairing, odd-tail carries, ``span``/``depth`` accounting and root
-        public input — but dispatches every merge to the pool the moment
-        both of its children are ready, so independent merges (within a
+        The root proof, ``span``/``depth`` accounting and public input are
+        the serial path's; each step is dispatched to the pool the moment
+        both of its children are in hand, so independent merges (within a
         level, and across levels once their subtrees complete) prove
         concurrently.  Latency is bounded by the critical path (tree depth),
         not the merge count.
         """
-        if not proofs:
-            raise SnarkError("cannot merge an empty proof list")
-        # deterministic level sizes of the serial tree: pairs merge, an odd
-        # tail carries upward unchanged
-        level_sizes = [len(proofs)]
-        while level_sizes[-1] > 1:
-            level_sizes.append((level_sizes[-1] + 1) // 2)
-        top = len(level_sizes) - 1
+        plan = merge_plan(len(proofs))
+        consumer = {
+            child: step for step in plan for child in (step.left_key, step.right_key)
+        }
         ready: dict[tuple[int, int], TransitionProof] = {}
-        inflight: dict[Future, tuple[int, int, TransitionProof, TransitionProof]] = {}
+        inflight: dict[Future, tuple[MergeStep, TransitionProof, TransitionProof]] = {}
 
-        def place(level: int, idx: int, proof: TransitionProof) -> None:
-            # odd-tail carry: the last node of an odd level rises for free
-            while (
-                level < top
-                and level_sizes[level] % 2 == 1
-                and idx == level_sizes[level] - 1
-            ):
-                level += 1
-                idx = level_sizes[level] - 1
-            ready[(level, idx)] = proof
-            if level == top:
-                return
-            left_idx = idx & ~1
-            left = ready.get((level, left_idx))
-            right = ready.get((level, left_idx + 1))
-            if left is None or right is None:
-                return  # sibling still proving; its completion dispatches us
-            if left.to_digest != right.from_digest:
-                raise SnarkError("cannot merge proofs over non-adjacent ranges")
+        def land(key: tuple[int, int], proof: TransitionProof) -> None:
+            ready[key] = proof
+            step = consumer.get(key)
+            if step is None or not (step.left_key in ready and step.right_key in ready):
+                return  # the root, or a sibling still proving
+            left, right = ready.pop(step.left_key), ready.pop(step.right_key)
             future = pool.submit_prove(
-                self._merge_pk, (left.from_digest, right.to_digest), (left, right)
+                self._merge_pk, TransitionProof.merge_input(left, right), (left, right)
             )
-            inflight[future] = (level + 1, left_idx // 2, left, right)
+            inflight[future] = (step, left, right)
 
         for i, proof in enumerate(proofs):
-            place(0, i, proof)
-        while (top, 0) not in ready:
-            if not inflight:
-                raise SnarkError("merge scheduler stalled with no work in flight")
+            land((0, i), proof)
+        while inflight:
             done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
             for future in done:
-                level, idx, left, right = inflight.pop(future)
+                step, left, right = inflight.pop(future)
                 result = pool.collect(future)
                 if stats is not None:
                     stats.merge_proofs += 1
                     stats.record_result(result)
-                place(
-                    level,
-                    idx,
-                    TransitionProof(
-                        from_digest=left.from_digest,
-                        to_digest=right.to_digest,
-                        proof=result.proof,
-                        is_merge=True,
-                        span=left.span + right.span,
-                        depth=max(left.depth, right.depth) + 1,
-                    ),
-                )
-        root = ready[(top, 0)]
+                land(step.key, TransitionProof.merged(left, right, result.proof))
+        (root,) = ready.values()
         if stats is not None:
             stats.tree_depth = max(stats.tree_depth, root.depth)
         return root

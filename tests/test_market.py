@@ -8,6 +8,7 @@ ledger carried across epochs, and the dispatcher's end-to-end contract
 forger-fallback liveness).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import MarketError
 from repro.latus.market import (
     BP_DENOM,
+    CartelBehaviour,
     HonestBehaviour,
     LazyBehaviour,
     LedgerParams,
@@ -26,12 +28,12 @@ from repro.latus.market import (
     RewardStatement,
     SpamBehaviour,
     StakeWeightedAssigner,
-    TreeTask,
     tree_tasks,
 )
 from repro.latus.state import LatusState
 from repro.latus.transactions import sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
+from repro.scenarios.adversarial import payment_epoch
 
 ALICE = KeyPair.from_seed("market/alice")
 
@@ -355,12 +357,25 @@ class TestMarketDispatcher:
             MarketDispatcher(honest_provers(2)).prove_epoch(LatusState(10), [])
 
 
+class TestGoldenEpoch:
+    #: blake2b-128 of schedule ‖ statement ‖ root-proof bytes, recorded when
+    #: the market walked its own copy of the merge tree; reading
+    #: ``merge_plan`` must not move a byte of it.
+    DIGEST = "cf5a171ed18e1bc7a3338537730dd71e"
+
+    def test_adversarial_epoch_bytes_are_pinned(self):
+        state, txs = payment_epoch(7, b"golden")
+        provers = [
+            MarketProver(name="honest", stake=300),
+            MarketProver(name="lazy", stake=500, behaviour=LazyBehaviour()),
+            MarketProver(name="cartel", stake=400, behaviour=CartelBehaviour(level=1)),
+        ]
+        report = MarketDispatcher(provers, seed=b"golden").prove_epoch(state, txs)
+        material = report.schedule + report.statement.encode() + report.proof.proof.data
+        assert hashlib.blake2b(material, digest_size=16).hexdigest() == self.DIGEST
+
+
 class TestHonestBehaviourDefault:
     def test_default_prover_is_honest(self):
         prover = MarketProver(name="p", stake=1)
         assert isinstance(prover.behaviour, HonestBehaviour)
-
-    def test_tree_task_encode_unique(self):
-        a = TreeTask(kind="base", level=0, index=1, span=1)
-        b = TreeTask(kind="merge", level=1, index=1, span=2)
-        assert a.encode() != b.encode()

@@ -18,6 +18,7 @@ import pytest
 from repro.core.transfers import BackwardTransfer, BackwardTransferRequest, ForwardTransfer
 from repro.crypto.field import MODULUS
 from repro.errors import SnarkError
+from repro.latus.market import MarketDispatcher, MarketProver, tree_tasks
 from repro.latus.proofs import EpochProver, LatusTransitionSystem
 from repro.latus.state import LatusState
 from repro.latus.transactions import (
@@ -32,7 +33,8 @@ from repro.latus.transactions import (
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.snark import proving
 from repro.snark.pool import ProverPool
-from repro.snark.recursive import CompositionStats, RecursiveComposer
+from repro.scenarios.adversarial import payment_epoch
+from repro.snark.recursive import CompositionStats, RecursiveComposer, merge_plan
 
 DEPTH = 8
 
@@ -156,6 +158,25 @@ class TestPoolEquivalence:
         assert stats.critical_path_depth == root.depth + 1
         assert 0 < stats.pool_occupancy <= 1
 
+    def test_every_walker_reads_the_plan(self, composer):
+        """Reward split, serial and pooled proving and the market share one tree."""
+        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
+            for n in (6, 7):
+                plan = merge_plan(n)
+                leaves = [(0, i) for i in range(n)]
+                assert [t.key for t in tree_tasks(n)] == leaves + [merge.key for merge in plan]
+                proofs, state = [], 0
+                for step in range(1, n + 1):
+                    proof, state = composer.prove_base(state, step)
+                    proofs.append(proof)
+                serial = composer.merge_all(proofs)
+                assert composer.merge_all_parallel(proofs, pool) == serial
+                start, txs = payment_epoch(n, b"walkers")
+                report = MarketDispatcher([MarketProver(name="p", stake=1)]).prove_epoch(
+                    start, txs
+                )
+                assert report.merge_tasks == len(plan)
+
 
 class TestEpochProverParallel:
     @pytest.mark.slow
@@ -180,6 +201,14 @@ class TestEpochProverParallel:
             result = prover.prove_epoch(state, txs)
         assert result.stats.base_proofs == 1
         assert result.stats.pool_tasks == 0
+
+    def test_single_proof_epochs_report_their_timing(self, keys):
+        state, txs = chain_of_payments(keys, 3)
+        prover = EpochProver("batched")
+        for result in (prover.prove_epoch(state, txs), prover.prove_empty_epoch(state)):
+            assert result.stats.base_proofs == 1
+            assert result.stats.wall_seconds > 0
+            assert result.stats.critical_path_depth == 1
 
     def test_node_level_opt_in(self, keys):
         """A sidechain node configured with proving_workers certifies epochs

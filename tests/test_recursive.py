@@ -4,7 +4,12 @@ import pytest
 
 from repro.crypto.field import MODULUS
 from repro.errors import SnarkError, StateTransitionError, UnsatisfiedConstraint
-from repro.snark.recursive import CompositionStats, RecursiveComposer, TransitionProof
+from repro.snark.recursive import (
+    CompositionStats,
+    RecursiveComposer,
+    TransitionProof,
+    merge_plan,
+)
 
 
 class CounterSystem:
@@ -141,3 +146,27 @@ class TestSequences:
     def test_invalid_step_aborts_sequence(self, composer):
         with pytest.raises(StateTransitionError):
             composer.prove_sequence(0, [1, -2, 3])
+
+
+class TestMergePlan:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_plan_is_one_balanced_tree(self, n):
+        plan = merge_plan(n)
+        # the leaves each node covers, as a half-open range
+        covers = {(0, i): (i, i + 1) for i in range(n)}
+        children = []
+        for step in plan:
+            assert step.key not in covers, "a node is built twice"
+            left, right = covers[step.left_key], covers[step.right_key]
+            assert left[1] == right[0], "children are not adjacent, left to right"
+            covers[step.key] = (left[0], right[1])
+            children += [step.left_key, step.right_key]
+        root = plan[-1].key if plan else (0, 0)
+        assert sorted(children) == sorted(set(covers) - {root})
+        assert covers[root] == (0, n)
+        assert root[0] == (n - 1).bit_length()  # ceil(log2 n)
+        assert [step.level for step in plan] == sorted(step.level for step in plan)
+
+    def test_empty_plan_rejected(self):
+        with pytest.raises(SnarkError):
+            merge_plan(0)

@@ -23,10 +23,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after ``ProverPool`` sent every
-#: round through one dispatch path and lost the knobs only tests set
-#: (18,745 before).
-MAX_SRC_LINES = 18_595
+#: ``find src -name '*.py' | xargs wc -l`` after the merge tree's shape
+#: moved into ``merge_plan`` alone (18,595 before).
+MAX_SRC_LINES = 18_551
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: ``ProverPool``'s three process-boundary sites (executor start, dispatch,
@@ -110,6 +109,37 @@ class TestLayering:
         tree = ast.parse("def f():\n    from repro.latus import node\n")
         path = SRC / "repro" / "core" / "probe.py"
         assert (2, "repro.latus") in imported_modules(path, tree)
+
+
+def pairing_loops(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(function, line)`` of every ``range(0, len(…) - 1, 2)`` pairing loop."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend(
+                (func.name, node.lineno)
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and re.fullmatch(r"range\(0, len\(.+\) - 1, 2\)", ast.unparse(node))
+            )
+    return found
+
+
+class TestOneMergeTree:
+    def test_the_merge_tree_is_written_once(self, trees):
+        """Pairing with an odd-tail carry is ``merge_plan``'s; the rest read it."""
+        loops = [
+            (f"{path.relative_to(SRC)}", name, lineno)
+            for path, tree in trees.items()
+            for name, lineno in pairing_loops(tree)
+        ]
+        assert [name for _, name, _ in loops] == ["merge_plan"], loops
+
+    def test_the_check_sees_nested_loops(self):
+        tree = ast.parse(
+            "def f(xs):\n    def g():\n        return range(0, len(xs) - 1, 2)\n"
+        )
+        assert pairing_loops(tree) == [("f", 3), ("g", 3)]
 
 
 class TestInventoryRatchet:

@@ -109,7 +109,7 @@ def loaded_chain(shape: str, **node_kwargs):
     wallets = [harness.wallet(sc, key) for key in keys]
     while len(sc.node.certificates) < (3 if loaded else 30):
         harness.mine(1)
-    harness.mine_until(sc.config.schedule.first_height(sc.node.epoch.epoch_id) - 1)
+    harness.mine_until(sc.config.schedule.first_height(sc.node.epoch_id) - 1)
     funded = [(i, w) for i, w in enumerate(wallets) if w.balance()]
     for _ in range(7 if loaded else 3):
         for i, wallet in funded:
@@ -148,7 +148,7 @@ class TestQ6RollbackCost:
 
         benchmark.pedantic(rollback, iterations=1, rounds=1)
         assert len(node.blocks) == blocks - 1
-        kept_transitions = len(node.epoch.transitions)
+        kept_transitions = sum(len(b.ordered_transitions()) for b in node.epoch_blocks)
         start = time.perf_counter()
         node.sync()
         resync = time.perf_counter() - start

@@ -44,7 +44,7 @@ def main() -> None:
     # --- the sidechain maintainers vanish -----------------------------------
     sc.node.auto_submit_certificates = False
     schedule = sc.config.schedule
-    deadline = schedule.ceasing_height(sc.node.epoch.epoch_id)
+    deadline = schedule.ceasing_height(sc.node.epoch_id)
     print(f"\nmaintainers stop certifying; ceasing deadline is MC height {deadline}")
     harness.mine_until(deadline)
     status = harness.mc.state.cctp.status(sc.ledger_id)

@@ -51,7 +51,7 @@ def main() -> None:
     harness.wallet(sc, bob).withdraw(payout.address, 250_000)
     harness.run_epochs(sc, 1)
     schedule = sc.config.schedule
-    harness.mine_until(schedule.ceasing_height(sc.node.epoch.epoch_id - 1) + 1)
+    harness.mine_until(schedule.ceasing_height(sc.node.epoch_id - 1) + 1)
     print(
         f"backward transfer matured: payout address holds "
         f"{harness.mc.state.utxos.balance_of(payout.address)} on the mainchain"

@@ -15,8 +15,6 @@ implementation of the field: there is no alternative backend to select.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import FieldError
 
 #: The field modulus used throughout the reproduction: ``2**255 - 19``
@@ -171,11 +169,3 @@ def _coerce(other: "Fp | int") -> int:
     if isinstance(other, int):
         return other % MODULUS
     raise TypeError(f"cannot coerce {type(other).__name__} to field element")
-
-
-def sum_elements(values: Iterable[int]) -> int:
-    """Field sum of an iterable of canonical ints."""
-    total = 0
-    for v in values:
-        total += v
-    return total % MODULUS

@@ -14,6 +14,8 @@ differ.  That interchangeability is the paper's decoupling claim.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.bootstrap import ProofdataSchema, SidechainConfig
 from repro.core.transfers import (
     CeasedSidechainWithdrawal,
@@ -204,13 +206,12 @@ class FederatedNode:
             state_digest=state_digest,
             signatures=collect_signatures(self.member_keys, message),
         )
-        proofdata = (state_digest,)
         draft = WithdrawalCertificate(
             ledger_id=self.ledger_id,
             epoch_id=epoch_id,
             quality=quality,
             bt_list=bt_list,
-            proofdata=proofdata,
+            proofdata=(state_digest,),
             proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
         )
         h_prev = (
@@ -219,15 +220,7 @@ class FederatedNode:
             else b"\x00" * 32
         )
         public_input = draft.public_input(h_prev, h_epoch_last)
-        proof = proving.prove(self._wcert_pk, public_input, witness)
-        certificate = WithdrawalCertificate(
-            ledger_id=self.ledger_id,
-            epoch_id=epoch_id,
-            quality=quality,
-            bt_list=bt_list,
-            proofdata=proofdata,
-            proof=proof,
-        )
+        certificate = replace(draft, proof=proving.prove(self._wcert_pk, public_input, witness))
         self.certificates.append(certificate)
         if self.auto_submit_certificates:
             try:
@@ -273,12 +266,4 @@ class FederatedNode:
             proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
         )
         public_input = draft.public_input(entry.last_cert_block_hash)
-        proof = proving.prove(self._csw_pk, public_input, witness)
-        return CeasedSidechainWithdrawal(
-            ledger_id=self.ledger_id,
-            receiver=receiver,
-            amount=amount,
-            nullifier=nullifier,
-            proofdata=(),
-            proof=proof,
-        )
+        return replace(draft, proof=proving.prove(self._csw_pk, public_input, witness))

@@ -10,7 +10,7 @@ from repro.latus.mc_ref import (
 )
 from repro.latus.mst import MerkleStateTree
 from repro.latus.mst_delta import MstDelta, untouched_since, verify_unspent_across_epochs
-from repro.latus.node import CertificateAnchor, EpochLedger, LatusNode
+from repro.latus.node import CertificateAnchor, LatusNode
 from repro.latus.params import TEST_LATUS_PARAMS, LatusParams
 from repro.latus.proofs import EpochProofResult, EpochProver, LatusTransitionSystem
 from repro.latus.state import LatusState
@@ -51,7 +51,6 @@ __all__ = [
     "BackwardTransferRequestsTx",
     "BackwardTransferTx",
     "CertificateAnchor",
-    "EpochLedger",
     "EpochProofResult",
     "EpochProver",
     "ForwardTransfersTx",

@@ -148,11 +148,6 @@ class MerkleStateTree:
             self._tree.set_leaves(updates)
             self._touched.update(updates)
 
-    def add_batch(self, utxos: Iterable[Utxo]) -> list[int]:
-        """Occupy every UTXO's slot in one batched update (see apply_batch)."""
-        _, added = self.apply_batch(add=utxos)
-        return added
-
     # -- proofs ------------------------------------------------------------------
 
     def prove(self, utxo: Utxo) -> FieldMerkleProof:

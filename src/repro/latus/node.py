@@ -26,7 +26,7 @@ deterministic, which is also what makes reorg recovery a pure replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import observability, wire
 from repro.core.bootstrap import SidechainConfig
@@ -118,16 +118,6 @@ _CERTIFICATES_REFUSED = _REGISTRY.counter(
 # repro.lifecycle and are shared with MainchainNode.
 
 
-@dataclass
-class EpochLedger:
-    """Book-keeping for the withdrawal epoch currently in progress."""
-
-    epoch_id: int
-    start_state: LatusState
-    transitions: list[LatusTransaction] = field(default_factory=list)
-    referenced_mc_hashes: list[bytes] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class CertificateAnchor:
     """Where a submitted certificate landed — the BTR/CSW anchor data."""
@@ -189,7 +179,6 @@ class LatusNode(NodeLifecycle):
 
         #: Every wallet-submitted transaction ever seen (survives rebuilds).
         self.submitted_txs: list[LatusTransaction] = []
-        self.certificates: list[WithdrawalCertificate] = []
         self.anchors: dict[int, CertificateAnchor] = {}
         #: The witness behind the most recent certificate (kept for
         #: diagnostics, tests and benchmarks; never sent to the MC).
@@ -236,16 +225,12 @@ class LatusNode(NodeLifecycle):
         self.blocks: list[SidechainBlock] = []
         self.synced_mc: list[tuple[int, bytes]] = []
         self.mc_queue: list[MainchainBlock] = []
-        self.last_referenced_mc_height = self.config.start_block - 1
         self.included_txids: set[bytes] = set()
-        self.epoch = EpochLedger(epoch_id=0, start_state=self.state.copy())
         self._epoch_seeds: dict[int, bytes] = {0: genesis_seed(self.ledger_id)}
         self._epoch_stakes: dict[int, StakeDistribution] = {
             0: StakeDistribution.from_mapping({})
         }
-        self.certificates = []
         self.anchors = {}
-        self.skipped_slots: list[int] = []
         self._attach_store_hooks()
 
     def _attach_store_hooks(self) -> None:
@@ -264,6 +249,44 @@ class LatusNode(NodeLifecycle):
     def tip_hash(self) -> bytes:
         """Hash of the sidechain tip (zeros before the first block)."""
         return self.blocks[-1].hash if self.blocks else b"\x00" * 32
+
+    @property
+    def epoch_id(self) -> int:
+        """The open withdrawal epoch: every earlier one is anchored."""
+        return len(self.anchors)
+
+    @property
+    def certificates(self) -> list[WithdrawalCertificate]:
+        """The anchored certificates, in epoch order."""
+        return [anchor.certificate for anchor in self.anchors.values()]
+
+    @property
+    def epoch_blocks(self) -> list[SidechainBlock]:
+        """The open epoch's blocks: those above the last certificate's quality."""
+        if not self.anchors:
+            return list(self.blocks)
+        return self.blocks[self.anchors[self.epoch_id - 1].certificate.quality + 1 :]
+
+    @property
+    def last_referenced_mc_height(self) -> int:
+        """The MC height the chain's last reference points at."""
+        for block in reversed(self.blocks):
+            if block.mc_refs:
+                return block.mc_refs[-1].mc_height
+        return self.config.start_block - 1
+
+    def epoch_start_state(self) -> LatusState:
+        """A copy of the state the open epoch started from.
+
+        §5.2.1: the last anchor's committed state with the transient BT
+        list (and the touched set behind ``mst_delta``) cleared; the empty
+        state for epoch 0.
+        """
+        if not self.anchors:
+            return LatusState(self.params.mst_depth, node_store=self._make_node_store())
+        state = self.anchors[self.epoch_id - 1].state_snapshot.copy()
+        state.start_new_epoch()
+        return state
 
     def close(self) -> None:
         """Release prover-side resources and the attached store, if any."""
@@ -331,8 +354,7 @@ class LatusNode(NodeLifecycle):
     def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
         # only what the blocks cannot give: the walk re-derives the rest
         state_key, state_payload = self._state_section()
-        return self.epoch.epoch_id, {
-            "latus/meta": storage_codec.encode_latus_meta(self.skipped_slots),
+        return self.epoch_id, {
             state_key: state_payload,
             "latus/blocks": storage_codec.encode_blob_sequence(
                 [wire.encode_sidechain_block(b) for b in self.blocks]
@@ -406,7 +428,6 @@ class LatusNode(NodeLifecycle):
         """
         try:
             live = self._restore_state_section(sections)
-            skipped = storage_codec.decode_latus_meta(sections["latus/meta"])
             blocks = [
                 wire.decode_sidechain_block(raw)
                 for raw in storage_codec.decode_blob_sequence(
@@ -425,15 +446,11 @@ class LatusNode(NodeLifecycle):
         open_blocks = self._rederive_chain(blocks, anchors, rehouse=False)
         for block in open_blocks:
             self._readopt_block(block)
-        expected = (
-            open_blocks[-1].state_digest
-            if open_blocks
-            else self.epoch.start_state.digest()
-        )
+        # with no open block the walk left the epoch's start state in place
+        expected = open_blocks[-1].state_digest if open_blocks else self.state.digest()
         if live.digest() != expected:
             raise StorageError("snapshot state does not match its chain")
         self.state = live
-        self.skipped_slots = list(skipped)
         # merge the durable wallet mempool with anything already in memory
         self._merge_submitted(restored_txs)
         self._attach_store_hooks()
@@ -470,11 +487,11 @@ class LatusNode(NodeLifecycle):
                 block = wire.decode_sidechain_block(payload)
                 self._replay_block(block, staged)
                 staged = {}
-                if self._closes_epoch(block, self.epoch.epoch_id):
+                if self._closes_epoch(block, self.epoch_id):
                     if index + 1 < len(records) and records[index + 1][0] == SC_CERT:
                         index += 1
                         logged = wire.decode_withdrawal_certificate(records[index][1])
-                        self._restore_certificate(logged)
+                        self._anchor(logged, self.state.copy())
                     else:
                         # the crash hit between the block commit and the
                         # certificate record: close the epoch again
@@ -531,23 +548,17 @@ class LatusNode(NodeLifecycle):
                 self.synced_mc.append((ref.mc_height, ref.mc_block_hash))
                 top = ref.mc_height
 
-    def _restore_certificate(self, certificate: WithdrawalCertificate) -> None:
-        """Adopt a logged certificate at an epoch boundary without re-proving."""
-        epoch_id = self.epoch.epoch_id
-        self.certificates.append(certificate)
-        self.anchors[epoch_id] = CertificateAnchor(
-            certificate=certificate, state_snapshot=self.state.copy()
-        )
-        self._open_next_epoch(epoch_id)
-
-    def _open_next_epoch(self, epoch_id: int) -> None:
-        """Start withdrawal epoch ``epoch_id + 1`` from the live state.
+    def _anchor(self, certificate: WithdrawalCertificate, snapshot: LatusState) -> None:
+        """Anchor the open epoch on ``certificate`` over ``snapshot``, its
+        committed state, and open the next epoch on the live state.
 
         §5.2.1: the BT list (and the touched set behind ``mst_delta``) is
-        transient, so both are cleared before the start state is taken.
+        transient, so the live state clears both.
         """
+        self.anchors[self.epoch_id] = CertificateAnchor(
+            certificate=certificate, state_snapshot=snapshot
+        )
         self.state.start_new_epoch()
-        self.epoch = EpochLedger(epoch_id=epoch_id + 1, start_state=self.state.copy())
 
     def add_forger(self, keypair: KeyPair) -> None:
         """Register a stakeholder key this node may forge with.
@@ -646,10 +657,7 @@ class LatusNode(NodeLifecycle):
             if block.mc_refs and block.mc_refs[-1].mc_height >= divergence:
                 break
             kept.append(block)
-        skipped = self.skipped_slots
         self._rewalk(kept)
-        top = self.synced_mc_height - self.config.start_block
-        self.skipped_slots = [slot for slot in skipped if slot <= top]  # later ones re-sync
         # the store's history now diverges from the chain: re-seed it with a
         # fresh snapshot of the post-rollback state
         self._reset_durable_state()
@@ -675,8 +683,8 @@ class LatusNode(NodeLifecycle):
         """Reset to the empty chain and re-adopt ``blocks`` up to the open epoch.
 
         Certified epochs (closing block among ``blocks``) replay only their
-        bookkeeping and adopt their anchors and certificates; the open
-        epoch starts from the last anchor's state, re-housed onto this
+        bookkeeping and adopt their anchors; the open epoch starts from
+        :meth:`epoch_start_state`, re-housed onto this
         node's store when ``rehouse`` (the rollback executes on it).  The
         open epoch's blocks are handed back for the caller to apply.
         """
@@ -691,11 +699,9 @@ class LatusNode(NodeLifecycle):
             if epoch_id not in anchors:
                 raise StorageError(f"no certificate anchor for closed epoch {epoch_id}")
             self.anchors[epoch_id] = anchors[epoch_id]
-            self.certificates.append(anchors[epoch_id].certificate)
         if closed:
-            state = anchors[closed - 1].state_snapshot.copy()
+            state = self.epoch_start_state()
             self.state = self._rehouse_state(state) if rehouse else state
-            self._open_next_epoch(closed - 1)
         return blocks[certified:]
 
     def _resubmit_reverted_certificates(self) -> None:
@@ -732,7 +738,6 @@ class LatusNode(NodeLifecycle):
 
         forger = self.forgers.get(leader)
         if forger is None:
-            self.skipped_slots.append(slot)
             return []
         return self._forge_pending(forger, slot)
 
@@ -762,13 +767,13 @@ class LatusNode(NodeLifecycle):
             batch = self._take_reference_batch()
             block = self._forge_block(forger, slot, batch)
             forged.append(block)
-            if self._closes_epoch(block, self.epoch.epoch_id):
+            if self._closes_epoch(block, self.epoch_id):
                 self._close_withdrawal_epoch(block)
         return forged
 
     def _take_reference_batch(self) -> list[MainchainBlock]:
         """Queued MC blocks up to (and including) the epoch-last block."""
-        boundary = self.config.schedule.last_height(self.epoch.epoch_id)
+        boundary = self.config.schedule.last_height(self.epoch_id)
         batch = []
         while self.mc_queue:
             batch.append(self.mc_queue.pop(0))
@@ -816,12 +821,6 @@ class LatusNode(NodeLifecycle):
         """Chain bookkeeping for a block whose transitions were just applied."""
         self.blocks.append(block)
         self.included_txids.update(tx.txid for tx in block.transactions)
-        if block.mc_refs:
-            self.last_referenced_mc_height = block.mc_refs[-1].mc_height
-        self.epoch.transitions.extend(block.ordered_transitions())
-        self.epoch.referenced_mc_hashes.extend(
-            ref.mc_block_hash for ref in block.mc_refs
-        )
         # the block record is the commit marker for the leaf batches the
         # journal staged while the transitions applied: one sync per block
         self._persist_block(block)
@@ -841,7 +840,7 @@ class LatusNode(NodeLifecycle):
         pending, that checks against the epoch this node derived; only when
         none does the node prove the epoch, and submit that certificate.
         """
-        epoch_id = self.epoch.epoch_id
+        epoch_id = self.epoch_id
         final_state = self.state.copy()
         touched = self.state.mst.touched_positions
         delta = MstDelta.from_positions(self.params.mst_depth, touched)
@@ -852,19 +851,22 @@ class LatusNode(NodeLifecycle):
         )
         certificate = self._checked_certificate(draft, h_prev, h_last)
         if certificate is None:
-            proof_result = self.prover.prove_epoch(self.epoch.start_state, self.epoch.transitions)
+            blocks = self.epoch_blocks
+            start_state = self.epoch_start_state()
+            proof_result = self.prover.prove_epoch(
+                start_state, [tx for b in blocks for tx in b.ordered_transitions()]
+            )
             self.last_epoch_stats = proof_result.stats
             witness = WCertWitness(
                 epoch_proof=proof_result.proof,
-                start_state_digest=self.epoch.start_state.digest(),
+                start_state_digest=start_state.digest(),
                 final_state=final_state,
                 bt_list=bt_list,
                 last_block=last_block,
                 prev_epoch_last_block_hash=h_prev,
-                referenced_mc_hashes=tuple(self.epoch.referenced_mc_hashes),
+                referenced_mc_hashes=tuple(r.mc_block_hash for b in blocks for r in b.mc_refs),
                 mst_delta=delta,
                 touched_positions=touched,
-                epoch_stats=proof_result.stats,
             )
             certificate = self.cert_builder.build(epoch_id, witness, h_prev, h_last)
             _CERTIFICATES_BUILT.inc()
@@ -874,16 +876,11 @@ class LatusNode(NodeLifecycle):
                     self.mc.submit_transaction(CertificateTx(wcert=certificate))
                 except ZendooError:
                     pass  # the MC refused it (already queued, or not running)
-        self.certificates.append(certificate)
-        self.anchors[epoch_id] = CertificateAnchor(
-            certificate=certificate, state_snapshot=final_state
-        )
+        self._anchor(certificate, final_state)
         if self._journaling:
             # the certificate record lets recovery skip the close; if the
             # crash lands before it, replay closes the epoch again
             self._store.append(SC_CERT, certificate.encode())
-
-        self._open_next_epoch(epoch_id)
         # epoch boundaries are the periodic snapshot points: fold the log in
         self._write_snapshot()
 
@@ -988,18 +985,18 @@ class LatusNode(NodeLifecycle):
             # the queue is in height order: its referenced prefix is done
             while self.mc_queue and self.mc_queue[0].height <= block.mc_refs[-1].mc_height:
                 del self.mc_queue[0]
-        if self._closes_epoch(block, self.epoch.epoch_id):
+        if self._closes_epoch(block, self.epoch_id):
             self._close_withdrawal_epoch(block)
 
     def _refuse(self, applied: bool, known_epoch: int) -> None:
         """Undo a refused block: re-derive the chain it would have extended
         if its transitions ran, and forget the consensus epochs it opened."""
         self._discard_staged()  # its leaf batches must not ride the next commit
-        following = self.synced_mc, self.mc_queue, self.skipped_slots
+        following = self.synced_mc, self.mc_queue
         seeds, stakes = self._epoch_seeds, self._epoch_stakes
         if applied:
             self._rewalk(list(self.blocks))
-        self.synced_mc, self.mc_queue, self.skipped_slots = following
+        self.synced_mc, self.mc_queue = following
         self._epoch_seeds = {e: s for e, s in seeds.items() if e <= known_epoch}
         self._epoch_stakes = {e: s for e, s in stakes.items() if e <= known_epoch}
 

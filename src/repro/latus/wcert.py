@@ -42,7 +42,7 @@ from repro.latus.state import LatusState
 from repro.snark import proving
 from repro.snark.circuit import Circuit, CircuitBuilder
 from repro.snark.gadgets.mimc import mimc_hash_gadget
-from repro.snark.recursive import CompositionStats, TransitionProof
+from repro.snark.recursive import TransitionProof
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class WCertWitness:
     mst_delta: MstDelta
     #: MST positions actually touched during the epoch (from the state tree).
     touched_positions: frozenset[int]
-    #: Instrumentation of the epoch proof's construction (diagnostics and
-    #: benchmarks only; not part of the proven statement).
-    epoch_stats: CompositionStats | None = None
 
 
 class LatusWCertCircuit(Circuit):

@@ -87,10 +87,6 @@ class UTXOSet:
                 f"outpoint {outpoint.txid.hex()[:16]}:{outpoint.index} is unknown or spent"
             )
 
-    def remove_if_present(self, outpoint: Outpoint) -> None:
-        """Remove a coin when present (used to cancel superseded payouts)."""
-        self._coins.pop(outpoint, None)
-
     def balance_of(self, addr: bytes) -> int:
         """Total coins locked to ``addr``."""
         return sum(c.output.amount for c in self._coins.values() if c.output.addr == addr)

@@ -16,7 +16,7 @@ summaries) that the CLI ``metrics`` command prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import observability
 from repro.core.bootstrap import ProofdataSchema, SidechainConfig
@@ -54,6 +54,9 @@ from repro.snark import proving
 #: Latus proofdata schemas as registered on the mainchain (§4.2).
 _WCERT_SCHEMA = ProofdataSchema(fields=("h_sb_last", "mst_root", "mst_delta"))
 _WITHDRAWAL_SCHEMA = ProofdataSchema(fields=("utxo_addr", "utxo_amount", "utxo_nonce"))
+#: Simulated seconds of clock advanced per MC block mined — the timescale
+#: fault-plan partition windows are expressed in.
+BLOCK_INTERVAL = 1.0
 
 
 def latus_sidechain_config(
@@ -96,6 +99,12 @@ class SidechainHandle:
         return self.config.ledger_id
 
 
+def _sync_observer(handle: SidechainHandle) -> None:
+    """Deliver an MC block announcement to the node ``handle`` holds now."""
+    if not handle.node.crashed:
+        handle.node.sync()
+
+
 class ZendooHarness:
     """A complete simulated deployment: one mainchain, many sidechains."""
 
@@ -103,25 +112,16 @@ class ZendooHarness:
         self,
         mc_params: MainchainParams | None = None,
         miner_seed: str = "harness-miner",
-        network: NetworkSimulator | None = None,
-        use_network: bool = True,
-        block_interval: float = 1.0,
     ) -> None:
         self.mc = MainchainNode(mc_params or MainchainParams(pow_zero_bits=4, coinbase_maturity=1))
         self.miner = KeyPair.from_seed(miner_seed)
         self.sidechains: dict[bytes, SidechainHandle] = {}
         self._reserved_outpoints: set = set()
         #: Deterministic simulator carrying MC→SC block announcements (so a
-        #: harness run exercises the network layer's metrics); pass
-        #: ``use_network=False`` to sync sidechain nodes directly instead.
-        self.network: NetworkSimulator | None = (
-            (network or NetworkSimulator()) if use_network else None
-        )
-        #: Simulated seconds of clock advanced per MC block mined — the
-        #: timescale fault-plan partition windows are expressed in.
-        self.block_interval = block_interval
-        if self.network is not None:
-            self.network.register("mc", lambda src, msg: None)
+        #: harness run exercises the network layer's metrics).  A sidechain
+        #: node whose sync raises fails the ``mine`` that delivered the block.
+        self.network = NetworkSimulator(capture_handler_errors=False)
+        self.network.register("mc", lambda src, msg: None)
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -172,11 +172,10 @@ class ZendooHarness:
         )
         handle = SidechainHandle(config=config, node=node)
         self.sidechains[config.ledger_id] = handle
-        if self.network is not None:
-            self.network.register(
-                f"sc-{config.ledger_id.hex()[:8]}",
-                lambda src, msg, _node=node: _node.sync(),
-            )
+        self.network.register(
+            f"sc-{config.ledger_id.hex()[:8]}",
+            lambda src, msg: _sync_observer(handle),
+        )
         return handle
 
     # -- time ------------------------------------------------------------------------
@@ -184,25 +183,21 @@ class ZendooHarness:
     def mine(self, blocks: int = 1) -> None:
         """Mine MC blocks and let every sidechain node observe them.
 
-        With the network enabled each new block is announced to the
-        sidechain observers through the simulator (per-link latencies, one
-        delivery event per observer) and the clock is advanced by
-        :attr:`block_interval` simulated seconds; sync order across
-        sidechains is latency-determined but each node's sync is
-        independent, so the resulting states are identical to direct sync.
-        Under a fault plan a dropped or severed announcement means the
-        observer simply does not sync that round — the liveness failure the
-        ceasing scenarios depend on.
+        Each new block is announced to the sidechain observers through the
+        simulator (per-link latencies, one delivery event per observer) and
+        the clock is advanced by :data:`BLOCK_INTERVAL` simulated seconds;
+        sync order across sidechains is latency-determined but each node's
+        sync is independent.  A delivery syncs whichever node the handle
+        holds at that moment, skips a crashed one, and lets a failing sync
+        raise out of this call.  Under a fault plan a dropped or severed
+        announcement means the observer simply does not sync that round —
+        the liveness failure the ceasing scenarios depend on.
         """
         for _ in range(blocks):
             block = self.mc.mine_block(self.miner.address)
-            if self.network is not None:
-                if self.sidechains:
-                    self.network.broadcast("mc", ("mc-block", block.height))
-                self.network.advance(self.block_interval)
-            else:
-                for handle in self.sidechains.values():
-                    handle.node.sync()
+            if self.sidechains:
+                self.network.broadcast("mc", ("mc-block", block.height))
+            self.network.advance(BLOCK_INTERVAL)
 
     def mine_until(self, height: int) -> None:
         """Mine until the MC reaches ``height``."""
@@ -211,7 +206,7 @@ class ZendooHarness:
 
     def run_epochs(self, handle: SidechainHandle, epochs: int = 1) -> None:
         """Advance until ``epochs`` more withdrawal certificates are adopted."""
-        target = handle.node.epoch.epoch_id + epochs
+        target = handle.node.epoch_id + epochs
         schedule = handle.config.schedule
         self.mine_until(schedule.first_height(target) + 1)
 
@@ -328,15 +323,7 @@ class ZendooHarness:
             proofdata=utxo.as_field_elements(),
             proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
         )
-        proof = proving.prove(pk, draft.public_input(anchor_hash), witness)
-        return BackwardTransferRequest(
-            ledger_id=draft.ledger_id,
-            receiver=draft.receiver,
-            amount=draft.amount,
-            nullifier=draft.nullifier,
-            proofdata=draft.proofdata,
-            proof=proof,
-        )
+        return replace(draft, proof=proving.prove(pk, draft.public_input(anchor_hash), witness))
 
     def make_csw(
         self,
@@ -356,15 +343,7 @@ class ZendooHarness:
             proofdata=utxo.as_field_elements(),
             proof=proving.Proof(data=bytes(proving.PROOF_SIZE)),
         )
-        proof = proving.prove(pk, draft.public_input(anchor_hash), witness)
-        return CeasedSidechainWithdrawal(
-            ledger_id=draft.ledger_id,
-            receiver=draft.receiver,
-            amount=draft.amount,
-            nullifier=draft.nullifier,
-            proofdata=draft.proofdata,
-            proof=proof,
-        )
+        return replace(draft, proof=proving.prove(pk, draft.public_input(anchor_hash), witness))
 
     def submit_btr(self, btr: BackwardTransferRequest) -> None:
         """Queue a BTR transaction on the mainchain."""

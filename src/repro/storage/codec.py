@@ -8,11 +8,11 @@ bytes}`` mapping; this module defines the per-section formats and their
 strict inverses.
 
 Latus sections (assembled by :class:`~repro.latus.node.LatusNode`) hold
-only what the blocks cannot give; the UTXO index, synced MC heights,
-consensus seeds and stakes, the epoch ledger and the certificate list are
-re-derived from the blocks and anchors on restore::
+only what the blocks cannot give; the UTXO index, synced MC heights and
+consensus seeds and stakes are re-derived from the blocks and anchors on
+restore, and the open epoch, the certificate list and the last MC
+reference are read off them::
 
-    latus/meta         skipped slots
     latus/state        the live LatusState (MST leaves + touched + BT list),
     latus/state_pages  or its page-table refs on a file-backed paged node
     latus/blocks       the full sidechain block history
@@ -204,14 +204,6 @@ def decode_anchors(data: bytes) -> dict:
 def count_anchors(data: bytes) -> int:
     """Number of anchors in a section, without decoding them (CLI explorer)."""
     return len(_strict(_read_anchor_items, data))
-
-
-def encode_latus_meta(skipped_slots: list[int]) -> bytes:
-    return Encoder().sequence(skipped_slots, lambda e, s: e.u64(s)).done()
-
-
-def decode_latus_meta(data: bytes) -> list[int]:
-    return _strict(lambda d: d.sequence(lambda dd: dd.u64()), data)
 
 
 def encode_blob_sequence(blobs: list[bytes]) -> bytes:

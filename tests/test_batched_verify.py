@@ -92,7 +92,7 @@ class TestPoolMapVerify:
 
 def _certified_chain():
     """A harness run whose chain contains real certificate traffic."""
-    harness = ZendooHarness(use_network=False)
+    harness = ZendooHarness()
     harness.mine(2)
     sc = harness.create_sidechain("batch-verify", epoch_len=4, submit_len=2)
     harness.forward_transfer(sc, ALICE, 80_000)

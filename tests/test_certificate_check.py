@@ -18,6 +18,7 @@ from repro.crypto.keys import KeyPair
 from repro.errors import ConsensusError
 from repro.latus.block import forge_block
 from repro.latus.node import LatusNode
+from repro.latus.state import LatusState
 from repro.mainchain.transaction import CertificateTx
 from repro.observability import export
 from repro.scenarios import ZendooHarness
@@ -157,6 +158,32 @@ class TestOneProverOneSubmitter:
         for validator in validators:
             assert validator.certificates == sc.node.certificates
             validator.close()
+        sc.node.close()
+
+
+class TestStateCopiesPerClose:
+    def test_a_checking_node_copies_the_state_once_per_close(self, monkeypatch):
+        """The anchor's snapshot is the only copy a node that checks makes:
+        the open epoch's start state is derived only where a node proves."""
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("copies", epoch_len=4, submit_len=3)
+        harness.forward_transfer(sc, ALICE, 60_000)
+        while not sc.node.certificates:
+            harness.mine(1)
+        validator = validator_of(harness, sc)
+        validator.sync()
+        *opening, closing = sc.node.blocks
+        for block in opening:
+            validator.receive_block(block)
+        assert validator.certificates == []
+        copies = []
+        copy = LatusState.copy
+        monkeypatch.setattr(LatusState, "copy", lambda state: copies.append(state) or copy(state))
+        validator.receive_block(closing)
+        assert validator.certificates == sc.node.certificates
+        assert len(copies) == 1
+        validator.close()
         sc.node.close()
 
 

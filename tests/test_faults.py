@@ -642,7 +642,7 @@ class TestCeasingUnderPartition:
         )
         synced_before = sc.node.synced_mc_height
         certs_before = len(sc.node.certificates)
-        deadline = sc.config.schedule.ceasing_height(sc.node.epoch.epoch_id)
+        deadline = sc.config.schedule.ceasing_height(sc.node.epoch_id)
         harness.mine_until(deadline)
         assert sc.node.synced_mc_height == synced_before  # starved
         assert len(sc.node.certificates) == certs_before

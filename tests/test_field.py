@@ -62,10 +62,6 @@ class TestScalarHelpers:
         with pytest.raises(FieldError):
             field.element_from_bytes(b"\x01" * 31)
 
-    def test_sum_elements(self):
-        assert field.sum_elements([MODULUS - 1, 1, 5]) == 5
-
-
 class TestFpWrapper:
     def test_arithmetic(self):
         a, b = Fp(7), Fp(3)

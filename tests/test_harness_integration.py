@@ -6,9 +6,12 @@ withdrawal paths (§5.5.3), ceasing (Def. 4.2) and multi-sidechain
 coexistence (Fig. 1).
 """
 
+import pytest
 
 from repro.core.cctp import SidechainStatus
 from repro.crypto.keys import KeyPair
+from repro.errors import ConsensusError
+from repro.latus.node import LatusNode
 from repro.scenarios import Account, PaymentWorkload, ZendooHarness, make_accounts
 
 ALICE = KeyPair.from_seed("alice")
@@ -33,7 +36,7 @@ class TestFullLifecycle:
         harness.wallet(sc, BOB).withdraw(dest.address, 400_000)
         harness.run_epochs(sc, 1)
         schedule = sc.config.schedule
-        harness.mine_until(schedule.ceasing_height(sc.node.epoch.epoch_id - 1) + 1)
+        harness.mine_until(schedule.ceasing_height(sc.node.epoch_id - 1) + 1)
         assert harness.mc.state.utxos.balance_of(dest.address) == 400_000
         assert harness.mc.state.cctp.balance(sc.ledger_id) == 600_000
 
@@ -136,3 +139,49 @@ class TestWorkload:
         assert Account.named("x").keypair.address == Account.named("x").keypair.address
         a, b = make_accounts(2)
         assert a.keypair.address != b.keypair.address
+
+
+class TestBlockDelivery:
+    """``mine`` announces each MC block to the node a handle holds at
+    delivery time, and a sync that raises fails the ``mine``."""
+
+    def test_a_failing_sync_fails_the_mine(self):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("delivery-fails", epoch_len=4, submit_len=2)
+
+        def broken_sync():
+            raise ConsensusError("sync refused")
+
+        sc.node.sync = broken_sync
+        with pytest.raises(ConsensusError, match="sync refused"):
+            harness.mine(3)
+        sc.node.close()
+
+    def test_a_replaced_node_is_the_one_synced(self):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("delivery-swap", epoch_len=4, submit_len=2)
+        harness.mine(1)
+        old = sc.node
+        old.crash()
+        sc.node = LatusNode(
+            config=sc.config, params=old.params, mc_node=harness.mc, creator=old.creator
+        )
+        synced = old.synced_mc_height
+        harness.mine(5)
+        assert sc.node.synced_mc_height == harness.mc.height
+        assert old.synced_mc_height == synced
+        old.close()
+        sc.node.close()
+
+    def test_a_crashed_node_is_skipped_until_it_restarts(self):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("delivery-crash", epoch_len=4, submit_len=2)
+        sc.node.crash()
+        harness.mine(2)
+        sc.node.restart()
+        harness.mine(1)
+        assert sc.node.synced_mc_height == harness.mc.height
+        sc.node.close()

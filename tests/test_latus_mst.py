@@ -163,10 +163,6 @@ class TestApplyBatch:
         assert mst.root == root
         assert mst.contains(utxo(1))
 
-    def test_add_batch_returns_positions(self, mst):
-        positions = mst.add_batch([utxo(1), utxo(2)])
-        assert positions == [mst.position_of(utxo(1)), mst.position_of(utxo(2))]
-
     def test_random_batches_match_sequential(self):
         rng = random.Random(0xC0FFEE)
         sequential, batched = MerkleStateTree(10), MerkleStateTree(10)

@@ -45,13 +45,6 @@ class TestUTXOSet:
         with pytest.raises(DoubleSpend):
             utxos.spend(op(1))
 
-    def test_remove_if_present_is_lenient(self):
-        utxos = UTXOSet()
-        utxos.remove_if_present(op(1))  # no raise
-        utxos.add(op(1), coin())
-        utxos.remove_if_present(op(1))
-        assert op(1) not in utxos
-
     def test_balance_and_coins_of(self):
         utxos = UTXOSet()
         utxos.add(op(1), coin(addr=b"\x01" * 32, amount=5))

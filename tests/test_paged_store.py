@@ -182,7 +182,7 @@ class TestParityFuzz:
         ]
         views = []
         for kwargs in stores:
-            harness = ZendooHarness(use_network=False)
+            harness = ZendooHarness()
             harness.mine(2)
             sc = harness.create_sidechain("paged-parity", epoch_len=4, submit_len=2, **kwargs)
             harness.forward_transfer(sc, KeyPair.from_seed("paged-parity/user"), 75_000)

@@ -227,8 +227,7 @@ class TestEpochProverParallel:
             stats = sc.node.last_epoch_stats
             assert stats is not None
             assert stats.base_proofs >= 1
-            witness = sc.node.last_wcert_witness
-            assert witness is not None and witness.epoch_stats is stats
+            assert sc.node.last_wcert_witness is not None
         finally:
             sc.node.close()
 

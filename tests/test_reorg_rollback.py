@@ -138,7 +138,7 @@ def count_proofs(node) -> list[int]:
     prove = node.prover.prove_epoch
 
     def counting(start_state, transitions):
-        proved.append(node.epoch.epoch_id)
+        proved.append(node.epoch_id)
         return prove(start_state, transitions)
 
     node.prover.prove_epoch = counting
@@ -235,7 +235,6 @@ class TestRollbackAfterRestart:
         assert len(rehoused) == 1
         assert len(sc.node.certificates) >= certified - 1
         assert isinstance(sc.node.state.mst.node_store, PagedNodeStore)
-        assert isinstance(sc.node.epoch.start_state.mst.node_store, PagedNodeStore)
         auditor = SidechainAuditor(
             config=sc.config,
             params=sc.node.params,
@@ -274,7 +273,6 @@ class TestResyncAfterRollback:
             harness.mine(1)
         referenced = [r.mc_height for b in sc.node.blocks for r in b.mc_refs]
         assert referenced == list(range(referenced[0], referenced[-1] + 1))
-        assert len(set(sc.node.skipped_slots)) == len(sc.node.skipped_slots)
         validator = LatusNode(
             config=sc.config,
             params=sc.node.params,
@@ -298,10 +296,9 @@ def node_fingerprint(node) -> dict:
         "utxos": dict(node.utxo_index),
         "last_ref": node.last_referenced_mc_height,
         "epoch": (
-            node.epoch.epoch_id,
-            node.epoch.start_state.digest(),
-            [tx.txid for tx in node.epoch.transitions],
-            list(node.epoch.referenced_mc_hashes),
+            node.epoch_id,
+            node.epoch_start_state().digest(),
+            [b.hash for b in node.epoch_blocks],
         ),
         "included": set(node.included_txids),
         "certificates": [c.id for c in node.certificates],
@@ -337,7 +334,9 @@ class TestForwardHistoryOracle:
             assert sc.node.height == len(recorded) - 1
             recorded.append(node_fingerprint(sc.node))
         assert len(sc.node.certificates) == 3
-        assert sc.node.epoch.transitions, "the open epoch must carry payments"
+        assert any(b.transactions for b in sc.node.epoch_blocks), (
+            "the open epoch must carry payments"
+        )
         sc.node.close()
         return harness, sc, data_dir, recorded
 

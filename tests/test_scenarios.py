@@ -30,9 +30,9 @@ class TestHarnessBasics:
         harness = ZendooHarness()
         harness.mine(2)
         sc = harness.create_sidechain("harness-2", epoch_len=4, submit_len=2)
-        start_epoch = sc.node.epoch.epoch_id
+        start_epoch = sc.node.epoch_id
         harness.run_epochs(sc, 2)
-        assert sc.node.epoch.epoch_id == start_epoch + 2
+        assert sc.node.epoch_id == start_epoch + 2
 
 
 class TestMinerCoinReservation:

@@ -216,7 +216,7 @@ class TestFileStoreDurability:
 
 def _build_latus_history(data_dir, **node_kwargs):
     """FT + payment + two closed epochs + a mid-epoch tail, all on disk."""
-    harness = ZendooHarness(use_network=False)
+    harness = ZendooHarness()
     harness.mine(2)
     sc = harness.create_sidechain(
         "durable", epoch_len=4, submit_len=2, data_dir=data_dir, **node_kwargs
@@ -251,7 +251,7 @@ class TestLatusDiskRecovery:
             sc.node.tip_hash,
             sc.node.state.digest(),
             len(sc.node.certificates),
-            sc.node.epoch.epoch_id,
+            sc.node.epoch_id,
             sc.node.last_referenced_mc_height,
         )
         sc.node.close()  # the process dies; in-memory objects are gone
@@ -262,7 +262,7 @@ class TestLatusDiskRecovery:
             recovered.tip_hash,
             recovered.state.digest(),
             len(recovered.certificates),
-            recovered.epoch.epoch_id,
+            recovered.epoch_id,
             recovered.last_referenced_mc_height,
         ) == expected
         recovered.close()
@@ -463,7 +463,7 @@ class TestInconsistentSnapshot:
     @pytest.fixture
     def snapshots(self):
         store = MemoryStore()
-        harness = ZendooHarness(use_network=False)
+        harness = ZendooHarness()
         harness.mine(2)
         sc = harness.create_sidechain(
             "spliced", epoch_len=4, submit_len=2, store=store
@@ -806,7 +806,7 @@ class TestPagedDiskRecovery:
             sc.node.tip_hash,
             sc.node.state.digest(),
             len(sc.node.certificates),
-            sc.node.epoch.epoch_id,
+            sc.node.epoch_id,
         )
         sc.node.close()
 
@@ -820,7 +820,7 @@ class TestPagedDiskRecovery:
             recovered.tip_hash,
             recovered.state.digest(),
             len(recovered.certificates),
-            recovered.epoch.epoch_id,
+            recovered.epoch_id,
         ) == expected
         recovered.close()
 

@@ -23,9 +23,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
 
-#: ``find src -name '*.py' | xargs wc -l`` after the merge tree's shape
-#: moved into ``merge_plan`` alone (18,595 before).
-MAX_SRC_LINES = 18_551
+#: ``find src -name '*.py' | xargs wc -l`` after ``LatusNode`` stopped
+#: storing what its blocks and anchors hold (18,551 before).
+MAX_SRC_LINES = 18_481
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: ``ProverPool``'s three process-boundary sites (executor start, dispatch,
@@ -34,16 +34,19 @@ MAX_ENVIRON_READS = 0
 MAX_BROAD_EXCEPTS = 4
 
 #: Every Latus snapshot section: what the blocks cannot give.  The UTXO
-#: index, synced MC heights, consensus seeds and stakes, the epoch ledger and
-#: the certificate list are re-derived from blocks and anchors on restore.
+#: index, synced MC heights and consensus seeds and stakes are re-derived
+#: from blocks and anchors on restore; the open epoch, the certificate list
+#: and the last MC reference are read off them.
 LATUS_SECTIONS = {
-    "latus/meta",
     "latus/state",
     "latus/state_pages",
     "latus/blocks",
     "latus/anchors",
     "latus/submitted",
 }
+
+#: What ``LatusNode`` reads off its blocks and anchors and must not store.
+LATUS_DERIVED = {"epoch", "certificates", "last_referenced_mc_height", "skipped_slots"}
 
 #: Block rules live in ``LatusNode.receive_block`` only: the auditor feeds
 #: blocks to a checking node and must not import what a second copy needs.
@@ -140,6 +143,51 @@ class TestOneMergeTree:
             "def f(xs):\n    def g():\n        return range(0, len(xs) - 1, 2)\n"
         )
         assert pairing_loops(tree) == [("f", 3), ("g", 3)]
+
+
+def self_attributes_assigned(cls: ast.ClassDef) -> set[str]:
+    """``self.<name>`` targets of every assignment in ``cls``, unpacking included."""
+    targets = []
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets.extend(node.targets)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets.append(node.target)
+    names = set()
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            names.add(target.attr)
+    return names
+
+
+class TestLatusNodeStoresNoCopy:
+    def test_derived_fields_are_never_assigned(self, trees):
+        tree = trees[SRC / "repro" / "latus" / "node.py"]
+        (node,) = [
+            n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LatusNode"
+        ]
+        stored = self_attributes_assigned(node)
+        assert "anchors" in stored
+        assert not stored & LATUS_DERIVED, stored & LATUS_DERIVED
+
+    def test_the_check_sees_unpacking_and_annotations(self):
+        tree = ast.parse(
+            "class C:\n"
+            "    def f(self):\n"
+            "        self.a, (self.b, *self.c) = 1, (2, 3)\n"
+            "        self.d: int = 4\n"
+            "        self.e += 5\n"
+        )
+        assert self_attributes_assigned(tree.body[0]) == {"a", "b", "c", "d", "e"}
 
 
 class TestInventoryRatchet:

@@ -37,7 +37,7 @@ LEDGER = derive_ledger_id("roundtrip-synthetic")
 @pytest.fixture(scope="module")
 def scenario():
     """A full run producing every organically-reachable object kind."""
-    harness = ZendooHarness(use_network=False)
+    harness = ZendooHarness()
     harness.mine(2)
     sc = harness.create_sidechain("roundtrip", epoch_len=4, submit_len=2)
     harness.forward_transfer(sc, ALICE, 9_000)

@@ -5,12 +5,17 @@ referencing orphaned MC blocks are reverted and the SC deterministically
 rebuilds onto the new branch.  Measures recovery cost versus reorg depth.
 """
 
+import statistics
 import time
 
 import pytest
 
 from repro.crypto.keys import KeyPair
+from repro.errors import ConsensusError
+from repro.latus.node import LatusNode
+from repro.latus.state import LatusState
 from repro.scenarios import ZendooHarness
+from tests.test_certificate_check import count_calls, resign, validator_of
 from tests.test_mainchain_chain import make_block
 
 
@@ -160,3 +165,60 @@ class TestQ6RollbackCost:
             f"{timings[0] * 1e3:.1f} ms, resync {resync * 1e3:.1f} ms"
         )
         node.close()
+
+
+class TestQ6RefusalCost:
+    @pytest.mark.parametrize("shape", ["open_epoch", "history"])
+    def test_bench_refused_against_honest_tip(self, benchmark, monkeypatch, shape):
+        """A tip signed by its slot leader but carrying a wrong state digest,
+        refused by a validator bootstrapped to the tip's parent: counted
+        (``LatusState.apply`` / ``copy`` calls) and timed warm against the
+        honest tip, each on a validator at the same height."""
+        harness, sc = loaded_chain(shape)
+        *body, tip = sc.node.blocks
+        wrong = resign(sc, tip, state_digest=tip.state_digest + 1)
+        calls = count_calls(monkeypatch, LatusState, "apply", "copy")
+
+        def fresh() -> LatusNode:
+            node = validator_of(harness, sc)
+            node.bootstrap_from(body)
+            return node
+
+        def timed(node, block) -> float:
+            start = time.perf_counter()
+            try:
+                node.receive_block(block)
+            except ConsensusError:
+                pass
+            return time.perf_counter() - start
+
+        validator = fresh()
+        calls.update(apply=0, copy=0)
+        with pytest.raises(ConsensusError):
+            validator.receive_block(wrong)
+        refused_calls = dict(calls)
+        assert refused_calls == {"apply": len(tip.ordered_transitions()), "copy": 0}
+
+        def alternate():
+            """Warm pairs, refused then honest; the first pair warms the memos."""
+            pairs = []
+            for _ in range(16):
+                node = fresh()
+                pairs.append((timed(validator, wrong), timed(node, tip)))
+                assert node.tip_hash == tip.hash
+                node.close()
+            return pairs[1:]
+
+        refused, honest = zip(*benchmark.pedantic(alternate, iterations=1, rounds=1))
+        assert validator.tip_hash == body[-1].hash
+        validator.close()
+        ratio = statistics.median(refused) / statistics.median(honest)
+        benchmark.extra_info.update(refused_calls=refused_calls, ratio=ratio)
+        print(
+            f"\nQ6 refusal ({shape}): tip of {len(tip.ordered_transitions())} "
+            f"transitions; refused {refused_calls['apply']} applies, "
+            f"{refused_calls['copy']} copies; warm median refused "
+            f"{statistics.median(refused) * 1e3:.2f} ms, honest "
+            f"{statistics.median(honest) * 1e3:.2f} ms, ratio {ratio:.2f}"
+        )
+        sc.node.close()

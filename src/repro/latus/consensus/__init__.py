@@ -1,10 +1,5 @@
-"""Latus consensus: Ouroboros-style slots, stake snapshots, fork choice."""
+"""Latus consensus: Ouroboros-style slots, epochs and stake snapshots."""
 
-from repro.latus.consensus.fork_choice import (
-    ChainCandidate,
-    compare_candidates,
-    select_best,
-)
 from repro.latus.consensus.ouroboros import (
     LeaderSchedule,
     SlotPosition,
@@ -15,13 +10,10 @@ from repro.latus.consensus.ouroboros import (
 from repro.latus.consensus.stake import StakeDistribution
 
 __all__ = [
-    "ChainCandidate",
     "LeaderSchedule",
     "SlotPosition",
     "StakeDistribution",
-    "compare_candidates",
     "genesis_seed",
     "next_epoch_seed",
-    "select_best",
     "slot_leader",
 ]

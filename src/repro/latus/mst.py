@@ -30,6 +30,10 @@ class MerkleStateTree:
         # Write-ahead journal hook: called with the validated {position:
         # leaf} update dict *before* the tree mutates (durability layer).
         self._journal = None
+        #: Undo log: while a dict, :meth:`apply_batch` records in it the
+        #: leaf each position held before its first write, ``{position:
+        #: prior leaf}`` (:meth:`repro.latus.state.LatusState.apply_block`).
+        self.replaced: dict[int, int] | None = None
 
     # -- queries -----------------------------------------------------------------
 
@@ -108,7 +112,7 @@ class MerkleStateTree:
         """
         updates: dict[int, int] = {}
         removed_positions: list[int] = []
-        freed: set[int] = set()
+        freed: dict[int, int] = {}  # position -> the leaf removed from it
         for utxo in remove:
             position = self.position_of(utxo)
             if position in freed:
@@ -117,7 +121,7 @@ class MerkleStateTree:
                 raise MstError(
                     f"MST slot {position} does not contain the claimed utxo"
                 )
-            freed.add(position)
+            freed[position] = utxo.leaf_value
             updates[position] = EMPTY_LEAF
             removed_positions.append(position)
         added_positions: list[int] = []
@@ -134,6 +138,10 @@ class MerkleStateTree:
             added_positions.append(position)
         if self._journal is not None and updates:
             self._journal(updates)
+        if self.replaced is not None:
+            # an added position that was not freed held the empty leaf
+            for position in updates:
+                self.replaced.setdefault(position, freed.get(position, EMPTY_LEAF))
         self._tree.set_leaves(updates)
         self._touched.update(updates)
         return removed_positions, added_positions
@@ -147,6 +155,12 @@ class MerkleStateTree:
         if updates:
             self._tree.set_leaves(updates)
             self._touched.update(updates)
+
+    def undo(self, replaced: dict[int, int], touched: frozenset[int]) -> None:
+        """Put back the ``replaced`` leaves and the ``touched`` set (unjournaled)."""
+        if replaced:
+            self._tree.set_leaves(replaced)
+        self._touched = set(touched)
 
     # -- proofs ------------------------------------------------------------------
 
@@ -207,4 +221,5 @@ class MerkleStateTree:
         mst._tree = tree
         mst._touched = set()
         mst._journal = None
+        mst.replaced = None
         return mst

@@ -49,7 +49,7 @@ from repro.latus.consensus.ouroboros import (
     next_epoch_seed,
 )
 from repro.latus.consensus.stake import StakeDistribution
-from repro.latus.mc_ref import MCBlockReference, build_mc_ref, verify_mc_ref
+from repro.latus.mc_ref import build_mc_ref, verify_mc_ref
 from repro.latus.mst_delta import MstDelta
 from repro.latus.params import LatusParams
 from repro.latus.proofs import EpochProver
@@ -445,7 +445,7 @@ class LatusNode(NodeLifecycle):
             raise StorageError(f"snapshot is missing section {exc}")
         open_blocks = self._rederive_chain(blocks, anchors, rehouse=False)
         for block in open_blocks:
-            self._readopt_block(block)
+            self._append_block(block)
         # with no open block the walk left the epoch's start state in place
         expected = open_blocks[-1].state_digest if open_blocks else self.state.digest()
         if live.digest() != expected:
@@ -528,25 +528,7 @@ class LatusNode(NodeLifecycle):
             raise StorageError(
                 f"replayed state digest mismatch at height {block.height}"
             )
-        self._readopt_block(block)
-
-    def _readopt_block(self, block: SidechainBlock) -> None:
-        """Bookkeeping for one of this node's own blocks, state already applied.
-
-        The consensus epoch, the UTXO index, the chain itself and the MC
-        heights the block references: everything but the state and the
-        certificates, which WAL replay and :meth:`_rederive_chain` each take
-        from where they keep them.
-        """
-        self._ensure_consensus_epoch(block.slot // self.params.slots_per_epoch)
-        for tx in block.ordered_transitions():
-            index_transition(self.utxo_index, tx)
         self._append_block(block)
-        top = self.synced_mc[-1][0] if self.synced_mc else -1
-        for ref in block.mc_refs:
-            if ref.mc_height > top:
-                self.synced_mc.append((ref.mc_height, ref.mc_block_hash))
-                top = ref.mc_height
 
     def _anchor(self, certificate: WithdrawalCertificate, snapshot: LatusState) -> None:
         """Anchor the open epoch on ``certificate`` over ``snapshot``, its
@@ -657,25 +639,18 @@ class LatusNode(NodeLifecycle):
             if block.mc_refs and block.mc_refs[-1].mc_height >= divergence:
                 break
             kept.append(block)
-        self._rewalk(kept)
+        self._replaying = True
+        try:
+            for block in self._rederive_chain(kept, self.anchors, rehouse=True):
+                self.state.apply_block(block.ordered_transitions(), block.state_digest)
+                self._append_block(block)
+        finally:
+            self._replaying = False
+        self._attach_store_hooks()
         # the store's history now diverges from the chain: re-seed it with a
         # fresh snapshot of the post-rollback state
         self._reset_durable_state()
         self._resubmit_reverted_certificates()
-
-    def _rewalk(self, kept: list[SidechainBlock]) -> None:
-        """Re-derive the chain ``kept`` and re-execute its open epoch's blocks."""
-        self._replaying = True
-        try:
-            for block in self._rederive_chain(kept, self.anchors, rehouse=True):
-                for tx in block.ordered_transitions():
-                    self.state.apply(tx)
-                if self.state.digest() != block.state_digest:
-                    raise ConsensusError(f"rebuilt state digest mismatch at height {block.height}")
-                self._readopt_block(block)
-        finally:
-            self._replaying = False
-        self._attach_store_hooks()
 
     def _rederive_chain(
         self, blocks: list[SidechainBlock], anchors: dict, rehouse: bool
@@ -694,7 +669,7 @@ class LatusNode(NodeLifecycle):
                 closed, certified = closed + 1, count
         self._reset_chain_state()
         for block in blocks[:certified]:
-            self._readopt_block(block)
+            self._append_block(block)
         for epoch_id in range(closed):
             if epoch_id not in anchors:
                 raise StorageError(f"no certificate anchor for closed epoch {epoch_id}")
@@ -740,6 +715,11 @@ class LatusNode(NodeLifecycle):
         if forger is None:
             return []
         return self._forge_pending(forger, slot)
+
+    def _forget_epochs_above(self, consensus_epoch: int) -> None:
+        """Drop the memoised seeds and stakes of every later consensus epoch."""
+        for later in [e for e in self._epoch_seeds if e > consensus_epoch]:
+            del self._epoch_seeds[later], self._epoch_stakes[later]
 
     def _ensure_consensus_epoch(self, consensus_epoch: int) -> None:
         """Fix the stake snapshot and randomness when a new epoch starts."""
@@ -791,9 +771,9 @@ class LatusNode(NodeLifecycle):
         for mc_block in mc_batch:
             ref = build_mc_ref(mc_block, self.ledger_id, working.mst)
             refs.append(ref)
-            for tx in _ref_transitions(ref):
-                working.apply(tx)
-                index_transition(self.utxo_index, tx)
+            for tx in (ref.forward_transfers, ref.bt_requests):
+                if tx is not None:
+                    working.apply(tx)
 
         included: list[LatusTransaction] = []
         for tx in self.pending_transactions():
@@ -801,7 +781,6 @@ class LatusNode(NodeLifecycle):
                 working.apply(tx)
             except StateTransitionError:
                 continue
-            index_transition(self.utxo_index, tx)
             included.append(tx)
 
         block = forge_block(
@@ -818,9 +797,31 @@ class LatusNode(NodeLifecycle):
         return block
 
     def _append_block(self, block: SidechainBlock) -> None:
-        """Chain bookkeeping for a block whose transitions were just applied."""
+        """Adopt a block whose transitions the state already holds.
+
+        The one adoption step forge, receive, rollback, restore and WAL
+        replay all end in: the consensus epoch, the UTXO index, the chain
+        and its included txids, the MC heights it references, the MC queue
+        and the block record; everything but the state and the certificates.
+        """
+        consensus_epoch = block.slot // self.params.slots_per_epoch
+        self._ensure_consensus_epoch(consensus_epoch)
+        # a later epoch's stake snapshot fixed before this block (an MC sync
+        # ran ahead of the chain) did not see it: derive it again when asked
+        self._forget_epochs_above(consensus_epoch)
+        for tx in block.ordered_transitions():
+            index_transition(self.utxo_index, tx)
         self.blocks.append(block)
         self.included_txids.update(tx.txid for tx in block.transactions)
+        top = self.synced_mc[-1][0] if self.synced_mc else -1
+        for ref in block.mc_refs:
+            if ref.mc_height > top:
+                self.synced_mc.append((ref.mc_height, ref.mc_block_hash))
+                top = ref.mc_height
+        if block.mc_refs:
+            # the queue is in height order: its referenced prefix is done
+            while self.mc_queue and self.mc_queue[0].height <= block.mc_refs[-1].mc_height:
+                del self.mc_queue[0]
         # the block record is the commit marker for the leaf batches the
         # journal staged while the transitions applied: one sync per block
         self._persist_block(block)
@@ -937,14 +938,13 @@ class LatusNode(NodeLifecycle):
     def receive_block(self, block: SidechainBlock) -> None:
         """Validate and apply a block forged by another node.
 
-        Raises :class:`ConsensusError` on any rule violation, leaving the
-        node as it was.  The block must directly extend this node's tip (the
-        harness delivers blocks in order; full SC fork choice is in
-        :mod:`repro.latus.consensus.fork_choice`).
+        Raises :class:`ConsensusError` (:class:`StateTransitionError` for a
+        ⊥ transition) on any rule violation, leaving the node as it was.
+        The block must directly extend this node's tip (the harness
+        delivers blocks in order).
         """
         self._require_running()
         known_epoch = max(self._epoch_seeds)
-        applied = False
         try:
             if block.parent_hash != self.tip_hash:
                 raise ConsensusError("broken parent link: block does not extend the local tip")
@@ -952,6 +952,20 @@ class LatusNode(NodeLifecycle):
                 raise ConsensusError("wrong block height")
             if not block.verify_signature():
                 raise ConsensusError("bad forger signature")
+
+            # the slot clock is the MC height (§5.1): a slot neither runs
+            # behind its parent's nor ahead of the MC tip, and the block's
+            # last reference is its slot's MC block, or the last block of
+            # the withdrawal epoch it was cut at (§5.1.1)
+            clock = self.config.start_block + block.slot
+            if self.blocks and block.slot < self.blocks[-1].slot:
+                raise ConsensusError("slot runs behind the parent's")
+            if clock > self.mc.height:
+                raise ConsensusError("slot is ahead of the MC tip")
+            last = block.mc_refs[-1].mc_height if block.mc_refs else None
+            cut = self.config.schedule.last_height(self.epoch_id)
+            if last != clock and not (last == cut < clock):
+                raise ConsensusError("last MC reference is not the slot's MC block")
 
             consensus_epoch, slot = divmod(block.slot, self.params.slots_per_epoch)
             self._ensure_consensus_epoch(consensus_epoch)
@@ -962,52 +976,23 @@ class LatusNode(NodeLifecycle):
             for ref in block.mc_refs:
                 if ref.mc_height != expected_height:
                     raise ConsensusError("MC references are not contiguous")
-                if ref.mc_height > self.mc.height:
-                    raise ConsensusError("reference to an MC block above the local tip")
                 if ref.mc_block_hash != self.mc.state.block_hash_at(ref.mc_height):
                     raise ConsensusError("reference to a non-active MC block")
                 verify_mc_ref(ref, self.ledger_id)
                 expected_height += 1
 
-            applied = True
-            for tx in block.ordered_transitions():
-                self.state.apply(tx)  # raises StateTransitionError on invalidity
-                index_transition(self.utxo_index, tx)
-            if self.state.digest() != block.state_digest:
-                raise ConsensusError("state digest mismatch")
+            self.state.apply_block(block.ordered_transitions(), block.state_digest)
         except ZendooError:
-            self._refuse(applied, known_epoch)
+            # the state put itself back; its leaf batches must not ride the
+            # next commit, and the consensus epochs it opened are forgotten
+            self._discard_staged()
+            self._forget_epochs_above(known_epoch)
             raise
 
         self._append_block(block)
         _BLOCKS_RECEIVED.inc()
-        if block.mc_refs:
-            # the queue is in height order: its referenced prefix is done
-            while self.mc_queue and self.mc_queue[0].height <= block.mc_refs[-1].mc_height:
-                del self.mc_queue[0]
         if self._closes_epoch(block, self.epoch_id):
             self._close_withdrawal_epoch(block)
-
-    def _refuse(self, applied: bool, known_epoch: int) -> None:
-        """Undo a refused block: re-derive the chain it would have extended
-        if its transitions ran, and forget the consensus epochs it opened."""
-        self._discard_staged()  # its leaf batches must not ride the next commit
-        following = self.synced_mc, self.mc_queue
-        seeds, stakes = self._epoch_seeds, self._epoch_stakes
-        if applied:
-            self._rewalk(list(self.blocks))
-        self.synced_mc, self.mc_queue = following
-        self._epoch_seeds = {e: s for e, s in seeds.items() if e <= known_epoch}
-        self._epoch_stakes = {e: s for e, s in stakes.items() if e <= known_epoch}
-
-
-def _ref_transitions(ref: MCBlockReference) -> list[LatusTransaction]:
-    transitions: list[LatusTransaction] = []
-    if ref.forward_transfers is not None:
-        transitions.append(ref.forward_transfers)
-    if ref.bt_requests is not None:
-        transitions.append(ref.bt_requests)
-    return transitions
 
 
 def _transition_bts(tx: LatusTransaction) -> list:

@@ -5,7 +5,8 @@ transient list of backward transfers initiated in the current withdrawal
 epoch.  :meth:`LatusState.apply` is the paper's ``update(t, s)``; an invalid
 ``(t, s)`` pair raises :class:`~repro.errors.StateTransitionError` — the
 ``⊥`` case — leaving the state unmodified (every apply validates a complete
-plan before mutating anything).
+plan before mutating anything).  :meth:`LatusState.apply_block` extends that
+to a whole block: a refused block leaves the state as it found it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from repro.core.transfers import BackwardTransfer
 from repro.crypto.field import element_from_bytes
 from repro.crypto.mimc import mimc_hash
-from repro.errors import StateTransitionError
+from repro.errors import ConsensusError, StateTransitionError, ZendooError
 from repro.latus.mst import MerkleStateTree
 from repro.latus.transactions import (
     BackwardTransferRequestsTx,
@@ -67,6 +68,30 @@ class LatusState:
             self._apply_btr_tx(tx)
         else:
             raise StateTransitionError(f"unknown transaction type {type(tx).__name__}")
+
+    def apply_block(self, transitions, digest: int) -> None:
+        """Apply one block's transitions and check the digest they reach.
+
+        Atomic: on any :class:`~repro.errors.ZendooError` (a transition is
+        ⊥, or the digest differs) it puts back exactly what the transitions
+        wrote — the MST leaves they replaced, the touched set and the BT
+        list's length — and re-raises.  A refused block so costs its own
+        transitions and one batched leaf write, never a copy.
+        """
+        mst, bt_count = self.mst, len(self.backward_transfers)
+        touched = mst.touched_positions
+        mst.replaced = replaced = {}
+        try:
+            for tx in transitions:
+                self.apply(tx)
+            if self.digest() != digest:
+                raise ConsensusError("state digest mismatch")
+        except ZendooError:
+            mst.undo(replaced, touched)
+            del self.backward_transfers[bt_count:]
+            raise
+        finally:
+            mst.replaced = None
 
     def _apply_payment(self, tx: PaymentTx) -> None:
         """§5.3.1: spend inputs, create outputs, conserve value."""

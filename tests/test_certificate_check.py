@@ -5,7 +5,10 @@ mainchain (adopted, then pending) that matches the epoch it derived and
 verifies under the registered key; only when none does it prove the epoch
 itself.  These tests pin the three consequences: a tampered certificate is
 refused and counted by field, only the forger proves and submits, and a
-refused block leaves the node exactly where it stood.
+refused block leaves the node exactly where it stood, having re-executed
+nothing but its own transitions.  The last tests pin two block rules: the
+slot a block claims is tied to the MC references it carries, and a
+consensus epoch's stake is read off the chain, whatever the MC sync did.
 """
 
 from dataclasses import replace
@@ -15,7 +18,7 @@ import pytest
 from repro import observability
 from repro.core.transfers import BackwardTransfer
 from repro.crypto.keys import KeyPair
-from repro.errors import ConsensusError
+from repro.errors import ConsensusError, StateTransitionError
 from repro.latus.block import forge_block
 from repro.latus.node import LatusNode
 from repro.latus.state import LatusState
@@ -58,6 +61,20 @@ def resign(sc, block, forger=None, **changes):
     )
     fields.update(changes)
     return forge_block(**fields)
+
+
+def count_calls(monkeypatch, cls, *names) -> dict[str, int]:
+    """Count, from now on, the calls of each method ``names`` of ``cls``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(cls, name)
+
+        def counted(obj, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(obj, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def _flip_last_byte(data: bytes) -> bytes:
@@ -187,30 +204,76 @@ class TestStateCopiesPerClose:
         sc.node.close()
 
 
+@pytest.fixture(scope="module")
+def paying_chain():
+    """Twelve blocks over three epochs, one of them carrying a payment."""
+    harness = ZendooHarness()
+    harness.mine(2)
+    sc = harness.create_sidechain("refusal", epoch_len=4, submit_len=3)
+    harness.forward_transfer(sc, ALICE, 60_000)
+    while sc.node.height < 3:
+        harness.mine(1)
+    harness.wallet(sc, ALICE).pay(BOB.address, 1_000)
+    while sc.node.height < 11:
+        harness.mine(1)
+    assert any(block.transactions for block in sc.node.blocks)
+    yield harness, sc
+    sc.node.close()
+
+
+#: How ``receive_block`` refuses: a broken rule, or a ⊥ transition.
+REFUSED = (ConsensusError, StateTransitionError)
+
+
+def tampers(sc, block) -> list:
+    """Refusable copies of ``block``: a wrong digest, a forger that does not
+    lead the slot and, for a block with a payment, that payment appended
+    again so that it fails after the block's other transitions applied."""
+    found = [
+        resign(sc, block, state_digest=block.state_digest + 1),
+        resign(sc, block, forger=KeyPair.from_seed("mallory")),
+    ]
+    if block.transactions:
+        found.append(resign(sc, block, transactions=block.transactions + block.transactions[:1]))
+    return found
+
+
+class TestRefusalCostsOneBlock:
+    def test_a_refused_block_applies_only_its_own_transitions(
+        self, paying_chain, monkeypatch
+    ):
+        """No state copy, and no transition of any other block re-executed."""
+        harness, sc = paying_chain
+        paying = next(b for b in sc.node.blocks if b.transactions)
+        validator = validator_of(harness, sc)
+        validator.bootstrap_from(sc.node.blocks[: paying.height])
+        calls = count_calls(monkeypatch, LatusState, "apply", "copy")
+        digest, _, midway = tampers(sc, paying)
+        for tampered in (digest, midway):
+            calls.update(apply=0, copy=0)
+            with pytest.raises(REFUSED):
+                validator.receive_block(tampered)
+            assert calls["copy"] == 0
+            assert calls["apply"] <= len(tampered.ordered_transitions())
+        validator.receive_block(paying)
+        assert validator.tip_hash == paying.hash
+        validator.close()
+
+
 class TestRefusedBlockLeavesNoTrace:
     """A refused block leaves every field a rollback restores untouched,
     so the honest block that follows is accepted."""
 
-    def test_each_refusal_restores_the_node(self, tmp_path):
-        harness = ZendooHarness()
-        harness.mine(2)
-        sc = harness.create_sidechain("refusal", epoch_len=4, submit_len=3)
-        harness.forward_transfer(sc, ALICE, 60_000)
-        while sc.node.height < 3:
-            harness.mine(1)
-        harness.wallet(sc, ALICE).pay(BOB.address, 1_000)
-        while sc.node.height < 11:
-            harness.mine(1)
-        assert any(block.transactions for block in sc.node.blocks)
-        validator = validator_of(harness, sc, data_dir=tmp_path / "validator")
-        mallory = KeyPair.from_seed("mallory")
+    @pytest.mark.parametrize("paged_mst", [False, True], ids=["dict", "paged"])
+    def test_each_refusal_restores_the_node(self, paying_chain, tmp_path, paged_mst):
+        harness, sc = paying_chain
+        validator = validator_of(
+            harness, sc, data_dir=tmp_path / "validator", paged_mst=paged_mst
+        )
         for block in sc.node.blocks:
-            for tampered in (
-                resign(sc, block, state_digest=block.state_digest + 1),
-                resign(sc, block, forger=mallory),
-            ):
+            for tampered in tampers(sc, block):
                 before = node_fingerprint(validator)
-                with pytest.raises(ConsensusError):
+                with pytest.raises(REFUSED):
                     validator.receive_block(tampered)
                 assert node_fingerprint(validator) == before, block.height
             validator.receive_block(block)
@@ -221,4 +284,38 @@ class TestRefusedBlockLeavesNoTrace:
         validator.restart()
         assert node_fingerprint(validator) == committed
         validator.close()
-        sc.node.close()
+
+
+class TestSlotClock:
+    """§5.1: slot ``k`` is MC height ``start_block + k``.  A block signed by
+    the leader of the slot it claims is still refused when that slot runs
+    behind its parent's, ahead of the MC tip, or away from its last
+    reference."""
+
+    def test_a_leader_of_another_slot_cannot_sign_the_tip(self, paying_chain):
+        harness, sc = paying_chain
+        *body, tip = sc.node.blocks
+        spe = sc.node.params.slots_per_epoch
+        validator = validator_of(harness, sc)
+        validator.bootstrap_from(body)
+        for slot in (0, body[-1].slot, harness.mc.height + 1 - sc.config.start_block):
+            leader = sc.node.leader_schedule(slot // spe).leader_of(slot % spe)
+            tampered = resign(sc, tip, forger=sc.node.forgers[leader], slot=slot)
+            with pytest.raises(ConsensusError):
+                validator.receive_block(tampered)
+        validator.receive_block(tip)
+        assert validator.tip_hash == tip.hash
+        validator.close()
+
+
+class TestStakeSnapshotFollowsTheChain:
+    def test_a_validator_that_synced_the_mc_first_takes_the_history(self, paying_chain):
+        """Consensus epoch 1's stake is the chain's before slot 8, not the
+        empty chain the validator held when its MC sync reached slot 8."""
+        harness, sc = paying_chain
+        validator = validator_of(harness, sc)
+        validator.sync()
+        for block in sc.node.blocks:
+            validator.receive_block(block)
+        assert validator.tip_hash == sc.node.tip_hash
+        validator.close()

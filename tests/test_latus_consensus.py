@@ -3,11 +3,6 @@
 import pytest
 
 from repro.errors import ConsensusError
-from repro.latus.consensus.fork_choice import (
-    ChainCandidate,
-    compare_candidates,
-    select_best,
-)
 from repro.latus.consensus.ouroboros import (
     LeaderSchedule,
     SlotPosition,
@@ -126,42 +121,3 @@ class TestSlotPosition:
     def test_negative_rejected(self):
         with pytest.raises(ConsensusError):
             SlotPosition.from_absolute(-1, 8)
-
-
-class TestForkChoice:
-    def _candidate(self, work, height):
-        blocks = tuple(_FakeBlock(i) for i in range(height + 1))
-        return ChainCandidate(blocks=blocks, referenced_mc_work=work)
-
-    def test_mc_work_dominates(self):
-        heavy_short = self._candidate(work=100, height=1)
-        light_long = self._candidate(work=50, height=9)
-        assert compare_candidates(heavy_short, light_long) > 0
-
-    def test_sc_height_breaks_work_ties(self):
-        a = self._candidate(work=100, height=3)
-        b = self._candidate(work=100, height=5)
-        assert compare_candidates(a, b) < 0
-
-    def test_hash_breaks_full_ties(self):
-        a = self._candidate(work=100, height=3)
-        b = self._candidate(work=100, height=3)
-        result = compare_candidates(a, b)
-        assert result != 0 or a.tip_hash == b.tip_hash
-
-    def test_select_best(self):
-        candidates = [
-            self._candidate(work=10, height=5),
-            self._candidate(work=30, height=1),
-            self._candidate(work=20, height=9),
-        ]
-        assert select_best(candidates).referenced_mc_work == 30
-
-    def test_select_best_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_best([])
-
-
-class _FakeBlock:
-    def __init__(self, n: int) -> None:
-        self.hash = n.to_bytes(32, "little")

@@ -11,6 +11,7 @@ submission").
 Run:  python examples/certificate_latency_study.py
 """
 
+from repro.errors import ZendooError
 from repro.mainchain.transaction import CertificateTx
 from repro.network import LatencyModel, NetworkSimulator
 from repro.scenarios import ZendooHarness
@@ -56,8 +57,8 @@ def run_deployment(submit_len: int, latency_blocks: float) -> tuple[str, int]:
 def _deliver(harness, cert) -> None:
     try:
         harness.mc.submit_transaction(CertificateTx(wcert=cert))
-    except Exception:
-        pass  # duplicate or late: the mempool/validation handles it
+    except ZendooError:
+        pass  # duplicate or late: the mempool refused it
 
 
 def main() -> None:

@@ -3,47 +3,46 @@
 
 Previous examples run all forging keys inside a single node for
 convenience.  Here each stakeholder runs their *own* node holding only
-their own key: blocks are forged by whoever wins the slot lottery,
-broadcast, and fully re-validated by every peer (leader check, commitment
-proofs, state re-execution, digest comparison).  After every mainchain
-block the deployment asserts that all nodes converged to the same
-sidechain tip and state digest — the determinism §5.3's MC-defined
-transactions are designed for.
+their own key (``ZendooHarness.add_node``): blocks are forged by whoever
+wins the slot lottery, gossiped over the harness's network in the wire
+encoding, and fully re-validated by every peer (leader check, commitment
+proofs, state re-execution, digest comparison).  ``harness.converge``
+then checks that all nodes hold the same sidechain tip and state digest —
+the determinism §5.3's MC-defined transactions are designed for.
 
 Run:  python examples/decentralized_forgers.py
 """
 
+from collections import Counter
+
 from repro.crypto import KeyPair
 from repro.latus.params import LatusParams
 from repro.latus.transactions import pack_receiver_metadata
-from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
-from repro.mainchain.transaction import SidechainDeclarationTx, TransactionBuilder
-from repro.scenarios import MultiNodeDeployment, latus_sidechain_config
+from repro.mainchain.transaction import TransactionBuilder
+from repro.scenarios import ZendooHarness
 
 
 def main() -> None:
     print("=== decentralized forgers: one node per stakeholder ===\n")
-    miner = KeyPair.from_seed("decentralized/miner")
-    creator = KeyPair.from_seed("decentralized/creator")
+    harness = ZendooHarness(
+        MainchainParams(pow_zero_bits=4, coinbase_maturity=1),
+        miner_seed="decentralized/miner",
+    )
+    miner, mc = harness.miner, harness.mc
     stakers = [KeyPair.from_seed(f"decentralized/staker-{i}") for i in range(4)]
-
-    mc = MainchainNode(MainchainParams(pow_zero_bits=4, coinbase_maturity=1))
-    mc.mine_blocks(miner.address, 2)
-    config = latus_sidechain_config(
-        "decentralized", start_block=mc.height + 2, epoch_len=5, submit_len=2
+    harness.mine(2)
+    sc = harness.create_sidechain(
+        "decentralized",
+        epoch_len=5,
+        submit_len=2,
+        latus_params=LatusParams(mst_depth=12, slots_per_epoch=6),
+        creator=KeyPair.from_seed("decentralized/creator"),
+        proving_strategy="batched",
     )
-    mc.submit_transaction(SidechainDeclarationTx(config=config))
-    mc.mine_block(miner.address)
-
-    deployment = MultiNodeDeployment(
-        config=config,
-        params=LatusParams(mst_depth=12, slots_per_epoch=6),
-        mc_node=mc,
-        creator=creator,
-        stakeholders=stakers,
-    )
-    print(f"{len(deployment.nodes)} nodes started (creator + {len(stakers)} stakeholders)")
+    for i, staker in enumerate(stakers):
+        harness.add_node(sc, f"node-{i}", forger_keys=[staker], proving_strategy="batched")
+    print(f"{len(sc.nodes)} nodes started (creator + {len(stakers)} stakeholders)")
 
     # fund the stakeholders with uneven stake
     amounts = (40_000, 30_000, 20_000, 10_000)
@@ -54,7 +53,7 @@ def main() -> None:
                     TransactionBuilder()
                     .spend(outpoint, miner, coin.output.amount)
                     .forward_transfer(
-                        config.ledger_id,
+                        sc.ledger_id,
                         pack_receiver_metadata(staker.address, staker.address),
                         amount,
                     )
@@ -62,23 +61,30 @@ def main() -> None:
                     .build()
                 )
                 break
-        deployment.run(miner.address, 1)
+        harness.mine(1)
     print(f"stakeholders funded with {amounts}")
 
-    forged = deployment.run(miner.address, 25)
-    print(f"\n25 more MC blocks: {forged} SC blocks forged, all nodes convergent")
+    height = sc.node.height
+    harness.mine(25)
+    resyncs = harness.converge(sc)
+    print(
+        f"\n25 more MC blocks: {sc.node.height - height} SC blocks forged, "
+        f"all nodes convergent ({resyncs} resyncs)"
+    )
 
     print("\nblocks forged per node (stake-weighted lottery):")
-    for name, count in sorted(deployment.forger_distribution().items()):
-        print(f"  {name:<10} {count:>3} blocks")
+    owner = {addr: name for name, node in sc.nodes.items() for addr in node.forgers}
+    for name, count in sorted(Counter(owner[b.forger_addr] for b in sc.node.blocks).items()):
+        print(f"  {name:<12} {count:>3} blocks")
 
-    node = deployment.any_node()
-    entry = mc.state.cctp.entry(config.ledger_id)
+    entry = mc.state.cctp.entry(sc.ledger_id)
     print(
         f"\nwithdrawal epochs certified on the MC: {sorted(entry.certificates)} "
-        f"(every node independently derived identical certificates)"
+        f"(one node proved each epoch, every other node checked its certificate)"
     )
-    print(f"final convergent state digest: {node.state.digest():#x}"[:60] + "…")
+    print(f"final convergent state digest: {sc.node.state.digest():#x}"[:60] + "…")
+    for node in sc.nodes.values():
+        node.close()
 
 
 if __name__ == "__main__":

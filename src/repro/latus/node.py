@@ -101,6 +101,11 @@ _BLOCKS_RECEIVED = _REGISTRY.counter(
     "repro_latus_blocks_received_total",
     "foreign sidechain blocks validated and applied",
 ).labels()
+_BLOCKS_REFUSED = _REGISTRY.counter(
+    "repro_latus_blocks_refused_total",
+    "foreign sidechain blocks refused, by the exception class of the refusal",
+    labelnames=("reason",),
+)
 _CERTIFICATES_BUILT = _REGISTRY.counter(
     "repro_latus_certificates_built_total",
     "withdrawal certificates built at epoch close",
@@ -966,6 +971,8 @@ class LatusNode(NodeLifecycle):
             cut = self.config.schedule.last_height(self.epoch_id)
             if last != clock and not (last == cut < clock):
                 raise ConsensusError("last MC reference is not the slot's MC block")
+            if block.mc_refs[0].mc_height <= cut < last:
+                raise ConsensusError("MC references cross a withdrawal-epoch boundary")
 
             consensus_epoch, slot = divmod(block.slot, self.params.slots_per_epoch)
             self._ensure_consensus_epoch(consensus_epoch)
@@ -982,11 +989,12 @@ class LatusNode(NodeLifecycle):
                 expected_height += 1
 
             self.state.apply_block(block.ordered_transitions(), block.state_digest)
-        except ZendooError:
+        except ZendooError as exc:
             # the state put itself back; its leaf batches must not ride the
             # next commit, and the consensus epochs it opened are forgotten
             self._discard_staged()
             self._forget_epochs_above(known_epoch)
+            _BLOCKS_REFUSED.labels(reason=type(exc).__name__).inc()
             raise
 
         self._append_block(block)

@@ -9,7 +9,6 @@ from repro.network.faults import (
 )
 from repro.network.simulator import (
     NEVER,
-    HandlerError,
     LatencyModel,
     NetworkSimulator,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "CLEAN",
     "FaultDecision",
     "FaultPlan",
-    "HandlerError",
     "LatencyModel",
     "NEVER",
     "NetworkSimulator",

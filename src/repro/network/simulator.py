@@ -1,8 +1,9 @@
 """A small deterministic discrete-event network simulator.
 
 Used by liveness-style experiments (certificate submission windows, ceasing
-under delay — bench Q4) and by the chaos deployments of
-:mod:`repro.scenarios.multi_node`: messages between nodes are delivered
+under delay — bench Q4) and by :class:`~repro.scenarios.harness.ZendooHarness`,
+whose one simulator carries every mainchain block announcement and every
+sidechain block its Latus nodes gossip: messages between nodes are delivered
 after per-link latencies, and the simulation clock advances event by event.
 Determinism comes from explicit seeds — no wall-clock, no global RNG.
 
@@ -16,8 +17,7 @@ Traffic is observable on the process-wide metrics registry:
 ``repro_network_latency_seconds`` is a histogram of sampled link latencies
 (simulated seconds, not wall time), ``repro_network_events_total`` counts
 delivered events, ``repro_network_faults_total{kind}`` counts injected
-faults by kind, ``repro_network_handler_errors_total`` counts deliveries
-whose handler raised, and ``repro_network_dropped_total{reason}`` counts
+faults by kind, and ``repro_network_dropped_total{reason}`` counts
 undeliverable messages — ``reason="unknown_dst"`` for messages addressed to
 unregistered nodes (which also raise
 :class:`~repro.errors.UnknownNetworkNode`) and ``reason="fault"`` for
@@ -57,10 +57,6 @@ _FAULTS = _REGISTRY.counter(
     "injected network faults fired, by kind",
     labelnames=("kind",),
 )
-_HANDLER_ERRORS = _REGISTRY.counter(
-    "repro_network_handler_errors_total",
-    "deliveries whose receiving handler raised",
-).labels()
 _EVENTS = _REGISTRY.counter(
     "repro_network_events_total",
     "events delivered by the simulator loop",
@@ -79,16 +75,6 @@ class _Event:
     time: float
     sequence: int
     deliver: Callable[[], None] = field(compare=False)
-
-
-@dataclass(frozen=True)
-class HandlerError:
-    """One delivery whose receiving handler raised (kept, not re-raised)."""
-
-    time: float
-    src: str
-    dst: str
-    error: Exception
 
 
 class LatencyModel:
@@ -118,30 +104,29 @@ class NetworkSimulator:
     """An event loop delivering messages between registered handlers.
 
     ``faults`` attaches a deterministic :class:`FaultPlan` consulted on
-    every ``send``; without one the network is perfect.  A handler that
-    raises during delivery does **not** poison the event loop: the error is
-    recorded on :attr:`handler_errors` (and counted) and the queue keeps
-    draining — pass ``capture_handler_errors=False`` to restore the old
-    propagate-and-abort behaviour.
+    every ``send``; without one the network is perfect.  A link is FIFO,
+    like the stream a real peer connection rides: a message never
+    overtakes one sent before it on the same link, unless a fault's extra
+    delay holds the earlier one back.  An exception a handler raises
+    propagates out of the loop call that delivered the message: a handler
+    decides itself which failures it absorbs.
     """
 
     def __init__(
         self,
         latency: LatencyModel | None = None,
         faults: FaultPlan | None = None,
-        capture_handler_errors: bool = True,
     ) -> None:
         self.latency = latency or LatencyModel()
         self.faults = faults
-        self.capture_handler_errors = capture_handler_errors
         self.clock = 0.0
         self._queue: list[_Event] = []
         self._sequence = itertools.count()
         self._handlers: dict[str, Callable[[str, Any], None]] = {}
         self.delivered = 0
         self._sends = 0
-        #: Deliveries whose handler raised (in delivery order).
-        self.handler_errors: list[HandlerError] = []
+        #: Per link, the latency-only arrival time of its last message.
+        self._link_tail: dict[tuple[str, str], float] = {}
         #: Every non-clean fault decision as ``(send ordinal, time, src,
         #: dst, decision)``, in scheduling order — the byte-comparable fault
         #: schedule (see ``FaultDecision.encode``).
@@ -204,7 +189,9 @@ class NetworkSimulator:
             _DROPPED_FAULT.inc()
             return NEVER
         extra = decision.extra_delay if decision is not None else 0.0
-        at = self.clock + sample + extra
+        arrival = max(self.clock + sample, self._link_tail.get((src, dst), 0.0))
+        self._link_tail[(src, dst)] = arrival
+        at = arrival + extra
         self.schedule_at(at, lambda: self._deliver(src, dst, message))
         if decision is not None and decision.copies > 1:
             # the duplicate rides its own (deterministic) latency sample,
@@ -222,21 +209,13 @@ class NetworkSimulator:
         ]
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
-        """Invoke a handler, isolating the loop from its failures."""
+        """Invoke the destination's handler, if it is still registered."""
         handler = self._handlers.get(dst)
         if handler is None:
             # the node unregistered (e.g. crashed) after scheduling
             _DROPPED_UNKNOWN.inc()
             return
-        try:
-            handler(src, message)
-        except Exception as exc:
-            if not self.capture_handler_errors:
-                raise
-            self.handler_errors.append(
-                HandlerError(time=self.clock, src=src, dst=dst, error=exc)
-            )
-            _HANDLER_ERRORS.inc()
+        handler(src, message)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule an arbitrary action at an absolute time."""

@@ -17,7 +17,6 @@ from repro.scenarios.harness import (
     ZendooHarness,
     latus_sidechain_config,
 )
-from repro.scenarios.multi_node import ChaosReport, MultiNodeDeployment
 from repro.scenarios.workload import Account, PaymentWorkload, make_accounts
 
 __all__ = [
@@ -26,10 +25,8 @@ __all__ = [
     "AdversarialScenario",
     "CartelWithholdScenario",
     "CensorshipScenario",
-    "ChaosReport",
     "InvalidProofSpamScenario",
     "LazyProverScenario",
-    "MultiNodeDeployment",
     "PaymentWorkload",
     "ScenarioReport",
     "SidechainHandle",

@@ -6,19 +6,23 @@ funding via forward transfers, withdrawal via BT/BTR/CSW — and provides the
 prover-side helpers that assemble BTR/CSW SNARK witnesses from a node's
 certificate anchors.
 
-Block announcements from the mainchain to sidechain observers route through
-a :class:`~repro.network.simulator.NetworkSimulator` (deterministic,
-seed-driven), so a single harness run also exercises — and therefore
-measures — the network layer; :meth:`ZendooHarness.telemetry` returns the
-unified observability snapshot (registry metrics, tracer spans, per-chain
-summaries) that the CLI ``metrics`` command prints.
+It is the one way to stand up Latus nodes (§5.1): :meth:`ZendooHarness.add_node`
+runs further forgers or validators beside a sidechain's first node, each
+following the mainchain and re-validating every block a peer forges.  MC
+block announcements and SC block gossip (wire-encoded) route through one
+deterministic :class:`~repro.network.simulator.NetworkSimulator`, so chaos
+is a :class:`~repro.network.faults.FaultPlan` on ``harness.network``,
+:meth:`ZendooHarness.converge` the recovery after it, and a harness run also
+exercises — and measures — the network layer; :meth:`ZendooHarness.telemetry`
+returns the unified observability snapshot (registry metrics, tracer spans,
+per-chain summaries) that the CLI ``metrics`` command prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from repro import observability
+from repro import observability, wire
 from repro.core.bootstrap import ProofdataSchema, SidechainConfig
 from repro.core.transfers import (
     BackwardTransferRequest,
@@ -26,7 +30,7 @@ from repro.core.transfers import (
     derive_ledger_id,
 )
 from repro.crypto.keys import KeyPair
-from repro.errors import CctpError
+from repro.errors import CctpError, ConsensusError, NetworkError, ZendooError
 from repro.latus.node import LatusNode
 from repro.latus.params import LatusParams
 from repro.latus.proofs import EpochProver
@@ -93,16 +97,23 @@ class SidechainHandle:
 
     config: SidechainConfig
     node: LatusNode
+    #: Nodes added beside ``node`` by :meth:`ZendooHarness.add_node`, by
+    #: network name.
+    peers: dict[str, LatusNode] = field(default_factory=dict)
 
     @property
     def ledger_id(self) -> bytes:
         return self.config.ledger_id
 
+    @property
+    def name(self) -> str:
+        """The network name of ``node``."""
+        return f"sc-{self.ledger_id.hex()[:8]}"
 
-def _sync_observer(handle: SidechainHandle) -> None:
-    """Deliver an MC block announcement to the node ``handle`` holds now."""
-    if not handle.node.crashed:
-        handle.node.sync()
+    @property
+    def nodes(self) -> dict[str, LatusNode]:
+        """Every node of the sidechain by network name, ``node`` first."""
+        return {self.name: self.node, **self.peers}
 
 
 class ZendooHarness:
@@ -117,10 +128,11 @@ class ZendooHarness:
         self.miner = KeyPair.from_seed(miner_seed)
         self.sidechains: dict[bytes, SidechainHandle] = {}
         self._reserved_outpoints: set = set()
-        #: Deterministic simulator carrying MC→SC block announcements (so a
-        #: harness run exercises the network layer's metrics).  A sidechain
-        #: node whose sync raises fails the ``mine`` that delivered the block.
-        self.network = NetworkSimulator(capture_handler_errors=False)
+        #: Deterministic simulator carrying MC block announcements and SC
+        #: block gossip (so a harness run exercises the network layer's
+        #: metrics).  A sidechain node whose sync raises fails the ``mine``
+        #: that delivered the block.
+        self.network = NetworkSimulator()
         self.network.register("mc", lambda src, msg: None)
 
     # -- lifecycle -------------------------------------------------------------------
@@ -172,32 +184,127 @@ class ZendooHarness:
         )
         handle = SidechainHandle(config=config, node=node)
         self.sidechains[config.ledger_id] = handle
-        self.network.register(
-            f"sc-{config.ledger_id.hex()[:8]}",
-            lambda src, msg: _sync_observer(handle),
-        )
+        self._register(handle, handle.name)
         return handle
+
+    def add_node(
+        self, handle: SidechainHandle, name: str, forger_keys=(), **node_kwargs
+    ) -> LatusNode:
+        """Run one more Latus node of ``handle``'s sidechain, beside ``handle.node``.
+
+        The node forges with ``forger_keys`` — a validator when there are
+        none — and is registered on :attr:`network` under ``name``: it
+        syncs on every MC block announcement, gossips the blocks it forges
+        to the sidechain's other nodes and validates theirs.  Keyword
+        arguments go to the :class:`~repro.latus.node.LatusNode` constructor
+        (``store=``, ``data_dir=``, ``proving_strategy=`` ...).
+        """
+        if name in self.network.nodes:
+            raise NetworkError(f"node name {name!r} is already registered")
+        node = LatusNode(
+            config=handle.config,
+            params=handle.node.params,
+            mc_node=self.mc,
+            creator=handle.node.creator,
+            forger_keys=list(forger_keys),
+            **node_kwargs,
+        )
+        handle.peers[name] = node
+        self._register(handle, name)
+        return node
+
+    def _register(self, handle: SidechainHandle, name: str) -> None:
+        self.network.register(name, lambda src, message: self._deliver(handle, name, message))
+
+    def _deliver(self, handle: SidechainHandle, name: str, message) -> None:
+        """One message to the node ``handle`` holds under ``name`` now.
+
+        An MC block announcement syncs the node, and each block the sync
+        forged is encoded once and sent to the sidechain's other nodes; a
+        gossiped block is decoded and validated.  A crashed node drops
+        everything, and a block the node refuses (a typed
+        :class:`~repro.errors.ZendooError`, counted by ``receive_block``)
+        is dropped with the node left as it stood.
+        """
+        nodes = handle.nodes
+        node = nodes[name]
+        if node.crashed:
+            return
+        kind, payload = message
+        if kind == "sc-block":
+            try:
+                node.receive_block(wire.decode_sidechain_block(payload))
+            except ZendooError:
+                pass
+            return
+        forged = node.sync()
+        peers = [peer for peer in nodes if peer != name]
+        if not peers:
+            return
+        for block in forged:
+            raw = wire.encode_sidechain_block(block)
+            for peer in peers:
+                self.network.send(name, peer, ("sc-block", raw))
 
     # -- time ------------------------------------------------------------------------
 
     def mine(self, blocks: int = 1) -> None:
         """Mine MC blocks and let every sidechain node observe them.
 
-        Each new block is announced to the sidechain observers through the
-        simulator (per-link latencies, one delivery event per observer) and
-        the clock is advanced by :data:`BLOCK_INTERVAL` simulated seconds;
-        sync order across sidechains is latency-determined but each node's
-        sync is independent.  A delivery syncs whichever node the handle
-        holds at that moment, skips a crashed one, and lets a failing sync
-        raise out of this call.  Under a fault plan a dropped or severed
-        announcement means the observer simply does not sync that round —
-        the liveness failure the ceasing scenarios depend on.
+        Each new block is announced to every sidechain node through the
+        simulator (per-link latencies, one delivery event per node) and the
+        clock is advanced by :data:`BLOCK_INTERVAL` simulated seconds, in
+        which the blocks the syncs forged reach the sidechains' other nodes;
+        sync order is latency-determined but each node's sync is
+        independent.  A delivery syncs whichever node the handle holds at
+        that moment, skips a crashed one, and lets a failing sync raise out
+        of this call.  Under a fault plan a dropped or severed message means
+        its node simply does not sync, or see the block, that round — the
+        liveness failure the ceasing scenarios depend on.
         """
         for _ in range(blocks):
             block = self.mc.mine_block(self.miner.address)
             if self.sidechains:
                 self.network.broadcast("mc", ("mc-block", block.height))
             self.network.advance(BLOCK_INTERVAL)
+
+    def converge(self, handle: SidechainHandle) -> int:
+        """Heal the network and bring every node of ``handle`` onto one chain.
+
+        Drains the network past the fault plan's last partition, restarts
+        crashed nodes, and has each node whose ``(height, tip)`` differs
+        from the reference node's ``sync_from`` it; returns the number of
+        those resyncs.  The reference is the running node whose
+        certificates cover every epoch the mainchain adopted for the
+        sidechain, then the longest chain, then the lowest name.  Raises
+        :class:`~repro.errors.ConsensusError` unless every node then holds
+        one ``(height, tip, state digest)``.
+        """
+        faults = self.network.faults
+        if faults is not None and self.network.clock < faults.healed_at:
+            self.network.advance(faults.healed_at - self.network.clock)
+        self.network.run()
+        nodes = handle.nodes
+        for node in nodes.values():
+            if node.crashed:
+                node.restart()
+        adopted = set(self.mc.state.cctp.entry(handle.ledger_id).certificates)
+        _, _, reference = min(
+            (not adopted <= {c.epoch_id for c in node.certificates}, -node.height, name)
+            for name, node in nodes.items()
+        )
+        ref = nodes[reference]
+        resyncs = 0
+        for node in nodes.values():
+            if (node.height, node.tip_hash) != (ref.height, ref.tip_hash):
+                node.sync_from(ref)
+                resyncs += 1
+        if len({(n.height, n.tip_hash, n.state.digest()) for n in nodes.values()}) > 1:
+            detail = ", ".join(
+                f"{name}: h={n.height} tip={n.tip_hash.hex()[:8]}" for name, n in nodes.items()
+            )
+            raise ConsensusError(f"nodes diverged: {detail}")
+        return resyncs
 
     def mine_until(self, height: int) -> None:
         """Mine until the MC reaches ``height``."""

@@ -6,9 +6,10 @@ verifies under the registered key; only when none does it prove the epoch
 itself.  These tests pin the three consequences: a tampered certificate is
 refused and counted by field, only the forger proves and submits, and a
 refused block leaves the node exactly where it stood, having re-executed
-nothing but its own transitions.  The last tests pin two block rules: the
-slot a block claims is tied to the MC references it carries, and a
-consensus epoch's stake is read off the chain, whatever the MC sync did.
+nothing but its own transitions.  The last tests pin three block rules: the
+slot a block claims is tied to the MC references it carries, the references
+of one block stay within one withdrawal epoch, and a consensus epoch's stake
+is read off the chain, whatever the MC sync did.
 """
 
 from dataclasses import replace
@@ -305,6 +306,71 @@ class TestSlotClock:
                 validator.receive_block(tampered)
         validator.receive_block(tip)
         assert validator.tip_hash == tip.hash
+        validator.close()
+
+
+@pytest.fixture(scope="module")
+def cut_at_one_slot():
+    """The leader missed the slots around epoch 1's last MC block, then
+    forged two blocks at one slot, cut there, and gossiped them to a peer.
+    ``cut3`` is a sidechain whose two gossiped blocks draw decreasing link
+    latencies."""
+    harness = ZendooHarness()
+    harness.mine(2)
+    sc = harness.create_sidechain("cut3", epoch_len=4, submit_len=3)
+    peer = harness.add_node(sc, "peer")
+    node = sc.node
+    harness.mine_until(sc.config.schedule.last_height(1) - 1)
+    ((address, key),) = node.forgers.items()
+    del node.forgers[address]
+    harness.mine(3)
+    node.forgers[address] = key
+    before = export.flatten(observability.registry())
+    harness.mine(1)
+    after = export.flatten(observability.registry())
+    refusals = {k: v - before.get(k, 0) for k, v in after.items() if "blocks_refused" in k}
+    yield harness, sc, peer, refusals
+    for each in sc.nodes.values():
+        each.close()
+
+
+class TestEpochCut:
+    def test_two_blocks_at_one_slot_reach_a_peer_in_order(self, cut_at_one_slot):
+        harness, sc, peer, refusals = cut_at_one_slot
+        first, second = sc.node.blocks[-2:]
+        assert first.slot == second.slot
+        assert first.mc_refs[-1].mc_height == sc.config.schedule.last_height(1)
+        assert not any(refusals.values())
+        assert (peer.tip_hash, peer.epoch_id) == (sc.node.tip_hash, 2)
+
+    def test_references_across_an_epoch_boundary_are_refused(self, cut_at_one_slot):
+        """§5.1.1: a block may not reference MC blocks of two withdrawal
+        epochs.  The two cut blocks merged into one, signed by the slot
+        leader over the right digest, are refused, and the honest pair
+        then closes the epoch."""
+        harness, sc, _, _ = cut_at_one_slot
+        first, second = sc.node.blocks[-2:]
+        validator = validator_of(harness, sc)
+        validator.bootstrap_from(sc.node.blocks[:-2])
+        fields = dict(
+            parent_hash=first.parent_hash,
+            height=first.height,
+            slot=second.slot,
+            forger=sc.node.forgers[second.forger_addr],
+            mc_refs=first.mc_refs + second.mc_refs,
+            transactions=first.transactions + second.transactions,
+        )
+        state = validator.state.copy()
+        for tx in forge_block(**fields, state_digest=0).ordered_transitions():
+            state.apply(tx)
+        merged = forge_block(**fields, state_digest=state.digest())
+        with pytest.raises(ConsensusError, match="withdrawal-epoch boundary"):
+            validator.receive_block(merged)
+        assert validator.epoch_id == 1
+        for block in (first, second):
+            validator.receive_block(block)
+        assert validator.epoch_id == 2
+        assert validator.tip_hash == sc.node.tip_hash
         validator.close()
 
 

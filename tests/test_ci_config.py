@@ -130,6 +130,29 @@ class TestWorkflowStructure:
         assert "not slow" in " ".join(job_commands(workflow["jobs"]["tests"]))
         assert nightly(workflow["jobs"]["full-suite"])
 
+    @pytest.mark.parametrize(
+        "path, name",
+        [
+            ("test_faults.py", "test_chaos_sweep_converges_and_reproduces"),
+            ("test_storage.py", "test_mixed_recovery_sweep"),
+        ],
+    )
+    def test_chaos_sweeps_are_nightly_gated(self, workflow, path, name):
+        """The 16-seed chaos sweeps of the harness deployment are
+        slow-marked: PRs run one seeded chaos run of each kind, the
+        nightly/dispatch full suite runs every seed."""
+        source = (ROOT / "tests" / path).read_text()
+        (sweep,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        decorators = [ast.unparse(d) for d in sweep.decorator_list]
+        assert "pytest.mark.slow" in decorators
+        assert "pytest.mark.parametrize('seed', range(16))" in decorators
+        assert "not slow" in " ".join(job_commands(workflow["jobs"]["tests"]))
+        assert nightly(workflow["jobs"]["full-suite"])
+
     def test_concurrency_cancels_superseded_runs(self, workflow):
         """A new push cancels the superseded run of the same ref; nightly
         runs are keyed by run_id so they can never cancel each other."""

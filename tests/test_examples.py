@@ -1,8 +1,7 @@
 """Smoke tests: the fast examples must run end to end.
 
 The examples are the project's living documentation; these tests keep them
-from rotting.  Only the quick ones run here (the multi-node and latency
-studies take tens of seconds and are exercised by their own test modules).
+from rotting.  Only the quick ones run here.
 """
 
 import importlib.util
@@ -49,3 +48,14 @@ class TestExamples:
         out = run_example("federated_sidechain", capsys)
         assert "bob holds 3000" in out
         assert "never learned" in out
+
+    def test_decentralized_forgers(self, capsys):
+        out = run_example("decentralized_forgers", capsys)
+        assert "all nodes convergent (0 resyncs)" in out
+        assert "certified on the MC: [0, 1, 2, 3, 4]" in out
+
+    def test_certificate_latency_study(self, capsys):
+        out = run_example("certificate_latency_study", capsys)
+        # a window of 4 blocks absorbs 1.5 blocks of delivery latency, 1 does not
+        assert "         4          1.5   active      4" in out
+        assert "         1          1.5   ceased      0" in out

@@ -3,9 +3,10 @@
 Covers the whole robustness stack: seeded :class:`FaultPlan` decisions
 (byte-identical across runs), scheduled partitions, simulator integration
 (labeled drop accounting, duplicate/reorder/spike delivery, handler
-isolation), :class:`LatusNode` crash/restart/``sync_from`` recovery,
+failures), :class:`LatusNode` crash/restart/``sync_from`` recovery,
 :class:`ProverPool` worker-failure injection with its retry/degrade policy,
-and the three paper-critical stories:
+chaos runs of the harness deployment (a fault plan on ``harness.network``,
+then ``harness.converge``), and the three paper-critical stories:
 
 1. a certificate misses its submission window under partition — the
    sidechain ceases, and a CSW against the last committed root still pays
@@ -39,9 +40,7 @@ from repro.errors import (
 from repro.latus.block import forge_block
 from repro.latus.mst_delta import MstDelta
 from repro.latus.params import LatusParams
-from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
-from repro.mainchain.transaction import SidechainDeclarationTx
 from repro.network import (
     CLEAN,
     FaultPlan,
@@ -50,7 +49,9 @@ from repro.network import (
     NEVER,
     partition,
 )
-from repro.scenarios import MultiNodeDeployment, ZendooHarness, latus_sidechain_config
+from repro.observability import export
+from repro.scenarios import ZendooHarness
+from repro.storage import FileStore
 from repro.snark import proving
 from repro.snark.pool import ProverPool, WorkerFaultInjector
 from repro.snark.recursive import RecursiveComposer
@@ -260,33 +261,11 @@ class TestLatencyModelDeterminism:
         assert [fresh.sample("a", "b") for _ in range(5)] == ab
 
 
-class TestHandlerIsolation:
-    def test_raising_handler_does_not_poison_broadcast(self):
-        registry = observability.registry()
-        errors_counter = registry.get("repro_network_handler_errors_total")
-        before = errors_counter.value()
-        sim = NetworkSimulator(latency=LatencyModel(seed=b"iso"))
-        got = []
-
-        def bad(src, msg):
-            raise RuntimeError("poisoned handler")
-
-        sim.register("a", lambda src, msg: None)
-        sim.register("bad", bad)
-        sim.register("c", lambda src, msg: got.append(msg))
-        sim.broadcast("a", "hello")
-        sim.run()
-        assert got == ["hello"]  # the healthy node still got it
-        assert len(sim.handler_errors) == 1
-        err = sim.handler_errors[0]
-        assert (err.src, err.dst) == ("a", "bad")
-        assert isinstance(err.error, RuntimeError)
-        assert errors_counter.value() == before + 1
-
-    def test_capture_disabled_propagates(self):
-        sim = NetworkSimulator(
-            latency=LatencyModel(seed=b"iso2"), capture_handler_errors=False
-        )
+class TestHandlerFailure:
+    def test_raising_handler_propagates(self):
+        """The simulator absorbs nothing: a handler decides which failures
+        it drops, and any other one surfaces from the loop."""
+        sim = NetworkSimulator(latency=LatencyModel(seed=b"iso2"))
         sim.register("a", lambda src, msg: None)
 
         def bad(src, msg):
@@ -302,53 +281,102 @@ class TestHandlerIsolation:
 # Node crash / restart / recovery
 # ---------------------------------------------------------------------------
 
-MINER = KeyPair.from_seed("faults/miner")
 CREATOR = KeyPair.from_seed("faults/creator")
 STAKERS = [KeyPair.from_seed(f"faults/staker-{i}") for i in range(2)]
 
 
-def make_deployment(seed="faults-dep"):
-    mc = MainchainNode(MainchainParams(pow_zero_bits=2, coinbase_maturity=1))
-    mc.mine_blocks(MINER.address, 2)
-    config = latus_sidechain_config(
-        seed, start_block=mc.height + 2, epoch_len=4, submit_len=2
+def make_deployment(seed="faults-dep", stores=None):
+    """A creator's node plus one node per staker (``node-0``, ``node-1``),
+    each with the store ``stores`` names for it."""
+    harness = ZendooHarness(
+        MainchainParams(pow_zero_bits=2, coinbase_maturity=1), miner_seed="faults/miner"
     )
-    mc.submit_transaction(SidechainDeclarationTx(config=config))
-    mc.mine_block(MINER.address)
-    deployment = MultiNodeDeployment(
-        config=config,
-        params=LatusParams(mst_depth=10, slots_per_epoch=6),
-        mc_node=mc,
+    harness.mine(2)
+    sc = harness.create_sidechain(
+        seed,
+        epoch_len=4,
+        submit_len=2,
+        latus_params=LatusParams(mst_depth=10, slots_per_epoch=6),
         creator=CREATOR,
-        stakeholders=STAKERS,
+        proving_strategy="batched",
     )
-    return mc, config, deployment
+    for i, staker in enumerate(STAKERS):
+        name = f"node-{i}"
+        store = (stores or {}).get(name)
+        harness.add_node(sc, name, forger_keys=[staker], proving_strategy="batched", store=store)
+    return harness, sc
+
+
+def drive(harness, sc, rounds, crash_at=None, restart_at=None) -> int:
+    """Mine ``rounds`` MC blocks, crashing ``crash_at[r]`` and restarting
+    ``restart_at[r]`` before round ``r``; returns ``converge``'s resyncs."""
+    for rnd in range(rounds):
+        for name in (crash_at or {}).get(rnd, ()):
+            sc.nodes[name].crash()
+        for name in (restart_at or {}).get(rnd, ()):
+            sc.nodes[name].restart()
+        harness.mine(1)
+    return harness.converge(sc)
+
+
+def snapshot() -> dict[str, float]:
+    return export.flatten(observability.registry())
+
+
+def moved_since(before: dict) -> dict[str, float]:
+    """Every metric series that moved since ``before``, by how much."""
+    return {k: v - before.get(k, 0) for k, v in snapshot().items() if v != before.get(k, 0)}
+
+
+def chaos_run(plan_for, rounds, crash_at, restart_at, seed="faults-dep", stores=None):
+    """``drive`` a fresh deployment under ``plan_for(sc, now)``; what it did."""
+    harness, sc = make_deployment(seed, stores)
+    harness.network.faults = plan_for(sc, harness.network.clock)
+    before = snapshot()
+    resyncs = drive(harness, sc, rounds, crash_at, restart_at)
+    moved = moved_since(before)
+    outcome = SimpleNamespace(
+        resyncs=resyncs,
+        forged=moved.get("repro_latus_blocks_forged_total", 0),
+        crashes=moved.get("repro_node_crashes_total", 0),
+        disk_recoveries=moved.get("repro_storage_disk_recoveries_total", 0),
+        restarts={name: node.restarts for name, node in sc.nodes.items()},
+        kinds={kind for *_, decision in harness.network.fault_log for kind in decision.kinds},
+        schedule=harness.network.fault_schedule(),
+        final=(sc.node.height, sc.node.tip_hash, sc.node.state.digest()),
+    )
+    for node in sc.nodes.values():
+        node.close()
+    return outcome
 
 
 @pytest.fixture
 def deployment():
-    return make_deployment()
+    harness, sc = make_deployment()
+    yield harness, sc
+    for node in sc.nodes.values():
+        node.close()
 
 
 class TestCrashRestart:
     def test_crashed_node_refuses_chain_apis(self, deployment):
-        mc, config, dep = deployment
-        dep.run(MINER.address, 3)
-        node = dep.nodes["node-0"]
+        harness, sc = deployment
+        harness.mine(3)
+        node = sc.peers["node-0"]
         node.crash()
         node.crash()  # idempotent
         with pytest.raises(NodeCrashed):
             node.sync()
         with pytest.raises(NodeCrashed):
-            node.receive_block(dep.nodes["creator"].blocks[-1])
+            node.receive_block(sc.node.blocks[-1])
         with pytest.raises(NodeCrashed):
-            node.sync_from(dep.nodes["creator"])
+            node.sync_from(sc.node)
         assert node.crashed
 
     def test_restart_rebuilds_from_genesis(self, deployment):
-        mc, config, dep = deployment
-        dep.run(MINER.address, 3)
-        node = dep.nodes["node-0"]
+        harness, sc = deployment
+        harness.mine(3)
+        node = sc.peers["node-0"]
         height_before = node.height
         assert height_before >= 0
         node.crash()
@@ -359,10 +387,10 @@ class TestCrashRestart:
 
     def test_crash_mid_epoch_resync_reaches_same_digest(self, deployment):
         """Story 2: crash mid-epoch, restart, resync — byte-identical state."""
-        mc, config, dep = deployment
-        dep.run(MINER.address, 5)  # inside an epoch (epoch_len=4, started later)
-        victim = dep.nodes["node-1"]
-        reference = dep.nodes["creator"]
+        harness, sc = deployment
+        harness.mine(5)  # inside an epoch (epoch_len=4, started later)
+        victim = sc.peers["node-1"]
+        reference = sc.node
         victim.crash()
         victim.restart()
         adopted = victim.sync_from(reference)
@@ -371,13 +399,13 @@ class TestCrashRestart:
         assert victim.tip_hash == reference.tip_hash
         assert victim.state.digest() == reference.state.digest()
         # the resynced node keeps participating normally
-        dep.run(MINER.address, 2)
-        dep.assert_converged()
+        harness.mine(2)
+        assert harness.converge(sc) == 0
 
     def test_sync_from_bad_peer_retries_then_fails(self, deployment):
-        mc, config, dep = deployment
-        dep.run(MINER.address, 3)
-        node = dep.nodes["node-0"]
+        harness, sc = deployment
+        harness.mine(3)
+        node = sc.peers["node-0"]
         good_height = node.height
         bogus = forge_block(
             parent_hash=b"\xaa" * 32,
@@ -395,7 +423,7 @@ class TestCrashRestart:
             node.sync_from(fake_peer)
         # the failed sync leaves a clean slate; a good peer then works
         assert node.height == -1
-        node.sync_from(dep.nodes["creator"])
+        node.sync_from(sc.node)
         assert node.height == good_height
 
 
@@ -549,7 +577,8 @@ class TestPoolFaultRecovery:
 # ---------------------------------------------------------------------------
 
 
-def chaos_plan():
+def chaos_plan(sc, start: float) -> FaultPlan:
+    """Sampled faults, and node-1 cut off from its peers for rounds 2 to 5."""
     return FaultPlan(
         seed=b"chaos-accept",
         drop_rate=0.05,
@@ -558,7 +587,7 @@ def chaos_plan():
         spike_rate=0.05,
         partitions=(
             partition(
-                [("creator", "node-0"), ("node-1",)], from_t=2.0, until_t=6.0
+                [(sc.name, "node-0"), ("node-1",)], from_t=start + 2.0, until_t=start + 6.0
             ),
         ),
     )
@@ -567,52 +596,70 @@ def chaos_plan():
 class TestChaosConvergence:
     def test_chaos_run_converges_and_reproduces(self):
         def run():
-            mc, config, dep = make_deployment()
-            report = dep.run_chaos(
-                MINER.address,
-                rounds=10,
-                plan=chaos_plan(),
-                crash_at={3: ["node-1"]},
-                restart_at={6: ["node-1"]},
-            )
-            return report
+            return chaos_run(chaos_plan, 10, crash_at={3: ["node-1"]}, restart_at={6: ["node-1"]})
 
         first = run()
-        assert first.converged
         assert first.crashes == 1
-        assert first.restarts >= 1
-        assert first.final_height >= 0
-        assert first.fault_schedule  # faults actually fired
-        assert first.fault_counts.get("partition", 0) > 0
+        assert first.restarts["node-1"] >= 1
+        assert first.final[0] >= 0
+        assert first.schedule  # faults actually fired
+        assert "partition" in first.kinds
 
         second = run()
         # same seed -> byte-identical fault schedule and identical outcome
-        assert second.fault_schedule == first.fault_schedule
-        assert (second.final_height, second.final_digest) == (
-            first.final_height,
-            first.final_digest,
-        )
+        assert (second.schedule, second.final) == (first.schedule, first.final)
 
     def test_clean_plan_chaos_equals_lockstep(self):
-        mc, config, dep = make_deployment()
-        report = dep.run_chaos(MINER.address, rounds=6, plan=FaultPlan())
-        assert report.converged
-        assert report.fault_schedule == b""
-        assert report.sc_blocks_forged > 0
-        dep.assert_converged()
+        """A clean plan fires no fault and ends where plain lockstep does."""
+        chaos = chaos_run(lambda sc, now: FaultPlan(), 6, crash_at=None, restart_at=None)
+        lockstep = chaos_run(lambda sc, now: None, 6, crash_at=None, restart_at=None)
+        assert chaos.schedule == b"" and chaos.resyncs == 0
+        assert chaos.forged > 0
+        assert (chaos.final, chaos.forged) == (lockstep.final, lockstep.forged)
 
     def test_crash_without_partition_recovers(self):
-        mc, config, dep = make_deployment()
-        report = dep.run_chaos(
-            MINER.address,
-            rounds=8,
-            plan=FaultPlan(seed=b"crash-only"),
+        outcome = chaos_run(
+            lambda sc, now: FaultPlan(seed=b"crash-only"),
+            8,
             crash_at={2: ["node-0"]},
             restart_at={5: ["node-0"]},
         )
-        assert report.converged
-        assert report.crashes == 1
-        assert dep.nodes["node-0"].restarts >= 1
+        assert outcome.crashes == 1
+        assert outcome.restarts["node-0"] >= 1
+
+
+class TestChaosSweep:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(16))
+    def test_chaos_sweep_converges_and_reproduces(self, seed, tmp_path):
+        """Partitions and drops; node-0 (on a ``FileStore``) and node-1 (on
+        none) crash and restart.  node-1 comes back empty and can only
+        resync."""
+
+        def plan_for(sc, now):
+            start = now + seed % 3
+            return FaultPlan(
+                seed=b"chaos-sweep/%d" % seed,
+                drop_rate=0.1,
+                duplicate_rate=0.05,
+                reorder_rate=0.1,
+                spike_rate=0.05,
+                partitions=(
+                    partition([(sc.name, "node-0"), ("node-1",)], start + 1.0, start + 4.0),
+                    partition([(sc.name,), ("node-0", "node-1")], start + 5.0, start + 7.0),
+                ),
+            )
+
+        def run(data_dir):
+            both = ["node-0", "node-1"]
+            stores = {"node-0": FileStore(data_dir)}
+            return chaos_run(plan_for, 10, {2: both}, {5: both}, stores=stores)
+
+        first = run(tmp_path / "first")
+        assert first.resyncs >= 1
+        assert first.schedule
+        again = run(tmp_path / "again")
+        assert (again.schedule, again.final) == (first.schedule, first.final)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ class TestSimulator:
         assert received["b"] == [("a", "hello")]
         assert sim.clock == pytest.approx(0.1)
 
+    def test_a_link_delivers_in_send_order(self):
+        sim = NetworkSimulator(LatencyModel(base=0.05, jitter=0.1, seed=b"fifo"))
+        got = []
+        sim.register("a", lambda src, msg: None)
+        sim.register("b", lambda src, msg: got.append(msg))
+        times = [sim.send("a", "b", i) for i in range(20)]
+        sim.run()
+        assert got == list(range(20))
+        assert times == sorted(times)
+
     def test_broadcast_excludes_sender(self):
         sim, received = self._sim()
         sim.broadcast("a", "ping")

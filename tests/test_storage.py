@@ -16,15 +16,13 @@ from repro import lifecycle, observability, wire
 from repro.crypto.keys import KeyPair
 from repro.errors import NodeCrashed, OrphanBlock, StorageError
 from repro.latus.node import LatusNode
-from repro.latus.params import LatusParams
 from repro.latus.transactions import PaymentTx
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import SidechainDeclarationTx
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultPlan, partition
 from repro.scenarios import ZendooHarness
 from repro.scenarios.harness import latus_sidechain_config
-from repro.scenarios.multi_node import MultiNodeDeployment
 from repro.storage import (
     MC_BLOCK,
     SC_BLOCK,
@@ -37,13 +35,12 @@ from repro.storage import (
     read_wal,
 )
 from repro.storage import codec as storage_codec
+from tests.test_faults import chaos_run
 from tests.test_reorg_rollback import node_fingerprint
 
 ALICE = KeyPair.from_seed("store/alice")
 BOB = KeyPair.from_seed("store/bob")
 MINER = KeyPair.from_seed("store/miner")
-CREATOR = KeyPair.from_seed("store/creator")
-STAKERS = [KeyPair.from_seed(f"store/staker-{i}") for i in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -757,35 +754,42 @@ class TestInspectStore:
 
 
 class TestChaosDiskRecovery:
+    @staticmethod
+    def run(plan_for, data_dir):
+        """node-0 (on a ``FileStore``) and node-1 (on none) crash before
+        round 3 and restart before round 5."""
+        both = ["node-0", "node-1"]
+        stores = {"node-0": FileStore(data_dir)}
+        return chaos_run(plan_for, 8, {3: both}, {5: both}, seed="chaos-store", stores=stores)
+
     def test_mixed_recovery_round(self, tmp_path):
-        mc = MainchainNode(_mc_params())
-        mc.mine_blocks(MINER.address, 2)
-        config = latus_sidechain_config(
-            "chaos-store", start_block=mc.height + 2, epoch_len=4, submit_len=2
-        )
-        mc.submit_transaction(SidechainDeclarationTx(config=config))
-        mc.mine_block(MINER.address)
-        dep = MultiNodeDeployment(
-            config=config,
-            params=LatusParams(mst_depth=10, slots_per_epoch=6),
-            mc_node=mc,
-            creator=CREATOR,
-            stakeholders=STAKERS,
-            stores={"node-0": FileStore(tmp_path / "node-0")},
-        )
-        report = dep.run_chaos(
-            MINER.address,
-            rounds=8,
-            plan=FaultPlan(seed=b"disk-chaos"),
-            crash_at={3: ["node-0", "node-1"]},
-            restart_at={5: ["node-0", "node-1"]},
-        )
-        assert report.converged
+        report = self.run(lambda sc, now: FaultPlan(seed=b"disk-chaos"), tmp_path / "node-0")
         assert report.crashes == 2
         # node-0 came back from its own store, node-1 needed a peer
         assert report.disk_recoveries >= 1
         assert report.resyncs >= 1
-        dep.close()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(16))
+    def test_mixed_recovery_sweep(self, seed, tmp_path):
+        """Late, doubled and reordered gossip, and node-1 partitioned away:
+        node-0 still recovers from disk, and a rerun repeats the run."""
+
+        def plan_for(sc, now):
+            return FaultPlan(
+                seed=b"disk-chaos/%d" % seed,
+                duplicate_rate=0.1,
+                reorder_rate=0.2,
+                spike_rate=0.1,
+                partitions=(partition([(sc.name, "node-0"), ("node-1",)], now + 1.0, now + 4.0),),
+            )
+
+        first = self.run(plan_for, tmp_path / "first")
+        assert first.crashes == 2
+        assert first.disk_recoveries >= 1
+        assert first.resyncs >= 1
+        again = self.run(plan_for, tmp_path / "again")
+        assert (again.schedule, again.final) == (first.schedule, first.final)
 
 
 PAGED_KWARGS = {"paged_mst": True, "mst_page_size": 64, "mst_cache_pages": 4}

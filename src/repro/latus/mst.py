@@ -27,9 +27,6 @@ class MerkleStateTree:
         # None = the in-memory dict store, PagedNodeStore = bounded cache.
         self._tree = FixedMerkleTree(depth, node_store=node_store)
         self._touched: set[int] = set()
-        # Write-ahead journal hook: called with the validated {position:
-        # leaf} update dict *before* the tree mutates (durability layer).
-        self._journal = None
         #: Undo log: while a dict, :meth:`apply_batch` records in it the
         #: leaf each position held before its first write, ``{position:
         #: prior leaf}`` (:meth:`repro.latus.state.LatusState.apply_block`).
@@ -136,8 +133,6 @@ class MerkleStateTree:
             planned.add(position)
             updates[position] = utxo.leaf_value
             added_positions.append(position)
-        if self._journal is not None and updates:
-            self._journal(updates)
         if self.replaced is not None:
             # an added position that was not freed held the empty leaf
             for position in updates:
@@ -149,15 +144,15 @@ class MerkleStateTree:
     def apply_leaf_batch(self, updates: dict[int, int]) -> None:
         """Write raw ``{position: leaf}`` updates (trusted WAL replay path).
 
-        Skips both validation and the journal: the updates were validated
-        when first applied and are being replayed from the store.
+        Skips validation: the updates were validated when first applied and
+        are being replayed from the store.
         """
         if updates:
             self._tree.set_leaves(updates)
             self._touched.update(updates)
 
     def undo(self, replaced: dict[int, int], touched: frozenset[int]) -> None:
-        """Put back the ``replaced`` leaves and the ``touched`` set (unjournaled)."""
+        """Put back the ``replaced`` leaves and the ``touched`` set."""
         if replaced:
             self._tree.set_leaves(replaced)
         self._touched = set(touched)
@@ -181,13 +176,6 @@ class MerkleStateTree:
         """The tree's backing node store (inspection/persistence)."""
         return self._tree.node_store
 
-    # -- write-ahead journal --------------------------------------------------------
-
-    def attach_journal(self, journal) -> None:
-        """Install a write-ahead hook: ``journal(updates)`` runs with the
-        validated ``{position: leaf}`` dict before each batched mutation."""
-        self._journal = journal
-
     # -- delta tracking ------------------------------------------------------------
 
     @property
@@ -202,12 +190,7 @@ class MerkleStateTree:
     # -- snapshotting ----------------------------------------------------------------
 
     def copy(self) -> "MerkleStateTree":
-        """Independent snapshot including the touched set.
-
-        The journal hook is deliberately *not* inherited: copies are
-        scratch state (epoch re-proving, rollback snapshots) and must not
-        write ahead to the durable log.
-        """
+        """Independent snapshot including the touched set."""
         clone = MerkleStateTree(self.depth)
         clone._tree = self._tree.copy()
         clone._touched = set(self._touched)
@@ -220,6 +203,5 @@ class MerkleStateTree:
         mst.depth = tree.depth
         mst._tree = tree
         mst._touched = set()
-        mst._journal = None
         mst.replaced = None
         return mst

@@ -56,7 +56,6 @@ from repro.latus.proofs import EpochProver
 from repro.latus.state import LatusState
 from repro.latus.transactions import (
     BackwardTransferRequestsTx,
-    BackwardTransferTx,
     ForwardTransfersTx,
     LatusTransaction,
     index_transition,
@@ -72,16 +71,7 @@ from repro.snark.recursive import CompositionStats
 from repro.mainchain.block import Block as MainchainBlock
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.transaction import CertificateTx
-from repro.storage import (
-    SC_BLOCK,
-    SC_CERT,
-    SC_LEAF_BATCH,
-    SC_TX,
-    FileStore,
-    StateStore,
-    decode_leaf_batch,
-    encode_leaf_batch,
-)
+from repro.storage import SC_BLOCK, SC_CERT, SC_TX, FileStore, StateStore
 from repro.storage import codec as storage_codec
 from repro.storage.pages import (
     DEFAULT_CACHE_PAGES,
@@ -236,12 +226,6 @@ class LatusNode(NodeLifecycle):
             0: StakeDistribution.from_mapping({})
         }
         self.anchors = {}
-        self._attach_store_hooks()
-
-    def _attach_store_hooks(self) -> None:
-        """Wire the MST's write-ahead journal to the attached store."""
-        if self._store is not None:
-            self.state.mst.attach_journal(self._journal_leaf_batch)
 
     # -- public API --------------------------------------------------------------------
 
@@ -322,17 +306,6 @@ class LatusNode(NodeLifecycle):
         return len(self.blocks)
 
     # -- durability ---------------------------------------------------------------------
-
-    def _journal_leaf_batch(self, updates: dict[int, int]) -> None:
-        """MST write-ahead hook: stage the leaf batch before the tree mutates."""
-        if self._journaling:
-            self._store.stage(SC_LEAF_BATCH, encode_leaf_batch(updates))
-
-    def _persist_block(self, block: SidechainBlock) -> None:
-        """Commit a block record plus its staged leaf batches with one sync."""
-        if self._journaling:
-            self._store.stage(SC_BLOCK, wire.encode_sidechain_block(block))
-            self._store.commit()
 
     def _state_section(self) -> tuple[str, bytes]:
         """The state snapshot section under the configured storage policy.
@@ -458,7 +431,6 @@ class LatusNode(NodeLifecycle):
         self.state = live
         # merge the durable wallet mempool with anything already in memory
         self._merge_submitted(restored_txs)
-        self._attach_store_hooks()
 
     def _merge_submitted(self, txs: list[LatusTransaction]) -> None:
         """Append recovered wallet transactions not already in memory."""
@@ -480,18 +452,14 @@ class LatusNode(NodeLifecycle):
         :class:`~repro.errors.StorageError`.
         """
         wallet_txs: list[LatusTransaction] = []
-        staged: dict[int, int] = {}
         index = 0
         while index < len(records):
             kind, payload = records[index]
             if kind == SC_TX:
                 wallet_txs.append(wire.decode_latus_transaction(payload))
-            elif kind == SC_LEAF_BATCH:
-                staged.update(decode_leaf_batch(payload))
             elif kind == SC_BLOCK:
                 block = wire.decode_sidechain_block(payload)
-                self._replay_block(block, staged)
-                staged = {}
+                self._replay_block(block)
                 if self._closes_epoch(block, self.epoch_id):
                     if index + 1 < len(records) and records[index + 1][0] == SC_CERT:
                         index += 1
@@ -509,26 +477,20 @@ class LatusNode(NodeLifecycle):
                 )
             index += 1
         self._merge_submitted(wallet_txs)
-        # Leaf batches after the last block record belong to a block whose
-        # commit marker never hit the disk — the WAL tail the recovery
-        # contract allows to drop (the tree never applied them pre-crash
-        # only if the process died mid-group; either way the deterministic
-        # resync covers the difference).  Silently ignored.
         self._resubmit_reverted_certificates()
 
-    def _replay_block(self, block: SidechainBlock, updates: dict[int, int]) -> None:
+    def _replay_block(self, block: SidechainBlock) -> None:
         """Apply one previously-validated block from the WAL (trusted path).
 
-        ``updates`` are the leaf batches journaled in the block's commit
-        group (possibly none); the digest check refuses anything else.
+        The block's transitions are written as one leaf batch without
+        verifying a signature or re-running a derivation; the digest check
+        refuses anything that does not reach the recorded state.
         """
         if block.parent_hash != self.tip_hash:
             raise StorageError("WAL block does not extend the stored chain")
         if block.height != self.height + 1:
             raise StorageError("WAL block height does not match the stored chain")
-        self.state.mst.apply_leaf_batch(updates)
-        for tx in block.ordered_transitions():
-            self.state.backward_transfers.extend(_transition_bts(tx))
+        self.state.write_block(block.ordered_transitions())
         if self.state.digest() != block.state_digest:
             raise StorageError(
                 f"replayed state digest mismatch at height {block.height}"
@@ -651,7 +613,6 @@ class LatusNode(NodeLifecycle):
                 self._append_block(block)
         finally:
             self._replaying = False
-        self._attach_store_hooks()
         # the store's history now diverges from the chain: re-seed it with a
         # fresh snapshot of the post-rollback state
         self._reset_durable_state()
@@ -827,9 +788,11 @@ class LatusNode(NodeLifecycle):
             # the queue is in height order: its referenced prefix is done
             while self.mc_queue and self.mc_queue[0].height <= block.mc_refs[-1].mc_height:
                 del self.mc_queue[0]
-        # the block record is the commit marker for the leaf batches the
-        # journal staged while the transitions applied: one sync per block
-        self._persist_block(block)
+        if self._journaling:
+            # the block's one record and one sync: its transitions name
+            # every leaf and backward transfer it writes
+            self._store.stage(SC_BLOCK, wire.encode_sidechain_block(block))
+            self._store.commit()
 
     def _closes_epoch(self, block: SidechainBlock, epoch_id: int) -> bool:
         """True when ``block`` references withdrawal epoch ``epoch_id``'s last MC block."""
@@ -990,9 +953,8 @@ class LatusNode(NodeLifecycle):
 
             self.state.apply_block(block.ordered_transitions(), block.state_digest)
         except ZendooError as exc:
-            # the state put itself back; its leaf batches must not ride the
-            # next commit, and the consensus epochs it opened are forgotten
-            self._discard_staged()
+            # the state put itself back; the consensus epochs it opened are
+            # forgotten
             self._forget_epochs_above(known_epoch)
             _BLOCKS_REFUSED.labels(reason=type(exc).__name__).inc()
             raise
@@ -1001,14 +963,3 @@ class LatusNode(NodeLifecycle):
         _BLOCKS_RECEIVED.inc()
         if self._closes_epoch(block, self.epoch_id):
             self._close_withdrawal_epoch(block)
-
-
-def _transition_bts(tx: LatusTransaction) -> list:
-    """Backward transfers one applied transition appends to the state."""
-    if isinstance(tx, BackwardTransferTx):
-        return list(tx.backward_transfers)
-    if isinstance(tx, ForwardTransfersTx):
-        return list(tx.rejected)
-    if isinstance(tx, BackwardTransferRequestsTx):
-        return list(tx.backward_transfers)
-    return []

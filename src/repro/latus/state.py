@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.core.transfers import BackwardTransfer
 from repro.crypto.field import element_from_bytes
+from repro.crypto.fixed_merkle import EMPTY_LEAF
 from repro.crypto.mimc import mimc_hash
 from repro.errors import ConsensusError, StateTransitionError, ZendooError
 from repro.latus.mst import MerkleStateTree
@@ -25,8 +26,8 @@ from repro.latus.transactions import (
     SignedInput,
     build_btr_tx,
     build_forward_transfers_tx,
+    transition_writes,
 )
-from repro.latus.utxo import Utxo
 
 
 def _bt_field(bt: BackwardTransfer) -> tuple[int, int]:
@@ -59,15 +60,18 @@ class LatusState:
     def apply(self, tx: LatusTransaction) -> None:
         """Apply one transaction; raises :class:`StateTransitionError` on ⊥."""
         if isinstance(tx, PaymentTx):
-            self._apply_payment(tx)
+            self._check_payment(tx)
         elif isinstance(tx, ForwardTransfersTx):
-            self._apply_forward_transfers(tx)
+            self._check_forward_transfers(tx)
         elif isinstance(tx, BackwardTransferTx):
-            self._apply_backward_transfer(tx)
+            self._check_backward_transfer(tx)
         elif isinstance(tx, BackwardTransferRequestsTx):
-            self._apply_btr_tx(tx)
-        else:
-            raise StateTransitionError(f"unknown transaction type {type(tx).__name__}")
+            self._check_btr_tx(tx)
+        # checked (an unknown type raises in transition_writes): one batched
+        # Merkle update per transaction rehashes each dirty ancestor once
+        spent, created, bts = transition_writes(tx)
+        self.mst.apply_batch(add=created, remove=spent)
+        self.backward_transfers.extend(bts)
 
     def apply_block(self, transitions, digest: int) -> None:
         """Apply one block's transitions and check the digest they reach.
@@ -93,7 +97,21 @@ class LatusState:
         finally:
             mst.replaced = None
 
-    def _apply_payment(self, tx: PaymentTx) -> None:
+    def write_block(self, transitions) -> None:
+        """Write a validated block's transitions unchecked (trusted WAL replay).
+
+        Each transition's removals then additions, in block order, fold into
+        one ``{position: leaf}`` batch; nothing is verified or re-derived.
+        """
+        updates: dict[int, int] = {}
+        for tx in transitions:
+            spent, created, bts = transition_writes(tx)
+            updates.update((self.mst.position_of(u), EMPTY_LEAF) for u in spent)
+            updates.update((self.mst.position_of(u), u.leaf_value) for u in created)
+            self.backward_transfers.extend(bts)
+        self.mst.apply_leaf_batch(updates)
+
+    def _check_payment(self, tx: PaymentTx) -> None:
         """§5.3.1: spend inputs, create outputs, conserve value."""
         if not tx.inputs:
             raise StateTransitionError("payment has no inputs")
@@ -104,11 +122,8 @@ class LatusState:
             )
         removals = self._plan_removals(i.utxo for i in tx.inputs)
         self._plan_additions(tx.outputs, removals)
-        self._execute(
-            [i.utxo for i in tx.inputs], list(tx.outputs), new_bts=[]
-        )
 
-    def _apply_forward_transfers(self, tx: ForwardTransfersTx) -> None:
+    def _check_forward_transfers(self, tx: ForwardTransfersTx) -> None:
         """§5.3.2: mint valid FT outputs, queue refunds for failed FTs.
 
         The transaction must equal the deterministic derivation from its FT
@@ -120,9 +135,8 @@ class LatusState:
             raise StateTransitionError(
                 "forward-transfers transaction does not match its deterministic derivation"
             )
-        self._execute([], list(tx.outputs), new_bts=list(tx.rejected))
 
-    def _apply_backward_transfer(self, tx: BackwardTransferTx) -> None:
+    def _check_backward_transfer(self, tx: BackwardTransferTx) -> None:
         """§5.3.3: destroy inputs, queue backward transfers."""
         if not tx.inputs:
             raise StateTransitionError("backward transfer has no inputs")
@@ -135,11 +149,8 @@ class LatusState:
             if bt.amount <= 0:
                 raise StateTransitionError("backward transfer amount must be positive")
         self._plan_removals(i.utxo for i in tx.inputs)
-        self._execute(
-            [i.utxo for i in tx.inputs], [], new_bts=list(tx.backward_transfers)
-        )
 
-    def _apply_btr_tx(self, tx: BackwardTransferRequestsTx) -> None:
+    def _check_btr_tx(self, tx: BackwardTransferRequestsTx) -> None:
         """§5.3.4: consume UTXOs claimed by valid synchronized BTRs."""
         expected = build_btr_tx(tx.mc_block_id, tx.requests, self.mst)
         if (
@@ -149,9 +160,6 @@ class LatusState:
             raise StateTransitionError(
                 "BTR transaction does not match its deterministic derivation"
             )
-        self._execute(
-            list(tx.inputs), [], new_bts=list(tx.backward_transfers)
-        )
 
     # -- planning helpers (validate before mutate) ------------------------------------
 
@@ -187,17 +195,6 @@ class LatusState:
                     f"output collides with occupied MST slot {position}"
                 )
             planned.add(position)
-
-    def _execute(
-        self,
-        remove: list[Utxo],
-        add: list[Utxo],
-        new_bts: list[BackwardTransfer],
-    ) -> None:
-        # one batched Merkle update per transaction: each distinct dirty
-        # ancestor is rehashed once, not once per input/output
-        self.mst.apply_batch(add=add, remove=remove)
-        self.backward_transfers.extend(new_bts)
 
     # -- epoch lifecycle ------------------------------------------------------------
 

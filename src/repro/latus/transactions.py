@@ -23,7 +23,7 @@ from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair, address_of
 from repro.crypto.signatures import PublicKey, Signature
 from repro.encoding import Encoder
-from repro.errors import LatusError
+from repro.errors import LatusError, StateTransitionError
 from repro.latus.mst import MerkleStateTree
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 
@@ -229,22 +229,33 @@ LatusTransaction = (
 )
 
 
+def transition_writes(
+    tx: LatusTransaction,
+) -> tuple[tuple[Utxo, ...], tuple[Utxo, ...], tuple[BackwardTransfer, ...]]:
+    """What one transition writes: ``(spent, created, bts)``.
+
+    The UTXOs it removes from the MST, then the UTXOs it adds (a created
+    output may take a slot a spent one freed), then the backward transfers
+    it appends to the BT list (§5.3).
+    """
+    if isinstance(tx, PaymentTx):
+        return tuple(i.utxo for i in tx.inputs), tx.outputs, ()
+    if isinstance(tx, BackwardTransferTx):
+        return tuple(i.utxo for i in tx.inputs), (), tx.backward_transfers
+    if isinstance(tx, ForwardTransfersTx):
+        return (), tx.outputs, tx.rejected
+    if isinstance(tx, BackwardTransferRequestsTx):
+        return tx.inputs, (), tx.backward_transfers
+    raise StateTransitionError(f"unknown transaction type {type(tx).__name__}")
+
+
 def index_transition(utxo_index: dict[int, Utxo], tx: LatusTransaction) -> None:
     """Maintain a full-UTXO index (nonce → output) across one applied transition."""
-    if isinstance(tx, PaymentTx):
-        for signed in tx.inputs:
-            utxo_index.pop(signed.utxo.nonce, None)
-        for utxo in tx.outputs:
-            utxo_index[utxo.nonce] = utxo
-    elif isinstance(tx, BackwardTransferTx):
-        for signed in tx.inputs:
-            utxo_index.pop(signed.utxo.nonce, None)
-    elif isinstance(tx, ForwardTransfersTx):
-        for utxo in tx.outputs:
-            utxo_index[utxo.nonce] = utxo
-    elif isinstance(tx, BackwardTransferRequestsTx):
-        for utxo in tx.inputs:
-            utxo_index.pop(utxo.nonce, None)
+    spent, created, _ = transition_writes(tx)
+    for utxo in spent:
+        utxo_index.pop(utxo.nonce, None)
+    for utxo in created:
+        utxo_index[utxo.nonce] = utxo
 
 
 # ---------------------------------------------------------------------------

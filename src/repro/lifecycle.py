@@ -116,11 +116,6 @@ class NodeLifecycle:
         if self._journaling:
             self._store.write_snapshot(*self._snapshot_sections())
 
-    def _discard_staged(self) -> None:
-        """Drop staged-but-uncommitted records (a failed or lost block)."""
-        if self._store is not None and not self._store.read_only:
-            self._store.discard_staged()
-
     def _wipe_store(self) -> None:
         """Drop the store's history before the node writes a different one."""
         if self._store is not None and not self._store.read_only:
@@ -201,7 +196,6 @@ class NodeLifecycle:
             return
         self.crashed = True
         self._drop_inflight()
-        self._discard_staged()
         NODE_CRASHES.inc()
 
     def restart(self, data_dir=None, store=None, fsync: str = "block") -> None:

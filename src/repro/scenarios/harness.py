@@ -58,6 +58,10 @@ from repro.snark import proving
 #: Latus proofdata schemas as registered on the mainchain (§4.2).
 _WCERT_SCHEMA = ProofdataSchema(fields=("h_sb_last", "mst_root", "mst_delta"))
 _WITHDRAWAL_SCHEMA = ProofdataSchema(fields=("utxo_addr", "utxo_amount", "utxo_nonce"))
+_BLOCK_FETCHES = observability.registry().counter(
+    "repro_latus_block_fetches_total",
+    "gossip gaps a Latus node asked the sending peer to fill",
+).labels()
 #: Simulated seconds of clock advanced per MC block mined — the timescale
 #: fault-plan partition windows are expressed in.
 BLOCK_INTERVAL = 1.0
@@ -134,6 +138,8 @@ class ZendooHarness:
         #: that delivered the block.
         self.network = NetworkSimulator()
         self.network.register("mc", lambda src, msg: None)
+        #: Per node name, the highest block height it has asked a peer for.
+        self._fetching: dict[str, int] = {}
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -214,17 +220,20 @@ class ZendooHarness:
         return node
 
     def _register(self, handle: SidechainHandle, name: str) -> None:
-        self.network.register(name, lambda src, message: self._deliver(handle, name, message))
+        self.network.register(name, lambda src, message: self._deliver(handle, name, src, message))
 
-    def _deliver(self, handle: SidechainHandle, name: str, message) -> None:
-        """One message to the node ``handle`` holds under ``name`` now.
+    def _deliver(self, handle: SidechainHandle, name: str, src: str, message) -> None:
+        """One message from ``src`` to the node ``handle`` holds under ``name`` now.
 
         An MC block announcement syncs the node, and each block the sync
         forged is encoded once and sent to the sidechain's other nodes; a
-        gossiped block is decoded and validated.  A crashed node drops
-        everything, and a block the node refuses (a typed
-        :class:`~repro.errors.ZendooError`, counted by ``receive_block``)
-        is dropped with the node left as it stood.
+        gossiped block is decoded and validated.  A block above the node's
+        next height means it missed some: it asks ``src`` for the heights
+        up to the block's (once per height), and ``src`` sends its blocks at
+        those heights as gossip.  A crashed node drops everything, and a
+        block the node refuses (a typed :class:`~repro.errors.ZendooError`,
+        counted by ``receive_block``) is dropped with the node left as it
+        stood.
         """
         nodes = handle.nodes
         node = nodes[name]
@@ -232,10 +241,24 @@ class ZendooHarness:
             return
         kind, payload = message
         if kind == "sc-block":
+            block = wire.decode_sidechain_block(payload)
+            if block.height > node.height + 1:
+                # ask once per height: a fetched block above a still
+                # missing one must not ask again
+                if block.height > self._fetching.get(name, -1):
+                    self._fetching[name] = block.height
+                    _BLOCK_FETCHES.inc()
+                    self.network.send(name, src, ("sc-get-blocks", (node.height + 1, block.height)))
+                return
             try:
-                node.receive_block(wire.decode_sidechain_block(payload))
+                node.receive_block(block)
             except ZendooError:
                 pass
+            return
+        if kind == "sc-get-blocks":
+            low, high = payload
+            for block in node.blocks[low : high + 1]:
+                self.network.send(name, src, ("sc-block", wire.encode_sidechain_block(block)))
             return
         forged = node.sync()
         peers = [peer for peer in nodes if peer != name]
@@ -467,10 +490,11 @@ class ZendooHarness:
 
         One JSON-serializable dict combining the process-wide metrics
         registry, the tracer's retained span trees, and per-chain summaries
-        (mainchain height/mempool, each sidechain's height, certificate
-        count and the shared-schema ``last_epoch_stats``).  This is the
-        single stats API the CLI ``metrics`` command and the benchmarks
-        read; ``CompositionStats`` feeds the same registry underneath.
+        (mainchain height/mempool; for every Latus node, by network name,
+        its sidechain, height, certificate count and the shared-schema
+        ``last_epoch_stats``).  This is the single stats API the CLI
+        ``metrics`` command and the benchmarks read; ``CompositionStats``
+        feeds the same registry underneath.
         """
         registry = observability.registry()
         tracer = observability.tracer()
@@ -483,15 +507,17 @@ class ZendooHarness:
                 "mempool_size": len(self.mc.mempool),
             },
             "sidechains": {
-                handle.ledger_id.hex()[:16]: {
-                    "height": handle.node.height,
-                    "certificates": len(handle.node.certificates),
+                name: {
+                    "ledger_id": handle.ledger_id.hex()[:16],
+                    "height": node.height,
+                    "certificates": len(node.certificates),
                     "last_epoch_stats": (
-                        handle.node.last_epoch_stats.to_dict()
-                        if handle.node.last_epoch_stats is not None
+                        node.last_epoch_stats.to_dict()
+                        if node.last_epoch_stats is not None
                         else None
                     ),
                 }
                 for handle in self.sidechains.values()
+                for name, node in handle.nodes.items()
             },
         }

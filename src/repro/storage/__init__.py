@@ -6,7 +6,7 @@ The public surface:
   write_snapshot, latest_snapshot/records, reset, read-only mode);
 * :class:`MemoryStore` — the contract in process memory (tests, defaults);
 * :class:`FileStore` — file-segment backed WAL + snapshot files with an
-  fsync policy knob (``batch`` / ``block`` / ``never``);
+  fsync policy knob (``block`` / ``never``);
 * record kinds (``SC_BLOCK`` …) and :func:`inspect_store` for the CLI
   explorer.
 
@@ -31,10 +31,7 @@ from repro.storage.records import (
     MC_BLOCK,
     SC_BLOCK,
     SC_CERT,
-    SC_LEAF_BATCH,
     SC_TX,
-    decode_leaf_batch,
-    encode_leaf_batch,
     frame_record,
     read_wal,
 )
@@ -61,13 +58,10 @@ __all__ = [
     "MemoryStore",
     "SC_BLOCK",
     "SC_CERT",
-    "SC_LEAF_BATCH",
     "SC_TX",
     "StateStore",
     "StorageError",
     "count_disk_recovery",
-    "decode_leaf_batch",
-    "encode_leaf_batch",
     "format_inspection",
     "frame_record",
     "inspect_store",

@@ -18,11 +18,9 @@ and a peer ``sync_from`` covers it).
 
 The ``fsync`` knob trades durability for latency:
 
-* ``"batch"`` — fsync after every :meth:`append` (each leaf batch hits the
-  platter before the tree mutates);
 * ``"block"`` — fsync only on :meth:`commit` / snapshots (default: one
-  sync per sidechain/mainchain block, the write-ahead batching that keeps
-  the PR 1/PR 6 bulk-insert speedups);
+  sync per sidechain/mainchain block; an :meth:`append` is flushed to the
+  OS but not synced);
 * ``"never"`` — no explicit fsync (tests, benchmarks against RAM disks).
 """
 
@@ -58,7 +56,6 @@ class FileStore(StateStore):
         self.fsync_policy = fsync
         self.read_only = read_only
         self._staged: list[bytes] = []
-        self._staged_count = 0
         self._wal_file = None
         self._closed = False
 
@@ -127,7 +124,6 @@ class FileStore(StateStore):
     def stage(self, kind: int, payload: bytes) -> None:
         self._check_writable()
         self._staged.append(frame_record(kind, payload))
-        self._staged_count += 1
 
     def commit(self) -> None:
         self._check_writable()
@@ -136,22 +132,16 @@ class FileStore(StateStore):
     def append(self, kind: int, payload: bytes) -> None:
         self._check_writable()
         self._staged.append(frame_record(kind, payload))
-        self._staged_count += 1
-        self._flush(sync=self.fsync_policy == "batch")
+        self._flush(sync=False)
 
     def _flush(self, sync: bool) -> None:
         if self._staged:
             self._wal_file.write(b"".join(self._staged))
-            _WAL_RECORDS.inc(self._staged_count)
+            _WAL_RECORDS.inc(len(self._staged))
             self._staged.clear()
-            self._staged_count = 0
         self._wal_file.flush()
         if sync:
             os.fsync(self._wal_file.fileno())
-
-    def discard_staged(self) -> None:
-        self._staged.clear()
-        self._staged_count = 0
 
     def _truncate_wal(self) -> None:
         self._wal_file.close()
@@ -222,7 +212,6 @@ class FileStore(StateStore):
     def reset(self) -> None:
         self._check_writable()
         self._staged.clear()
-        self._staged_count = 0
         old_id = self._snapshot_id
         self._write_manifest(0)
         self._truncate_wal()

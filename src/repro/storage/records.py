@@ -16,12 +16,12 @@ to lose.
 
 from __future__ import annotations
 
-from repro.encoding import Decoder, Encoder
+from repro.encoding import Encoder
 from repro.errors import StorageError
 
 #: A sidechain block committed to the Latus chain (payload:
-#: :func:`repro.wire.encode_sidechain_block`).  Acts as the commit marker
-#: for any staged leaf batches preceding it.
+#: :func:`repro.wire.encode_sidechain_block`).  Its transitions name every
+#: leaf and backward transfer it writes, so it is the block's one record.
 SC_BLOCK = 1
 #: A wallet-submitted Latus transaction (payload: ``tx.encode()``).
 SC_TX = 2
@@ -29,20 +29,16 @@ SC_TX = 2
 #: ``wcert.encode()``); lets recovery restore the anchor without closing
 #: the epoch again.
 SC_CERT = 3
-#: A write-ahead MST leaf batch: the exact ``{position: leaf}`` updates an
-#: ``apply_batch`` is about to write (payload: :func:`encode_leaf_batch`).
-SC_LEAF_BATCH = 4
 #: A mainchain block accepted into the block store (payload:
 #: ``block.encode()``).
 MC_BLOCK = 5
 
-_KNOWN_KINDS = frozenset({SC_BLOCK, SC_TX, SC_CERT, SC_LEAF_BATCH, MC_BLOCK})
+_KNOWN_KINDS = frozenset({SC_BLOCK, SC_TX, SC_CERT, MC_BLOCK})
 
 KIND_NAMES = {
     SC_BLOCK: "sc_block",
     SC_TX: "sc_tx",
     SC_CERT: "sc_cert",
-    SC_LEAF_BATCH: "sc_leaf_batch",
     MC_BLOCK: "mc_block",
 }
 
@@ -82,20 +78,3 @@ def read_wal(data: bytes) -> tuple[list[tuple[int, bytes]], int]:
         pos = end
     return records, pos
 
-
-def encode_leaf_batch(updates: dict[int, int]) -> bytes:
-    """Canonical encoding of an MST leaf-update batch."""
-    enc = Encoder()
-    enc.sequence(
-        sorted(updates.items()),
-        lambda e, item: e.u64(item[0]).field_element(item[1]),
-    )
-    return enc.done()
-
-
-def decode_leaf_batch(data: bytes) -> dict[int, int]:
-    """Inverse of :func:`encode_leaf_batch`."""
-    dec = Decoder(data)
-    pairs = dec.sequence(lambda d: (d.u64(), d.field_element()))
-    dec.done()
-    return dict(pairs)

@@ -6,8 +6,7 @@ contract every backend honours:
 * :meth:`~StateStore.append` durably adds one record (fsync policy
   permitting); :meth:`~StateStore.stage` buffers a record and
   :meth:`~StateStore.commit` flushes the whole staged group with a single
-  sync — the write-ahead batching that keeps the MST ``apply_batch`` path
-  one-fsync-per-block instead of one-per-leaf;
+  sync (one per block);
 * :meth:`~StateStore.write_snapshot` atomically replaces the snapshot and
   *truncates the WAL* — compaction folds the log into the snapshot, so a
   store always reads as ``snapshot + tail log``;
@@ -41,10 +40,9 @@ _DISK_RECOVERIES = _REGISTRY.counter(
     "node recoveries completed from a state store (no full peer resync)",
 ).labels()
 
-#: Valid values for the durability/latency knob: ``batch`` syncs on every
-#: append, ``block`` syncs only at commit markers and snapshots (the
-#: default), ``never`` leaves syncing to the OS.
-FSYNC_POLICIES = ("batch", "block", "never")
+#: Valid values for the durability/latency knob: ``block`` syncs only at
+#: commits and snapshots (the default), ``never`` leaves syncing to the OS.
+FSYNC_POLICIES = ("block", "never")
 
 
 def count_disk_recovery() -> None:
@@ -72,10 +70,6 @@ class StateStore:
         """Stage and commit one record."""
         self.stage(kind, payload)
         self.commit()
-
-    def discard_staged(self) -> None:
-        """Drop staged-but-uncommitted records (failed block application)."""
-        raise NotImplementedError
 
     def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
         """Atomically replace the snapshot and truncate the WAL."""
@@ -132,9 +126,6 @@ class MemoryStore(StateStore):
         self._check_writable()
         self._wal.extend(self._staged)
         _WAL_RECORDS.inc(len(self._staged))
-        self._staged.clear()
-
-    def discard_staged(self) -> None:
         self._staged.clear()
 
     def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:

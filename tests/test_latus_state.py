@@ -296,3 +296,76 @@ class TestBtrTx:
         )
         tx = build_btr_tx(b"\x02" * 32, (btr,), state.mst)
         assert tx.inputs == ()
+
+
+class TestTrustedReplay:
+    """``write_block``, the WAL replay's unchecked write, reaches exactly
+    what ``apply_block`` reaches."""
+
+    @staticmethod
+    def start(keys) -> tuple[LatusState, Utxo]:
+        """The state before the block: one coin of Carol's."""
+        state = LatusState(DEPTH)
+        return state, mint(state, keys["carol"], 70, 1)
+
+    def block(self, keys) -> tuple[list, LatusState]:
+        """All four transaction kinds, derived in order on a scratch state.
+
+        The first payment spends an output the block's FTTx created, and the
+        second frees a slot and fills it again in one transaction.
+        """
+        alice, bob, carol = keys["alice"], keys["bob"], keys["carol"]
+        scratch, coin = self.start(keys)
+        txs = []
+
+        def add(tx):
+            scratch.apply(tx)
+            txs.append(tx)
+
+        def ft(receiver, amount):
+            metadata = pack_receiver_metadata(receiver.address, receiver.address)
+            return ForwardTransfer(ledger_id=LEDGER, receiver_metadata=metadata, amount=amount)
+
+        to_alice, to_bob = ft(alice, 500), ft(bob, 300)
+        # the doubled transfer collides with itself: a refund BT
+        add(build_forward_transfers_tx(b"\x01" * 32, (to_alice, to_alice, to_bob), scratch.mst))
+        paid = fresh_output(bob, 500, 1)
+        add(sign_payment([(ft_output(to_alice, alice.address), alice)], [paid]))
+        reused = next(
+            out
+            for out in (fresh_output(bob, 500, tag) for tag in range(2, 5000))
+            if out.position(DEPTH) == paid.position(DEPTH)
+        )
+        add(sign_payment([(paid, bob)], [reused]))
+        bt = BackwardTransfer(receiver_addr=bob.address, amount=300)
+        add(sign_backward_transfer([(ft_output(to_bob, bob.address), bob)], [bt]))
+        request = BackwardTransferRequest(
+            ledger_id=LEDGER,
+            receiver=carol.address,
+            amount=coin.amount,
+            nullifier=coin.nullifier,
+            proofdata=coin.as_field_elements(),
+            proof=Proof(data=bytes(PROOF_SIZE)),
+        )
+        add(build_btr_tx(b"\x02" * 32, (request,), scratch.mst))
+        return txs, scratch
+
+    def test_write_block_equals_apply_block(self, keys):
+        txs, expected = self.block(keys)
+        assert {type(tx).__name__ for tx in txs} == {
+            "ForwardTransfersTx",
+            "PaymentTx",
+            "BackwardTransferTx",
+            "BackwardTransferRequestsTx",
+        }
+        assert txs[0].rejected and txs[-1].inputs  # a refund and a claim
+        (applied, _), (replayed, _) = self.start(keys), self.start(keys)
+        applied.apply_block(txs, expected.digest())
+        replayed.write_block(txs)
+
+        def view(state):
+            mst = state.mst
+            return mst.root, mst.touched_positions, state.backward_transfers, state.digest()
+
+        assert view(replayed) == view(applied) == view(expected)
+        assert replayed.mst.contains(txs[2].outputs[0])

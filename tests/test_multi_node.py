@@ -194,6 +194,58 @@ class TestOneNode:
         sc.node.close()
 
 
+class TestGossipGap:
+    def test_a_missed_block_is_fetched_from_its_sender(self):
+        """One dropped gossip message: the validator asks the forger for the
+        block it missed when the next one arrives, and reaches the tip with
+        no ``converge`` and no refused block."""
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("gossip-gap", epoch_len=4, submit_len=2)
+        validator = harness.add_node(sc, "node-0")
+        harness.mine(3)
+        assert validator.tip_hash == sc.node.tip_hash
+        harness.network.faults = FaultPlan(seed=b"gap", link_drop={(sc.name, "node-0"): 1.0})
+        before = snapshot()
+        harness.mine(1)
+        harness.network.faults = None
+        assert moved_since(before)['repro_network_dropped_total{reason="fault"}'] == 1
+        assert validator.height == sc.node.height - 1
+        before = snapshot()
+        harness.mine(1)
+        moved = moved_since(before)
+        assert (validator.height, validator.tip_hash) == (sc.node.height, sc.node.tip_hash)
+        assert moved["repro_latus_block_fetches_total"] == 1
+        assert not [name for name in moved if "blocks_refused" in name]
+        for node in sc.nodes.values():
+            node.close()
+
+
+class TestTelemetry:
+    def test_every_node_is_reported_by_network_name(self):
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("telemetry-nodes", epoch_len=4, submit_len=2)
+        validator = harness.add_node(sc, "node-0")
+        harness.run_epochs(sc, 1)
+        sidechains = harness.telemetry()["sidechains"]
+        assert set(sidechains) == {sc.name, "node-0"}
+        for name, node in sc.nodes.items():
+            summary = sidechains[name]
+            assert summary["ledger_id"] == sc.ledger_id.hex()[:16]
+            assert (summary["height"], summary["certificates"]) == (
+                node.height,
+                len(node.certificates),
+            )
+        # the creator's node proved the epoch; the validator checked its
+        # certificate and proved nothing
+        assert sidechains[sc.name]["last_epoch_stats"]["wall_seconds"] > 0
+        assert sidechains["node-0"]["last_epoch_stats"] is None
+        assert validator.certificates == sc.node.certificates
+        for node in sc.nodes.values():
+            node.close()
+
+
 class TestEquivocationDefence:
     def test_foreign_block_with_wrong_digest_rejected(self, deployment):
         harness, sc = deployment

@@ -22,11 +22,12 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FILES = sorted(SRC.rglob("*.py"))
+#: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
+TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the harness became the one
-#: way to stand up Latus nodes and the second multi-node deployment went
-#: (18,441 before).
-MAX_SRC_LINES = 18_188
+#: ``find src -name '*.py' | xargs wc -l`` after a Latus block became one
+#: WAL record and the MST leaf journal went (18,188 before).
+MAX_SRC_LINES = 18_102
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: ``ProverPool``'s three process-boundary sites (executor start, dispatch,
@@ -222,6 +223,71 @@ class TestOneAdoptionStep:
             "    def k(self):\n        s.g_all(3)\n"
         )
         assert callers(tree.body[0], "g") == {"f", "h"}
+
+
+def bound_names(body: list[ast.stmt]) -> set[str]:
+    """Names a module or class body binds: definitions, assignments, imports."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return names
+
+
+def resolves(tree: ast.Module, attribute: str) -> bool:
+    """True when ``attribute`` is what the tracer's ``install`` looks up:
+    ``Class.method`` in the class's own body (its ``__dict__``), else a
+    module-level name."""
+    if "." not in attribute:
+        return attribute in bound_names(tree.body)
+    class_name, method = attribute.split(".")
+    return any(
+        isinstance(node, ast.ClassDef)
+        and node.name == class_name
+        and method in bound_names(node.body)
+        for node in tree.body
+    )
+
+
+def module_path(module: str) -> pathlib.Path:
+    base = SRC.joinpath(*module.split("."))
+    return base / "__init__.py" if base.is_dir() else base.with_suffix(".py")
+
+
+class TestTracerEntryPoints:
+    def test_every_traced_name_exists(self, trees):
+        """Each ``ENTRY_POINTS`` row of the pipeline tracer names something
+        ``src/`` still defines, so ``--traced`` cannot break silently."""
+        tracer = ast.parse(TRACER.read_text())
+        (table,) = [
+            node.value
+            for node in tracer.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]
+        ]
+        rows = [(ast.literal_eval(r.elts[0]), ast.literal_eval(r.elts[1])) for r in table.elts]
+        assert len(rows) > 40
+        missing = [
+            f"{module}.{attribute}"
+            for module, attribute in rows
+            if not resolves(trees.get(module_path(module), ast.Module([], [])), attribute)
+        ]
+        assert not missing, missing
+
+    def test_the_check_sees_class_bodies_and_imports(self):
+        tree = ast.parse(
+            "from x import f as g\n"
+            "class Base:\n    def m(self): ...\n"
+            "class C(Base):\n    n = 1\n"
+        )
+        assert resolves(tree, "g") and resolves(tree, "Base.m") and resolves(tree, "C.n")
+        assert not resolves(tree, "f") and not resolves(tree, "C.m")
 
 
 class TestInventoryRatchet:

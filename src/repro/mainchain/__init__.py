@@ -1,7 +1,7 @@
 """Bitcoin-like UTXO mainchain substrate (Def. 3.1) with CCTP hooks."""
 
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
-from repro.mainchain.chain import Blockchain, MainchainState, PendingPayout
+from repro.mainchain.chain import Blockchain, MainchainState
 from repro.mainchain.mempool import Mempool
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import TEST_PARAMS, MainchainParams
@@ -37,7 +37,6 @@ __all__ = [
     "MainchainState",
     "Mempool",
     "Outpoint",
-    "PendingPayout",
     "SidechainDeclarationTx",
     "TEST_PARAMS",
     "Transaction",

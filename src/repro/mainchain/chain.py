@@ -37,7 +37,7 @@ from repro.mainchain.transaction import (
     input_owner_matches,
     verify_input_signatures,
 )
-from repro.mainchain.utxo import Coin, Outpoint, TxOutput, UTXOSet
+from repro.mainchain.utxo import UTXOSet, outpoint_key
 from repro.mainchain.validation import (
     validate_block_structure,
     validate_transaction_structure,
@@ -64,16 +64,6 @@ _TX_TYPE_LABELS = {
     BtrTx: "btr",
     CswTx: "csw",
 }
-
-
-@dataclass(frozen=True)
-class PendingPayout:
-    """A certificate payout waiting for the end of the submission window."""
-
-    outpoint: Outpoint
-    output: TxOutput
-    maturity_height: int
-    ledger_id: bytes
 
 
 #: Fold a :class:`BlockHashChain` overlay tail back into the shared prefix
@@ -103,9 +93,6 @@ class BlockHashChain:
 
     def __len__(self) -> int:
         return self._shared_len + len(self._tail)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
     def __getitem__(self, index: int) -> bytes:
         length = len(self)
@@ -157,7 +144,9 @@ class MainchainState:
         self.cctp = CctpState()
         self.height = -1
         self.block_hashes = BlockHashChain()
-        # cert id -> payouts not yet matured into the UTXO set
+        # cert id -> (ledger id, maturity, addr 0, amount 0, addr 1, ...): payouts
+        # not yet matured into the UTXO set, as one flat tuple of atoms, which
+        # one collector pass untracks (a nested tuple needs a pass per level)
         self.pending_payouts: CowDict = CowDict()
         # maturity height -> cert ids whose payouts mature there; slots may
         # be stale after supersession (skipped when the cert id is gone)
@@ -284,8 +273,7 @@ class MainchainState:
             self.cctp.process_btr(*tx.requests, height=height)
         else:  # a CswTx: the structure check refused every other type
             receiver, amount = self.cctp.process_csw(tx.csw, height)
-            payout = Coin(output=TxOutput(receiver, amount), created_height=height)
-            self.utxos.add(Outpoint(txid=tx.txid, index=0), payout)
+            self.utxos.create(outpoint_key(tx.txid, 0), receiver, amount, height, 0)
         _TXS_CONNECTED.labels(type=_TX_TYPE_LABELS[type(tx)]).inc()
         return fee
 
@@ -299,19 +287,12 @@ class MainchainState:
         skipped.
         """
         for cert_id in self._payout_maturities.pop(height, ()):
-            payouts = self.pending_payouts.get(cert_id)
-            if payouts is None:
+            pending = self.pending_payouts.pop(cert_id, None)
+            if pending is None:
                 continue  # superseded before maturity
-            for payout in payouts:
-                self.utxos.add(
-                    payout.outpoint,
-                    Coin(
-                        output=payout.output,
-                        created_height=height,
-                        maturity_height=payout.maturity_height,
-                    ),
-                )
-            del self.pending_payouts[cert_id]
+            maturity = pending[1]
+            for index, (addr, amount) in enumerate(zip(pending[2::2], pending[3::2])):
+                self.utxos.create(outpoint_key(cert_id, index), addr, amount, height, maturity)
 
     def _connect_coinbase(self, tx: CoinTransaction, fees: int, height: int) -> None:
         allowed = self.params.block_reward + fees
@@ -328,7 +309,6 @@ class MainchainState:
         if not verify_input_signatures(tx):
             raise ValidationError("bad input signature")
         total_in = 0
-        spent_coins = []
         for inp in tx.inputs:
             coin = self.utxos.get(inp.outpoint)
             if coin is None:
@@ -338,7 +318,6 @@ class MainchainState:
             if not input_owner_matches(inp, coin.output.addr):
                 raise ValidationError("input pubkey does not own the spent output")
             total_in += coin.output.amount
-            spent_coins.append(inp.outpoint)
         if total_in < tx.output_total:
             raise InsufficientFunds(
                 f"inputs {total_in} < outputs {tx.output_total}"
@@ -346,16 +325,15 @@ class MainchainState:
         # Forward transfers are validated by the CCTP (active target, amount).
         if tx.forward_transfers:
             self.cctp.process_forward_transfer(*tx.forward_transfers, height=height)
-        for outpoint in spent_coins:
-            self.utxos.spend(outpoint)
+        for inp in tx.inputs:
+            self.utxos.spend(inp.outpoint)
         self._create_outputs(tx, height, maturity=0)
         return total_in - tx.output_total
 
     def _create_outputs(self, tx: CoinTransaction, height: int, maturity: int) -> None:
         for index, output in enumerate(tx.outputs):
-            self.utxos.add(
-                Outpoint(txid=tx.txid, index=index),
-                Coin(output=output, created_height=height, maturity_height=maturity),
+            self.utxos.create(
+                outpoint_key(tx.txid, index), output.addr, output.amount, height, maturity
             )
 
     def _connect_certificate(
@@ -373,15 +351,8 @@ class MainchainState:
         maturity = schedule.ceasing_height(wcert.epoch_id)
         if not wcert.bt_list:
             return
-        self.pending_payouts[wcert.id] = tuple(
-            PendingPayout(
-                outpoint=Outpoint(txid=wcert.id, index=index),
-                output=TxOutput(addr=bt.receiver_addr, amount=bt.amount),
-                maturity_height=maturity,
-                ledger_id=wcert.ledger_id,
-            )
-            for index, bt in enumerate(wcert.bt_list)
-        )
+        payouts = [field for bt in wcert.bt_list for field in (bt.receiver_addr, bt.amount)]
+        self.pending_payouts[wcert.id] = (wcert.ledger_id, maturity, *payouts)
         slot = self._payout_maturities.get(maturity, ())
         if wcert.id not in slot:
             self._payout_maturities[maturity] = (*slot, wcert.id)

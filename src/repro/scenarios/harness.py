@@ -242,6 +242,8 @@ class ZendooHarness:
         kind, payload = message
         if kind == "sc-block":
             block = wire.decode_sidechain_block(payload)
+            if block.height <= node.height and node.blocks[block.height].hash == block.hash:
+                return  # a duplicate, or the original of a block already fetched
             if block.height > node.height + 1:
                 # ask once per height: a fetched block above a still
                 # missing one must not ask again

@@ -31,6 +31,7 @@ from __future__ import annotations
 from repro import wire
 from repro.encoding import Decoder, Encoder
 from repro.errors import DecodeError, StorageError
+from repro.mainchain.utxo import Outpoint, TxOutput
 
 
 def _strict(read_item, data: bytes):
@@ -227,18 +228,14 @@ def encode_mainchain_state(state) -> bytes:
     which the caller reconstructs from the stored active chain)."""
     enc = Encoder()
 
-    # UTXO set, sorted by outpoint for a canonical byte string
-    coins = sorted(
-        state.utxos.items(), key=lambda item: (item[0].txid, item[0].index)
-    )
-
+    # UTXO set, in outpoint order for a canonical byte string
     def _write_coin(e: Encoder, item) -> None:
-        outpoint, coin = item
-        e.raw(outpoint.txid).u32(outpoint.index)
-        e.var_bytes(coin.output.encode())
-        e.u64(coin.created_height).u64(coin.maturity_height)
+        key, (addr, amount, created_height, maturity_height) = item
+        e.raw(Outpoint.from_key(key).encode())
+        e.var_bytes(TxOutput(addr, amount).encode())
+        e.u64(created_height).u64(maturity_height)
 
-    enc.sequence(coins, _write_coin)
+    enc.sequence(state.utxos.entries(), _write_coin)
 
     # safeguard balances
     balances = sorted(state.cctp.safeguard._balances.items())
@@ -268,18 +265,19 @@ def encode_mainchain_state(state) -> bytes:
     enc.sequence(entries, _write_entry)
     enc.i64(state.cctp._advanced_to)
 
-    # pending certificate payouts
+    # pending certificate payouts, each at output (cert id, position)
     def _write_payouts(e: Encoder, item) -> None:
-        cert_id, payouts = item
+        cert_id, (ledger_id, maturity, *fields) = item
         e.raw(cert_id)
 
-        def _write_payout(ee: Encoder, p) -> None:
-            ee.raw(p.outpoint.txid).u32(p.outpoint.index)
-            ee.var_bytes(p.output.encode())
-            ee.u64(p.maturity_height)
-            ee.raw(p.ledger_id)
+        def _write_payout(ee: Encoder, payout) -> None:
+            index, (addr, amount) = payout
+            ee.raw(Outpoint(cert_id, index).encode())
+            ee.var_bytes(TxOutput(addr, amount).encode())
+            ee.u64(maturity)
+            ee.raw(ledger_id)
 
-        e.sequence(payouts, _write_payout)
+        e.sequence(list(enumerate(zip(fields[::2], fields[1::2]))), _write_payout)
 
     enc.sequence(sorted(state.pending_payouts.items()), _write_payouts)
     return enc.done()
@@ -294,23 +292,18 @@ def decode_mainchain_state(data: bytes, params):
     from the restored block list.
     """
     from repro.core.cctp import CertificateRecord, SidechainEntry, SidechainStatus
-    from repro.mainchain.chain import MainchainState, PendingPayout
-    from repro.mainchain.utxo import Coin, Outpoint, TxOutput
+    from repro.mainchain.chain import MainchainState
 
     def _read(dec: Decoder):
         state = MainchainState(params)
 
         def _read_coin(d: Decoder):
-            outpoint = Outpoint(txid=d.raw(32), index=d.u32())
+            key = wire.read_outpoint(d).key
             output = wire._nested(d, wire.read_tx_output)
-            return outpoint, Coin(
-                output=output,
-                created_height=d.u64(),
-                maturity_height=d.u64(),
-            )
+            return key, output.addr, output.amount, d.u64(), d.u64()
 
-        for outpoint, coin in dec.sequence(_read_coin):
-            state.utxos.add(outpoint, coin)
+        for coin in dec.sequence(_read_coin):
+            state.utxos.create(*coin)
 
         for ledger_id, balance in dec.sequence(
             lambda d: (d.raw(32), d.u64())
@@ -355,26 +348,26 @@ def decode_mainchain_state(data: bytes, params):
 
         def _read_payouts(d: Decoder):
             cert_id = d.raw(32)
+            rows = d.sequence(
+                lambda dd: (wire.read_outpoint(dd), wire._nested(dd, wire.read_tx_output),
+                            dd.u64(), dd.raw(32))
+            )
+            # the state holds one ledger id and maturity per certificate and
+            # its outputs at (cert id, 0), (cert id, 1), ...
+            if not rows or any(
+                (outpoint, maturity, ledger_id) != (Outpoint(cert_id, i), *rows[0][2:])
+                for i, (outpoint, _, maturity, ledger_id) in enumerate(rows)
+            ):
+                raise DecodeError("pending payouts do not match their certificate")
+            fields = [field for _, out, _, _ in rows for field in (out.addr, out.amount)]
+            return cert_id, (rows[0][3], rows[0][2], *fields)
 
-            def _read_payout(dd: Decoder):
-                outpoint = Outpoint(txid=dd.raw(32), index=dd.u32())
-                output = wire._nested(dd, wire.read_tx_output)
-                return PendingPayout(
-                    outpoint=outpoint,
-                    output=output,
-                    maturity_height=dd.u64(),
-                    ledger_id=dd.raw(32),
-                )
-
-            return cert_id, tuple(d.sequence(_read_payout))
-
-        for cert_id, payouts in dec.sequence(_read_payouts):
-            state.pending_payouts[cert_id] = payouts
-            if payouts:
-                maturity = payouts[0].maturity_height
-                slot = state._payout_maturities.get(maturity, ())
-                if cert_id not in slot:
-                    state._payout_maturities[maturity] = (*slot, cert_id)
+        for cert_id, pending in dec.sequence(_read_payouts):
+            state.pending_payouts[cert_id] = pending
+            maturity = pending[1]
+            slot = state._payout_maturities.get(maturity, ())
+            if cert_id not in slot:
+                state._payout_maturities[maturity] = (*slot, cert_id)
         return state
 
     return _strict(_read, data)

@@ -338,6 +338,7 @@ def chaos_run(plan_for, rounds, crash_at, restart_at, seed="faults-dep", stores=
     outcome = SimpleNamespace(
         resyncs=resyncs,
         fetches=moved.get("repro_latus_block_fetches_total", 0),
+        refused=sum(v for k, v in moved.items() if k.startswith("repro_latus_blocks_refused")),
         forged=moved.get("repro_latus_blocks_forged_total", 0),
         crashes=moved.get("repro_node_crashes_total", 0),
         disk_recoveries=moved.get("repro_storage_disk_recoveries_total", 0),
@@ -617,6 +618,18 @@ class TestChaosConvergence:
         assert chaos.schedule == b"" and chaos.resyncs == 0
         assert chaos.forged > 0
         assert (chaos.final, chaos.forged) == (lockstep.final, lockstep.forged)
+
+    def test_duplicated_blocks_are_not_refused(self):
+        """Every message delivered twice: the copy of a block the node already
+        holds is skipped, so the refusal counter stays for invalid blocks."""
+        outcome = chaos_run(
+            lambda sc, now: FaultPlan(seed=b"duplicates", duplicate_rate=1.0),
+            6,
+            crash_at=None,
+            restart_at=None,
+        )
+        assert outcome.kinds == {"duplicate"} and outcome.forged > 0
+        assert outcome.refused == 0
 
     def test_crash_without_partition_recovers(self):
         outcome = chaos_run(

@@ -19,8 +19,11 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
+import pytest
+
 from repro.core.transfers import BackwardTransfer, WithdrawalCertificate, derive_ledger_id
 from repro.crypto.keys import KeyPair
+from repro.errors import StorageError
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx, TransactionBuilder
@@ -100,6 +103,15 @@ def test_the_chain_holds_every_shape():
     assert epoch1.id in state.pending_payouts
 
 
+def test_supply_is_issuance_minus_locked_and_pending_coins():
+    node = fixed_chain()
+    state = node.state
+    pending = sum(sum(payouts[3::2]) for payouts in state.pending_payouts.values())
+    assert pending == 21 + 22 + 23
+    locked = state.cctp.balance(LEDGER)
+    assert state.utxos.total_supply() == PARAMS.block_reward * node.height - locked - pending
+
+
 def test_encoded_state_matches_the_golden_digest():
     data = encode_mainchain_state(fixed_chain().state)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_DIGEST
@@ -108,3 +120,13 @@ def test_encoded_state_matches_the_golden_digest():
 def test_decoded_state_encodes_to_the_same_bytes():
     data = encode_mainchain_state(fixed_chain().state)
     assert encode_mainchain_state(decode_mainchain_state(data, PARAMS)) == data
+
+
+def test_a_payout_off_its_certificate_output_is_refused():
+    node = fixed_chain()
+    data = encode_mainchain_state(node.state)
+    cert_id = node.state.cctp.entry(LEDGER).certificates[1].certificate.id
+    first = data.rindex(cert_id + (0).to_bytes(4, "little"))
+    moved = data[:first] + cert_id + (1).to_bytes(4, "little") + data[first + 36 :]
+    with pytest.raises(StorageError, match="do not match their certificate"):
+        decode_mainchain_state(moved, PARAMS)

@@ -68,6 +68,17 @@ class TestUTXOSet:
         utxos.add(op(1), coin())
         assert len(utxos) == 1
 
+    def test_entries_are_in_outpoint_order(self):
+        """Keys end in the index as big-endian bytes: index 255 sorts before
+        256 (little-endian would put 256, low byte 0, first)."""
+        utxos = UTXOSet()
+        outpoints = [Outpoint(bytes([t]) * 32, i) for t in (2, 1) for i in (256, 255, 1)]
+        for n, outpoint in enumerate(outpoints):
+            utxos.add(outpoint, coin(amount=n))
+        stored = [Outpoint.from_key(key) for key, _ in utxos.entries()]
+        assert stored == sorted(outpoints, key=lambda o: (o.txid, o.index))
+        assert dict(utxos.items()) == {o: coin(amount=n) for n, o in enumerate(outpoints)}
+
 
 class TestMaturity:
     def test_spendable_at(self):

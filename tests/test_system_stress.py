@@ -88,10 +88,9 @@ class TestGlobalInvariants:
             mc_balance = harness.mc.state.cctp.balance(handle.ledger_id)
             # payouts already shipped may still await maturity on the MC
             pending = sum(
-                p.output.amount
+                sum(payouts[3::2])
                 for payouts in harness.mc.state.pending_payouts.values()
-                for p in payouts
-                if p.ledger_id == handle.ledger_id
+                if payouts[0] == handle.ledger_id
             )
             assert mc_balance == sc_value + pending
 
@@ -103,9 +102,8 @@ class TestGlobalInvariants:
             sc_b.ledger_id
         )
         pending = sum(
-            p.output.amount
+            sum(payouts[3::2])
             for payouts in mc.state.pending_payouts.values()
-            for p in payouts
         )
         assert mc.state.utxos.total_supply() == issuance - locked - pending
 

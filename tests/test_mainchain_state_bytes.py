@@ -12,6 +12,11 @@ below was taken of a fixed chain that holds every shape the state stores:
 * an unmatured one (epoch 1, still inside its window);
 * a certificate superseded in its window (epoch 0, quality 1), whose
   payouts must never mature.
+
+A second digest pins the sidechain-registry part of the section on a
+state built straight on the CCTP state machine (:func:`fixed_registry`):
+several sidechains, one ceased, and BTR and CSW nullifiers consumed out of
+their sorted order, which the section writes sorted per sidechain.
 """
 
 from __future__ import annotations
@@ -21,16 +26,25 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.transfers import BackwardTransfer, WithdrawalCertificate, derive_ledger_id
+from repro.core.cctp import SidechainStatus
+from repro.core.transfers import (
+    BackwardTransfer,
+    BackwardTransferRequest,
+    CeasedSidechainWithdrawal,
+    ForwardTransfer,
+    WithdrawalCertificate,
+    derive_ledger_id,
+)
 from repro.crypto.keys import KeyPair
 from repro.errors import StorageError
+from repro.mainchain.chain import MainchainState
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx, TransactionBuilder
 from repro.mainchain.utxo import Outpoint
 from repro.snark import proving
 from repro.storage.codec import decode_mainchain_state, encode_mainchain_state
-from tests.test_cctp import PK, make_config
+from tests.test_cctp import PK, fake_block_hash, make_cert, make_config
 
 PARAMS = MainchainParams(pow_zero_bits=2, coinbase_maturity=2)
 MINER = KeyPair.from_seed("state-bytes/miner")
@@ -42,6 +56,8 @@ CONFIG = make_config(ledger_id=LEDGER, start_block=5, epoch_len=4, submit_len=2)
 WIDE = 300
 #: sha256 of ``encode_mainchain_state`` of :func:`fixed_chain`'s tip state.
 GOLDEN_DIGEST = "752f261ac80c95781c20ba1cd85500b4231c94a0889d1e49d8d9b8b9c900d595"
+#: sha256 of ``encode_mainchain_state`` of :func:`fixed_registry`.
+REGISTRY_DIGEST = "602b6444a04d5946bdbd55b2d09fc697e0af6fc7cd9a95a25bab8fe154bec25d"
 
 
 def _certificate(node: MainchainNode, epoch: int, quality: int, amounts) -> CertificateTx:
@@ -130,3 +146,93 @@ def test_a_payout_off_its_certificate_output_is_refused():
     moved = data[:first] + cert_id + (1).to_bytes(4, "little") + data[first + 36 :]
     with pytest.raises(StorageError, match="do not match their certificate"):
         decode_mainchain_state(moved, PARAMS)
+
+
+def _nullified(kind, cctp, config, nullifier: bytes, amount: int):
+    """A BTR or CSW of ``config``'s sidechain proved against its current
+    ``last_cert_block_hash``."""
+    fields = dict(
+        ledger_id=config.ledger_id,
+        receiver=hashlib.blake2b(nullifier, digest_size=32).digest(),
+        amount=amount,
+        nullifier=nullifier,
+        proofdata=(),
+    )
+    draft = kind(**fields, proof=proving.Proof(bytes(proving.PROOF_SIZE)))
+    anchor = cctp.entry(config.ledger_id).last_cert_block_hash
+    return kind(**fields, proof=proving.prove(PK, draft.public_input(anchor), None))
+
+
+@lru_cache(maxsize=None)
+def fixed_registry() -> MainchainState:
+    """Three sidechains on the epoch-0 schedule of :func:`make_config`
+    (window 9–10, ceasing at 11), advanced to height 12; the caller must not
+    mutate the state.
+
+    * ``a``: BTRs before and after its certificate, quality 1 sealed at 9
+      and superseded by quality 2 at 10;
+    * ``b``: BTRs, no certificate, ceased at 11, then CSWs;
+    * ``c``: certified at 9, no nullifier.
+    """
+    state = MainchainState(PARAMS)
+    cctp = state.cctp
+    a, b, c = (
+        make_config(ledger_id=derive_ledger_id(f"registry-bytes/{name}"))
+        for name in "abc"
+    )
+    for config in (a, b, c):
+        cctp.register_sidechain(config, height=2)
+    cctp.process_forward_transfer(
+        *(ForwardTransfer(config.ledger_id, b"", 1_000) for config in (a, b, c)),
+        height=6,
+    )
+    cctp.advance_to_height(7)
+    cctp.process_btr(
+        _nullified(BackwardTransferRequest, cctp, a, b"\x09" * 32, 5),
+        _nullified(BackwardTransferRequest, cctp, a, b"\x03" * 32, 6),
+        height=7,
+    )
+    cctp.process_btr(_nullified(BackwardTransferRequest, cctp, b, b"\xee" * 32, 7), height=7)
+    cctp.seal_block(fake_block_hash(7))
+    bts = tuple(BackwardTransfer(bytes([0xA0 + k]) * 32, 10 + k) for k in range(3))
+    cctp.advance_to_height(9)
+    cctp.process_certificate(make_cert(0, 1, bts[:1], config=a), 9, fake_block_hash)
+    cctp.process_certificate(make_cert(0, 1, bts, config=c), 9, fake_block_hash)
+    cctp.seal_block(fake_block_hash(9))
+    cctp.advance_to_height(10)
+    cctp.process_certificate(make_cert(0, 2, bts, config=a), 10, fake_block_hash)
+    cctp.seal_block(fake_block_hash(10))
+    assert cctp.advance_to_height(11) == [b.ledger_id]
+    cctp.process_btr(_nullified(BackwardTransferRequest, cctp, a, b"\x01" * 32, 8), height=11)
+    cctp.seal_block(fake_block_hash(11))
+    cctp.advance_to_height(12)
+    for nullifier in (b"\x0f" * 32, b"\x02" * 32):
+        cctp.process_csw(_nullified(CeasedSidechainWithdrawal, cctp, b, nullifier, 40), 12)
+    cctp.seal_block(fake_block_hash(12))
+    return state
+
+
+def test_the_registry_holds_every_shape():
+    cctp = fixed_registry().cctp
+    entries = dict(cctp.sidechains.items())
+    assert len(entries) == 3
+    ceased = [e for e in entries.values() if e.status is SidechainStatus.CEASED]
+    assert [e.ceased_at_height for e in ceased] == [11]
+    superseding = [e.certificates[0] for e in entries.values() if 0 in e.certificates]
+    assert sorted(r.certificate.quality for r in superseding) == [1, 2]
+    assert all(r.included_in_block is not None for r in superseding)
+    # consumed out of order, written sorted per sidechain
+    data = encode_mainchain_state(fixed_registry())
+    for order in (b"\x01\x03\x09", b"\x02\x0f\xee"):
+        positions = [data.index(bytes([n]) * 32) for n in order]
+        assert positions == sorted(positions)
+
+
+def test_encoded_registry_matches_its_golden_digest():
+    data = encode_mainchain_state(fixed_registry())
+    assert hashlib.sha256(data).hexdigest() == REGISTRY_DIGEST
+
+
+def test_decoded_registry_encodes_to_the_same_bytes():
+    data = encode_mainchain_state(fixed_registry())
+    assert encode_mainchain_state(decode_mainchain_state(data, PARAMS)) == data

@@ -2,7 +2,7 @@
 
 :class:`CctpState` is the component a mainchain node plugs into block
 processing.  It owns the sidechain registry, the withdrawal safeguard, the
-nullifier sets and the per-epoch certificate records, and implements the
+nullifier set and the per-epoch certificate records, and implements the
 verification rules of §4.1.2:
 
 * sidechain registration (§4.2) with unique ledger ids;
@@ -15,15 +15,16 @@ verification rules of §4.1.2:
   end of the submission window of ``i`` is ceased;
 * BTR pre-validation and CSW payouts with nullifier double-spend prevention.
 
-The state machine is apply-only; mainchain reorgs are handled by replaying
-the new active chain (see :mod:`repro.mainchain.chain`).
+The state machine is apply-only: the host chain keeps a validated state per
+block and switches between them on a mainchain reorg (see
+:class:`repro.mainchain.chain.Blockchain`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Sequence
 
 from repro.core.bootstrap import SidechainConfig
 from repro.core.cow import CowDict, CowSet
@@ -78,7 +79,7 @@ class SidechainStatus(enum.Enum):
     CEASED = "ceased"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificateRecord:
     """The adopted certificate for one (sidechain, epoch); ``included_in_block``
     stays None until :meth:`CctpState.seal_block` names the block."""
@@ -88,110 +89,19 @@ class CertificateRecord:
     included_in_block: bytes | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SidechainEntry:
-    """Mutable mainchain-side record of one sidechain.
-
-    Entries are shared structurally between state snapshots: a snapshot only
-    clones an entry the first time it mutates it (see
-    :meth:`CctpState._writable`).  The ``owner`` token records which state
-    instance may mutate this object in place.
-    """
+    """Mainchain-side record of one sidechain, an immutable value: a change
+    stores a new entry (:meth:`CctpState._replace`), so snapshots share entries
+    outright and ``certificates`` is rebuilt, never written in place."""
 
     config: SidechainConfig
     status: SidechainStatus = SidechainStatus.ACTIVE
     ceased_at_height: int | None = None
     certificates: dict[int, CertificateRecord] = field(default_factory=dict)
-    nullifiers: CowSet = field(default_factory=CowSet)
     #: Hash of the MC block containing the most recent adopted certificate —
     #: the ``H(Bw)`` anchoring BTR/CSW sysdata (Def. 4.5).
     last_cert_block_hash: bytes = b"\x00" * 32
-    #: Write-ownership token; only the :class:`CctpState` holding the same
-    #: token may mutate this entry in place.
-    owner: object | None = field(default=None, compare=False, repr=False)
-
-    def copy(self) -> "SidechainEntry":
-        """Snapshot sharing the nullifier layers copy-on-write.
-
-        Configs and certificate records are immutable values; the
-        certificate dict is small (one record per epoch) and cloned eagerly,
-        while the nullifier set — which grows with every BTR/CSW ever
-        processed — is shared structurally.
-        """
-        return SidechainEntry(
-            config=self.config,
-            status=self.status,
-            ceased_at_height=self.ceased_at_height,
-            certificates=dict(self.certificates),
-            nullifiers=self.nullifiers.copy(),
-            last_cert_block_hash=self.last_cert_block_hash,
-        )
-
-
-#: Number of registry shards; ledger ids are uniformly distributed digests,
-#: so the low nibble of the first byte spreads entries evenly.
-_REGISTRY_SHARDS = 16
-
-
-class ShardedRegistry:
-    """Dict-like sidechain registry sharded by ledger_id with CoW snapshots.
-
-    Sharding keeps each :class:`CowDict`'s compaction unit small: a block
-    that touches a handful of sidechains dirties only those shards, and a
-    snapshot seals 16 (mostly empty) top layers instead of diffing one big
-    dict.  The mapping surface mirrors what callers already use
-    (``get``/``[]``/``in``/``items``/``values``/``len``/iteration).
-    """
-
-    __slots__ = ("_shards",)
-
-    def __init__(self) -> None:
-        self._shards: list[CowDict] = [CowDict() for _ in range(_REGISTRY_SHARDS)]
-
-    @staticmethod
-    def _shard_index(ledger_id: bytes) -> int:
-        return ledger_id[0] % _REGISTRY_SHARDS if ledger_id else 0
-
-    def _shard(self, ledger_id: bytes) -> CowDict:
-        return self._shards[self._shard_index(ledger_id)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, ledger_id: bytes) -> bool:
-        return ledger_id in self._shard(ledger_id)
-
-    def __getitem__(self, ledger_id: bytes) -> SidechainEntry:
-        return self._shard(ledger_id)[ledger_id]
-
-    def get(
-        self, ledger_id: bytes, default: SidechainEntry | None = None
-    ) -> SidechainEntry | None:
-        return self._shard(ledger_id).get(ledger_id, default)
-
-    def __setitem__(self, ledger_id: bytes, entry: SidechainEntry) -> None:
-        self._shard(ledger_id)[ledger_id] = entry
-
-    def __iter__(self) -> Iterator[bytes]:
-        for shard in self._shards:
-            yield from shard
-
-    def keys(self) -> Iterator[bytes]:
-        return iter(self)
-
-    def values(self) -> Iterator[SidechainEntry]:
-        for shard in self._shards:
-            yield from shard.values()
-
-    def items(self) -> Iterator[tuple[bytes, SidechainEntry]]:
-        for shard in self._shards:
-            yield from shard.items()
-
-    def copy(self) -> "ShardedRegistry":
-        """O(dirty shards' top layers) snapshot; entries are shared."""
-        clone = ShardedRegistry()
-        clone._shards = [shard.copy() for shard in self._shards]
-        return clone
 
 
 class CctpState:
@@ -205,11 +115,12 @@ class CctpState:
     """
 
     def __init__(self) -> None:
-        self.sidechains: ShardedRegistry = ShardedRegistry()
+        #: ledger id -> :class:`SidechainEntry`.
+        self.sidechains: CowDict = CowDict()
+        #: Consumed BTR and CSW nullifiers of every sidechain, each stored
+        #: as ``ledger_id + nullifier`` (ledger ids are 32 bytes).
+        self.nullifiers: CowSet = CowSet()
         self.safeguard = Safeguard()
-        #: Write-ownership token: entries whose ``owner`` is this object may
-        #: be mutated in place; all others must be cloned first.
-        self._token: object = object()
         #: Ceasing-deadline index: height -> ledger ids whose earliest
         #: uncertified epoch's submission window closes at that height.
         #: Slots may be stale (a later certificate pushed the real deadline
@@ -224,32 +135,24 @@ class CctpState:
     def copy(self) -> "CctpState":
         """Copy-on-write snapshot for fork-branch validation.
 
-        O(entries dirtied since the last snapshot), not O(registered
-        sidechains): the registry shards, safeguard balances and deadline
-        index share sealed layers, and the individual entries are shared
-        outright.  Both instances drop write ownership of the shared entries
-        — whichever side mutates an entry next clones it into its own
-        registry first (:meth:`_writable`).
+        O(entries and nullifiers written since the last snapshot), not
+        O(registered sidechains): the registry, nullifier set, safeguard
+        balances and deadline index share sealed layers, and the entries,
+        being values, are shared outright.
         """
         clone = CctpState()
         clone.sidechains = self.sidechains.copy()
+        clone.nullifiers = self.nullifiers.copy()
         clone.safeguard = self.safeguard.copy()
         clone._deadlines = self._deadlines.copy()
         clone._advanced_to = self._advanced_to
         clone._unsealed = {lid: set(epochs) for lid, epochs in self._unsealed.items()}
-        # Invalidate our own ownership too: entries are now shared with the
-        # clone, so in-place writes from either side must re-clone.
-        self._token = object()
         return clone
 
-    def _writable(self, ledger_id: bytes) -> SidechainEntry:
-        """The entry for ``ledger_id``, cloned for mutation if shared."""
-        entry = self.entry(ledger_id)
-        if entry.owner is self._token:
-            return entry
-        entry = entry.copy()
-        entry.owner = self._token
-        self.sidechains[ledger_id] = entry
+    def _replace(self, entry: SidechainEntry, **changes) -> SidechainEntry:
+        """Store ``entry`` with ``changes`` applied as its sidechain's entry."""
+        entry = replace(entry, **changes)
+        self.sidechains[entry.config.ledger_id] = entry
         return entry
 
     # -- registry ---------------------------------------------------------------
@@ -264,7 +167,7 @@ class CctpState:
             raise CctpError(
                 "sidechain start_block must be strictly after the declaring block"
             )
-        entry = SidechainEntry(config=config, owner=self._token)
+        entry = SidechainEntry(config=config)
         self.sidechains[config.ledger_id] = entry
         self.safeguard.open(config.ledger_id)
         self._index_deadline(config.ledger_id, entry)
@@ -447,9 +350,11 @@ class CctpState:
                 )
             raise
 
-        entry = self._writable(wcert.ledger_id)
-        entry.certificates[wcert.epoch_id] = CertificateRecord(
+        record = CertificateRecord(
             certificate=wcert, included_at_height=height, included_in_block=None
+        )
+        entry = self._replace(
+            entry, certificates={**entry.certificates, wcert.epoch_id: record}
         )
         self._unsealed.setdefault(wcert.ledger_id, set()).add(wcert.epoch_id)
         # Adoption may have pushed the ceasing deadline; index the new slot.
@@ -464,12 +369,15 @@ class CctpState:
         ``H(Bw)`` of later BTR/CSW proofs) moves here too.
         """
         for ledger_id, epochs in self._unsealed.items():
-            entry = self._writable(ledger_id)
+            entry = self.entry(ledger_id)
+            certificates = dict(entry.certificates)
             for epoch in epochs:
-                entry.certificates[epoch] = replace(
-                    entry.certificates[epoch], included_in_block=block_hash
+                certificates[epoch] = replace(
+                    certificates[epoch], included_in_block=block_hash
                 )
-            entry.last_cert_block_hash = block_hash
+            self._replace(
+                entry, certificates=certificates, last_cert_block_hash=block_hash
+            )
         self._unsealed = {}
 
     # -- ceasing -------------------------------------------------------------------
@@ -511,9 +419,11 @@ class CctpState:
                 due = self._earliest_uncertified_epoch(entry)
                 deadline = entry.config.schedule.ceasing_height(due)
                 if deadline <= height:
-                    entry = self._writable(ledger_id)
-                    entry.status = SidechainStatus.CEASED
-                    entry.ceased_at_height = deadline
+                    self._replace(
+                        entry,
+                        status=SidechainStatus.CEASED,
+                        ceased_at_height=deadline,
+                    )
                     newly_ceased.append(ledger_id)
         self._advanced_to = height
         return newly_ceased
@@ -534,7 +444,7 @@ class CctpState:
         is consumed.  Verifications are counted on
         ``repro_cctp_btr_total{result}``.
         """
-        claimed: set[tuple[bytes, bytes]] = set()
+        claimed: set[bytes] = set()
         for btr in btrs:
             try:
                 entry = self.entry(btr.ledger_id)
@@ -551,9 +461,9 @@ class CctpState:
                 _BTR_VERIFICATIONS.labels(result="rejected").inc()
                 raise
             _BTR_VERIFICATIONS.labels(result="accepted").inc()
-            claimed.add((btr.ledger_id, btr.nullifier))
+            claimed.add(btr.ledger_id + btr.nullifier)
         for btr in btrs:
-            self._writable(btr.ledger_id).nullifiers.add(btr.nullifier)
+            self.nullifiers.add(btr.ledger_id + btr.nullifier)
 
     def process_csw(
         self, csw: CeasedSidechainWithdrawal, height: int
@@ -590,7 +500,7 @@ class CctpState:
             raise CctpError("CSW amount must be positive")
         self._check_nullified_proof(entry, csw, entry.config.csw_vk)
         self.safeguard.withdraw(csw.ledger_id, csw.amount)
-        self._writable(csw.ledger_id).nullifiers.add(csw.nullifier)
+        self.nullifiers.add(csw.ledger_id + csw.nullifier)
         return csw.receiver, csw.amount
 
     def _check_nullified_proof(
@@ -598,12 +508,12 @@ class CctpState:
         entry: SidechainEntry,
         request: BackwardTransferRequest | CeasedSidechainWithdrawal,
         vk: proving.VerifyingKey,
-        claimed: Container[tuple[bytes, bytes]] = (),
+        claimed: Container[bytes] = (),
     ) -> None:
-        """Fresh nullifier (``claimed``: pairs taken earlier in the same
+        """Fresh nullifier (``claimed``: keys taken earlier in the same
         transaction), no certificate earlier in the open block, valid proof."""
-        key = (request.ledger_id, request.nullifier)
-        if request.nullifier in entry.nullifiers or key in claimed:
+        key = request.ledger_id + request.nullifier
+        if key in self.nullifiers or key in claimed:
             raise NullifierReused(
                 f"nullifier {request.nullifier.hex()[:16]} already consumed"
             )

@@ -28,6 +28,8 @@ Mainchain sections (assembled by :class:`~repro.mainchain.chain.Blockchain`)::
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from repro import wire
 from repro.encoding import Decoder, Encoder
 from repro.errors import DecodeError, StorageError
@@ -241,11 +243,20 @@ def encode_mainchain_state(state) -> bytes:
     balances = sorted(state.cctp.safeguard._balances.items())
     enc.sequence(balances, lambda e, item: e.raw(item[0]).u64(item[1]))
 
-    # sidechain registry entries
+    # sidechain registry entries, each with its nullifiers in sorted order:
+    # the state-wide keys are ``ledger_id + nullifier``, so sorting them
+    # sorts the nullifiers within each ledger id
+    nullifiers = {
+        ledger_id: [key[32:] for key in keys]
+        for ledger_id, keys in groupby(
+            sorted(state.cctp.nullifiers), key=lambda key: key[:32]
+        )
+    }
+
     def _write_entry(e: Encoder, item) -> None:
         from repro.core.cctp import SidechainStatus
 
-        _, entry = item
+        ledger_id, entry = item
         e.var_bytes(entry.config.encode())
         e.boolean(entry.status is SidechainStatus.CEASED)
         e.optional(entry.ceased_at_height, lambda ee, h: ee.u64(h))
@@ -258,7 +269,7 @@ def encode_mainchain_state(state) -> bytes:
             ee.raw(record.included_in_block)
 
         e.sequence(sorted(entry.certificates.items()), _write_cert)
-        e.sequence(sorted(entry.nullifiers), lambda ee, n: ee.var_bytes(n))
+        e.sequence(nullifiers.get(ledger_id, ()), lambda ee, n: ee.var_bytes(n))
         e.raw(entry.last_cert_block_hash)
 
     entries = sorted(state.cctp.sidechains.items())
@@ -326,7 +337,9 @@ def decode_mainchain_state(data: bytes, params):
                 )
             nullifiers = d.sequence(lambda dd: dd.var_bytes())
             last_cert_block_hash = d.raw(32)
-            entry = SidechainEntry(
+            for nullifier in nullifiers:
+                state.cctp.nullifiers.add(config.ledger_id + nullifier)
+            return SidechainEntry(
                 config=config,
                 status=(
                     SidechainStatus.CEASED if ceased else SidechainStatus.ACTIVE
@@ -334,11 +347,7 @@ def decode_mainchain_state(data: bytes, params):
                 ceased_at_height=ceased_at,
                 certificates=certificates,
                 last_cert_block_hash=last_cert_block_hash,
-                owner=state.cctp._token,
             )
-            for nullifier in nullifiers:
-                entry.nullifiers.add(nullifier)
-            return entry
 
         for entry in dec.sequence(_read_entry):
             state.cctp.sidechains[entry.config.ledger_id] = entry

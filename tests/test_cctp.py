@@ -91,6 +91,11 @@ def state() -> CctpState:
     return cctp
 
 
+def cease(cctp):
+    """Cease the default sidechain at its epoch-0 deadline (no certificate)."""
+    assert cctp.advance_to_height(make_config().schedule.ceasing_height(0)) == [LEDGER]
+
+
 def submit_cert(cctp, cert, height):
     superseded = cctp.process_certificate(cert, height, fake_block_hash)
     cctp.seal_block(fake_block_hash(height))
@@ -127,7 +132,7 @@ class TestForwardTransfers:
         assert state.balance(LEDGER) == 100
 
     def test_ft_to_ceased_rejected(self, state):
-        state.entry(LEDGER).status = SidechainStatus.CEASED
+        cease(state)
         ft = ForwardTransfer(ledger_id=LEDGER, receiver_metadata=b"", amount=100)
         with pytest.raises(SidechainCeased):
             state.process_forward_transfer(ft, height=6)
@@ -180,7 +185,7 @@ class TestCertificates:
             submit_cert(state, bad, height=9)
 
     def test_certificate_for_ceased_sidechain_rejected(self, state):
-        state.entry(LEDGER).status = SidechainStatus.CEASED
+        cease(state)
         with pytest.raises(CertificateRejected):
             submit_cert(state, make_cert(epoch=0), height=9)
 
@@ -291,7 +296,7 @@ class TestBtr:
         assert state.balance(LEDGER) == 0
 
     def test_btr_for_ceased_rejected(self, state):
-        state.entry(LEDGER).status = SidechainStatus.CEASED
+        cease(state)
         with pytest.raises(SidechainCeased):
             state.process_btr(self._btr(), height=6)
 
@@ -308,7 +313,7 @@ class TestBtr:
         btr = self._btr()
         with pytest.raises(VerificationFailure, match="certified earlier in this block"):
             state.process_btr(btr, height=9)
-        assert btr.nullifier not in state.entry(LEDGER).nullifiers
+        assert LEDGER + btr.nullifier not in state.nullifiers
 
     def test_bad_proof_frees_nullifier(self, state):
         btr = self._btr()
@@ -349,7 +354,7 @@ class TestCsw:
     def _fund_and_cease(self, state, amount=100):
         ft = ForwardTransfer(ledger_id=LEDGER, receiver_metadata=b"", amount=amount)
         state.process_forward_transfer(ft, height=6)
-        state.entry(LEDGER).status = SidechainStatus.CEASED
+        cease(state)
 
     def test_csw_on_active_sidechain_rejected(self, state):
         with pytest.raises(SidechainActive):

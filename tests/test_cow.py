@@ -1,7 +1,8 @@
 """Unit tests for the copy-on-write containers and CoW state snapshots.
 
-Covers :mod:`repro.core.cow` directly, the sharded sidechain registry and
-ownership-token entry cloning in :mod:`repro.core.cctp`, the block-hash
+Covers :mod:`repro.core.cow` directly, the snapshot isolation of
+:class:`~repro.core.cctp.CctpState` (its registry of immutable sidechain
+entries and its one nullifier set, both copy-on-write), the block-hash
 chain overlay in :mod:`repro.mainchain.chain`, and end-to-end snapshot
 independence of :class:`MainchainState`.
 """
@@ -9,11 +10,12 @@ independence of :class:`MainchainState`.
 import pytest
 
 from repro.core.cow import MAX_LAYERS, CowDict, CowSet
-from repro.core.cctp import CctpState, ShardedRegistry, SidechainStatus
-from repro.core.transfers import ForwardTransfer, derive_ledger_id
+from repro.core.cctp import CctpState, SidechainStatus
+from repro.core.transfers import ForwardTransfer
 from repro.errors import UnknownSidechain
 from repro.mainchain.chain import BlockHashChain
 
+from tests import test_cctp
 from tests.test_cctp import fake_block_hash, make_cert, make_config
 
 
@@ -151,29 +153,6 @@ class TestBlockHashChain:
         assert chain[-1] == expected[-1]
 
 
-class TestShardedRegistry:
-    def test_dict_surface(self):
-        reg = ShardedRegistry()
-        ids = [derive_ledger_id(f"sc-{i}") for i in range(40)]
-        for i, ledger_id in enumerate(ids):
-            reg[ledger_id] = i
-        assert len(reg) == 40
-        assert all(ledger_id in reg for ledger_id in ids)
-        assert reg[ids[3]] == 3 and reg.get(ids[4]) == 4
-        assert reg.get(b"\x00" * 32) is None
-        assert sorted(reg.keys()) == sorted(ids)
-        assert sorted(v for v in reg.values()) == list(range(40))
-        assert dict(reg.items()) == {lid: i for i, lid in enumerate(ids)}
-
-    def test_copy_shares_until_written(self):
-        reg = ShardedRegistry()
-        lid = derive_ledger_id("shared")
-        reg[lid] = "v1"
-        clone = reg.copy()
-        clone[lid] = "v2"
-        assert reg[lid] == "v1" and clone[lid] == "v2"
-
-
 class TestCctpSnapshotIsolation:
     def test_entry_mutation_does_not_leak_into_snapshot(self):
         cctp = CctpState()
@@ -187,7 +166,8 @@ class TestCctpSnapshotIsolation:
         assert snapshot.adopted_certificate(config.ledger_id, 0) is None
 
     def test_parent_writes_after_copy_do_not_leak_either(self):
-        """After copy() NEITHER side owns the shared entries in place."""
+        """Entries are values: a write after copy() replaces the parent's entry
+        and leaves the one the clone shares untouched."""
         cctp = CctpState()
         config = make_config()
         cctp.register_sidechain(config, height=2)
@@ -204,9 +184,11 @@ class TestCctpSnapshotIsolation:
         config = make_config()
         cctp.register_sidechain(config, height=2)
         snapshot = cctp.copy()
-        entry = cctp._writable(config.ledger_id)
-        entry.nullifiers.add(b"n" * 32)
-        assert b"n" * 32 not in snapshot.sidechains[config.ledger_id].nullifiers
+        btr = test_cctp.TestBtr()._btr()
+        cctp.process_btr(btr, height=6)
+        assert config.ledger_id + btr.nullifier in cctp.nullifiers
+        assert config.ledger_id + btr.nullifier not in snapshot.nullifiers
+        snapshot.process_btr(btr, height=6)
 
     def test_safeguard_balances_are_isolated(self):
         cctp = CctpState()

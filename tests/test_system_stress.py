@@ -60,6 +60,23 @@ def busy_world():
         handle.node.sync()
 
     harness.mine(14)
+
+    # a last withdrawal mined up to its certificate's adoption but not to
+    # the payout's maturity, so the invariants below see a pending payout
+    late_dest = KeyPair.from_seed("stress/late-dest")
+    harness.wallet(sc_a, accounts[1].keypair).withdraw(late_dest.address, 3_000)
+
+    def late_payout_pending():
+        pending = harness.mc.state.pending_payouts.values()
+        return any(late_dest.address in payouts[2::2] for payouts in pending)
+
+    for _ in range(2 * sc_a.config.epoch_len + sc_a.config.submit_len):
+        if late_payout_pending():
+            break
+        harness.mine(1)
+    assert late_payout_pending()
+    assert len(harness.mc.state.pending_payouts) >= 1
+    assert harness.mc.state.utxos.balance_of(late_dest.address) == 0
     return harness, sc_a, sc_b, accounts, dest, btr_dest, exit_user
 
 
@@ -76,7 +93,8 @@ class TestGlobalInvariants:
         assert harness.mc.state.cctp.balance(sc_b.ledger_id) >= 0
 
     def test_value_conservation_per_sidechain(self, busy_world):
-        """MC-side balance == SC-side circulating value + queued BTs."""
+        """MC-side balance == SC-side circulating value + queued BTs, with
+        every certificate the MC adopted already debited."""
         harness, sc_a, sc_b, accounts, *_ = busy_world
         for handle in (sc_a, sc_b):
             node = handle.node
@@ -86,13 +104,24 @@ class TestGlobalInvariants:
                 if node.state.mst.contains(u)
             ) + sum(bt.amount for bt in node.state.backward_transfers)
             mc_balance = harness.mc.state.cctp.balance(handle.ledger_id)
-            # payouts already shipped may still await maturity on the MC
+            # adopting a certificate debits its BTs from the safeguard at
+            # once, so payouts still awaiting maturity are no longer locked
+            assert mc_balance == sc_value
+            # ...and they are exactly the BTs of the adopted certificates
+            # whose epoch's ceasing height the MC has not reached
+            entry = harness.mc.state.cctp.entry(handle.ledger_id)
+            unmatured = sum(
+                bt.amount
+                for epoch, record in entry.certificates.items()
+                if handle.config.schedule.ceasing_height(epoch) > harness.mc.height
+                for bt in record.certificate.bt_list
+            )
             pending = sum(
                 sum(payouts[3::2])
                 for payouts in harness.mc.state.pending_payouts.values()
                 if payouts[0] == handle.ledger_id
             )
-            assert mc_balance == sc_value + pending
+            assert pending == unmatured
 
     def test_mc_supply_is_exactly_issuance_minus_locked(self, busy_world):
         harness, sc_a, sc_b, *_ = busy_world

@@ -16,15 +16,20 @@ verification rules of §4.1.2:
 * BTR pre-validation and CSW payouts with nullifier double-spend prevention.
 
 The state machine is apply-only: the host chain keeps a validated state per
-block and switches between them on a mainchain reorg (see
-:class:`repro.mainchain.chain.Blockchain`).
+block within its reorg horizon and switches between them on a mainchain
+reorg (see :class:`repro.mainchain.chain.Blockchain`).  Adopted epochs are
+contiguous from 0 (missing epoch ``i`` ceases a sidechain before epoch
+``i + 1``'s window opens), so an entry holds its latest record, which links
+to the epoch before: adopting or sealing builds one record, whatever the age.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 from repro.core.bootstrap import SidechainConfig
 from repro.core.cow import CowDict, CowSet
@@ -72,6 +77,29 @@ _SAFEGUARD_REJECTIONS = _REGISTRY.counter(
 ).labels()
 
 
+def _counted(verifications, rejected: type[ZendooError]):
+    """Count each call on ``verifications{result}``: ``rejected`` when it
+    raises ``rejected`` (a safeguard overdraw also counts on
+    ``repro_cctp_safeguard_rejections_total``), else ``accepted``."""
+
+    def decorate(method):
+        @functools.wraps(method)
+        def counted(*args, **kwargs):
+            try:
+                result = method(*args, **kwargs)
+            except rejected as exc:
+                if isinstance(exc, SafeguardViolation):
+                    _SAFEGUARD_REJECTIONS.inc()
+                verifications.labels(result="rejected").inc()
+                raise
+            verifications.labels(result="accepted").inc()
+            return result
+
+        return counted
+
+    return decorate
+
+
 class SidechainStatus(enum.Enum):
     """Lifecycle of a registered sidechain as seen by the mainchain."""
 
@@ -87,21 +115,62 @@ class CertificateRecord:
     certificate: WithdrawalCertificate
     included_at_height: int
     included_in_block: bytes | None
+    #: The adopted record of the epoch before this one (None for epoch 0).
+    previous: "CertificateRecord | None" = field(default=None, compare=False, repr=False)
+
+
+class CertificateHistory(Mapping):
+    """Read-only ``epoch -> CertificateRecord`` view walking back from a
+    sidechain's latest record (adopted epochs are contiguous from 0): ``get``
+    walks back to its epoch, so a reader of many epochs takes ``items()``."""
+
+    __slots__ = ("_latest",)
+
+    def __init__(self, latest: CertificateRecord | None) -> None:
+        self._latest = latest
+
+    def __len__(self) -> int:
+        return 0 if self._latest is None else self._latest.certificate.epoch_id + 1
+
+    def __getitem__(self, epoch: int) -> CertificateRecord:
+        record = self._latest
+        while record is not None and record.certificate.epoch_id > epoch:
+            record = record.previous
+        if record is None or record.certificate.epoch_id != epoch:
+            raise KeyError(epoch)
+        return record
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def values(self) -> list[CertificateRecord]:
+        records, record = [], self._latest
+        while record is not None:
+            records.append(record)
+            record = record.previous
+        return records[::-1]
+
+    def items(self) -> list[tuple[int, CertificateRecord]]:
+        return list(enumerate(self.values()))
 
 
 @dataclass(frozen=True)
 class SidechainEntry:
     """Mainchain-side record of one sidechain, an immutable value: a change
     stores a new entry (:meth:`CctpState._replace`), so snapshots share entries
-    outright and ``certificates`` is rebuilt, never written in place."""
+    outright; ``latest`` is the last adopted epoch's record."""
 
     config: SidechainConfig
     status: SidechainStatus = SidechainStatus.ACTIVE
     ceased_at_height: int | None = None
-    certificates: dict[int, CertificateRecord] = field(default_factory=dict)
+    latest: CertificateRecord | None = None
     #: Hash of the MC block containing the most recent adopted certificate —
     #: the ``H(Bw)`` anchoring BTR/CSW sysdata (Def. 4.5).
     last_cert_block_hash: bytes = b"\x00" * 32
+
+    @property
+    def certificates(self) -> CertificateHistory:
+        return CertificateHistory(self.latest)
 
 
 class CctpState:
@@ -128,9 +197,9 @@ class CctpState:
         self._deadlines: CowDict = CowDict()
         #: Highest height whose deadline slots have been processed.
         self._advanced_to: int = -1
-        #: ledger id -> epochs whose certificates were adopted since the
-        #: last :meth:`seal_block` (their block has no hash yet).
-        self._unsealed: dict[bytes, set[int]] = {}
+        #: Ledger ids whose latest record was adopted since the last
+        #: :meth:`seal_block` (its block has no hash yet).
+        self._unsealed: set[bytes] = set()
 
     def copy(self) -> "CctpState":
         """Copy-on-write snapshot for fork-branch validation.
@@ -146,7 +215,7 @@ class CctpState:
         clone.safeguard = self.safeguard.copy()
         clone._deadlines = self._deadlines.copy()
         clone._advanced_to = self._advanced_to
-        clone._unsealed = {lid: set(epochs) for lid, epochs in self._unsealed.items()}
+        clone._unsealed = set(self._unsealed)
         return clone
 
     def _replace(self, entry: SidechainEntry, **changes) -> SidechainEntry:
@@ -254,6 +323,7 @@ class CctpState:
         public_input = self._wcert_public_input(entry, wcert, block_hash_at)
         return entry.config.wcert_vk, public_input
 
+    @_counted(_WCERT_VERIFICATIONS, CctpError)
     def process_certificate(
         self,
         wcert: WithdrawalCertificate,
@@ -279,27 +349,6 @@ class CctpState:
         safeguard overdraw attempts additionally count on
         ``repro_cctp_safeguard_rejections_total``.
         """
-        try:
-            superseded = self._process_certificate(
-                wcert, height, block_hash_at, proof_valid
-            )
-        except SafeguardViolation:
-            _SAFEGUARD_REJECTIONS.inc()
-            _WCERT_VERIFICATIONS.labels(result="rejected").inc()
-            raise
-        except CctpError:
-            _WCERT_VERIFICATIONS.labels(result="rejected").inc()
-            raise
-        _WCERT_VERIFICATIONS.labels(result="accepted").inc()
-        return superseded
-
-    def _process_certificate(
-        self,
-        wcert: WithdrawalCertificate,
-        height: int,
-        block_hash_at: Callable[[int], bytes],
-        proof_valid: bool | None = None,
-    ) -> WithdrawalCertificate | None:
         entry = self.entry(wcert.ledger_id)
         schedule = entry.config.schedule
 
@@ -315,11 +364,11 @@ class CctpState:
             )
 
         # Rule 3: strictly increasing quality within the epoch.
-        previous = entry.certificates.get(wcert.epoch_id)
-        if previous is not None and wcert.quality <= previous.certificate.quality:
+        adopted = entry.certificates.get(wcert.epoch_id)
+        if adopted is not None and wcert.quality <= adopted.certificate.quality:
             raise CertificateRejected(
                 f"quality {wcert.quality} does not exceed adopted quality "
-                f"{previous.certificate.quality}"
+                f"{adopted.certificate.quality}"
             )
 
         # Proofdata arity must match the registered schema.
@@ -338,7 +387,7 @@ class CctpState:
             raise CertificateRejected("SNARK proof verification failed")
 
         # Safeguard: refund a superseded certificate before debiting.
-        superseded = previous.certificate if previous is not None else None
+        superseded = adopted.certificate if adopted is not None else None
         if superseded is not None:
             self.safeguard.refund(wcert.ledger_id, superseded.withdrawn_amount)
         try:
@@ -350,13 +399,10 @@ class CctpState:
                 )
             raise
 
-        record = CertificateRecord(
-            certificate=wcert, included_at_height=height, included_in_block=None
-        )
-        entry = self._replace(
-            entry, certificates={**entry.certificates, wcert.epoch_id: record}
-        )
-        self._unsealed.setdefault(wcert.ledger_id, set()).add(wcert.epoch_id)
+        # A superseded record is the latest: its epoch's window is the open one.
+        prior = entry.latest if adopted is None else adopted.previous
+        entry = self._replace(entry, latest=CertificateRecord(wcert, height, None, prior))
+        self._unsealed.add(wcert.ledger_id)
         # Adoption may have pushed the ceasing deadline; index the new slot.
         self._index_deadline(wcert.ledger_id, entry)
         return superseded
@@ -368,17 +414,11 @@ class CctpState:
         calls this after the last transaction; ``last_cert_block_hash`` (the
         ``H(Bw)`` of later BTR/CSW proofs) moves here too.
         """
-        for ledger_id, epochs in self._unsealed.items():
+        for ledger_id in self._unsealed:
             entry = self.entry(ledger_id)
-            certificates = dict(entry.certificates)
-            for epoch in epochs:
-                certificates[epoch] = replace(
-                    certificates[epoch], included_in_block=block_hash
-                )
-            self._replace(
-                entry, certificates=certificates, last_cert_block_hash=block_hash
-            )
-        self._unsealed = {}
+            latest = replace(entry.latest, included_in_block=block_hash)
+            self._replace(entry, latest=latest, last_cert_block_hash=block_hash)
+        self._unsealed = set()
 
     # -- ceasing -------------------------------------------------------------------
 
@@ -387,10 +427,9 @@ class CctpState:
 
         Old slots for the same sidechain are left in place and detected as
         stale when their height is reached (re-checking the live deadline is
-        O(adopted epochs), and each slot is visited once).
+        O(1), and each slot is visited once).
         """
-        due = self._earliest_uncertified_epoch(entry)
-        deadline = entry.config.schedule.ceasing_height(due)
+        deadline = entry.config.schedule.ceasing_height(len(entry.certificates))
         slot = self._deadlines.get(deadline, ())
         if ledger_id not in slot:
             self._deadlines[deadline] = (*slot, ledger_id)
@@ -416,8 +455,7 @@ class CctpState:
                 # Re-derive the live deadline: a certificate adopted after
                 # this slot was indexed may have pushed it forward (the new
                 # slot is indexed separately), making this one stale.
-                due = self._earliest_uncertified_epoch(entry)
-                deadline = entry.config.schedule.ceasing_height(due)
+                deadline = entry.config.schedule.ceasing_height(len(entry.certificates))
                 if deadline <= height:
                     self._replace(
                         entry,
@@ -427,13 +465,6 @@ class CctpState:
                     newly_ceased.append(ledger_id)
         self._advanced_to = height
         return newly_ceased
-
-    @staticmethod
-    def _earliest_uncertified_epoch(entry: SidechainEntry) -> int:
-        epoch = 0
-        while epoch in entry.certificates:
-            epoch += 1
-        return epoch
 
     # -- mainchain-managed withdrawals ---------------------------------------------
 
@@ -465,6 +496,7 @@ class CctpState:
         for btr in btrs:
             self.nullifiers.add(btr.ledger_id + btr.nullifier)
 
+    @_counted(_CSW_VERIFICATIONS, ZendooError)
     def process_csw(
         self, csw: CeasedSidechainWithdrawal, height: int
     ) -> tuple[bytes, int]:
@@ -474,21 +506,6 @@ class CctpState:
         safeguard overdraw attempts additionally count on
         ``repro_cctp_safeguard_rejections_total``.
         """
-        try:
-            payout = self._process_csw(csw, height)
-        except SafeguardViolation:
-            _SAFEGUARD_REJECTIONS.inc()
-            _CSW_VERIFICATIONS.labels(result="rejected").inc()
-            raise
-        except ZendooError:
-            _CSW_VERIFICATIONS.labels(result="rejected").inc()
-            raise
-        _CSW_VERIFICATIONS.labels(result="accepted").inc()
-        return payout
-
-    def _process_csw(
-        self, csw: CeasedSidechainWithdrawal, height: int
-    ) -> tuple[bytes, int]:
         entry = self.entry(csw.ledger_id)
         if entry.status is not SidechainStatus.CEASED:
             raise SidechainActive("CSW is only valid for a ceased sidechain")

@@ -1,10 +1,10 @@
 """Copy-on-write containers for per-block state snapshots.
 
 The mainchain keeps one validated :class:`~repro.mainchain.chain.MainchainState`
-per block, produced by copying the parent state and connecting the new
-block.  With thousands of registered sidechains and millions of UTXOs /
-nullifiers, an eager ``dict(...)`` / ``set(...)`` copy makes every block pay
-for the *whole* state even though a block touches a handful of entries.
+per block within its reorg horizon, the parent's state copied with the block
+connected.  With thousands of sidechains and millions of UTXOs / nullifiers,
+an eager ``dict(...)`` / ``set(...)`` copy makes every block pay for the
+*whole* state even though a block touches a handful of entries.
 
 :class:`CowDict` and :class:`CowSet` replace those eager copies with
 structural sharing:

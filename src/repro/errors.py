@@ -87,6 +87,10 @@ class OrphanBlock(MainchainError):
     """A block's parent is not known (cannot be connected yet)."""
 
 
+class ReorgBelowHorizon(OrphanBlock):
+    """A block's parent keeps no state: below the reorg horizon or a restored tip."""
+
+
 class InsufficientFunds(ValidationError):
     """Transaction inputs do not cover its outputs."""
 

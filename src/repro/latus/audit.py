@@ -90,8 +90,9 @@ class SidechainAuditor:
         node.close()
         report.epochs_checked = len(node.anchors)
         entry = self.mc.state.cctp.sidechains.get(self.config.ledger_id)
+        adopted = dict(entry.certificates.items()) if entry is not None else {}
         for epoch_id, anchor in node.anchors.items():
-            record = entry.certificates.get(epoch_id) if entry is not None else None
+            record = adopted.get(epoch_id)
             if record is not None and record.certificate.id != anchor.certificate.id:
                 report.certificate_mismatches.append(
                     f"epoch {epoch_id}: adopted certificate differs from re-execution"

@@ -3,13 +3,14 @@
 :class:`MainchainState` is the stateful view at one block: the UTXO set,
 the CCTP state, pending certificate payouts and the active-chain hash list.
 :class:`Blockchain` stores all blocks, keeps a validated state snapshot per
-block, and performs cumulative-work fork choice — a heavier fork replaces
-the active chain, which is exactly the reorg behaviour the Latus binding
-(§5.1) must react to.
+block within the reorg horizon, and performs cumulative-work fork choice — a
+heavier fork replaces the active chain, which is exactly the reorg
+behaviour the Latus binding (§5.1) must react to.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -21,6 +22,7 @@ from repro.errors import (
     DoubleSpend,
     InsufficientFunds,
     OrphanBlock,
+    ReorgBelowHorizon,
     UnknownBlock,
     ValidationError,
 )
@@ -55,6 +57,11 @@ _TXS_CONNECTED = _REGISTRY.counter(
     "non-coinbase transactions connected inside blocks, by type",
     labelnames=("type",),
 )
+_BLOCKS_REFUSED = _REGISTRY.counter(
+    "repro_mainchain_blocks_refused_total",
+    "blocks refused before validation, by reason",
+    labelnames=("reason",),
+)
 
 
 _TX_TYPE_LABELS = {
@@ -65,6 +72,10 @@ _TX_TYPE_LABELS = {
     CswTx: "csw",
 }
 
+
+#: Deepest reorg a node follows (MC blocks): a block further below the tip
+#: keeps no state and a fork off it is refused (docs/PROTOCOL.md).
+REORG_HORIZON = 32
 
 #: Fold a :class:`BlockHashChain` overlay tail back into the shared prefix
 #: once it reaches this many hashes (keeps snapshot cost bounded).
@@ -362,11 +373,12 @@ class MainchainState:
 class _BlockRecord:
     block: Block
     cumulative_work: int
-    state: MainchainState
+    state: MainchainState | None
 
 
 class Blockchain:
-    """Block store with per-block validated states and work-based fork choice.
+    """Block store (every block, every branch) with work-based fork choice;
+    only blocks within :data:`REORG_HORIZON` of the tip keep a state.
 
     Durability is the owning :class:`~repro.mainchain.node.MainchainNode`'s
     job; a chain it recovers from disk is put back with :meth:`restore`.
@@ -377,17 +389,8 @@ class Blockchain:
         #: Optional :class:`repro.snark.pool.ProverPool` used to batch-verify
         #: certificate proofs while connecting blocks.
         self.verify_pool = verify_pool
-        genesis = _make_genesis(self.params)
-        genesis_state = MainchainState(self.params)
-        genesis_state.height = 0
-        genesis_state.block_hashes = BlockHashChain([genesis.hash])
-        self._records: dict[bytes, _BlockRecord] = {
-            genesis.hash: _BlockRecord(
-                block=genesis, cumulative_work=0, state=genesis_state
-            )
-        }
-        self.genesis = genesis
-        self._active_tip = genesis.hash
+        self.genesis = _make_genesis(self.params)
+        self.restore([self.genesis], MainchainState(self.params))
 
     # -- queries ------------------------------------------------------------------
 
@@ -469,10 +472,10 @@ class Blockchain:
     def add_block(self, block: Block) -> bool:
         """Validate and store ``block``; returns True when it becomes the tip.
 
-        Raises :class:`OrphanBlock` when the parent is unknown or its state
-        was pruned by :meth:`restore`, and :class:`ValidationError` (or a
-        CCTP error) when invalid.  Fork choice is by cumulative work with
-        first-seen tie breaking.
+        Raises :class:`OrphanBlock` when the parent is unknown,
+        :class:`ReorgBelowHorizon` (counted) when it keeps no state, and
+        :class:`ValidationError` (or a CCTP error) when invalid.  Fork choice
+        is by cumulative work with first-seen tie breaking.
         """
         if block.hash in self._records:
             return block.hash == self._active_tip
@@ -482,7 +485,8 @@ class Blockchain:
                 f"parent {block.header.prev_hash.hex()[:16]} is unknown"
             )
         if parent.state is None:
-            raise OrphanBlock(
+            _BLOCKS_REFUSED.labels(reason="below_horizon").inc()
+            raise ReorgBelowHorizon(
                 f"state for parent {block.header.prev_hash.hex()[:16]} was pruned"
             )
         if block.height != parent.block.height + 1:
@@ -512,32 +516,38 @@ class Blockchain:
         return self._record(block, self._records[block.header.prev_hash], state)
 
     def _record(self, block: Block, parent: _BlockRecord, state: MainchainState) -> bool:
-        """Store a connected block and run fork choice."""
+        """Store a connected block, run fork choice and apply the horizon."""
         work = parent.cumulative_work + block_work(block.header.target_bits)
-        self._records[block.hash] = _BlockRecord(
-            block=block, cumulative_work=work, state=state
-        )
+        self._store(block, work, state)
         became_tip = work > self._records[self._active_tip].cumulative_work
         if became_tip:
             self._active_tip = block.hash
+            self._drop_states_below(block.height - REORG_HORIZON)
         return became_tip
+
+    def _store(self, block: Block, work: int, state: MainchainState) -> None:
+        self._records[block.hash] = _BlockRecord(block, work, state)
+        heapq.heappush(self._stateful, (block.height, block.hash))
+
+    def _drop_states_below(self, height: int) -> None:
+        """Drop the state of every stored block below ``height``, any branch."""
+        while self._stateful and self._stateful[0][0] < height:
+            self._records[heapq.heappop(self._stateful)[1]].state = None
 
     def state_at(self, block_hash: bytes) -> MainchainState:
         """The validated state after ``block_hash`` (any branch).
 
         Returns a defensive copy: callers may mutate the result freely
-        without corrupting the branch's recorded state.  Blocks put back by
-        :meth:`restore` keep no historical state (pruning horizon) — only
-        the restored tip and blocks connected since have one.
+        without corrupting the branch's recorded state.  A block more than
+        :data:`REORG_HORIZON` below the tip, or below a tip :meth:`restore` put
+        back, has none: :class:`UnknownBlock`.
         """
         try:
             record = self._records[block_hash]
         except KeyError:
             raise UnknownBlock(f"unknown block {block_hash.hex()[:16]}")
         if record.state is None:
-            raise UnknownBlock(
-                f"state for {block_hash.hex()[:16]} was pruned by disk recovery"
-            )
+            raise UnknownBlock(f"state for {block_hash.hex()[:16]} was pruned")
         return record.state.copy()
 
     def restore(self, blocks: Sequence[Block], tip_state: MainchainState) -> None:
@@ -550,15 +560,15 @@ class Blockchain:
         tip = blocks[-1]
         tip_state.height = tip.height
         tip_state.block_hashes = BlockHashChain([b.hash for b in blocks])
-        self._records = {}
+        self._records: dict[bytes, _BlockRecord] = {}
+        #: Heap of ``(height, hash)`` of the records that keep a state.
+        self._stateful: list[tuple[int, bytes]] = []
         work = 0
         for block in blocks:
             if block.height > 0:
                 work += block_work(block.header.target_bits)
-            self._records[block.hash] = _BlockRecord(
-                block=block, cumulative_work=work, state=None
-            )
-        self._records[tip.hash].state = tip_state
+            self._store(block, work, tip_state)
+        self._drop_states_below(tip.height)
         self._active_tip = tip.hash
 
 

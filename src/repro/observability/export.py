@@ -19,36 +19,25 @@ from repro.observability.registry import (
 )
 
 
-def flatten(registry: MetricsRegistry) -> dict[str, float]:
-    """Every series as a flat ``name{labels}`` -> float map.
+def _samples(metric):
+    """``(name{labels}, value)`` for every sample of ``metric``; a histogram
+    series expands into the Prometheus triplet: ``name_bucket{...,le="..."}``
+    per cumulative bucket, ``name_sum`` and ``name_count``."""
+    name, labelnames = metric.name, metric.labelnames
+    for series in metric.series():
+        labels = series.labels
+        if isinstance(series, HistogramSeries):
+            for bound, cum in series.cumulative():
+                yield sample_key(f"{name}_bucket", labelnames, labels, le=format_bound(bound)), cum
+            yield sample_key(f"{name}_sum", labelnames, labels), series.sum
+            yield sample_key(f"{name}_count", labelnames, labels), series.count
+        else:
+            yield sample_key(name, labelnames, labels), series.value
 
-    Histogram series expand into the Prometheus triplet:
-    ``name_bucket{...,le="..."}`` per cumulative bucket, ``name_sum`` and
-    ``name_count``.
-    """
-    samples: dict[str, float] = {}
-    for metric in registry.metrics():
-        for series in metric.series():
-            if isinstance(series, HistogramSeries):
-                for bound, cum in series.cumulative():
-                    key = sample_key(
-                        f"{metric.name}_bucket",
-                        metric.labelnames,
-                        series.labels,
-                        le=format_bound(bound),
-                    )
-                    samples[key] = float(cum)
-                samples[
-                    sample_key(f"{metric.name}_sum", metric.labelnames, series.labels)
-                ] = float(series.sum)
-                samples[
-                    sample_key(f"{metric.name}_count", metric.labelnames, series.labels)
-                ] = float(series.count)
-            else:
-                samples[
-                    sample_key(metric.name, metric.labelnames, series.labels)
-                ] = float(series.value)
-    return samples
+
+def flatten(registry: MetricsRegistry) -> dict[str, float]:
+    """Every series as a flat ``name{labels}`` -> float map (see :func:`_samples`)."""
+    return {key: float(value) for metric in registry.metrics() for key, value in _samples(metric)}
 
 
 def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
@@ -63,27 +52,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         if metric.help:
             lines.append(f"# HELP {metric.name} {metric.help}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        for series in metric.series():
-            if isinstance(series, HistogramSeries):
-                for bound, cum in series.cumulative():
-                    key = sample_key(
-                        f"{metric.name}_bucket",
-                        metric.labelnames,
-                        series.labels,
-                        le=format_bound(bound),
-                    )
-                    lines.append(f"{key} {format_value(cum)}")
-                sum_key = sample_key(
-                    f"{metric.name}_sum", metric.labelnames, series.labels
-                )
-                lines.append(f"{sum_key} {format_value(series.sum)}")
-                count_key = sample_key(
-                    f"{metric.name}_count", metric.labelnames, series.labels
-                )
-                lines.append(f"{count_key} {format_value(series.count)}")
-            else:
-                key = sample_key(metric.name, metric.labelnames, series.labels)
-                lines.append(f"{key} {format_value(series.value)}")
+        lines.extend(f"{key} {format_value(value)}" for key, value in _samples(metric))
     return "\n".join(lines) + "\n"
 
 

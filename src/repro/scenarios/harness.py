@@ -412,15 +412,12 @@ class ZendooHarness:
         receiver: bytes,
     ) -> tuple[WithdrawalWitness, bytes]:
         """Assemble the BTR/CSW witness from the latest certificate anchor."""
-        node = handle.node
-        entry = self.mc.state.cctp.entry(handle.ledger_id)
-        if not entry.certificates:
-            raise CctpError("no certificate adopted yet; run at least one epoch")
         # Anchor at the *latest MC-adopted* certificate: that is the one the
         # mainchain's ``H(Bw)`` check (Def. 4.5) will enforce.
-        epoch = max(entry.certificates)
-        record = entry.certificates[epoch]
-        anchor = node.anchors.get(epoch)
+        record = self.mc.state.cctp.entry(handle.ledger_id).latest
+        if record is None:
+            raise CctpError("no certificate adopted yet; run at least one epoch")
+        anchor = handle.node.anchors.get(record.certificate.epoch_id)
         if anchor is None or record.certificate.id != anchor.certificate.id:
             raise CctpError("local node lacks the anchor for the adopted certificate")
         anchor_block = self.mc.chain.block(record.included_in_block)

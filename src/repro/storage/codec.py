@@ -268,7 +268,7 @@ def encode_mainchain_state(state) -> bytes:
             ee.u64(record.included_at_height)
             ee.raw(record.included_in_block)
 
-        e.sequence(sorted(entry.certificates.items()), _write_cert)
+        e.sequence(entry.certificates.items(), _write_cert)
         e.sequence(nullifiers.get(ledger_id, ()), lambda ee, n: ee.var_bytes(n))
         e.raw(entry.last_cert_block_hash)
 
@@ -326,15 +326,15 @@ def decode_mainchain_state(data: bytes, params):
             config = wire.decode_sidechain_config(d.var_bytes())
             ceased = d.boolean()
             ceased_at = d.optional(lambda dd: dd.u64())
-            certificates = {}
-            for epoch, cert_bytes, included_at, included_block in d.sequence(
-                lambda dd: (dd.u64(), dd.var_bytes(), dd.u64(), dd.raw(32))
+            latest = None
+            for expected, (epoch, cert_bytes, included_at, included_block) in enumerate(
+                d.sequence(lambda dd: (dd.u64(), dd.var_bytes(), dd.u64(), dd.raw(32)))
             ):
-                certificates[epoch] = CertificateRecord(
-                    certificate=wire.decode_withdrawal_certificate(cert_bytes),
-                    included_at_height=included_at,
-                    included_in_block=included_block,
-                )
+                # adopted epochs are contiguous from 0: the records chain
+                if epoch != expected:
+                    raise DecodeError("certificate epochs are not 0..n-1 in order")
+                certificate = wire.decode_withdrawal_certificate(cert_bytes)
+                latest = CertificateRecord(certificate, included_at, included_block, latest)
             nullifiers = d.sequence(lambda dd: dd.var_bytes())
             last_cert_block_hash = d.raw(32)
             for nullifier in nullifiers:
@@ -345,7 +345,7 @@ def decode_mainchain_state(data: bytes, params):
                     SidechainStatus.CEASED if ceased else SidechainStatus.ACTIVE
                 ),
                 ceased_at_height=ceased_at,
-                certificates=certificates,
+                latest=latest,
                 last_cert_block_hash=last_cert_block_hash,
             )
 

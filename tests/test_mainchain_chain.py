@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import OrphanBlock, ValidationError
+from repro import observability
+from repro.errors import OrphanBlock, ReorgBelowHorizon, UnknownBlock, ValidationError
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
-from repro.mainchain.chain import Blockchain
+from repro.mainchain.chain import REORG_HORIZON, Blockchain
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.pow import block_work, meets_target, mine_header
@@ -13,6 +14,7 @@ from repro.mainchain.validation import (
     compute_sc_txs_commitment,
     validate_block_structure,
 )
+from repro.observability import export
 
 PARAMS = MainchainParams(pow_zero_bits=2, coinbase_maturity=1)
 
@@ -282,3 +284,73 @@ class TestForkChoiceAndReorg:
         heights = [b.height for b in chain.active_chain()]
         assert heights == [0, 1, 2]
         assert chain.block_at_height(1).hash == b1.hash
+
+
+def _refused_below_horizon() -> float:
+    flat = export.flatten(observability.registry())
+    return flat.get('repro_mainchain_blocks_refused_total{reason="below_horizon"}', 0)
+
+
+class TestReorgHorizon:
+    """A block more than ``REORG_HORIZON`` below the tip keeps no state: a
+    fork off it is refused, a fork within it is followed."""
+
+    HORIZON = REORG_HORIZON
+
+    def _chain(self, length: int) -> tuple[Blockchain, list[Block]]:
+        chain = Blockchain(PARAMS)
+        blocks = [chain.genesis]
+        for i in range(length):
+            blocks.append(make_block(blocks[-1], ts=1 + i))
+            chain.add_block(blocks[-1])
+        return chain, blocks
+
+    @staticmethod
+    def _branch(chain: Blockchain, root: Block, length: int) -> list[Block]:
+        branch = [root]
+        for i in range(length):
+            branch.append(make_block(branch[-1], miner_addr=b"\xbb" * 32, ts=1000 + i))
+            chain.add_block(branch[-1])
+        return branch[1:]
+
+    def test_a_reorg_inside_the_horizon_is_followed(self):
+        chain, blocks = self._chain(self.HORIZON + 2)
+        depth = self.HORIZON - 1
+        branch = self._branch(chain, blocks[-1 - depth], depth + 1)
+        assert chain.tip.hash == branch[-1].hash
+        assert chain.block_at_height(blocks[-1].height).hash == branch[-2].hash
+
+    def test_a_reorg_below_the_horizon_is_refused_and_counted(self):
+        chain, blocks = self._chain(self.HORIZON + 2)
+        before = _refused_below_horizon()
+        fork = make_block(blocks[-1 - (self.HORIZON + 1)], miner_addr=b"\xbb" * 32, ts=1000)
+        with pytest.raises(ReorgBelowHorizon, match="pruned"):
+            chain.add_block(fork)
+        assert issubclass(ReorgBelowHorizon, OrphanBlock)
+        assert _refused_below_horizon() == before + 1
+        assert fork.hash not in chain and chain.tip.hash == blocks[-1].hash
+
+    def test_a_stale_side_branch_loses_its_states(self):
+        chain, blocks = self._chain(3)
+        (side,) = self._branch(chain, blocks[1], 1)
+        assert chain.tip.hash == blocks[-1].hash
+        assert chain.state_at(side.hash).height == 2
+        for i in range(self.HORIZON):
+            blocks.append(make_block(blocks[-1], ts=100 + i))
+            chain.add_block(blocks[-1])
+        assert chain.height - side.height == self.HORIZON + 1
+        with pytest.raises(UnknownBlock, match="pruned"):
+            chain.state_at(side.hash)
+        assert chain.block(side.hash) == side
+        kept = [r for r in chain._records.values() if r.state is not None]
+        heights = sorted(r.block.height for r in kept)
+        assert heights == list(range(chain.height - self.HORIZON, chain.height + 1))
+
+    def test_state_at_a_pruned_block_raises_unknown_block(self):
+        chain, blocks = self._chain(self.HORIZON + 2)
+        assert chain.state_at(blocks[2].hash).height == 2  # exactly the horizon below
+        with pytest.raises(UnknownBlock, match="pruned"):
+            chain.state_at(blocks[1].hash)
+        # the blocks themselves stay stored
+        assert chain.active_chain() == blocks
+        assert chain.block_at_height(1) == blocks[1]

@@ -148,6 +148,20 @@ def test_a_payout_off_its_certificate_output_is_refused():
         decode_mainchain_state(moved, PARAMS)
 
 
+@pytest.mark.parametrize(("epoch", "written_as"), [(1, 2), (0, 1), (1, 0)])
+def test_certificate_epochs_off_zero_to_n_are_refused(epoch, written_as):
+    """Adopted epochs are contiguous from 0 and a sidechain's records chain
+    in that order, so a list with a gap, a repeat or a swap is corrupt."""
+    node = fixed_chain()
+    data = encode_mainchain_state(node.state)
+    cert = node.state.cctp.entry(LEDGER).certificates[epoch].certificate.encode()
+    at = data.index(len(cert).to_bytes(4, "little") + cert) - 8
+    assert data[at : at + 8] == epoch.to_bytes(8, "little")
+    edited = data[:at] + written_as.to_bytes(8, "little") + data[at + 8 :]
+    with pytest.raises(StorageError, match="not 0..n-1 in order"):
+        decode_mainchain_state(edited, PARAMS)
+
+
 def _nullified(kind, cctp, config, nullifier: bytes, amount: int):
     """A BTR or CSW of ``config``'s sidechain proved against its current
     ``last_cert_block_hash``."""

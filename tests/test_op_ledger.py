@@ -12,14 +12,29 @@ coin or a payout twice.  The CCTP state of a block is one registry map of
 immutable sidechain entries, one nullifier set, the safeguard balances and
 the ceasing-deadline index: four copy-on-write containers (five objects, as
 a ``CowSet`` wraps a ``CowDict``) per block, however many entries change.
+
+Each row of :data:`GROWTH` is one count measured on the same fixed builder
+at two sizes, n and 2n: what the paper's scalability claim (§4.1.2: a small,
+constant mainchain cost per sidechain and per certificate) says must not
+grow with the chain's length or a sidechain's age.  The counts are exact; a
+change that moves one restates both columns, and the per-unit count at 2n
+stays at most the count at n.
 """
 
 from __future__ import annotations
 
 import gc
+from functools import lru_cache
 
+from repro.core.cctp import CertificateRecord
 from repro.core.cow import CowDict, CowSet
-from tests.test_mainchain_state_bytes import WIDE, fixed_chain
+from repro.core.transfers import WithdrawalCertificate, derive_ledger_id
+from repro.mainchain.chain import REORG_HORIZON
+from repro.mainchain.node import MainchainNode
+from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx
+from repro.snark import proving
+from tests.test_cctp import PK, make_config
+from tests.test_mainchain_state_bytes import MINER, PARAMS, WIDE, fixed_chain
 
 #: name -> ceiling, measured on the named fixed run.
 CEILINGS = {
@@ -33,24 +48,86 @@ CEILINGS = {
 }
 
 
+#: Epoch counts (n, 2n) of :func:`growth_chain`.
+GROWTH_EPOCHS = (12, 24)
+
+#: name -> exact counts at (n, 2n) epochs of :func:`growth_chain`.
+GROWTH = {
+    # block records that keep a validated state: at most REORG_HORIZON + 1
+    # (33 with a horizon of 32) at either length
+    "mc.growth.kept_states": (33, 33),
+    # certificate-map entries reachable from the kept states: references
+    # to a CertificateRecord held by a reachable object (a dict slot, an
+    # entry's latest record, a record's link to the epoch before); per
+    # adopted certificate this is flat, not growing with the sidechain's age
+    "mc.growth.certificate_map_entries": (69, 96),
+}
+
+#: Sidechains of :func:`growth_chain`, each certifying every epoch.
+GROWTH_SIDECHAINS = 3
+
+
+def _growth_certificate(node: MainchainNode, config, epoch: int) -> CertificateTx:
+    schedule = config.schedule
+    state = node.state
+    h_prev = state.block_hash_at(schedule.last_height(epoch - 1)) if epoch else b"\x00" * 32
+    h_last = state.block_hash_at(schedule.last_height(epoch))
+    draft = WithdrawalCertificate(config.ledger_id, epoch, 1, (), (), proving.Proof(bytes(96)))
+    proof = proving.prove(PK, draft.public_input(h_prev, h_last), None)
+    return CertificateTx(wcert=WithdrawalCertificate(config.ledger_id, epoch, 1, (), (), proof))
+
+
+@lru_cache(maxsize=None)
+def growth_chain(epochs: int) -> MainchainNode:
+    """:data:`GROWTH_SIDECHAINS` sidechains (epochs of 4 blocks from height
+    3, windows of 2) certified in every epoch up to ``epochs``; mined up to
+    the block adopting the last certificates.  The caller must not mutate
+    the node."""
+    configs = [
+        make_config(ledger_id=derive_ledger_id(f"growth/{k}"), start_block=3)
+        for k in range(GROWTH_SIDECHAINS)
+    ]
+    node = MainchainNode(PARAMS)
+    for config in configs:
+        node.submit_transaction(SidechainDeclarationTx(config=config))
+    node.mine_block(MINER.address)  # 1
+    for epoch in range(epochs):
+        first_submission = configs[0].schedule.submission_window(epoch).start
+        node.mine_blocks(MINER.address, first_submission - 1 - node.height)
+        for config in configs:
+            node.submit_transaction(_growth_certificate(node, config, epoch))
+        node.mine_block(MINER.address)
+    return node
+
+
 def _tracked(objects) -> int:
     return sum(1 for obj in objects if gc.is_tracked(obj))
 
 
-def _reachable(roots, kind) -> int:
-    """Distinct instances of ``kind`` reachable from ``roots`` through
-    :func:`gc.get_referents`, not descending into classes."""
+def _walk(roots):
+    """Each distinct object reachable from ``roots`` through
+    :func:`gc.get_referents`, with its referents, not descending into classes."""
     seen: set[int] = set()
-    found = 0
     stack = list(roots)
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, type):
             continue
         seen.add(id(obj))
-        found += isinstance(obj, kind)
-        stack.extend(gc.get_referents(obj))
-    return found
+        referents = gc.get_referents(obj)
+        yield obj, referents
+        stack.extend(referents)
+
+
+def _reachable(roots, kind) -> int:
+    """Distinct instances of ``kind`` reachable from ``roots``."""
+    return sum(isinstance(obj, kind) for obj, _ in _walk(roots))
+
+
+def _certificate_map_entries(states) -> int:
+    """References to a :class:`CertificateRecord` held by the distinct
+    objects reachable from ``states``."""
+    return sum(isinstance(ref, CertificateRecord) for _, refs in _walk(states) for ref in refs)
 
 
 def _check(measured: dict[str, int]) -> None:
@@ -81,3 +158,22 @@ def test_cctp_states_share_their_entries_and_nullifiers():
     states = [record.state.cctp for record in records if record.state is not None]
     assert len(states) == 15
     _check({"mc.cctp.cow_containers": _reachable(states, (CowDict, CowSet))})
+
+
+def test_mainchain_cost_does_not_grow_with_age():
+    """Twice the epochs keep the same number of block states, and no more
+    certificate-map entries per adopted certificate."""
+    measured: dict[str, list[int]] = {name: [] for name in GROWTH}
+    adopted = []
+    for epochs in GROWTH_EPOCHS:
+        node = growth_chain(epochs)
+        states = [r.state for r in node.chain._records.values() if r.state is not None]
+        cctp = node.state.cctp
+        adopted.append(sum(len(entry.certificates) for _, entry in cctp.sidechains.items()))
+        measured["mc.growth.kept_states"].append(len(states))
+        measured["mc.growth.certificate_map_entries"].append(_certificate_map_entries(states))
+    assert adopted == [GROWTH_SIDECHAINS * epochs for epochs in GROWTH_EPOCHS]
+    assert {name: tuple(counts) for name, counts in measured.items()} == GROWTH
+    kept, entries = measured["mc.growth.kept_states"], measured["mc.growth.certificate_map_entries"]
+    assert max(kept) <= REORG_HORIZON + 1
+    assert entries[1] / adopted[1] <= entries[0] / adopted[0]

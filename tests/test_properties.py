@@ -197,6 +197,26 @@ class TestEpochProperties:
         if submittable is not None:
             assert schedule.in_submission_window(submittable, height)
 
+    @given(
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=1, max_value=50),
+        st.data(),
+    )
+    @settings(max_examples=60)
+    def test_a_missed_epoch_ceases_before_the_next_window_opens(
+        self, start, epoch_len, data
+    ):
+        """Adopted epochs are contiguous from 0: missing epoch ``i`` ceases
+        the sidechain no later than epoch ``i + 1``'s first submission
+        height, so the CCTP may take an entry's certificate count as its
+        earliest uncertified epoch."""
+        submit_len = data.draw(st.integers(min_value=1, max_value=epoch_len))
+        epoch = data.draw(st.integers(min_value=0, max_value=1000))
+        schedule = EpochSchedule(
+            start_block=start, epoch_len=epoch_len, submit_len=submit_len
+        )
+        assert schedule.ceasing_height(epoch) <= schedule.submission_window(epoch + 1).start
+
 
 class TestCommitmentTreeProperties:
     """§4.1.3 over random activity sets: presence proofs for every active

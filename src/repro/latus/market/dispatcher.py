@@ -43,7 +43,6 @@ from repro.latus.proofs import LatusTransitionSystem
 from repro.latus.state import LatusState
 from repro.latus.transactions import LatusTransaction
 from repro.network.faults import FaultPlan
-from repro.snark.pool import WorkerFaultInjector
 from repro.snark.proving import PROOF_SIZE, Proof
 from repro.snark.recursive import RecursiveComposer, TransitionProof, merge_plan
 
@@ -110,8 +109,7 @@ class MarketTask(TreeTask):
     Extends the reward-side :class:`TreeTask` coordinates with what a
     behaviour can condition on: the transaction id a base task proves
     (``b""`` for merges) and the task's stable position in the tree
-    enumeration (``ordinal``, the index a
-    :class:`~repro.snark.pool.WorkerFaultInjector` draws on).
+    enumeration (``ordinal``, the index :class:`LazyBehaviour` draws on).
     """
 
     txid: bytes
@@ -138,18 +136,23 @@ class HonestBehaviour(ProverBehaviour):
 
 
 class LazyBehaviour(ProverBehaviour):
-    """Refuses tasks — all of them, or a seeded fraction via an injector.
+    """Refuses a seeded fraction ``failure_rate`` of its tasks (all by default).
 
-    With an ``injector`` the refusal pattern reuses the pool layer's
-    :class:`~repro.snark.pool.WorkerFaultInjector` draw on the task's tree
-    ordinal, so the same seed produces the same laziness every run.
+    Task ``n`` (its tree ordinal) is refused iff a hash of ``(seed, n)``
+    lands under ``failure_rate`` — pure in the task, so the same seed
+    produces the same laziness every run.
     """
 
-    def __init__(self, injector: WorkerFaultInjector | None = None) -> None:
-        self.injector = injector
+    def __init__(self, failure_rate: float = 1.0, seed: bytes = b"pool-faults") -> None:
+        if not 0.0 <= failure_rate <= 1.0:
+            raise MarketError(f"failure_rate must be within [0, 1], got {failure_rate}")
+        self.failure_rate = failure_rate
+        self.seed = seed
 
     def decide(self, task: MarketTask) -> str:
-        if self.injector is None or self.injector.should_fail(task.ordinal):
+        # the domain is part of the draw: renaming it changes every seeded schedule
+        digest = hash_bytes(self.seed + task.ordinal.to_bytes(8, "little"), b"pool/fault")
+        if int.from_bytes(digest[:8], "little") / float(1 << 64) < self.failure_rate:
             return "refuse"
         return "prove"
 

@@ -148,7 +148,6 @@ class LatusNode(NodeLifecycle):
         forger_keys: list[KeyPair] | None = None,
         proving_strategy: str = "per_transaction",
         auto_submit_certificates: bool = True,
-        proving_workers: int | None = None,
         store: StateStore | None = None,
         data_dir=None,
         fsync: str = "block",
@@ -165,11 +164,11 @@ class LatusNode(NodeLifecycle):
         self.forgers: dict[int, KeyPair] = {
             address_to_field(address_of(k.public)): k for k in keys
         }
-        self.prover = EpochProver(proving_strategy, parallel_workers=proving_workers)
+        self.prover = EpochProver(proving_strategy)
         self.cert_builder = WithdrawalCertificateBuilder(self.ledger_id, self.prover)
         self.auto_submit_certificates = auto_submit_certificates
-        #: Instrumentation of the most recent epoch proof (pool occupancy,
-        #: synthesis/serialization seconds, critical-path depth, ...).
+        #: Instrumentation of the most recent epoch proof (proof counts,
+        #: synthesis and wall seconds, critical-path depth, ...).
         self.last_epoch_stats: "CompositionStats | None" = None
 
         #: Every wallet-submitted transaction ever seen (survives rebuilds).
@@ -278,8 +277,7 @@ class LatusNode(NodeLifecycle):
         return state
 
     def close(self) -> None:
-        """Release prover-side resources and the attached store, if any."""
-        self.prover.close()
+        """Release the attached store and page backing, if any."""
         super().close()
         if self._page_backing is not None:
             self._page_backing.close()

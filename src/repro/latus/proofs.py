@@ -38,7 +38,6 @@ from repro.latus.utxo import Utxo
 from repro.snark.circuit import CircuitBuilder, Wire
 from repro.snark.gadgets.arith import AMOUNT_BITS, enforce_sum_with_fee
 from repro.snark.gadgets.mimc import mimc_hash_gadget
-from repro.snark.pool import ProverPool
 from repro.snark.recursive import (
     CompositionStats,
     RecursiveComposer,
@@ -202,37 +201,12 @@ class EpochProver:
     :meth:`verify_epoch_proof`.
     """
 
-    def __init__(
-        self,
-        strategy: str = "per_transaction",
-        parallel_workers: int | None = None,
-    ) -> None:
+    def __init__(self, strategy: str = "per_transaction") -> None:
         if strategy not in ("per_transaction", "batched"):
             raise ValueError(f"unknown proving strategy {strategy!r}")
         self.strategy = strategy
-        #: Worker processes :meth:`prove_epoch` proves with; None = serial.
-        self.parallel_workers = parallel_workers
         self.composer = RecursiveComposer(LatusTransitionSystem())
         self._batched_composer = RecursiveComposer(BatchedLatusSystem())
-        self._pool: ProverPool | None = None
-        if parallel_workers:
-            self._pool = ProverPool(max_workers=parallel_workers)
-            self.composer.register_keys(self._pool)
-
-    # -- pool lifecycle -----------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut down the worker processes, if any were started (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "EpochProver":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- proving ------------------------------------------------------------------
 
     def prove_epoch(
         self,
@@ -240,13 +214,6 @@ class EpochProver:
         transitions: Sequence[LatusTransaction],
     ) -> EpochProofResult:
         """Prove the whole epoch's transition (Fig. 11's final merge).
-
-        With ``parallel_workers`` set, the per-transaction strategy proves
-        through a process pool; parallel and serial paths produce identical
-        root proofs, public inputs and proof counts, and only the wall-clock
-        shape (and the pool fields on :class:`CompositionStats`) differ.
-        The batched strategy is a single base proof, so it always proves
-        serially.
 
         An epoch with no transitions (a pure heartbeat) delegates to
         :meth:`prove_empty_epoch`, which proves the identity transition.
@@ -258,7 +225,7 @@ class EpochProver:
         ):
             if self.strategy == "per_transaction":
                 proof, final_state, stats = self.composer.prove_sequence(
-                    start_state, list(transitions), pool=self._pool
+                    start_state, list(transitions)
                 )
             else:
                 proof, final_state, stats = self._batched_composer.prove_sequence(

@@ -188,7 +188,7 @@ class MainchainState:
 
     # -- block connection ---------------------------------------------------------
 
-    def connect_block(self, block: Block, verify_pool=None) -> None:
+    def connect_block(self, block: Block) -> None:
         """Validate ``block`` statefully and apply it; raises on any rule break.
 
         Runs the steps the miner runs too: :meth:`begin_block`, one
@@ -196,14 +196,13 @@ class MainchainState:
         The caller guarantees context-free validity and parent linkage; on
         exception the state must be discarded (a block is not atomic, its
         transactions are).  Certificate proofs are verified as one batch,
-        through ``verify_pool`` (a :class:`repro.snark.pool.ProverPool`)
-        when given, and each verdict feeds its certificate's rule position.
+        and each verdict feeds its certificate's rule position.
         """
         if self.block_hashes and block.header.prev_hash != self.block_hashes[-1]:
             raise ValidationError("block does not extend the state tip")
         self.begin_block(block.height)
         body = block.transactions[1:]
-        verdicts = self.certificate_verdicts(body, block.height, verify_pool)
+        verdicts = self.certificate_verdicts(body, block.height)
         fees = 0
         for index, tx in enumerate(body):
             fees += self.connect_transaction(tx, block.height, verdicts.get(index))
@@ -231,7 +230,7 @@ class MainchainState:
         _BLOCKS_CONNECTED.inc()
 
     def certificate_verdicts(
-        self, txs: "Sequence[Transaction]", height: int, verify_pool=None
+        self, txs: "Sequence[Transaction]", height: int
     ) -> dict[int, bool]:
         """Pre-verify the certificate proofs among ``txs`` as one batch.
 
@@ -254,11 +253,7 @@ class MainchainState:
                     jobs.append((index, (vk, public_input, tx.wcert.proof)))
         if not jobs:
             return {}
-        triples = [triple for _, triple in jobs]
-        if verify_pool is not None:
-            results = verify_pool.map_verify(triples)
-        else:
-            results = proving.verify_many(triples)
+        results = proving.verify_many([triple for _, triple in jobs])
         return {index: ok for (index, _), ok in zip(jobs, results)}
 
     def connect_transaction(
@@ -384,11 +379,8 @@ class Blockchain:
     job; a chain it recovers from disk is put back with :meth:`restore`.
     """
 
-    def __init__(self, params: MainchainParams | None = None, verify_pool=None) -> None:
+    def __init__(self, params: MainchainParams | None = None) -> None:
         self.params = params or MainchainParams()
-        #: Optional :class:`repro.snark.pool.ProverPool` used to batch-verify
-        #: certificate proofs while connecting blocks.
-        self.verify_pool = verify_pool
         self.genesis = _make_genesis(self.params)
         self.restore([self.genesis], MainchainState(self.params))
 
@@ -501,7 +493,7 @@ class Blockchain:
 
         state = parent.state.copy()
         # raises on stateful invalidity
-        state.connect_block(block, verify_pool=self.verify_pool)
+        state.connect_block(block)
         return self._record(block, parent, state)
 
     def add_mined_block(self, block: Block, state: MainchainState) -> bool:

@@ -55,15 +55,11 @@ class MainchainNode(NodeLifecycle):
     def __init__(
         self,
         params: MainchainParams | None = None,
-        verify_pool=None,
         store=None,
         data_dir=None,
         fsync: str = "block",
     ) -> None:
         self.params = params or MainchainParams()
-        #: Optional :class:`repro.snark.pool.ProverPool` for batched
-        #: certificate verification while connecting blocks.
-        self.verify_pool = verify_pool
         self._init_lifecycle(store, data_dir, fsync)
         self._recover_or_start_empty("genesis")
 
@@ -73,7 +69,7 @@ class MainchainNode(NodeLifecycle):
         self.mempool.clear()
 
     def _reset_for_restart(self) -> None:
-        self.chain = Blockchain(self.params, verify_pool=self.verify_pool)
+        self.chain = Blockchain(self.params)
         self.mempool = Mempool()
         self._clock = 0
 
@@ -145,7 +141,7 @@ class MainchainNode(NodeLifecycle):
             self._write_snapshot()
 
     def _adopt_peer_chain(self, peer: "MainchainNode") -> None:
-        chain = Blockchain(self.params, verify_pool=self.verify_pool)
+        chain = Blockchain(self.params)
         for block in peer.chain.active_chain()[1:]:
             chain.add_block(block)
         self.chain = chain
@@ -216,7 +212,7 @@ class MainchainNode(NodeLifecycle):
     ) -> tuple[list[Transaction], int]:
         """Connect mempool candidates onto the open block; (selected, fees)."""
         candidates = self.mempool.take(self.params.max_block_transactions - 1)
-        verdicts = state.certificate_verdicts(candidates, height, self.verify_pool)
+        verdicts = state.certificate_verdicts(candidates, height)
         selected: list[Transaction] = []
         cert_ledgers: set[bytes] = set()
         fees = 0

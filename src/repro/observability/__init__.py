@@ -3,7 +3,7 @@
 This package is the single place the whole stack reports cost to:
 
 * :func:`registry` — the process-wide :class:`MetricsRegistry` every layer
-  (MiMC, prover pool, mainchain, mempool, network simulator, Latus nodes)
+  (MiMC, proving, mainchain, mempool, network simulator, Latus nodes)
   declares its counters/gauges/histograms on;
 * :func:`tracer` — the process-wide :class:`Tracer` whose spans time the
   proving pipeline (base proofs, merge levels, whole epochs);

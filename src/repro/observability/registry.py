@@ -20,9 +20,7 @@ order:
 
 The registry is deliberately not thread-safe beyond CPython's natural
 atomicity for ``+=`` on its own lock; the reproduction is single-threaded
-per process, and pool workers each carry their own per-process registry
-(worker-side hash ops are folded back into the parent through
-``ProveResult`` timings, not through this registry).
+and proves in-process.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ finding into a deterministic regression:
   schedule and :class:`~repro.latus.market.RewardStatement`.
 
 Everything is seeded: transaction chains, assignment draws, laziness
-patterns (:class:`~repro.snark.pool.WorkerFaultInjector`) and network
+patterns (:class:`~repro.latus.market.LazyBehaviour`) and network
 losses (:class:`~repro.network.faults.FaultPlan`) all derive from the
 scenario seed, so a failing scenario is a reproducible artifact, not a
 flake.
@@ -47,7 +47,6 @@ from repro.latus.transactions import LatusTransaction, sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.network.faults import FaultPlan
 from repro.observability.export import flatten
-from repro.snark.pool import WorkerFaultInjector
 
 _PREFIX = "repro_market_"
 
@@ -213,7 +212,7 @@ class AdversarialScenario:
 
 
 class LazyProverScenario(AdversarialScenario):
-    """A high-stake prover that never delivers (injector-driven laziness).
+    """A high-stake prover that never delivers (seeded laziness at rate 1).
 
     Expected: the lazy prover earns nothing, is struck for every refusal
     and banned within the epoch; stake is NOT slashed (absence is not
@@ -223,7 +222,7 @@ class LazyProverScenario(AdversarialScenario):
     name = "lazy-prover"
 
     def attack_provers(self, seed: bytes) -> list[MarketProver]:
-        lazy = LazyBehaviour(WorkerFaultInjector(1.0, seed=seed))
+        lazy = LazyBehaviour(1.0, seed=seed)
         return [
             MarketProver(name="p0", stake=100),
             MarketProver(name="p1", stake=100),

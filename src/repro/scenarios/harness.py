@@ -152,7 +152,6 @@ class ZendooHarness:
         latus_params: LatusParams | None = None,
         creator: KeyPair | None = None,
         proving_strategy: str = "per_transaction",
-        proving_workers: int | None = None,
         store=None,
         data_dir=None,
         fsync: str = "block",
@@ -160,10 +159,8 @@ class ZendooHarness:
     ) -> SidechainHandle:
         """Declare a Latus sidechain on the MC and attach an observing node.
 
-        ``proving_workers`` opts the node's epoch prover into the parallel
-        pipeline (see :class:`repro.snark.pool.ProverPool`); the default
-        ``None`` keeps the serial path.  ``store=`` / ``data_dir=`` attach a
-        durable :class:`~repro.storage.StateStore` to the node (see
+        ``store=`` / ``data_dir=`` attach a durable
+        :class:`~repro.storage.StateStore` to the node (see
         ``docs/STORAGE.md``).  Remaining keyword arguments go to the
         :class:`~repro.latus.node.LatusNode` constructor verbatim (e.g.
         ``paged_mst=True`` for the bounded-memory MST store).
@@ -182,7 +179,6 @@ class ZendooHarness:
             mc_node=self.mc,
             creator=creator or KeyPair.from_seed(f"{seed}/creator"),
             proving_strategy=proving_strategy,
-            proving_workers=proving_workers,
             store=store,
             data_dir=data_dir,
             fsync=fsync,

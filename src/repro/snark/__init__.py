@@ -5,7 +5,6 @@ see :mod:`repro.snark.proving` and DESIGN.md §4 for the substitution notice.
 """
 
 from repro.snark.circuit import Circuit, CircuitBuilder, Wire
-from repro.snark.pool import PoolStats, ProverPool
 from repro.snark.proving import (
     PROOF_SIZE,
     Proof,
@@ -34,10 +33,8 @@ __all__ = [
     "ConstraintSystem",
     "LinearCombination",
     "PROOF_SIZE",
-    "PoolStats",
     "Proof",
     "ProveResult",
-    "ProverPool",
     "ProvingKey",
     "R1CSStats",
     "RecursiveComposer",

@@ -94,12 +94,15 @@ class VerifyingKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VerifyingKey":
-        """Inverse of :meth:`to_bytes`."""
+        """Inverse of :meth:`to_bytes`; raises :class:`SnarkError` if malformed."""
         n = int.from_bytes(data[:2], "little")
-        cid = data[2 : 2 + n].decode()
         rest = data[2 + n :]
         if len(rest) != 64:
             raise SnarkError("malformed verifying key")
+        try:
+            cid = data[2 : 2 + n].decode()
+        except UnicodeDecodeError as exc:
+            raise SnarkError(f"malformed verifying key: {exc}") from exc
         return cls(circuit_id=cid, key_id=rest[:32], binding_key=rest[32:])
 
 
@@ -203,24 +206,6 @@ def prove_with_stats(
     )
 
 
-def prove_many(
-    pk: ProvingKey, jobs: Sequence[tuple[Sequence[int], Any]]
-) -> list[ProveResult]:
-    """Prove a batch of same-key statements under one ``snark/prove_many`` span.
-
-    ``jobs`` is a sequence of ``(public_input, witness)`` pairs.  Results are
-    positionally identical to a loop of :func:`prove_with_stats` calls — this
-    is the chunk entry point :class:`~repro.snark.pool.ProverPool` workers
-    use, so one IPC round and one span cover the whole chunk.
-    """
-    if not jobs:
-        return []
-    with _TRACER.span(
-        "snark/prove_many", circuit=pk.circuit.circuit_id, jobs=len(jobs)
-    ):
-        return [prove_with_stats(pk, public_input, witness) for public_input, witness in jobs]
-
-
 def verify(vk: VerifyingKey, public_input: Sequence[int], proof: Proof) -> bool:
     """Verify a proof — the paper's ``Verify(vk, a, π)``.
 
@@ -240,30 +225,19 @@ def verify_many(
 
     ``jobs`` is a sequence of ``(vk, public_input, proof)`` triples; the
     result is positionally identical to a loop of :func:`verify` calls.
-    This is a block's certificate check when no
-    :class:`~repro.snark.pool.ProverPool` is attached.  Every verdict is
-    counted on ``repro_snark_batch_verify_total{result}``.
+    This is a block's certificate check.  Every verdict is counted on
+    ``repro_snark_batch_verify_total{result}``.
     """
     if not jobs:
         return []
     with _TRACER.span("snark/batched_verify", jobs=len(jobs)):
         results = [verify(vk, public_input, proof) for vk, public_input, proof in jobs]
-    count_batch_verdicts(results)
-    return results
-
-
-def count_batch_verdicts(results: Sequence[bool]) -> None:
-    """Record batch-verification verdicts on the observability counter.
-
-    Split out so :class:`repro.snark.pool.ProverPool` can count results it
-    gathered from worker processes (whose own registries are invisible to
-    the parent).
-    """
     accepted = sum(results)
     if accepted:
         _BATCH_VERIFICATIONS.labels(result="valid").inc(accepted)
     if accepted < len(results):
         _BATCH_VERIFICATIONS.labels(result="invalid").inc(len(results) - accepted)
+    return results
 
 
 def expect_valid(vk: VerifyingKey, public_input: Sequence[int], proof: Proof) -> None:

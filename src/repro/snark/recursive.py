@@ -11,8 +11,8 @@ The :class:`RecursiveComposer` owns the bootstrapped keys and offers
 ``prove_base`` / ``merge`` / ``prove_sequence``; the latter reproduces the
 balanced merge trees of the paper's Figures 10 and 11 and reports tree
 statistics (base count, merge count, depth) used by the recursion benches.
-The tree's shape is :func:`merge_plan`'s alone: serial and pooled proving,
-the proof market and its reward split all walk the steps it lists.
+The tree's shape is :func:`merge_plan`'s alone: serial proving, the proof
+market and its reward split all walk the steps it lists.
 
 In a production recursive SNARK the Merge circuit arithmetizes the verifier
 of its children; here child verification is a native check inside the Merge
@@ -23,7 +23,6 @@ composition *structure*, adjacency discipline, and cost accounting are real.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import asdict, dataclass
 from itertools import groupby
 from typing import Any, Generic, NamedTuple, Protocol, Sequence, TypeVar
@@ -32,15 +31,10 @@ from repro import observability
 from repro.errors import SnarkError, StateTransitionError
 from repro.snark import proving
 from repro.snark.circuit import Circuit, CircuitBuilder
-from repro.snark.pool import ProverPool
 from repro.snark.proving import Proof, ProveResult, ProvingKey, VerifyingKey
 from repro.snark.r1cs import R1CSStats
 
 _TRACER = observability.tracer()
-_POOL_OCCUPANCY = observability.registry().gauge(
-    "repro_pool_occupancy",
-    "pool capacity kept busy by the last prove_sequence (0..1)",
-).labels()
 
 State = TypeVar("State")
 Transition = TypeVar("Transition")
@@ -156,33 +150,17 @@ def merge_plan(leaves: int) -> list[MergeStep]:
 
 @dataclass
 class CompositionStats:
-    """Aggregate statistics of building one recursive proof.
-
-    The per-stage fields added for the parallel pipeline are zero on paths
-    that never touch a pool; ``synthesis_seconds``, ``wall_seconds`` and
-    ``critical_path_depth`` are filled by serial and parallel proving alike
-    so the two cost shapes are directly comparable.
-    """
+    """Aggregate statistics of building one recursive proof."""
 
     base_proofs: int = 0
     merge_proofs: int = 0
     tree_depth: int = 0
     constraints: int = 0
     native_checks: int = 0
-    #: Total worker/prover-side time spent synthesizing circuits.
+    #: Total time spent synthesizing circuits.
     synthesis_seconds: float = 0.0
-    #: Parent-side time spent pickling payloads for the pool.
-    serialization_seconds: float = 0.0
     #: End-to-end wall time of the composition (prove_sequence only).
     wall_seconds: float = 0.0
-    #: Effective pool worker count (0 = serial proving).
-    pool_workers: int = 0
-    #: Proving jobs dispatched to the pool.
-    pool_tasks: int = 0
-    #: IPC rounds the pool performed (chunks + single submissions).
-    pool_chunks: int = 0
-    #: Fraction of pool capacity kept busy: synthesis / (wall * workers).
-    pool_occupancy: float = 0.0
     #: Sequential proving stages on the longest path: one base + the merges
     #: above it — the lower bound on parallel latency, in proof stages.
     critical_path_depth: int = 0
@@ -197,14 +175,7 @@ class CompositionStats:
         self.synthesis_seconds += result.prove_seconds
 
     def to_dict(self) -> dict:
-        """JSON-serializable snapshot using the shared telemetry field names.
-
-        The timing fields (``wall_seconds``, ``synthesis_seconds``,
-        ``serialization_seconds``) carry the same names here, in
-        :meth:`~repro.snark.pool.PoolStats.to_dict` and in
-        ``LatusNode.last_epoch_stats``, so every telemetry surface reports
-        time under one schema.
-        """
+        """JSON-serializable snapshot (how telemetry reports ``last_epoch_stats``)."""
         return asdict(self)
 
 
@@ -247,11 +218,10 @@ class _MergeCircuit(Circuit):
     """Merge SNARK circuit: glue two adjacent proofs (Def. 2.5 item 2).
 
     Child proofs are verified against explicit ``(base_vk, merge_vk)``
-    references rather than a closure over the owning composer, so proving
-    keys — and everything reachable from them — round-trip through
-    ``pickle`` and can be shipped to pool workers.  The keys are bound after
-    ``Setup`` (key derivation depends only on ``circuit_id`` and the
-    parameter digest, so the bootstrapping order is not circular).
+    references, bound after ``Setup``: the Merge circuit verifies Merge
+    proofs, so its own key must exist before it can be bound (key
+    derivation depends only on ``circuit_id`` and the parameter digest, so
+    the bootstrapping order is not circular).
     """
 
     def __init__(
@@ -310,11 +280,6 @@ class RecursiveComposer(Generic[State, Transition]):
         merge_circuit = _MergeCircuit(system.name)
         self._merge_pk, self.merge_vk = proving.setup(merge_circuit)
         merge_circuit.bind_keys(self.base_vk, self.merge_vk)
-
-    def register_keys(self, pool: ProverPool) -> None:
-        """Register both proving keys with a pool (idempotent)."""
-        pool.register(self._base_pk)
-        pool.register(self._merge_pk)
 
     # -- verification ----------------------------------------------------------
 
@@ -387,144 +352,29 @@ class RecursiveComposer(Generic[State, Transition]):
             stats.tree_depth = max(stats.tree_depth, root.depth)
         return root
 
-    # -- parallel proving ---------------------------------------------------------
-
-    def prove_bases_pool(
-        self,
-        state: State,
-        transitions: Sequence[Transition],
-        pool: ProverPool,
-        stats: CompositionStats | None = None,
-    ) -> tuple[list[TransitionProof], State]:
-        """Prove every transition's base proof through a pool.
-
-        The state chain (the inherently sequential part: each digest depends
-        on the previous ``apply``) is computed up front in the parent; the
-        expensive circuit syntheses then dispatch as independent jobs.
-        """
-        jobs: list[tuple[tuple[int, int], Any]] = []
-        current = state
-        d_current = self.system.digest(current)
-        for transition in transitions:
-            next_state = self.system.apply(transition, current)
-            d_next = self.system.digest(next_state)
-            jobs.append(((d_current, d_next), (current, transition)))
-            current, d_current = next_state, d_next
-        results = pool.map_prove(self._base_pk, jobs)
-        proofs = []
-        for ((d_from, d_to), _), result in zip(jobs, results):
-            if stats is not None:
-                stats.base_proofs += 1
-                stats.record_result(result)
-            proofs.append(
-                TransitionProof(d_from, d_to, result.proof, is_merge=False, span=1, depth=0)
-            )
-        return proofs, current
-
-    def merge_all_parallel(
-        self,
-        proofs: Sequence[TransitionProof],
-        pool: ProverPool,
-        stats: CompositionStats | None = None,
-    ) -> TransitionProof:
-        """Parallel version of :meth:`merge_all` over the same :func:`merge_plan`.
-
-        The root proof, ``span``/``depth`` accounting and public input are
-        the serial path's; each step is dispatched to the pool the moment
-        both of its children are in hand, so independent merges (within a
-        level, and across levels once their subtrees complete) prove
-        concurrently.  Latency is bounded by the critical path (tree depth),
-        not the merge count.
-        """
-        plan = merge_plan(len(proofs))
-        consumer = {
-            child: step for step in plan for child in (step.left_key, step.right_key)
-        }
-        ready: dict[tuple[int, int], TransitionProof] = {}
-        inflight: dict[Future, tuple[MergeStep, TransitionProof, TransitionProof]] = {}
-
-        def land(key: tuple[int, int], proof: TransitionProof) -> None:
-            ready[key] = proof
-            step = consumer.get(key)
-            if step is None or not (step.left_key in ready and step.right_key in ready):
-                return  # the root, or a sibling still proving
-            left, right = ready.pop(step.left_key), ready.pop(step.right_key)
-            future = pool.submit_prove(
-                self._merge_pk, TransitionProof.merge_input(left, right), (left, right)
-            )
-            inflight[future] = (step, left, right)
-
-        for i, proof in enumerate(proofs):
-            land((0, i), proof)
-        while inflight:
-            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
-            for future in done:
-                step, left, right = inflight.pop(future)
-                result = pool.collect(future)
-                if stats is not None:
-                    stats.merge_proofs += 1
-                    stats.record_result(result)
-                land(step.key, TransitionProof.merged(left, right, result.proof))
-        (root,) = ready.values()
-        if stats is not None:
-            stats.tree_depth = max(stats.tree_depth, root.depth)
-        return root
-
     def prove_sequence(
         self,
         state: State,
         transitions: Sequence[Transition],
-        pool: ProverPool | None = None,
     ) -> tuple[TransitionProof, State, CompositionStats]:
         """Prove a whole transition sequence, returning the single root proof.
 
-        Equivalent to proving every transition with Base and folding the
-        results with :meth:`merge_all`.  With ``pool`` the base proofs and
-        the merge tree dispatch through :meth:`prove_bases_pool` /
-        :meth:`merge_all_parallel`; the resulting root proof, public input
-        and proof counts are identical to the serial path.
+        Proves every transition with Base and folds the results with
+        :meth:`merge_all`.
         """
         if not transitions:
             raise SnarkError("cannot prove an empty transition sequence")
         started = time.perf_counter()
         stats = CompositionStats()
         with _TRACER.span(
-            "prove/sequence",
-            system=self.system.name,
-            transitions=len(transitions),
-            pooled=pool is not None,
+            "prove/sequence", system=self.system.name, transitions=len(transitions)
         ):
-            if pool is not None:
-                self.register_keys(pool)
-                pool_before = (
-                    pool.stats.tasks,
-                    pool.stats.chunks,
-                    pool.stats.serialization_seconds,
-                )
-                with _TRACER.span("prove/base_batch", jobs=len(transitions)):
-                    proofs, current = self.prove_bases_pool(
-                        state, transitions, pool, stats
-                    )
-                with _TRACER.span("prove/merge_tree", leaves=len(proofs)):
-                    root = self.merge_all_parallel(proofs, pool, stats)
-                stats.pool_workers = pool.stats.workers
-                stats.pool_tasks = pool.stats.tasks - pool_before[0]
-                stats.pool_chunks = pool.stats.chunks - pool_before[1]
-                stats.serialization_seconds = (
-                    pool.stats.serialization_seconds - pool_before[2]
-                )
-            else:
-                proofs = []
-                current = state
-                for transition in transitions:
-                    proof, current = self.prove_base(current, transition, stats)
-                    proofs.append(proof)
-                root = self.merge_all(proofs, stats)
+            proofs = []
+            current = state
+            for transition in transitions:
+                proof, current = self.prove_base(current, transition, stats)
+                proofs.append(proof)
+            root = self.merge_all(proofs, stats)
         stats.wall_seconds = time.perf_counter() - started
         stats.critical_path_depth = root.depth + 1
-        if stats.pool_workers and stats.wall_seconds > 0:
-            stats.pool_occupancy = min(
-                1.0, stats.synthesis_seconds / (stats.wall_seconds * stats.pool_workers)
-            )
-        _POOL_OCCUPANCY.set(stats.pool_occupancy)
         return root, current, stats

@@ -30,9 +30,8 @@ method surface, its wires carry only field values, and it
   the symbolic builder's :class:`~repro.errors.UnsatisfiedConstraint`
   message verbatim, in the same order relative to native checks.
 
-There is no structure to cache, so there is no shape key and nothing to
-ship to pool workers.  ``tests/test_witness_checker.py``
-pins the checker against the symbolic builder (stats, verdict, exception
+There is no structure to cache, so there is no shape key.
+``tests/test_witness_checker.py`` pins the checker against the symbolic builder (stats, verdict, exception
 type and message) for every circuit family, for random op programs over the
 whole surface, and for the method signatures themselves.
 """

@@ -20,7 +20,7 @@ from repro.core.transfers import (
 )
 from repro.crypto.signatures import PublicKey, Signature
 from repro.encoding import Decoder
-from repro.errors import DecodeError
+from repro.errors import DecodeError, SnarkError
 from repro.latus.transactions import (
     BackwardTransferRequestsTx,
     BackwardTransferTx,
@@ -42,6 +42,25 @@ from repro.mainchain.transaction import (
 )
 from repro.mainchain.utxo import Outpoint, TxOutput
 from repro.snark.proving import Proof, VerifyingKey
+
+# ---------------------------------------------------------------------------
+# SNARK objects (their own constructors raise SnarkError)
+# ---------------------------------------------------------------------------
+
+
+def read_proof(dec: Decoder) -> Proof:
+    try:
+        return Proof.from_bytes(dec.var_bytes())
+    except SnarkError as exc:
+        raise DecodeError(str(exc)) from exc
+
+
+def read_verifying_key(dec: Decoder) -> VerifyingKey:
+    try:
+        return VerifyingKey.from_bytes(dec.var_bytes())
+    except SnarkError as exc:
+        raise DecodeError(str(exc)) from exc
+
 
 # ---------------------------------------------------------------------------
 # CCTP datatypes (repro.core.transfers)
@@ -66,7 +85,7 @@ def read_withdrawal_certificate(dec: Decoder) -> WithdrawalCertificate:
     quality = dec.u64()
     bt_list = dec.sequence(lambda d: _nested(d, read_backward_transfer))
     proofdata = dec.sequence(lambda d: d.field_element())
-    proof = Proof.from_bytes(dec.var_bytes())
+    proof = read_proof(dec)
     return WithdrawalCertificate(
         ledger_id=ledger_id,
         epoch_id=epoch_id,
@@ -84,7 +103,7 @@ def _read_withdrawal_request_fields(dec: Decoder) -> dict:
         amount=dec.u64(),
         nullifier=dec.var_bytes(),
         proofdata=tuple(dec.sequence(lambda d: d.field_element())),
-        proof=Proof.from_bytes(dec.var_bytes()),
+        proof=read_proof(dec),
     )
 
 
@@ -101,9 +120,9 @@ def read_sidechain_config(dec: Decoder) -> SidechainConfig:
     start_block = dec.u64()
     epoch_len = dec.u64()
     submit_len = dec.u64()
-    wcert_vk = VerifyingKey.from_bytes(dec.var_bytes())
-    btr_vk = dec.optional(lambda d: VerifyingKey.from_bytes(d.var_bytes()))
-    csw_vk = dec.optional(lambda d: VerifyingKey.from_bytes(d.var_bytes()))
+    wcert_vk = read_verifying_key(dec)
+    btr_vk = dec.optional(read_verifying_key)
+    csw_vk = dec.optional(read_verifying_key)
     schemas = [
         ProofdataSchema(fields=tuple(dec.sequence(lambda d: d.text())))
         for _ in range(3)

@@ -1,16 +1,17 @@
-"""Batched withdrawal-certificate verification: pool, serial and parity.
+"""Batched withdrawal-certificate verification and its chain parity.
 
-Covers :func:`repro.snark.proving.verify_many`,
-:meth:`repro.snark.pool.ProverPool.map_verify`, and the end-to-end property
-that a chain replayed with a verification pool attached is byte-identical
-to the serially verified one — including rejection of invalid proofs at
-the same rule position.
+Covers :func:`repro.snark.proving.verify_many` (the one batch entry point),
+:meth:`MainchainState.certificate_verdicts` feeding it, and the end-to-end
+property that a chain replayed on a fresh :class:`Blockchain` — batched
+verdicts included — is byte-identical to the original, with invalid proofs
+rejected at the same rule position either way.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro import observability
 from repro.core.cctp import CctpState
 from repro.crypto.keys import KeyPair
 from repro.errors import CertificateRejected
@@ -19,7 +20,6 @@ from repro.mainchain.transaction import CertificateTx
 from repro.scenarios import ZendooHarness
 from repro.snark import proving
 from repro.snark.circuit import Circuit
-from repro.snark.pool import ProverPool, WorkerFaultInjector
 
 ALICE = KeyPair.from_seed("alice")
 
@@ -57,37 +57,28 @@ class TestVerifyMany:
 
 
 class TestPoolMapVerify:
-    def test_serial_pool_matches_verify_many(self):
-        jobs = _jobs(7, tamper={0, 6})
-        with ProverPool(max_workers=1) as pool:
-            assert pool.map_verify(jobs) == proving.verify_many(jobs)
-            assert pool.stats.verifications == 7
+    """What a block's certificate check relies on from ``verify_many``."""
 
-    def test_worker_pool_matches_verify_many(self):
-        jobs = _jobs(11, tamper={3})
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            assert pool.map_verify(jobs) == proving.verify_many(jobs)
+    def test_serial_pool_matches_verify_many(self):
+        """Verdicts are counted once each on ``repro_snark_batch_verify_total``."""
+        series = observability.registry().counter(
+            "repro_snark_batch_verify_total", labelnames=("result",)
+        )
+        before = {r: series.value(result=r) for r in ("valid", "invalid")}
+        proving.verify_many(_jobs(7, tamper={0, 6}))
+        after = {r: series.value(result=r) for r in ("valid", "invalid")}
+        assert after == {"valid": before["valid"] + 5, "invalid": before["invalid"] + 2}
 
     def test_order_preserved_across_chunks(self):
         jobs = _jobs(24, tamper={1, 4, 9, 23})
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            verdicts = pool.map_verify(jobs)
-            assert pool.stats.chunks >= 3
-        assert verdicts == [i not in {1, 4, 9, 23} for i in range(24)]
-
-    def test_fault_injection_degrades_to_identical_results(self):
-        jobs = _jobs(8, tamper={2})
-        injector = WorkerFaultInjector(failure_rate=1.0)
-        with ProverPool(
-            max_workers=2, clamp_to_cpus=False, fault_injector=injector
-        ) as pool:
-            verdicts = pool.map_verify(jobs)
-            assert pool.serial  # retries exhausted -> degraded
-        assert verdicts == [i != 2 for i in range(8)]
+        assert proving.verify_many(jobs) == [i not in {1, 4, 9, 23} for i in range(24)]
 
     def test_empty_jobs(self):
-        with ProverPool(max_workers=1) as pool:
-            assert pool.map_verify([]) == []
+        """A body without certificates asks for no verdicts at all."""
+        harness = ZendooHarness()
+        harness.mine(2)
+        state = harness.mc.state
+        assert state.certificate_verdicts([], state.height + 1) == {}
 
 
 def _certified_chain():
@@ -109,20 +100,19 @@ class TestChainParity:
             for block in blocks
             for tx in block.transactions
         )
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            replay = Blockchain(harness.mc.params, verify_pool=pool)
-            for block in blocks[1:]:  # genesis is identical by construction
-                replay.add_block(block)
-            assert pool.stats.verifications > 0
-        assert replay.tip.hash == harness.mc.chain.tip.hash
-        assert (
-            replay.state.cctp.safeguard.balance(
-                next(iter(harness.sidechains))
-            )
-            == harness.mc.state.cctp.safeguard.balance(
-                next(iter(harness.sidechains))
-            )
+        batched = observability.registry().counter(
+            "repro_snark_batch_verify_total", labelnames=("result",)
         )
+        before = batched.value(result="valid")
+        replay = Blockchain(harness.mc.params)
+        for block in blocks[1:]:  # genesis is identical by construction
+            replay.add_block(block)
+        assert batched.value(result="valid") > before
+        assert replay.tip.hash == harness.mc.chain.tip.hash
+        ledger_id = next(iter(harness.sidechains))
+        assert replay.state.cctp.safeguard.balance(
+            ledger_id
+        ) == harness.mc.state.cctp.safeguard.balance(ledger_id)
 
     def test_invalid_proof_rejected_identically_in_both_paths(self):
         """A forged proof fails at the same rule whether the verdict comes

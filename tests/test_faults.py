@@ -4,7 +4,7 @@ Covers the whole robustness stack: seeded :class:`FaultPlan` decisions
 (byte-identical across runs), scheduled partitions, simulator integration
 (labeled drop accounting, duplicate/reorder/spike delivery, handler
 failures), :class:`LatusNode` crash/restart/``sync_from`` recovery,
-:class:`ProverPool` worker-failure injection with its retry/degrade policy,
+seeded prover laziness and the proof market's retry-then-fallback policy,
 chaos runs of the harness deployment (a fault plan on ``harness.network``,
 then ``harness.converge``), and the three paper-critical stories:
 
@@ -20,8 +20,6 @@ then ``harness.converge``), and the three paper-critical stories:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from dataclasses import replace
 from types import SimpleNamespace
@@ -29,15 +27,24 @@ from types import SimpleNamespace
 from repro import observability
 from repro.core.cctp import SidechainStatus
 from repro.crypto.field import MODULUS
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.keys import KeyPair
 from repro.errors import (
     CertificateRejected,
     ConsensusError,
+    MarketError,
     NetworkError,
     NodeCrashed,
     UnsatisfiedConstraint,
 )
 from repro.latus.block import forge_block
+from repro.latus.market import (
+    LazyBehaviour,
+    MarketDispatcher,
+    MarketProver,
+    MarketTask,
+    tree_tasks,
+)
 from repro.latus.mst_delta import MstDelta
 from repro.latus.params import LatusParams
 from repro.mainchain.params import MainchainParams
@@ -51,10 +58,9 @@ from repro.network import (
 )
 from repro.observability import export
 from repro.scenarios import ZendooHarness
+from repro.scenarios.adversarial import payment_epoch
 from repro.storage import FileStore
 from repro.snark import proving
-from repro.snark.pool import ProverPool, WorkerFaultInjector
-from repro.snark.recursive import RecursiveComposer
 
 
 # ---------------------------------------------------------------------------
@@ -430,148 +436,102 @@ class TestCrashRestart:
 
 
 # ---------------------------------------------------------------------------
-# ProverPool worker-failure injection
+# Prover laziness and the market's retry-then-fallback policy
 # ---------------------------------------------------------------------------
 
 
-class FaultCounterSystem:
-    """Toy transition system (module level so pool workers can unpickle it)."""
-
-    name = "faults-test-counter"
-
-    def apply(self, transition: int, state: int) -> int:
-        return state + transition
-
-    def digest(self, state: int) -> int:
-        return state % MODULUS
-
-    def synthesize_transition(self, builder, state, transition, next_state):
-        s = builder.alloc(state)
-        t = builder.alloc(transition)
-        n = builder.alloc(next_state)
-        builder.enforce_equal(builder.add(s, t), n, "counter/step")
+def task(ordinal: int) -> MarketTask:
+    return MarketTask(kind="base", level=0, index=ordinal, span=1, txid=b"", ordinal=ordinal)
 
 
-class StaysHome(int):
-    """A transition that refuses to pickle: it can never reach a worker."""
-
-    def __reduce__(self):
-        raise TypeError("this transition stays in the parent process")
-
-
-class KillsWorker(int):
-    """A transition whose unpickling ends the worker process that reads it."""
-
-    def __reduce__(self):
-        return (os._exit, (3,))
-
-
-class UnshippableCounterSystem(FaultCounterSystem):
-    """A system that refuses to pickle, and with it its Base proving key."""
-
-    name = "faults-test-unshippable"
-
-    def __reduce__(self):
-        raise TypeError("this system stays in the parent process")
+def refusals(behaviour: LazyBehaviour, count: int) -> list[bool]:
+    return [behaviour.decide(task(i)) == "refuse" for i in range(count)]
 
 
 class TestWorkerFaultInjector:
-    def test_rate_validated(self):
-        from repro.errors import SnarkError
+    """``LazyBehaviour``'s seeded draw: pure in ``(seed, task ordinal)``."""
 
-        with pytest.raises(SnarkError):
-            WorkerFaultInjector(2.0)
+    def test_rate_validated(self):
+        with pytest.raises(MarketError):
+            LazyBehaviour(2.0)
+        with pytest.raises(MarketError):
+            LazyBehaviour(-0.1)
 
     def test_deterministic_in_seed_and_index(self):
-        a = WorkerFaultInjector(0.5, seed=b"inj")
-        b = WorkerFaultInjector(0.5, seed=b"inj")
-        assert [a.should_fail(i) for i in range(64)] == [
-            b.should_fail(i) for i in range(64)
+        a = refusals(LazyBehaviour(0.5, seed=b"inj"), 64)
+        assert a == refusals(LazyBehaviour(0.5, seed=b"inj"), 64)
+        assert any(a) and not all(a)
+        assert a != refusals(LazyBehaviour(0.5, seed=b"other"), 64)
+        # the draw market schedules and adversarial replays are pinned to
+        draws = [
+            hash_bytes(b"inj" + i.to_bytes(8, "little"), b"pool/fault") for i in range(64)
         ]
-        assert any(a.should_fail(i) for i in range(64))
-        assert not all(a.should_fail(i) for i in range(64))
+        assert a == [int.from_bytes(d[:8], "little") / float(1 << 64) < 0.5 for d in draws]
 
     def test_extreme_rates(self):
-        assert not any(WorkerFaultInjector(0.0).should_fail(i) for i in range(32))
-        assert all(WorkerFaultInjector(1.0).should_fail(i) for i in range(32))
+        assert not any(refusals(LazyBehaviour(0.0), 32))
+        assert all(refusals(LazyBehaviour(1.0), 32))
+        assert all(refusals(LazyBehaviour(), 32))
 
 
 class TestPoolFaultRecovery:
-    def test_all_dispatches_failing_degrades_to_serial(self):
-        composer = RecursiveComposer(FaultCounterSystem())
-        root_s, final_s, _ = composer.prove_sequence(0, [1, 2, 3])
-        with ProverPool(
-            max_workers=2,
-            clamp_to_cpus=False,
-            fault_injector=WorkerFaultInjector(1.0, seed=b"allfail"),
-        ) as pool:
-            root_p, final_p, _ = composer.prove_sequence(0, [1, 2, 3], pool=pool)
-        assert final_p == final_s
-        assert root_p.proof.data == root_s.proof.data
-        assert pool.serial  # retries exhausted -> permanent serial fallback
-        assert pool.stats.injected_failures > 0
-        assert "retries" in pool.stats.fallback_reason or pool.stats.fallback_reason
-
-    def test_partial_failures_retried_with_identical_results(self):
-        composer = RecursiveComposer(FaultCounterSystem())
-        root_s, final_s, _ = composer.prove_sequence(0, [5, 7, 11, 13])
-        registry = observability.registry()
-        retries = registry.get("repro_pool_retries_total")
-        before = retries.value()
-        with ProverPool(
-            max_workers=2,
-            clamp_to_cpus=False,
-            fault_injector=WorkerFaultInjector(0.4, seed=b"flaky"),
-        ) as pool:
-            root_p, final_p, _ = composer.prove_sequence(0, [5, 7, 11, 13], pool=pool)
-        assert final_p == final_s
-        assert root_p.proof.data == root_s.proof.data
-        assert pool.stats.injected_failures > 0
-        assert pool.stats.retries > 0
-        assert retries.value() == before + pool.stats.retries
-        assert pool.stats.to_dict()["injected_failures"] == pool.stats.injected_failures
-
-    def test_map_prove_failures_recovered(self):
-        # drives map_prove through the composer's parallel base stage
-        composer = RecursiveComposer(FaultCounterSystem())
-        with ProverPool(
-            max_workers=2,
-            clamp_to_cpus=False,
-            fault_injector=WorkerFaultInjector(0.5, seed=b"mapfail"),
-        ) as pool:
-            root_p, final_p, _ = composer.prove_sequence(0, [2, 4, 6, 8], pool=pool)
-        root_s, final_s, _ = composer.prove_sequence(0, [2, 4, 6, 8])
-        assert final_p == final_s
-        assert root_p.proof.data == root_s.proof.data
+    """A refused or lost task is retried on another prover, then proven by
+    the forger in-process; the root proof is always the serial one."""
 
     @staticmethod
-    def prove_both_ways(composer, transitions):
-        """(serial root, pooled root, pool) for the same transitions."""
-        root_s, _, _ = composer.prove_sequence(0, transitions)
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            root_p, _, _ = composer.prove_sequence(0, transitions, pool=pool)
-        return root_s, root_p, pool
+    def run(provers, count, seed, **market):
+        start, txs = payment_epoch(count, seed)
+        dispatcher = MarketDispatcher(provers, **market)
+        report = dispatcher.prove_epoch(start, txs)
+        serial, final, _ = dispatcher.composer.prove_sequence(start, txs)
+        assert report.proof == serial
+        assert report.final_state.digest() == final.digest()
+        return report
 
-    def test_unpicklable_payload_degrades_at_dispatch(self):
-        composer = RecursiveComposer(FaultCounterSystem())
-        root_s, root_p, pool = self.prove_both_ways(composer, [1, StaysHome(2), 3])
-        assert root_p.proof.data == root_s.proof.data
-        assert pool.serial and pool.stats.retries > 0
-        assert "stays in the parent process" in pool.stats.fallback_reason
+    def test_all_dispatches_failing_degrades_to_serial(self):
+        lazy = MarketProver(name="lazy", stake=100, behaviour=LazyBehaviour(seed=b"allfail"))
+        report = self.run([lazy], 3, b"allfail")
+        assert report.fallback_tasks == tuple(t.key for t in tree_tasks(3))
+        assert report.statement.total_paid == 0
+
+    def test_partial_failures_retried_with_identical_results(self):
+        reassigned = observability.registry().get("repro_market_reassignments_total")
+        before = reassigned.value()
+        flaky = LazyBehaviour(0.4, seed=b"flaky")
+        report = self.run(
+            [
+                MarketProver(name="flaky", stake=900, behaviour=flaky),
+                MarketProver(name="honest", stake=100),
+            ],
+            4,
+            b"flaky",
+        )
+        assert report.reassignments > 0
+        assert reassigned.value() == before + report.reassignments
+        assert report.fallback_tasks == ()
+
+    def test_map_prove_failures_recovered(self):
+        lazy = LazyBehaviour(0.5, seed=b"mapfail")
+        report = self.run(
+            [
+                MarketProver(name="lazy", stake=900, behaviour=lazy),
+                MarketProver(name="honest", stake=100),
+            ],
+            4,
+            b"mapfail",
+        )
+        assert report.censorship_suspected  # refused base tasks, all recovered
+        assert report.fallback_tasks == ()
 
     def test_worker_dying_mid_round_degrades(self):
-        composer = RecursiveComposer(FaultCounterSystem())
-        root_s, root_p, pool = self.prove_both_ways(composer, [1, KillsWorker(2), 3])
-        assert root_p.proof.data == root_s.proof.data
-        assert pool.serial and pool.stats.retries > 0
-        assert "terminated abruptly" in pool.stats.fallback_reason
-
-    def test_unpicklable_key_degrades_at_executor_start(self):
-        composer = RecursiveComposer(UnshippableCounterSystem())
-        root_s, root_p, pool = self.prove_both_ways(composer, [1, 2, 3])
-        assert root_p.proof.data == root_s.proof.data
-        assert pool.serial and pool.stats.chunks == 0
-        assert pool.stats.fallback_reason.startswith("executor start failed")
+        """Submissions lost in transit are retried like refusals."""
+        report = self.run(
+            [MarketProver(name=f"p{i}", stake=100) for i in range(3)],
+            4,
+            b"transport",
+            fault_plan=FaultPlan(seed=b"transport", drop_rate=0.4),
+        )
+        assert "transport" in {reason for _, reason in report.rejections}
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,12 @@ class TestGlobalLayer:
 
 class TestSharedStatsSchema:
     def test_pool_and_composition_stats_share_timing_names(self):
-        from repro.snark.pool import PoolStats
+        """One stats surface: proving time is synthesis and wall seconds."""
         from repro.snark.recursive import CompositionStats
 
-        pool_fields = set(PoolStats().to_dict())
-        comp_fields = set(CompositionStats().to_dict())
-        shared = {"synthesis_seconds", "serialization_seconds"}
-        assert shared <= pool_fields
-        assert shared <= comp_fields
-        assert "wall_seconds" in comp_fields
+        fields = set(CompositionStats().to_dict())
+        assert {"synthesis_seconds", "wall_seconds"} <= fields
+        assert not {f for f in fields if f.startswith("pool_") or "serialization" in f}
 
     def test_composition_stats_to_dict_round_trips_json(self):
         from repro.snark.recursive import CompositionStats

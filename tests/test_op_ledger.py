@@ -16,17 +16,19 @@ a ``CowSet`` wraps a ``CowDict``) per block, however many entries change.
 Each row of :data:`GROWTH` is one count measured on the same fixed builder
 at two sizes, n and 2n: what the paper's scalability claim (§4.1.2: a small,
 constant mainchain cost per sidechain and per certificate) says must not
-grow with the chain's length or a sidechain's age.  The counts are exact; a
-change that moves one restates both columns, and the per-unit count at 2n
-stays at most the count at n.
+grow with the chain's length, a sidechain's age or the number of
+sidechains.  The counts are exact; a change that moves one restates both
+columns, and the per-unit count at 2n stays at most the count at n.
 """
 
 from __future__ import annotations
 
 import gc
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.cctp import CertificateRecord
+from repro.core.commitment import SidechainTxCommitmentTree
 from repro.core.cow import CowDict, CowSet
 from repro.core.transfers import WithdrawalCertificate, derive_ledger_id
 from repro.mainchain.chain import REORG_HORIZON
@@ -51,7 +53,11 @@ CEILINGS = {
 #: Epoch counts (n, 2n) of :func:`growth_chain`.
 GROWTH_EPOCHS = (12, 24)
 
-#: name -> exact counts at (n, 2n) epochs of :func:`growth_chain`.
+#: Sidechain counts (N, 2N) of :func:`growth_chain`, at the shorter length.
+GROWTH_SIDECHAIN_COUNTS = (3, 6)
+
+#: name -> exact counts at (n, 2n) epochs, or (N, 2N) sidechains, of
+#: :func:`growth_chain`.
 GROWTH = {
     # block records that keep a validated state: at most REORG_HORIZON + 1
     # (33 with a horizon of 32) at either length
@@ -61,10 +67,27 @@ GROWTH = {
     # entry's latest record, a record's link to the epoch before); per
     # adopted certificate this is flat, not growing with the sidechain's age
     "mc.growth.certificate_map_entries": (69, 96),
+    # against sidechain count: proof verifies over the whole build, one per
+    # adopted certificate (36 and 72 certificates)
+    "mc.growth.verifies_per_certificate": (36, 72),
+    # against sidechain count: leaves of every commitment tree the miner
+    # built, one per sidechain active in a block, none for the quiet ones
+    "mc.growth.commitment_leaves_per_block": (36, 72),
 }
 
-#: Sidechains of :func:`growth_chain`, each certifying every epoch.
+#: Sidechains of :func:`growth_chain` for the age rows, each certifying
+#: every epoch.
 GROWTH_SIDECHAINS = 3
+
+
+class GrowthRun(NamedTuple):
+    """A built :func:`growth_chain` and the work its build did."""
+
+    node: MainchainNode
+    #: ``proving.verify`` calls, batched and inline.
+    verifies: int
+    #: Leaves of every ``SidechainTxCommitmentTree`` built.
+    commitment_leaves: int
 
 
 def _growth_certificate(node: MainchainNode, config, epoch: int) -> CertificateTx:
@@ -78,26 +101,44 @@ def _growth_certificate(node: MainchainNode, config, epoch: int) -> CertificateT
 
 
 @lru_cache(maxsize=None)
-def growth_chain(epochs: int) -> MainchainNode:
-    """:data:`GROWTH_SIDECHAINS` sidechains (epochs of 4 blocks from height
-    3, windows of 2) certified in every epoch up to ``epochs``; mined up to
-    the block adopting the last certificates.  The caller must not mutate
-    the node."""
+def growth_chain(epochs: int, sidechains: int = GROWTH_SIDECHAINS) -> GrowthRun:
+    """``sidechains`` sidechains (epochs of 4 blocks from height 3, windows
+    of 2) certified in every epoch up to ``epochs``; mined up to the block
+    adopting the last certificates.  The caller must not mutate the node."""
     configs = [
         make_config(ledger_id=derive_ledger_id(f"growth/{k}"), start_block=3)
-        for k in range(GROWTH_SIDECHAINS)
+        for k in range(sidechains)
     ]
-    node = MainchainNode(PARAMS)
-    for config in configs:
-        node.submit_transaction(SidechainDeclarationTx(config=config))
-    node.mine_block(MINER.address)  # 1
-    for epoch in range(epochs):
-        first_submission = configs[0].schedule.submission_window(epoch).start
-        node.mine_blocks(MINER.address, first_submission - 1 - node.height)
+    work = {"verifies": 0, "leaves": 0}
+    verify, tree_init = proving.verify, SidechainTxCommitmentTree.__init__
+
+    def counted_verify(*args):
+        work["verifies"] += 1
+        return verify(*args)
+
+    def counted_tree(tree, commitments):
+        tree_init(tree, commitments)
+        work["leaves"] += tree.leaf_count
+
+    proving.verify, SidechainTxCommitmentTree.__init__ = counted_verify, counted_tree
+    try:
+        node = MainchainNode(PARAMS)
         for config in configs:
-            node.submit_transaction(_growth_certificate(node, config, epoch))
-        node.mine_block(MINER.address)
-    return node
+            node.submit_transaction(SidechainDeclarationTx(config=config))
+        node.mine_block(MINER.address)  # 1
+        for epoch in range(epochs):
+            first_submission = configs[0].schedule.submission_window(epoch).start
+            node.mine_blocks(MINER.address, first_submission - 1 - node.height)
+            for config in configs:
+                node.submit_transaction(_growth_certificate(node, config, epoch))
+            node.mine_block(MINER.address)
+    finally:
+        proving.verify, SidechainTxCommitmentTree.__init__ = verify, tree_init
+    return GrowthRun(node, work["verifies"], work["leaves"])
+
+
+def _adopted(node: MainchainNode) -> int:
+    return sum(len(entry.certificates) for _, entry in node.state.cctp.sidechains.items())
 
 
 def _tracked(objects) -> int:
@@ -163,17 +204,39 @@ def test_cctp_states_share_their_entries_and_nullifiers():
 def test_mainchain_cost_does_not_grow_with_age():
     """Twice the epochs keep the same number of block states, and no more
     certificate-map entries per adopted certificate."""
-    measured: dict[str, list[int]] = {name: [] for name in GROWTH}
+    measured: dict[str, list[int]] = {
+        "mc.growth.kept_states": [],
+        "mc.growth.certificate_map_entries": [],
+    }
     adopted = []
     for epochs in GROWTH_EPOCHS:
-        node = growth_chain(epochs)
+        node = growth_chain(epochs).node
         states = [r.state for r in node.chain._records.values() if r.state is not None]
-        cctp = node.state.cctp
-        adopted.append(sum(len(entry.certificates) for _, entry in cctp.sidechains.items()))
+        adopted.append(_adopted(node))
         measured["mc.growth.kept_states"].append(len(states))
         measured["mc.growth.certificate_map_entries"].append(_certificate_map_entries(states))
     assert adopted == [GROWTH_SIDECHAINS * epochs for epochs in GROWTH_EPOCHS]
-    assert {name: tuple(counts) for name, counts in measured.items()} == GROWTH
+    assert {name: tuple(counts) for name, counts in measured.items()} == {
+        name: GROWTH[name] for name in measured
+    }
     kept, entries = measured["mc.growth.kept_states"], measured["mc.growth.certificate_map_entries"]
     assert max(kept) <= REORG_HORIZON + 1
     assert entries[1] / adopted[1] <= entries[0] / adopted[0]
+
+
+def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():
+    """Twice the sidechains: no more proof verifies per certificate, and no
+    more commitment leaves per block and active sidechain."""
+    epochs = GROWTH_EPOCHS[0]
+    runs = [growth_chain(epochs, n) for n in GROWTH_SIDECHAIN_COUNTS]
+    adopted = [_adopted(run.node) for run in runs]
+    assert adopted == [n * epochs for n in GROWTH_SIDECHAIN_COUNTS]
+    measured = {
+        "mc.growth.verifies_per_certificate": [run.verifies for run in runs],
+        "mc.growth.commitment_leaves_per_block": [run.commitment_leaves for run in runs],
+    }
+    assert {name: tuple(counts) for name, counts in measured.items()} == {
+        name: GROWTH[name] for name in measured
+    }
+    for counts in measured.values():
+        assert counts[1] / adopted[1] <= counts[0] / adopted[0]

@@ -1,17 +1,18 @@
-"""Parallel epoch proving: pool equivalence, scheduling, and picklability.
+"""Epoch proving on the one in-process path: the fold, the plan, the values.
 
-The parallel pipeline (``repro.snark.pool`` + the pool-aware paths on
-``RecursiveComposer`` / ``EpochProver``) must be a pure accelerator: the
-root proof, its public input, the proof counts and the tree shape are
-required to be *identical* to the serial path.  These tests pin that down,
-force the real multiprocess path even on single-core machines
-(``clamp_to_cpus=False``), and verify that every object crossing the
-process boundary survives a pickle round-trip.
+``RecursiveComposer.prove_sequence`` proves every transition with Base and
+folds the proofs with ``merge_all`` over ``merge_plan``; the proof market
+walks the same plan.  These tests pin the fold (root bytes, proof counts,
+tree shape), cross-verification under independently bootstrapped keys, the
+per-epoch instrumentation, and that the values a prover handles — proving
+keys, states, transactions, proofs, stats — are plain data that survive a
+pickle round-trip.
 """
 
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +33,6 @@ from repro.latus.transactions import (
 )
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.snark import proving
-from repro.snark.pool import ProverPool
 from repro.scenarios.adversarial import payment_epoch
 from repro.snark.recursive import CompositionStats, RecursiveComposer, merge_plan
 
@@ -40,7 +40,7 @@ DEPTH = 8
 
 
 class CounterSystem:
-    """Toy transition system (module level so pool workers can unpickle it)."""
+    """Toy transition system: the state is an integer counter."""
 
     name = "parallel-test-counter"
 
@@ -91,116 +91,93 @@ def chain_of_payments(keys, count):
         current = nxt
     return state, txs
 
-
 class TestPoolEquivalence:
-    """Serial and parallel composition must be indistinguishable."""
+    """``prove_sequence`` is exactly the Base fold plus ``merge_all``."""
 
-    @pytest.mark.slow
+    @staticmethod
+    def fold(composer, transitions):
+        proofs, state = [], 0
+        for transition in transitions:
+            proof, state = composer.prove_base(state, transition)
+            proofs.append(proof)
+        return composer.merge_all(proofs), state
+
     @pytest.mark.parametrize("count", [1, 2, 5, 8])
     def test_counter_sequences_match(self, composer, count):
         transitions = list(range(1, count + 1))
-        root_s, final_s, stats_s = composer.prove_sequence(0, transitions)
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            root_p, final_p, stats_p = composer.prove_sequence(
-                0, transitions, pool=pool
-            )
-        assert final_s == final_p
-        assert root_s.public_input == root_p.public_input
-        assert root_s.proof.data == root_p.proof.data
-        assert (root_s.span, root_s.depth) == (root_p.span, root_p.depth)
-        assert stats_s.base_proofs == stats_p.base_proofs
-        assert stats_s.merge_proofs == stats_p.merge_proofs
-        assert stats_s.tree_depth == stats_p.tree_depth
-        assert stats_s.constraints == stats_p.constraints
-        assert stats_s.native_checks == stats_p.native_checks
+        root, final, stats = composer.prove_sequence(0, transitions)
+        folded, folded_final = self.fold(composer, transitions)
+        assert final == folded_final == sum(transitions)
+        assert root == folded
+        assert (root.span, root.depth) == (count, stats.tree_depth)
+        assert stats.base_proofs == count
+        assert stats.merge_proofs == len(merge_plan(count)) == count - 1
 
     def test_cross_verification(self, composer):
-        """Each path's root proof verifies under the other's composer view."""
-        transitions = [3, 1, 4, 1, 5]
-        root_s, _, _ = composer.prove_sequence(0, transitions)
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            root_p, _, _ = composer.prove_sequence(0, transitions, pool=pool)
+        """A root proof verifies under an independently bootstrapped composer."""
+        root, _, _ = composer.prove_sequence(0, [3, 1, 4, 1, 5])
         other = RecursiveComposer(CounterSystem())  # same deterministic keys
-        assert composer.verify(root_p)
-        assert other.verify(root_p)
-        assert other.verify(root_s)
+        assert composer.verify(root)
+        assert other.verify(root)
+        assert not other.verify(replace(root, to_digest=root.to_digest + 1))
 
     def test_serial_fallback_pool(self, composer):
-        """max_workers=1 degrades to in-process proving, same results."""
-        pool = ProverPool(max_workers=1)
-        assert pool.serial
-        root_p, _, stats_p = composer.prove_sequence(0, [1, 2, 3], pool=pool)
-        root_s, _, stats_s = composer.prove_sequence(0, [1, 2, 3])
-        assert root_p.proof.data == root_s.proof.data
-        assert stats_p.pool_workers == 0
-        assert stats_p.pool_tasks == stats_s.base_proofs + stats_s.merge_proofs
+        """One proof per task of the tree the market pays for."""
+        for count in (1, 3, 6):
+            _, _, stats = composer.prove_sequence(0, [1] * count)
+            assert stats.base_proofs + stats.merge_proofs == len(tree_tasks(count))
 
     def test_merge_all_parallel_rejects_non_adjacent(self, composer):
         p1, _ = composer.prove_base(0, 3)
         p2, _ = composer.prove_base(100, 4)
-        with ProverPool(max_workers=1) as pool:
-            with pytest.raises(SnarkError):
-                composer.merge_all_parallel([p1, p2], pool)
+        with pytest.raises(SnarkError):
+            composer.merge_all([p1, p2])
 
     def test_merge_all_parallel_empty_rejected(self, composer):
-        with ProverPool(max_workers=1) as pool:
-            with pytest.raises(SnarkError):
-                composer.merge_all_parallel([], pool)
+        with pytest.raises(SnarkError):
+            composer.merge_all([])
 
     def test_instrumentation_populated(self, composer):
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            root, _, stats = composer.prove_sequence(0, [1] * 6, pool=pool)
-        assert stats.pool_workers == 2
-        assert stats.pool_tasks == stats.base_proofs + stats.merge_proofs == 11
-        assert stats.pool_chunks > 0
-        assert stats.wall_seconds > 0
-        assert stats.synthesis_seconds > 0
-        assert stats.critical_path_depth == root.depth + 1
-        assert 0 < stats.pool_occupancy <= 1
+        root, _, stats = composer.prove_sequence(0, [1] * 6)
+        assert stats.base_proofs + stats.merge_proofs == 11
+        assert 0 < stats.synthesis_seconds <= stats.wall_seconds
+        assert stats.critical_path_depth == root.depth + 1 == 4
+        assert stats.tree_depth == root.depth
 
     def test_every_walker_reads_the_plan(self, composer):
-        """Reward split, serial and pooled proving and the market share one tree."""
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            for n in (6, 7):
-                plan = merge_plan(n)
-                leaves = [(0, i) for i in range(n)]
-                assert [t.key for t in tree_tasks(n)] == leaves + [merge.key for merge in plan]
-                proofs, state = [], 0
-                for step in range(1, n + 1):
-                    proof, state = composer.prove_base(state, step)
-                    proofs.append(proof)
-                serial = composer.merge_all(proofs)
-                assert composer.merge_all_parallel(proofs, pool) == serial
-                start, txs = payment_epoch(n, b"walkers")
-                report = MarketDispatcher([MarketProver(name="p", stake=1)]).prove_epoch(
-                    start, txs
-                )
-                assert report.merge_tasks == len(plan)
+        """Reward split, serial proving and the market share one tree."""
+        for n in (6, 7):
+            plan = merge_plan(n)
+            leaves = [(0, i) for i in range(n)]
+            assert [t.key for t in tree_tasks(n)] == leaves + [merge.key for merge in plan]
+            _, _, stats = composer.prove_sequence(0, list(range(1, n + 1)))
+            assert stats.merge_proofs == len(plan)
+            start, txs = payment_epoch(n, b"walkers")
+            report = MarketDispatcher([MarketProver(name="p", stake=1)]).prove_epoch(
+                start, txs
+            )
+            assert report.merge_tasks == len(plan)
 
 
 class TestEpochProverParallel:
-    @pytest.mark.slow
     def test_epoch_equivalence(self, keys):
+        """Two independently built provers make byte-identical epoch proofs."""
         state, txs = chain_of_payments(keys, 5)
-        serial = EpochProver().prove_epoch(state.copy(), txs)
-        with EpochProver(parallel_workers=2) as prover:
-            par = prover.prove_epoch(state.copy(), txs)
-        assert par.proof.public_input == serial.proof.public_input
-        assert par.proof.proof.data == serial.proof.proof.data
-        assert par.stats.base_proofs == serial.stats.base_proofs == 5
-        assert par.stats.merge_proofs == serial.stats.merge_proofs == 4
-        assert par.stats.constraints == serial.stats.constraints
-        # cross-verification: either prover accepts either proof
-        assert EpochProver().verify_epoch_proof(par.proof)
-        assert prover.verify_epoch_proof(serial.proof)
-        assert par.final_state.digest() == serial.final_state.digest()
+        first = EpochProver().prove_epoch(state.copy(), txs)
+        second = EpochProver().prove_epoch(state.copy(), txs)
+        assert second.proof == first.proof
+        assert first.stats.base_proofs == 5
+        assert first.stats.merge_proofs == 4
+        assert second.stats.constraints == first.stats.constraints
+        assert EpochProver().verify_epoch_proof(first.proof)
+        assert second.final_state.digest() == first.final_state.digest()
 
     def test_batched_strategy_ignores_parallel(self, keys):
+        """The batched ablation is one Base proof, accepted by either prover."""
         state, txs = chain_of_payments(keys, 3)
-        with EpochProver("batched", parallel_workers=2) as prover:
-            result = prover.prove_epoch(state, txs)
-        assert result.stats.base_proofs == 1
-        assert result.stats.pool_tasks == 0
+        result = EpochProver("batched").prove_epoch(state, txs)
+        assert (result.stats.base_proofs, result.stats.merge_proofs) == (1, 0)
+        assert EpochProver().verify_epoch_proof(result.proof)
 
     def test_single_proof_epochs_report_their_timing(self, keys):
         state, txs = chain_of_payments(keys, 3)
@@ -211,29 +188,24 @@ class TestEpochProverParallel:
             assert result.stats.critical_path_depth == 1
 
     def test_node_level_opt_in(self, keys):
-        """A sidechain node configured with proving_workers certifies epochs
-        through the pool and surfaces the instrumentation."""
+        """A sidechain node certifies its epochs and surfaces the stats."""
         from repro.scenarios import ZendooHarness
 
         harness = ZendooHarness()
         harness.mine(2)
-        sc = harness.create_sidechain(
-            "parallel-node", epoch_len=3, submit_len=2, proving_workers=2
-        )
-        try:
-            harness.forward_transfer(sc, keys["alice"], 500_000)
-            harness.run_epochs(sc, 1)
-            assert sc.node.certificates, "epoch was not certified"
-            stats = sc.node.last_epoch_stats
-            assert stats is not None
-            assert stats.base_proofs >= 1
-            assert sc.node.last_wcert_witness is not None
-        finally:
-            sc.node.close()
+        sc = harness.create_sidechain("parallel-node", epoch_len=3, submit_len=2)
+        harness.forward_transfer(sc, keys["alice"], 500_000)
+        harness.run_epochs(sc, 1)
+        assert sc.node.certificates, "epoch was not certified"
+        stats = sc.node.last_epoch_stats
+        assert stats is not None
+        assert stats.base_proofs >= 1
+        assert sc.node.last_wcert_witness is not None
+
 
 
 class TestPickleRoundTrips:
-    """Everything shipped across the process boundary must round-trip."""
+    """The prover's values are plain data: each survives a pickle round-trip."""
 
     def _assert_roundtrip(self, obj):
         clone = pickle.loads(pickle.dumps(obj))
@@ -304,5 +276,5 @@ class TestPickleRoundTrips:
         assert prover.verify_epoch_proof(clone)
 
     def test_composition_stats(self):
-        stats = CompositionStats(base_proofs=3, pool_workers=2, wall_seconds=1.5)
+        stats = CompositionStats(base_proofs=3, merge_proofs=2, wall_seconds=1.5)
         assert self._assert_roundtrip(stats) == stats

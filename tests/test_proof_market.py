@@ -30,7 +30,6 @@ from repro.latus.proofs import EpochProver
 from repro.latus.state import LatusState
 from repro.latus.transactions import sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
-from repro.snark.pool import WorkerFaultInjector
 
 ALICE = KeyPair.from_seed("market/alice")
 
@@ -68,7 +67,7 @@ def honest_pool(n: int) -> list[MarketProver]:
 
 def flaky(name: str, rate: float = 0.5) -> MarketProver:
     """Refuses a seeded fraction of its assignments (the old ``fail_every``)."""
-    behaviour = LazyBehaviour(WorkerFaultInjector(rate, seed=name.encode()))
+    behaviour = LazyBehaviour(rate, seed=name.encode())
     return MarketProver(name=name, stake=100, behaviour=behaviour)
 
 

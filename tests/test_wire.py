@@ -1,5 +1,7 @@
 """Wire-format tests: round-trips, strictness, fuzz resilience."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from repro.core.transfers import (
     derive_ledger_id,
 )
 from repro.encoding import Decoder
-from repro.errors import DecodeError, ZendooError
+from repro.errors import DecodeError, SnarkError, ZendooError
 from repro.latus.transactions import (
     build_forward_transfers_tx,
     pack_receiver_metadata,
@@ -23,7 +25,7 @@ from repro.latus.transactions import (
 )
 from repro.latus.mst import MerkleStateTree
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
-from repro.snark.proving import Proof
+from repro.snark.proving import Proof, VerifyingKey
 
 LEDGER = derive_ledger_id("wire")
 
@@ -261,7 +263,92 @@ class TestLatusRoundTrips:
         assert decoded == tx
 
 
+@pytest.fixture(scope="module")
+def sc_history():
+    """A small harness chain: a declared sidechain, a forward transfer, a
+    payment, two certified epochs."""
+    from repro.scenarios import ZendooHarness
+    from repro.crypto.keys import KeyPair
+
+    harness = ZendooHarness()
+    harness.mine(2)
+    sc = harness.create_sidechain("wire-sc-blocks", epoch_len=4, submit_len=2)
+    alice = KeyPair.from_seed("alice")
+    harness.forward_transfer(sc, alice, 9_000)
+    harness.run_epochs(sc, 1)
+    harness.wallet(sc, alice).pay(KeyPair.from_seed("bob").address, 100)
+    harness.run_epochs(sc, 1)
+    return harness, sc
+
+
+class TestMalformedVerifyingKey:
+    """A key whose circuit id is not UTF-8 is malformed wire data."""
+
+    def test_non_utf8_key_id_is_a_decode_error(self, fast_mc_params, keys):
+        from repro.mainchain.node import MainchainNode
+        from repro.mainchain.transaction import SidechainDeclarationTx
+        from repro.scenarios.harness import latus_sidechain_config
+
+        config = latus_sidechain_config("wire-bad-vk", 10, 5, 2)
+        vk = replace(config.wcert_vk, circuit_id="x")
+        tx = SidechainDeclarationTx(config=replace(config, wcert_vk=vk))
+        node = MainchainNode(fast_mc_params)
+        node.submit_transaction(tx)
+        node.mine_block(keys["miner"].address)
+        good, bad = vk.to_bytes(), vk.to_bytes().replace(b"\x01\x00x", b"\x01\x00\xff", 1)
+        with pytest.raises(SnarkError):
+            VerifyingKey.from_bytes(bad)
+        for data, decode in (
+            (tx.encode(), wire.decode_mc_transaction),
+            (node.chain.tip.encode(), wire.decode_block),
+        ):
+            assert data.count(good) == 1
+            decode(data)
+            with pytest.raises(DecodeError):
+                decode(data.replace(good, bad))
+
+
+def _mutate(data: bytes, draw) -> bytes:
+    """One bit flip, truncation, ``0xff`` run or insertion at a drawn spot."""
+    kind = draw(st.sampled_from(["flip", "truncate", "ff_run", "insert"]))
+    at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+    if kind == "flip":
+        bit = draw(st.integers(min_value=0, max_value=7))
+        return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "ff_run":
+        run = draw(st.integers(min_value=1, max_value=8))
+        return data[:at] + b"\xff" * run + data[at + run :]
+    return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+
+
 class TestFuzzResilience:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_real_encodings_raise_only_library_errors(self, sc_history, data):
+        """Mutants of a real chain's MC blocks, MC transactions and Latus
+        blocks decode or raise a :class:`ZendooError`, never anything else."""
+        harness, sc = sc_history
+        blocks = harness.mc.chain.active_chain()[1:]
+        corpus = (
+            [(block.encode(), wire.decode_block) for block in blocks]
+            + [
+                (tx.encode(), wire.decode_mc_transaction)
+                for block in blocks
+                for tx in block.transactions
+            ]
+            + [
+                (wire.encode_sidechain_block(block), wire.decode_sidechain_block)
+                for block in sc.node.blocks
+            ]
+        )
+        encoded, decode = data.draw(st.sampled_from(corpus))
+        try:
+            decode(_mutate(encoded, data.draw))
+        except ZendooError:
+            pass
+
     @given(st.binary(min_size=0, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_random_bytes_never_crash_uncontrolled(self, data):
@@ -298,21 +385,6 @@ class TestFuzzResilience:
 
 
 class TestSidechainBlockWire:
-    @pytest.fixture(scope="class")
-    def sc_history(self):
-        from repro.scenarios import ZendooHarness
-        from repro.crypto.keys import KeyPair
-
-        harness = ZendooHarness()
-        harness.mine(2)
-        sc = harness.create_sidechain("wire-sc-blocks", epoch_len=4, submit_len=2)
-        alice = KeyPair.from_seed("alice")
-        harness.forward_transfer(sc, alice, 9_000)
-        harness.run_epochs(sc, 1)
-        harness.wallet(sc, alice).pay(KeyPair.from_seed("bob").address, 100)
-        harness.run_epochs(sc, 1)
-        return harness, sc
-
     def test_every_block_round_trips(self, sc_history):
         harness, sc = sc_history
         for block in sc.node.blocks:

@@ -10,7 +10,7 @@ This module holds the oracle helpers, the job builders for every circuit
 family, and the cases for the federated circuits, the stand-in certificate
 circuit, the batched ablation, random op programs over the whole builder
 surface, the traffic that retired the old template path, the method
-surface, pool workers, and the fixed-at-Setup structure property.  The
+surface, cold-cache provers, and the fixed-at-Setup structure property.  The
 per-family cases of the Latus circuits live in
 ``tests/test_template_compile.py`` (their original test IDs).
 """
@@ -37,6 +37,7 @@ from repro.core.transfers import (
 from repro.crypto import mimc
 from repro.crypto.field import MODULUS
 from repro.crypto.keys import KeyPair
+from repro.crypto.signatures import clear_verify_cache
 from repro.errors import SynthesisError, ZendooError
 from repro.federated import (
     FederatedCswCircuit,
@@ -67,7 +68,6 @@ from repro.scenarios import ZendooHarness
 from repro.snark import proving
 from repro.snark.circuit import Circuit, CircuitBuilder
 from repro.snark.gadgets.mimc import mimc_hash_gadget
-from repro.snark.pool import ProverPool
 from repro.snark.recursive import RecursiveComposer
 from repro.snark.witness import WitnessChecker
 
@@ -585,7 +585,7 @@ class TestShapeVaryingTraffic:
 
 
 # ---------------------------------------------------------------------------
-# Surface, pool workers, hashing side effects
+# Surface, cold-cache provers, hashing side effects
 # ---------------------------------------------------------------------------
 
 
@@ -610,15 +610,18 @@ def test_checker_offers_the_builders_whole_surface():
 
 
 def test_pool_worker_proofs_are_byte_identical():
+    """A freshly bootstrapped prover with cold hash and signature caches, as
+    a new process starts, makes the same proofs as a warm one."""
     composer = RecursiveComposer(LatusTransitionSystem())
     jobs = [base_job(*BASE_JOBS[kind](), composer) for kind in sorted(BASE_JOBS)]
     local = assert_order_independent(jobs)
-    with ProverPool(max_workers=2, clamp_to_cpus=False) as pool:
-        pooled = pool.map_prove(
-            composer._base_pk, [(public, witness) for _, public, witness in jobs]
-        )
-        assert pool.stats.workers == 2
-    assert [(r.stats, r.proof.data) for r in pooled] == local
+    mimc.clear_cache()
+    clear_verify_cache()
+    cold = RecursiveComposer(LatusTransitionSystem())
+    results = [
+        proving.prove_with_stats(cold._base_pk, public, witness) for _, public, witness in jobs
+    ]
+    assert [(r.stats, r.proof.data) for r in results] == local
 
 
 def test_gadget_hashing_leaves_native_hash_accounting_alone():

@@ -29,7 +29,7 @@ import enum
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterator
 
 from repro.core.bootstrap import SidechainConfig
 from repro.core.cow import CowDict, CowSet
@@ -286,50 +286,12 @@ class CctpState:
 
     # -- withdrawal certificates -----------------------------------------------------
 
-    @staticmethod
-    def _wcert_public_input(
-        entry: SidechainEntry,
-        wcert: WithdrawalCertificate,
-        block_hash_at: Callable[[int], bytes],
-    ) -> "Sequence[int]":
-        """The mainchain-enforced ``wcert_sysdata`` public input (Def. 4.4)."""
-        schedule = entry.config.schedule
-        h_prev = (
-            block_hash_at(schedule.last_height(wcert.epoch_id - 1))
-            if wcert.epoch_id > 0
-            else b"\x00" * 32
-        )
-        h_last = block_hash_at(schedule.last_height(wcert.epoch_id))
-        return wcert.public_input(h_prev, h_last)
-
-    def certificate_verification_job(
-        self,
-        wcert: WithdrawalCertificate,
-        height: int,
-        block_hash_at: Callable[[int], bytes],
-    ) -> "tuple[proving.VerifyingKey, Sequence[int]] | None":
-        """``(vk, public_input)`` for batched proof verification, or None.
-
-        None for an unknown, ceased or out-of-window certificate, which the
-        inline path rejects with the precise rule error.  The public input
-        is built by :meth:`process_certificate`'s code, so a batched verdict
-        equals the inline one.
-        """
-        entry = self.sidechains.get(wcert.ledger_id)
-        if entry is None or entry.status is SidechainStatus.CEASED:
-            return None
-        if not entry.config.schedule.in_submission_window(wcert.epoch_id, height):
-            return None
-        public_input = self._wcert_public_input(entry, wcert, block_hash_at)
-        return entry.config.wcert_vk, public_input
-
     @_counted(_WCERT_VERIFICATIONS, CctpError)
     def process_certificate(
         self,
         wcert: WithdrawalCertificate,
         height: int,
         block_hash_at: Callable[[int], bytes],
-        proof_valid: bool | None = None,
     ) -> WithdrawalCertificate | None:
         """Validate and adopt a withdrawal certificate (§4.1.2's rule list).
 
@@ -338,11 +300,6 @@ class CctpState:
         of the same epoch when the new one replaces it (the host chain then
         cancels the superseded payouts), else None.  The record names its
         block once the host chain calls :meth:`seal_block`.
-
-        ``proof_valid`` carries a pre-computed SNARK verdict from a batched
-        verification pass (see :meth:`certificate_verification_job`): True
-        skips the inline verify, False rejects at the same rule position,
-        None (the default) verifies inline.
 
         Raises :class:`CertificateRejected` on any rule violation.  Every
         verification is counted on ``repro_cctp_wcert_total{result}``;
@@ -376,14 +333,16 @@ class CctpState:
             raise CertificateRejected("proofdata does not match declared schema")
 
         # Rule 4: the SNARK proof verifies under the registered key against
-        # the mainchain-enforced sysdata.  A batched pass may have produced
-        # the verdict already; otherwise verify inline.
-        if proof_valid is None:
-            public_input = self._wcert_public_input(entry, wcert, block_hash_at)
-            proof_valid = proving.verify(
-                entry.config.wcert_vk, public_input, wcert.proof
-            )
-        if not proof_valid:
+        # the mainchain-enforced ``wcert_sysdata`` (Def. 4.4), after every
+        # free check above.
+        h_prev = (
+            block_hash_at(schedule.last_height(wcert.epoch_id - 1))
+            if wcert.epoch_id > 0
+            else b"\x00" * 32
+        )
+        h_last = block_hash_at(schedule.last_height(wcert.epoch_id))
+        public_input = wcert.public_input(h_prev, h_last)
+        if not proving.verify(entry.config.wcert_vk, public_input, wcert.proof):
             raise CertificateRejected("SNARK proof verification failed")
 
         # Safeguard: refund a superseded certificate before debiting.

@@ -44,7 +44,6 @@ from repro.mainchain.validation import (
     validate_block_structure,
     validate_transaction_structure,
 )
-from repro.snark import proving
 from repro import observability
 
 _REGISTRY = observability.registry()
@@ -195,17 +194,14 @@ class MainchainState:
         :meth:`connect_transaction` per transaction, :meth:`finish_block`.
         The caller guarantees context-free validity and parent linkage; on
         exception the state must be discarded (a block is not atomic, its
-        transactions are).  Certificate proofs are verified as one batch,
-        and each verdict feeds its certificate's rule position.
+        transactions are).
         """
         if self.block_hashes and block.header.prev_hash != self.block_hashes[-1]:
             raise ValidationError("block does not extend the state tip")
         self.begin_block(block.height)
-        body = block.transactions[1:]
-        verdicts = self.certificate_verdicts(body, block.height)
         fees = 0
-        for index, tx in enumerate(body):
-            fees += self.connect_transaction(tx, block.height, verdicts.get(index))
+        for tx in block.transactions[1:]:
+            fees += self.connect_transaction(tx, block.height)
         self.finish_block(block, fees)
 
     def begin_block(self, height: int) -> None:
@@ -229,41 +225,10 @@ class MainchainState:
         self.cctp.seal_block(block.hash)
         _BLOCKS_CONNECTED.inc()
 
-    def certificate_verdicts(
-        self, txs: "Sequence[Transaction]", height: int
-    ) -> dict[int, bool]:
-        """Pre-verify the certificate proofs among ``txs`` as one batch.
-
-        Returns ``{position in txs: proof verdict}`` for the first
-        certificate of each sidechain whose public input is already
-        determined (known, active sidechain, in-window epoch).  Certificates
-        outside that set are left to the inline path, where they fail with
-        the precise rule error.  Call after :meth:`begin_block`.
-        """
-        jobs: list[tuple[int, tuple]] = []
-        ledgers: set[bytes] = set()
-        for index, tx in enumerate(txs):
-            if isinstance(tx, CertificateTx) and tx.wcert.ledger_id not in ledgers:
-                ledgers.add(tx.wcert.ledger_id)
-                job = self.cctp.certificate_verification_job(
-                    tx.wcert, height, self.block_hash_at
-                )
-                if job is not None:
-                    vk, public_input = job
-                    jobs.append((index, (vk, public_input, tx.wcert.proof)))
-        if not jobs:
-            return {}
-        results = proving.verify_many([triple for _, triple in jobs])
-        return {index: ok for (index, _), ok in zip(jobs, results)}
-
-    def connect_transaction(
-        self, tx: Transaction, height: int, proof_valid: bool | None = None
-    ) -> int:
+    def connect_transaction(self, tx: Transaction, height: int) -> int:
         """Apply one non-coinbase transaction of the open block; returns its fee.
 
         A refused transaction raises and leaves the state exactly as it was.
-        ``proof_valid`` is a certificate's verdict from
-        :meth:`certificate_verdicts` (None verifies inline).
         """
         validate_transaction_structure(tx)
         fee = 0
@@ -274,7 +239,7 @@ class MainchainState:
         elif isinstance(tx, SidechainDeclarationTx):
             self.cctp.register_sidechain(tx.config, height)
         elif isinstance(tx, CertificateTx):
-            self._connect_certificate(tx.wcert, height, proof_valid)
+            self._connect_certificate(tx.wcert, height)
         elif isinstance(tx, BtrTx):
             self.cctp.process_btr(*tx.requests, height=height)
         else:  # a CswTx: the structure check refused every other type
@@ -342,15 +307,8 @@ class MainchainState:
                 outpoint_key(tx.txid, index), output.addr, output.amount, height, maturity
             )
 
-    def _connect_certificate(
-        self,
-        wcert: WithdrawalCertificate,
-        height: int,
-        proof_valid: bool | None = None,
-    ) -> None:
-        superseded = self.cctp.process_certificate(
-            wcert, height, self.block_hash_at, proof_valid
-        )
+    def _connect_certificate(self, wcert: WithdrawalCertificate, height: int) -> None:
+        superseded = self.cctp.process_certificate(wcert, height, self.block_hash_at)
         if superseded is not None:
             self.pending_payouts.pop(superseded.id, None)
         schedule = self.cctp.entry(wcert.ledger_id).config.schedule

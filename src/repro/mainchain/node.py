@@ -212,11 +212,10 @@ class MainchainNode(NodeLifecycle):
     ) -> tuple[list[Transaction], int]:
         """Connect mempool candidates onto the open block; (selected, fees)."""
         candidates = self.mempool.take(self.params.max_block_transactions - 1)
-        verdicts = state.certificate_verdicts(candidates, height)
         selected: list[Transaction] = []
         cert_ledgers: set[bytes] = set()
         fees = 0
-        for index, tx in enumerate(candidates):
+        for tx in candidates:
             if isinstance(tx, CertificateTx):
                 # The commitment tree admits one certificate per sidechain
                 # per block; later same-sidechain certificates stay queued
@@ -224,7 +223,7 @@ class MainchainNode(NodeLifecycle):
                 if tx.wcert.ledger_id in cert_ledgers:
                     continue
             try:
-                fees += state.connect_transaction(tx, height, verdicts.get(index))
+                fees += state.connect_transaction(tx, height)
             except ZendooError as exc:
                 self.mempool.remove(tx.txid)
                 _TEMPLATE_DROPS.labels(reason=type(exc).__name__).inc()

@@ -225,8 +225,9 @@ def verify_many(
 
     ``jobs`` is a sequence of ``(vk, public_input, proof)`` triples; the
     result is positionally identical to a loop of :func:`verify` calls.
-    This is a block's certificate check.  Every verdict is counted on
-    ``repro_snark_batch_verify_total{result}``.
+    No block path calls it: a mainchain block checks each certificate's
+    proof once, at rule 4 of ``CctpState.process_certificate``.  Every
+    verdict is counted on ``repro_snark_batch_verify_total{result}``.
     """
     if not jobs:
         return []

@@ -20,7 +20,7 @@ from repro.core.transfers import (
 )
 from repro.crypto.signatures import PublicKey, Signature
 from repro.encoding import Decoder
-from repro.errors import DecodeError, SnarkError
+from repro.errors import CctpError, DecodeError, SignatureError, SnarkError
 from repro.latus.transactions import (
     BackwardTransferRequestsTx,
     BackwardTransferTx,
@@ -59,6 +59,25 @@ def read_verifying_key(dec: Decoder) -> VerifyingKey:
     try:
         return VerifyingKey.from_bytes(dec.var_bytes())
     except SnarkError as exc:
+        raise DecodeError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# Signature objects (their own constructors raise SignatureError)
+# ---------------------------------------------------------------------------
+
+
+def read_public_key(dec: Decoder) -> PublicKey:
+    try:
+        return PublicKey.from_bytes(dec.var_bytes())
+    except SignatureError as exc:
+        raise DecodeError(str(exc)) from exc
+
+
+def read_signature(dec: Decoder) -> Signature:
+    try:
+        return Signature.from_bytes(dec.var_bytes())
+    except SignatureError as exc:
         raise DecodeError(str(exc)) from exc
 
 
@@ -127,18 +146,21 @@ def read_sidechain_config(dec: Decoder) -> SidechainConfig:
         ProofdataSchema(fields=tuple(dec.sequence(lambda d: d.text())))
         for _ in range(3)
     ]
-    return SidechainConfig(
-        ledger_id=ledger_id,
-        start_block=start_block,
-        epoch_len=epoch_len,
-        submit_len=submit_len,
-        wcert_vk=wcert_vk,
-        btr_vk=btr_vk,
-        csw_vk=csw_vk,
-        wcert_proofdata=schemas[0],
-        btr_proofdata=schemas[1],
-        csw_proofdata=schemas[2],
-    )
+    try:  # the schedule refuses a bad epoch_len, submit_len or start_block
+        return SidechainConfig(
+            ledger_id=ledger_id,
+            start_block=start_block,
+            epoch_len=epoch_len,
+            submit_len=submit_len,
+            wcert_vk=wcert_vk,
+            btr_vk=btr_vk,
+            csw_vk=csw_vk,
+            wcert_proofdata=schemas[0],
+            btr_proofdata=schemas[1],
+            csw_proofdata=schemas[2],
+        )
+    except CctpError as exc:
+        raise DecodeError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +179,8 @@ def read_tx_output(dec: Decoder) -> TxOutput:
 def read_tx_input(dec: Decoder) -> TxInput:
     return TxInput(
         outpoint=read_outpoint(dec),
-        pubkey=PublicKey.from_bytes(dec.var_bytes()),
-        signature=Signature.from_bytes(dec.var_bytes()),
+        pubkey=read_public_key(dec),
+        signature=read_signature(dec),
     )
 
 
@@ -228,8 +250,8 @@ def read_utxo(dec: Decoder) -> Utxo:
 def read_signed_input(dec: Decoder) -> SignedInput:
     return SignedInput(
         utxo=_nested(dec, read_utxo),
-        pubkey=PublicKey.from_bytes(dec.var_bytes()),
-        signature=Signature.from_bytes(dec.var_bytes()),
+        pubkey=read_public_key(dec),
+        signature=read_signature(dec),
     )
 
 
@@ -485,11 +507,11 @@ def read_sidechain_block(dec: Decoder) -> SidechainBlock:
     parent_hash = dec.raw(32)
     height = dec.u64()
     slot = dec.u64()
-    forger_pubkey = PublicKey.from_bytes(dec.var_bytes())
+    forger_pubkey = read_public_key(dec)
     state_digest = dec.field_element()
     mc_refs = dec.sequence(lambda d: _nested(d, read_mc_ref))
     transactions = dec.sequence(lambda d: _nested(d, read_latus_transaction))
-    signature = Signature.from_bytes(dec.var_bytes())
+    signature = read_signature(dec)
     return SidechainBlock(
         parent_hash=parent_hash,
         height=height,

@@ -1,10 +1,12 @@
-"""Batched withdrawal-certificate verification and its chain parity.
+"""Withdrawal-certificate verification: ``verify_many`` and the one block path.
 
-Covers :func:`repro.snark.proving.verify_many` (the one batch entry point),
-:meth:`MainchainState.certificate_verdicts` feeding it, and the end-to-end
-property that a chain replayed on a fresh :class:`Blockchain` — batched
-verdicts included — is byte-identical to the original, with invalid proofs
-rejected at the same rule position either way.
+Covers :func:`repro.snark.proving.verify_many`, which no block path calls
+any more (the pipeline tracer still wraps it by name), and the chain
+property that a certificate's proof is checked once, inline, at rule 4 of
+:meth:`CctpState.process_certificate`: a chain replayed on a fresh
+:class:`Blockchain` is byte-identical to the original, a forged proof is
+refused with the rule-4 message, and a certificate the free rules refuse
+costs no verify.
 """
 
 from dataclasses import replace
@@ -57,7 +59,7 @@ class TestVerifyMany:
 
 
 class TestPoolMapVerify:
-    """What a block's certificate check relies on from ``verify_many``."""
+    """What ``verify_many`` promises its callers: counted verdicts, in order."""
 
     def test_serial_pool_matches_verify_many(self):
         """Verdicts are counted once each on ``repro_snark_batch_verify_total``."""
@@ -73,13 +75,6 @@ class TestPoolMapVerify:
         jobs = _jobs(24, tamper={1, 4, 9, 23})
         assert proving.verify_many(jobs) == [i not in {1, 4, 9, 23} for i in range(24)]
 
-    def test_empty_jobs(self):
-        """A body without certificates asks for no verdicts at all."""
-        harness = ZendooHarness()
-        harness.mine(2)
-        state = harness.mc.state
-        assert state.certificate_verdicts([], state.height + 1) == {}
-
 
 def _certified_chain():
     """A harness run whose chain contains real certificate traffic."""
@@ -91,33 +86,48 @@ def _certified_chain():
     return harness
 
 
+def _counting_verify(monkeypatch) -> list[int]:
+    """Patch ``proving.verify`` to count its calls; returns the one-item tally."""
+    calls, verify = [0], proving.verify
+
+    def counted(*args):
+        calls[0] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(proving, "verify", counted)
+    return calls
+
+
 class TestChainParity:
     def test_pooled_replay_is_byte_identical(self):
+        """Every certificate of the replayed chain is adopted again, each
+        through ``process_certificate``; no block asks for a batch."""
         harness = _certified_chain()
         blocks = harness.mc.chain.active_chain()
-        assert any(
+        certificates = sum(
             isinstance(tx, CertificateTx)
             for block in blocks
             for tx in block.transactions
         )
-        batched = observability.registry().counter(
-            "repro_snark_batch_verify_total", labelnames=("result",)
-        )
-        before = batched.value(result="valid")
+        assert certificates
+        registry = observability.registry()
+        wcerts = registry.counter("repro_cctp_wcert_total", labelnames=("result",))
+        batched = registry.counter("repro_snark_batch_verify_total", labelnames=("result",))
+        before = wcerts.value(result="accepted"), batched.value(result="valid")
         replay = Blockchain(harness.mc.params)
         for block in blocks[1:]:  # genesis is identical by construction
             replay.add_block(block)
-        assert batched.value(result="valid") > before
+        assert wcerts.value(result="accepted") == before[0] + certificates
+        assert batched.value(result="valid") == before[1]
         assert replay.tip.hash == harness.mc.chain.tip.hash
         ledger_id = next(iter(harness.sidechains))
         assert replay.state.cctp.safeguard.balance(
             ledger_id
         ) == harness.mc.state.cctp.safeguard.balance(ledger_id)
 
-    def test_invalid_proof_rejected_identically_in_both_paths(self):
-        """A forged proof fails at the same rule whether the verdict comes
-        from the batched pipeline (``proof_valid=False``) or the inline
-        serial check (``proof_valid=None``)."""
+    def test_invalid_proof_rejected_at_rule_four(self, monkeypatch):
+        """A forged proof for a live, in-window epoch is verified once and
+        refused with the rule-4 message; the honest proof is adopted."""
         from tests.test_cctp import fake_block_hash, make_cert, make_config
 
         config = make_config()
@@ -133,27 +143,16 @@ class TestChainParity:
         forged = replace(
             honest, proof=proving.Proof(data=b"\xee" * proving.PROOF_SIZE)
         )
+        calls = _counting_verify(monkeypatch)
+        with pytest.raises(CertificateRejected, match="SNARK proof verification failed"):
+            fresh_state().process_certificate(forged, height, fake_block_hash)
+        assert calls == [1]
+        assert fresh_state().process_certificate(honest, height, fake_block_hash) is None
+        assert calls == [2]
 
-        # the batched pipeline produces a job for it (entry alive, in window)
-        job = fresh_state().certificate_verification_job(
-            forged, height, fake_block_hash
-        )
-        assert job is not None
-        vk, public = job
-        assert proving.verify_many([(vk, public, forged.proof)]) == [False]
-        assert proving.verify_many([(vk, public, honest.proof)]) == [True]
-
-        def attempt(proof_valid):
-            with pytest.raises(CertificateRejected) as err:
-                fresh_state().process_certificate(
-                    forged, height, fake_block_hash, proof_valid
-                )
-            return str(err.value)
-
-        assert attempt(None) == attempt(False)
-        assert "SNARK proof verification failed" in attempt(False)
-
-    def test_verification_job_is_none_for_ceased_sidechain(self):
+    def test_ceased_sidechain_refused_without_verify(self, monkeypatch):
+        """Rule 1 refuses a certificate for a ceased sidechain before the
+        proof is looked at."""
         from tests.test_cctp import fake_block_hash, make_cert, make_config
 
         config = make_config()
@@ -162,7 +161,7 @@ class TestChainParity:
         deadline = config.schedule.ceasing_height(0)
         assert state.advance_to_height(deadline) == [config.ledger_id]
         cert = make_cert(epoch=0, quality=1, config=config)
-        assert (
-            state.certificate_verification_job(cert, deadline, fake_block_hash)
-            is None
-        )
+        calls = _counting_verify(monkeypatch)
+        with pytest.raises(CertificateRejected, match="ceased sidechain"):
+            state.process_certificate(cert, deadline, fake_block_hash)
+        assert calls == [0]

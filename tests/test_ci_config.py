@@ -68,11 +68,12 @@ class TestWorkflowStructure:
 
     def test_pipeline_quick_gates_every_push(self, workflow):
         """The canonical pipeline benchmark runs on every push/PR at its
-        quick sizes: its output checks gate, its numbers do not (so no
-        artifact is uploaded)."""
+        quick sizes with one traced run per workload: its output checks
+        gate, ``traced_run_identical`` among them, its numbers do not (so
+        no artifact is uploaded)."""
         job = workflow["jobs"]["pipeline-quick"]
         assert "if" not in job, "the quick pipeline run must gate PRs"
-        assert "python -m benchmarks.pipeline --quick" in job_commands(job)
+        assert "python -m benchmarks.pipeline --quick --traced" in job_commands(job)
         assert not uploads(job)
 
     def test_pipeline_nightly_uploads_the_record(self, workflow):

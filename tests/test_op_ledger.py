@@ -47,6 +47,10 @@ CEILINGS = {
     # fixed_chain(): CowDict/CowSet instances reachable from the CCTP states
     # of its 15 block records (genesis to 14)
     "mc.cctp.cow_containers": 75,
+    # resubmitted_certificate_block(): proof verifies of the block that
+    # refuses an adopted certificate mined again inside its window; the
+    # quality rule refuses it before rule 4 looks at the proof
+    "mc.wcert.resubmitted_verifies": 0,
 }
 
 
@@ -240,3 +244,29 @@ def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():
     }
     for counts in measured.values():
         assert counts[1] / adopted[1] <= counts[0] / adopted[0]
+
+
+def test_a_resubmitted_certificate_costs_no_verify(monkeypatch):
+    """An adopted certificate mined again inside its window is dropped from
+    the template by the quality rule, before rule 4 verifies its proof."""
+    config = make_config(ledger_id=derive_ledger_id("resubmitted"), start_block=3)
+    window = config.schedule.submission_window(0)
+    node = MainchainNode(PARAMS)
+    node.submit_transaction(SidechainDeclarationTx(config=config))
+    node.mine_blocks(MINER.address, window.start - 1)
+    certificate = _growth_certificate(node, config, 0)
+    node.submit_transaction(certificate)
+    node.mine_block(MINER.address)
+    assert _adopted(node) == 1
+    node.submit_transaction(certificate)
+    verifies, verify = [0], proving.verify
+
+    def counted_verify(*args):
+        verifies[0] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(proving, "verify", counted_verify)
+    block = node.mine_block(MINER.address)
+    assert block.height in window and certificate not in block.transactions
+    assert _adopted(node) == 1 and certificate.txid not in node.mempool
+    _check({"mc.wcert.resubmitted_verifies": verifies[0]})

@@ -25,9 +25,9 @@ FILES = sorted(SRC.rglob("*.py"))
 #: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
 TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the process pool and its
-#: pooled proving and verification paths were deleted (18,017 before).
-MAX_SRC_LINES = 17_377
+#: ``find src -name '*.py' | xargs wc -l`` after the mainchain's batched
+#: certificate pre-verification pass was deleted (17,377 before).
+MAX_SRC_LINES = 17_316
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: None: every handler names the errors it expects (the last three were the
@@ -222,6 +222,80 @@ class TestOneAdoptionStep:
             "    def k(self):\n        s.g_all(3)\n"
         )
         assert callers(tree.body[0], "g") == {"f", "h"}
+
+
+#: The proof checks of ``repro.snark.proving``.
+PROOF_CHECKS = ("verify", "verify_many")
+
+
+def proof_checks(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """``(function, call)`` of every ``verify``/``verify_many`` call, plain
+    or as ``proving.<name>``; a method is named ``Class.method``, and a call
+    in a nested function counts for the function around it."""
+    functions = [
+        (f"{cls.name}.{func.name}", func)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for func in cls.body
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ] + [
+        (func.name, func)
+        for func in tree.body
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return [
+        (name, node)
+        for name, func in functions
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id in PROOF_CHECKS
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in PROOF_CHECKS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "proving"
+        )
+    ]
+
+
+class TestOneCertificateCheck:
+    def test_a_certificate_proof_is_verified_in_one_place(self, trees):
+        """On the mainchain side a proof is verified only at rule 4 of
+        ``CctpState.process_certificate``, under the sidechain's
+        ``wcert_vk``: no pre-verification pass, no injected verdict."""
+        sites = [
+            (module_name(path), name, ast.unparse(call.args[0]))
+            for path, tree in trees.items()
+            if within(module_name(path), SUBSTRATE)
+            for name, call in proof_checks(tree)
+        ]
+        assert sites == [
+            ("repro.core.cctp", "CctpState.process_certificate", "entry.config.wcert_vk")
+        ]
+
+    def test_no_block_path_batches_or_injects_verdicts(self, trees):
+        batched = [
+            f"{path.relative_to(SRC)}:{call.lineno}"
+            for path, tree in trees.items()
+            for _, call in proof_checks(tree)
+            if ast.unparse(call.func).endswith("verify_many")
+        ]
+        assert not batched, batched
+        injected = [str(path.relative_to(SRC)) for path in FILES if "proof_valid" in path.read_text()]
+        assert not injected, injected
+
+    def test_the_check_sees_methods_nested_calls_and_plain_names(self):
+        tree = ast.parse(
+            "class C:\n"
+            "    def f(self):\n        def g():\n            proving.verify(vk, a, p)\n"
+            "def h():\n    verify_many(jobs)\n"
+            "def k(s):\n    s.proving.verify(vk)\n    verify_input_signatures(tx)\n"
+        )
+        assert [(name, ast.unparse(call)) for name, call in proof_checks(tree)] == [
+            ("C.f", "proving.verify(vk, a, p)"),
+            ("h", "verify_many(jobs)"),
+        ]
 
 
 def bound_names(body: list[ast.stmt]) -> set[str]:

@@ -15,8 +15,8 @@ from repro.core.transfers import (
     WithdrawalCertificate,
     derive_ledger_id,
 )
-from repro.encoding import Decoder
-from repro.errors import DecodeError, SnarkError, ZendooError
+from repro.encoding import Decoder, Encoder
+from repro.errors import DecodeError, SignatureError, SnarkError, ZendooError
 from repro.latus.transactions import (
     build_forward_transfers_tx,
     pack_receiver_metadata,
@@ -308,6 +308,67 @@ class TestMalformedVerifyingKey:
                 decode(data.replace(good, bad))
 
 
+def _cut_to(data: bytes, field: bytes, size: int) -> bytes:
+    """``data`` with its one length-prefixed copy of ``field`` cut to ``size`` bytes."""
+    good = Encoder().var_bytes(field).done()
+    assert data.count(good) == 1
+    return data.replace(good, Encoder().var_bytes(field[:size]).done())
+
+
+class TestMalformedFieldsAreDecodeErrors:
+    """A wrong-length key or signature, or an impossible epoch schedule,
+    is malformed wire data, not a signature or CCTP rule failure."""
+
+    def test_191_byte_public_key_is_a_decode_error(self, keys, sc_history):
+        from repro.crypto.signatures import PublicKey, Signature
+        from repro.mainchain.transaction import TransactionBuilder
+        from repro.mainchain.utxo import Outpoint
+
+        with pytest.raises(SignatureError):
+            PublicKey.from_bytes(bytes(191))
+        with pytest.raises(SignatureError):
+            Signature.from_bytes(bytes(383))
+        alice = keys["alice"]
+        mc_input = (
+            TransactionBuilder()
+            .spend(Outpoint(txid=b"\x05" * 32, index=1), alice, 100)
+            .pay(keys["bob"].address, 100)
+            .build()
+            .inputs[0]
+        )
+        coin = Utxo(address_to_field(alice.address), 50, derive_nonce(b"wire", b"\x01"))
+        signed = sign_payment([(coin, alice)], [replace(coin, amount=50)]).inputs[0]
+        _, sc = sc_history
+        block = sc.node.blocks[-1]
+        cases = [
+            (mc_input.encode(), mc_input.pubkey, lambda d: wire.read_tx_input(Decoder(d))),
+            (signed.encode(), signed.pubkey, lambda d: wire.read_signed_input(Decoder(d))),
+            (wire.encode_sidechain_block(block), block.forger_pubkey, wire.decode_sidechain_block),
+        ]
+        for data, pubkey, decode in cases:
+            decode(data)
+            with pytest.raises(DecodeError, match="public key must be 192 bytes, got 191"):
+                decode(_cut_to(data, pubkey.to_bytes(), 191))
+        with pytest.raises(DecodeError, match="signature must be 384 bytes, got 383"):
+            wire.read_tx_input(Decoder(_cut_to(mc_input.encode(), mc_input.signature.to_bytes(), 383)))
+
+    def test_zero_epoch_len_declaration_is_a_decode_error(self):
+        from repro.mainchain.transaction import SidechainDeclarationTx
+        from repro.scenarios.harness import latus_sidechain_config
+
+        config = latus_sidechain_config("wire-bad-schedule", 10, 5, 2)
+        good = config.encode()
+        # ledger id (32 bytes), start block (u64), then the u64 epoch_len
+        assert good[40:48] == (5).to_bytes(8, "little")
+        bad = good[:40] + bytes(8) + good[48:]
+        with pytest.raises(DecodeError, match="epoch_len must be >= 1"):
+            wire.decode_sidechain_config(bad)
+        tx = SidechainDeclarationTx(config=config).encode()
+        assert wire.decode_mc_transaction(tx).config == config
+        with pytest.raises(DecodeError, match="epoch_len must be >= 1"):
+            wire.decode_mc_transaction(tx.replace(good, bad))
+
+
 def _mutate(data: bytes, draw) -> bytes:
     """One bit flip, truncation, ``0xff`` run or insertion at a drawn spot."""
     kind = draw(st.sampled_from(["flip", "truncate", "ff_run", "insert"]))
@@ -328,7 +389,7 @@ class TestFuzzResilience:
     @settings(max_examples=150, deadline=None)
     def test_mutated_real_encodings_raise_only_library_errors(self, sc_history, data):
         """Mutants of a real chain's MC blocks, MC transactions and Latus
-        blocks decode or raise a :class:`ZendooError`, never anything else."""
+        blocks decode or raise a :class:`DecodeError`, never anything else."""
         harness, sc = sc_history
         blocks = harness.mc.chain.active_chain()[1:]
         corpus = (
@@ -346,7 +407,7 @@ class TestFuzzResilience:
         encoded, decode = data.draw(st.sampled_from(corpus))
         try:
             decode(_mutate(encoded, data.draw))
-        except ZendooError:
+        except DecodeError:
             pass
 
     @given(st.binary(min_size=0, max_size=200))

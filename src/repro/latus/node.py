@@ -186,7 +186,7 @@ class LatusNode(NodeLifecycle):
         self._mst_page_size = mst_page_size
         self._mst_cache_pages = mst_cache_pages
         self._page_backing = None
-        self._recover_or_start_empty()
+        self._recover()
 
     # -- chain state (rebuilt wholesale on MC reorgs) ---------------------------------
 
@@ -305,15 +305,16 @@ class LatusNode(NodeLifecycle):
 
     # -- durability ---------------------------------------------------------------------
 
-    def _state_section(self) -> tuple[str, bytes]:
-        """The state snapshot section under the configured storage policy.
+    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+        """The live state, a snapshot's one section: the log holds the
+        history the rest is rebuilt from.
 
         Paged over a file backing: flush the dirty pages into ``pages.seg``,
         fsync it, and persist only the page-table refs — the bytes written
         per epoch are the pages dirtied since the last snapshot, not the
         whole leaf set.  Everything else (dict store, or paged over a
         memory backing whose refs cannot outlive the process) falls back to
-        the v1 full-leaf encoding.
+        the full-leaf encoding.
         """
         store = self.state.mst.node_store
         if isinstance(store, PagedNodeStore) and isinstance(
@@ -321,32 +322,21 @@ class LatusNode(NodeLifecycle):
         ):
             store.flush()
             store.backing.sync()
-            return (
-                "latus/state_pages",
-                storage_codec.encode_latus_state_pages(self.state),
-            )
-        return ("latus/state", storage_codec.encode_latus_state(self.state))
+            section = {"latus/state_pages": storage_codec.encode_latus_state_pages(self.state)}
+        else:
+            section = {"latus/state": storage_codec.encode_latus_state(self.state)}
+        return self.epoch_id, section
 
-    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
-        # only what the blocks cannot give: the walk re-derives the rest
-        state_key, state_payload = self._state_section()
-        return self.epoch_id, {
-            state_key: state_payload,
-            "latus/blocks": storage_codec.encode_blob_sequence(
-                [wire.encode_sidechain_block(b) for b in self.blocks]
-            ),
-            "latus/anchors": storage_codec.encode_anchors(self.anchors),
-            "latus/submitted": storage_codec.encode_blob_sequence(
-                [tx.encode() for tx in self.submitted_txs]
-            ),
-        }
-
-    def _reset_durable_state(self) -> None:
-        """Wipe and re-seed the store after a reorg invalidated its history."""
-        if self._journaling:
-            self._wipe_store()
-            if self.blocks:
-                self._write_snapshot()
+    def _history_records(self) -> list[tuple[int, bytes]]:
+        """The log of the chain as it stands: the wallet transactions, then
+        each block, each epoch's closing block followed by its anchor."""
+        closing = {anchor.certificate.quality: anchor for anchor in self.anchors.values()}
+        records = [(SC_TX, tx.encode()) for tx in self.submitted_txs]
+        for block in self.blocks:
+            records.append((SC_BLOCK, wire.encode_sidechain_block(block)))
+            if block.height in closing:
+                records.append((SC_CERT, storage_codec.encode_anchor(closing[block.height])))
+        return records
 
     # -- disk recovery ------------------------------------------------------------------
 
@@ -392,33 +382,26 @@ class LatusNode(NodeLifecycle):
         fresh.backward_transfers = list(state.backward_transfers)
         return fresh
 
-    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
+    def _restore_snapshot(
+        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
+    ) -> None:
         """Install a snapshot: the live state as stored, the rest re-derived.
 
-        The blocks and certificate anchors go through the rollback's walk;
-        the open epoch's blocks only re-adopt their bookkeeping, since the
-        decoded live state already holds their transitions.  Synced MC
-        heights come from the blocks' references, so heights queued at crash
-        time are processed again by the next sync.  A live state that does
-        not match the chain refuses the snapshot.
+        The blocks and certificate anchors the snapshot covers go through
+        the rollback's walk; the open epoch's blocks only re-adopt their
+        bookkeeping, since the decoded live state already holds their
+        transitions.  Synced MC heights come from the blocks' references, so
+        heights queued at crash time are processed again by the next sync.
+        A live state that does not match the chain refuses the snapshot.
         """
-        try:
-            live = self._restore_state_section(sections)
-            blocks = [
-                wire.decode_sidechain_block(raw)
-                for raw in storage_codec.decode_blob_sequence(
-                    sections["latus/blocks"]
-                )
-            ]
-            anchors = storage_codec.decode_anchors(sections["latus/anchors"])
-            restored_txs = [
-                wire.decode_latus_transaction(raw)
-                for raw in storage_codec.decode_blob_sequence(
-                    sections["latus/submitted"]
-                )
-            ]
-        except KeyError as exc:
-            raise StorageError(f"snapshot is missing section {exc}")
+        if not {"latus/state", "latus/state_pages"} & sections.keys():
+            raise StorageError("snapshot holds no Latus state section")
+        blocks, anchors, txs = self._read_log(covered)
+        for height, block in enumerate(blocks):
+            parent = blocks[height - 1].hash if height else self.tip_hash
+            if (block.height, block.parent_hash) != (height, parent):
+                raise StorageError(f"logged block at height {height} does not extend the chain")
+        live = self._restore_state_section(sections)
         open_blocks = self._rederive_chain(blocks, anchors, rehouse=False)
         for block in open_blocks:
             self._append_block(block)
@@ -428,7 +411,28 @@ class LatusNode(NodeLifecycle):
             raise StorageError("snapshot state does not match its chain")
         self.state = live
         # merge the durable wallet mempool with anything already in memory
-        self._merge_submitted(restored_txs)
+        self._merge_submitted(txs)
+
+    def _read_log(self, records: list[tuple[int, bytes]]) -> tuple[list, dict, list]:
+        """``(blocks, anchors by epoch, wallet transactions)`` of log records."""
+        blocks, anchors, txs = [], {}, []
+        for kind, payload in records:
+            if kind == SC_BLOCK:
+                blocks.append(wire.decode_sidechain_block(payload))
+                # adopting a block derives every leader schedule up to its
+                # slot: one past the MC tip is not this node's history
+                if self.config.start_block + blocks[-1].slot > self.mc.height:
+                    raise StorageError(f"logged block {blocks[-1].height} has a slot past the MC tip")
+            elif kind == SC_TX:
+                txs.append(wire.decode_latus_transaction(payload))
+            elif kind == SC_CERT:
+                anchor = storage_codec.decode_anchor(payload)
+                anchors[anchor.certificate.epoch_id] = anchor
+            else:
+                raise StorageError(
+                    f"unexpected mainchain record (kind {kind}) in a Latus store"
+                )
+        return blocks, anchors, txs
 
     def _merge_submitted(self, txs: list[LatusTransaction]) -> None:
         """Append recovered wallet transactions not already in memory."""
@@ -439,55 +443,48 @@ class LatusNode(NodeLifecycle):
                 self.submitted_txs.append(tx)
 
     def _replay(self, records: list[tuple[int, bytes]]) -> None:
-        """Apply the WAL tail as *trusted* replay.
+        """Apply the log tail as *trusted* replay.
 
         The blocks came from this node's own validated history, so
         signature, leadership and derivation checks are skipped and epochs
-        whose certificate made it to the log are not closed again — which is
+        whose anchor made it to the log are not closed again — which is
         what makes disk recovery strictly faster than a full peer resync.
         Every replayed block's state digest is still checked, so corruption
         cannot slip through; any mismatch raises
         :class:`~repro.errors.StorageError`.
         """
-        wallet_txs: list[LatusTransaction] = []
-        index = 0
-        while index < len(records):
-            kind, payload = records[index]
-            if kind == SC_TX:
-                wallet_txs.append(wire.decode_latus_transaction(payload))
-            elif kind == SC_BLOCK:
-                block = wire.decode_sidechain_block(payload)
-                self._replay_block(block)
-                if self._closes_epoch(block, self.epoch_id):
-                    if index + 1 < len(records) and records[index + 1][0] == SC_CERT:
-                        index += 1
-                        logged = wire.decode_withdrawal_certificate(records[index][1])
-                        self._anchor(logged, self.state.copy())
-                    else:
-                        # the crash hit between the block commit and the
-                        # certificate record: close the epoch again
-                        self._close_withdrawal_epoch(block)
-            elif kind == SC_CERT:
-                pass  # its boundary block is in the snapshot, which anchors it
+        blocks, anchors, txs = self._read_log(records)
+        lost = None
+        for block in blocks:
+            self._replay_block(block)
+            if not self._closes_epoch(block, self.epoch_id):
+                continue
+            if self.epoch_id in anchors:
+                if anchors[self.epoch_id].state_snapshot.digest() != self.state.digest():
+                    raise StorageError(f"logged anchor of epoch {self.epoch_id} does not match the chain")
+                self._anchor(anchors[self.epoch_id])
             else:
-                raise StorageError(
-                    f"unexpected mainchain record (kind {kind}) in a Latus store"
-                )
-            index += 1
-        self._merge_submitted(wallet_txs)
+                # the crash hit between the block commit and the anchor
+                # record: close the epoch again
+                self._close_withdrawal_epoch(block)
+                lost = self.anchors[self.epoch_id - 1]
+        self._merge_submitted(txs)
+        if lost is not None:
+            # log the anchor the crash lost, so the next recovery reads it
+            self._store.append(SC_CERT, storage_codec.encode_anchor(lost))
         self._resubmit_reverted_certificates()
 
     def _replay_block(self, block: SidechainBlock) -> None:
-        """Apply one previously-validated block from the WAL (trusted path).
+        """Apply one previously-validated block from the log (trusted path).
 
         The block's transitions are written as one leaf batch without
         verifying a signature or re-running a derivation; the digest check
         refuses anything that does not reach the recorded state.
         """
         if block.parent_hash != self.tip_hash:
-            raise StorageError("WAL block does not extend the stored chain")
+            raise StorageError("logged block does not extend the stored chain")
         if block.height != self.height + 1:
-            raise StorageError("WAL block height does not match the stored chain")
+            raise StorageError("logged block height does not match the stored chain")
         self.state.write_block(block.ordered_transitions())
         if self.state.digest() != block.state_digest:
             raise StorageError(
@@ -495,16 +492,13 @@ class LatusNode(NodeLifecycle):
             )
         self._append_block(block)
 
-    def _anchor(self, certificate: WithdrawalCertificate, snapshot: LatusState) -> None:
-        """Anchor the open epoch on ``certificate`` over ``snapshot``, its
-        committed state, and open the next epoch on the live state.
+    def _anchor(self, anchor: CertificateAnchor) -> None:
+        """Anchor the open epoch and open the next one on the live state.
 
         §5.2.1: the BT list (and the touched set behind ``mst_delta``) is
         transient, so the live state clears both.
         """
-        self.anchors[self.epoch_id] = CertificateAnchor(
-            certificate=certificate, state_snapshot=snapshot
-        )
+        self.anchors[self.epoch_id] = anchor
         self.state.start_new_epoch()
 
     def add_forger(self, keypair: KeyPair) -> None:
@@ -611,9 +605,8 @@ class LatusNode(NodeLifecycle):
                 self._append_block(block)
         finally:
             self._replaying = False
-        # the store's history now diverges from the chain: re-seed it with a
-        # fresh snapshot of the post-rollback state
-        self._reset_durable_state()
+        # the store's history now diverges from the chain: rewrite it
+        self._rewrite_store()
         self._resubmit_reverted_certificates()
 
     def _rederive_chain(
@@ -843,12 +836,13 @@ class LatusNode(NodeLifecycle):
                     self.mc.submit_transaction(CertificateTx(wcert=certificate))
                 except ZendooError:
                     pass  # the MC refused it (already queued, or not running)
-        self._anchor(certificate, final_state)
+        anchor = CertificateAnchor(certificate=certificate, state_snapshot=final_state)
+        self._anchor(anchor)
         if self._journaling:
-            # the certificate record lets recovery skip the close; if the
-            # crash lands before it, replay closes the epoch again
-            self._store.append(SC_CERT, certificate.encode())
-        # epoch boundaries are the periodic snapshot points: fold the log in
+            # the anchor record lets recovery skip the close; if the crash
+            # lands before it, replay closes the epoch again
+            self._store.append(SC_CERT, storage_codec.encode_anchor(anchor))
+        # epoch boundaries are the periodic snapshot points
         self._write_snapshot()
 
     def _checked_certificate(

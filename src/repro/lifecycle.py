@@ -9,28 +9,35 @@ Each node supplies a handful of hooks:
 
 * ``_drop_inflight()`` — discard state a real crash would lose;
 * ``_reset_for_restart()`` — rebuild the empty-chain state;
-* ``_restore_snapshot(sections)`` — load the latest snapshot's sections;
-* ``_replay(records)`` — apply the WAL records written since it;
-* ``_snapshot_sections()`` — ``(epoch, sections)`` of the current chain;
+* ``_restore_snapshot(sections, covered)`` — load the latest snapshot's
+  live state and rebuild the chain from ``covered``, the log records
+  written before it;
+* ``_replay(records)`` — apply the log records written since it;
+* ``_snapshot_sections()`` — ``(epoch, sections)`` of the live state;
+* ``_history_records()`` — the log records of the chain the node holds,
+  which :meth:`NodeLifecycle._rewrite_store` writes after a reorg or an
+  adoption replaced the history;
 * ``_adopt_peer_chain(peer)`` — one full re-validated adoption attempt;
 * ``_chain_length()`` — blocks adopted (the ``sync_from`` return value);
 * ``_SYNC_FAILURES`` / ``_SYNC_ERROR`` — what an adoption that refuses
   the peer's chain raises, and what ``sync_from`` raises in its place.
 
 Recovery is one template, :meth:`NodeLifecycle._recover_from_store`: read
-the snapshot and the WAL once, restore and replay them with durable writes
-suppressed, fold them into one fresh snapshot.  ``restart(data_dir=...)``
-is the recover-from-disk entry point, so a kill -9'd node comes back to a
-byte-identical chain digest without a full peer resync (only the WAL tail
-past the last fsync ever needs a peer).
+the snapshot and the log once, restore the live state, rebuild the chain
+from the covered prefix of the log and replay the tail, with durable writes
+suppressed.  ``restart(data_dir=...)`` is the recover-from-disk entry
+point, so a kill -9'd node comes back to a byte-identical chain digest
+without a full peer resync (only the log tail past the last fsync ever
+needs a peer).  Recovery fails closed: a store that does not replay raises
+:class:`~repro.errors.StorageError` and is left as it was found.  The log
+only grows; the one place a node removes its history is
+:meth:`NodeLifecycle._wipe_store`, before it writes a different one.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro import observability
-from repro.errors import DecodeError, NodeCrashed, StorageError
+from repro.errors import NodeCrashed, StorageError, ZendooError
 
 _REGISTRY = observability.registry()
 NODE_CRASHES = _REGISTRY.counter(
@@ -84,13 +91,18 @@ class NodeLifecycle:
     def _reset_for_restart(self) -> None:
         raise NotImplementedError
 
-    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
+    def _restore_snapshot(
+        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
+    ) -> None:
         raise NotImplementedError
 
     def _replay(self, records: list[tuple[int, bytes]]) -> None:
         raise NotImplementedError
 
     def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+        raise NotImplementedError
+
+    def _history_records(self) -> list[tuple[int, bytes]]:
         raise NotImplementedError
 
     def _adopt_peer_chain(self, peer) -> None:
@@ -112,7 +124,7 @@ class NodeLifecycle:
         return self._store is not None and not self._replaying
 
     def _write_snapshot(self) -> None:
-        """Fold the WAL into a fresh snapshot of the current chain."""
+        """Snapshot the live state; it covers every record logged so far."""
         if self._journaling:
             self._store.write_snapshot(*self._snapshot_sections())
 
@@ -121,56 +133,65 @@ class NodeLifecycle:
         if self._store is not None and not self._store.read_only:
             self._store.reset()
 
-    def _recover_from_store(self) -> bool:
-        """Replay ``snapshot + WAL``; True when a chain was recovered.
+    def _rewrite_store(self) -> None:
+        """Replace the store's history with the log of the chain the node
+        now holds, and snapshot its live state over it."""
+        if self._journaling:
+            self._wipe_store()
+            for kind, payload in self._history_records():
+                self._store.stage(kind, payload)
+            self._write_snapshot()
 
-        The store is read once.  Nothing is written while it replays; the
-        replayed tail is then folded into one fresh snapshot, so recovery
-        is idempotent and the node is immediately durable again.  Any
+    def _recover_from_store(self) -> None:
+        """Recover ``snapshot + log``.
+
+        The store is read once.  The snapshot's live state is restored over
+        the chain rebuilt from the log records it covers, and the records
+        after them are replayed; nothing is written while they replay.  Any
         failure raises :class:`~repro.errors.StorageError`.
         """
         snapshot = self._store.latest_snapshot()
         records = self._store.records()
         if snapshot is None and not records:
-            return False
+            return
+        covered = 0
         self._replaying = True
         try:
             if snapshot is not None:
-                self._restore_snapshot(snapshot[1])
-            self._replay(records)
-        except DecodeError as exc:
-            raise StorageError(f"undecodable store record: {exc}") from exc
+                _, sections, covered = snapshot
+                if covered > len(records):
+                    raise StorageError(
+                        f"snapshot covers {covered} log records, the log holds {len(records)}"
+                    )
+                self._restore_snapshot(sections, records[:covered])
+            self._replay(records[covered:])
+        except StorageError:
+            raise
+        except ZendooError as exc:
+            # a record that does not decode, or decodes but does not replay
+            raise StorageError(f"store does not replay: {exc}") from exc
         finally:
             self._replaying = False
-        self._write_snapshot()
         from repro.storage import count_disk_recovery
 
         count_disk_recovery()
-        return True
 
-    def _recover_or_start_empty(self, empty: str = "an empty chain") -> bool:
+    def _recover(self) -> None:
         """Start from the empty chain and replay the attached store onto it.
 
-        Returns True when a chain was recovered.  The one place the
-        recovery-failure policy lives: a store that fails to replay is
-        abandoned with a warning naming ``empty``, the node starts over
-        from :meth:`_reset_for_restart`, and the store is wiped before the
-        node writes a new history to it.
+        A store that fails to replay leaves the node on the empty chain and
+        the store as found, and the :class:`~repro.errors.StorageError`
+        propagates: the caller decides, and ``sync_from(peer)`` (which wipes
+        the store) is the way back from a peer.
         """
         self._reset_for_restart()
         if self._store is None:
-            return False
+            return
         try:
-            return self._recover_from_store()
-        except StorageError as exc:
-            warnings.warn(
-                f"disk recovery failed ({exc}); starting from {empty}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            self._recover_from_store()
+        except StorageError:
             self._reset_for_restart()
-            self._wipe_store()
-            return False
+            raise
 
     def close(self) -> None:
         """Release the attached store, if any."""
@@ -206,10 +227,11 @@ class NodeLifecycle:
         determinism property).  ``restart(data_dir=...)`` opens a
         :class:`~repro.storage.FileStore` over the directory and
         ``restart(store=...)`` attaches any store; either way, a non-empty
-        store is replayed back to the exact pre-crash chain (minus any WAL
+        store is replayed back to the exact pre-crash chain (minus any log
         tail past the last fsync).  A store that fails to replay (corrupt,
-        or from a different chain) is abandoned with a warning and wiped,
-        and the node falls back to the empty chain.
+        or from a different chain) raises
+        :class:`~repro.errors.StorageError`; the node is left running on
+        the empty chain, ready for :meth:`sync_from`, and the store as found.
         """
         store = _open_store(store, data_dir, fsync)
         self.crashed = False
@@ -220,7 +242,7 @@ class NodeLifecycle:
             if old is not None and old is not store:
                 old.close()
             self._store = store
-        self._recover_or_start_empty()
+        self._recover()
 
     def sync_from(self, peer) -> int:
         """Adopt a peer's chain after a restart; returns blocks adopted.

@@ -503,9 +503,9 @@ class Blockchain:
     def restore(self, blocks: Sequence[Block], tip_state: MainchainState) -> None:
         """Replace the chain with a trusted active chain, genesis first.
 
-        The blocks were validated before they were stored (a node's own
-        snapshot) and are not connected again; only the tip keeps a state,
-        ``tip_state``.  The caller checks that they are hash-linked.
+        The blocks were validated before they were logged (the node walks
+        them back from its snapshot's tip, so they are hash-linked) and are
+        not connected again; only the tip keeps a state, ``tip_state``.
         """
         tip = blocks[-1]
         tip_state.height = tip.height

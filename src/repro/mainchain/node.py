@@ -8,9 +8,9 @@ letting it poison the block; it then computes the sidechain-transactions
 commitment, grinds the proof of work and records the block with the state
 it was assembled on, so nothing is connected twice.
 
-With a store attached the node journals one ``MC_BLOCK`` record per newly
-recorded block, on any branch, and snapshots the active chain and the tip
-state whenever the tip lands on a multiple of :data:`SNAPSHOT_INTERVAL`.
+With a store attached the node logs one ``MC_BLOCK`` record per newly
+recorded block, on any branch, and snapshots the tip state and the tip's
+hash whenever the tip lands on a multiple of :data:`SNAPSHOT_INTERVAL`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _TEMPLATE_DROPS = observability.registry().counter(
     labelnames=("reason",),
 )
 
-#: A durable node snapshots (compacting its WAL) whenever its tip reaches a
+#: A durable node snapshots its tip state whenever its tip reaches a
 #: multiple of this height.
 SNAPSHOT_INTERVAL = 16
 
@@ -44,9 +44,10 @@ class MainchainNode(NodeLifecycle):
     :class:`~repro.latus.node.LatusNode` (same method names, same
     ``repro_node_*`` counters).  ``store=`` / ``data_dir=`` attach a durable
     :class:`~repro.storage.StateStore`, and ``restart(data_dir=...)``
-    recovers the chain from disk: snapshot blocks are restored without
-    re-validation (historical states are pruned — only the tip keeps one)
-    and the WAL tail is replayed through the full ``add_block`` validation.
+    recovers the chain from disk: the snapshot's chain is rebuilt from the
+    logged blocks without re-validation (historical states are pruned —
+    only the tip keeps one) and the log tail is replayed through the full
+    ``add_block`` validation.
     """
 
     _SYNC_FAILURES = (ValidationError, ZendooError)
@@ -61,7 +62,7 @@ class MainchainNode(NodeLifecycle):
     ) -> None:
         self.params = params or MainchainParams()
         self._init_lifecycle(store, data_dir, fsync)
-        self._recover_or_start_empty("genesis")
+        self._recover()
 
     # -- lifecycle hooks ------------------------------------------------------------
 
@@ -73,64 +74,65 @@ class MainchainNode(NodeLifecycle):
         self.mempool = Mempool()
         self._clock = 0
 
-    def _restore_snapshot(self, sections: dict[str, bytes]) -> None:
-        from repro import wire
+    def _restore_snapshot(
+        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
+    ) -> None:
+        """Rebuild the snapshot's chain by walking back from its tip through
+        the covered blocks to genesis; hash linkage holds by construction."""
         from repro.storage import codec as storage_codec
 
         try:
-            raw_blocks = storage_codec.decode_blob_sequence(sections["mc/blocks"])
-            state = storage_codec.decode_mainchain_state(
-                sections["mc/state"], self.params
-            )
+            state = storage_codec.decode_mainchain_state(sections["mc/state"], self.params)
+            cursor = sections["mc/tip"]
         except KeyError as exc:
             raise StorageError(f"snapshot is missing section {exc}")
-        blocks = [wire.decode_block(raw) for raw in raw_blocks]
-        if not blocks:
-            raise StorageError("snapshot holds no blocks")
-        if blocks[0].hash != self.chain.genesis.hash:
-            raise StorageError(
-                "stored chain has a different genesis (wrong network?)"
-            )
-        for prev, block in zip(blocks, blocks[1:]):
-            if block.header.prev_hash != prev.hash:
-                raise StorageError("stored chain is not hash-linked")
-            if block.height != prev.height + 1:
-                raise StorageError("stored chain heights are not contiguous")
-        self.chain.restore(blocks, state)
+        logged = {block.hash: block for block in self._logged_blocks(covered)}
+        blocks = []
+        while cursor != self.chain.genesis.hash:
+            if cursor not in logged:
+                raise StorageError("the log does not hold the snapshot's chain back to genesis")
+            blocks.append(logged.pop(cursor))
+            cursor = blocks[-1].header.prev_hash
+        # the CCTP deadlines are advanced block by block from this height on
+        if state.cctp._advanced_to != (blocks[0].height if blocks else -1):
+            raise StorageError("snapshot state was not advanced to its tip")
+        self.chain.restore([self.chain.genesis, *reversed(blocks)], state)
 
-    def _replay(self, records: list[tuple[int, bytes]]) -> None:
-        """Re-validate the WAL tail through :meth:`Blockchain.add_block`."""
+    @staticmethod
+    def _logged_blocks(records: list[tuple[int, bytes]]) -> list[Block]:
         from repro import wire
         from repro.storage import MC_BLOCK
 
-        for kind, payload in records:
-            if kind != MC_BLOCK:
-                raise StorageError(
-                    f"unexpected sidechain record (kind {kind}) in a "
-                    "mainchain store"
-                )
+        if any(kind != MC_BLOCK for kind, _ in records):
+            raise StorageError("unexpected sidechain record in a mainchain store")
+        return [wire.decode_block(payload) for _, payload in records]
+
+    def _replay(self, records: list[tuple[int, bytes]]) -> None:
+        """Re-validate the log tail through :meth:`Blockchain.add_block`."""
+        for block in self._logged_blocks(records):
             try:
-                self.chain.add_block(wire.decode_block(payload))
+                self.chain.add_block(block)
             except OrphanBlock:
                 # a fork tail hanging off a block the snapshot did not keep
                 # (or kept without state); the active chain never needs it
                 continue
-            except ValidationError as exc:
-                raise StorageError(f"WAL block failed re-validation: {exc}")
         self._clock = max(self._clock, self.chain.tip.header.timestamp)
 
     def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
         from repro.storage import codec as storage_codec
 
         return self.chain.height, {
-            "mc/blocks": storage_codec.encode_blob_sequence(
-                [b.encode() for b in self.chain.active_chain()]
-            ),
             "mc/state": storage_codec.encode_mainchain_state(self.chain.state),
+            "mc/tip": self.chain.tip.hash,
         }
 
+    def _history_records(self) -> list[tuple[int, bytes]]:
+        from repro.storage import MC_BLOCK
+
+        return [(MC_BLOCK, block.encode()) for block in self.chain.active_chain()[1:]]
+
     def _journal_block(self, block: Block) -> None:
-        """WAL-append a newly recorded block; snapshot on an interval tip."""
+        """Log a newly recorded block; snapshot on an interval tip."""
         if not self._journaling:
             return
         from repro.storage import MC_BLOCK
@@ -146,8 +148,7 @@ class MainchainNode(NodeLifecycle):
             chain.add_block(block)
         self.chain = chain
         self._clock = max(self._clock, chain.tip.header.timestamp)
-        # re-seed the (wiped) store with the adopted chain
-        self._write_snapshot()
+        self._rewrite_store()
 
     def _chain_length(self) -> int:
         return self.chain.height + 1

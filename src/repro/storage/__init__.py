@@ -1,11 +1,12 @@
-"""Durable storage engine: WAL + snapshot stores behind :class:`StateStore`.
+"""Durable storage engine: an append-only log + live-state snapshots
+behind :class:`StateStore`.
 
 The public surface:
 
 * :class:`StateStore` — the durability contract (stage/commit/append,
   write_snapshot, latest_snapshot/records, reset, read-only mode);
 * :class:`MemoryStore` — the contract in process memory (tests, defaults);
-* :class:`FileStore` — file-segment backed WAL + snapshot files with an
+* :class:`FileStore` — file-segment backed log + snapshot files with an
   fsync policy knob (``block`` / ``never``);
 * record kinds (``SC_BLOCK`` …) and :func:`inspect_store` for the CLI
   explorer.

@@ -4,26 +4,23 @@ Everything written to disk goes through :class:`~repro.encoding.Encoder` /
 :class:`~repro.encoding.Decoder` and reuses the :mod:`repro.wire` readers —
 the wire codec is the single serialization authority for both the network
 and the store (no pickle anywhere).  A snapshot is a flat ``{section name:
-bytes}`` mapping; this module defines the per-section formats and their
+bytes}`` mapping of live state only; the history (blocks, wallet
+transactions, certificate anchors) is in the store's log, one record each.
+This module defines the section formats, the ``SC_CERT`` payload and their
 strict inverses.
 
-Latus sections (assembled by :class:`~repro.latus.node.LatusNode`) hold
-only what the blocks cannot give; the UTXO index, synced MC heights and
-consensus seeds and stakes are re-derived from the blocks and anchors on
-restore, and the open epoch, the certificate list and the last MC
-reference are read off them::
+A Latus snapshot (assembled by :class:`~repro.latus.node.LatusNode`) holds
+one section; the chain, UTXO index, synced MC heights and consensus seeds
+and stakes are re-derived from the logged blocks and anchors on restore::
 
     latus/state        the live LatusState (MST leaves + touched + BT list),
     latus/state_pages  or its page-table refs on a file-backed paged node
-    latus/blocks       the full sidechain block history
-    latus/anchors      per-epoch certificate anchors (cert + state snapshot)
-    latus/submitted    the durable wallet mempool
 
-Mainchain sections (assembled by :class:`~repro.mainchain.chain.Blockchain`)::
+A mainchain snapshot (assembled by :class:`~repro.mainchain.node.MainchainNode`)::
 
-    mc/blocks        the active chain, genesis first
     mc/state         UTXO set, safeguard, CCTP registry (entries, adopted
                      certificates, nullifiers), pending payouts
+    mc/tip           the hash of the tip block the state belongs to
 """
 
 from __future__ import annotations
@@ -167,57 +164,34 @@ def decode_latus_state_pages(data: bytes, backing, cache_pages: int):
 
 
 # ---------------------------------------------------------------------------
-# Latus chain bookkeeping
+# Certificate anchors (the SC_CERT record)
 # ---------------------------------------------------------------------------
 
 
-def encode_anchors(anchors: dict) -> bytes:
-    """Certificate anchors: ``{epoch: CertificateAnchor}`` → bytes.
+def encode_anchor(anchor) -> bytes:
+    """A ``CertificateAnchor`` → the payload of its ``SC_CERT`` record.
 
-    The anchor's ``mst_root`` and ``mst_delta`` are derivable from its state
-    snapshot (root of the tree; delta from the touched set), so only the
-    certificate and the state snapshot are stored.
+    The anchor's ``mst_root`` and ``mst_delta`` are derivable from its
+    committed state (root of the tree; delta from the touched set), so only
+    the certificate and that state are stored.
     """
-    enc = Encoder()
-    enc.sequence(
-        sorted(anchors.items()),
-        lambda e, item: e.u64(item[0])
-        .var_bytes(item[1].certificate.encode())
-        .var_bytes(encode_latus_state(item[1].state_snapshot)),
+    return (
+        Encoder()
+        .var_bytes(anchor.certificate.encode())
+        .var_bytes(encode_latus_state(anchor.state_snapshot))
+        .done()
     )
-    return enc.done()
 
 
-def _read_anchor_items(dec: Decoder) -> list:
-    return dec.sequence(lambda d: (d.u64(), d.var_bytes(), d.var_bytes()))
-
-
-def decode_anchors(data: bytes) -> dict:
+def decode_anchor(data: bytes):
+    """Strict inverse of :func:`encode_anchor`."""
     from repro.latus.node import CertificateAnchor
 
-    return {
-        epoch: CertificateAnchor(
-            certificate=wire.decode_withdrawal_certificate(cert_bytes),
-            state_snapshot=decode_latus_state(state_bytes),
-        )
-        for epoch, cert_bytes, state_bytes in _strict(_read_anchor_items, data)
-    }
-
-
-def count_anchors(data: bytes) -> int:
-    """Number of anchors in a section, without decoding them (CLI explorer)."""
-    return len(_strict(_read_anchor_items, data))
-
-
-def encode_blob_sequence(blobs: list[bytes]) -> bytes:
-    """A plain length-prefixed sequence of encoded objects."""
-    enc = Encoder()
-    enc.sequence(blobs, lambda e, b: e.var_bytes(b))
-    return enc.done()
-
-
-def decode_blob_sequence(data: bytes) -> list[bytes]:
-    return _strict(lambda d: d.sequence(lambda dd: dd.var_bytes()), data)
+    cert_bytes, state_bytes = _strict(lambda d: (d.var_bytes(), d.var_bytes()), data)
+    return CertificateAnchor(
+        certificate=wire.decode_withdrawal_certificate(cert_bytes),
+        state_snapshot=decode_latus_state(state_bytes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +201,7 @@ def decode_blob_sequence(data: bytes) -> list[bytes]:
 
 def encode_mainchain_state(state) -> bytes:
     """``MainchainState`` → bytes (everything except the block-hash chain,
-    which the caller reconstructs from the stored active chain)."""
+    which the caller reconstructs from the logged active chain)."""
     enc = Encoder()
 
     # UTXO set, in outpoint order for a canonical byte string
@@ -300,7 +274,7 @@ def decode_mainchain_state(data: bytes, params):
     The ceasing-deadline index and the payout-maturity index are derived
     caches and are rebuilt from the restored entries/payouts rather than
     stored; ``height``/``block_hashes`` are left for the caller to fill
-    from the restored block list.
+    from the chain it rebuilds from the log.
     """
     from repro.core.cctp import CertificateRecord, SidechainEntry, SidechainStatus
     from repro.mainchain.chain import MainchainState

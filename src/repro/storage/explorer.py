@@ -1,11 +1,11 @@
 """Read-only store inspection for the CLI explorer.
 
 :func:`inspect_store` opens a store *without* constructing a node: it reads
-the snapshot sections and the WAL tail directly and summarizes what a
-recovery would find — chain height, tip digest, registered sidechains,
-last-snapshot epoch.  Everything here is read-only by construction (only
-``latest_snapshot``/``records``/``describe`` are called), so it is safe to
-point at a live node's data directory.
+the log directly and summarizes what a recovery would find — chain height,
+tip digest, registered sidechains, certificates — plus the last snapshot's
+epoch and, on a paged node, its live page table.  Everything here is
+read-only by construction (only ``latest_snapshot``/``records``/``describe``
+are called), so it is safe to point at a live node's data directory.
 """
 
 from __future__ import annotations
@@ -26,78 +26,44 @@ def _record_histogram(records: list[tuple[int, bytes]]) -> dict[str, int]:
     return counts
 
 
-def _inspect_latus(snapshot, records, info: dict) -> dict:
-    blocks = []
-    certificates = sum(1 for kind, _ in records if kind == SC_CERT)
-    if snapshot is not None:
-        _, sections = snapshot
-        blocks = [
-            wire.decode_sidechain_block(raw)
-            for raw in codec.decode_blob_sequence(sections.get("latus/blocks", b"\0\0\0\0"))
-        ]
-        # one anchor per certified epoch
-        certificates += codec.count_anchors(sections.get("latus/anchors", b"\0\0\0\0"))
-    for kind, payload in records:
-        if kind == SC_BLOCK:
-            blocks.append(wire.decode_sidechain_block(payload))
-    tip = blocks[-1] if blocks else None
+def _inspect_latus(records, info: dict) -> dict:
+    # the log holds the chain in order: its last block is the tip
+    blocks = [payload for kind, payload in records if kind == SC_BLOCK]
+    tip = wire.decode_sidechain_block(blocks[-1]) if blocks else None
     info.update(
         kind="latus",
         height=tip.height if tip else -1,
         tip_hash=tip.hash.hex() if tip else None,
         tip_digest=f"{tip.state_digest:#x}" if tip else None,
-        certificates=certificates,
+        certificates=sum(1 for kind, _ in records if kind == SC_CERT),
         mempool_txs=sum(1 for kind, _ in records if kind == SC_TX),
     )
     return info
 
 
-def _inspect_mainchain(snapshot, records, info: dict) -> dict:
-    blocks = []
-    sidechains = None
-    if snapshot is not None:
-        _, sections = snapshot
-        blocks = [
-            wire.decode_block(raw)
-            for raw in codec.decode_blob_sequence(sections.get("mc/blocks", b"\0\0\0\0"))
-        ]
-        state_section = sections.get("mc/state")
-        if state_section is not None:
-            from repro.mainchain.params import MainchainParams
-
-            state = codec.decode_mainchain_state(state_section, MainchainParams())
-            sidechains = len(state.cctp.sidechains)
-
-    # walk the WAL tail, following only blocks that extend the current tip
-    # (forks are kept in the log but do not change the summary height)
+def _inspect_mainchain(records, info: dict) -> dict:
+    # the tip is the highest logged block, the first seen on a tie (forks
+    # stay in the log); the registry is every declaration on its chain
     from repro.mainchain.transaction import SidechainDeclarationTx
 
-    tip_hash = blocks[-1].hash if blocks else None
-    declared = 0
+    logged = {}
+    tip = None
     for kind, payload in records:
-        if kind != MC_BLOCK:
-            continue
-        block = wire.decode_block(payload)
-        if tip_hash is None or block.header.prev_hash == tip_hash:
-            blocks.append(block)
-            tip_hash = block.hash
-            declared += sum(
-                isinstance(tx, SidechainDeclarationTx)
-                for tx in block.transactions
-            )
-    if sidechains is not None:
-        sidechains += declared
-    elif snapshot is None:
-        # no snapshot: the WAL holds every block since genesis, so the
-        # declaration count in the tail is the whole registry
-        sidechains = declared
-    tip = blocks[-1] if blocks else None
+        if kind == MC_BLOCK:
+            block = wire.decode_block(payload)
+            logged[block.hash] = block
+            if tip is None or block.height > tip.height:
+                tip = block
+    declared, cursor = 0, tip
+    while cursor is not None:
+        declared += sum(isinstance(tx, SidechainDeclarationTx) for tx in cursor.transactions)
+        cursor = logged.get(cursor.header.prev_hash)
     info.update(
         kind="mainchain",
         height=tip.header.height if tip else -1,
         tip_hash=tip.hash.hex() if tip else None,
         tip_digest=tip.hash.hex() if tip else None,
-        sidechains=sidechains,
+        sidechains=declared,
     )
     return info
 
@@ -142,14 +108,16 @@ def inspect_store(store: StateStore) -> dict:
 
     Returns a dict with at least ``kind`` (``"latus"``, ``"mainchain"`` or
     ``"empty"``), ``height``, ``tip_digest``, ``snapshot_epoch``,
-    ``wal_records`` and the backend's ``describe()`` output under
-    ``backend``; stores with an MST page segment also get ``page_store``.
+    ``snapshot_covers``, ``wal_records`` and the backend's ``describe()``
+    output under ``backend``; stores with an MST page segment also get
+    ``page_store``.
     """
     snapshot = store.latest_snapshot()
     records = store.records()
     info: dict = {
         "backend": store.describe(),
         "snapshot_epoch": snapshot[0] if snapshot is not None else None,
+        "snapshot_covers": snapshot[2] if snapshot is not None else None,
         "wal_records": len(records),
         "wal_record_kinds": _record_histogram(records),
     }
@@ -165,9 +133,9 @@ def inspect_store(store: StateStore) -> dict:
         MC_BLOCK in record_kinds
     )
     if is_latus and not is_mainchain:
-        return _inspect_latus(snapshot, records, info)
+        return _inspect_latus(records, info)
     if is_mainchain and not is_latus:
-        return _inspect_mainchain(snapshot, records, info)
+        return _inspect_mainchain(records, info)
     info.update(kind="empty", height=-1, tip_hash=None, tip_digest=None)
     return info
 
@@ -189,11 +157,11 @@ def format_inspection(info: dict) -> str:
     if info.get("certificates") is not None:
         lines.append(f"withdrawal certificates: {info['certificates']}")
     lines.append(f"last snapshot epoch: {info['snapshot_epoch']}")
-    lines.append(f"wal records since snapshot: {info['wal_records']}")
+    lines.append(f"log records: {info['wal_records']} (the snapshot covers {info['snapshot_covers']})")
     kinds = info.get("wal_record_kinds") or {}
     if kinds:
         detail = ", ".join(f"{name}={count}" for name, count in sorted(kinds.items()))
-        lines.append(f"wal record kinds: {detail}")
+        lines.append(f"log record kinds: {detail}")
     pages = info.get("page_store")
     if pages:
         lines.append(

@@ -1,20 +1,23 @@
 """File-segment backed :class:`~repro.storage.store.StateStore`.
 
-Data-directory layout::
+Data-directory layout (store version 2)::
 
     <data_dir>/
         MANIFEST            magic "ZENSTOR1" | u32 version | u64 snapshot_id
         wal.log             concatenated framed records (records.py)
-        snapshot-<id>.bin   magic "ZENSNAP1" | u64 epoch |
+        snapshot-<id>.bin   magic "ZENSNAP2" | u64 epoch | u64 covered |
                             sequence(text key, var_bytes section)
 
-The MANIFEST names the authoritative snapshot; snapshot files are written
-to a temp name and renamed into place *before* the MANIFEST flips, so a
-crash during compaction leaves either the old snapshot + full WAL or the
-new snapshot + empty WAL — never a half state.  The WAL may end in a torn
-record after a kill -9; opening the store truncates it to the last whole
-record (that tail is the only data the recovery contract allows to lose,
-and a peer ``sync_from`` covers it).
+``wal.log`` only grows: it is the archive of every record, and only
+:meth:`FileStore.reset` empties it.  A snapshot holds the live state and
+``covered``, the number of log records written before it.  The MANIFEST
+names the authoritative snapshot; snapshot files are written to a temp
+name and renamed into place *before* the MANIFEST flips, so a crash leaves
+either the old or the new snapshot over a log that only grew.  The log may
+end in a torn record after a kill -9; opening the store truncates it to the
+last whole record (that tail is the only data the recovery contract allows
+to lose, and a peer ``sync_from`` covers it).  A version-1 store, which
+kept the history in its snapshot sections, is refused at open.
 
 The ``fsync`` knob trades durability for latency:
 
@@ -35,8 +38,8 @@ from repro.storage.records import frame_record, read_wal
 from repro.storage.store import FSYNC_POLICIES, StateStore, _SNAPSHOTS, _WAL_RECORDS
 
 _MANIFEST_MAGIC = b"ZENSTOR1"
-_SNAPSHOT_MAGIC = b"ZENSNAP1"
-_VERSION = 1
+_SNAPSHOT_MAGIC = b"ZENSNAP2"
+_VERSION = 2
 
 
 class FileStore(StateStore):
@@ -56,6 +59,8 @@ class FileStore(StateStore):
         self.fsync_policy = fsync
         self.read_only = read_only
         self._staged: list[bytes] = []
+        #: Records in the log, staged ones excluded (a snapshot covers them).
+        self._record_count = 0
         self._wal_file = None
         self._closed = False
 
@@ -90,7 +95,10 @@ class FileStore(StateStore):
         if magic != _MANIFEST_MAGIC:
             raise StorageError(f"{self.data_dir} is not a repro store")
         if version != _VERSION:
-            raise StorageError(f"unsupported store version {version}")
+            raise StorageError(
+                f"unsupported store version {version} in {self.data_dir}: this build "
+                f"reads version {_VERSION}, whose log keeps the history"
+            )
         return snapshot_id
 
     def _write_manifest(self, snapshot_id: int) -> None:
@@ -109,14 +117,16 @@ class FileStore(StateStore):
                 os.fsync(fh.fileno())
         os.replace(tmp, path)
 
-    # -- WAL ---------------------------------------------------------------------
+    # -- log ---------------------------------------------------------------------
 
     def _repair_torn_tail(self) -> None:
-        """Truncate a torn trailing record left by a crash mid-write."""
+        """Count the log's records and truncate a torn trailing record left
+        by a crash mid-write."""
         if not self._wal_path.exists():
             return
         data = self._wal_path.read_bytes()
-        _, valid = read_wal(data)
+        records, valid = read_wal(data)
+        self._record_count = len(records)
         if valid < len(data):
             with open(self._wal_path, "r+b") as fh:
                 fh.truncate(valid)
@@ -137,17 +147,12 @@ class FileStore(StateStore):
     def _flush(self, sync: bool) -> None:
         if self._staged:
             self._wal_file.write(b"".join(self._staged))
+            self._record_count += len(self._staged)
             _WAL_RECORDS.inc(len(self._staged))
             self._staged.clear()
         self._wal_file.flush()
         if sync:
             os.fsync(self._wal_file.fileno())
-
-    def _truncate_wal(self) -> None:
-        self._wal_file.close()
-        with open(self._wal_path, "wb"):
-            pass
-        self._wal_file = open(self._wal_path, "ab")
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -158,7 +163,7 @@ class FileStore(StateStore):
         self._check_writable()
         self._flush(sync=self.fsync_policy != "never")
         new_id = self._snapshot_id + 1
-        enc = Encoder().raw(_SNAPSHOT_MAGIC).u64(epoch)
+        enc = Encoder().raw(_SNAPSHOT_MAGIC).u64(epoch).u64(self._record_count)
         enc.sequence(
             sorted(sections.items()),
             lambda e, item: e.text(item[0]).var_bytes(item[1]),
@@ -166,13 +171,11 @@ class FileStore(StateStore):
         self._atomic_write(self._snapshot_path(new_id), enc.done())
         old_id = self._snapshot_id
         self._write_manifest(new_id)
-        # compaction: the log's effects now live in the snapshot
-        self._truncate_wal()
         if old_id:
             self._snapshot_path(old_id).unlink(missing_ok=True)
         _SNAPSHOTS.inc()
 
-    def latest_snapshot(self) -> tuple[int, dict[str, bytes]] | None:
+    def latest_snapshot(self) -> tuple[int, dict[str, bytes], int] | None:
         if self._snapshot_id == 0:
             return None
         path = self._snapshot_path(self._snapshot_id)
@@ -186,26 +189,19 @@ class FileStore(StateStore):
             if magic != _SNAPSHOT_MAGIC:
                 raise StorageError(f"corrupt snapshot {path.name}")
             epoch = dec.u64()
+            covered = dec.u64()
             sections = dict(dec.sequence(lambda d: (d.text(), d.var_bytes())))
             dec.done()
         except DecodeError as exc:
             raise StorageError(f"corrupt snapshot {path.name}: {exc}")
-        return epoch, sections
+        return epoch, sections, covered
 
     def records(self) -> list[tuple[int, bytes]]:
         if not self._wal_path.exists():
             return []
-        data = self._wal_path.read_bytes()
-        recs, valid = read_wal(data)
-        # a torn tail can appear while we hold the file open too (e.g. a
-        # reader inspecting a live store); never truncate in read-only mode
-        if valid < len(data) and not self.read_only:
-            self._flush(sync=False)
-            self._wal_file.close()
-            with open(self._wal_path, "r+b") as fh:
-                fh.truncate(valid)
-            self._wal_file = open(self._wal_path, "ab")
-        return recs
+        # a reader of a live store may see a torn last record: it is not
+        # committed yet, and the writer repaired any older one at open
+        return read_wal(self._wal_path.read_bytes())[0]
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -214,7 +210,9 @@ class FileStore(StateStore):
         self._staged.clear()
         old_id = self._snapshot_id
         self._write_manifest(0)
-        self._truncate_wal()
+        self._wal_file.close()
+        self._wal_file = open(self._wal_path, "wb")
+        self._record_count = 0
         if old_id:
             self._snapshot_path(old_id).unlink(missing_ok=True)
 

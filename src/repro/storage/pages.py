@@ -325,11 +325,12 @@ class FilePageBacking(_PageBacking):
 
     def load(self, ref) -> bytes:
         offset, length = ref
-        self._fh.flush()
+        # a ref comes from a snapshot on disk: check it against the segment
+        # before seeking to it or sizing a read by it
+        if offset + length > self._fh.seek(0, os.SEEK_END):
+            raise StorageError(f"page record at {offset} runs past the end of {self.path}")
         self._fh.seek(offset)
         record = self._fh.read(length)
-        if len(record) != length:
-            raise StorageError(f"truncated page record at {offset} in {self.path}")
         dec = Decoder(record)
         dec.u8()
         dec.u64()

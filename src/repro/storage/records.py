@@ -1,4 +1,4 @@
-"""WAL record kinds and framing for the durable store.
+"""Log record kinds and framing for the durable store.
 
 Every record is framed as ``u8 kind || var_bytes payload`` using the
 canonical :class:`~repro.encoding.Encoder` — the same injective codec that
@@ -25,9 +25,10 @@ from repro.errors import StorageError
 SC_BLOCK = 1
 #: A wallet-submitted Latus transaction (payload: ``tx.encode()``).
 SC_TX = 2
-#: The withdrawal certificate an epoch close built or checked (payload:
-#: ``wcert.encode()``); lets recovery restore the anchor without closing
-#: the epoch again.
+#: The certificate anchor of an epoch close: the withdrawal certificate it
+#: built or checked and the committed state it certifies (payload:
+#: :func:`repro.storage.codec.encode_anchor`); lets recovery restore the
+#: anchor without closing the epoch again.
 SC_CERT = 3
 #: A mainchain block accepted into the block store (payload:
 #: ``block.encode()``).

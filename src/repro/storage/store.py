@@ -1,17 +1,22 @@
 """The :class:`StateStore` interface and the in-memory reference store.
 
-A store is an append-only write-ahead log plus at most one snapshot.  The
+A store is an append-only log plus at most one snapshot.  The log is the
+one archive of a node's history: every block, wallet transaction and
+certificate record is written to it once and never rewritten.  A snapshot
+holds only the live state and the number of log records it covers.  The
 contract every backend honours:
 
 * :meth:`~StateStore.append` durably adds one record (fsync policy
   permitting); :meth:`~StateStore.stage` buffers a record and
   :meth:`~StateStore.commit` flushes the whole staged group with a single
   sync (one per block);
-* :meth:`~StateStore.write_snapshot` atomically replaces the snapshot and
-  *truncates the WAL* — compaction folds the log into the snapshot, so a
-  store always reads as ``snapshot + tail log``;
+* :meth:`~StateStore.write_snapshot` commits the staged records, then
+  atomically replaces the snapshot, stamped with the count of records it
+  covers; the log is left as it is;
 * :meth:`~StateStore.latest_snapshot` + :meth:`~StateStore.records` are
-  the whole recovery read surface;
+  the whole recovery read surface: the covered prefix of the log rebuilds
+  the chain the snapshot's state belongs to, and the tail replays on it;
+* only :meth:`~StateStore.reset` removes log records;
 * a read-only store refuses every mutating call with
   :class:`~repro.errors.StorageError`.
 
@@ -33,7 +38,7 @@ _WAL_RECORDS = _REGISTRY.counter(
 ).labels()
 _SNAPSHOTS = _REGISTRY.counter(
     "repro_storage_snapshots_total",
-    "state-store snapshots written (each one compacts the WAL)",
+    "state-store snapshots written (each one replaces the last; the log is kept)",
 ).labels()
 _DISK_RECOVERIES = _REGISTRY.counter(
     "repro_storage_disk_recoveries_total",
@@ -72,26 +77,28 @@ class StateStore:
         self.commit()
 
     def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
-        """Atomically replace the snapshot and truncate the WAL."""
+        """Commit the staged records, then atomically replace the snapshot;
+        it covers every record committed so far."""
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Wipe the store (snapshot and WAL) — used when a node abandons its
-        local history for a peer's chain."""
+        """Wipe the store (snapshot and log), the one call that removes log
+        records: a node rewrites its history after a reorg or a peer resync."""
         raise NotImplementedError
 
     # -- read side --------------------------------------------------------------
 
-    def latest_snapshot(self) -> tuple[int, dict[str, bytes]] | None:
-        """``(epoch, sections)`` of the current snapshot, or None."""
+    def latest_snapshot(self) -> tuple[int, dict[str, bytes], int] | None:
+        """``(epoch, sections, covered)`` of the current snapshot, or None;
+        ``covered`` counts the log records written before it."""
         raise NotImplementedError
 
     def records(self) -> list[tuple[int, bytes]]:
-        """Committed WAL records written since the snapshot, in order."""
+        """Every committed log record, in order."""
         raise NotImplementedError
 
     def is_empty(self) -> bool:
-        """True when the store holds neither a snapshot nor WAL records."""
+        """True when the store holds neither a snapshot nor log records."""
         return self.latest_snapshot() is None and not self.records()
 
     def describe(self) -> dict:
@@ -115,7 +122,7 @@ class MemoryStore(StateStore):
         self.read_only = read_only
         self._wal: list[tuple[int, bytes]] = []
         self._staged: list[tuple[int, bytes]] = []
-        self._snapshot: tuple[int, dict[str, bytes]] | None = None
+        self._snapshot: tuple[int, dict[str, bytes], int] | None = None
 
     def stage(self, kind: int, payload: bytes) -> None:
         self._check_writable()
@@ -131,8 +138,7 @@ class MemoryStore(StateStore):
     def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
         self._check_writable()
         self.commit()
-        self._snapshot = (epoch, {k: bytes(v) for k, v in sections.items()})
-        self._wal.clear()
+        self._snapshot = (epoch, {k: bytes(v) for k, v in sections.items()}, len(self._wal))
         _SNAPSHOTS.inc()
 
     def reset(self) -> None:
@@ -141,11 +147,11 @@ class MemoryStore(StateStore):
         self._wal.clear()
         self._snapshot = None
 
-    def latest_snapshot(self) -> tuple[int, dict[str, bytes]] | None:
+    def latest_snapshot(self) -> tuple[int, dict[str, bytes], int] | None:
         if self._snapshot is None:
             return None
-        epoch, sections = self._snapshot
-        return epoch, dict(sections)
+        epoch, sections, covered = self._snapshot
+        return epoch, dict(sections), covered
 
     def records(self) -> list[tuple[int, bytes]]:
         return list(self._wal)

@@ -19,22 +19,48 @@ constant mainchain cost per sidechain and per certificate) says must not
 grow with the chain's length, a sidechain's age or the number of
 sidechains.  The counts are exact; a change that moves one restates both
 columns, and the per-unit count at 2n stays at most the count at n.
+
+The history-bytes rows count what a durable node writes to its store per
+block, the live-state sections (``mc/state``, ``latus/state*``) aside.  The
+store's log keeps each block's record once, so per block they are flat.
+Before the log became the archive, every snapshot rewrote the whole history
+(``mc/blocks``; ``latus/blocks``, ``latus/anchors``, ``latus/submitted``)
+and the same builders measured 531,392 and 1,955,712 bytes at heights 256
+and 512 (2,076 and 3,820 per block), and 610,926 and 2,256,958 bytes at 16
+and 32 epochs (38,183 and 70,530 per epoch): about twice per block at each
+doubling.
+
+The Latus transition rows count the work of a fixed run of payments on an
+MST holding n and 2n other leaves: native MiMC permutations and real (not
+cached) signature verifies.  The fixed-depth tree makes both independent of
+occupancy, which every sibling subtree of the payments' slots being
+occupied at both sizes turns into equal counts.
 """
 
 from __future__ import annotations
 
 import gc
+import tempfile
 from functools import lru_cache
 from typing import NamedTuple
 
+from repro import observability
 from repro.core.cctp import CertificateRecord
 from repro.core.commitment import SidechainTxCommitmentTree
 from repro.core.cow import CowDict, CowSet
 from repro.core.transfers import WithdrawalCertificate, derive_ledger_id
+from repro.crypto import mimc, signatures
+from repro.crypto.keys import KeyPair
+from repro.latus.params import LatusParams
+from repro.latus.state import LatusState
+from repro.latus.transactions import sign_payment
+from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.mainchain.chain import REORG_HORIZON
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx
+from repro.scenarios import ZendooHarness
 from repro.snark import proving
+from repro.storage import FileStore
 from tests.test_cctp import PK, make_config
 from tests.test_mainchain_state_bytes import MINER, PARAMS, WIDE, fixed_chain
 
@@ -77,7 +103,31 @@ GROWTH = {
     # against sidechain count: leaves of every commitment tree the miner
     # built, one per sidechain active in a block, none for the quiet ones
     "mc.growth.commitment_leaves_per_block": (36, 72),
+    # against height, at HISTORY_HEIGHTS: bytes a durable node writes for
+    # empty blocks, mc/state aside; 216 per block (a block record, and a
+    # 32-byte tip per 16-block snapshot)
+    "mc.growth.history_bytes": (55_296, 110_592),
+    # against certified epochs, at HISTORY_EPOCHS: bytes a durable paged
+    # node writes for epochs of empty blocks, latus/state* aside; 4,132 and
+    # 4,079 per epoch (four block records and one anchor record)
+    "latus.growth.history_bytes": (66_110, 130_526),
+    # against MST occupancy, at TRANSITION_OCCUPANCY: native MiMC
+    # permutations of TRANSITION_PAYMENTS payments, 36.6 per payment
+    "latus.growth.permutations_per_transition": (293, 293),
+    # against MST occupancy: real signature verifies, one per payment input
+    "latus.growth.verifies_per_transition": (8, 8),
 }
+
+#: Heights (n, 2n) of :func:`mc_history_bytes`.
+HISTORY_HEIGHTS = (256, 512)
+#: Certified epochs (n, 2n) of :func:`latus_history_bytes`.
+HISTORY_EPOCHS = (16, 32)
+#: Other leaves (n, 2n) in the MST of :func:`transition_work`.
+TRANSITION_OCCUPANCY = (256, 512)
+#: Payments :func:`transition_work` measures, one input and two outputs each.
+TRANSITION_PAYMENTS = 8
+#: Depth of the MST of :func:`transition_work`.
+TRANSITION_DEPTH = 12
 
 #: Sidechains of :func:`growth_chain` for the age rows, each certifying
 #: every epoch.
@@ -244,6 +294,146 @@ def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():
     }
     for counts in measured.values():
         assert counts[1] / adopted[1] <= counts[0] / adopted[0]
+
+
+class HistoryCountingStore(FileStore):
+    """A :class:`FileStore` that counts every byte written to it but the
+    live-state snapshot sections."""
+
+    LIVE = ("mc/state", "latus/state", "latus/state_pages")
+
+    def __init__(self, data_dir) -> None:
+        super().__init__(data_dir, fsync="never")
+        self.history_bytes = 0
+
+    def stage(self, kind: int, payload: bytes) -> None:
+        self.history_bytes += len(payload)
+        super().stage(kind, payload)
+
+    def append(self, kind: int, payload: bytes) -> None:
+        self.history_bytes += len(payload)
+        super().append(kind, payload)
+
+    def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
+        self.history_bytes += sum(len(v) for k, v in sections.items() if k not in self.LIVE)
+        super().write_snapshot(epoch, sections)
+
+
+@lru_cache(maxsize=None)
+def mc_history_bytes(height: int) -> int:
+    """History bytes a durable mainchain node writes mining empty blocks."""
+    with tempfile.TemporaryDirectory() as data_dir:
+        store = HistoryCountingStore(data_dir)
+        node = MainchainNode(PARAMS, store=store)
+        node.mine_blocks(MINER.address, height)
+        node.close()
+    return store.history_bytes
+
+
+@lru_cache(maxsize=None)
+def latus_history_bytes(epochs: int) -> int:
+    """History bytes a durable paged Latus node (depth 20, epochs of 4 MC
+    blocks) writes forging empty blocks through ``epochs`` certified epochs."""
+    with tempfile.TemporaryDirectory() as data_dir:
+        store = HistoryCountingStore(data_dir)
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain(
+            "growth/history", epoch_len=4, submit_len=2, store=store,
+            latus_params=LatusParams(mst_depth=20), paged_mst=True,
+        )
+        harness.run_epochs(sc, epochs)
+        assert len(sc.node.certificates) == epochs
+        sc.node.close()
+    return store.history_bytes
+
+
+def test_history_is_written_once():
+    """Twice the chain: no more history bytes per block (MC) or per epoch
+    (Latus), since no snapshot copies the history the log holds."""
+    measured = {
+        "mc.growth.history_bytes": tuple(mc_history_bytes(h) for h in HISTORY_HEIGHTS),
+        "latus.growth.history_bytes": tuple(latus_history_bytes(e) for e in HISTORY_EPOCHS),
+    }
+    assert measured == {name: GROWTH[name] for name in measured}
+    for (n, twice), (small, large) in (
+        (HISTORY_HEIGHTS, measured["mc.growth.history_bytes"]),
+        (HISTORY_EPOCHS, measured["latus.growth.history_bytes"]),
+    ):
+        assert large / twice <= small / n
+
+
+_PAYER, _PAYEE, _FILLER = (KeyPair.from_seed(f"growth/{name}") for name in ("payer", "payee", "filler"))
+
+
+def _utxo(owner: KeyPair, amount: int, salt: bytes, tag: int) -> Utxo:
+    return Utxo(address_to_field(owner.address), amount, derive_nonce(salt, tag.to_bytes(8, "little")))
+
+
+@lru_cache(maxsize=None)
+def transition_work(occupancy: int) -> tuple[int, int]:
+    """``(native MiMC permutations, real signature verifies)`` of
+    :data:`TRANSITION_PAYMENTS` payments on a depth-12 MST holding
+    ``occupancy`` other leaves, every sibling subtree of a payment's slots
+    among them."""
+    state = LatusState(TRANSITION_DEPTH)
+    coins = [_utxo(_PAYER, 100, b"coin", i) for i in range(TRANSITION_PAYMENTS)]
+    payments = [
+        sign_payment(
+            [(coin, _PAYER)],
+            [_utxo(_PAYEE, 60, b"paid", i), _utxo(_PAYER, 40, b"change", i)],
+        )
+        for i, coin in enumerate(coins)
+    ]
+    slots = {state.mst.position_of(u) for u in coins}
+    slots |= {state.mst.position_of(u) for tx in payments for u in tx.outputs}
+    # first a leaf in each sibling subtree of every slot, so that a slot's
+    # path hashes at every level whatever the occupancy; then the lowest
+    # free positions
+    others: dict[int, None] = {}
+    for slot in sorted(slots):
+        for level in range(TRANSITION_DEPTH):
+            sibling = (slot >> level ^ 1) << level
+            free = (p for p in range(sibling, sibling + (1 << level)) if p not in slots)
+            others.setdefault(next(free))
+    assert len(others) <= occupancy
+    for position in range(1 << TRANSITION_DEPTH):
+        if len(others) == occupancy:
+            break
+        if position not in slots:
+            others.setdefault(position)
+    state.mst.apply_leaf_batch({p: _utxo(_FILLER, 1, b"other", p).leaf_value for p in others})
+    state.mst.apply_batch(add=coins)
+    assert state.mst.occupied_count == occupancy + len(coins)
+    mimc.clear_cache()
+    signatures.clear_verify_cache()
+    registry = observability.registry()
+    counters = [
+        registry.counter(name)
+        for name in (
+            "repro_mimc_permutations_total",
+            "repro_signature_verifies_total",
+            "repro_signature_cache_hits_total",
+        )
+    ]
+    before = [counter.value() for counter in counters]
+    for tx in payments:
+        state.apply(tx)
+    permutations, verifies, hits = (c.value() - b for c, b in zip(counters, before))
+    return permutations, verifies - hits
+
+
+def test_latus_transition_cost_does_not_grow_with_occupancy():
+    """Twice the MST occupancy: the same MiMC permutations and real
+    signature verifies for the same payments."""
+    runs = [transition_work(n) for n in TRANSITION_OCCUPANCY]
+    measured = {
+        "latus.growth.permutations_per_transition": tuple(run[0] for run in runs),
+        "latus.growth.verifies_per_transition": tuple(run[1] for run in runs),
+    }
+    assert measured == {name: GROWTH[name] for name in measured}
+    for small, large in measured.values():
+        assert large <= small
 
 
 def test_a_resubmitted_certificate_costs_no_verify(monkeypatch):

@@ -8,13 +8,17 @@ needs a peer.
 """
 
 import os
-import warnings
+import pathlib
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import lifecycle, observability, wire
 from repro.crypto.keys import KeyPair
-from repro.errors import NodeCrashed, OrphanBlock, StorageError
+from repro.errors import DecodeError, NodeCrashed, OrphanBlock, StorageError
 from repro.latus.node import LatusNode
 from repro.latus.transactions import (
     BackwardTransferRequestsTx,
@@ -40,9 +44,9 @@ from repro.storage import (
     inspect_store,
     read_wal,
 )
-from repro.storage import codec as storage_codec
 from tests.test_faults import chaos_run
 from tests.test_reorg_rollback import node_fingerprint
+from tests.test_wire import _mutate
 
 ALICE = KeyPair.from_seed("store/alice")
 BOB = KeyPair.from_seed("store/bob")
@@ -84,20 +88,23 @@ class TestStateStoreContract:
         store.commit()
         assert store.records() == [(SC_TX, b"a"), (SC_TX, b"b")]
 
-    def test_snapshot_compacts_the_wal(self, store):
+    def test_snapshot_keeps_the_log(self, store):
+        # the log is the archive: a snapshot covers its records and drops none
         store.append(SC_TX, b"pre")
         store.write_snapshot(3, {"latus/state": b"state-bytes"})
-        assert store.records() == []
-        assert store.latest_snapshot() == (3, {"latus/state": b"state-bytes"})
+        assert store.records() == [(SC_TX, b"pre")]
+        assert store.latest_snapshot() == (3, {"latus/state": b"state-bytes"}, 1)
         store.append(SC_BLOCK, b"tail")
-        assert store.records() == [(SC_BLOCK, b"tail")]
+        assert store.records() == [(SC_TX, b"pre"), (SC_BLOCK, b"tail")]
+        assert store.latest_snapshot()[2] == 1
 
     def test_snapshot_commits_staged_records_first(self, store):
         # write_snapshot is a durability point: staged records must not be
-        # silently dropped, they are folded into the snapshot's WAL flush
+        # silently dropped, they are committed before the snapshot covers them
         store.stage(SC_TX, b"staged")
         store.write_snapshot(1, {"s": b""})
-        assert store.records() == []  # compacted, not lost
+        assert store.records() == [(SC_TX, b"staged")]
+        assert store.latest_snapshot()[2] == 1
 
     def test_reset_wipes_everything(self, store):
         store.append(SC_TX, b"x")
@@ -145,8 +152,8 @@ class TestReadOnly:
         writer.write_snapshot(2, {"k": b"v"})
         writer.append(SC_BLOCK, b"tail")
         reader = FileStore(tmp_path / "d", read_only=True)
-        assert reader.latest_snapshot() == (2, {"k": b"v"})
-        assert reader.records() == [(SC_BLOCK, b"tail")]
+        assert reader.latest_snapshot() == (2, {"k": b"v"}, 1)
+        assert reader.records() == [(SC_TX, b"visible"), (SC_BLOCK, b"tail")]
         reader.close()
         writer.close()
 
@@ -196,6 +203,32 @@ class TestFileStoreDurability:
         with pytest.raises(StorageError):
             FileStore(tmp_path / "d")
 
+    def test_a_version_1_store_is_refused(self, tmp_path):
+        # version 1 kept the history in its snapshot sections: no reader left
+        FileStore(tmp_path / "d").close()
+        manifest = tmp_path / "d" / "MANIFEST"
+        data = manifest.read_bytes()
+        manifest.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:])
+        with pytest.raises(StorageError, match="unsupported store version 1"):
+            FileStore(tmp_path / "d")
+        with pytest.raises(StorageError, match="unsupported store version 1"):
+            FileStore(tmp_path / "d", read_only=True)
+
+    def test_reopen_sees_the_snapshot_and_what_it_covers(self, tmp_path):
+        store = FileStore(tmp_path / "d")
+        store.append(SC_TX, b"a")
+        store.append(SC_TX, b"b")
+        store.close()
+        reopened = FileStore(tmp_path / "d")
+        reopened.append(SC_BLOCK, b"c")
+        reopened.write_snapshot(7, {"k": b"v"})
+        reopened.append(SC_BLOCK, b"tail")
+        reopened.close()
+        reader = FileStore(tmp_path / "d", read_only=True)
+        assert reader.latest_snapshot() == (7, {"k": b"v"}, 3)
+        assert [payload for _, payload in reader.records()] == [b"a", b"b", b"c", b"tail"]
+        reader.close()
+
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(StorageError):
             FileStore(tmp_path / "d", fsync="sometimes")
@@ -228,6 +261,11 @@ def _build_latus_history(data_dir, **node_kwargs):
 
 
 CREATOR_DURABLE = KeyPair.from_seed("durable/creator")  # harness derivation
+
+
+def _dir_bytes(data_dir) -> dict[str, bytes]:
+    """Every file of a data directory, by name: what "left as found" compares."""
+    return {path.name: path.read_bytes() for path in sorted(data_dir.iterdir())}
 
 
 def _recover_latus(harness, sc, data_dir, **node_kwargs) -> LatusNode:
@@ -331,22 +369,26 @@ class TestLatusDiskRecovery:
             second.close()
 
     def test_snapshot_plus_tail_equals_compacted(self, tmp_path):
-        # the store holds snapshot + tail WAL right after the kill; after a
-        # recovery it holds one compacted snapshot, folded mid-epoch.  Both
-        # read back the same node.
+        # the store holds a snapshot and a log tail past it right after the
+        # kill; recovery writes nothing, and a snapshot taken mid-epoch after
+        # it covers the whole log.  Both read back the same node.
         for name, kwargs in (("flat", {}), ("paged", PAGED_KWARGS)):
             data_dir = tmp_path / name
             harness, sc = _build_latus_history(data_dir, **kwargs)
             sc.node.close()
             probe = FileStore(data_dir, read_only=True)
-            assert probe.records(), "scenario must leave a WAL tail to be meaningful"
+            total = len(probe.records())
+            assert probe.latest_snapshot()[2] < total, "scenario must leave a log tail"
             probe.close()
 
+            found = _dir_bytes(data_dir)
             first = _recover_latus(harness, sc, data_dir, **kwargs)
+            assert _dir_bytes(data_dir) == found
             view = node_fingerprint(first)
+            first._write_snapshot()
             first.close()
             probe = FileStore(data_dir, read_only=True)
-            assert probe.records() == []  # compacted into the snapshot
+            assert (probe.latest_snapshot()[2], len(probe.records())) == (total, total)
             probe.close()
             second = _recover_latus(harness, sc, data_dir, **kwargs)
             assert node_fingerprint(second) == view, name
@@ -405,38 +447,33 @@ class TestLatusDiskRecovery:
         recovered.close()
 
     def test_unreplayable_store_falls_back_to_empty_chain(self, tmp_path):
-        harness, sc = _build_latus_history(tmp_path / "sc")
-        sc.node.close()
-        data_dir = tmp_path / "sc"
         # a frame-valid SC_BLOCK whose payload is garbage: the store opens
-        # fine, replay fails, and the node warns + starts empty
-        wal = data_dir / "wal.log"
-        wal.write_bytes(wal.read_bytes() + frame_record(SC_BLOCK, b"garbage"))
-        with pytest.warns(RuntimeWarning, match="disk recovery failed"):
-            node = _recover_latus(harness, sc, data_dir)
-        assert node.height == -1  # empty chain, ready for sync_from
-        node.close()
-
-    def test_fallback_wipes_the_abandoned_store(self, tmp_path):
-        # after the fallback the node writes a new history; it must not land
-        # behind the corrupt record, or the next restart fails on it again
+        # fine, replay fails, and the restart raises with the store as found;
+        # the node runs on the empty chain, and a peer brings it back
         harness, sc = _build_latus_history(tmp_path / "sc")
-        sc.node.close()
-        data_dir = tmp_path / "sc"
+        node, data_dir = sc.node, tmp_path / "sc"
+        node.crash()
+        shutil.copytree(data_dir, tmp_path / "peer")
         wal = data_dir / "wal.log"
         wal.write_bytes(wal.read_bytes() + frame_record(SC_BLOCK, b"garbage"))
-        with pytest.warns(RuntimeWarning, match="disk recovery failed"):
-            node = _recover_latus(harness, sc, data_dir)
-        node.bootstrap_from(sc.node.blocks[:2])
-        node.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            again = _recover_latus(harness, sc, data_dir)
-        assert again.height == 1
-        assert again.tip_hash == sc.node.blocks[1].hash
-        again.close()
+        found = _dir_bytes(data_dir)
+        with pytest.raises(StorageError, match="store does not replay"):
+            node.restart(data_dir=data_dir)
+        assert _dir_bytes(data_dir) == found
+        with pytest.raises(StorageError, match="store does not replay"):
+            _recover_latus(harness, sc, data_dir)
+        assert _dir_bytes(data_dir) == found
+        assert node.height == -1 and not node.crashed
 
-    def test_corrupt_snapshot_falls_back_with_warning(self, tmp_path):
+        peer = _recover_latus(harness, sc, tmp_path / "peer")
+        assert node.sync_from(peer) == len(peer.blocks)
+        node.close()
+        again = _recover_latus(harness, sc, data_dir)
+        assert node_fingerprint(again) == node_fingerprint(peer)
+        again.close()
+        peer.close()
+
+    def test_corrupt_snapshot_fails_closed(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
         sc.node.close()
         data_dir = tmp_path / "sc"
@@ -448,10 +485,10 @@ class TestLatusDiskRecovery:
         with pytest.raises(StorageError, match="corrupt snapshot"):
             probe.latest_snapshot()
         probe.close()
-        with pytest.warns(RuntimeWarning, match="disk recovery failed"):
-            node = _recover_latus(harness, sc, data_dir)
-        assert node.height == -1
-        node.close()
+        found = _dir_bytes(data_dir)
+        with pytest.raises(StorageError, match="corrupt snapshot"):
+            _recover_latus(harness, sc, data_dir)
+        assert _dir_bytes(data_dir) == found
 
 
 class KindRecordingStore(MemoryStore):
@@ -523,8 +560,9 @@ class TestOneRecordPerBlock:
 
 
 class TestInconsistentSnapshot:
-    """A snapshot stores the live state next to the blocks and anchors the
-    rest is re-derived from; restore refuses one whose parts disagree."""
+    """A snapshot stores the live state over the log records the rest is
+    re-derived from; restore refuses one whose parts disagree, and leaves
+    the store as it found it."""
 
     @pytest.fixture
     def snapshots(self):
@@ -538,47 +576,45 @@ class TestInconsistentSnapshot:
         older = store.latest_snapshot()
         harness.forward_transfer(sc, ALICE, 9_000)
         harness.run_epochs(sc, 1)
-        newer = store.latest_snapshot()
+        epoch, sections, covered = store.latest_snapshot()
+        records = store.records()[:covered]
         sc.node.close()
-        return harness, sc, older, newer
+        return harness, sc, older, (epoch, sections, records)
 
-    def _restore(self, harness, sc, epoch, sections) -> LatusNode:
+    def _restore(self, harness, sc, epoch, sections, records) -> LatusNode:
         store = MemoryStore()
-        store.write_snapshot(epoch, sections)  # no WAL tail
-        return LatusNode(
-            config=sc.config,
-            params=sc.node.params,
-            mc_node=harness.mc,
-            creator=CREATOR_DURABLE,
-            store=store,
-        )
+        for kind, payload in records:
+            store.stage(kind, payload)
+        store.write_snapshot(epoch, sections)  # no log tail
+        found = (store.latest_snapshot(), store.records())
+        try:
+            return LatusNode(
+                config=sc.config,
+                params=sc.node.params,
+                mc_node=harness.mc,
+                creator=CREATOR_DURABLE,
+                store=store,
+            )
+        finally:
+            assert (store.latest_snapshot(), store.records()) == found
 
     def test_an_older_state_section_is_refused(self, snapshots):
-        harness, sc, (_, older), (epoch, sections) = snapshots
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            node = self._restore(harness, sc, epoch, dict(sections))
-        blocks = storage_codec.decode_blob_sequence(sections["latus/blocks"])
-        assert (node.height, len(node.certificates)) == (len(blocks) - 1, 2)
+        harness, sc, (_, older, _), (epoch, sections, records) = snapshots
+        node = self._restore(harness, sc, epoch, dict(sections), records)
+        blocks = sum(1 for kind, _ in records if kind == SC_BLOCK)
+        assert (node.height, len(node.certificates)) == (blocks - 1, 2)
         node.close()
         assert older["latus/state"] != sections["latus/state"]
         spliced = dict(sections, **{"latus/state": older["latus/state"]})
-        with pytest.warns(RuntimeWarning, match="does not match its chain"):
-            node = self._restore(harness, sc, epoch, spliced)
-        assert node.height == -1
-        node.close()
+        with pytest.raises(StorageError, match="does not match its chain"):
+            self._restore(harness, sc, epoch, spliced, records)
 
     def test_a_missing_anchor_is_refused(self, snapshots):
-        harness, sc, _, (epoch, sections) = snapshots
-        anchors = storage_codec.decode_anchors(sections["latus/anchors"])
-        del anchors[0]
-        spliced = dict(
-            sections, **{"latus/anchors": storage_codec.encode_anchors(anchors)}
-        )
-        with pytest.warns(RuntimeWarning, match="no certificate anchor"):
-            node = self._restore(harness, sc, epoch, spliced)
-        assert node.height == -1
-        node.close()
+        harness, sc, _, (epoch, sections, records) = snapshots
+        first_anchor = next(i for i, (kind, _) in enumerate(records) if kind == SC_CERT)
+        spliced = records[:first_anchor] + records[first_anchor + 1 :]
+        with pytest.raises(StorageError, match="no certificate anchor"):
+            self._restore(harness, sc, epoch, sections, spliced)
 
 
 # ---------------------------------------------------------------------------
@@ -624,28 +660,38 @@ class TestMainchainDiskRecovery:
             wal = data_dir / "wal.log"
             wal.write_bytes(wal.read_bytes() + frame_record(MC_BLOCK, b"garbage"))
 
-        def garbage_snapshot_blocks(data_dir):
+        def unlogged_snapshot_tip(data_dir):
             store = FileStore(data_dir)
-            epoch, sections = store.latest_snapshot()
-            sections["mc/blocks"] = storage_codec.encode_blob_sequence([b"garbage"])
-            store.write_snapshot(epoch, sections)
+            epoch, sections, _ = store.latest_snapshot()
+            store.write_snapshot(epoch, dict(sections, **{"mc/tip": bytes(32)}))
             store.close()
 
-        # 3 blocks stay in the WAL; 16 land in the snapshot
-        for mined, corrupt in ((3, garbage_wal_block), (16, garbage_snapshot_blocks)):
+        # 3 blocks stay in the log's tail; 16 are covered by the snapshot
+        for mined, corrupt, error in (
+            (3, garbage_wal_block, "store does not replay"),
+            (16, unlogged_snapshot_tip, "back to genesis"),
+        ):
             data_dir = tmp_path / corrupt.__name__
             node = MainchainNode(_mc_params(), data_dir=data_dir)
-            node.mine_blocks(MINER.address, mined)
-            node.close()
+            blocks = node.mine_blocks(MINER.address, mined)
+            node.crash()
             corrupt(data_dir)
-            with pytest.warns(RuntimeWarning, match="starting from genesis"):
-                recovered = MainchainNode(_mc_params(), data_dir=data_dir)
-            assert recovered.height == 0
-            # the abandoned store was wiped and is durable again
-            recovered.mine_blocks(MINER.address, 2)
-            recovered.close()
+            found = _dir_bytes(data_dir)
+            with pytest.raises(StorageError, match=error):
+                MainchainNode(_mc_params(), data_dir=data_dir)
+            with pytest.raises(StorageError, match=error):
+                node.restart(data_dir=data_dir)
+            assert _dir_bytes(data_dir) == found
+            assert node.height == 0  # genesis, running, ready for sync_from
+            peer = MainchainNode(_mc_params())
+            for block in blocks:
+                peer.receive_block(block)
+            # the resync rewrites the store, which is durable again
+            assert node.sync_from(peer) == mined + 1
+            node.mine_blocks(MINER.address, 2)
+            node.close()
             again = MainchainNode(_mc_params(), data_dir=data_dir)
-            assert again.height == 2
+            assert again.height == mined + 2
             again.close()
 
     def test_a_fork_off_a_pruned_block_is_an_orphan(self, tmp_path):
@@ -727,6 +773,243 @@ class TestMainchainDiskRecovery:
         with pytest.raises(UnknownBlock, match="pruned"):
             recovered.chain.state_at(old_hash)
         recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# Crash points: a copy of the store after every durable write recovers
+# ---------------------------------------------------------------------------
+
+
+class CopyingStore(FileStore):
+    """A :class:`FileStore` that copies its data directory after every log
+    append and every snapshot write, with the view ``self.view()`` of the
+    node at that point: each copy is the disk a kill -9 there leaves."""
+
+    def __init__(self, data_dir, copies) -> None:
+        super().__init__(data_dir, fsync="never")
+        self.copies = copies
+        self.points: list[tuple[pathlib.Path, object]] = []
+        self.view = lambda: None
+
+    def _copy(self, what: str) -> None:
+        target = self.copies / f"{len(self.points):03d}-{what}"
+        shutil.copytree(self.data_dir, target)
+        self.points.append((target, self.view()))
+
+    def commit(self) -> None:
+        super().commit()
+        self._copy("commit")
+
+    def append(self, kind: int, payload: bytes) -> None:
+        super().append(kind, payload)
+        self._copy("append")
+
+    def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
+        super().write_snapshot(epoch, sections)
+        self._copy("snapshot")
+
+
+def _latus_view(node: LatusNode) -> dict:
+    """What a node has committed once a write returns (the MC-following
+    queue and the memoised leader schedules are rebuilt by the next sync)."""
+    view = node_fingerprint(node)
+    del view["seeds"], view["stakes"]
+    view["submitted"] = [tx.txid for tx in node.submitted_txs]
+    # a block that closes an epoch commits the close: recovery re-derives it
+    view["closes"] = bool(node.blocks) and node._closes_epoch(node.blocks[-1], node.epoch_id)
+    return view
+
+
+class TestCrashPoints:
+    def test_every_latus_write_recovers_what_it_committed(self, tmp_path):
+        store = CopyingStore(tmp_path / "sc", tmp_path / "copies")
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain(
+            "durable", epoch_len=4, submit_len=2, store=store, **PAGED_KWARGS
+        )
+        store.view = lambda: _latus_view(sc.node)
+        harness.forward_transfer(sc, ALICE, 9_000)
+        harness.mine(2)
+        harness.wallet(sc, ALICE).pay(BOB.address, 1_500)
+        harness.run_epochs(sc, 2)
+        harness.wallet(sc, BOB).pay(ALICE.address, 500)
+        harness.mine(2)
+        sc.node.close()
+        kinds = {path.name.split("-")[1] for path, _ in store.points}
+        assert kinds == {"commit", "append", "snapshot"}
+        for index, (copy, view) in enumerate(store.points):
+            closes = view["closes"]
+            if closes:
+                # the epoch close that follows the block's commit
+                view = store.points[index + 1][1]
+            for _ in range(2):
+                recovered = _recover_latus(harness, sc, copy, **PAGED_KWARGS)
+                assert _latus_view(recovered) == view, copy.name
+                recovered.close()
+                if closes:
+                    # the recovery closed the epoch again and logged its
+                    # anchor; the second one reads it
+                    assert read_wal((copy / "wal.log").read_bytes())[0][-1][0] == SC_CERT
+
+    def test_every_mainchain_write_recovers_what_it_committed(self, tmp_path):
+        import hashlib
+
+        from repro.storage.codec import encode_mainchain_state
+
+        store = CopyingStore(tmp_path / "mc", tmp_path / "copies")
+        node = MainchainNode(_mc_params(), store=store)
+
+        def view(mc):
+            state = hashlib.sha256(encode_mainchain_state(mc.state)).hexdigest()
+            return mc.height, mc.chain.tip.hash, state
+
+        store.view = lambda: view(node)
+        node.mine_blocks(MINER.address, 2)
+        config = latus_sidechain_config(
+            "crash-points", start_block=node.height + 2, epoch_len=4, submit_len=2
+        )
+        node.submit_transaction(SidechainDeclarationTx(config=config))
+        node.mine_blocks(MINER.address, 15)  # a snapshot at 16
+        rival = MainchainNode(_mc_params())
+        for block in node.chain.active_chain()[1:17]:
+            rival.receive_block(block)
+        node.receive_block(rival.mine_block(MINER.address, timestamp=100))  # a side branch
+        node.mine_blocks(MINER.address, 2)
+        node.close()
+        assert {path.name.split("-")[1] for path, _ in store.points} == {"commit", "snapshot"}
+        for copy, expected in store.points:
+            recovered = MainchainNode(_mc_params(), data_dir=copy)
+            assert view(recovered) == expected, copy.name
+            recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# Decoder fuzz: mutated store files raise typed storage errors only
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def durable_files(tmp_path_factory):
+    """The files of a short durable run: a paged Latus node's store and its
+    mainchain node's, each with a snapshot and a log tail past it."""
+    root = tmp_path_factory.mktemp("durable")
+    harness, sc = _build_latus_history(root / "sc", **PAGED_KWARGS)
+    sc.node.close()
+    mc = MainchainNode(_mc_params(), data_dir=root / "mc")
+    mc.mine_blocks(MINER.address, 20)
+    mc.close()
+    files = {
+        name: {path.name: path.read_bytes() for path in (root / name).iterdir()}
+        for name in ("sc", "mc")
+    }
+    return harness, sc, files
+
+
+def _recover_from(harness, sc, name: str, data_dir):
+    if name == "mc":
+        return MainchainNode(_mc_params(), data_dir=data_dir)
+    return _recover_latus(harness, sc, data_dir, **PAGED_KWARGS)
+
+
+class TestStorageFuzz:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_store_files_raise_only_storage_errors(self, durable_files, data):
+        """Opening the store, reading it and recovering a node from it
+        either succeed or raise :class:`StorageError` / :class:`DecodeError`."""
+        harness, sc, files = durable_files
+        name = data.draw(st.sampled_from(sorted(files)))
+        target = data.draw(st.sampled_from(sorted(files[name])))
+        with tempfile.TemporaryDirectory() as scratch:
+            data_dir = pathlib.Path(scratch) / name
+            data_dir.mkdir()
+            for file, content in files[name].items():
+                if file == target:
+                    content = _mutate(content, data.draw) if content else b"\xff"
+                (data_dir / file).write_bytes(content)
+            try:
+                store = FileStore(data_dir, read_only=True)
+                store.records()
+                store.latest_snapshot()
+                store.close()
+                _recover_from(harness, sc, name, data_dir).close()
+            except (StorageError, DecodeError):
+                pass
+
+
+class TestFuzzRegressions:
+    """Each store a fuzz run turned up: an untyped error, an allocation or
+    a loop sized by a corrupt field.  Each now fails closed."""
+
+    @staticmethod
+    def _rewrite_state_section(data_dir, rewrite) -> None:
+        store = FileStore(data_dir)
+        epoch, sections, _ = store.latest_snapshot()
+        store.write_snapshot(epoch, {"latus/state_pages": rewrite(sections["latus/state_pages"])})
+        store.close()
+
+    def test_a_tree_deeper_than_supported(self, tmp_path):
+        # was a MerkleError out of the paged state section's depth field
+        harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
+        sc.node.close()
+        self._rewrite_state_section(tmp_path / "sc", lambda s: (64).to_bytes(4, "little") + s[4:])
+        with pytest.raises(StorageError, match="depth > 63"):
+            _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
+
+    def test_a_page_ref_past_the_segment(self, tmp_path):
+        # was a ValueError out of seek(), and a read sized by the ref before
+        # that.  The section is u32 depth, u64 occupied, u32 page size and a
+        # u32-counted table of (u8 band, u64 tile, u64 offset, u32 length);
+        # the last entry is the root's tile, which the recovery reads
+        harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
+        sc.node.close()
+
+        def far_root_ref(section: bytes) -> bytes:
+            at = 20 + 21 * (int.from_bytes(section[16:20], "little") - 1) + 9
+            return section[:at] + b"\xff" * 8 + section[at + 8 :]
+
+        self._rewrite_state_section(tmp_path / "sc", far_root_ref)
+        with pytest.raises(StorageError, match="runs past the end"):
+            _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
+
+    def test_a_logged_slot_past_the_mc_tip(self, tmp_path):
+        # was a MemoryError: adopting the block derived a leader schedule
+        # for every consensus epoch up to its slot
+        import dataclasses
+
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        sc.node.close()
+        wal = tmp_path / "sc" / "wal.log"
+        records, _ = read_wal(wal.read_bytes())
+        last = max(i for i, (kind, _) in enumerate(records) if kind == SC_BLOCK)
+        block = wire.decode_sidechain_block(records[last][1])
+        far = dataclasses.replace(block, slot=1 << 40)
+        records[last] = (SC_BLOCK, wire.encode_sidechain_block(far))
+        wal.write_bytes(b"".join(frame_record(kind, payload) for kind, payload in records))
+        with pytest.raises(StorageError, match="slot past the MC tip"):
+            _recover_latus(harness, sc, tmp_path / "sc")
+
+    def test_a_mainchain_state_not_advanced_to_its_tip(self, tmp_path):
+        # the next logged block would advance the CCTP deadlines one height
+        # at a time from this one
+        from repro.storage.codec import decode_mainchain_state, encode_mainchain_state
+
+        blocks = MainchainNode(_mc_params()).mine_blocks(MINER.address, 20)
+        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        for block in blocks[:16]:
+            node.receive_block(block)  # a snapshot at 16
+        node.close()
+        store = FileStore(tmp_path / "mc")
+        epoch, sections, _ = store.latest_snapshot()
+        state = decode_mainchain_state(sections["mc/state"], _mc_params())
+        state.cctp._advanced_to = -(1 << 62)
+        store.write_snapshot(epoch, dict(sections, **{"mc/state": encode_mainchain_state(state)}))
+        for block in blocks[16:]:
+            store.append(MC_BLOCK, block.encode())  # the log tail replays
+        store.close()
+        with pytest.raises(StorageError, match="not advanced to its tip"):
+            MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Two things a green functional suite does not notice:
   (SCP), which docs/PROTOCOL.md asserts in prose;
 * the inventory ROADMAP tracks by hand (lines, import-time environment
   switches, broad ``except`` sites, deprecated shims, superseded modules,
-  the Latus snapshot's section names).
+  the Latus snapshot's section names, the one call that empties the log).
   Each number is a ceiling: a PR may lower it and then lowers the constant
   here, a PR that raises it has to say why in the same diff.
 """
@@ -25,26 +25,22 @@ FILES = sorted(SRC.rglob("*.py"))
 #: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
 TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the mainchain's batched
-#: certificate pre-verification pass was deleted (17,377 before).
-MAX_SRC_LINES = 17_316
+#: ``find src -name '*.py' | xargs wc -l`` after the snapshots stopped
+#: copying the history the log already holds (17,316 before).
+MAX_SRC_LINES = 17_282
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: None: every handler names the errors it expects (the last three were the
 #: process pool's boundary sites, deleted with the pool).
 MAX_BROAD_EXCEPTS = 0
 
-#: Every Latus snapshot section: what the blocks cannot give.  The UTXO
-#: index, synced MC heights and consensus seeds and stakes are re-derived
-#: from blocks and anchors on restore; the open epoch, the certificate list
-#: and the last MC reference are read off them.
-LATUS_SECTIONS = {
-    "latus/state",
-    "latus/state_pages",
-    "latus/blocks",
-    "latus/anchors",
-    "latus/submitted",
-}
+#: Every Latus snapshot section: the live state, in one of its two
+#: encodings.  The history (blocks, wallet transactions, certificate
+#: anchors) is in the store's log; the UTXO index, synced MC heights and
+#: consensus seeds and stakes are re-derived from it on restore, and the
+#: open epoch, the certificate list and the last MC reference are read off
+#: the blocks and anchors.
+LATUS_SECTIONS = {"latus/state", "latus/state_pages"}
 
 #: What ``LatusNode`` reads off its blocks and anchors and must not store.
 LATUS_DERIVED = {"epoch", "certificates", "last_referenced_mc_height", "skipped_slots"}
@@ -295,6 +291,69 @@ class TestOneCertificateCheck:
         assert [(name, ast.unparse(call)) for name, call in proof_checks(tree)] == [
             ("C.f", "proving.verify(vk, a, p)"),
             ("h", "verify_many(jobs)"),
+        ]
+
+
+def log_clearing_calls(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(function, line)`` of every call that empties a store's log:
+    ``<x>._wal.clear()``, ``open(<x>._wal_path, "w…")``, or a
+    ``write_bytes``/``unlink`` of ``<x>._wal_path``.  Cutting a torn tail
+    (``truncate`` on an ``"r+b"`` handle) drops no whole record and is not
+    one."""
+
+    def attr(node, name: str) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    def clears(call: ast.Call) -> bool:
+        func = call.func
+        if attr(func, "clear") and attr(func.value, "_wal"):
+            return True
+        if attr(func, "write_bytes") or attr(func, "unlink"):
+            return attr(func.value, "_wal_path")
+        if isinstance(func, ast.Name) and func.id == "open" and call.args:
+            mode = call.args[1] if len(call.args) > 1 else None
+            return (
+                attr(call.args[0], "_wal_path")
+                and isinstance(mode, ast.Constant)
+                and str(mode.value).startswith("w")
+            )
+        return False
+
+    return [
+        (func.name, node.lineno)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and clears(node)
+    ]
+
+
+class TestTheLogOnlyGrows:
+    def test_only_reset_empties_the_log(self, trees):
+        """The log is the one archive of a node's history: a snapshot
+        covers its records and never drops them; only ``reset()`` does."""
+        sites = [
+            (path.relative_to(SRC).as_posix(), name)
+            for path, tree in trees.items()
+            for name, _ in log_clearing_calls(tree)
+        ]
+        assert sorted(sites) == [
+            ("repro/storage/filestore.py", "reset"),
+            ("repro/storage/store.py", "reset"),
+        ]
+
+    def test_the_check_sees_each_form(self):
+        tree = ast.parse(
+            "def write_snapshot(self):\n    self._wal.clear()\n"
+            "def _truncate(self):\n    with open(self._wal_path, 'wb'):\n        pass\n"
+            "def _drop(self):\n    self._wal_path.unlink()\n"
+            "def _repair(self):\n    with open(self._wal_path, 'r+b') as fh:\n"
+            "        fh.truncate(5)\n    self._staged.clear()\n"
+        )
+        assert [name for name, _ in log_clearing_calls(tree)] == [
+            "write_snapshot",
+            "_truncate",
+            "_drop",
         ]
 
 

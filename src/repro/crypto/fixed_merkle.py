@@ -134,20 +134,6 @@ class FixedMerkleTree:
         # incremental count of non-empty leaves (maintained by _store)
         self._occupied = 0
 
-    @classmethod
-    def from_node_store(
-        cls, depth: int, node_store, occupied: int
-    ) -> "FixedMerkleTree":
-        """Adopt an already-populated store (snapshot recovery).
-
-        ``occupied`` is the persisted non-empty-leaf count — passing it in
-        lets a paged store restore lazily instead of scanning every leaf
-        page just to recount.
-        """
-        tree = cls(depth, node_store=node_store)
-        tree._occupied = occupied
-        return tree
-
     # -- reads --------------------------------------------------------------
 
     def _node(self, level: int, index: int) -> int:

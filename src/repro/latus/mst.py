@@ -196,12 +196,3 @@ class MerkleStateTree:
         clone._touched = set(self._touched)
         return clone
 
-    @classmethod
-    def adopt(cls, tree: FixedMerkleTree) -> "MerkleStateTree":
-        """Wrap an already-built tree (snapshot recovery)."""
-        mst = cls.__new__(cls)
-        mst.depth = tree.depth
-        mst._tree = tree
-        mst._touched = set()
-        mst.replaced = None
-        return mst

@@ -305,28 +305,6 @@ class LatusNode(NodeLifecycle):
 
     # -- durability ---------------------------------------------------------------------
 
-    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
-        """The live state, a snapshot's one section: the log holds the
-        history the rest is rebuilt from.
-
-        Paged over a file backing: flush the dirty pages into ``pages.seg``,
-        fsync it, and persist only the page-table refs — the bytes written
-        per epoch are the pages dirtied since the last snapshot, not the
-        whole leaf set.  Everything else (dict store, or paged over a
-        memory backing whose refs cannot outlive the process) falls back to
-        the full-leaf encoding.
-        """
-        store = self.state.mst.node_store
-        if isinstance(store, PagedNodeStore) and isinstance(
-            store.backing, FilePageBacking
-        ):
-            store.flush()
-            store.backing.sync()
-            section = {"latus/state_pages": storage_codec.encode_latus_state_pages(self.state)}
-        else:
-            section = {"latus/state": storage_codec.encode_latus_state(self.state)}
-        return self.epoch_id, section
-
     def _history_records(self) -> list[tuple[int, bytes]]:
         """The log of the chain as it stands: the wallet transactions, then
         each block, each epoch's closing block followed by its anchor."""
@@ -340,78 +318,28 @@ class LatusNode(NodeLifecycle):
 
     # -- disk recovery ------------------------------------------------------------------
 
-    def _restore_state_section(self, sections: dict[str, bytes]):
-        """Decode whichever state section the snapshot carries.
+    def _restore(self, sections, records: list[tuple[int, bytes]]) -> None:
+        """Recover from the log alone, through the walk a rollback takes.
 
-        A paged section restores *lazily*: only the page-table refs are
-        read here, and pages fault back in from ``pages.seg`` as the node
-        touches state.  A snapshot written under the other storage policy
-        is re-housed into the configured one (leaves re-inserted), so
-        flipping ``paged_mst`` across restarts is always safe.
+        Each certified epoch's state is in its anchor record, so a Latus
+        node writes no snapshot: :meth:`_rederive_chain` adopts the logged
+        blocks and anchors, and replays the open epoch's blocks as trusted
+        blocks.  A snapshot an older build left beside the log
+        (``sections``) is not read: the log it covers holds the same node.
+        Synced MC heights come from the blocks' references, so heights
+        queued at crash time are processed again by the next sync.
         """
-        temp_backing = None
-        if "latus/state_pages" in sections:
-            backing = self._page_backing
-            if not isinstance(backing, FilePageBacking):
-                if not isinstance(self._store, FileStore):
-                    raise StorageError(
-                        "paged state snapshot requires a file store to resolve pages"
-                    )
-                backing = temp_backing = FilePageBacking(self._store.data_dir / PAGE_SEGMENT_NAME)
-            state = storage_codec.decode_latus_state_pages(
-                sections["latus/state_pages"], backing,
-                cache_pages=self._mst_cache_pages,
-            )
-        else:
-            state = storage_codec.decode_latus_state(sections["latus/state"])
-        state = self._rehouse_state(state)
-        if temp_backing is not None:
-            temp_backing.close()
-        return state
-
-    def _rehouse_state(self, state: LatusState) -> LatusState:
-        """Move a recovered state onto this node's configured node store."""
-        paged = isinstance(state.mst.node_store, PagedNodeStore)
-        if paged == self._paged_mst:
-            return state
-        fresh = LatusState(state.mst.depth, node_store=self._make_node_store())
-        leaves = dict(state.mst.node_store.leaf_items())
-        if leaves:
-            fresh.mst._tree.set_leaves(leaves)
-        fresh.mst._touched = set(state.mst._touched)
-        fresh.backward_transfers = list(state.backward_transfers)
-        return fresh
-
-    def _restore_snapshot(
-        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
-    ) -> None:
-        """Install a snapshot: the live state as stored, the rest re-derived.
-
-        The blocks and certificate anchors the snapshot covers go through
-        the rollback's walk; the open epoch's blocks only re-adopt their
-        bookkeeping, since the decoded live state already holds their
-        transitions.  Synced MC heights come from the blocks' references, so
-        heights queued at crash time are processed again by the next sync.
-        A live state that does not match the chain refuses the snapshot.
-        """
-        if not {"latus/state", "latus/state_pages"} & sections.keys():
-            raise StorageError("snapshot holds no Latus state section")
-        blocks, anchors, txs = self._read_log(covered)
+        blocks, anchors, txs = self._read_log(records)
         for height, block in enumerate(blocks):
             parent = blocks[height - 1].hash if height else self.tip_hash
             if (block.height, block.parent_hash) != (height, parent):
                 raise StorageError(f"logged block at height {height} does not extend the chain")
-        live = self._restore_state_section(sections)
-        open_blocks = self._rederive_chain(blocks, anchors, rehouse=False)
-        for block in open_blocks:
-            self._append_block(block)
-        # with no open block the walk left the epoch's start state in place
-        expected = open_blocks[-1].state_digest if open_blocks else self.state.digest()
-        if live.digest() != expected:
-            raise StorageError("snapshot state does not match its chain")
-        self.state = live
-        # merge the durable wallet mempool with anything already in memory
+        self._rederive_chain(blocks, anchors)
         self._merge_submitted(txs)
+        if self.anchors.keys() - anchors.keys():
+            # log the anchor the crash lost, so the next recovery reads it
+            self._store.append(SC_CERT, storage_codec.encode_anchor(self.anchors[self.epoch_id - 1]))
+        self._resubmit_reverted_certificates()
 
     def _read_log(self, records: list[tuple[int, bytes]]) -> tuple[list, dict, list]:
         """``(blocks, anchors by epoch, wallet transactions)`` of log records."""
@@ -442,40 +370,9 @@ class LatusNode(NodeLifecycle):
                 known.add(tx.txid)
                 self.submitted_txs.append(tx)
 
-    def _replay(self, records: list[tuple[int, bytes]]) -> None:
-        """Apply the log tail as *trusted* replay.
-
-        The blocks came from this node's own validated history, so
-        signature, leadership and derivation checks are skipped and epochs
-        whose anchor made it to the log are not closed again — which is
-        what makes disk recovery strictly faster than a full peer resync.
-        Every replayed block's state digest is still checked, so corruption
-        cannot slip through; any mismatch raises
-        :class:`~repro.errors.StorageError`.
-        """
-        blocks, anchors, txs = self._read_log(records)
-        lost = None
-        for block in blocks:
-            self._replay_block(block)
-            if not self._closes_epoch(block, self.epoch_id):
-                continue
-            if self.epoch_id in anchors:
-                if anchors[self.epoch_id].state_snapshot.digest() != self.state.digest():
-                    raise StorageError(f"logged anchor of epoch {self.epoch_id} does not match the chain")
-                self._anchor(anchors[self.epoch_id])
-            else:
-                # the crash hit between the block commit and the anchor
-                # record: close the epoch again
-                self._close_withdrawal_epoch(block)
-                lost = self.anchors[self.epoch_id - 1]
-        self._merge_submitted(txs)
-        if lost is not None:
-            # log the anchor the crash lost, so the next recovery reads it
-            self._store.append(SC_CERT, storage_codec.encode_anchor(lost))
-        self._resubmit_reverted_certificates()
-
     def _replay_block(self, block: SidechainBlock) -> None:
-        """Apply one previously-validated block from the log (trusted path).
+        """Apply one previously-validated block, logged or kept by a
+        rollback (trusted path).
 
         The block's transitions are written as one leaf batch without
         verifying a signature or re-running a derivation; the digest check
@@ -588,10 +485,8 @@ class LatusNode(NodeLifecycle):
         """Revert every SC block referencing MC heights >= ``divergence``.
 
         The kept chain is re-derived from the node's own blocks by
-        :meth:`_rederive_chain`, the walk a restore takes too; the open
-        epoch's kept blocks are then re-executed against their state
-        digests.  Nothing is re-proven; the store is re-seeded once, at the
-        end.
+        :meth:`_rederive_chain`, the walk a restart takes too.  Nothing is
+        re-proven; the store is re-seeded once, at the end.
         """
         kept = []
         for block in self.blocks:
@@ -600,41 +495,69 @@ class LatusNode(NodeLifecycle):
             kept.append(block)
         self._replaying = True
         try:
-            for block in self._rederive_chain(kept, self.anchors, rehouse=True):
-                self.state.apply_block(block.ordered_transitions(), block.state_digest)
-                self._append_block(block)
+            self._rederive_chain(kept, self.anchors)
         finally:
             self._replaying = False
         # the store's history now diverges from the chain: rewrite it
         self._rewrite_store()
         self._resubmit_reverted_certificates()
 
-    def _rederive_chain(
-        self, blocks: list[SidechainBlock], anchors: dict, rehouse: bool
-    ) -> list[SidechainBlock]:
-        """Reset to the empty chain and re-adopt ``blocks`` up to the open epoch.
+    def _rederive_chain(self, blocks: list[SidechainBlock], anchors: dict) -> None:
+        """Reset to the empty chain and re-adopt ``blocks`` with ``anchors``.
 
-        Certified epochs (closing block among ``blocks``) replay only their
-        bookkeeping and adopt their anchors; the open epoch starts from
-        :meth:`epoch_start_state`, re-housed onto this
-        node's store when ``rehouse`` (the rollback executes on it).  The
-        open epoch's blocks are handed back for the caller to apply.
+        Certified epochs (closing block and anchor both at hand) replay
+        only their bookkeeping.  Each anchor's state must reach its closing
+        block's digest, and its certificate must be the one the local MC
+        adopted for the epoch, where the MC has one on this chain.  The
+        open epoch starts from :meth:`epoch_start_state`, re-housed onto
+        this node's store, and its blocks replay as trusted blocks.  Only
+        the last block may close an epoch without an anchor (a crash
+        between its commit and the anchor record): it closes it again.
         """
-        closed = certified = 0  # closing blocks; blocks up to the last
+        entry = self.mc.state.cctp.sidechains.get(self.ledger_id)
+        adopted = {e: r.certificate.id for e, r in entry.certificates.items()} if entry else {}
+        closed = certified = 0  # anchored closing blocks; blocks up to the last
         for count, block in enumerate(blocks, 1):
-            if self._closes_epoch(block, closed):
-                closed, certified = closed + 1, count
+            if not self._closes_epoch(block, closed):
+                continue
+            anchor = anchors.get(closed)
+            if anchor is None:
+                if count < len(blocks):
+                    raise StorageError(f"no certificate anchor for closed epoch {closed}")
+                break
+            if anchor.state_snapshot.digest() != block.state_digest:
+                raise StorageError(f"logged anchor of epoch {closed} does not match the chain")
+            if adopted.get(closed, anchor.certificate.id) != anchor.certificate.id and (
+                block.mc_refs[-1].mc_block_hash == self._epoch_boundary_hash(closed)
+            ):
+                raise StorageError(
+                    f"logged certificate of epoch {closed} is not the one the MC adopted"
+                )
+            closed, certified = closed + 1, count
         self._reset_chain_state()
         for block in blocks[:certified]:
             self._append_block(block)
         for epoch_id in range(closed):
-            if epoch_id not in anchors:
-                raise StorageError(f"no certificate anchor for closed epoch {epoch_id}")
             self.anchors[epoch_id] = anchors[epoch_id]
         if closed:
-            state = self.epoch_start_state()
-            self.state = self._rehouse_state(state) if rehouse else state
-        return blocks[certified:]
+            self.state = self._rehouse_state(self.epoch_start_state())
+        for block in blocks[certified:]:
+            self._replay_block(block)
+            if self._closes_epoch(block, self.epoch_id):
+                self._close_withdrawal_epoch(block)
+
+    def _rehouse_state(self, state: LatusState) -> LatusState:
+        """Move a state onto this node's configured node store."""
+        paged = isinstance(state.mst.node_store, PagedNodeStore)
+        if paged == self._paged_mst:
+            return state
+        fresh = LatusState(state.mst.depth, node_store=self._make_node_store())
+        leaves = dict(state.mst.node_store.leaf_items())
+        if leaves:
+            fresh.mst._tree.set_leaves(leaves)
+        fresh.mst._touched = set(state.mst._touched)
+        fresh.backward_transfers = list(state.backward_transfers)
+        return fresh
 
     def _resubmit_reverted_certificates(self) -> None:
         """Re-queue certificates whose MC adoption was reverted by a reorg.
@@ -840,10 +763,8 @@ class LatusNode(NodeLifecycle):
         self._anchor(anchor)
         if self._journaling:
             # the anchor record lets recovery skip the close; if the crash
-            # lands before it, replay closes the epoch again
+            # lands before it, recovery closes the epoch again
             self._store.append(SC_CERT, storage_codec.encode_anchor(anchor))
-        # epoch boundaries are the periodic snapshot points
-        self._write_snapshot()
 
     def _checked_certificate(
         self, draft: WithdrawalCertificate, h_prev: bytes, h_last: bytes

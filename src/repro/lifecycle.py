@@ -4,16 +4,13 @@
 surface — ``crash()``, ``restart()``, ``sync_from(peer)``, ``close()`` —
 and count it on the same metrics (``repro_node_crashes_total`` and
 friends).  This mixin is also the only code that opens, guards, recovers,
-snapshots, resets and closes a node's :class:`~repro.storage.StateStore`.
+rewrites, resets and closes a node's :class:`~repro.storage.StateStore`.
 Each node supplies a handful of hooks:
 
 * ``_drop_inflight()`` — discard state a real crash would lose;
 * ``_reset_for_restart()`` — rebuild the empty-chain state;
-* ``_restore_snapshot(sections, covered)`` — load the latest snapshot's
-  live state and rebuild the chain from ``covered``, the log records
-  written before it;
-* ``_replay(records)`` — apply the log records written since it;
-* ``_snapshot_sections()`` — ``(epoch, sections)`` of the live state;
+* ``_restore(sections, records)`` — rebuild the chain from the log
+  records, given the latest snapshot's sections (or None);
 * ``_history_records()`` — the log records of the chain the node holds,
   which :meth:`NodeLifecycle._rewrite_store` writes after a reorg or an
   adoption replaced the history;
@@ -23,15 +20,16 @@ Each node supplies a handful of hooks:
   the peer's chain raises, and what ``sync_from`` raises in its place.
 
 Recovery is one template, :meth:`NodeLifecycle._recover_from_store`: read
-the snapshot and the log once, restore the live state, rebuild the chain
-from the covered prefix of the log and replay the tail, with durable writes
-suppressed.  ``restart(data_dir=...)`` is the recover-from-disk entry
-point, so a kill -9'd node comes back to a byte-identical chain digest
-without a full peer resync (only the log tail past the last fsync ever
-needs a peer).  Recovery fails closed: a store that does not replay raises
-:class:`~repro.errors.StorageError` and is left as it was found.  The log
-only grows; the one place a node removes its history is
-:meth:`NodeLifecycle._wipe_store`, before it writes a different one.
+the snapshot and the log once and rebuild the chain from them, with durable
+writes suppressed.  A Latus node recovers from its log alone; a mainchain
+node starts from its snapshot's state.  ``restart(data_dir=...)`` is the
+recover-from-disk entry point, so a kill -9'd node comes back to a
+byte-identical chain digest without a full peer resync (only the log tail
+past the last fsync ever needs a peer).  Recovery fails closed: a store
+that does not replay raises :class:`~repro.errors.StorageError` and is left
+as it was found.  The log only grows; the one place a node removes its
+history is :meth:`NodeLifecycle._wipe_store`, before it writes a different
+one.
 """
 
 from __future__ import annotations
@@ -91,15 +89,9 @@ class NodeLifecycle:
     def _reset_for_restart(self) -> None:
         raise NotImplementedError
 
-    def _restore_snapshot(
-        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
+    def _restore(
+        self, sections: dict[str, bytes] | None, records: list[tuple[int, bytes]]
     ) -> None:
-        raise NotImplementedError
-
-    def _replay(self, records: list[tuple[int, bytes]]) -> None:
-        raise NotImplementedError
-
-    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
         raise NotImplementedError
 
     def _history_records(self) -> list[tuple[int, bytes]]:
@@ -123,11 +115,6 @@ class NodeLifecycle:
         """True when durable writes go to the store (attached, not replaying)."""
         return self._store is not None and not self._replaying
 
-    def _write_snapshot(self) -> None:
-        """Snapshot the live state; it covers every record logged so far."""
-        if self._journaling:
-            self._store.write_snapshot(*self._snapshot_sections())
-
     def _wipe_store(self) -> None:
         """Drop the store's history before the node writes a different one."""
         if self._store is not None and not self._store.read_only:
@@ -135,36 +122,34 @@ class NodeLifecycle:
 
     def _rewrite_store(self) -> None:
         """Replace the store's history with the log of the chain the node
-        now holds, and snapshot its live state over it."""
+        now holds."""
         if self._journaling:
             self._wipe_store()
             for kind, payload in self._history_records():
                 self._store.stage(kind, payload)
-            self._write_snapshot()
+            self._store.commit()
 
     def _recover_from_store(self) -> None:
         """Recover ``snapshot + log``.
 
-        The store is read once.  The snapshot's live state is restored over
-        the chain rebuilt from the log records it covers, and the records
-        after them are replayed; nothing is written while they replay.  Any
-        failure raises :class:`~repro.errors.StorageError`.
+        The store is read once, and the node rebuilds its chain from it;
+        nothing is written while the log replays.  Any failure raises
+        :class:`~repro.errors.StorageError`.
         """
         snapshot = self._store.latest_snapshot()
         records = self._store.records()
         if snapshot is None and not records:
             return
-        covered = 0
         self._replaying = True
         try:
+            sections = None
             if snapshot is not None:
                 _, sections, covered = snapshot
                 if covered > len(records):
                     raise StorageError(
                         f"snapshot covers {covered} log records, the log holds {len(records)}"
                     )
-                self._restore_snapshot(sections, records[:covered])
-            self._replay(records[covered:])
+            self._restore(sections, records)
         except StorageError:
             raise
         except ZendooError as exc:

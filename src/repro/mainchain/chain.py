@@ -504,7 +504,7 @@ class Blockchain:
         """Replace the chain with a trusted active chain, genesis first.
 
         The blocks were validated before they were logged (the node walks
-        them back from its snapshot's tip, so they are hash-linked) and are
+        them back from its snapshot's block, so they are hash-linked) and are
         not connected again; only the tip keeps a state, ``tip_state``.
         """
         tip = blocks[-1]

@@ -9,8 +9,10 @@ commitment, grinds the proof of work and records the block with the state
 it was assembled on, so nothing is connected twice.
 
 With a store attached the node logs one ``MC_BLOCK`` record per newly
-recorded block, on any branch, and snapshots the tip state and the tip's
-hash whenever the tip lands on a multiple of :data:`SNAPSHOT_INTERVAL`.
+recorded block, on any branch.  Whenever the tip lands on a multiple of
+:data:`SNAPSHOT_INTERVAL` it snapshots the state of the active block
+:data:`~repro.mainchain.chain.REORG_HORIZON` below the tip, and that
+block's hash.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from repro import observability
 from repro.errors import OrphanBlock, StorageError, ValidationError, ZendooError
 from repro.lifecycle import NodeLifecycle
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
-from repro.mainchain.chain import Blockchain, MainchainState
+from repro.mainchain.chain import REORG_HORIZON, Blockchain, MainchainState
 from repro.mainchain.mempool import Mempool
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.pow import mine_header
@@ -32,8 +34,8 @@ _TEMPLATE_DROPS = observability.registry().counter(
     labelnames=("reason",),
 )
 
-#: A durable node snapshots its tip state whenever its tip reaches a
-#: multiple of this height.
+#: A durable node writes a snapshot whenever its tip reaches a multiple of
+#: this height.
 SNAPSHOT_INTERVAL = 16
 
 
@@ -44,10 +46,10 @@ class MainchainNode(NodeLifecycle):
     :class:`~repro.latus.node.LatusNode` (same method names, same
     ``repro_node_*`` counters).  ``store=`` / ``data_dir=`` attach a durable
     :class:`~repro.storage.StateStore`, and ``restart(data_dir=...)``
-    recovers the chain from disk: the snapshot's chain is rebuilt from the
-    logged blocks without re-validation (historical states are pruned —
-    only the tip keeps one) and the log tail is replayed through the full
-    ``add_block`` validation.
+    recovers the chain from disk: the chain up to the snapshot's block is
+    rebuilt from the logged blocks without re-validation, and every block
+    above it goes through the full ``add_block`` validation again, so the
+    restarted node keeps a state for each block of the reorg window.
     """
 
     _SYNC_FAILURES = (ValidationError, ZendooError)
@@ -74,29 +76,43 @@ class MainchainNode(NodeLifecycle):
         self.mempool = Mempool()
         self._clock = 0
 
-    def _restore_snapshot(
-        self, sections: dict[str, bytes], covered: list[tuple[int, bytes]]
-    ) -> None:
-        """Rebuild the snapshot's chain by walking back from its tip through
-        the covered blocks to genesis; hash linkage holds by construction."""
+    def _restore(self, sections, records: list[tuple[int, bytes]]) -> None:
+        """Rebuild the chain from the snapshot's block and the whole log.
+
+        The chain up to the snapshot's block is walked back from it through
+        the logged blocks to genesis, so hash linkage holds by construction,
+        and only that block keeps a state.  Every other logged block then
+        goes through :meth:`Blockchain.add_block` in log order, which
+        rebuilds a state for each block of the reorg window.
+        """
         from repro.storage import codec as storage_codec
 
-        try:
-            state = storage_codec.decode_mainchain_state(sections["mc/state"], self.params)
-            cursor = sections["mc/tip"]
-        except KeyError as exc:
-            raise StorageError(f"snapshot is missing section {exc}")
-        logged = {block.hash: block for block in self._logged_blocks(covered)}
-        blocks = []
-        while cursor != self.chain.genesis.hash:
-            if cursor not in logged:
-                raise StorageError("the log does not hold the snapshot's chain back to genesis")
-            blocks.append(logged.pop(cursor))
-            cursor = blocks[-1].header.prev_hash
-        # the CCTP deadlines are advanced block by block from this height on
-        if state.cctp._advanced_to != (blocks[0].height if blocks else -1):
-            raise StorageError("snapshot state was not advanced to its tip")
-        self.chain.restore([self.chain.genesis, *reversed(blocks)], state)
+        blocks = self._logged_blocks(records)
+        if sections is not None:
+            try:
+                state = storage_codec.decode_mainchain_state(sections["mc/state"], self.params)
+                cursor = sections["mc/tip"]
+            except KeyError as exc:
+                raise StorageError(f"snapshot is missing section {exc}")
+            logged = {block.hash: block for block in blocks}
+            chain = []
+            while cursor != self.chain.genesis.hash:
+                if cursor not in logged:
+                    raise StorageError("the log does not hold the snapshot's chain back to genesis")
+                chain.append(logged.pop(cursor))
+                cursor = chain[-1].header.prev_hash
+            # the CCTP deadlines are advanced block by block from this height on
+            if state.cctp._advanced_to != (chain[0].height if chain else -1):
+                raise StorageError("snapshot state was not advanced to its tip")
+            self.chain.restore([self.chain.genesis, *reversed(chain)], state)
+        for block in blocks:
+            try:
+                self.chain.add_block(block)
+            except OrphanBlock:
+                # a fork off a block below the snapshot's, which keeps no
+                # state; the active chain never needs it
+                continue
+        self._clock = max(self._clock, self.chain.tip.header.timestamp)
 
     @staticmethod
     def _logged_blocks(records: list[tuple[int, bytes]]) -> list[Block]:
@@ -107,24 +123,19 @@ class MainchainNode(NodeLifecycle):
             raise StorageError("unexpected sidechain record in a mainchain store")
         return [wire.decode_block(payload) for _, payload in records]
 
-    def _replay(self, records: list[tuple[int, bytes]]) -> None:
-        """Re-validate the log tail through :meth:`Blockchain.add_block`."""
-        for block in self._logged_blocks(records):
-            try:
-                self.chain.add_block(block)
-            except OrphanBlock:
-                # a fork tail hanging off a block the snapshot did not keep
-                # (or kept without state); the active chain never needs it
-                continue
-        self._clock = max(self._clock, self.chain.tip.header.timestamp)
-
-    def _snapshot_sections(self) -> tuple[int, dict[str, bytes]]:
+    def _write_snapshot(self) -> None:
+        """Snapshot the state of the active block :data:`REORG_HORIZON`
+        below the tip (genesis on a shorter chain): a restart rebuilds the
+        states above it, the whole reorg window."""
+        if not self._journaling:
+            return
         from repro.storage import codec as storage_codec
 
-        return self.chain.height, {
-            "mc/state": storage_codec.encode_mainchain_state(self.chain.state),
-            "mc/tip": self.chain.tip.hash,
-        }
+        base = self.chain.block_at_height(max(self.chain.height - REORG_HORIZON, 0))
+        self._store.write_snapshot(base.height, {
+            "mc/state": storage_codec.encode_mainchain_state(self.chain.state_at(base.hash)),
+            "mc/tip": base.hash,
+        })
 
     def _history_records(self) -> list[tuple[int, bytes]]:
         from repro.storage import MC_BLOCK
@@ -149,6 +160,7 @@ class MainchainNode(NodeLifecycle):
         self.chain = chain
         self._clock = max(self._clock, chain.tip.header.timestamp)
         self._rewrite_store()
+        self._write_snapshot()
 
     def _chain_length(self) -> int:
         return self.chain.height + 1

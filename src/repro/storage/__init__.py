@@ -1,5 +1,5 @@
-"""Durable storage engine: an append-only log + live-state snapshots
-behind :class:`StateStore`.
+"""Durable storage engine: an append-only log + state snapshots behind
+:class:`StateStore`.
 
 The public surface:
 

@@ -1,26 +1,22 @@
-"""Snapshot-section codecs: node state ↔ canonical bytes.
+"""Store codecs: node state ↔ canonical bytes.
 
 Everything written to disk goes through :class:`~repro.encoding.Encoder` /
 :class:`~repro.encoding.Decoder` and reuses the :mod:`repro.wire` readers —
 the wire codec is the single serialization authority for both the network
-and the store (no pickle anywhere).  A snapshot is a flat ``{section name:
-bytes}`` mapping of live state only; the history (blocks, wallet
-transactions, certificate anchors) is in the store's log, one record each.
-This module defines the section formats, the ``SC_CERT`` payload and their
-strict inverses.
+and the store (no pickle anywhere).  This module defines the ``SC_CERT``
+payload, the mainchain snapshot's sections and their strict inverses.
 
-A Latus snapshot (assembled by :class:`~repro.latus.node.LatusNode`) holds
-one section; the chain, UTXO index, synced MC heights and consensus seeds
-and stakes are re-derived from the logged blocks and anchors on restore::
-
-    latus/state        the live LatusState (MST leaves + touched + BT list),
-    latus/state_pages  or its page-table refs on a file-backed paged node
+A Latus node writes no snapshot.  Its history (blocks, wallet transactions,
+certificate anchors) is in the store's log, one record each, and each
+anchor record carries its certified epoch's state: recovery re-derives the
+chain from the log alone.
 
 A mainchain snapshot (assembled by :class:`~repro.mainchain.node.MainchainNode`)::
 
     mc/state         UTXO set, safeguard, CCTP registry (entries, adopted
-                     certificates, nullifiers), pending payouts
-    mc/tip           the hash of the tip block the state belongs to
+                     certificates, nullifiers), pending payouts, at the
+                     active block REORG_HORIZON below the tip (or genesis)
+    mc/tip           the hash of the block the state belongs to
 """
 
 from __future__ import annotations
@@ -81,86 +77,6 @@ def _read_latus_state(dec: Decoder):
 def decode_latus_state(data: bytes):
     """Strict inverse of :func:`encode_latus_state`."""
     return _strict(_read_latus_state, data)
-
-
-def encode_latus_state_pages(state) -> bytes:
-    """Paged ``LatusState`` → bytes: page-table refs instead of leaf values.
-
-    The paged counterpart of :func:`encode_latus_state` for a state whose
-    MST sits on a :class:`~repro.storage.pages.PagedNodeStore` over a file
-    backing.  Only the page *table* is serialized — ``(band, tile) →
-    (offset, length)`` into the append-only ``pages.seg`` segment — so a
-    snapshot writes the dirty pages flushed since the last epoch plus a few
-    bytes per live page, never the whole leaf set.  The caller must flush
-    the store and sync the backing first (the node does both).
-    """
-    tree = state.mst._tree
-    store = tree.node_store
-    store.flush()
-    enc = Encoder().u32(state.mst.depth)
-    enc.u64(tree.occupied_count)
-    enc.u32(store.page_size)
-
-    def _write_entry(e: Encoder, item) -> None:
-        (band, tile), (offset, length) = item
-        e.u8(band).u64(tile).u64(offset).u32(length)
-
-    enc.sequence(store.table_items(), _write_entry)
-    enc.sequence(sorted(state.mst.touched_positions), lambda e, p: e.u64(p))
-    enc.sequence(
-        state.backward_transfers, lambda e, bt: e.var_bytes(bt.encode())
-    )
-    return enc.done()
-
-
-def _read_latus_state_pages(dec: Decoder) -> tuple:
-    """``(depth, occupied, page_size, table, touched, bts)`` of a paged section."""
-    return (
-        dec.u32(),
-        dec.u64(),
-        dec.u32(),
-        dec.sequence(lambda d: ((d.u8(), d.u64()), (d.u64(), d.u32()))),
-        dec.sequence(lambda d: d.u64()),
-        dec.sequence(lambda d: wire._nested(d, wire.read_backward_transfer)),
-    )
-
-
-def summarize_latus_state_pages(data: bytes) -> dict:
-    """Light header read of a paged state section (CLI explorer).
-
-    Returns depth / occupied leaves / page size / live page count and the
-    on-disk bytes those live pages reference — without touching the page
-    segment itself.
-    """
-    depth, occupied, page_size, table, _, _ = _strict(_read_latus_state_pages, data)
-    return {
-        "depth": depth,
-        "occupied_leaves": occupied,
-        "page_size": page_size,
-        "live_pages": len(table),
-        "live_bytes": sum(length for _, (_, length) in table),
-    }
-
-
-def decode_latus_state_pages(data: bytes, backing, cache_pages: int):
-    """Strict inverse of :func:`encode_latus_state_pages`.
-
-    ``backing`` is the reopened page backing the persisted refs point into.
-    Pages are *not* loaded here — the store faults them in lazily as the
-    recovered node touches state.
-    """
-    from repro.crypto.fixed_merkle import FixedMerkleTree
-    from repro.latus.mst import MerkleStateTree
-    from repro.latus.state import LatusState
-    from repro.storage.pages import PagedNodeStore
-
-    depth, occupied, page_size, table, touched, bts = _strict(_read_latus_state_pages, data)
-    store = PagedNodeStore.from_table(table, backing, page_size, cache_pages)
-    state = LatusState.__new__(LatusState)
-    state.mst = MerkleStateTree.adopt(FixedMerkleTree.from_node_store(depth, store, occupied))
-    state.mst._touched = set(touched)
-    state.backward_transfers = list(bts)
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 :func:`inspect_store` opens a store *without* constructing a node: it reads
 the log directly and summarizes what a recovery would find — chain height,
 tip digest, registered sidechains, certificates — plus the last snapshot's
-epoch and, on a paged node, its live page table.  Everything here is
-read-only by construction (only ``latest_snapshot``/``records``/``describe``
-are called), so it is safe to point at a live node's data directory.
+epoch (a mainchain store's) and, on a paged node, its page segment.
+Everything here is read-only by construction (only
+``latest_snapshot``/``records``/``describe`` are called), so it is safe to
+point at a live node's data directory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import wire
-from repro.storage import codec
 from repro.storage.records import KIND_NAMES, MC_BLOCK, SC_BLOCK, SC_CERT, SC_TX
 from repro.storage.store import StateStore
 
@@ -68,13 +68,10 @@ def _inspect_mainchain(records, info: dict) -> dict:
     return info
 
 
-def _inspect_pages(store: StateStore, snapshot) -> dict | None:
-    """Summarize the MST page segment next to a file store, if one exists.
-
-    Reports the append-only segment (every page version ever written, and
-    its ``(band, tile)`` keys) and the *live* page table from the latest
-    snapshot.
-    """
+def _inspect_pages(store: StateStore) -> dict | None:
+    """Summarize the MST page segment next to a file store, if one exists:
+    every page version written since the node opened it, and its
+    ``(band, tile)`` keys."""
     data_dir = getattr(store, "data_dir", None)
     if data_dir is None:
         return None
@@ -89,18 +86,13 @@ def _inspect_pages(store: StateStore, snapshot) -> dict | None:
     finally:
         backing.close()
     tiles = Counter(band for band, _ in {(band, tile) for band, tile, _ in page_records})
-    pages: dict = {
+    return {
         "segment": str(path),
         "bytes": path.stat().st_size,
         "page_records": len(page_records),
         "distinct_pages": sum(tiles.values()),
         "tiles_per_band": dict(sorted(tiles.items())),
     }
-    if snapshot is not None:
-        section = snapshot[1].get("latus/state_pages")
-        if section is not None:
-            pages.update(codec.summarize_latus_state_pages(section))
-    return pages
 
 
 def inspect_store(store: StateStore) -> dict:
@@ -121,21 +113,14 @@ def inspect_store(store: StateStore) -> dict:
         "wal_records": len(records),
         "wal_record_kinds": _record_histogram(records),
     }
-    pages = _inspect_pages(store, snapshot)
+    pages = _inspect_pages(store)
     if pages is not None:
         info["page_store"] = pages
-    section_keys = set(snapshot[1]) if snapshot is not None else set()
     record_kinds = {kind for kind, _ in records}
-    is_latus = any(k.startswith("latus/") for k in section_keys) or (
-        record_kinds & {SC_BLOCK, SC_TX, SC_CERT}
-    )
-    is_mainchain = any(k.startswith("mc/") for k in section_keys) or (
-        MC_BLOCK in record_kinds
-    )
-    if is_latus and not is_mainchain:
-        return _inspect_latus(records, info)
-    if is_mainchain and not is_latus:
+    if record_kinds == {MC_BLOCK}:
         return _inspect_mainchain(records, info)
+    if record_kinds and MC_BLOCK not in record_kinds:
+        return _inspect_latus(records, info)
     info.update(kind="empty", height=-1, tip_hash=None, tip_digest=None)
     return info
 
@@ -156,8 +141,13 @@ def format_inspection(info: dict) -> str:
         lines.append(f"registered sidechains: {info['sidechains']}")
     if info.get("certificates") is not None:
         lines.append(f"withdrawal certificates: {info['certificates']}")
-    lines.append(f"last snapshot epoch: {info['snapshot_epoch']}")
-    lines.append(f"log records: {info['wal_records']} (the snapshot covers {info['snapshot_covers']})")
+    if info["snapshot_epoch"] is None:
+        lines.append(f"log records: {info['wal_records']} (no snapshot)")
+    else:
+        lines.append(f"last snapshot epoch: {info['snapshot_epoch']}")
+        lines.append(
+            f"log records: {info['wal_records']} (the snapshot covers {info['snapshot_covers']})"
+        )
     kinds = info.get("wal_record_kinds") or {}
     if kinds:
         detail = ", ".join(f"{name}={count}" for name, count in sorted(kinds.items()))
@@ -170,10 +160,4 @@ def format_inspection(info: dict) -> str:
             f"({pages['distinct_pages']} distinct (band, tile) pages, "
             f"tiles per band {pages['tiles_per_band']})"
         )
-        if pages.get("live_pages") is not None:
-            lines.append(
-                f"page table: {pages['live_pages']} live pages "
-                f"({pages['live_bytes']} bytes), page_size={pages['page_size']}, "
-                f"occupied leaves={pages['occupied_leaves']}"
-            )
     return "\n".join(lines)

@@ -9,8 +9,10 @@ Data-directory layout (store version 2)::
                             sequence(text key, var_bytes section)
 
 ``wal.log`` only grows: it is the archive of every record, and only
-:meth:`FileStore.reset` empties it.  A snapshot holds the live state and
-``covered``, the number of log records written before it.  The MANIFEST
+:meth:`FileStore.reset` empties it.  A snapshot holds a state the log's
+records rebuild on (a mainchain node's; a Latus node recovers from the log
+alone and writes none) and ``covered``, the number of log records written
+before it.  The MANIFEST
 names the authoritative snapshot; snapshot files are written to a temp
 name and renamed into place *before* the MANIFEST flips, so a crash leaves
 either the old or the new snapshot over a log that only grew.  The log may

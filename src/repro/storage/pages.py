@@ -19,9 +19,10 @@ sorted sequence of ``(u32 offset, field_element value)`` pairs — so a page
 round-trips bit-exactly through memory or disk.  The file backing
 (:class:`FilePageBacking`) appends self-describing records
 (``u8 band | u64 tile | var_bytes payload``) to a ``pages.seg`` segment
-next to the WAL; because the segment is append-only, page refs stay valid
-forever, which makes both the copy-on-write table and the ref-keyed cache
-safe.
+next to the WAL; because the segment is append-only while it is open, page
+refs stay valid for the life of the process, which makes both the
+copy-on-write table and the ref-keyed cache safe.  No ref outlives the
+process, so a writer starts the segment empty.
 
 Every store implements the same five-method contract consumed by
 ``FixedMerkleTree``: ``get`` / ``set`` / ``delete`` / ``leaf_items`` /
@@ -287,10 +288,13 @@ class FilePageBacking(_PageBacking):
 
     Records are self-describing (``u8 band | u64 tile | var_bytes
     payload``), so the segment can be inspected offline; refs are the
-    record's ``(offset, length)``.  The file is never rewritten: superseded
-    page versions become garbage (reported by the CLI explorer), and in
-    exchange every ref ever handed out — shared by tree snapshots, cached,
-    persisted in an epoch snapshot — stays valid without reference counts.
+    record's ``(offset, length)``.  While open the file is only appended
+    to: superseded page versions become garbage (reported by the CLI
+    explorer), and in exchange every ref handed out — shared by tree
+    snapshots, cached — stays valid without reference counts.  A writer
+    opens the segment empty (the magic only): the node's state is rebuilt
+    from its log, so no ref outlives the process and the garbage does not
+    outlive a restart.
     """
 
     def __init__(self, path: str | os.PathLike, read_only: bool = False) -> None:
@@ -298,16 +302,17 @@ class FilePageBacking(_PageBacking):
         self.path = Path(path)
         self.read_only = read_only
         if self.path.exists():
-            self._fh = open(self.path, "rb" if read_only else "r+b")
-            magic = self._fh.read(len(PAGE_SEGMENT_MAGIC))
+            with open(self.path, "rb") as fh:
+                magic = fh.read(len(PAGE_SEGMENT_MAGIC))
             if magic != PAGE_SEGMENT_MAGIC:
-                self._fh.close()
                 raise StorageError(
                     f"{self.path} is not a {PAGE_SEGMENT_MAGIC.decode()} page "
                     f"segment (starts with {magic!r})"
                 )
         elif read_only:
             raise StorageError(f"page segment {self.path} does not exist")
+        if read_only:
+            self._fh = open(self.path, "rb")
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "w+b")
@@ -325,10 +330,6 @@ class FilePageBacking(_PageBacking):
 
     def load(self, ref) -> bytes:
         offset, length = ref
-        # a ref comes from a snapshot on disk: check it against the segment
-        # before seeking to it or sizing a read by it
-        if offset + length > self._fh.seek(0, os.SEEK_END):
-            raise StorageError(f"page record at {offset} runs past the end of {self.path}")
         self._fh.seek(offset)
         record = self._fh.read(length)
         dec = Decoder(record)
@@ -339,7 +340,7 @@ class FilePageBacking(_PageBacking):
         return payload
 
     def sync(self) -> None:
-        """Flush buffered appends and fsync — call before snapshotting refs."""
+        """Flush buffered appends and fsync."""
         if not self.read_only:
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -511,25 +512,6 @@ class PagedNodeStore(NodeStore):
         clone._table = self._table.copy()
         clone._dirty = {}
         return clone
-
-    # -- persistence --------------------------------------------------------
-
-    def table_items(self) -> list[tuple[tuple[int, int], object]]:
-        """Snapshot of the page table (call after :meth:`flush`)."""
-        return sorted(self._table.items())
-
-    @classmethod
-    def from_table(
-        cls,
-        table: Iterable[tuple[tuple[int, int], object]],
-        backing,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        cache_pages: int = DEFAULT_CACHE_PAGES,
-    ) -> "PagedNodeStore":
-        """Rebuild a store around persisted refs; pages load back lazily."""
-        store = cls(page_size=page_size, cache_pages=cache_pages, backing=backing)
-        store._table = CowDict(dict(table))
-        return store
 
     def describe(self) -> dict:
         clean, dirty = len(self.backing.decoded), len(self._dirty)

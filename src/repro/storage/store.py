@@ -3,8 +3,8 @@
 A store is an append-only log plus at most one snapshot.  The log is the
 one archive of a node's history: every block, wallet transaction and
 certificate record is written to it once and never rewritten.  A snapshot
-holds only the live state and the number of log records it covers.  The
-contract every backend honours:
+holds only a state and the number of log records it covers (a Latus node
+writes none).  The contract every backend honours:
 
 * :meth:`~StateStore.append` durably adds one record (fsync policy
   permitting); :meth:`~StateStore.stage` buffers a record and
@@ -14,8 +14,7 @@ contract every backend honours:
   atomically replaces the snapshot, stamped with the count of records it
   covers; the log is left as it is;
 * :meth:`~StateStore.latest_snapshot` + :meth:`~StateStore.records` are
-  the whole recovery read surface: the covered prefix of the log rebuilds
-  the chain the snapshot's state belongs to, and the tail replays on it;
+  the whole recovery read surface;
 * only :meth:`~StateStore.reset` removes log records;
 * a read-only store refuses every mutating call with
   :class:`~repro.errors.StorageError`.

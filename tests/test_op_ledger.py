@@ -21,7 +21,8 @@ sidechains.  The counts are exact; a change that moves one restates both
 columns, and the per-unit count at 2n stays at most the count at n.
 
 The history-bytes rows count what a durable node writes to its store per
-block, the live-state sections (``mc/state``, ``latus/state*``) aside.  The
+block, the mainchain's live-state section (``mc/state``) aside; a Latus
+node writes no snapshot.  The
 store's log keeps each block's record once, so per block they are flat.
 Before the log became the archive, every snapshot rewrote the whole history
 (``mc/blocks``; ``latus/blocks``, ``latus/anchors``, ``latus/submitted``)
@@ -108,7 +109,7 @@ GROWTH = {
     # 32-byte tip per 16-block snapshot)
     "mc.growth.history_bytes": (55_296, 110_592),
     # against certified epochs, at HISTORY_EPOCHS: bytes a durable paged
-    # node writes for epochs of empty blocks, latus/state* aside; 4,132 and
+    # node writes for epochs of empty blocks; 4,132 and
     # 4,079 per epoch (four block records and one anchor record)
     "latus.growth.history_bytes": (66_110, 130_526),
     # against MST occupancy, at TRANSITION_OCCUPANCY: native MiMC
@@ -298,9 +299,9 @@ def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():
 
 class HistoryCountingStore(FileStore):
     """A :class:`FileStore` that counts every byte written to it but the
-    live-state snapshot sections."""
+    live-state snapshot section."""
 
-    LIVE = ("mc/state", "latus/state", "latus/state_pages")
+    LIVE = ("mc/state",)
 
     def __init__(self, data_dir) -> None:
         super().__init__(data_dir, fsync="never")

@@ -26,7 +26,8 @@ from repro.latus.transactions import (
     ForwardTransfersTx,
     PaymentTx,
 )
-from repro.mainchain.node import MainchainNode
+from repro.mainchain.chain import REORG_HORIZON
+from repro.mainchain.node import SNAPSHOT_INTERVAL, MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import SidechainDeclarationTx
 from repro.network.faults import FaultPlan, partition
@@ -40,6 +41,7 @@ from repro.storage import (
     FileStore,
     MemoryStore,
     StateStore,
+    format_inspection,
     frame_record,
     inspect_store,
     read_wal,
@@ -356,8 +358,8 @@ class TestLatusDiskRecovery:
         recovered.close()
 
     def test_wal_replay_is_idempotent(self, tmp_path):
-        # recovering rewrites a fresh snapshot; recovering again from that
-        # must land on the same chain — replay twice, compare everything
+        # recovery writes nothing; recovering again from the same log must
+        # land on the same chain — replay twice, compare everything
         for name, kwargs in (("flat", {}), ("paged", PAGED_KWARGS)):
             harness, sc = _build_latus_history(tmp_path / name, **kwargs)
             sc.node.close()
@@ -368,31 +370,57 @@ class TestLatusDiskRecovery:
             assert node_fingerprint(second) == view, name
             second.close()
 
-    def test_snapshot_plus_tail_equals_compacted(self, tmp_path):
-        # the store holds a snapshot and a log tail past it right after the
-        # kill; recovery writes nothing, and a snapshot taken mid-epoch after
-        # it covers the whole log.  Both read back the same node.
+    def test_a_durable_run_writes_no_snapshot(self, tmp_path):
+        # each certified epoch's state is in its anchor record: the log
+        # alone recovers the node
         for name, kwargs in (("flat", {}), ("paged", PAGED_KWARGS)):
-            data_dir = tmp_path / name
-            harness, sc = _build_latus_history(data_dir, **kwargs)
+            harness, sc = _build_latus_history(tmp_path / name, **kwargs)
             sc.node.close()
-            probe = FileStore(data_dir, read_only=True)
-            total = len(probe.records())
-            assert probe.latest_snapshot()[2] < total, "scenario must leave a log tail"
+            probe = FileStore(tmp_path / name, read_only=True)
+            assert probe.latest_snapshot() is None
+            assert SC_CERT in {kind for kind, _ in probe.records()}
             probe.close()
+            assert not list((tmp_path / name).glob("snapshot-*"))
 
-            found = _dir_bytes(data_dir)
-            first = _recover_latus(harness, sc, data_dir, **kwargs)
-            assert _dir_bytes(data_dir) == found
-            view = node_fingerprint(first)
-            first._write_snapshot()
-            first.close()
-            probe = FileStore(data_dir, read_only=True)
-            assert (probe.latest_snapshot()[2], len(probe.records())) == (total, total)
-            probe.close()
-            second = _recover_latus(harness, sc, data_dir, **kwargs)
-            assert node_fingerprint(second) == view, name
-            second.close()
+    def test_a_snapshot_an_older_build_wrote_is_not_read(self, tmp_path):
+        # an older build also wrote the live state as a snapshot section
+        # beside a log that holds the whole history: recovery reads the log
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        sc.node.close()
+        view = node_fingerprint(_recover_latus(harness, sc, tmp_path / "sc"))
+        store = FileStore(tmp_path / "sc")
+        store.write_snapshot(2, {"latus/state": b"an older build's live state"})
+        store.close()
+        recovered = _recover_latus(harness, sc, tmp_path / "sc")
+        assert node_fingerprint(recovered) == view
+        recovered.close()
+
+    def test_a_logged_certificate_the_mc_did_not_adopt_is_refused(self, tmp_path):
+        # a re-encoded anchor record that decodes, whose certificate is not
+        # the one the local MC adopted for its epoch
+        import dataclasses
+
+        from repro.latus.node import CertificateAnchor
+        from repro.snark.proving import Proof
+        from repro.storage.codec import decode_anchor, encode_anchor
+
+        harness, sc = _build_latus_history(tmp_path / "sc")
+        sc.node.close()
+        adopted = harness.mc.state.cctp.sidechains[sc.config.ledger_id].certificates
+        wal = tmp_path / "sc" / "wal.log"
+        records, _ = read_wal(wal.read_bytes())
+        at = next(i for i, (kind, _) in enumerate(records) if kind == SC_CERT)
+        anchor = decode_anchor(records[at][1])
+        assert adopted[0].certificate == anchor.certificate
+        certificate = dataclasses.replace(
+            anchor.certificate, proof=Proof(data=bytes(len(anchor.certificate.proof.data)))
+        )
+        records[at] = (SC_CERT, encode_anchor(CertificateAnchor(certificate, anchor.state_snapshot)))
+        wal.write_bytes(b"".join(frame_record(kind, payload) for kind, payload in records))
+        found = _dir_bytes(tmp_path / "sc")
+        with pytest.raises(StorageError, match="not the one the MC adopted"):
+            _recover_latus(harness, sc, tmp_path / "sc")
+        assert _dir_bytes(tmp_path / "sc") == found
 
     def test_recovered_node_keeps_following_the_mc(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc")
@@ -473,24 +501,6 @@ class TestLatusDiskRecovery:
         again.close()
         peer.close()
 
-    def test_corrupt_snapshot_fails_closed(self, tmp_path):
-        harness, sc = _build_latus_history(tmp_path / "sc")
-        sc.node.close()
-        data_dir = tmp_path / "sc"
-        for name in os.listdir(data_dir):
-            if name.startswith("snapshot-"):
-                path = data_dir / name
-                path.write_bytes(b"\x00" * path.stat().st_size)
-        probe = FileStore(data_dir, read_only=True)
-        with pytest.raises(StorageError, match="corrupt snapshot"):
-            probe.latest_snapshot()
-        probe.close()
-        found = _dir_bytes(data_dir)
-        with pytest.raises(StorageError, match="corrupt snapshot"):
-            _recover_latus(harness, sc, data_dir)
-        assert _dir_bytes(data_dir) == found
-
-
 class KindRecordingStore(MemoryStore):
     """A :class:`MemoryStore` that remembers the kind of every record."""
 
@@ -560,9 +570,10 @@ class TestOneRecordPerBlock:
 
 
 class TestInconsistentSnapshot:
-    """A snapshot stores the live state over the log records the rest is
-    re-derived from; restore refuses one whose parts disagree, and leaves
-    the store as it found it."""
+    """A Latus store holds no snapshot: each certified epoch's state is in
+    its anchor record.  Recovery refuses an anchor that does not match its
+    closing block, or a closed epoch with none, and leaves the store as it
+    found it."""
 
     @pytest.fixture
     def snapshots(self):
@@ -573,20 +584,19 @@ class TestInconsistentSnapshot:
             "spliced", epoch_len=4, submit_len=2, store=store
         )
         harness.run_epochs(sc, 1)
-        older = store.latest_snapshot()
         harness.forward_transfer(sc, ALICE, 9_000)
         harness.run_epochs(sc, 1)
-        epoch, sections, covered = store.latest_snapshot()
-        records = store.records()[:covered]
+        assert store.latest_snapshot() is None
+        records = store.records()
         sc.node.close()
-        return harness, sc, older, (epoch, sections, records)
+        return harness, sc, records
 
-    def _restore(self, harness, sc, epoch, sections, records) -> LatusNode:
+    def _restore(self, harness, sc, records) -> LatusNode:
         store = MemoryStore()
         for kind, payload in records:
             store.stage(kind, payload)
-        store.write_snapshot(epoch, sections)  # no log tail
-        found = (store.latest_snapshot(), store.records())
+        store.commit()
+        found = store.records()
         try:
             return LatusNode(
                 config=sc.config,
@@ -596,25 +606,32 @@ class TestInconsistentSnapshot:
                 store=store,
             )
         finally:
-            assert (store.latest_snapshot(), store.records()) == found
+            assert (store.latest_snapshot(), store.records()) == (None, found)
 
     def test_an_older_state_section_is_refused(self, snapshots):
-        harness, sc, (_, older, _), (epoch, sections, records) = snapshots
-        node = self._restore(harness, sc, epoch, dict(sections), records)
+        from repro.latus.node import CertificateAnchor
+        from repro.storage.codec import decode_anchor, encode_anchor
+
+        harness, sc, records = snapshots
+        node = self._restore(harness, sc, records)
         blocks = sum(1 for kind, _ in records if kind == SC_BLOCK)
         assert (node.height, len(node.certificates)) == (blocks - 1, 2)
         node.close()
-        assert older["latus/state"] != sections["latus/state"]
-        spliced = dict(sections, **{"latus/state": older["latus/state"]})
-        with pytest.raises(StorageError, match="does not match its chain"):
-            self._restore(harness, sc, epoch, spliced, records)
+        first, second = (i for i, (kind, _) in enumerate(records) if kind == SC_CERT)
+        older = decode_anchor(records[first][1]).state_snapshot
+        anchor = decode_anchor(records[second][1])
+        assert older.digest() != anchor.state_snapshot.digest()
+        spliced = list(records)
+        spliced[second] = (SC_CERT, encode_anchor(CertificateAnchor(anchor.certificate, older)))
+        with pytest.raises(StorageError, match="anchor of epoch 1 does not match the chain"):
+            self._restore(harness, sc, spliced)
 
     def test_a_missing_anchor_is_refused(self, snapshots):
-        harness, sc, _, (epoch, sections, records) = snapshots
+        harness, sc, records = snapshots
         first_anchor = next(i for i, (kind, _) in enumerate(records) if kind == SC_CERT)
         spliced = records[:first_anchor] + records[first_anchor + 1 :]
         with pytest.raises(StorageError, match="no certificate anchor"):
-            self._restore(harness, sc, epoch, sections, spliced)
+            self._restore(harness, sc, spliced)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +641,21 @@ class TestInconsistentSnapshot:
 
 def _mc_params():
     return MainchainParams(pow_zero_bits=2, coinbase_maturity=1)
+
+
+def _copy_store(store: MemoryStore) -> MemoryStore:
+    """A second store holding the same log and snapshot."""
+    copy = MemoryStore()
+    records, snapshot = store.records(), store.latest_snapshot()
+    covered = snapshot[2] if snapshot is not None else 0
+    for kind, payload in records[:covered]:
+        copy.stage(kind, payload)
+    if snapshot is not None:
+        copy.write_snapshot(snapshot[0], snapshot[1])
+    for kind, payload in records[covered:]:
+        copy.stage(kind, payload)
+    copy.commit()
+    return copy
 
 
 class TestMainchainDiskRecovery:
@@ -694,19 +726,58 @@ class TestMainchainDiskRecovery:
             assert again.height == mined + 2
             again.close()
 
+    def test_a_restarted_node_keeps_the_whole_reorg_window(self):
+        """Restarted from its store at every height across two snapshot
+        intervals past the horizon, a node takes each reorg its twin that
+        never stopped takes: depth 1 and REORG_HORIZON adopted, one deeper
+        refused with the same error."""
+        main = MainchainNode(_mc_params()).mine_blocks(
+            MINER.address, REORG_HORIZON + 2 * SNAPSHOT_INTERVAL
+        )
+        store = MemoryStore()
+        durable = MainchainNode(_mc_params(), store=store)
+
+        def outcome(node, rival):
+            try:
+                for block in rival:
+                    node.receive_block(block)
+            except OrphanBlock as exc:
+                return type(exc).__name__
+            return node.chain.tip.hash
+
+        for height, block in enumerate(main, 1):
+            durable.receive_block(block)
+            if height <= REORG_HORIZON:
+                continue
+            for depth in (1, REORG_HORIZON, REORG_HORIZON + 1):
+                builder = MainchainNode(_mc_params())
+                for kept in main[: height - depth]:
+                    builder.receive_block(kept)
+                rival = builder.mine_blocks(ALICE.address, depth + 1)
+                twin = MainchainNode(_mc_params())
+                for kept in main[:height]:
+                    twin.receive_block(kept)
+                expected = outcome(twin, rival)
+                restarted = MainchainNode(_mc_params(), store=_copy_store(store))
+                assert outcome(restarted, rival) == expected, (height, depth)
+                refused = "ReorgBelowHorizon" if depth > REORG_HORIZON else rival[-1].hash
+                assert expected == refused, (height, depth)
+
     def test_a_fork_off_a_pruned_block_is_an_orphan(self, tmp_path):
         node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        node.mine_blocks(MINER.address, 17)  # snapshot at 16, block 17 in the WAL
+        node.mine_blocks(MINER.address, 17)
         rival = MainchainNode(_mc_params())
         for block in node.chain.active_chain()[1:6]:
             rival.receive_block(block)
         side = rival.mine_block(MINER.address, timestamp=100)  # forks off block 5
-        node.receive_block(side)  # a side branch, journaled after the snapshot
+        node.receive_block(side)  # a side branch, journaled at height 17
+        node.mine_blocks(MINER.address, 2 * SNAPSHOT_INTERVAL + 15)  # snapshot at 64
         tip = node.chain.tip.hash
         node.close()
 
         recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        # block 5 came back without a state: replay skips the side branch
+        # the snapshot's block is 32; block 5 came back below it, without a
+        # state: replay skips the side branch
         assert recovered.chain.tip.hash == tip
         assert side.hash not in recovered.chain
         with pytest.raises(OrphanBlock, match="pruned"):
@@ -766,12 +837,15 @@ class TestMainchainDiskRecovery:
         from repro.errors import UnknownBlock
 
         node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
-        node.mine_blocks(MINER.address, 20)
-        old_hash = node.chain.active_chain()[5].hash
+        node.mine_blocks(MINER.address, REORG_HORIZON + 8)
+        chain = node.chain.active_chain()
         del node
         recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        # a state for each block of the reorg window, none below it
         with pytest.raises(UnknownBlock, match="pruned"):
-            recovered.chain.state_at(old_hash)
+            recovered.chain.state_at(chain[7].hash)
+        for block in chain[8:]:
+            assert recovered.chain.state_at(block.hash).height == block.height
         recovered.close()
 
 
@@ -836,8 +910,9 @@ class TestCrashPoints:
         harness.wallet(sc, BOB).pay(ALICE.address, 500)
         harness.mine(2)
         sc.node.close()
+        # a Latus node writes no snapshot: every copy is after a log write
         kinds = {path.name.split("-")[1] for path, _ in store.points}
-        assert kinds == {"commit", "append", "snapshot"}
+        assert kinds == {"commit", "append"}
         for index, (copy, view) in enumerate(store.points):
             closes = view["closes"]
             if closes:
@@ -942,37 +1017,6 @@ class TestFuzzRegressions:
     """Each store a fuzz run turned up: an untyped error, an allocation or
     a loop sized by a corrupt field.  Each now fails closed."""
 
-    @staticmethod
-    def _rewrite_state_section(data_dir, rewrite) -> None:
-        store = FileStore(data_dir)
-        epoch, sections, _ = store.latest_snapshot()
-        store.write_snapshot(epoch, {"latus/state_pages": rewrite(sections["latus/state_pages"])})
-        store.close()
-
-    def test_a_tree_deeper_than_supported(self, tmp_path):
-        # was a MerkleError out of the paged state section's depth field
-        harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
-        sc.node.close()
-        self._rewrite_state_section(tmp_path / "sc", lambda s: (64).to_bytes(4, "little") + s[4:])
-        with pytest.raises(StorageError, match="depth > 63"):
-            _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
-
-    def test_a_page_ref_past_the_segment(self, tmp_path):
-        # was a ValueError out of seek(), and a read sized by the ref before
-        # that.  The section is u32 depth, u64 occupied, u32 page size and a
-        # u32-counted table of (u8 band, u64 tile, u64 offset, u32 length);
-        # the last entry is the root's tile, which the recovery reads
-        harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
-        sc.node.close()
-
-        def far_root_ref(section: bytes) -> bytes:
-            at = 20 + 21 * (int.from_bytes(section[16:20], "little") - 1) + 9
-            return section[:at] + b"\xff" * 8 + section[at + 8 :]
-
-        self._rewrite_state_section(tmp_path / "sc", far_root_ref)
-        with pytest.raises(StorageError, match="runs past the end"):
-            _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
-
     def test_a_logged_slot_past_the_mc_tip(self, tmp_path):
         # was a MemoryError: adopting the block derived a leader schedule
         # for every consensus epoch up to its slot
@@ -1075,7 +1119,9 @@ class TestInspectStore:
         assert info["height"] == node.height
         assert info["tip_hash"] == node.tip_hash.hex()
         assert info["certificates"] == len(node.certificates)
-        assert info["snapshot_epoch"] is not None
+        # the log alone holds a Latus node
+        assert (info["snapshot_epoch"], info["snapshot_covers"]) == (None, None)
+        assert "no snapshot" in format_inspection(info)
         node.close()
 
     def test_mainchain_store(self, tmp_path):
@@ -1208,7 +1254,29 @@ class TestPagedDiskRecovery:
         ) == expected
         recovered.close()
 
-    def test_paged_inspect_reports_page_segment(self, tmp_path):
+    def test_page_segment_does_not_grow_across_restarts(self, tmp_path):
+        # no page ref outlives the process, so a restart starts the segment
+        # empty: after each one it holds the bytes a node recovering the log
+        # alone writes, and none of the page versions written before it
+        from repro.storage import PAGE_SEGMENT_NAME
+
+        harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
+        segment = tmp_path / "sc" / PAGE_SEGMENT_NAME
+        for restarts in range(1, 4):
+            harness.forward_transfer(sc, CAROL, 1_000 * restarts)
+            harness.run_epochs(sc, 1)
+            sc.node.crash()
+            sc.node.restart()
+            log_only = tmp_path / f"log-only-{restarts}"
+            log_only.mkdir()
+            for name in ("MANIFEST", "wal.log"):
+                shutil.copy(tmp_path / "sc" / name, log_only / name)
+            fresh = _recover_latus(harness, sc, log_only, **PAGED_KWARGS)
+            assert segment.read_bytes() == (log_only / PAGE_SEGMENT_NAME).read_bytes()
+            fresh.close()
+        sc.node.close()
+
+    def test_paged_inspect_reports_page_segment(self, tmp_path, capsys):
         harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
         sc.node.close()
         probe = FileStore(tmp_path / "sc", read_only=True)
@@ -1217,6 +1285,11 @@ class TestPagedDiskRecovery:
         pages = info["page_store"]
         assert pages["bytes"] > 0
         assert pages["page_records"] >= pages["distinct_pages"] > 0
-        assert pages["live_pages"] > 0
-        assert pages["page_size"] == 64
-        assert pages["occupied_leaves"] == sc.node.state.mst.occupied_count
+        assert info["snapshot_epoch"] is None
+
+        from repro import cli
+
+        assert cli.main(["inspect", "--data-dir", str(tmp_path / "sc")]) == 0
+        report = capsys.readouterr().out
+        assert "page segment:" in report and "log records:" in report
+        assert "snapshot epoch" not in report

@@ -5,6 +5,8 @@ state-independent ``MST_Position`` function, then measures update and proof
 costs versus tree depth (O(depth) MiMC compressions per update).
 """
 
+import tempfile
+
 import pytest
 
 from repro.crypto import mimc
@@ -137,11 +139,12 @@ class TestMstBulkInsert:
 
 
 def _paged_store(kind: str):
-    from repro.storage.pages import DictNodeStore, PagedNodeStore
+    from repro.storage.pages import DictNodeStore, FilePageBacking, PagedNodeStore
 
     if kind == "dict":
         return DictNodeStore()
-    return PagedNodeStore(page_size=64, cache_pages=16)
+    # the pages spill to an unnamed file in the system temporary directory
+    return PagedNodeStore(FilePageBacking(tempfile.gettempdir()), page_size=64, cache_pages=16)
 
 
 class TestPagedStoreAxis:

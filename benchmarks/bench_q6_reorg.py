@@ -133,9 +133,9 @@ class TestQ6RollbackCost:
         """A depth-1 reorg that reverts only the tip block: the rollback
         re-derives every other block (certified epochs by bookkeeping, the
         open epoch by re-execution); the resync is timed apart.  The
-        restarted case is a ``paged_mst=True`` node with a data directory,
+        restarted case is a node with a data directory (so its MST pages),
         restarted before the reorg."""
-        node_kwargs = dict(paged_mst=True, data_dir=tmp_path / "sc") if restarted else {}
+        node_kwargs = dict(data_dir=tmp_path / "sc") if restarted else {}
         harness, sc = loaded_chain(shape, **node_kwargs)
         node = sc.node
         if restarted:

@@ -2,8 +2,8 @@
 
 Builds one depth-30 :class:`FixedMerkleTree` over a million contiguous
 leaves (the epoch-style bulk-restore shape) twice — under the dict node
-store and under the paged node store spilling to a file segment — each in
-its own child process, and fails unless:
+store and under the paged node store spilling to an unnamed scratch file in
+a temporary directory — each in its own child process, and fails unless:
 
 * both stores reach the identical root;
 * the paged build's peak RSS stays under ``baseline + HEADROOM_KB``
@@ -69,12 +69,7 @@ def run_soak(
 ) -> dict:
     """Build the tree under ``store`` and report wall time, peak RSS, root."""
     from repro.crypto.fixed_merkle import FixedMerkleTree
-    from repro.storage.pages import (
-        DictNodeStore,
-        FilePageBacking,
-        MemoryPageBacking,
-        PagedNodeStore,
-    )
+    from repro.storage.pages import DictNodeStore, FilePageBacking, PagedNodeStore
 
     report = {
         "store": store,
@@ -91,13 +86,8 @@ def run_soak(
     if store == "dict":
         node_store = DictNodeStore()
     elif store == "paged":
-        if data_dir:
-            backing = FilePageBacking(Path(data_dir) / "soak-pages.seg")
-        else:
-            backing = MemoryPageBacking()
-        node_store = PagedNodeStore(
-            page_size=page_size, cache_pages=cache_pages, backing=backing
-        )
+        backing = FilePageBacking(data_dir or tempfile.gettempdir())
+        node_store = PagedNodeStore(backing, page_size=page_size, cache_pages=cache_pages)
         report.update(page_size=page_size, cache_pages=cache_pages)
     else:
         raise ValueError(f"unknown store kind {store!r}")
@@ -147,7 +137,6 @@ def soak(leaves: int, depth: int) -> dict[str, bool]:
     spill_dir = tempfile.mkdtemp(prefix="soak-mst-")
     try:
         paged_run = _child("paged", leaves, depth, data_dir=spill_dir)
-        spill_bytes = sum(p.stat().st_size for p in Path(spill_dir).iterdir())
     finally:
         shutil.rmtree(spill_dir, ignore_errors=True)
 
@@ -156,7 +145,8 @@ def soak(leaves: int, depth: int) -> dict[str, bool]:
     print(
         f"{leaves} leaves at depth {depth}: baseline "
         f"{baseline['peak_rss_kb'] // 1024} MiB, budget {budget_kb // 1024} MiB, "
-        f"paged/dict throughput {ratio:.2f}x, spill segment {spill_bytes} bytes"
+        f"paged/dict throughput {ratio:.2f}x, "
+        f"spill file {paged_run['store_detail']['backing']['bytes']} bytes"
     )
     for run in (dict_run, paged_run):
         print(
@@ -186,8 +176,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--data-dir",
         default=None,
-        help="spill pages to a file segment here (paged store only); "
-        "defaults to an in-memory backing",
+        help="directory of the paged store's unnamed spill file (paged store "
+        "only); defaults to the system temporary directory",
     )
     args = parser.parse_args(argv)
     if args.store is None:

@@ -76,9 +76,8 @@ from repro.storage import codec as storage_codec
 from repro.storage.pages import (
     DEFAULT_CACHE_PAGES,
     DEFAULT_PAGE_SIZE,
-    PAGE_SEGMENT_NAME,
+    DictNodeStore,
     FilePageBacking,
-    MemoryPageBacking,
     PagedNodeStore,
 )
 
@@ -151,7 +150,7 @@ class LatusNode(NodeLifecycle):
         store: StateStore | None = None,
         data_dir=None,
         fsync: str = "block",
-        paged_mst: bool = False,
+        paged_mst: bool | None = None,
         mst_page_size: int = DEFAULT_PAGE_SIZE,
         mst_cache_pages: int = DEFAULT_CACHE_PAGES,
     ) -> None:
@@ -178,38 +177,29 @@ class LatusNode(NodeLifecycle):
         #: diagnostics, tests and benchmarks; never sent to the MC).
         self.last_wcert_witness: WCertWitness | None = None
 
-        self._init_lifecycle(store, data_dir, fsync)
-        #: MST storage policy: paged_mst=True bounds resident memory with a
-        #: PagedNodeStore (subtree tiles spilling to pages.seg next to the
-        #: WAL when a FileStore is attached, to memory otherwise).
-        self._paged_mst = paged_mst
+        # the store decides the MST storage and the syncing; the two
+        # keywords only have to agree with it
+        if fsync != "block":
+            raise ValueError(f"fsync={fsync!r}: a file store syncs every block")
+        self._init_lifecycle(store, data_dir)
         self._mst_page_size = mst_page_size
         self._mst_cache_pages = mst_cache_pages
         self._page_backing = None
+        if paged_mst not in (None, isinstance(self._store, FileStore)):
+            self.close()
+            raise ValueError(f"paged_mst={paged_mst}: a node pages exactly when it has a FileStore")
         self._recover()
 
     # -- chain state (rebuilt wholesale on MC reorgs) ---------------------------------
 
-    def _ensure_page_backing(self):
-        """The page backing for the *current* store (re-derived on restart)."""
-        if not self._paged_mst:
-            return None
-        if self._page_backing is None:
-            if isinstance(self._store, FileStore):
-                self._page_backing = FilePageBacking(self._store.data_dir / PAGE_SEGMENT_NAME)
-            else:
-                self._page_backing = MemoryPageBacking()
-        return self._page_backing
-
     def _make_node_store(self):
-        """A fresh node store honoring the configured MST storage policy."""
-        if not self._paged_mst:
-            return None
-        return PagedNodeStore(
-            page_size=self._mst_page_size,
-            cache_pages=self._mst_cache_pages,
-            backing=self._ensure_page_backing(),
-        )
+        """A fresh MST node store: paged over a :class:`FileStore`'s data
+        directory (bounded memory), the dict store otherwise."""
+        if not isinstance(self._store, FileStore):
+            return DictNodeStore()
+        if self._page_backing is None:
+            self._page_backing = FilePageBacking(self._store.data_dir)
+        return PagedNodeStore(self._page_backing, self._mst_page_size, self._mst_cache_pages)
 
     def _reset_chain_state(self) -> None:
         self.state = LatusState(
@@ -354,7 +344,7 @@ class LatusNode(NodeLifecycle):
             elif kind == SC_TX:
                 txs.append(wire.decode_latus_transaction(payload))
             elif kind == SC_CERT:
-                anchor = storage_codec.decode_anchor(payload)
+                anchor = storage_codec.decode_anchor(payload, self._make_node_store())
                 anchors[anchor.certificate.epoch_id] = anchor
             else:
                 raise StorageError(
@@ -509,10 +499,10 @@ class LatusNode(NodeLifecycle):
         only their bookkeeping.  Each anchor's state must reach its closing
         block's digest, and its certificate must be the one the local MC
         adopted for the epoch, where the MC has one on this chain.  The
-        open epoch starts from :meth:`epoch_start_state`, re-housed onto
-        this node's store, and its blocks replay as trusted blocks.  Only
-        the last block may close an epoch without an anchor (a crash
-        between its commit and the anchor record): it closes it again.
+        open epoch starts from :meth:`epoch_start_state` and its blocks
+        replay as trusted blocks.  Only the last block may close an epoch
+        without an anchor (a crash between its commit and the anchor
+        record): it closes it again.
         """
         entry = self.mc.state.cctp.sidechains.get(self.ledger_id)
         adopted = {e: r.certificate.id for e, r in entry.certificates.items()} if entry else {}
@@ -540,24 +530,11 @@ class LatusNode(NodeLifecycle):
         for epoch_id in range(closed):
             self.anchors[epoch_id] = anchors[epoch_id]
         if closed:
-            self.state = self._rehouse_state(self.epoch_start_state())
+            self.state = self.epoch_start_state()
         for block in blocks[certified:]:
             self._replay_block(block)
             if self._closes_epoch(block, self.epoch_id):
                 self._close_withdrawal_epoch(block)
-
-    def _rehouse_state(self, state: LatusState) -> LatusState:
-        """Move a state onto this node's configured node store."""
-        paged = isinstance(state.mst.node_store, PagedNodeStore)
-        if paged == self._paged_mst:
-            return state
-        fresh = LatusState(state.mst.depth, node_store=self._make_node_store())
-        leaves = dict(state.mst.node_store.leaf_items())
-        if leaves:
-            fresh.mst._tree.set_leaves(leaves)
-        fresh.mst._touched = set(state.mst._touched)
-        fresh.backward_transfers = list(state.backward_transfers)
-        return fresh
 
     def _resubmit_reverted_certificates(self) -> None:
         """Re-queue certificates whose MC adoption was reverted by a reorg.

@@ -52,7 +52,7 @@ NODE_RESYNCS = _REGISTRY.counter(
 ).labels()
 
 
-def _open_store(store, data_dir, fsync: str):
+def _open_store(store, data_dir):
     """``store``, or a :class:`~repro.storage.FileStore` over ``data_dir``."""
     if data_dir is None:
         return store
@@ -60,7 +60,7 @@ def _open_store(store, data_dir, fsync: str):
         raise StorageError("pass data_dir= or store=, not both")
     from repro.storage import FileStore  # deferred: its codecs import the node packages
 
-    return FileStore(data_dir, fsync=fsync)
+    return FileStore(data_dir)
 
 
 class NodeLifecycle:
@@ -71,13 +71,13 @@ class NodeLifecycle:
     #: Raised (with the standard message) when the adoption failed.
     _SYNC_ERROR: type[Exception] = RuntimeError
 
-    def _init_lifecycle(self, store=None, data_dir=None, fsync: str = "block") -> None:
+    def _init_lifecycle(self, store=None, data_dir=None) -> None:
         #: True between :meth:`crash` and :meth:`restart`; chain-mutating
         #: APIs refuse to run while set.
         self.crashed = False
         #: Lifetime restart count (diagnostics; survives restarts).
         self.restarts = 0
-        self._store = _open_store(store, data_dir, fsync)
+        self._store = _open_store(store, data_dir)
         #: True while the store is being replayed: the node writes nothing.
         self._replaying = False
 
@@ -204,7 +204,7 @@ class NodeLifecycle:
         self._drop_inflight()
         NODE_CRASHES.inc()
 
-    def restart(self, data_dir=None, store=None, fsync: str = "block") -> None:
+    def restart(self, data_dir=None, store=None) -> None:
         """Come back up — from disk when a store is available.
 
         With no store the node rebuilds from genesis, ready for
@@ -218,7 +218,7 @@ class NodeLifecycle:
         :class:`~repro.errors.StorageError`; the node is left running on
         the empty chain, ready for :meth:`sync_from`, and the store as found.
         """
-        store = _open_store(store, data_dir, fsync)
+        store = _open_store(store, data_dir)
         self.crashed = False
         self.restarts += 1
         NODE_RESTARTS.inc()

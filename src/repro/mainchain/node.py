@@ -60,10 +60,9 @@ class MainchainNode(NodeLifecycle):
         params: MainchainParams | None = None,
         store=None,
         data_dir=None,
-        fsync: str = "block",
     ) -> None:
         self.params = params or MainchainParams()
-        self._init_lifecycle(store, data_dir, fsync)
+        self._init_lifecycle(store, data_dir)
         self._recover()
 
     # -- lifecycle hooks ------------------------------------------------------------
@@ -149,7 +148,7 @@ class MainchainNode(NodeLifecycle):
         from repro.storage import MC_BLOCK
 
         self._store.stage(MC_BLOCK, block.encode())
-        self._store.commit()  # one sync per recorded block under fsync="block"
+        self._store.commit()  # one sync per recorded block
         if self.chain.tip.hash == block.hash and block.height % SNAPSHOT_INTERVAL == 0:
             self._write_snapshot()
 

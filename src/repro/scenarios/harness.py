@@ -132,6 +132,9 @@ class ZendooHarness:
         self.miner = KeyPair.from_seed(miner_seed)
         self.sidechains: dict[bytes, SidechainHandle] = {}
         self._reserved_outpoints: set = set()
+        #: One wallet per (ledger id, address): a second one over the same
+        #: key would derive the first one's output nonces again.
+        self._wallets: dict[tuple[bytes, bytes], LatusWallet] = {}
         #: Deterministic simulator carrying MC block announcements and SC
         #: block gossip (so a harness run exercises the network layer's
         #: metrics).  A sidechain node whose sync raises fails the ``mine``
@@ -154,16 +157,16 @@ class ZendooHarness:
         proving_strategy: str = "per_transaction",
         store=None,
         data_dir=None,
-        fsync: str = "block",
         **node_kwargs,
     ) -> SidechainHandle:
         """Declare a Latus sidechain on the MC and attach an observing node.
 
         ``store=`` / ``data_dir=`` attach a durable
         :class:`~repro.storage.StateStore` to the node (see
-        ``docs/STORAGE.md``).  Remaining keyword arguments go to the
+        ``docs/STORAGE.md``); a node over a data directory pages its MST.
+        Remaining keyword arguments go to the
         :class:`~repro.latus.node.LatusNode` constructor verbatim (e.g.
-        ``paged_mst=True`` for the bounded-memory MST store).
+        ``forger_keys=``).
         """
         config = latus_sidechain_config(
             seed=seed,
@@ -181,7 +184,6 @@ class ZendooHarness:
             proving_strategy=proving_strategy,
             store=store,
             data_dir=data_dir,
-            fsync=fsync,
             **node_kwargs,
         )
         handle = SidechainHandle(config=config, node=node)
@@ -391,12 +393,17 @@ class ZendooHarness:
         self.mc.submit_transaction(tx)
 
     def wallet(self, handle: SidechainHandle, keypair: KeyPair) -> LatusWallet:
-        """A wallet view over a sidechain node.
+        """The wallet of ``keypair`` over a sidechain's node, the same one on
+        every call.
 
         The key is registered as a forger (see :meth:`forward_transfer`).
         """
         handle.node.add_forger(keypair)
-        return LatusWallet(handle.node, keypair)
+        wallet = self._wallets.setdefault(
+            (handle.ledger_id, keypair.address), LatusWallet(handle.node, keypair)
+        )
+        wallet.node = handle.node  # the handle may have been given a new node
+        return wallet
 
     # -- mainchain-managed withdrawals ----------------------------------------------------
 

@@ -6,8 +6,8 @@ The public surface:
 * :class:`StateStore` — the durability contract (stage/commit/append,
   write_snapshot, latest_snapshot/records, reset, read-only mode);
 * :class:`MemoryStore` — the contract in process memory (tests, defaults);
-* :class:`FileStore` — file-segment backed log + snapshot files with an
-  fsync policy knob (``block`` / ``never``);
+* :class:`FileStore` — file-segment backed log + snapshot files, synced
+  at every commit and snapshot;
 * record kinds (``SC_BLOCK`` …) and :func:`inspect_store` for the CLI
   explorer.
 
@@ -20,10 +20,8 @@ from repro.storage.filestore import FileStore
 from repro.storage.pages import (
     DEFAULT_CACHE_PAGES,
     DEFAULT_PAGE_SIZE,
-    PAGE_SEGMENT_NAME,
     DictNodeStore,
     FilePageBacking,
-    MemoryPageBacking,
     NodeStore,
     PagedNodeStore,
 )
@@ -37,7 +35,6 @@ from repro.storage.records import (
     read_wal,
 )
 from repro.storage.store import (
-    FSYNC_POLICIES,
     MemoryStore,
     StateStore,
     count_disk_recovery,
@@ -47,12 +44,9 @@ __all__ = [
     "DEFAULT_CACHE_PAGES",
     "DEFAULT_PAGE_SIZE",
     "DictNodeStore",
-    "FSYNC_POLICIES",
     "FilePageBacking",
     "FileStore",
-    "MemoryPageBacking",
     "NodeStore",
-    "PAGE_SEGMENT_NAME",
     "PagedNodeStore",
     "KIND_NAMES",
     "MC_BLOCK",

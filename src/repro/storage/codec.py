@@ -59,24 +59,28 @@ def encode_latus_state(state) -> bytes:
     return enc.done()
 
 
-def _read_latus_state(dec: Decoder):
+def _read_latus_state(dec: Decoder, node_store):
     from repro.latus.state import LatusState
 
     depth = dec.u32()
     leaves = dec.sequence(lambda d: (d.u64(), d.field_element()))
     touched = dec.sequence(lambda d: d.u64())
     bts = dec.sequence(lambda d: wire._nested(d, wire.read_backward_transfer))
-    state = LatusState(depth)
+    state = LatusState(depth, node_store=node_store)
     if leaves:
         state.mst._tree.set_leaves(dict(leaves))
+    # a committed state is only read: leave it clean, as copy() leaves
+    # an anchor taken at run time
+    state.mst.node_store.flush()
     state.mst._touched = set(touched)
     state.backward_transfers = list(bts)
     return state
 
 
-def decode_latus_state(data: bytes):
-    """Strict inverse of :func:`encode_latus_state`."""
-    return _strict(_read_latus_state, data)
+def decode_latus_state(data: bytes, node_store=None):
+    """Strict inverse of :func:`encode_latus_state`, its tree on
+    ``node_store`` (a fresh dict store when None)."""
+    return _strict(lambda dec: _read_latus_state(dec, node_store), data)
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +103,15 @@ def encode_anchor(anchor) -> bytes:
     )
 
 
-def decode_anchor(data: bytes):
-    """Strict inverse of :func:`encode_anchor`."""
+def decode_anchor(data: bytes, node_store=None):
+    """Strict inverse of :func:`encode_anchor`, the committed state's tree
+    on ``node_store`` (a fresh dict store when None)."""
     from repro.latus.node import CertificateAnchor
 
     cert_bytes, state_bytes = _strict(lambda d: (d.var_bytes(), d.var_bytes()), data)
     return CertificateAnchor(
         certificate=wire.decode_withdrawal_certificate(cert_bytes),
-        state_snapshot=decode_latus_state(state_bytes),
+        state_snapshot=decode_latus_state(state_bytes, node_store),
     )
 
 

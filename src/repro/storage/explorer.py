@@ -3,15 +3,15 @@
 :func:`inspect_store` opens a store *without* constructing a node: it reads
 the log directly and summarizes what a recovery would find — chain height,
 tip digest, registered sidechains, certificates — plus the last snapshot's
-epoch (a mainchain store's) and, on a paged node, its page segment.
-Everything here is read-only by construction (only
-``latest_snapshot``/``records``/``describe`` are called), so it is safe to
-point at a live node's data directory.
+epoch (a mainchain store's).  Everything here is read-only by construction
+(only ``latest_snapshot``/``records``/``describe`` are called), so it is
+safe to point at a live node's data directory.  A paged node's MST pages
+live in an unnamed scratch file that dies with the process, so there is no
+page file to summarize; a ``pages.seg`` an older build left behind is
+neither read nor touched.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from repro import wire
 from repro.storage.records import KIND_NAMES, MC_BLOCK, SC_BLOCK, SC_CERT, SC_TX
@@ -68,41 +68,13 @@ def _inspect_mainchain(records, info: dict) -> dict:
     return info
 
 
-def _inspect_pages(store: StateStore) -> dict | None:
-    """Summarize the MST page segment next to a file store, if one exists:
-    every page version written since the node opened it, and its
-    ``(band, tile)`` keys."""
-    data_dir = getattr(store, "data_dir", None)
-    if data_dir is None:
-        return None
-    from repro.storage.pages import PAGE_SEGMENT_NAME, FilePageBacking
-
-    path = data_dir / PAGE_SEGMENT_NAME
-    if not path.exists():
-        return None
-    backing = FilePageBacking(path, read_only=True)
-    try:
-        page_records = list(backing.scan())
-    finally:
-        backing.close()
-    tiles = Counter(band for band, _ in {(band, tile) for band, tile, _ in page_records})
-    return {
-        "segment": str(path),
-        "bytes": path.stat().st_size,
-        "page_records": len(page_records),
-        "distinct_pages": sum(tiles.values()),
-        "tiles_per_band": dict(sorted(tiles.items())),
-    }
-
-
 def inspect_store(store: StateStore) -> dict:
     """Summarize a store's contents without building a node.
 
     Returns a dict with at least ``kind`` (``"latus"``, ``"mainchain"`` or
     ``"empty"``), ``height``, ``tip_digest``, ``snapshot_epoch``,
     ``snapshot_covers``, ``wal_records`` and the backend's ``describe()``
-    output under ``backend``; stores with an MST page segment also get
-    ``page_store``.
+    output under ``backend``.
     """
     snapshot = store.latest_snapshot()
     records = store.records()
@@ -113,9 +85,6 @@ def inspect_store(store: StateStore) -> dict:
         "wal_records": len(records),
         "wal_record_kinds": _record_histogram(records),
     }
-    pages = _inspect_pages(store)
-    if pages is not None:
-        info["page_store"] = pages
     record_kinds = {kind for kind, _ in records}
     if record_kinds == {MC_BLOCK}:
         return _inspect_mainchain(records, info)
@@ -152,12 +121,4 @@ def format_inspection(info: dict) -> str:
     if kinds:
         detail = ", ".join(f"{name}={count}" for name, count in sorted(kinds.items()))
         lines.append(f"log record kinds: {detail}")
-    pages = info.get("page_store")
-    if pages:
-        lines.append(
-            f"page segment: {pages['bytes']} bytes on disk, "
-            f"{pages['page_records']} page records "
-            f"({pages['distinct_pages']} distinct (band, tile) pages, "
-            f"tiles per band {pages['tiles_per_band']})"
-        )
     return "\n".join(lines)

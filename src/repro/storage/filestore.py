@@ -21,12 +21,13 @@ last whole record (that tail is the only data the recovery contract allows
 to lose, and a peer ``sync_from`` covers it).  A version-1 store, which
 kept the history in its snapshot sections, is refused at open.
 
-The ``fsync`` knob trades durability for latency:
-
-* ``"block"`` — fsync only on :meth:`commit` / snapshots (default: one
-  sync per sidechain/mainchain block; an :meth:`append` is flushed to the
-  OS but not synced);
-* ``"never"`` — no explicit fsync (tests, benchmarks against RAM disks).
+Every :meth:`~FileStore.commit` and every snapshot is fsynced: one sync per
+sidechain or mainchain block.  An :meth:`~FileStore.append` is flushed to
+the OS but not synced.  A Latus node over the store also pages its MST
+into an unnamed scratch file in the directory
+(:class:`~repro.storage.pages.FilePageBacking`), which the layout above
+never shows; a ``pages.seg`` an older build left there is neither read nor
+touched.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 from repro.encoding import Decoder, Encoder
 from repro.errors import DecodeError, StorageError
 from repro.storage.records import frame_record, read_wal
-from repro.storage.store import FSYNC_POLICIES, StateStore, _SNAPSHOTS, _WAL_RECORDS
+from repro.storage.store import StateStore, _SNAPSHOTS, _WAL_RECORDS
 
 _MANIFEST_MAGIC = b"ZENSTOR1"
 _SNAPSHOT_MAGIC = b"ZENSNAP2"
@@ -47,18 +48,8 @@ _VERSION = 2
 class FileStore(StateStore):
     """Append-only log + snapshot files under one data directory."""
 
-    def __init__(
-        self,
-        data_dir: str | os.PathLike,
-        fsync: str = "block",
-        read_only: bool = False,
-    ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise StorageError(
-                f"unknown fsync policy {fsync!r}; expected one of {FSYNC_POLICIES}"
-            )
+    def __init__(self, data_dir: str | os.PathLike, read_only: bool = False) -> None:
         self.data_dir = Path(data_dir)
-        self.fsync_policy = fsync
         self.read_only = read_only
         self._staged: list[bytes] = []
         #: Records in the log, staged ones excluded (a snapshot covers them).
@@ -115,8 +106,7 @@ class FileStore(StateStore):
         with open(tmp, "wb") as fh:
             fh.write(data)
             fh.flush()
-            if self.fsync_policy != "never":
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
 
     # -- log ---------------------------------------------------------------------
@@ -139,7 +129,7 @@ class FileStore(StateStore):
 
     def commit(self) -> None:
         self._check_writable()
-        self._flush(sync=self.fsync_policy != "never")
+        self._flush(sync=True)
 
     def append(self, kind: int, payload: bytes) -> None:
         self._check_writable()
@@ -163,7 +153,7 @@ class FileStore(StateStore):
 
     def write_snapshot(self, epoch: int, sections: dict[str, bytes]) -> None:
         self._check_writable()
-        self._flush(sync=self.fsync_policy != "never")
+        self._flush(sync=True)
         new_id = self._snapshot_id + 1
         enc = Encoder().raw(_SNAPSHOT_MAGIC).u64(epoch).u64(self._record_count)
         enc.sequence(
@@ -224,7 +214,7 @@ class FileStore(StateStore):
         self._closed = True
         if self._wal_file is not None:
             if self._staged:
-                self._flush(sync=self.fsync_policy != "never")
+                self._flush(sync=True)
             self._wal_file.close()
             self._wal_file = None
 
@@ -234,7 +224,6 @@ class FileStore(StateStore):
         return {
             "backend": "file",
             "data_dir": str(self.data_dir),
-            "fsync": self.fsync_policy,
             "read_only": self.read_only,
             "snapshot_id": self._snapshot_id,
             "snapshot_bytes": snap.stat().st_size if snap.exists() else 0,

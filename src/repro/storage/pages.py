@@ -14,15 +14,19 @@ snapshot.  This module makes the node storage a swappable policy:
   over an append-only backing whose one decoded-page LRU every ``copy()``
   shares: a snapshot costs O(dirty pages) and starts as warm as its parent.
 
+Which store a node uses is not a setting: a Latus node over a
+``FileStore`` pages, every other node keeps the dict store
+(``LatusNode._make_node_store``).
+
 Page payloads are canonical :class:`repro.encoding.Encoder` bytes — a
-sorted sequence of ``(u32 offset, field_element value)`` pairs — so a page
-round-trips bit-exactly through memory or disk.  The file backing
-(:class:`FilePageBacking`) appends self-describing records
-(``u8 band | u64 tile | var_bytes payload``) to a ``pages.seg`` segment
-next to the WAL; because the segment is append-only while it is open, page
-refs stay valid for the life of the process, which makes both the
-copy-on-write table and the ref-keyed cache safe.  No ref outlives the
-process, so a writer starts the segment empty.
+sorted sequence of ``(u32 offset, field_element value)`` pairs — appended
+by :class:`FilePageBacking` to an unnamed scratch file in the node's data
+directory.  The file is append-only while it is open, so page refs stay
+valid for the life of the process, which makes both the copy-on-write
+table and the ref-keyed cache safe.  No ref outlives the process: the node
+rebuilds its state from its log, so the file vanishes with it.  A
+``pages.seg`` an older build left in a data directory is neither read nor
+touched.
 
 Every store implements the same five-method contract consumed by
 ``FixedMerkleTree``: ``get`` / ``set`` / ``delete`` / ``leaf_items`` /
@@ -34,6 +38,7 @@ all-empty hash, so "absent" always means "empty subtree of that level".
 from __future__ import annotations
 
 import os
+import tempfile
 import weakref
 from collections import OrderedDict
 from pathlib import Path
@@ -43,13 +48,7 @@ from repro import observability
 from repro.core.cow import CowDict
 from repro.crypto.fixed_merkle import MAX_DEPTH
 from repro.encoding import Decoder, Encoder
-from repro.errors import DecodeError, StorageError
-
-#: Magic first bytes of a page segment file (subtree-tile records).
-PAGE_SEGMENT_MAGIC = b"ZENPAGE2"
-
-#: Name of the page segment inside a node's data directory.
-PAGE_SEGMENT_NAME = "pages.seg"
+from repro.errors import StorageError
 
 #: Default page size 2**k: a tile of k = 10 levels, 1,023 nodes.
 DEFAULT_PAGE_SIZE = 1024
@@ -78,10 +77,12 @@ _RESIDENT_PAGES = _REGISTRY.gauge(
 ).labels()
 
 
-def _drop_decoded(decoded: OrderedDict) -> None:
-    """Finalizer of a backing's LRU: closed or collected, it leaves the gauge."""
+def _release_backing(decoded: OrderedDict, fh) -> None:
+    """Finalizer of a backing: closed or collected, its LRU leaves the gauge
+    and its scratch file is closed (which deletes it)."""
     _RESIDENT_PAGES.dec(len(decoded))
     decoded.clear()
+    fh.close()
 
 
 def encode_page(entries: dict[int, int]) -> bytes:
@@ -208,19 +209,27 @@ class DictNodeStore(NodeStore):
         }
 
 
-class _PageBacking:
-    """Append-only page storage plus the one decoded-page LRU over it.
+class FilePageBacking:
+    """Append-only page storage in an unnamed scratch file, plus the one
+    decoded-page LRU over it.
 
-    A ref is never reused and the page behind it never changes, so a page
-    decoded once is an immutable value every store over this backing may
-    share.  Stores bound the LRU by passing ``room``: their ``cache_pages``
-    minus the dirty pages they own.
+    Payloads are appended to a ``tempfile.TemporaryFile`` in ``directory``
+    (a node's data directory) and a ref is a payload's ``(offset,
+    length)``.  The file has no name: it vanishes when the backing closes
+    or the process dies, and the directory never shows it.  No ref outlives
+    the process, since a node rebuilds its state from its log.  While open
+    the file is only appended to, so a ref is never reused and the page
+    behind it never changes: a page decoded once is an immutable value every
+    store over this backing may share.  Stores bound the LRU by passing
+    ``room``: their ``cache_pages`` minus the dirty pages they own.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
+        self.directory = Path(directory)
         #: ref -> decoded page, least recently used first
         self.decoded: OrderedDict = OrderedDict()
-        self._release = weakref.finalize(self, _drop_decoded, self.decoded)
+        self._fh = tempfile.TemporaryFile(dir=self.directory)
+        self._release = weakref.finalize(self, _release_backing, self.decoded, self._fh)
 
     def page(self, ref, room: int) -> dict[int, int]:
         """The read-only decoded page at ``ref``, loaded on a miss."""
@@ -254,128 +263,34 @@ class _PageBacking:
             _PAGE_EVICTIONS.inc()
             _RESIDENT_PAGES.dec()
 
-    def close(self) -> None:
-        self._release()
-
-
-class MemoryPageBacking(_PageBacking):
-    """Append-only page backing in process memory (tests, MemoryStore runs)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pages: list[bytes] = []
-
-    def store(self, band: int, tile: int, payload: bytes):
-        self._pages.append(payload)
-        return len(self._pages) - 1
-
-    def load(self, ref) -> bytes:
-        return self._pages[ref]
-
-    def sync(self) -> None:
-        pass
-
-    def describe(self) -> dict:
-        return {
-            "kind": "memory",
-            "page_records": len(self._pages),
-            "bytes": sum(len(p) for p in self._pages),
-        }
-
-
-class FilePageBacking(_PageBacking):
-    """Append-only ``pages.seg`` segment next to the WAL.
-
-    Records are self-describing (``u8 band | u64 tile | var_bytes
-    payload``), so the segment can be inspected offline; refs are the
-    record's ``(offset, length)``.  While open the file is only appended
-    to: superseded page versions become garbage (reported by the CLI
-    explorer), and in exchange every ref handed out — shared by tree
-    snapshots, cached — stays valid without reference counts.  A writer
-    opens the segment empty (the magic only): the node's state is rebuilt
-    from its log, so no ref outlives the process and the garbage does not
-    outlive a restart.
-    """
-
-    def __init__(self, path: str | os.PathLike, read_only: bool = False) -> None:
-        super().__init__()
-        self.path = Path(path)
-        self.read_only = read_only
-        if self.path.exists():
-            with open(self.path, "rb") as fh:
-                magic = fh.read(len(PAGE_SEGMENT_MAGIC))
-            if magic != PAGE_SEGMENT_MAGIC:
-                raise StorageError(
-                    f"{self.path} is not a {PAGE_SEGMENT_MAGIC.decode()} page "
-                    f"segment (starts with {magic!r})"
-                )
-        elif read_only:
-            raise StorageError(f"page segment {self.path} does not exist")
-        if read_only:
-            self._fh = open(self.path, "rb")
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "w+b")
-            self._fh.write(PAGE_SEGMENT_MAGIC)
-            self._fh.flush()
-
-    def store(self, band: int, tile: int, payload: bytes):
-        if self.read_only:
-            raise StorageError("page segment opened read-only")
-        record = Encoder().u8(band).u64(tile).var_bytes(payload).done()
+    def store(self, payload: bytes) -> tuple[int, int]:
+        """Append one page payload; its ref."""
         self._fh.seek(0, os.SEEK_END)
         offset = self._fh.tell()
-        self._fh.write(record)
-        return (offset, len(record))
+        self._fh.write(payload)
+        return (offset, len(payload))
 
     def load(self, ref) -> bytes:
         offset, length = ref
         self._fh.seek(offset)
-        record = self._fh.read(length)
-        dec = Decoder(record)
-        dec.u8()
-        dec.u64()
-        payload = dec.var_bytes()
-        dec.done()
-        return payload
+        return self._fh.read(length)
 
     def sync(self) -> None:
-        """Flush buffered appends and fsync."""
-        if not self.read_only:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-
-    def scan(self) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(band, tile, payload_len)`` for every record on disk.
-
-        Offline inspection helper; tolerates a torn tail (stops at it).
-        """
+        """Flush buffered appends and fsync (no caller in ``src/``: the
+        pipeline benchmark's tracer wraps it by name)."""
         self._fh.flush()
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        pos = len(PAGE_SEGMENT_MAGIC)
-        while pos < len(data):
-            try:
-                dec = Decoder(data[pos:])
-                band = dec.u8()
-                tile = dec.u64()
-                payload = dec.var_bytes()
-            except DecodeError:
-                return
-            yield band, tile, len(payload)
-            pos += 1 + 8 + 4 + len(payload)
+        os.fsync(self._fh.fileno())
 
     def describe(self) -> dict:
         self._fh.flush()
         return {
             "kind": "file",
-            "path": str(self.path),
-            "bytes": self.path.stat().st_size if self.path.exists() else 0,
+            "directory": str(self.directory),
+            "bytes": os.fstat(self._fh.fileno()).st_size,
         }
 
     def close(self) -> None:
-        super().close()
-        self._fh.close()
+        self._release()
 
 
 class PagedNodeStore(NodeStore):
@@ -397,9 +312,9 @@ class PagedNodeStore(NodeStore):
 
     def __init__(
         self,
+        backing: FilePageBacking,
         page_size: int = DEFAULT_PAGE_SIZE,
         cache_pages: int = DEFAULT_CACHE_PAGES,
-        backing=None,
     ) -> None:
         if page_size < 2 or page_size & (page_size - 1):
             raise StorageError("page_size must be a power of two >= 2 (a tile of k >= 1 levels)")
@@ -407,7 +322,7 @@ class PagedNodeStore(NodeStore):
             raise StorageError("cache_pages must be >= 1")
         self.page_size = page_size
         self.cache_pages = cache_pages
-        self.backing = backing if backing is not None else MemoryPageBacking()
+        self.backing = backing
         k = page_size.bit_length() - 1
         #: level -> (band, s)
         self._tiles = tuple((level // k, k - 1 - level % k) for level in range(MAX_DEPTH + 1))
@@ -452,7 +367,7 @@ class PagedNodeStore(NodeStore):
         if not page:
             self._table.discard(key)
             return
-        ref = self.backing.store(key[0], key[1], encode_page(page))
+        ref = self.backing.store(encode_page(page))
         self._table[key] = ref
         self.backing.keep(ref, page, self.cache_pages - len(self._dirty))
 

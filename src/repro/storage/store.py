@@ -6,8 +6,8 @@ certificate record is written to it once and never rewritten.  A snapshot
 holds only a state and the number of log records it covers (a Latus node
 writes none).  The contract every backend honours:
 
-* :meth:`~StateStore.append` durably adds one record (fsync policy
-  permitting); :meth:`~StateStore.stage` buffers a record and
+* :meth:`~StateStore.append` adds one record (a file store flushes it to
+  the OS, unsynced); :meth:`~StateStore.stage` buffers a record and
   :meth:`~StateStore.commit` flushes the whole staged group with a single
   sync (one per block);
 * :meth:`~StateStore.write_snapshot` commits the staged records, then
@@ -44,11 +44,6 @@ _DISK_RECOVERIES = _REGISTRY.counter(
     "node recoveries completed from a state store (no full peer resync)",
 ).labels()
 
-#: Valid values for the durability/latency knob: ``block`` syncs only at
-#: commits and snapshots (the default), ``never`` leaves syncing to the OS.
-FSYNC_POLICIES = ("block", "never")
-
-
 def count_disk_recovery() -> None:
     """Count one completed recover-from-store (called by node recovery)."""
     _DISK_RECOVERIES.inc()
@@ -67,7 +62,7 @@ class StateStore:
         raise NotImplementedError
 
     def commit(self) -> None:
-        """Flush every staged record with one sync (fsync policy permitting)."""
+        """Flush every staged record with one sync."""
         raise NotImplementedError
 
     def append(self, kind: int, payload: bytes) -> None:

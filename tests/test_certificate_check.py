@@ -27,6 +27,7 @@ from repro.mainchain.transaction import CertificateTx
 from repro.observability import export
 from repro.scenarios import ZendooHarness
 from repro.snark import proving
+from repro.storage import MemoryStore, PagedNodeStore
 from tests.test_reorg_rollback import count_proofs, node_fingerprint
 
 ALICE = KeyPair.from_seed("alice")
@@ -265,12 +266,14 @@ class TestRefusedBlockLeavesNoTrace:
     """A refused block leaves every field a rollback restores untouched,
     so the honest block that follows is accepted."""
 
-    @pytest.mark.parametrize("paged_mst", [False, True], ids=["dict", "paged"])
-    def test_each_refusal_restores_the_node(self, paying_chain, tmp_path, paged_mst):
+    @pytest.mark.parametrize("durable", [False, True], ids=["dict", "paged"])
+    def test_each_refusal_restores_the_node(self, paying_chain, tmp_path, durable):
+        # a node over a data directory pages its MST, one over a memory
+        # store keeps the dict store; both restart from their store
         harness, sc = paying_chain
-        validator = validator_of(
-            harness, sc, data_dir=tmp_path / "validator", paged_mst=paged_mst
-        )
+        where = {"data_dir": tmp_path / "validator"} if durable else {"store": MemoryStore()}
+        validator = validator_of(harness, sc, **where)
+        assert isinstance(validator.state.mst.node_store, PagedNodeStore) == durable
         for block in sc.node.blocks:
             for tampered in tampers(sc, block):
                 before = node_fingerprint(validator)

@@ -135,6 +135,25 @@ class TestWorkload:
         )
         assert total == 4 * 10_000  # closed system: payments conserve value
 
+    def test_a_second_wallet_call_reuses_no_output_nonce(self):
+        # a fresh wallet per call would derive the first payment's output
+        # nonce again: the second payment's output collides with the first's
+        # and the payment stays pending forever
+        harness = ZendooHarness()
+        harness.mine(2)
+        sc = harness.create_sidechain("wallet-nonces", epoch_len=4, submit_len=2)
+        harness.forward_transfer(sc, ALICE, 9_000)
+        harness.mine(2)
+        first = harness.wallet(sc, ALICE).pay(BOB.address, 10)
+        harness.mine(1)
+        assert first.txid in sc.node.included_txids
+        second = harness.wallet(sc, ALICE).pay(BOB.address, 10)
+        harness.run_epochs(sc, 1)
+        assert second.txid in sc.node.included_txids
+        assert sc.node.pending_transactions() == []
+        assert harness.wallet(sc, BOB).balance() == 20
+        assert harness.wallet(sc, ALICE) is harness.wallet(sc, ALICE)
+
     def test_accounts_deterministic(self):
         assert Account.named("x").keypair.address == Account.named("x").keypair.address
         a, b = make_accounts(2)

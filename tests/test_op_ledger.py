@@ -304,7 +304,7 @@ class HistoryCountingStore(FileStore):
     LIVE = ("mc/state",)
 
     def __init__(self, data_dir) -> None:
-        super().__init__(data_dir, fsync="never")
+        super().__init__(data_dir)
         self.history_bytes = 0
 
     def stage(self, kind: int, payload: bytes) -> None:

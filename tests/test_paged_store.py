@@ -21,13 +21,20 @@ from repro.scenarios import ZendooHarness
 from repro.storage.pages import (
     DictNodeStore,
     FilePageBacking,
-    MemoryPageBacking,
     PagedNodeStore,
     decode_page,
     encode_page,
 )
 
 DEPTH = 10
+
+
+@pytest.fixture
+def backing(tmp_path):
+    """The one page backing a store has: a scratch file in ``tmp_path``."""
+    backing = FilePageBacking(tmp_path)
+    yield backing
+    backing.close()
 
 
 def _page_counter(name: str) -> int:
@@ -69,15 +76,15 @@ def _resident_gauge() -> int:
 
 
 class TestTileGeometry:
-    def test_one_path_is_three_tiles_at_depth_20(self):
+    def test_one_path_is_three_tiles_at_depth_20(self, backing):
         # 10-level tiles: levels 0-9, 10-19 and the root each take one page
-        backing = MemoryPageBacking()
-        store = PagedNodeStore(page_size=1024, cache_pages=64, backing=backing)
+        store = PagedNodeStore(backing, page_size=1024, cache_pages=64)
         tree = FixedMerkleTree(20, node_store=store)
         position = 0xB5A5A
         tree.set_leaf(position, 99)
+        writes = _page_counter("flushes")
         store.flush()
-        assert backing.describe()["page_records"] == 3
+        assert _page_counter("flushes") - writes == 3
         assert sorted(key for key, _ in store._table.items()) == [
             (0, position >> 9),
             (1, position >> 19),
@@ -88,22 +95,22 @@ class TestTileGeometry:
         assert tree.root == reference.root
         assert tree.prove(position) == reference.prove(position)
 
-    def test_page_size_one_is_refused(self):
+    def test_page_size_one_is_refused(self, backing):
         # a tile of k levels needs page_size = 2**k with k >= 1
         with pytest.raises(StorageError):
-            PagedNodeStore(page_size=1)
+            PagedNodeStore(backing, page_size=1)
 
 
 class TestParityFuzz:
     @pytest.mark.parametrize("page_size,cache_pages", PAGED_CONFIGS)
-    def test_bulk_insert_roots_and_proofs_match_dict(self, page_size, cache_pages):
+    def test_bulk_insert_roots_and_proofs_match_dict(self, page_size, cache_pages, backing):
         positions = _positions(120)
         updates = [(p, p + 11) for p in positions]
         reference = FixedMerkleTree(DEPTH, node_store=DictNodeStore())
         reference.set_leaves(updates)
         paged = FixedMerkleTree(
             DEPTH,
-            node_store=PagedNodeStore(page_size=page_size, cache_pages=cache_pages),
+            node_store=PagedNodeStore(backing, page_size=page_size, cache_pages=cache_pages),
         )
         paged.set_leaves(updates)
         assert paged.root == reference.root
@@ -113,13 +120,13 @@ class TestParityFuzz:
             assert paged.prove(p) == reference.prove(p)
 
     @pytest.mark.parametrize("page_size,cache_pages", PAGED_CONFIGS)
-    def test_mixed_set_clear_sequence(self, page_size, cache_pages):
+    def test_mixed_set_clear_sequence(self, page_size, cache_pages, backing):
         # interleaved single-leaf writes, clears and re-writes: the paged
         # store must track empty-subtree deletions exactly like the dict
         reference = FixedMerkleTree(DEPTH, node_store=DictNodeStore())
         paged = FixedMerkleTree(
             DEPTH,
-            node_store=PagedNodeStore(page_size=page_size, cache_pages=cache_pages),
+            node_store=PagedNodeStore(backing, page_size=page_size, cache_pages=cache_pages),
         )
         positions = _positions(60, seed=9)
         for step, p in enumerate(positions):
@@ -132,7 +139,7 @@ class TestParityFuzz:
             assert paged.root == reference.root
         assert paged.occupied_positions() == reference.occupied_positions()
 
-    def test_eviction_mid_apply_batch(self):
+    def test_eviction_mid_apply_batch(self, backing):
         # an MST batch bigger than the whole cache: pages spill and reload
         # *during* one apply_batch without corrupting the rehash
         utxos = []
@@ -147,7 +154,7 @@ class TestParityFuzz:
         reference = MerkleStateTree(DEPTH)
         reference.apply_batch(add=utxos)
         paged = MerkleStateTree(
-            DEPTH, node_store=PagedNodeStore(page_size=8, cache_pages=2)
+            DEPTH, node_store=PagedNodeStore(backing, page_size=8, cache_pages=2)
         )
         paged.apply_batch(add=utxos[:150])
         paged.apply_batch(add=utxos[150:], remove=utxos[:10])
@@ -157,10 +164,10 @@ class TestParityFuzz:
         assert paged.root == reference2.root
         assert paged.occupied_count == reference2.occupied_count
 
-    def test_proof_generation_forces_cold_loads(self):
+    def test_proof_generation_forces_cold_loads(self, backing):
         # fill, flush everything out through a 1-page cache, then prove:
         # every sibling read is a cold load from the backing
-        store = PagedNodeStore(page_size=8, cache_pages=1)
+        store = PagedNodeStore(backing, page_size=8, cache_pages=1)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         positions = _positions(100, seed=4)
         tree.set_leaves([(p, p + 1) for p in positions])
@@ -172,13 +179,14 @@ class TestParityFuzz:
             assert tree.prove(p) == reference.prove(p)
         assert _page_counter("loads") > loads_before
 
-    def test_certified_epochs_identical_across_stores(self):
+    def test_certified_epochs_identical_across_stores(self, tmp_path):
         """Two certified harness epochs per store: the chain digest and the
-        epoch certificate bytes the MC adopts do not depend on the store."""
+        epoch certificate bytes the MC adopts do not depend on the store
+        (an in-memory node keeps the dict store, a durable one pages)."""
         stores = [
             {},
-            {"paged_mst": True, "mst_page_size": 1024, "mst_cache_pages": 256},
-            {"paged_mst": True, "mst_page_size": 8, "mst_cache_pages": 1},
+            {"data_dir": tmp_path / "wide", "mst_page_size": 1024, "mst_cache_pages": 256},
+            {"data_dir": tmp_path / "narrow", "mst_page_size": 8, "mst_cache_pages": 1},
         ]
         views = []
         for kwargs in stores:
@@ -194,15 +202,17 @@ class TestParityFuzz:
                     [c.encode() for c in sc.node.certificates],
                 )
             )
+            paged = isinstance(sc.node.state.mst.node_store, PagedNodeStore)
+            assert paged == ("data_dir" in kwargs)
             sc.node.close()
         assert views[0][2], "no epoch was certified"
         assert views[1] == views[0] and views[2] == views[0]
 
 
 class TestCopyOnWrite:
-    def test_copies_are_independent(self):
+    def test_copies_are_independent(self, backing):
         original = FixedMerkleTree(
-            DEPTH, node_store=PagedNodeStore(page_size=8, cache_pages=4)
+            DEPTH, node_store=PagedNodeStore(backing, page_size=8, cache_pages=4)
         )
         original.set_leaves([(p, p + 1) for p in _positions(50)])
         root = original.root
@@ -216,8 +226,8 @@ class TestCopyOnWrite:
         original.set_leaf(_positions(50)[1], 888)
         assert clone.root == clone_root
 
-    def test_copy_shares_clean_pages(self):
-        store = PagedNodeStore(page_size=8, cache_pages=4)
+    def test_copy_shares_clean_pages(self, backing):
+        store = PagedNodeStore(backing, page_size=8, cache_pages=4)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         tree.set_leaves([(p, p + 1) for p in _positions(80)])
         target = _positions(80)[0]
@@ -239,9 +249,8 @@ class TestCopyOnWrite:
 
 
 class TestFileBacking:
-    def test_spill_reload_roundtrip(self, tmp_path):
-        backing = FilePageBacking(tmp_path / "pages.seg")
-        store = PagedNodeStore(page_size=8, cache_pages=2, backing=backing)
+    def test_spill_reload_roundtrip(self, backing):
+        store = PagedNodeStore(backing, page_size=8, cache_pages=2)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         updates = [(p, p + 3) for p in _positions(90)]
         tree.set_leaves(updates)
@@ -250,8 +259,8 @@ class TestFileBacking:
         backing.sync()
 
         # with every decoded page evicted, a copy of the store reads each
-        # page back from the segment: byte-identical reads without
-        # re-writing anything
+        # page back from the file: byte-identical reads without re-writing
+        # anything
         backing.trim(0)
         loads, size = _page_counter("loads"), backing.describe()["bytes"]
         reopened = store.copy()
@@ -260,48 +269,23 @@ class TestFileBacking:
         assert sorted(reopened.leaf_items()) == sorted(updates)
         assert _page_counter("loads") > loads
         assert backing.describe()["bytes"] == size
-        reopened.close()
-        store.close()
 
-    def test_scan_stops_at_torn_tail(self, tmp_path):
-        backing = FilePageBacking(tmp_path / "pages.seg")
-        backing.store(0, 0, encode_page({1: 2}))
-        backing.store(0, 1, encode_page({3: 4}))
-        backing.sync()
-        backing.close()
-        path = tmp_path / "pages.seg"
-        path.write_bytes(path.read_bytes() + b"\x01\xff\xff")  # torn record
-        reopened = FilePageBacking(path, read_only=True)
-        assert len(list(reopened.scan())) == 2
-        reopened.close()
-
-    def test_previous_segment_format_is_refused(self, tmp_path):
-        path = tmp_path / "pages.seg"
-        path.write_bytes(b"ZENPAGE1" + bytes(21))
-        for read_only in (False, True):
-            with pytest.raises(StorageError, match="ZENPAGE1"):
-                FilePageBacking(path, read_only=read_only)
-
-    def test_scan_reports_band_and_tile(self, tmp_path):
-        backing = FilePageBacking(tmp_path / "pages.seg")
-        store = PagedNodeStore(page_size=8, cache_pages=4, backing=backing)
-        tree = FixedMerkleTree(DEPTH, node_store=store)
-        tree.set_leaf(0b1011011101, 5)
+    def test_the_page_file_has_no_name(self, tmp_path):
+        # the pages live in an unnamed scratch file: the directory shows
+        # nothing while the backing is open, and nothing after it closes
+        backing = FilePageBacking(tmp_path)
+        store = PagedNodeStore(backing, page_size=8, cache_pages=1)
+        FixedMerkleTree(DEPTH, node_store=store).set_leaves([(p, p) for p in _positions(40)])
         store.flush()
-        # depth 10 in 3-level tiles: bands 0..3, tile = index >> (2 - level % 3)
-        assert sorted((band, tile) for band, tile, _ in backing.scan()) == [
-            (0, 0b10110111),
-            (1, 0b10110),
-            (2, 0b10),
-            (3, 0),
-        ]
+        assert backing.describe()["bytes"] > 0
+        assert list(tmp_path.iterdir()) == []
         backing.close()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_leaf_items_does_not_evict_working_set(self, tmp_path):
+    def test_leaf_items_does_not_evict_working_set(self, backing):
         # scanning every leaf page must not admit spilled pages into the
         # cache (a full scan would otherwise wipe the resident working set)
-        backing = MemoryPageBacking()
-        store = PagedNodeStore(page_size=8, cache_pages=2, backing=backing)
+        store = PagedNodeStore(backing, page_size=8, cache_pages=2)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         tree.set_leaves([(p, p + 1) for p in _positions(64)])
         store.flush()
@@ -311,9 +295,9 @@ class TestFileBacking:
 
 
 class TestObservability:
-    def test_registry_counters_move_under_cache_pressure(self):
+    def test_registry_counters_move_under_cache_pressure(self, backing):
         before = {k: _page_counter(k) for k in ("hits", "misses", "evictions")}
-        store = PagedNodeStore(page_size=8, cache_pages=1)
+        store = PagedNodeStore(backing, page_size=8, cache_pages=1)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         tree.set_leaves([(p, p + 1) for p in _positions(40)])
         store.flush()
@@ -325,11 +309,11 @@ class TestObservability:
         store.flush()
         assert _page_counter("flushes") == flushes_mark
 
-    def test_dropped_copies_leave_resident_gauge_alone(self):
+    def test_dropped_copies_leave_resident_gauge_alone(self, tmp_path):
         gc.collect()
         start = _resident_gauge()
-        backing = MemoryPageBacking()
-        store = PagedNodeStore(page_size=8, cache_pages=6, backing=backing)
+        backing = FilePageBacking(tmp_path)
+        store = PagedNodeStore(backing, page_size=8, cache_pages=6)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         positions = _positions(40)
         tree.set_leaves([(p, p + 1) for p in positions])
@@ -345,8 +329,8 @@ class TestObservability:
         backing.close()
         assert _resident_gauge() == start
 
-    def test_describe_reports_cache_shape(self):
-        store = PagedNodeStore(page_size=8, cache_pages=1)
+    def test_describe_reports_cache_shape(self, backing):
+        store = PagedNodeStore(backing, page_size=8, cache_pages=1)
         tree = FixedMerkleTree(DEPTH, node_store=store)
         tree.set_leaves([(p, p + 1) for p in _positions(40)])
         info = store.describe()

@@ -38,8 +38,10 @@ from repro.storage import (
     SC_BLOCK,
     SC_CERT,
     SC_TX,
+    DictNodeStore,
     FileStore,
     MemoryStore,
+    PagedNodeStore,
     StateStore,
     format_inspection,
     frame_record,
@@ -230,10 +232,6 @@ class TestFileStoreDurability:
         assert reader.latest_snapshot() == (7, {"k": b"v"}, 3)
         assert [payload for _, payload in reader.records()] == [b"a", b"b", b"c", b"tail"]
         reader.close()
-
-    def test_fsync_policy_validated(self, tmp_path):
-        with pytest.raises(StorageError):
-            FileStore(tmp_path / "d", fsync="sometimes")
 
     def test_read_wal_reports_valid_length(self):
         framed = frame_record(SC_TX, b"abc")
@@ -674,17 +672,13 @@ class TestMainchainDiskRecovery:
         assert mined.header.timestamp == stamp + 1
         recovered.close()
 
-    @pytest.mark.parametrize("policy", ["block", "never"])
-    def test_each_recorded_block_is_synced(self, tmp_path, monkeypatch, policy):
-        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc", fsync=policy)
+    def test_each_recorded_block_is_synced(self, tmp_path, monkeypatch):
+        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
         node.mine_blocks(MINER.address, 5)  # below the 16-block snapshot
-        if policy == "block":
-            assert len(synced) >= 5  # at least one sync per mined block
-        else:
-            assert synced == []
+        assert len(synced) >= 5  # at least one sync per mined block
         node.close()
 
     def test_unreplayable_store_falls_back_to_genesis(self, tmp_path):
@@ -860,7 +854,7 @@ class CopyingStore(FileStore):
     node at that point: each copy is the disk a kill -9 there leaves."""
 
     def __init__(self, data_dir, copies) -> None:
-        super().__init__(data_dir, fsync="never")
+        super().__init__(data_dir)
         self.copies = copies
         self.points: list[tuple[pathlib.Path, object]] = []
         self.view = lambda: None
@@ -1191,19 +1185,30 @@ class TestChaosDiskRecovery:
         assert (again.schedule, again.final) == (first.schedule, first.final)
 
 
-PAGED_KWARGS = {"paged_mst": True, "mst_page_size": 64, "mst_cache_pages": 4}
+PAGED_KWARGS = {"mst_page_size": 64, "mst_cache_pages": 4}
+
+#: What a durable Latus node leaves in its data directory: its MST pages go
+#: to an unnamed scratch file, and it writes no snapshot.
+LATUS_FILES = ["MANIFEST", "wal.log"]
+
+
+def _file_names(data_dir) -> list[str]:
+    return sorted(path.name for path in data_dir.iterdir())
 
 
 class TestPagedDiskRecovery:
-    """PR 9: the kill-mid-epoch story with the paged MST node store.
+    """PR 9: the kill-mid-epoch story with the paged MST node store, which a
+    node over a data directory always uses.
 
     The cache is deliberately tiny (64-node pages, 4 resident) so the
-    history build spills pages to ``pages.seg`` mid-epoch and recovery has
-    to page state back in lazily.
+    history build spills pages mid-epoch and recovery pages the anchors'
+    states back in lazily.
     """
 
     def test_paged_kill_mid_epoch_recovers_identical_digest(self, tmp_path):
         harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
+        assert isinstance(sc.node.state.mst.node_store, PagedNodeStore)
+        assert sc.node.state.mst.node_store.describe()["spilled_pages"] > 0
         expected = (
             sc.node.height,
             sc.node.tip_hash,
@@ -1211,11 +1216,8 @@ class TestPagedDiskRecovery:
             len(sc.node.certificates),
             sc.node.epoch_id,
         )
+        assert _file_names(tmp_path / "sc") == LATUS_FILES
         sc.node.close()
-
-        from repro.storage import PAGE_SEGMENT_NAME
-
-        assert (tmp_path / "sc" / PAGE_SEGMENT_NAME).stat().st_size > 0
 
         recovered = _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
         assert (
@@ -1225,15 +1227,20 @@ class TestPagedDiskRecovery:
             len(recovered.certificates),
             recovered.epoch_id,
         ) == expected
+        assert _file_names(tmp_path / "sc") == LATUS_FILES
         recovered.close()
 
     def test_paged_snapshot_recovers_on_unpaged_node(self, tmp_path):
-        # config drift: the snapshot was written by a paged node, but the
-        # replacement runs without paged_mst — recovery rehouses the state
+        # the log does not depend on the node store: a paged node's log,
+        # handed to an in-memory node, recovers onto the dict store
         harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
         expected = (sc.node.height, sc.node.tip_hash, sc.node.state.digest())
         sc.node.close()
-        recovered = _recover_latus(harness, sc, tmp_path / "sc")
+        store = MemoryStore()
+        for kind, payload in FileStore(tmp_path / "sc", read_only=True).records():
+            store.append(kind, payload)
+        recovered = _recover_latus(harness, sc, None, store=store)
+        assert isinstance(recovered.state.mst.node_store, DictNodeStore)
         assert (
             recovered.height,
             recovered.tip_hash,
@@ -1242,11 +1249,17 @@ class TestPagedDiskRecovery:
         recovered.close()
 
     def test_unpaged_snapshot_recovers_on_paged_node(self, tmp_path):
-        # the reverse drift: dict-backed history, paged replacement
-        harness, sc = _build_latus_history(tmp_path / "sc")
+        # the reverse: an in-memory node's log, written to a data
+        # directory, recovers onto the paged store
+        harness, sc = _build_latus_history(None, store=MemoryStore())
         expected = (sc.node.height, sc.node.tip_hash, sc.node.state.digest())
+        store = FileStore(tmp_path / "sc")
+        for kind, payload in sc.node.store.records():
+            store.append(kind, payload)
+        store.close()
         sc.node.close()
         recovered = _recover_latus(harness, sc, tmp_path / "sc", **PAGED_KWARGS)
+        assert isinstance(recovered.state.mst.node_store, PagedNodeStore)
         assert (
             recovered.height,
             recovered.tip_hash,
@@ -1255,41 +1268,34 @@ class TestPagedDiskRecovery:
         recovered.close()
 
     def test_page_segment_does_not_grow_across_restarts(self, tmp_path):
-        # no page ref outlives the process, so a restart starts the segment
-        # empty: after each one it holds the bytes a node recovering the log
-        # alone writes, and none of the page versions written before it
-        from repro.storage import PAGE_SEGMENT_NAME
-
+        # the page file has no name and dies with its process: after a
+        # durable run and after each restart, the data directory holds the
+        # log and its MANIFEST alone, so no page segment grows in it
         harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
-        segment = tmp_path / "sc" / PAGE_SEGMENT_NAME
+        assert _file_names(tmp_path / "sc") == LATUS_FILES
         for restarts in range(1, 4):
             harness.forward_transfer(sc, CAROL, 1_000 * restarts)
             harness.run_epochs(sc, 1)
             sc.node.crash()
             sc.node.restart()
-            log_only = tmp_path / f"log-only-{restarts}"
-            log_only.mkdir()
-            for name in ("MANIFEST", "wal.log"):
-                shutil.copy(tmp_path / "sc" / name, log_only / name)
-            fresh = _recover_latus(harness, sc, log_only, **PAGED_KWARGS)
-            assert segment.read_bytes() == (log_only / PAGE_SEGMENT_NAME).read_bytes()
-            fresh.close()
+            assert _file_names(tmp_path / "sc") == LATUS_FILES
         sc.node.close()
+        assert _file_names(tmp_path / "sc") == LATUS_FILES
 
-    def test_paged_inspect_reports_page_segment(self, tmp_path, capsys):
+    def test_paged_inspect_reads_the_log_alone(self, tmp_path, capsys):
         harness, sc = _build_latus_history(tmp_path / "sc", **PAGED_KWARGS)
+        expected = (sc.node.height, f"{sc.node.state.digest():#x}")
         sc.node.close()
         probe = FileStore(tmp_path / "sc", read_only=True)
         info = inspect_store(probe)
         probe.close()
-        pages = info["page_store"]
-        assert pages["bytes"] > 0
-        assert pages["page_records"] >= pages["distinct_pages"] > 0
+        assert (info["height"], info["tip_digest"]) == expected
+        assert "page_store" not in info
         assert info["snapshot_epoch"] is None
 
         from repro import cli
 
         assert cli.main(["inspect", "--data-dir", str(tmp_path / "sc")]) == 0
         report = capsys.readouterr().out
-        assert "page segment:" in report and "log records:" in report
-        assert "snapshot epoch" not in report
+        assert "log records:" in report
+        assert "page segment" not in report and "snapshot epoch" not in report

@@ -25,9 +25,10 @@ FILES = sorted(SRC.rglob("*.py"))
 #: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
 TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the Latus snapshot and its
-#: page-ref codec went, recovery being the log walk alone (17,282 before).
-MAX_SRC_LINES = 17_060
+#: ``find src -name '*.py' | xargs wc -l`` after the store started deciding how
+#: a node keeps its MST and when it syncs: no ``paged_mst`` or ``fsync``
+#: switch, no memory page backing, no named page segment (17,060 before).
+MAX_SRC_LINES = 16_902
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: None: every handler names the errors it expects (the last three were the
@@ -46,6 +47,16 @@ AUDIT_FORBIDDEN = {
     "verify_mc_ref",
     "index_transition",
 }
+
+#: The per-node storage switches: the store a node has decides how it keeps
+#: its MST and when it syncs, so none of these names may come back.
+STORAGE_SWITCHES = (
+    "MemoryPageBacking",
+    "FSYNC_POLICIES",
+    "fsync_policy",
+    "PAGE_SEGMENT_NAME",
+    "_rehouse_state",
+)
 
 #: Substrate layers and the construction layers they must not know about.
 SUBSTRATE = ("repro.core", "repro.mainchain")
@@ -210,6 +221,50 @@ class TestOneAdoptionStep:
             "    def k(self):\n        s.g_all(3)\n"
         )
         assert callers(tree.body[0], "g") == {"f", "h"}
+
+
+def call_sites(tree: ast.Module, name: str) -> list[str]:
+    """Where ``name(...)`` is called, plain or as ``x.name(...)``: the
+    enclosing ``Class.method`` or function (nested scopes joined by dots),
+    ``<module>`` at the top level."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None),
+            ):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+class TestTheStoreDecidesTheNodeStore:
+    def test_a_paged_store_is_built_in_one_place(self, trees):
+        """A Latus node over a ``FileStore`` pages and every other node
+        keeps the dict store: ``LatusNode._make_node_store`` decides."""
+        sites = [
+            f"{module_name(path)}:{scope}"
+            for path, tree in trees.items()
+            for scope in call_sites(tree, "PagedNodeStore")
+        ]
+        assert sites == ["repro.latus.node:LatusNode._make_node_store"]
+
+    def test_the_check_sees_nested_scopes_and_the_module(self):
+        tree = ast.parse(
+            "x = P()\n"
+            "class C:\n"
+            "    def f(self):\n"
+            "        def g():\n            return m.P(1)\n"
+            "        return P.__new__(P)\n"
+        )
+        assert call_sites(tree, "P") == ["<module>", "C.f.g"]
 
 
 #: The proof checks of ``repro.snark.proving``.
@@ -468,6 +523,15 @@ class TestInventoryRatchet:
             if target.split(".")[0] in refused
         ]
         assert not offenders, offenders
+
+    def test_storage_switches_stay_deleted(self):
+        mentions = [
+            f"{path.relative_to(SRC)} names {name}"
+            for path in FILES
+            for name in STORAGE_SWITCHES
+            if re.search(rf"\b{name}\b", path.read_text())
+        ]
+        assert not mentions, mentions
 
     def test_latus_snapshot_sections(self, trees):
         """A Latus node writes no snapshot: the log alone holds it (each

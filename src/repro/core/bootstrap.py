@@ -54,21 +54,15 @@ class SidechainConfig:
     wcert_proofdata: ProofdataSchema = field(default_factory=ProofdataSchema)
     btr_proofdata: ProofdataSchema = field(default_factory=ProofdataSchema)
     csw_proofdata: ProofdataSchema = field(default_factory=ProofdataSchema)
+    #: The deterministic withdrawal-epoch schedule, built once.
+    schedule: EpochSchedule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ledger_id) != LEDGER_ID_BYTES:
             raise CctpError(f"ledger id must be {LEDGER_ID_BYTES} bytes")
-        # schedule constructor validates epoch_len/submit_len/start_block
-        self.schedule  # noqa: B018 - validation side effect
-
-    @property
-    def schedule(self) -> EpochSchedule:
-        """The deterministic withdrawal-epoch schedule."""
-        return EpochSchedule(
-            start_block=self.start_block,
-            epoch_len=self.epoch_len,
-            submit_len=self.submit_len,
-        )
+        # the schedule's constructor validates epoch_len/submit_len/start_block
+        schedule = EpochSchedule(self.start_block, self.epoch_len, self.submit_len)
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def supports_btr(self) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Container, Iterator
 
 from repro.core.bootstrap import SidechainConfig
@@ -100,6 +100,21 @@ def _counted(verifications, rejected: type[ZendooError]):
     return decorate
 
 
+def slot_append(slots: CowDict, height: int, item: bytes) -> None:
+    """Add ``item`` to the slot of ``height`` in O(1), however full it is: a
+    slot is a cons cell ``(item, previous_cell)``, None when empty."""
+    slots[height] = (item, slots.get(height))
+
+
+def slot_ids(cell: tuple | None) -> list:
+    """The items of a slot's cell (:func:`slot_append`), in insertion order."""
+    ids = []
+    while cell is not None:
+        ids.append(cell[0])
+        cell = cell[1]
+    return ids[::-1]
+
+
 class SidechainStatus(enum.Enum):
     """Lifecycle of a registered sidechain as seen by the mainchain."""
 
@@ -133,12 +148,17 @@ class CertificateHistory(Mapping):
         return 0 if self._latest is None else self._latest.certificate.epoch_id + 1
 
     def __getitem__(self, epoch: int) -> CertificateRecord:
+        record = self.get(epoch)
+        if record is None:
+            raise KeyError(epoch)
+        return record
+
+    def get(self, epoch: int, default=None):
+        # a miss (say, a new epoch's first certificate) raises no KeyError
         record = self._latest
         while record is not None and record.certificate.epoch_id > epoch:
             record = record.previous
-        if record is None or record.certificate.epoch_id != epoch:
-            raise KeyError(epoch)
-        return record
+        return record if record is not None and record.certificate.epoch_id == epoch else default
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self)))
@@ -190,10 +210,11 @@ class CctpState:
         #: as ``ledger_id + nullifier`` (ledger ids are 32 bytes).
         self.nullifiers: CowSet = CowSet()
         self.safeguard = Safeguard()
-        #: Ceasing-deadline index: height -> ledger ids whose earliest
-        #: uncertified epoch's submission window closes at that height.
-        #: Slots may be stale (a later certificate pushed the real deadline
-        #: forward); :meth:`advance_to_height` re-checks before ceasing.
+        #: Ceasing-deadline index: height -> the ledger ids whose earliest
+        #: uncertified epoch's submission window closes there, as a cons
+        #: cell (:func:`slot_append`).  Entries may be stale or repeated (a
+        #: later certificate pushed the real deadline forward, or superseded
+        #: one); :meth:`advance_to_height` re-checks before ceasing.
         self._deadlines: CowDict = CowDict()
         #: Highest height whose deadline slots have been processed.
         self._advanced_to: int = -1
@@ -220,7 +241,7 @@ class CctpState:
 
     def _replace(self, entry: SidechainEntry, **changes) -> SidechainEntry:
         """Store ``entry`` with ``changes`` applied as its sidechain's entry."""
-        entry = replace(entry, **changes)
+        entry = SidechainEntry(**{**entry.__dict__, **changes})
         self.sidechains[entry.config.ledger_id] = entry
         return entry
 
@@ -375,7 +396,10 @@ class CctpState:
         """
         for ledger_id in self._unsealed:
             entry = self.entry(ledger_id)
-            latest = replace(entry.latest, included_in_block=block_hash)
+            record = entry.latest
+            latest = CertificateRecord(
+                record.certificate, record.included_at_height, block_hash, record.previous
+            )
             self._replace(entry, latest=latest, last_cert_block_hash=block_hash)
         self._unsealed = set()
 
@@ -384,14 +408,14 @@ class CctpState:
     def _index_deadline(self, ledger_id: bytes, entry: SidechainEntry) -> None:
         """Record the entry's current ceasing deadline in the height index.
 
-        Old slots for the same sidechain are left in place and detected as
-        stale when their height is reached (re-checking the live deadline is
-        O(1), and each slot is visited once).
+        O(1) however many sidechains share the height (:func:`slot_append`).
+        Old entries for the same sidechain, in other slots or repeated in
+        this one after a supersession, stay in place and are skipped when
+        their height is reached (re-checking the live deadline is O(1), and
+        each slot is visited once).
         """
         deadline = entry.config.schedule.ceasing_height(len(entry.certificates))
-        slot = self._deadlines.get(deadline, ())
-        if ledger_id not in slot:
-            self._deadlines[deadline] = (*slot, ledger_id)
+        slot_append(self._deadlines, deadline, ledger_id)
 
     def advance_to_height(self, height: int) -> list[bytes]:
         """Fire ceasing deadlines up to ``height``; returns newly ceased ids.
@@ -399,15 +423,17 @@ class CctpState:
         A sidechain ceases at the first height past the submission window of
         the earliest epoch it failed to certify (Def. 4.2).  Deadlines are
         indexed by height at registration and certificate adoption, so this
-        is O(sidechains actually due), not O(registered sidechains): blocks
-        that cease nothing pay only the (usually empty) slot lookups for the
-        heights they advance past.
+        is O(entries indexed at the heights passed), not O(registered
+        sidechains): blocks that cease nothing pay only the (usually empty)
+        slot lookups.  A slot's ids are handled in insertion order, and an
+        id repeated in a slot finds its sidechain ceased the second time, so
+        the result lists each sidechain once.
         """
         newly_ceased: list[bytes] = []
         if height <= self._advanced_to:
             return newly_ceased
         for slot_height in range(self._advanced_to + 1, height + 1):
-            for ledger_id in self._deadlines.pop(slot_height, ()):
+            for ledger_id in slot_ids(self._deadlines.pop(slot_height, None)):
                 entry = self.sidechains.get(ledger_id)
                 if entry is None or entry.status is SidechainStatus.CEASED:
                     continue

@@ -18,7 +18,6 @@ would fall between (§5.5.1's ``proofOfNoData``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.core.transfers import (
     BackwardTransferRequest,
@@ -26,22 +25,28 @@ from repro.core.transfers import (
     WithdrawalCertificate,
 )
 from repro.crypto.hashing import NULL_DIGEST, hash_concat
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
 from repro.errors import MerkleError
 
 _SC_LEAF_DOMAIN = b"zendoo/sc-leaf"
 _TXS_DOMAIN = b"zendoo/sc-txs"
 
-def _ft_root(fts: tuple[ForwardTransfer, ...]) -> bytes:
-    return MerkleTree([ft.id for ft in fts]).root
+#: ``TxsHash`` of a sidechain with neither a forward transfer nor a BTR.
+_EMPTY_TXS_HASH = hash_concat([NULL_DIGEST, NULL_DIGEST], _TXS_DOMAIN)
 
 
-def _btr_root(btrs: tuple[BackwardTransferRequest, ...]) -> bytes:
-    return MerkleTree([btr.id for btr in btrs]).root
-
-
-def _txs_hash(ft_root: bytes, btr_root: bytes) -> bytes:
-    return hash_concat([ft_root, btr_root], _TXS_DOMAIN)
+def _subtree_hashes(
+    fts: tuple[ForwardTransfer, ...],
+    btrs: tuple[BackwardTransferRequest, ...],
+    wcert: WithdrawalCertificate | None,
+) -> tuple[bytes, bytes]:
+    """``(TxsHash, WCertHash)``: ``H(FTHash | BTRHash)`` over the two Merkle
+    roots, and the certificate digest (NULL when absent)."""
+    txs_hash = _EMPTY_TXS_HASH
+    if fts or btrs:
+        roots = [merkle_root([ft.id for ft in fts]), merkle_root([btr.id for btr in btrs])]
+        txs_hash = hash_concat(roots, _TXS_DOMAIN)
+    return txs_hash, (NULL_DIGEST if wcert is None else wcert.id)
 
 
 def _sc_hash(ledger_id: bytes, txs_hash: bytes, wcert_hash: bytes) -> bytes:
@@ -65,41 +70,13 @@ def composite_root(merkle_root: bytes, leaf_count: int) -> bytes:
 
 @dataclass(frozen=True)
 class SidechainCommitment:
-    """The per-sidechain subtree of one block's commitment (Fig. 12).
-
-    The subtree hashes are cached on the instance: the first access
-    computes them, and every later one reads the stored value.
-    """
+    """The per-sidechain subtree of one block's commitment (Fig. 12); the
+    tree hashes each of its leaves once."""
 
     ledger_id: bytes
     forward_transfers: tuple[ForwardTransfer, ...]
     btrs: tuple[BackwardTransferRequest, ...]
     wcert: WithdrawalCertificate | None
-
-    @cached_property
-    def ft_root(self) -> bytes:
-        """``FTHash``: root over this sidechain's forward transfers."""
-        return _ft_root(self.forward_transfers)
-
-    @cached_property
-    def btr_root(self) -> bytes:
-        """``BTRHash``: root over this sidechain's BTRs."""
-        return _btr_root(self.btrs)
-
-    @cached_property
-    def txs_hash(self) -> bytes:
-        """``TxsHash = H(FTHash | BTRHash)``."""
-        return _txs_hash(self.ft_root, self.btr_root)
-
-    @cached_property
-    def wcert_hash(self) -> bytes:
-        """``WCertHash``: the certificate digest, or NULL when absent."""
-        return self.wcert.id if self.wcert is not None else NULL_DIGEST
-
-    @cached_property
-    def sc_hash(self) -> bytes:
-        """``SCXHash``: the top-tree leaf for this sidechain."""
-        return _sc_hash(self.ledger_id, self.txs_hash, self.wcert_hash)
 
     @property
     def is_empty(self) -> bool:
@@ -139,10 +116,7 @@ class PresenceProof:
         wcert: WithdrawalCertificate | None,
     ) -> bool:
         """Full check: the claimed payload is *exactly* the committed one."""
-        if _txs_hash(_ft_root(forward_transfers), _btr_root(btrs)) != self.txs_hash:
-            return False
-        expected_wcert = wcert.id if wcert is not None else NULL_DIGEST
-        if expected_wcert != self.wcert_hash:
+        if _subtree_hashes(forward_transfers, btrs, wcert) != (self.txs_hash, self.wcert_hash):
             return False
         return self.verify(commitment_root)
 
@@ -220,7 +194,13 @@ class SidechainTxCommitmentTree:
             raise MerkleError("duplicate ledger id in commitment tree")
         self.commitments = sorted(nonempty, key=lambda c: c.ledger_id)
         self._index = {c.ledger_id: i for i, c in enumerate(self.commitments)}
-        self._tree = MerkleTree([c.sc_hash for c in self.commitments])
+        #: ``(TxsHash, WCertHash)`` of each leaf, computed once
+        self._hashes = [
+            _subtree_hashes(c.forward_transfers, c.btrs, c.wcert) for c in self.commitments
+        ]
+        self._tree = MerkleTree(
+            [_sc_hash(c.ledger_id, *hashes) for c, hashes in zip(self.commitments, self._hashes)]
+        )
 
     @property
     def root(self) -> bytes:
@@ -243,11 +223,11 @@ class SidechainTxCommitmentTree:
         index = self._index.get(ledger_id)
         if index is None:
             raise MerkleError("sidechain has no activity in this block")
-        commitment = self.commitments[index]
+        txs_hash, wcert_hash = self._hashes[index]
         return PresenceProof(
             ledger_id=ledger_id,
-            txs_hash=commitment.txs_hash,
-            wcert_hash=commitment.wcert_hash,
+            txs_hash=txs_hash,
+            wcert_hash=wcert_hash,
             merkle_proof=self._tree.prove(index),
             leaf_count=self.leaf_count,
         )
@@ -268,11 +248,11 @@ class SidechainTxCommitmentTree:
         )
 
     def _neighbor(self, index: int) -> _NeighborLeaf:
-        commitment = self.commitments[index]
+        txs_hash, wcert_hash = self._hashes[index]
         return _NeighborLeaf(
-            ledger_id=commitment.ledger_id,
-            txs_hash=commitment.txs_hash,
-            wcert_hash=commitment.wcert_hash,
+            ledger_id=self.commitments[index].ledger_id,
+            txs_hash=txs_hash,
+            wcert_hash=wcert_hash,
             merkle_proof=self._tree.prove(index),
         )
 
@@ -286,28 +266,17 @@ def build_commitment(
 
     At most one certificate per sidechain per block is accepted (§4.1.3).
     """
-    by_ledger: dict[bytes, dict[str, list]] = {}
-
-    def bucket(ledger_id: bytes) -> dict[str, list]:
-        return by_ledger.setdefault(ledger_id, {"ft": [], "btr": [], "wcert": []})
-
-    for ft in forward_transfers:
-        bucket(ft.ledger_id)["ft"].append(ft)
-    for btr in btrs:
-        bucket(btr.ledger_id)["btr"].append(btr)
-    for wcert in wcerts:
-        entry = bucket(wcert.ledger_id)
-        if entry["wcert"]:
+    by_ledger: dict[bytes, tuple[list, list, list]] = {}
+    for kind, actions in enumerate((forward_transfers, btrs, wcerts)):
+        for action in actions:
+            bucket = by_ledger.get(action.ledger_id)
+            if bucket is None:
+                bucket = by_ledger[action.ledger_id] = ([], [], [])
+            bucket[kind].append(action)
+    commitments = []
+    for ledger_id, (fts, ledger_btrs, certs) in by_ledger.items():
+        if len(certs) > 1:
             raise MerkleError("only one withdrawal certificate per sidechain per block")
-        entry["wcert"].append(wcert)
-
-    commitments = [
-        SidechainCommitment(
-            ledger_id=ledger_id,
-            forward_transfers=tuple(entry["ft"]),
-            btrs=tuple(entry["btr"]),
-            wcert=entry["wcert"][0] if entry["wcert"] else None,
-        )
-        for ledger_id, entry in by_ledger.items()
-    ]
+        wcert = certs[0] if certs else None
+        commitments.append(SidechainCommitment(ledger_id, tuple(fts), tuple(ledger_btrs), wcert))
     return SidechainTxCommitmentTree(commitments)

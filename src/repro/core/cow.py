@@ -119,7 +119,8 @@ class CowDict:
         value = self._lookup(key)
         if value is not _TOMBSTONE:
             return value
-        self[key] = default
+        self._top[key] = default
+        self._len += 1
         return default
 
     def clear(self) -> None:

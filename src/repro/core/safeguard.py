@@ -34,30 +34,24 @@ class Safeguard:
         """Credit a forward transfer."""
         if amount < 0:
             raise SafeguardViolation("deposit amount must be non-negative")
-        self._balances[self._known(ledger_id)] += amount
+        self._balances[ledger_id] = self.balance(ledger_id) + amount
 
     def withdraw(self, ledger_id: bytes, amount: int) -> None:
         """Debit a certificate payout or CSW; raises when over-drawing."""
         if amount < 0:
             raise SafeguardViolation("withdrawal amount must be non-negative")
-        key = self._known(ledger_id)
-        if amount > self._balances[key]:
+        balance = self.balance(ledger_id)
+        if amount > balance:
             raise SafeguardViolation(
-                f"withdrawal of {amount} exceeds sidechain balance "
-                f"{self._balances[key]}"
+                f"withdrawal of {amount} exceeds sidechain balance {balance}"
             )
-        self._balances[key] -= amount
+        self._balances[ledger_id] = balance - amount
 
     def refund(self, ledger_id: bytes, amount: int) -> None:
         """Re-credit a superseded certificate's withdrawal."""
         if amount < 0:
             raise SafeguardViolation("refund amount must be non-negative")
-        self._balances[self._known(ledger_id)] += amount
-
-    def _known(self, ledger_id: bytes) -> bytes:
-        if ledger_id not in self._balances:
-            raise UnknownSidechain(f"no safeguard entry for {ledger_id.hex()[:16]}")
-        return ledger_id
+        self._balances[ledger_id] = self.balance(ledger_id) + amount
 
     def copy(self) -> "Safeguard":
         """Copy-on-write snapshot (used when forking validation contexts).

@@ -17,7 +17,7 @@ from functools import cached_property
 
 from repro.crypto.field import element_from_bytes
 from repro.crypto.hashing import hash_bytes
-from repro.crypto.merkle import MerkleTree, leaf_hash
+from repro.crypto.merkle import leaf_hash, merkle_root
 from repro.crypto.mimc import mimc_hash
 from repro.encoding import Encoder
 from repro.snark.proving import Proof
@@ -47,14 +47,9 @@ class ForwardTransfer:
     amount: int
 
     def encode(self) -> bytes:
-        """Canonical byte encoding."""
-        return (
-            Encoder()
-            .raw(self.ledger_id)
-            .var_bytes(self.receiver_metadata)
-            .u64(self.amount)
-            .done()
-        )
+        """Canonical byte encoding, ``ledger_id | var_bytes(metadata) | u64(amount)``."""
+        meta, amount = self.receiver_metadata, self.amount.to_bytes(8, "little")
+        return b"".join((self.ledger_id, len(meta).to_bytes(4, "little"), meta, amount))
 
     @cached_property
     def id(self) -> bytes:
@@ -70,8 +65,9 @@ class BackwardTransfer:
     amount: int
 
     def encode(self) -> bytes:
-        """Canonical byte encoding."""
-        return Encoder().var_bytes(self.receiver_addr).u64(self.amount).done()
+        """Canonical byte encoding, ``var_bytes(receiver_addr) | u64(amount)``."""
+        addr = self.receiver_addr
+        return len(addr).to_bytes(4, "little") + addr + self.amount.to_bytes(8, "little")
 
     @cached_property
     def id(self) -> bytes:
@@ -81,7 +77,7 @@ class BackwardTransfer:
 
 def bt_list_root(bt_list: tuple[BackwardTransfer, ...]) -> bytes:
     """The ``MH(BTList)`` Merkle root over a certificate's backward transfers."""
-    return MerkleTree([leaf_hash(bt.encode()) for bt in bt_list]).root
+    return merkle_root([leaf_hash(bt.encode()) for bt in bt_list])
 
 
 def proofdata_root(proofdata: tuple[int, ...]) -> int:
@@ -111,22 +107,26 @@ class WithdrawalCertificate:
     proof: Proof
 
     def encode(self) -> bytes:
-        """Canonical byte encoding."""
-        enc = (
-            Encoder()
-            .raw(self.ledger_id)
-            .u64(self.epoch_id)
-            .u64(self.quality)
-            .sequence(self.bt_list, lambda e, bt: e.var_bytes(bt.encode()))
-        )
-        enc.sequence(self.proofdata, lambda e, v: e.field_element(v))
-        enc.var_bytes(self.proof.to_bytes())
-        return enc.done()
+        """Canonical byte encoding (the :class:`Encoder` layout, built in one
+        join).  It also fills :attr:`id`, so a certificate the mempool
+        admitted by its txid is not encoded again when it connects."""
+        proof, proofdata = self.proof.to_bytes(), self.proofdata
+        bts = [bt.encode() for bt in self.bt_list]
+        data = b"".join((
+            self.ledger_id, self.epoch_id.to_bytes(8, "little"), self.quality.to_bytes(8, "little"),
+            len(bts).to_bytes(4, "little"), *(len(bt).to_bytes(4, "little") + bt for bt in bts),
+            len(proofdata).to_bytes(4, "little"), *(v.to_bytes(32, "little") for v in proofdata),
+            len(proof).to_bytes(4, "little"), proof,
+        ))
+        if "id" not in self.__dict__:
+            self.__dict__["id"] = hash_bytes(data, b"zendoo/wcert")
+        return data
 
     @cached_property
     def id(self) -> bytes:
-        """Digest identifying this certificate."""
-        return hash_bytes(self.encode(), b"zendoo/wcert")
+        """Digest identifying this certificate (:meth:`encode` computes it)."""
+        self.encode()
+        return self.__dict__["id"]
 
     @property
     def withdrawn_amount(self) -> int:

@@ -9,6 +9,7 @@ hashes of different object kinds can never collide structurally.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable
 
@@ -29,11 +30,7 @@ def hash_concat(parts: Iterable[bytes], domain: bytes = b"") -> bytes:
     Length prefixes make the encoding injective: ``["ab", "c"]`` and
     ``["a", "bc"]`` hash differently.
     """
-    h = hashlib.blake2b(digest_size=DIGEST_SIZE, person=_person(domain))
-    for part in parts:
-        h.update(len(part).to_bytes(4, "little"))
-        h.update(part)
-    return h.digest()
+    return hash_bytes(b"".join(len(part).to_bytes(4, "little") + part for part in parts), domain)
 
 
 def hash_pair(left: bytes, right: bytes, domain: bytes = b"node") -> bytes:
@@ -46,6 +43,7 @@ def hash_int(value: int, domain: bytes = b"") -> bytes:
     return hash_bytes(value.to_bytes(8, "little"), domain)
 
 
+@functools.cache
 def _person(domain: bytes) -> bytes:
     """Clamp a domain tag to blake2b's 16-byte personalisation field."""
     return domain[:16].ljust(16, b"\x00")

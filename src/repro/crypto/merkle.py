@@ -72,20 +72,9 @@ class MerkleTree:
 
     @staticmethod
     def _build_levels(leaves: Sequence[bytes]) -> list[list[bytes]]:
-        if not leaves:
-            return [[NULL_DIGEST]]
-        levels = [list(leaves)]
-        current = levels[0]
-        while len(current) > 1:
-            if len(current) % 2 == 1:
-                current = current + [current[-1]]
-                levels[-1] = current
-            nxt = [
-                hash_pair(current[i], current[i + 1], _NODE_DOMAIN)
-                for i in range(0, len(current), 2)
-            ]
-            levels.append(nxt)
-            current = nxt
+        levels = [list(leaves) or [NULL_DIGEST]]
+        while len(levels[-1]) > 1:
+            levels.append(_parents(levels[-1]))
         return levels
 
     @property
@@ -125,6 +114,17 @@ class MerkleTree:
         )
 
 
+def _parents(level: list[bytes]) -> list[bytes]:
+    """The level above ``level``, which an odd length pads in place (its
+    last node duplicated)."""
+    if len(level) % 2:
+        level.append(level[-1])
+    return [hash_pair(level[i], level[i + 1], _NODE_DOMAIN) for i in range(0, len(level), 2)]
+
+
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Convenience: the root of a tree over ``leaves`` without keeping it."""
-    return MerkleTree(leaves).root
+    """The root of the tree over ``leaves`` (32-byte digests), keeping no level."""
+    level = list(leaves) or [NULL_DIGEST]
+    while len(level) > 1:
+        level = _parents(level)
+    return level[0]

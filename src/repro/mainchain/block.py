@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.crypto.hashing import hash_bytes
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import merkle_root
 from repro.encoding import Encoder
 from repro.mainchain.transaction import Transaction
 
@@ -87,4 +87,4 @@ class Block:
 
 def transactions_merkle_root(transactions: tuple[Transaction, ...]) -> bytes:
     """The header's transaction Merkle root."""
-    return MerkleTree([tx.txid for tx in transactions]).root
+    return merkle_root([tx.txid for tx in transactions])

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.core.cctp import CctpState
+from repro.core.cctp import CctpState, slot_append, slot_ids
 from repro.core.cow import CowDict
 from repro.core.transfers import WithdrawalCertificate
 from repro.crypto.hashing import NULL_DIGEST, hash_bytes
@@ -158,8 +158,9 @@ class MainchainState:
         # not yet matured into the UTXO set, as one flat tuple of atoms, which
         # one collector pass untracks (a nested tuple needs a pass per level)
         self.pending_payouts: CowDict = CowDict()
-        # maturity height -> cert ids whose payouts mature there; slots may
-        # be stale after supersession (skipped when the cert id is gone)
+        # maturity height -> the cert ids whose payouts mature there, as a
+        # cons cell (cctp.slot_append: an append is O(1)); an id whose
+        # payouts are gone (superseded, or already matured) is skipped
         self._payout_maturities: CowDict = CowDict()
 
     def copy(self) -> "MainchainState":
@@ -254,10 +255,10 @@ class MainchainState:
         Maturities are indexed by height when the certificate is adopted
         (always in the future at that point), and connected heights are
         consecutive, so one slot lookup replaces the scan over all pending
-        certificates.  Slots of superseded certificates are stale and
-        skipped.
+        certificates.  The slot's cert ids are handled in insertion order;
+        ids of superseded certificates are stale and skipped.
         """
-        for cert_id in self._payout_maturities.pop(height, ()):
+        for cert_id in slot_ids(self._payout_maturities.pop(height, None)):
             pending = self.pending_payouts.pop(cert_id, None)
             if pending is None:
                 continue  # superseded before maturity
@@ -311,15 +312,13 @@ class MainchainState:
         superseded = self.cctp.process_certificate(wcert, height, self.block_hash_at)
         if superseded is not None:
             self.pending_payouts.pop(superseded.id, None)
-        schedule = self.cctp.entry(wcert.ledger_id).config.schedule
-        maturity = schedule.ceasing_height(wcert.epoch_id)
         if not wcert.bt_list:
             return
+        schedule = self.cctp.entry(wcert.ledger_id).config.schedule
+        maturity = schedule.ceasing_height(wcert.epoch_id)
         payouts = [field for bt in wcert.bt_list for field in (bt.receiver_addr, bt.amount)]
         self.pending_payouts[wcert.id] = (wcert.ledger_id, maturity, *payouts)
-        slot = self._payout_maturities.get(maturity, ())
-        if wcert.id not in slot:
-            self._payout_maturities[maturity] = (*slot, wcert.id)
+        slot_append(self._payout_maturities, maturity, wcert.id)
 
 
 @dataclass

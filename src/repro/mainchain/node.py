@@ -18,7 +18,7 @@ block's hash.
 from __future__ import annotations
 
 from repro import observability
-from repro.errors import OrphanBlock, StorageError, ValidationError, ZendooError
+from repro.errors import ReorgBelowHorizon, StorageError, ValidationError, ZendooError
 from repro.lifecycle import NodeLifecycle
 from repro.mainchain.block import Block, BlockHeader, transactions_merkle_root
 from repro.mainchain.chain import REORG_HORIZON, Blockchain, MainchainState
@@ -82,7 +82,10 @@ class MainchainNode(NodeLifecycle):
         the logged blocks to genesis, so hash linkage holds by construction,
         and only that block keeps a state.  Every other logged block then
         goes through :meth:`Blockchain.add_block` in log order, which
-        rebuilds a state for each block of the reorg window.
+        rebuilds a state for each block of the reorg window.  A block is
+        skipped only when it forks off a block the restore left without a
+        state (:class:`ReorgBelowHorizon`), or descends from such a block;
+        any other block that cannot be placed fails the recovery.
         """
         from repro.storage import codec as storage_codec
 
@@ -104,13 +107,17 @@ class MainchainNode(NodeLifecycle):
             if state.cctp._advanced_to != (chain[0].height if chain else -1):
                 raise StorageError("snapshot state was not advanced to its tip")
             self.chain.restore([self.chain.genesis, *reversed(chain)], state)
+        skipped: set[bytes] = set()
         for block in blocks:
-            try:
-                self.chain.add_block(block)
-            except OrphanBlock:
-                # a fork off a block below the snapshot's, which keeps no
-                # state; the active chain never needs it
-                continue
+            if block.header.prev_hash not in skipped:
+                try:
+                    self.chain.add_block(block)
+                    continue
+                except ReorgBelowHorizon:
+                    pass
+            # a side branch below the snapshot's block: the active chain
+            # never needs it
+            skipped.add(block.hash)
         self._clock = max(self._clock, self.chain.tip.header.timestamp)
 
     @staticmethod

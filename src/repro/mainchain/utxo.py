@@ -104,9 +104,9 @@ class UTXOSet:
 
     def create(self, key: bytes, addr: bytes, amount: int, created: int, maturity: int) -> None:
         """:meth:`add` by :func:`outpoint_key` and fields, building no object."""
-        if key in self._coins:
+        value = (addr, amount, created, maturity)
+        if self._coins.setdefault(key, value) is not value:
             raise DoubleSpend(f"outpoint {key.hex()} already exists")
-        self._coins[key] = (addr, amount, created, maturity)
 
     def spend(self, outpoint: Outpoint) -> Coin:
         """Remove and return the coin at ``outpoint``; raises when missing."""

@@ -197,7 +197,7 @@ def decode_mainchain_state(data: bytes, params):
     stored; ``height``/``block_hashes`` are left for the caller to fill
     from the chain it rebuilds from the log.
     """
-    from repro.core.cctp import CertificateRecord, SidechainEntry, SidechainStatus
+    from repro.core.cctp import CertificateRecord, SidechainEntry, SidechainStatus, slot_append
     from repro.mainchain.chain import MainchainState
 
     def _read(dec: Decoder):
@@ -268,10 +268,7 @@ def decode_mainchain_state(data: bytes, params):
 
         for cert_id, pending in dec.sequence(_read_payouts):
             state.pending_payouts[cert_id] = pending
-            maturity = pending[1]
-            slot = state._payout_maturities.get(maturity, ())
-            if cert_id not in slot:
-                state._payout_maturities[maturity] = (*slot, cert_id)
+            slot_append(state._payout_maturities, pending[1], cert_id)
         return state
 
     return _strict(_read, data)

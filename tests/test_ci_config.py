@@ -76,6 +76,16 @@ class TestWorkflowStructure:
         assert "python -m benchmarks.pipeline --quick --traced" in job_commands(job)
         assert not uploads(job)
 
+    def test_paper_benches_gate_every_push(self, workflow):
+        """Every bench file's assertions run on every push/PR, with
+        pytest-benchmark installed and its timing off; nothing is uploaded."""
+        job = workflow["jobs"]["paper-benches"]
+        assert "if" not in job, "the bench assertions must gate PRs"
+        commands = job_commands(job)
+        assert "python -m pytest benchmarks/ --benchmark-disable -q" in commands
+        assert any("pytest-benchmark" in cmd for cmd in commands if "pip install" in cmd)
+        assert not uploads(job)
+
     def test_pipeline_nightly_uploads_the_record(self, workflow):
         """The full-size traced pipeline runs nightly and keeps its record."""
         job = workflow["jobs"]["pipeline-nightly"]

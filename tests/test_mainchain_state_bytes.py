@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.cctp import SidechainStatus
+from repro.core.cctp import SidechainStatus, slot_ids
 from repro.core.transfers import (
     BackwardTransfer,
     BackwardTransferRequest,
@@ -37,7 +37,7 @@ from repro.core.transfers import (
 )
 from repro.crypto.keys import KeyPair
 from repro.errors import StorageError
-from repro.mainchain.chain import MainchainState
+from repro.mainchain.chain import BlockHashChain, MainchainState
 from repro.mainchain.node import MainchainNode
 from repro.mainchain.params import MainchainParams
 from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx, TransactionBuilder
@@ -250,3 +250,77 @@ def test_encoded_registry_matches_its_golden_digest():
 def test_decoded_registry_encodes_to_the_same_bytes():
     data = encode_mainchain_state(fixed_registry())
     assert encode_mainchain_state(decode_mainchain_state(data, PARAMS)) == data
+
+
+@lru_cache(maxsize=None)
+def superseding_chain() -> MainchainNode:
+    """Blocks 1–16: the sidechain adopts epoch 0 at quality 1 (block 9),
+    supersedes it at quality 2 inside the window (block 10) and certifies
+    nothing after, so it ceases at 15.  At block 10 its deadline slot (15)
+    names it twice and the payout slot (11) holds both certificates.  The
+    caller must not mutate the node."""
+    node = MainchainNode(PARAMS)
+    node.mine_blocks(MINER.address, 3)
+    node.submit_transaction(SidechainDeclarationTx(config=CONFIG))
+    node.mine_block(MINER.address)  # 4
+    coinbase = next(
+        op for op, coin in node.state.utxos.coins_of(MINER.address) if coin.created_height == 1
+    )
+    funding = TransactionBuilder().spend(coinbase, MINER, PARAMS.block_reward)
+    funding.forward_transfer(LEDGER, b"superseding", 1_000)
+    node.submit_transaction(funding.change_to(MINER.address).build())
+    node.mine_blocks(MINER.address, 4)  # 5-8: epoch 0
+    for quality, amounts in ((1, (11, 12)), (2, (21, 22, 23))):
+        node.submit_transaction(_certificate(node, 0, quality, amounts))
+        node.mine_block(MINER.address)  # 9, 10
+    node.mine_blocks(MINER.address, 6)  # 11: payouts mature; 15: ceases; 16
+    return node
+
+
+def _superseded_pair(node: MainchainNode):
+    blocks = node.chain.active_chain()
+    return blocks[9].transactions[1].wcert, blocks[10].transactions[1].wcert
+
+
+def test_a_repeated_deadline_entry_ceases_the_sidechain_once():
+    node = superseding_chain()
+    state = node.chain.state_at(node.chain.block_at_height(10).hash)
+    assert slot_ids(state.cctp._deadlines.get(15)) == [LEDGER, LEDGER]
+    ceased = [state.cctp.advance_to_height(height) for height in range(11, 17)]
+    assert ceased == [[], [], [], [], [LEDGER], []]
+    entry = node.state.cctp.entry(LEDGER)
+    assert (entry.status, entry.ceased_at_height) == (SidechainStatus.CEASED, 15)
+
+
+def test_only_the_superseding_certificate_pays_out_once():
+    node = superseding_chain()
+    superseded, winner = _superseded_pair(node)
+    state = node.chain.state_at(node.chain.block_at_height(10).hash)
+    assert slot_ids(state._payout_maturities.get(11)) == [superseded.id, winner.id]
+    state = node.state
+    paid = sorted(
+        (op.txid == winner.id, op.index, coin.output.amount, coin.created_height)
+        for op, coin in state.utxos.items()
+        if op.txid in (superseded.id, winner.id)
+    )
+    assert paid == [(True, 0, 21, 11), (True, 1, 22, 11), (True, 2, 23, 11)]
+    assert len(state.pending_payouts) == 0
+
+
+@pytest.mark.parametrize("height", [9, 10, 11, 14])
+def test_a_decoded_state_continues_the_chain_to_the_same_digests(height):
+    """The decoder rebuilds both slot indexes without the repeats; the
+    blocks after ``height`` connect onto the decoded state to the bytes the
+    node's own states hold."""
+    node = superseding_chain()
+    blocks = node.chain.active_chain()
+    state = decode_mainchain_state(
+        encode_mainchain_state(node.chain.state_at(blocks[height].hash)), PARAMS
+    )
+    state.height = height
+    state.block_hashes = BlockHashChain([block.hash for block in blocks[: height + 1]])
+    for block in blocks[height + 1 :]:
+        state.connect_block(block)
+        expected = encode_mainchain_state(node.chain.state_at(block.hash))
+        assert encode_mainchain_state(state) == expected, block.height
+    assert state.cctp.entry(LEDGER).ceased_at_height == 15

@@ -49,7 +49,7 @@ from repro import observability
 from repro.core.cctp import CertificateRecord
 from repro.core.commitment import SidechainTxCommitmentTree
 from repro.core.cow import CowDict, CowSet
-from repro.core.transfers import WithdrawalCertificate, derive_ledger_id
+from repro.core.transfers import BackwardTransfer, WithdrawalCertificate, derive_ledger_id
 from repro.crypto import mimc, signatures
 from repro.crypto.keys import KeyPair
 from repro.latus.params import LatusParams
@@ -58,7 +58,11 @@ from repro.latus.transactions import sign_payment
 from repro.latus.utxo import Utxo, address_to_field, derive_nonce
 from repro.mainchain.chain import REORG_HORIZON
 from repro.mainchain.node import MainchainNode
-from repro.mainchain.transaction import CertificateTx, SidechainDeclarationTx
+from repro.mainchain.transaction import (
+    CertificateTx,
+    SidechainDeclarationTx,
+    TransactionBuilder,
+)
 from repro.scenarios import ZendooHarness
 from repro.snark import proving
 from repro.storage import FileStore
@@ -104,6 +108,12 @@ GROWTH = {
     # against sidechain count: leaves of every commitment tree the miner
     # built, one per sidechain active in a block, none for the quiet ones
     "mc.growth.commitment_leaves_per_block": (36, 72),
+    # against sidechain count, certificates of GROWTH_BTS backward transfers
+    # (36 and 72): tuple elements written into the ceasing-deadline and
+    # payout-maturity slots, all sidechains sharing each height; a slot is
+    # a cons cell, so each write is 2 elements (one per registration, two
+    # per certificate) however many ids the slot already holds
+    "mc.growth.slot_elements_per_certificate": (150, 300),
     # against height, at HISTORY_HEIGHTS: bytes a durable node writes for
     # empty blocks, mc/state aside; 216 per block (a block record, and a
     # 32-byte tip per 16-block snapshot)
@@ -134,6 +144,9 @@ TRANSITION_DEPTH = 12
 #: every epoch.
 GROWTH_SIDECHAINS = 3
 
+#: Backward transfers per certificate of the slot-elements row's builds.
+GROWTH_BTS = 2
+
 
 class GrowthRun(NamedTuple):
     """A built :func:`growth_chain` and the work its build did."""
@@ -143,29 +156,35 @@ class GrowthRun(NamedTuple):
     verifies: int
     #: Leaves of every ``SidechainTxCommitmentTree`` built.
     commitment_leaves: int
+    #: Tuple elements written into the height-keyed slot maps.
+    slot_elements: int
 
 
-def _growth_certificate(node: MainchainNode, config, epoch: int) -> CertificateTx:
+def _growth_certificate(node: MainchainNode, config, epoch: int, bts: int = 0) -> CertificateTx:
     schedule = config.schedule
     state = node.state
     h_prev = state.block_hash_at(schedule.last_height(epoch - 1)) if epoch else b"\x00" * 32
     h_last = state.block_hash_at(schedule.last_height(epoch))
-    draft = WithdrawalCertificate(config.ledger_id, epoch, 1, (), (), proving.Proof(bytes(96)))
+    bt_list = tuple(BackwardTransfer(MINER.address, 1 + k) for k in range(bts))
+    draft = WithdrawalCertificate(config.ledger_id, epoch, 1, bt_list, (), proving.Proof(bytes(96)))
     proof = proving.prove(PK, draft.public_input(h_prev, h_last), None)
-    return CertificateTx(wcert=WithdrawalCertificate(config.ledger_id, epoch, 1, (), (), proof))
+    return CertificateTx(wcert=WithdrawalCertificate(config.ledger_id, epoch, 1, bt_list, (), proof))
 
 
 @lru_cache(maxsize=None)
-def growth_chain(epochs: int, sidechains: int = GROWTH_SIDECHAINS) -> GrowthRun:
+def growth_chain(epochs: int, sidechains: int = GROWTH_SIDECHAINS, bts: int = 0) -> GrowthRun:
     """``sidechains`` sidechains (epochs of 4 blocks from height 3, windows
     of 2) certified in every epoch up to ``epochs``; mined up to the block
-    adopting the last certificates.  The caller must not mutate the node."""
+    adopting the last certificates.  With ``bts``, block 4 funds every
+    sidechain and each certificate carries ``bts`` backward transfers.  The
+    caller must not mutate the node."""
     configs = [
         make_config(ledger_id=derive_ledger_id(f"growth/{k}"), start_block=3)
         for k in range(sidechains)
     ]
-    work = {"verifies": 0, "leaves": 0}
+    work = {"verifies": 0, "leaves": 0, "slot_elements": 0}
     verify, tree_init = proving.verify, SidechainTxCommitmentTree.__init__
+    setitem = CowDict.__setitem__
 
     def counted_verify(*args):
         work["verifies"] += 1
@@ -175,21 +194,38 @@ def growth_chain(epochs: int, sidechains: int = GROWTH_SIDECHAINS) -> GrowthRun:
         tree_init(tree, commitments)
         work["leaves"] += tree.leaf_count
 
+    def counted_setitem(cow, key, value):
+        # the only height-keyed maps of tuples in a mainchain state are the
+        # ceasing-deadline and payout-maturity slots
+        if isinstance(key, int) and isinstance(value, tuple):
+            work["slot_elements"] += len(value)
+        setitem(cow, key, value)
+
     proving.verify, SidechainTxCommitmentTree.__init__ = counted_verify, counted_tree
+    CowDict.__setitem__ = counted_setitem
     try:
         node = MainchainNode(PARAMS)
         for config in configs:
             node.submit_transaction(SidechainDeclarationTx(config=config))
         node.mine_block(MINER.address)  # 1
+        if bts:
+            node.mine_blocks(MINER.address, 2)  # block 1's coinbase matures; sidechains start
+            coinbase = next(op for op, coin in node.state.utxos.coins_of(MINER.address)
+                            if coin.created_height == 1)
+            funding = TransactionBuilder().spend(coinbase, MINER, PARAMS.block_reward)
+            for config in configs:
+                funding.forward_transfer(config.ledger_id, b"growth", 1_000)
+            node.submit_transaction(funding.change_to(MINER.address).build())
         for epoch in range(epochs):
             first_submission = configs[0].schedule.submission_window(epoch).start
             node.mine_blocks(MINER.address, first_submission - 1 - node.height)
             for config in configs:
-                node.submit_transaction(_growth_certificate(node, config, epoch))
+                node.submit_transaction(_growth_certificate(node, config, epoch, bts))
             node.mine_block(MINER.address)
     finally:
         proving.verify, SidechainTxCommitmentTree.__init__ = verify, tree_init
-    return GrowthRun(node, work["verifies"], work["leaves"])
+        CowDict.__setitem__ = setitem
+    return GrowthRun(node, work["verifies"], work["leaves"], work["slot_elements"])
 
 
 def _adopted(node: MainchainNode) -> int:
@@ -295,6 +331,22 @@ def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():
     }
     for counts in measured.values():
         assert counts[1] / adopted[1] <= counts[0] / adopted[0]
+
+
+def test_a_certificate_writes_the_same_slot_elements_however_many_sidechains_share_a_height():
+    """Twice the sidechains, every one sharing each ceasing deadline and
+    each payout-maturity height: no more slot elements written per
+    certificate, and every certificate's payouts matured."""
+    epochs = GROWTH_EPOCHS[0]
+    runs = [growth_chain(epochs, n, GROWTH_BTS) for n in GROWTH_SIDECHAIN_COUNTS]
+    adopted = [_adopted(run.node) for run in runs]
+    assert adopted == [n * epochs for n in GROWTH_SIDECHAIN_COUNTS]
+    # the last epoch's payouts are still pending, every earlier one matured
+    pending = [len(run.node.state.pending_payouts) for run in runs]
+    assert pending == list(GROWTH_SIDECHAIN_COUNTS)
+    counts = [run.slot_elements for run in runs]
+    assert tuple(counts) == GROWTH["mc.growth.slot_elements_per_certificate"]
+    assert counts[1] / adopted[1] <= counts[0] / adopted[0]
 
 
 class HistoryCountingStore(FileStore):

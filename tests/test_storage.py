@@ -778,6 +778,48 @@ class TestMainchainDiskRecovery:
             recovered.receive_block(side)
         recovered.close()
 
+    def test_a_branch_off_a_pruned_block_is_skipped_whole(self, tmp_path):
+        """A two-block side branch off a block below the snapshot's: the
+        first block forks off a block without a state, the second descends
+        from a skipped block; replay skips both and reaches the tip."""
+        node = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        node.mine_blocks(MINER.address, 17)
+        rival = MainchainNode(_mc_params())
+        for block in node.chain.active_chain()[1:6]:
+            rival.receive_block(block)
+        side = [rival.mine_block(MINER.address, timestamp=t) for t in (100, 101)]  # off block 5
+        for block in side:
+            node.receive_block(block)
+        node.mine_blocks(MINER.address, 2 * SNAPSHOT_INTERVAL + 15)  # snapshot at 64
+        tip = node.chain.tip.hash
+        node.close()
+        recovered = MainchainNode(_mc_params(), data_dir=tmp_path / "mc")
+        assert recovered.chain.tip.hash == tip
+        assert not any(block.hash in recovered.chain for block in side)
+        recovered.close()
+
+    @pytest.mark.parametrize("height", [1, 6, 12])
+    def test_a_block_whose_parent_nothing_holds_is_refused(self, tmp_path, height):
+        """One bit of a logged block's ``prev_hash`` flipped: no block, in the
+        chain or the log, is its parent.  Recovery refuses the store and
+        leaves every file as found, rather than skipping the block and
+        every block after it into a shorter chain."""
+        data_dir = tmp_path / "mc"
+        node = MainchainNode(_mc_params(), data_dir=data_dir)
+        node.mine_blocks(MINER.address, 12)  # no snapshot: every block replays
+        # block ``height``'s prev_hash is the one logged copy of its parent's hash
+        parent = node.chain.block_at_height(height - 1).hash
+        node.close()
+        wal = data_dir / "wal.log"
+        data = bytearray(wal.read_bytes())
+        assert data.count(parent) == 1
+        data[data.index(parent)] ^= 0x10
+        wal.write_bytes(bytes(data))
+        found = _dir_bytes(data_dir)
+        with pytest.raises(StorageError, match="unknown"):
+            MainchainNode(_mc_params(), data_dir=data_dir)
+        assert _dir_bytes(data_dir) == found
+
     def test_restart_onto_an_empty_data_dir_is_durable(self, tmp_path):
         node = MainchainNode(_mc_params())
         node.mine_blocks(MINER.address, 1)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Container, Iterator
 
 from repro.core.bootstrap import SidechainConfig
@@ -56,21 +56,21 @@ from repro.snark import proving
 from repro import observability
 
 _REGISTRY = observability.registry()
-_WCERT_VERIFICATIONS = _REGISTRY.counter(
+_WCERT_VERIFICATIONS = observability.SeriesByLabel(_REGISTRY.counter(
     "repro_cctp_wcert_total",
     "withdrawal-certificate verifications, by result",
     labelnames=("result",),
-)
-_BTR_VERIFICATIONS = _REGISTRY.counter(
+))
+_BTR_VERIFICATIONS = observability.SeriesByLabel(_REGISTRY.counter(
     "repro_cctp_btr_total",
     "backward-transfer-request verifications, by result",
     labelnames=("result",),
-)
-_CSW_VERIFICATIONS = _REGISTRY.counter(
+))
+_CSW_VERIFICATIONS = observability.SeriesByLabel(_REGISTRY.counter(
     "repro_cctp_csw_total",
     "ceased-sidechain-withdrawal verifications, by result",
     labelnames=("result",),
-)
+))
 _SAFEGUARD_REJECTIONS = _REGISTRY.counter(
     "repro_cctp_safeguard_rejections_total",
     "operations rejected because they would overdraw the withdrawal safeguard",
@@ -90,9 +90,9 @@ def _counted(verifications, rejected: type[ZendooError]):
             except rejected as exc:
                 if isinstance(exc, SafeguardViolation):
                     _SAFEGUARD_REJECTIONS.inc()
-                verifications.labels(result="rejected").inc()
+                verifications["rejected"].inc()
                 raise
-            verifications.labels(result="accepted").inc()
+            verifications["accepted"].inc()
             return result
 
         return counted
@@ -122,7 +122,7 @@ class SidechainStatus(enum.Enum):
     CEASED = "ceased"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateRecord:
     """The adopted certificate for one (sidechain, epoch); ``included_in_block``
     stays None until :meth:`CctpState.seal_block` names the block."""
@@ -174,7 +174,7 @@ class CertificateHistory(Mapping):
         return list(enumerate(self.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SidechainEntry:
     """Mainchain-side record of one sidechain, an immutable value: a change
     stores a new entry (:meth:`CctpState._replace`), so snapshots share entries
@@ -241,7 +241,7 @@ class CctpState:
 
     def _replace(self, entry: SidechainEntry, **changes) -> SidechainEntry:
         """Store ``entry`` with ``changes`` applied as its sidechain's entry."""
-        entry = SidechainEntry(**{**entry.__dict__, **changes})
+        entry = replace(entry, **changes)
         self.sidechains[entry.config.ledger_id] = entry
         return entry
 
@@ -474,9 +474,9 @@ class CctpState:
                     raise CctpError("BTR amount must be positive")
                 self._check_nullified_proof(entry, btr, entry.config.btr_vk, claimed)
             except ZendooError:
-                _BTR_VERIFICATIONS.labels(result="rejected").inc()
+                _BTR_VERIFICATIONS["rejected"].inc()
                 raise
-            _BTR_VERIFICATIONS.labels(result="accepted").inc()
+            _BTR_VERIFICATIONS["accepted"].inc()
             claimed.add(btr.ledger_id + btr.nullifier)
         for btr in btrs:
             self.nullifiers.add(btr.ledger_id + btr.nullifier)

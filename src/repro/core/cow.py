@@ -2,108 +2,144 @@
 
 The mainchain keeps one validated :class:`~repro.mainchain.chain.MainchainState`
 per block within its reorg horizon, the parent's state copied with the block
-connected.  With thousands of sidechains and millions of UTXOs / nullifiers,
-an eager ``dict(...)`` / ``set(...)`` copy makes every block pay for the
-*whole* state even though a block touches a handful of entries.
+connected; a block touches a handful of entries, so no copy may pay for the
+whole state.  :class:`CowDict` and :class:`CowSet` keep every copy of a map
+as one *version* of a family over a single flat dict (shallow binding, or a
+chain's per-block undo data):
 
-:class:`CowDict` and :class:`CowSet` replace those eager copies with
-structural sharing:
+* The **root** version holds the dict: a read of it is one probe.
+* Every other version holds an **undo record** ``{key: the value it sees}``
+  against its neighbour towards the root; a read walks those records (at
+  most ``REORG_HORIZON + 1`` for a mainchain's kept states).
+* ``copy()`` is O(1): the handles share the version.  The first to write
+  *splits*, taking the dict in a new root; each of its writes adds at most
+  one entry to the record left behind, which it reaches by a weak reference,
+  so a version nobody keeps (a dropped block state) frees its record.
+* Writing to, or iterating, an older version *re-roots* the family: the
+  records on its path are reversed and no version's content changes.  A
+  re-rooted version may have other readers, so it splits before a write.
 
-* Each container owns a small mutable **top layer** (plain dict of adds plus
-  a tombstone set for deletions) stacked over a tuple of immutable **sealed
-  layers** shared with every snapshot taken so far.
-* ``copy()`` seals the top layer and hands the clone the same sealed stack —
-  O(size of the top layer), independent of the total element count.
-* Lookups walk top-down through the layers; to keep that walk short, sealing
-  compacts: when the stack holds more than :data:`MAX_LAYERS` delta layers
-  they are merged into one (cost proportional to the *deltas*, not the
-  base), and when the merged delta outgrows half the base it is folded into
-  a new base (geometrically amortized, so total compaction work stays linear
-  in the number of mutations ever made).
-
-The containers deliberately implement only the mapping/set surface the
-state machine uses; ``len`` is maintained incrementally so snapshots never
-pay a full scan.
+Iteration reads the root dict itself: do not write to the family meanwhile.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable, Iterator
 
-#: Maximum number of sealed delta layers before a seal triggers compaction.
-MAX_LAYERS: int = 16
-
-_TOMBSTONE = object()
+_ABSENT = object()
 
 
-class _Layer:
-    """One immutable sealed layer: a plain dict where deleted keys map to
-    the :data:`_TOMBSTONE` sentinel.  Never mutated after sealing."""
+class _Version:
+    """One version of a :class:`CowDict` family: the root holds ``data``
+    (and ``back``, a weak reference to the record it split from), any other
+    version its ``undo`` record against ``next`` and its ``size``."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("data", "undo", "next", "size", "back", "__weakref__")
 
-    def __init__(self, entries: dict) -> None:
-        self.entries = entries
+    def __init__(self, data: dict) -> None:
+        self.data, self.undo, self.next, self.size, self.back = data, None, None, 0, None
+
+
+def _reroot(version: _Version) -> None:
+    """Make ``version`` the root by reversing the undo records on its path."""
+    path = []
+    while version.data is None:
+        path.append(version)
+        version = version.next
+    root, data = version, version.data
+    for version in reversed(path):
+        redo, size = {}, len(data)
+        for key, value in version.undo.items():
+            redo[key] = data.get(key, _ABSENT)
+            if value is _ABSENT:
+                data.pop(key, None)
+            else:
+                data[key] = value
+        root.data, root.undo, root.next, root.size = None, redo, version, size
+        version.data, version.undo, version.next = data, None, None
+        root = version
 
 
 class CowDict:
-    """A dict with O(delta) snapshots via layered structural sharing."""
+    """A dict with O(1) snapshots: versions over one flat dict."""
 
-    __slots__ = ("_base", "_deltas", "_top", "_len")
+    __slots__ = ("_version", "_own")
 
     def __init__(self, items: dict | None = None) -> None:
-        #: Largest sealed layer; contains no tombstones.
-        self._base: dict = dict(items) if items else {}
-        #: Sealed delta layers, oldest first (shared across snapshots).
-        self._deltas: tuple[_Layer, ...] = ()
-        #: The only mutable layer; owned exclusively by this instance.
-        self._top: dict = {}
-        self._len = len(self._base)
+        self._version = _Version(dict(items) if items else {})
+        #: True while no other handle and no copy shares ``_version``.
+        self._own = True
 
     # -- mapping surface --------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
+        version = self._version
+        return version.size if version.data is None else len(version.data)
 
     def __contains__(self, key: Any) -> bool:
-        return self._lookup(key) is not _TOMBSTONE
+        data = self._version.data
+        return key in data if data is not None else self._find(key) is not _ABSENT
 
     def __getitem__(self, key: Any) -> Any:
-        value = self._lookup(key)
-        if value is _TOMBSTONE:
+        data = self._version.data
+        if data is not None:
+            return data[key]
+        value = self._find(key)
+        if value is _ABSENT:
             raise KeyError(key)
         return value
 
     def get(self, key: Any, default: Any = None) -> Any:
-        value = self._lookup(key)
-        return default if value is _TOMBSTONE else value
+        data = self._version.data
+        if data is not None:
+            return data.get(key, default)
+        value = self._find(key)
+        return default if value is _ABSENT else value
 
-    def _lookup(self, key: Any) -> Any:
-        """The effective value for ``key``, or the tombstone sentinel."""
-        value = self._top.get(key, _TOMBSTONE)
-        if value is not _TOMBSTONE or key in self._top:
-            return value
-        for layer in reversed(self._deltas):
-            if key in layer.entries:
-                return layer.entries[key]
-        return self._base.get(key, _TOMBSTONE)
+    def _find(self, key: Any) -> Any:
+        """The value an older version sees: the first undo record on its
+        path that names ``key``, else the root's; :data:`_ABSENT` if none."""
+        version = self._version
+        while version.data is None:
+            if key in version.undo:
+                return version.undo[key]
+            version = version.next
+        return version.data.get(key, _ABSENT)
+
+    def _writable(self) -> dict | None:
+        """Make this handle's version a root it alone writes; returns the
+        undo record its writes must fill (None when no version needs one)."""
+        version = self._version
+        if version.data is None:
+            _reroot(version)
+        if not self._own:
+            root = _Version(version.data)
+            root.back = weakref.ref(version)
+            version.size, version.data, version.undo = len(version.data), None, {}
+            version.next, version.back = root, None
+            self._version, self._own = root, True
+            return version.undo
+        record = version.back and version.back()
+        return None if record is None else record.undo
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        if self._lookup(key) is _TOMBSTONE:
-            self._len += 1
-        self._top[key] = value
+        undo = self._writable()
+        data = self._version.data
+        if undo is not None and key not in undo:
+            undo[key] = data.get(key, _ABSENT)
+        data[key] = value
 
     def pop(self, key: Any, *default: Any) -> Any:
-        value = self._lookup(key)
-        if value is _TOMBSTONE:
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
             if default:
                 return default[0]
             raise KeyError(key)
-        self._top[key] = _TOMBSTONE
-        self._len -= 1
+        undo = self._writable()
+        if undo is not None and key not in undo:
+            undo[key] = value
+        del self._version.data[key]
         return value
 
     def __delitem__(self, key: Any) -> None:
@@ -111,97 +147,54 @@ class CowDict:
 
     def discard(self, key: Any) -> None:
         """Remove ``key`` when present (no-op otherwise)."""
-        if self._lookup(key) is not _TOMBSTONE:
-            self._top[key] = _TOMBSTONE
-            self._len -= 1
+        self.pop(key, None)
 
     def setdefault(self, key: Any, default: Any = None) -> Any:
-        value = self._lookup(key)
-        if value is not _TOMBSTONE:
+        value = self.get(key, _ABSENT)
+        if value is not _ABSENT:
             return value
-        self._top[key] = default
-        self._len += 1
+        undo = self._writable()
+        if undo is not None and key not in undo:
+            undo[key] = _ABSENT
+        self._version.data[key] = default
         return default
 
     def clear(self) -> None:
-        self._base = {}
-        self._deltas = ()
-        self._top = {}
-        self._len = 0
+        """Empty this handle: a new family, every copy keeps its content."""
+        self._version, self._own = _Version({}), True
 
-    # -- iteration ---------------------------------------------------------------
-    #
-    # Iteration order is layer order (base first, then deltas, then the top
-    # layer), with later layers winning on duplicates.  It is deterministic
-    # but NOT global insertion order; state-machine callers must not depend
-    # on ordering across snapshots.
+    # -- iteration ----------------------------------------------------------------
 
-    def _merged(self) -> dict:
-        """One flat dict of the effective content (tombstones resolved)."""
-        merged = dict(self._base)
-        for layer in self._deltas:
-            self._apply_layer(merged, layer.entries)
-        self._apply_layer(merged, self._top)
-        return merged
-
-    @staticmethod
-    def _apply_layer(merged: dict, entries: dict) -> None:
-        for key, value in entries.items():
-            if value is _TOMBSTONE:
-                merged.pop(key, None)
-            else:
-                merged[key] = value
+    def _root_data(self) -> dict:
+        version = self._version
+        if version.data is None:
+            _reroot(version)
+        return version.data
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._merged())
+        return iter(self._root_data())
 
     def keys(self) -> Iterable[Any]:
-        return self._merged().keys()
+        return self._root_data().keys()
 
     def values(self) -> Iterable[Any]:
-        return self._merged().values()
+        return self._root_data().values()
 
     def items(self) -> Iterable[tuple[Any, Any]]:
-        return self._merged().items()
+        return self._root_data().items()
 
     # -- snapshots ---------------------------------------------------------------
 
-    def _seal(self) -> None:
-        """Freeze the top layer into the shared delta stack, compacting."""
-        if self._top:
-            self._deltas = (*self._deltas, _Layer(self._top))
-            self._top = {}
-        if len(self._deltas) > MAX_LAYERS:
-            merged_delta: dict = {}
-            for layer in self._deltas:
-                merged_delta.update(layer.entries)
-            # fold into the base once the combined deltas rival it in size;
-            # geometric growth keeps the amortized cost per mutation O(1)
-            if len(merged_delta) * 2 >= len(self._base):
-                base = dict(self._base)
-                self._apply_layer(base, merged_delta)
-                self._base = base
-                self._deltas = ()
-            else:
-                self._deltas = (_Layer(merged_delta),)
-
     def copy(self) -> "CowDict":
-        """O(top layer) snapshot sharing all sealed layers with ``self``."""
-        self._seal()
-        clone = CowDict()
-        clone._base = self._base
-        clone._deltas = self._deltas
-        clone._len = self._len
+        """O(1) snapshot: both handles share the version until one writes."""
+        clone = CowDict.__new__(CowDict)
+        clone._version = self._version
+        clone._own = self._own = False
         return clone
-
-    @property
-    def layer_count(self) -> int:
-        """Sealed delta layers currently stacked (introspection/tests)."""
-        return len(self._deltas)
 
 
 class CowSet:
-    """A set with O(delta) snapshots, backed by :class:`CowDict`."""
+    """A set with O(1) snapshots, backed by :class:`CowDict`."""
 
     __slots__ = ("_map",)
 
@@ -210,9 +203,6 @@ class CowSet:
 
     def __len__(self) -> int:
         return len(self._map)
-
-    def __bool__(self) -> bool:
-        return bool(self._map)
 
     def __contains__(self, item: Any) -> bool:
         return item in self._map
@@ -233,12 +223,7 @@ class CowSet:
         self._map.clear()
 
     def copy(self) -> "CowSet":
-        """O(top layer) snapshot sharing sealed layers with ``self``."""
-        clone = CowSet()
+        """O(1) snapshot (:meth:`CowDict.copy`)."""
+        clone = CowSet.__new__(CowSet)
         clone._map = self._map.copy()
         return clone
-
-    @property
-    def layer_count(self) -> int:
-        """Sealed delta layers currently stacked (introspection/tests)."""
-        return self._map.layer_count

@@ -12,8 +12,7 @@ ids are blake2b digests of those encodings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.crypto.field import element_from_bytes
 from repro.crypto.hashing import hash_bytes
@@ -26,6 +25,14 @@ from repro.snark.proving import Proof
 LEDGER_ID_BYTES: int = 32
 
 
+def _cached_id(value, tag: bytes) -> bytes:
+    """``value``'s id, the digest of its encoding under ``tag``, computed
+    once into its ``_id`` slot (a field ``dataclasses.replace`` resets)."""
+    if value._id is None:
+        object.__setattr__(value, "_id", hash_bytes(value.encode(), tag))
+    return value._id
+
+
 def derive_ledger_id(seed: bytes | str) -> bytes:
     """Derive a ledger id deterministically from a seed (tests/examples)."""
     if isinstance(seed, str):
@@ -33,7 +40,7 @@ def derive_ledger_id(seed: bytes | str) -> bytes:
     return hash_bytes(seed, b"zendoo/ledger-id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardTransfer:
     """Forward Transfer (Def. 4.1): mainchain → sidechain.
 
@@ -45,34 +52,36 @@ class ForwardTransfer:
     ledger_id: bytes
     receiver_metadata: bytes
     amount: int
+    _id: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def encode(self) -> bytes:
         """Canonical byte encoding, ``ledger_id | var_bytes(metadata) | u64(amount)``."""
         meta, amount = self.receiver_metadata, self.amount.to_bytes(8, "little")
         return b"".join((self.ledger_id, len(meta).to_bytes(4, "little"), meta, amount))
 
-    @cached_property
+    @property
     def id(self) -> bytes:
         """Digest identifying this transfer inside commitment trees."""
-        return hash_bytes(self.encode(), b"zendoo/ft")
+        return _cached_id(self, b"zendoo/ft")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackwardTransfer:
     """Backward Transfer (Def. 4.3): a payout entry inside a certificate."""
 
     receiver_addr: bytes
     amount: int
+    _id: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def encode(self) -> bytes:
         """Canonical byte encoding, ``var_bytes(receiver_addr) | u64(amount)``."""
         addr = self.receiver_addr
         return len(addr).to_bytes(4, "little") + addr + self.amount.to_bytes(8, "little")
 
-    @cached_property
+    @property
     def id(self) -> bytes:
         """Digest of this backward transfer."""
-        return hash_bytes(self.encode(), b"zendoo/bt")
+        return _cached_id(self, b"zendoo/bt")
 
 
 def bt_list_root(bt_list: tuple[BackwardTransfer, ...]) -> bytes:
@@ -90,7 +99,7 @@ def proofdata_root(proofdata: tuple[int, ...]) -> int:
     return mimc_hash(proofdata)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WithdrawalCertificate:
     """Withdrawal Certificate (Def. 4.4): the per-epoch sidechain heartbeat.
 
@@ -105,6 +114,7 @@ class WithdrawalCertificate:
     bt_list: tuple[BackwardTransfer, ...]
     proofdata: tuple[int, ...]
     proof: Proof
+    _id: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def encode(self) -> bytes:
         """Canonical byte encoding (the :class:`Encoder` layout, built in one
@@ -118,15 +128,16 @@ class WithdrawalCertificate:
             len(proofdata).to_bytes(4, "little"), *(v.to_bytes(32, "little") for v in proofdata),
             len(proof).to_bytes(4, "little"), proof,
         ))
-        if "id" not in self.__dict__:
-            self.__dict__["id"] = hash_bytes(data, b"zendoo/wcert")
+        if self._id is None:
+            object.__setattr__(self, "_id", hash_bytes(data, b"zendoo/wcert"))
         return data
 
-    @cached_property
+    @property
     def id(self) -> bytes:
         """Digest identifying this certificate (:meth:`encode` computes it)."""
-        self.encode()
-        return self.__dict__["id"]
+        if self._id is None:
+            self.encode()
+        return self._id
 
     @property
     def withdrawn_amount(self) -> int:
@@ -154,95 +165,72 @@ class WithdrawalCertificate:
         )
 
 
-@dataclass(frozen=True)
-class BackwardTransferRequest:
+@dataclass(frozen=True, slots=True)
+class _NullifiedWithdrawal:
+    """What a BTR and a CSW share: a SNARK-proved claim of ``amount`` for
+    ``receiver`` on a sidechain, consumed once by its ``nullifier``."""
+
+    ledger_id: bytes
+    receiver: bytes
+    amount: int
+    nullifier: bytes
+    proofdata: tuple[int, ...]
+    proof: Proof
+    _id: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    #: Domain of :attr:`id`.
+    _ID_TAG = b""
+
+    def encode(self) -> bytes:
+        """Canonical byte encoding."""
+        enc = (
+            Encoder()
+            .raw(self.ledger_id)
+            .var_bytes(self.receiver)
+            .u64(self.amount)
+            .var_bytes(self.nullifier)
+        )
+        enc.sequence(self.proofdata, lambda e, v: e.field_element(v))
+        enc.var_bytes(self.proof.to_bytes())
+        return enc.done()
+
+    @property
+    def id(self) -> bytes:
+        """Digest identifying this request."""
+        return _cached_id(self, self._ID_TAG)
+
+    def sysdata(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
+        """``(H(Bw), nullifier, receiver, amount)``: the ``btr_sysdata`` of
+        Def. 4.5, and a CSW's of the same shape (Def. 4.6)."""
+        return (
+            element_from_bytes(h_last_wcert_block),
+            element_from_bytes(self.nullifier),
+            element_from_bytes(hash_bytes(self.receiver, b"zendoo/receiver")),
+            self.amount,
+        )
+
+    def public_input(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
+        """The full SNARK public input ``(sysdata, MH(proofdata))``."""
+        return self.sysdata(h_last_wcert_block) + (proofdata_root(self.proofdata),)
+
+
+@dataclass(frozen=True, slots=True)
+class BackwardTransferRequest(_NullifiedWithdrawal):
     """Backward Transfer Request (Def. 4.5): MC-submitted withdrawal request.
 
     Does *not* move coins on the mainchain — it is synchronized to the
     sidechain, which services it through the next withdrawal certificate.
     """
 
-    ledger_id: bytes
-    receiver: bytes
-    amount: int
-    nullifier: bytes
-    proofdata: tuple[int, ...]
-    proof: Proof
-
-    def encode(self) -> bytes:
-        """Canonical byte encoding."""
-        enc = (
-            Encoder()
-            .raw(self.ledger_id)
-            .var_bytes(self.receiver)
-            .u64(self.amount)
-            .var_bytes(self.nullifier)
-        )
-        enc.sequence(self.proofdata, lambda e, v: e.field_element(v))
-        enc.var_bytes(self.proof.to_bytes())
-        return enc.done()
-
-    @cached_property
-    def id(self) -> bytes:
-        """Digest identifying this request."""
-        return hash_bytes(self.encode(), b"zendoo/btr")
-
-    def sysdata(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
-        """``btr_sysdata = (H(Bw), nullifier, receiver, amount)`` per Def. 4.5."""
-        return (
-            element_from_bytes(h_last_wcert_block),
-            element_from_bytes(self.nullifier),
-            element_from_bytes(hash_bytes(self.receiver, b"zendoo/receiver")),
-            self.amount,
-        )
-
-    def public_input(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
-        """The full SNARK public input ``(btr_sysdata, MH(proofdata))``."""
-        return self.sysdata(h_last_wcert_block) + (proofdata_root(self.proofdata),)
+    _ID_TAG = b"zendoo/btr"
 
 
-@dataclass(frozen=True)
-class CeasedSidechainWithdrawal:
+@dataclass(frozen=True, slots=True)
+class CeasedSidechainWithdrawal(_NullifiedWithdrawal):
     """Ceased Sidechain Withdrawal (Def. 4.6): direct payout from a dead SC.
 
     Structurally identical to a BTR but performs a direct payment; only valid
     once the sidechain has ceased.
     """
 
-    ledger_id: bytes
-    receiver: bytes
-    amount: int
-    nullifier: bytes
-    proofdata: tuple[int, ...]
-    proof: Proof
-
-    def encode(self) -> bytes:
-        """Canonical byte encoding."""
-        enc = (
-            Encoder()
-            .raw(self.ledger_id)
-            .var_bytes(self.receiver)
-            .u64(self.amount)
-            .var_bytes(self.nullifier)
-        )
-        enc.sequence(self.proofdata, lambda e, v: e.field_element(v))
-        enc.var_bytes(self.proof.to_bytes())
-        return enc.done()
-
-    @cached_property
-    def id(self) -> bytes:
-        """Digest identifying this withdrawal."""
-        return hash_bytes(self.encode(), b"zendoo/csw")
-
-    def sysdata(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
-        """CSW sysdata — same shape as the BTR's (Def. 4.6)."""
-        return (
-            element_from_bytes(h_last_wcert_block),
-            element_from_bytes(self.nullifier),
-            element_from_bytes(hash_bytes(self.receiver, b"zendoo/receiver")),
-            self.amount,
-        )
-
-    def public_input(self, h_last_wcert_block: bytes) -> tuple[int, ...]:
-        """The full SNARK public input ``(csw_sysdata, MH(proofdata))``."""
-        return self.sysdata(h_last_wcert_block) + (proofdata_root(self.proofdata),)
+    _ID_TAG = b"zendoo/csw"

@@ -51,11 +51,11 @@ _BLOCKS_CONNECTED = _REGISTRY.counter(
     "repro_mainchain_blocks_connected_total",
     "blocks connected to a validated mainchain state",
 ).labels()
-_TXS_CONNECTED = _REGISTRY.counter(
+_TXS_CONNECTED = observability.SeriesByLabel(_REGISTRY.counter(
     "repro_mainchain_txs_connected_total",
     "non-coinbase transactions connected inside blocks, by type",
     labelnames=("type",),
-)
+))
 _BLOCKS_REFUSED = _REGISTRY.counter(
     "repro_mainchain_blocks_refused_total",
     "blocks refused before validation, by reason",
@@ -246,7 +246,7 @@ class MainchainState:
         else:  # a CswTx: the structure check refused every other type
             receiver, amount = self.cctp.process_csw(tx.csw, height)
             self.utxos.create(outpoint_key(tx.txid, 0), receiver, amount, height, 0)
-        _TXS_CONNECTED.labels(type=_TX_TYPE_LABELS[type(tx)]).inc()
+        _TXS_CONNECTED[_TX_TYPE_LABELS[type(tx)]].inc()
         return fee
 
     def _mature_payouts(self, height: int) -> None:

@@ -15,7 +15,7 @@ signatures; inputs sign that digest so ids are signature-independent.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.bootstrap import SidechainConfig
@@ -63,6 +63,7 @@ class TxInput:
 class BaseTransaction(abc.ABC):
     """Common surface of all mainchain transactions."""
 
+    __slots__ = ()
     #: Discriminator byte mixed into every encoding.
     kind: int = 0
 
@@ -139,7 +140,7 @@ class SidechainDeclarationTx(BaseTransaction):
         return self.encode_unsigned()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateTx(BaseTransaction):
     """Carrier of a withdrawal certificate (Def. 4.4).
 
@@ -149,8 +150,16 @@ class CertificateTx(BaseTransaction):
     """
 
     wcert: WithdrawalCertificate
+    _txid: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     kind = 3
+
+    @property
+    def txid(self) -> bytes:
+        """The transaction id, kept in a slot (the type has no ``__dict__``)."""
+        if self._txid is None:
+            object.__setattr__(self, "_txid", BaseTransaction.txid.func(self))
+        return self._txid
 
     def encode_unsigned(self) -> bytes:
         return Encoder().u8(self.kind).var_bytes(self.wcert.encode()).done()

@@ -37,6 +37,7 @@ from repro.observability.registry import (
     Histogram,
     HistogramSeries,
     MetricsRegistry,
+    SeriesByLabel,
 )
 from repro.observability.tracing import NOOP_SPAN, Span, Tracer
 from repro.observability import export

@@ -193,6 +193,20 @@ class _Metric:
         return self._series[()]
 
 
+class SeriesByLabel(dict):
+    """Label value -> series of a one-label metric, bound on first use (a
+    snapshot lists only the values that occurred)."""
+
+    def __init__(self, metric: _Metric) -> None:
+        super().__init__()
+        (self._labelname,) = metric.labelnames
+        self._metric = metric
+
+    def __missing__(self, value: str) -> _Series:
+        series = self[value] = self._metric.labels(**{self._labelname: value})
+        return series
+
+
 class Counter(_Metric):
     kind = "counter"
 

@@ -114,7 +114,7 @@ class ProvingKey:
     verifying_key: VerifyingKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proof:
     """A constant-size proof object.
 

@@ -1,15 +1,27 @@
 """Unit tests for the copy-on-write containers and CoW state snapshots.
 
-Covers :mod:`repro.core.cow` directly, the snapshot isolation of
+Covers :mod:`repro.core.cow` directly (with a stateful differential test
+against plain-dict models), the snapshot isolation of
 :class:`~repro.core.cctp.CctpState` (its registry of immutable sidechain
 entries and its one nullifier set, both copy-on-write), the block-hash
 chain overlay in :mod:`repro.mainchain.chain`, and end-to-end snapshot
 independence of :class:`MainchainState`.
 """
 
-import pytest
+import gc
 
-from repro.core.cow import MAX_LAYERS, CowDict, CowSet
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.core.cow import CowDict, CowSet
 from repro.core.cctp import CctpState, SidechainStatus
 from repro.core.transfers import ForwardTransfer
 from repro.errors import UnknownSidechain
@@ -71,14 +83,34 @@ class TestCowDict:
             assert snap[upto] == upto * 10
             assert (upto + 1) not in snap
 
-    def test_compaction_bounds_layer_count(self):
+    def test_a_long_copy_chain_keeps_one_dict(self):
         d = CowDict({i: i for i in range(100)})
+        kept = []
         for i in range(200):
             d[1000 + i] = i
+            kept.append(d)
             d = d.copy()
-        assert d.layer_count <= MAX_LAYERS + 1
         assert len(d) == 300
         assert d[50] == 50 and d[1000 + 199] == 199
+        # one flat dict for the whole family, held by the live version
+        # (the last kept handle shares it: nothing was written since)
+        assert kept[-1]._version is d._version and d._version.data is not None
+        assert all(k._version.data is None for k in kept[:-1])
+        assert kept[0][1000] == 0 and 1001 not in kept[0]
+        del kept
+        gc.collect()
+        # the dropped versions freed their undo records
+        assert d._version.back() is None
+
+    def test_iterating_an_old_version_reroots_without_changing_content(self):
+        d = CowDict({"a": 1})
+        old = d.copy()
+        d["b"] = 2
+        del d["a"]
+        assert dict(old.items()) == {"a": 1}  # re-roots the family onto old
+        assert dict(d.items()) == {"b": 2} and len(d) == 1 and len(old) == 1
+        d["c"] = 3
+        assert old.get("c") is None and old["a"] == 1
 
     def test_clear(self):
         d = CowDict({"a": 1})
@@ -108,6 +140,170 @@ class TestCowSet:
         assert b"n1" not in s
         assert b"n1" in clone and b"n2" in clone
         assert b"n2" not in s
+
+
+KEYS = st.integers(min_value=0, max_value=5)
+VALUES = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+PICK = st.integers(min_value=0, max_value=1_000)
+
+
+class CowDictFamily(RuleBasedStateMachine):
+    """Handles of one :class:`CowDict` family, each with a plain-dict model:
+    copy any kept version, write or read any version, drop one; after
+    every step every kept version equals its model."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kept: list[tuple[CowDict, dict]] = [(CowDict({0: 0}), {0: 0})]
+
+    def _pick(self, i: int) -> tuple[CowDict, dict]:
+        return self.kept[i % len(self.kept)]
+
+    @rule(i=PICK)
+    def copy(self, i):
+        handle, model = self._pick(i)
+        self.kept.append((handle.copy(), dict(model)))
+
+    @rule(i=PICK, key=KEYS, value=VALUES)
+    def set(self, i, key, value):
+        handle, model = self._pick(i)
+        handle[key] = model[key] = value
+
+    @rule(i=PICK, key=KEYS)
+    def pop(self, i, key):
+        handle, model = self._pick(i)
+        if key in model:
+            assert handle.pop(key) == model.pop(key)
+        else:
+            with pytest.raises(KeyError):
+                handle.pop(key)
+            assert handle.pop(key, "default") == "default"
+
+    @rule(i=PICK, key=KEYS)
+    def discard(self, i, key):
+        handle, model = self._pick(i)
+        handle.discard(key)
+        model.pop(key, None)
+
+    @rule(i=PICK, key=KEYS, value=VALUES)
+    def setdefault(self, i, key, value):
+        handle, model = self._pick(i)
+        assert handle.setdefault(key, value) == model.setdefault(key, value)
+
+    @rule(i=PICK)
+    def clear(self, i):
+        handle, model = self._pick(i)
+        handle.clear()
+        model.clear()
+
+    @rule(i=PICK, key=KEYS)
+    def read(self, i, key):
+        handle, model = self._pick(i)
+        assert (key in handle) == (key in model)
+        if key in model:
+            assert handle[key] == model[key]
+        else:
+            with pytest.raises(KeyError):
+                handle[key]
+
+    @rule(i=PICK)
+    def iterate(self, i):
+        handle, model = self._pick(i)
+        assert dict(handle.items()) == model
+        assert sorted(handle) == sorted(model) == sorted(handle.keys())
+        assert sorted(handle.values(), key=repr) == sorted(model.values(), key=repr)
+
+    @precondition(lambda self: len(self.kept) > 1)
+    @rule(i=PICK)
+    def drop(self, i):
+        del self.kept[i % len(self.kept)]
+
+    @invariant()
+    def every_kept_version_equals_its_model(self):
+        for handle, model in self.kept:
+            assert len(handle) == len(model) and bool(handle) == bool(model)
+            for key in range(6):
+                assert handle.get(key, "absent") == model.get(key, "absent")
+
+
+class CowSetFamily(RuleBasedStateMachine):
+    """The same for :class:`CowSet` handles against plain sets."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kept: list[tuple[CowSet, set]] = [(CowSet([0]), {0})]
+
+    def _pick(self, i: int) -> tuple[CowSet, set]:
+        return self.kept[i % len(self.kept)]
+
+    @rule(i=PICK)
+    def copy(self, i):
+        handle, model = self._pick(i)
+        self.kept.append((handle.copy(), set(model)))
+
+    @rule(i=PICK, item=KEYS)
+    def add(self, i, item):
+        handle, model = self._pick(i)
+        handle.add(item)
+        model.add(item)
+
+    @rule(i=PICK, item=KEYS)
+    def remove(self, i, item):
+        handle, model = self._pick(i)
+        if item in model:
+            handle.remove(item)
+            model.remove(item)
+        else:
+            with pytest.raises(KeyError):
+                handle.remove(item)
+
+    @rule(i=PICK, item=KEYS)
+    def discard(self, i, item):
+        handle, model = self._pick(i)
+        handle.discard(item)
+        model.discard(item)
+
+    @rule(i=PICK)
+    def clear(self, i):
+        handle, model = self._pick(i)
+        handle.clear()
+        model.clear()
+
+    @rule(i=PICK)
+    def iterate(self, i):
+        handle, model = self._pick(i)
+        assert set(handle) == model
+
+    @precondition(lambda self: len(self.kept) > 1)
+    @rule(i=PICK)
+    def drop(self, i):
+        del self.kept[i % len(self.kept)]
+
+    @invariant()
+    def every_kept_version_equals_its_model(self):
+        for handle, model in self.kept:
+            assert len(handle) == len(model)
+            assert all((item in handle) == (item in model) for item in range(6))
+
+
+SHORT = settings(max_examples=50, stateful_step_count=40, deadline=None)
+LONG = settings(max_examples=400, stateful_step_count=60, deadline=None)
+
+
+class TestCowFamiliesAgainstModels:
+    def test_cow_dict(self):
+        run_state_machine_as_test(CowDictFamily, settings=SHORT)
+
+    def test_cow_set(self):
+        run_state_machine_as_test(CowSetFamily, settings=SHORT)
+
+    @pytest.mark.slow
+    def test_cow_dict_long(self):
+        run_state_machine_as_test(CowDictFamily, settings=LONG)
+
+    @pytest.mark.slow
+    def test_cow_set_long(self):
+        run_state_machine_as_test(CowSetFamily, settings=LONG)
 
 
 class TestBlockHashChain:

@@ -13,6 +13,11 @@ immutable sidechain entries, one nullifier set, the safeguard balances and
 the ceasing-deadline index: four copy-on-write containers (five objects, as
 a ``CowSet`` wraps a ``CowDict``) per block, however many entries change.
 
+The certificate-path values (transfers, certificates, proofs, records,
+entries, certificate transactions) declare slots: none of them holds an
+instance ``__dict__``, which a ``cached_property`` or a ``__dict__`` write
+would materialise on each.
+
 Each row of :data:`GROWTH` is one count measured on the same fixed builder
 at two sizes, n and 2n: what the paper's scalability claim (§4.1.2: a small,
 constant mainchain cost per sidechain and per certificate) says must not
@@ -46,10 +51,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from repro import observability
-from repro.core.cctp import CertificateRecord
+from repro.core.cctp import CertificateRecord, SidechainEntry
 from repro.core.commitment import SidechainTxCommitmentTree
-from repro.core.cow import CowDict, CowSet
-from repro.core.transfers import BackwardTransfer, WithdrawalCertificate, derive_ledger_id
+from repro.core.cow import CowDict, CowSet, _Version
+from repro.core.transfers import (
+    BackwardTransfer,
+    ForwardTransfer,
+    WithdrawalCertificate,
+    derive_ledger_id,
+)
 from repro.crypto import mimc, signatures
 from repro.crypto.keys import KeyPair
 from repro.latus.params import LatusParams
@@ -78,6 +88,9 @@ CEILINGS = {
     # fixed_chain(): CowDict/CowSet instances reachable from the CCTP states
     # of its 15 block records (genesis to 14)
     "mc.cctp.cow_containers": 75,
+    # fixed_chain(): certificate-path values reachable from its kept block
+    # records (states and blocks) that hold an instance __dict__
+    "mc.values.instance_dicts": 0,
     # resubmitted_certificate_block(): proof verifies of the block that
     # refuses an adopted certificate mined again inside its window; the
     # quality rule refuses it before rule 4 looks at the proof
@@ -101,7 +114,11 @@ GROWTH = {
     # to a CertificateRecord held by a reachable object (a dict slot, an
     # entry's latest record, a record's link to the epoch before); per
     # adopted certificate this is flat, not growing with the sidechain's age
-    "mc.growth.certificate_map_entries": (69, 96),
+    "mc.growth.certificate_map_entries": (60, 96),
+    # undo entries held by the versions the kept states' copy-on-write maps
+    # reach: the last REORG_HORIZON blocks' writes, flat with the chain's
+    # length (a dropped state frees its undo record)
+    "mc.growth.undo_entries": (96, 96),
     # against sidechain count: proof verifies over the whole build, one per
     # adopted certificate (36 and 72 certificates)
     "mc.growth.verifies_per_certificate": (36, 72),
@@ -262,6 +279,21 @@ def _certificate_map_entries(states) -> int:
     return sum(isinstance(ref, CertificateRecord) for _, refs in _walk(states) for ref in refs)
 
 
+def _undo_entries(states) -> int:
+    """Entries of the undo records of the copy-on-write versions reachable
+    from ``states`` (a root's dict is no undo record)."""
+    return sum(
+        len(obj.undo) for obj, _ in _walk(states) if isinstance(obj, _Version) and obj.undo
+    )
+
+
+#: The certificate-path value types, all slotted.
+CERTIFICATE_PATH_VALUES = (
+    BackwardTransfer, ForwardTransfer, WithdrawalCertificate, proving.Proof,
+    CertificateRecord, SidechainEntry, CertificateTx,
+)
+
+
 def _check(measured: dict[str, int]) -> None:
     over = {name: (CEILINGS[name], n) for name, n in measured.items() if n > CEILINGS[name]}
     assert not over, f"ceiling, measured: {over}"
@@ -292,12 +324,25 @@ def test_cctp_states_share_their_entries_and_nullifiers():
     _check({"mc.cctp.cow_containers": _reachable(states, (CowDict, CowSet))})
 
 
+def test_certificate_path_values_hold_no_instance_dict():
+    """Every certificate-path value the kept block records reach is slotted."""
+    records = [r for r in fixed_chain().chain._records.values() if r.state is not None]
+    values = [
+        obj for obj, _ in _walk([(r.block, r.state) for r in records])
+        if isinstance(obj, CERTIFICATE_PATH_VALUES)
+    ]
+    assert {type(obj) for obj in values} == set(CERTIFICATE_PATH_VALUES)
+    _check({"mc.values.instance_dicts": sum(hasattr(obj, "__dict__") for obj in values)})
+
+
 def test_mainchain_cost_does_not_grow_with_age():
-    """Twice the epochs keep the same number of block states, and no more
-    certificate-map entries per adopted certificate."""
+    """Twice the epochs keep the same number of block states, no more
+    certificate-map entries per adopted certificate, and no more undo
+    entries."""
     measured: dict[str, list[int]] = {
         "mc.growth.kept_states": [],
         "mc.growth.certificate_map_entries": [],
+        "mc.growth.undo_entries": [],
     }
     adopted = []
     for epochs in GROWTH_EPOCHS:
@@ -306,6 +351,7 @@ def test_mainchain_cost_does_not_grow_with_age():
         adopted.append(_adopted(node))
         measured["mc.growth.kept_states"].append(len(states))
         measured["mc.growth.certificate_map_entries"].append(_certificate_map_entries(states))
+        measured["mc.growth.undo_entries"].append(_undo_entries(states))
     assert adopted == [GROWTH_SIDECHAINS * epochs for epochs in GROWTH_EPOCHS]
     assert {name: tuple(counts) for name, counts in measured.items()} == {
         name: GROWTH[name] for name in measured
@@ -313,6 +359,8 @@ def test_mainchain_cost_does_not_grow_with_age():
     kept, entries = measured["mc.growth.kept_states"], measured["mc.growth.certificate_map_entries"]
     assert max(kept) <= REORG_HORIZON + 1
     assert entries[1] / adopted[1] <= entries[0] / adopted[0]
+    undo = measured["mc.growth.undo_entries"]
+    assert undo[1] <= undo[0]
 
 
 def test_mainchain_cost_per_certificate_does_not_grow_with_sidechains():

@@ -25,10 +25,10 @@ FILES = sorted(SRC.rglob("*.py"))
 #: The pipeline benchmark's tracer: it wraps ``src/`` entry points by name.
 TRACER = SRC.parent / "benchmarks" / "pipeline" / "trace.py"
 
-#: ``find src -name '*.py' | xargs wc -l`` after the store started deciding how
-#: a node keeps its MST and when it syncs: no ``paged_mst`` or ``fsync``
-#: switch, no memory page backing, no named page segment (17,060 before).
-MAX_SRC_LINES = 16_887
+#: ``find src -name '*.py' | xargs wc -l`` after the copy-on-write maps became
+#: versions over one flat dict (no sealed layers, no compaction) and the BTR
+#: and CSW shared one slotted body (16,887 before).
+MAX_SRC_LINES = 16_884
 #: None: ``observability.disable()`` is the only switch.
 MAX_ENVIRON_READS = 0
 #: None: every handler names the errors it expects (the last three were the
@@ -57,6 +57,10 @@ STORAGE_SWITCHES = (
     "PAGE_SEGMENT_NAME",
     "_rehouse_state",
 )
+
+#: Modules whose dataclasses are the mainchain's certificate-path values:
+#: each declares slots, so none carries an instance ``__dict__``.
+SLOTTED_MODULES = ("core/transfers.py", "core/cctp.py")
 
 #: Substrate layers and the construction layers they must not know about.
 SUBSTRATE = ("repro.core", "repro.mainchain")
@@ -467,6 +471,52 @@ class TestTracerEntryPoints:
         )
         assert resolves(tree, "g") and resolves(tree, "Base.m") and resolves(tree, "C.n")
         assert not resolves(tree, "f") and not resolves(tree, "C.m")
+
+
+def unslotted_values(tree: ast.Module) -> list[str]:
+    """Each dataclass in ``tree`` not declared ``slots=True``, and each
+    mention of ``cached_property`` (it writes an instance ``__dict__``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) != "dataclass":
+                    continue
+                keywords = call.keywords if call else []
+                if not any(k.arg == "slots" and getattr(k.value, "value", None) is True
+                           for k in keywords):
+                    found.append(f"{node.lineno}: {node.name} declares no slots")
+        names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        if isinstance(node, ast.alias):
+            names.append(node.name)
+        if "cached_property" in names:
+            found.append(f"{node.lineno}: cached_property")
+    return found
+
+
+class TestSlottedCertificateValues:
+    def test_certificate_path_values_declare_slots(self, trees):
+        offenders = {
+            module: unslotted_values(trees[SRC / "repro" / module]) for module in SLOTTED_MODULES
+        }
+        assert not any(offenders.values()), offenders
+
+    def test_the_check_sees_each_form(self):
+        source = (
+            "from functools import cached_property\n"
+            "@dataclass(frozen=True)\nclass A: ...\n"
+            "@dataclasses.dataclass\nclass B: ...\n"
+            "@dataclass(frozen=True, slots=True)\nclass C:\n"
+            "    @functools.cached_property\n    def x(self): ...\n"
+            "@dataclass(slots=True)\nclass D: ...\n"
+            "class E: ...\n"
+        )
+        found = sorted(line.split(": ", 1)[1] for line in unslotted_values(ast.parse(source)))
+        assert found == [
+            "A declares no slots", "B declares no slots", "cached_property", "cached_property"
+        ]
 
 
 class TestInventoryRatchet:

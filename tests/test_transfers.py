@@ -1,5 +1,7 @@
 """Unit tests for CCTP datatypes (repro.core.transfers) — §4.1."""
 
+import dataclasses
+
 from repro.core.transfers import (
     BackwardTransfer,
     BackwardTransferRequest,
@@ -11,7 +13,9 @@ from repro.core.transfers import (
     proofdata_root,
 )
 from repro.crypto.field import element_from_bytes
+from repro.crypto.hashing import hash_bytes
 from repro.crypto.mimc import mimc_hash
+from repro.mainchain.transaction import CertificateTx
 from repro.snark.proving import PROOF_SIZE, Proof
 
 
@@ -102,6 +106,35 @@ class TestWithdrawalCertificate:
 
     def test_id_depends_on_quality(self):
         assert self._cert(quality=7).id != self._cert(quality=8).id
+
+    def test_replace_yields_a_fresh_id(self):
+        """The id lives in a slot ``dataclasses.replace`` does not copy: a
+        certificate given its proof after its draft's id was read gets its
+        own id, the one a certificate built with that proof has."""
+        draft = self._cert()
+        draft_id = draft.id
+        proof = Proof(data=b"\x05" * PROOF_SIZE)
+        final = dataclasses.replace(draft, proof=proof)
+        assert final.id != draft_id
+        assert final.id == WithdrawalCertificate(
+            LEDGER, 3, 7, (), (11, 22, 33), proof
+        ).id == hash_bytes(final.encode(), b"zendoo/wcert")
+        assert final == dataclasses.replace(final) and draft.id == draft_id
+
+    def test_one_encoding_fills_the_txid_and_the_id(self, monkeypatch):
+        """A certificate admitted by its txid is not encoded again for its id."""
+        cert = self._cert(bts=[BackwardTransfer(b"\x01" * 32, 5)])
+        encodings, encode = [], WithdrawalCertificate.encode
+
+        def counted(self):
+            encodings.append(self)
+            return encode(self)
+
+        monkeypatch.setattr(WithdrawalCertificate, "encode", counted)
+        tx = CertificateTx(wcert=cert)
+        txid = tx.txid
+        assert cert.id == hash_bytes(encode(cert), b"zendoo/wcert")
+        assert tx.txid is txid and len(encodings) == 1
 
 
 class TestBtrAndCsw:
